@@ -5,12 +5,13 @@ Subcommands::
     minicheck analyze   prog.mc   # from-scratch: solve, warn, persist state
     minicheck reanalyze prog.mc   # incremental: diff, destabilize, re-solve
     minicheck compare   prog.mc   # precision of the persisted state vs scratch
-    minicheck serve     prog.mc   # line-delimited JSON request loop
+    minicheck serve               # line-delimited JSON request loop
 
 State persists in a single bundle (``--state-dir``): source snapshot,
 node-id assignment, solver state, warning store and the analysis options
 that produced them.  A bundle whose format or analysis domain does not match
 is refused; reusing solver data across differing abstractions is unsound.
+A damaged bundle is an error, never a traceback.
 
 Exit codes: 0 ok; 1 warnings present (with ``--fail-on-warn``); 2 errors.
 """
@@ -23,22 +24,14 @@ import json
 import os
 import socket
 import sys
+import tempfile
 from dataclasses import dataclass
 from typing import Optional, TextIO
 
 from .consys import NodeCtx, unknown_key
 from .domains import leq
-from .increment import (
-    ReanalyzeOptions,
-    detect_changes,
-    prepare_plain,
-    prepare_reluctant,
-    reanalyze,
-    relabel_nodes,
-    restart_globals,
-    select_restart_globals,
-)
-from .minic import AnalysisConfig, MiniCError, build_system, parse
+from .increment import reanalyze
+from .minic import AnalysisConfig, BuiltSystem, MiniCError, Program, build_system, parse
 from .minic.cfg import NodeAssignment, assign_node_ids
 from .postproc import WarnStore, diff_warnings, postprocess
 from .tdsolver import (
@@ -73,22 +66,28 @@ class Options:
         return AnalysisConfig(domain=self.domain)
 
     def solver(self) -> SolverOptions:
-        return SolverOptions(restart_wpoint=self.wpoint_restart,
-                             localized_widening=self.wpoint_restart)
+        return SolverOptions(restart_wpoint=self.wpoint_restart)
 
-    def reanalyze_options(self) -> ReanalyzeOptions:
-        return ReanalyzeOptions(mode=self.mode, restart=self.restart, solver=self.solver())
+
+@dataclass
+class Session:
+    """One analyzed version of a program: everything a bundle persists."""
+
+    source: str
+    source_path: str
+    program: Program
+    assignment: NodeAssignment
+    state: SolverState
+    store: WarnStore
 
 
 @dataclass
 class AnalysisResult:
-    built: object
-    state: SolverState
-    store: WarnStore
+    session: Session
     run_stats: dict
     post_stats: dict
+    diff: dict
     changes: Optional[dict] = None
-    diff: Optional[dict] = None
 
 
 # ---------------------------------------------------------------------------
@@ -96,48 +95,70 @@ class AnalysisResult:
 # ---------------------------------------------------------------------------
 
 
-def bundle_path(state_dir: str) -> str:
-    return os.path.join(state_dir, BUNDLE_NAME)
-
-
-def save_bundle(state_dir: str, source: str, source_path: str,
-                assignment: NodeAssignment, state: SolverState,
-                store: WarnStore, opts: Options) -> None:
-    os.makedirs(state_dir, exist_ok=True)
+def save_bundle(state_dir: str, session: Session, opts: Options) -> None:
+    """Write the bundle to a temporary file and rename it over the old one,
+    so that a crash never leaves a partly written bundle behind."""
     doc = {
         "format": BUNDLE_FORMAT,
         "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "compat": {"domain": opts.domain},
-        "source": source,
-        "source_path": source_path,
-        "nodes": assignment.to_json(),
-        "solver": state_to_json(state),
-        "warnstore": store.to_json(),
+        "source": session.source,
+        "source_path": session.source_path,
+        "nodes": session.assignment.to_json(),
+        "solver": state_to_json(session.state),
+        "warnstore": session.store.to_json(),
     }
-    with open(bundle_path(state_dir), "w") as f:
-        json.dump(doc, f, indent=1)
-        f.write("\n")
+    try:
+        os.makedirs(state_dir, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=BUNDLE_NAME + ".", suffix=".tmp", dir=state_dir)
+        try:
+            with os.fdopen(fd, "w") as f:
+                json.dump(doc, f, indent=1)
+                f.write("\n")
+                f.flush()
+                os.fsync(f.fileno())
+            os.replace(tmp, os.path.join(state_dir, BUNDLE_NAME))
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    except OSError as exc:
+        raise CliError(f"cannot write state bundle to {state_dir}: {exc}") from exc
 
 
-def load_bundle(state_dir: str, opts: Options) -> Optional[dict]:
-    path = bundle_path(state_dir)
-    if not os.path.exists(path):
+def load_bundle(state_dir: str, opts: Options) -> Optional[Session]:
+    """The session persisted in `state_dir`, or None if there is no bundle."""
+    path = os.path.join(state_dir, BUNDLE_NAME)
+    try:
+        with open(path) as f:
+            doc = json.load(f)
+        if doc.get("format") != BUNDLE_FORMAT:
+            raise CliError(f"state bundle format {doc.get('format')!r} is not supported")
+        domain = doc.get("compat", {}).get("domain")
+        if domain != opts.domain:
+            raise CliError(
+                "state bundle was produced with different analysis options "
+                f"(domain {domain!r} vs {opts.domain!r}); "
+                "refusing to reuse it; delete the state dir to reanalyze from scratch")
+        return Session(doc["source"], doc["source_path"], parse(doc["source"]),
+                       NodeAssignment.from_json(doc["nodes"]),
+                       state_from_json(doc["solver"]),
+                       WarnStore.from_json(doc["warnstore"]))
+    except FileNotFoundError:
         return None
-    with open(path) as f:
-        doc = json.load(f)
-    if doc.get("format") != BUNDLE_FORMAT:
-        raise CliError(f"state bundle format {doc.get('format')!r} is not supported")
-    if doc.get("compat", {}).get("domain") != opts.domain:
-        raise CliError(
-            "state bundle was produced with different analysis options "
-            f"(domain {doc.get('compat', {}).get('domain')!r} vs {opts.domain!r}); "
-            "refusing to reuse it; delete the state dir to reanalyze from scratch")
-    return doc
+    except (OSError, ValueError, LookupError, TypeError, AttributeError, MiniCError) as exc:
+        raise CliError(f"state bundle {path} is unreadable or corrupt ({exc!r}); "
+                       "delete the state dir to reanalyze from scratch") from exc
 
 
 # ---------------------------------------------------------------------------
 # Pipelines
 # ---------------------------------------------------------------------------
+
+
+def _verify(built: BuiltSystem, state: SolverState) -> None:
+    violations = verify_solution(built.sys, state)
+    if violations:
+        raise CliError(f"internal error: solution verification failed: {violations[:3]}")
 
 
 def run_analysis(text: str, filename: str, opts: Options) -> AnalysisResult:
@@ -146,64 +167,42 @@ def run_analysis(text: str, filename: str, opts: Options) -> AnalysisResult:
     built = build_system(prog, assignment, opts.config())
     state = SolverState()
     run_stats = run(built.sys, state, opts.solver())
-    violations = verify_solution(built.sys, state)
-    if violations:
-        raise CliError(f"internal error: solution verification failed: {violations[:3]}")
+    _verify(built, state)
     store, post_stats = postprocess(built, state, None, filename)
-    return AnalysisResult(built, state, store, run_stats, post_stats)
+    return AnalysisResult(Session(text, filename, prog, built.assignment, state, store),
+                          run_stats, post_stats, diff_warnings(None, store))
 
 
-def run_reanalysis(bundle: dict, text: str, filename: str, opts: Options) -> AnalysisResult:
-    old_prog = parse(bundle["source"])
-    new_prog = parse(text)
-    old_asg = NodeAssignment.from_json(bundle["nodes"])
-    state = state_from_json(bundle["solver"])
-    prev_store = WarnStore.from_json(bundle["warnstore"])
-
-    changes = detect_changes(old_prog, new_prog)
-    restart_set = []
-    if opts.restart == "minimal":
-        restart_set = select_restart_globals(changes, state, old_asg)
-    new_asg = relabel_nodes(changes, old_asg, new_prog)
-    built = build_system(new_prog, new_asg, opts.config())
-
-    ropts = opts.reanalyze_options()
-    if ropts.mode == "reluctant":
-        pre = prepare_reluctant(changes, state, old_asg, built.sys)
-    else:
-        pre = prepare_plain(changes, state, old_asg, built.sys)
-    restart_globals(restart_set, state)
-    run_stats = reanalyze(built.sys, state, ropts, pre_solve=pre)
-    run_stats["restarted"] = [unknown_key(g) for g in restart_set]
-    violations = verify_solution(built.sys, state)
-    if violations:
-        raise CliError(f"internal error: solution verification failed: {violations[:3]}")
-    store, post_stats = postprocess(built, state, prev_store, filename)
-    diff = diff_warnings(prev_store, store)
-    return AnalysisResult(built, state, store, run_stats, post_stats,
-                          changes=changes.to_json(), diff=diff)
+def run_reanalysis(session: Session, text: str, filename: str,
+                   opts: Options) -> AnalysisResult:
+    """Reanalyze `text` against `session`, whose solver state is updated in
+    place (and is unusable if this raises)."""
+    prog = parse(text)
+    state = session.state
+    changes, built, run_stats = reanalyze(session.program, session.assignment, state, prog,
+                                          opts.mode, opts.restart, opts.config(),
+                                          opts.solver())
+    _verify(built, state)
+    store, post_stats = postprocess(built, state, session.store, filename)
+    return AnalysisResult(Session(text, filename, prog, built.assignment, state, store),
+                          run_stats, post_stats, diff_warnings(session.store, store),
+                          changes.to_json())
 
 
-def compare_report(bundle: dict, text: str, filename: str, opts: Options) -> dict:
+def compare_report(session: Session, text: str, opts: Options) -> dict:
     """From-scratch precision report for the persisted incremental state.
 
-    The scratch run reuses the bundle's node-id assignment so that equal ids
+    The scratch run reuses the session's node-id assignment so that equal ids
     denote equal program points; a fresh numbering would shift after edits
     that change node counts."""
-    if bundle["source"] != text:
+    if session.source != text:
         raise CliError("state bundle does not match the current source; run reanalyze first")
-    prog = parse(text)
-    assignment = NodeAssignment.from_json(bundle["nodes"])
-    built = build_system(prog, assignment, opts.config())
+    built = build_system(session.program, session.assignment, opts.config())
     scratch_state = SolverState()
     run(built.sys, scratch_state, opts.solver())
-    violations = verify_solution(built.sys, scratch_state)
-    if violations:
-        raise CliError(f"internal error: solution verification failed: {violations[:3]}")
-    inc_sigma = state_from_json(bundle["solver"]).sigma
-    scr_sigma = scratch_state.sigma
-    inc_points = {u: v for u, v in inc_sigma.items() if isinstance(u, NodeCtx)}
-    scr_points = {u: v for u, v in scr_sigma.items() if isinstance(u, NodeCtx)}
+    _verify(built, scratch_state)
+    inc_points = {u: v for u, v in session.state.sigma.items() if isinstance(u, NodeCtx)}
+    scr_points = {u: v for u, v in scratch_state.sigma.items() if isinstance(u, NodeCtx)}
     shared = sorted(set(inc_points) & set(scr_points), key=unknown_key)
     equal = coarser = finer = incomparable = 0
     coarser_points = []
@@ -249,22 +248,24 @@ def _read_source(path: str) -> str:
         raise CliError(f"cannot read {path}: {exc}") from exc
 
 
-def _emit_stats(result: AnalysisResult, opts: Options, err: TextIO) -> None:
-    if not opts.stats:
-        return
-    stats = {
-        "rhs_evals_total": result.state.rhs_evals,
-        "destabilizations_total": result.state.destabilizations,
-        "run": result.run_stats,
-        "postprocess": {k: len(v) for k, v in result.post_stats.items()},
-    }
-    print(json.dumps(stats, indent=1), file=err)
+def _diff_json(diff: dict) -> dict:
+    return {k: [w.to_json() for w in ws] for k, ws in diff.items()}
 
 
-def _exit_code(result: AnalysisResult, opts: Options) -> int:
-    if opts.fail_on_warn and result.store.warnings:
-        return 1
-    return 0
+def _report(payload, result: AnalysisResult, opts: Options, out: TextIO, err: TextIO) -> int:
+    """Print a command's payload (and its counters with --stats); returns the
+    exit code."""
+    print(json.dumps(payload, indent=1), file=out)
+    if opts.stats:
+        state = result.session.state
+        stats = {
+            "rhs_evals_total": state.rhs_evals,
+            "destabilizations_total": state.destabilizations,
+            "run": result.run_stats,
+            "postprocess": {k: len(v) for k, v in result.post_stats.items()},
+        }
+        print(json.dumps(stats, indent=1), file=err)
+    return 1 if opts.fail_on_warn and result.session.store.warnings else 0
 
 
 def cmd_analyze(path: str, opts: Options, out: Optional[TextIO] = None,
@@ -272,16 +273,12 @@ def cmd_analyze(path: str, opts: Options, out: Optional[TextIO] = None,
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
-        text = _read_source(path)
-        result = run_analysis(text, path, opts)
+        result = run_analysis(_read_source(path), path, opts)
+        save_bundle(opts.state_dir, result.session, opts)
     except (MiniCError, CliError) as exc:
         print(f"error: {exc}", file=err)
         return 2
-    save_bundle(opts.state_dir, text, path, result.built.assignment,
-                result.state, result.store, opts)
-    print(json.dumps(result.store.warnings_json(), indent=1), file=out)
-    _emit_stats(result, opts, err)
-    return _exit_code(result, opts)
+    return _report(result.session.store.warnings_json(), result, opts, out, err)
 
 
 def cmd_reanalyze(path: str, opts: Options, out: Optional[TextIO] = None,
@@ -289,23 +286,19 @@ def cmd_reanalyze(path: str, opts: Options, out: Optional[TextIO] = None,
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
-        bundle = load_bundle(opts.state_dir, opts)
-        if bundle is None:
+        session = load_bundle(opts.state_dir, opts)
+        if session is None:
             print("notice: no previous state; analyzing from scratch", file=err)
             return cmd_analyze(path, opts, out, err)
-        text = _read_source(path)
-        result = run_reanalysis(bundle, text, path, opts)
+        result = run_reanalysis(session, _read_source(path), path, opts)
+        save_bundle(opts.state_dir, result.session, opts)
     except (MiniCError, CliError) as exc:
         print(f"error: {exc}", file=err)
         return 2
-    save_bundle(opts.state_dir, text, path, result.built.assignment,
-                result.state, result.store, opts)
-    payload = {k: [w.to_json() for w in ws] for k, ws in result.diff.items()}
+    payload = _diff_json(result.diff)
     if opts.explain_diff:
         payload["changes"] = result.changes
-    print(json.dumps(payload, indent=1), file=out)
-    _emit_stats(result, opts, err)
-    return _exit_code(result, opts)
+    return _report(payload, result, opts, out, err)
 
 
 def cmd_compare(path: str, opts: Options, out: Optional[TextIO] = None,
@@ -313,12 +306,10 @@ def cmd_compare(path: str, opts: Options, out: Optional[TextIO] = None,
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
-        bundle = load_bundle(opts.state_dir, opts)
-        if bundle is None:
-            print("error: no state bundle; run analyze first", file=err)
-            return 2
-        text = _read_source(path)
-        report = compare_report(bundle, text, path, opts)
+        session = load_bundle(opts.state_dir, opts)
+        if session is None:
+            raise CliError("no state bundle; run analyze first")
+        report = compare_report(session, _read_source(path), opts)
     except (MiniCError, CliError) as exc:
         print(f"error: {exc}", file=err)
         return 2
@@ -332,61 +323,83 @@ def cmd_compare(path: str, opts: Options, out: Optional[TextIO] = None,
 # ---------------------------------------------------------------------------
 
 
-def serve_loop(opts: Options, inp: TextIO, out: TextIO,
-               err: Optional[TextIO] = None) -> int:
-    err = err if err is not None else sys.stderr
-    for line in inp:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            req = json.loads(line)
-        except json.JSONDecodeError as exc:
-            _respond(out, {"error": f"malformed request: {exc}"})
-            continue
-        rid = req.get("id") if isinstance(req, dict) else None
-        try:
+class Server:
+    """Answers requests against one Session kept in memory.
+
+    The bundle is read only while the server holds no session: at the first
+    request that needs state, and after a failed reanalysis, which may have
+    left the solver state half updated.  Every successful reanalysis writes
+    the bundle back, so the state survives a crash of the server; a CLI run
+    against the same state dir meanwhile goes unseen."""
+
+    def __init__(self, opts: Options):
+        self.opts = opts
+        self.session: Optional[Session] = None
+
+    def current(self) -> Optional[Session]:
+        if self.session is None:
+            self.session = load_bundle(self.opts.state_dir, self.opts)
+        return self.session
+
+    def reanalyze(self, path: str) -> dict:
+        text = _read_source(path)
+        session, self.session = self.current(), None  # reloaded if this request fails
+        if session is None:
+            result = run_analysis(text, path, self.opts)
+        else:
+            result = run_reanalysis(session, text, path, self.opts)
+        save_bundle(self.opts.state_dir, result.session, self.opts)
+        self.session = result.session
+        payload = _diff_json(result.diff)
+        if session is None:
+            payload["fallback"] = "analyze"
+        if self.opts.stats:
+            payload["stats"] = {
+                "rhs_evals_total": result.session.state.rhs_evals,
+                "destabilizations_total": result.session.state.destabilizations,
+            }
+        return payload
+
+    def serve(self, inp: TextIO, out: TextIO) -> bool:
+        """Answer the requests on `inp` in order.  True when a shutdown
+        request ended the loop, False when `inp` ran out."""
+        for line in inp:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                req = json.loads(line)
+            except json.JSONDecodeError as exc:
+                _respond(out, {"error": f"malformed request: {exc}"})
+                continue
+            rid = req.get("id") if isinstance(req, dict) else None
             method = req.get("method") if isinstance(req, dict) else None
             if method == "shutdown":
                 _respond(out, {"id": rid, "result": "bye"})
-                return 0
-            if method == "warnings":
-                bundle = load_bundle(opts.state_dir, opts)
-                if bundle is None:
-                    _respond(out, {"id": rid, "error": "no analysis state"})
+                return True
+            try:
+                if method == "warnings":
+                    session = self.current()
+                    if session is None:
+                        raise CliError("no analysis state")
+                    result = session.store.warnings_json()
+                elif method == "reanalyze":
+                    path = req.get("path")
+                    if not isinstance(path, str) or not path:
+                        raise CliError("'path' must be a non-empty string")
+                    result = self.reanalyze(path)
                 else:
-                    _respond(out, {"id": rid, "result": bundle["warnstore"]["warnings"]})
-                continue
-            if method == "reanalyze":
-                path = req.get("path")
-                if not path:
-                    _respond(out, {"id": rid, "error": "missing 'path'"})
-                    continue
-                text = _read_source(path)
-                bundle = load_bundle(opts.state_dir, opts)
-                if bundle is None:
-                    result = run_analysis(text, path, opts)
-                    diff = diff_warnings(None, result.store)
-                    fallback = True
-                else:
-                    result = run_reanalysis(bundle, text, path, opts)
-                    diff = result.diff
-                    fallback = False
-                save_bundle(opts.state_dir, text, path, result.built.assignment,
-                            result.state, result.store, opts)
-                payload = {k: [w.to_json() for w in ws] for k, ws in diff.items()}
-                if fallback:
-                    payload["fallback"] = "analyze"
-                if opts.stats:
-                    payload["stats"] = {
-                        "rhs_evals_total": result.state.rhs_evals,
-                        "destabilizations_total": result.state.destabilizations,
-                    }
-                _respond(out, {"id": rid, "result": payload})
-                continue
-            _respond(out, {"id": rid, "error": f"unknown method {method!r}"})
-        except (CliError, MiniCError) as exc:
-            _respond(out, {"id": rid, "error": str(exc)})
+                    raise CliError(f"unknown method {method!r}")
+            except (CliError, MiniCError) as exc:
+                _respond(out, {"id": rid, "error": str(exc)})
+            else:
+                _respond(out, {"id": rid, "result": result})
+        return False
+
+
+def serve_loop(opts: Options, inp: TextIO, out: TextIO,
+               err: Optional[TextIO] = None) -> int:
+    Server(opts).serve(inp, out)
     return 0
 
 
@@ -400,6 +413,7 @@ def cmd_serve(opts: Options, socket_path: Optional[str],
     err = err if err is not None else sys.stderr
     if socket_path is None:
         return serve_loop(opts, sys.stdin, sys.stdout, err)
+    server = Server(opts)
     if os.path.exists(socket_path):
         os.unlink(socket_path)
     srv = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
@@ -409,17 +423,13 @@ def cmd_serve(opts: Options, socket_path: Optional[str],
     try:
         while True:
             conn, _ = srv.accept()
-            with conn:
-                rf = conn.makefile("r", encoding="utf-8")
-                wf = conn.makefile("w", encoding="utf-8")
-                code = serve_loop(opts, rf, wf, err)
-                if code == 0 and wf.closed is False:
-                    # shutdown request ends the server, disconnect re-accepts
-                    try:
-                        wf.flush()
-                    except ValueError:
-                        pass
-                    return 0
+            try:
+                with conn, conn.makefile("r", encoding="utf-8") as rf, \
+                        conn.makefile("w", encoding="utf-8") as wf:
+                    if server.serve(rf, wf):
+                        return 0
+            except (BrokenPipeError, ConnectionResetError):
+                pass  # the client left without reading its answer; serve the next
     finally:
         srv.close()
         if os.path.exists(socket_path):
@@ -479,19 +489,13 @@ def main(argv=None) -> int:
 
     ns = parser.parse_args(argv)
     opts = _options(ns)
-    try:
-        if ns.command == "analyze":
-            return cmd_analyze(ns.source, opts)
-        if ns.command == "reanalyze":
-            return cmd_reanalyze(ns.source, opts)
-        if ns.command == "compare":
-            return cmd_compare(ns.source, opts)
-        if ns.command == "serve":
-            return cmd_serve(opts, ns.socket)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 2
+    if ns.command == "analyze":
+        return cmd_analyze(ns.source, opts)
+    if ns.command == "reanalyze":
+        return cmd_reanalyze(ns.source, opts)
+    if ns.command == "compare":
+        return cmd_compare(ns.source, opts)
+    return cmd_serve(opts, ns.socket)
 
 
 if __name__ == "__main__":

@@ -548,9 +548,6 @@ class LocalState(Value):
             return other
         return LocalState(self.env.narrow(other.env), self.locks.narrow(other.locks))
 
-    def with_env(self, env: Env) -> "LocalState":
-        return LocalState(env, self.locks)
-
     def with_locks(self, locks: Lockset) -> "LocalState":
         return LocalState(self.env, locks)
 

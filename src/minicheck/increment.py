@@ -23,12 +23,13 @@ pure re-evaluation of right-hand sides under the current σ.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .consys import (
     INIT,
     AccCollector,
+    Context,
     EqSys,
     GlobalVar,
     InitMarker,
@@ -36,9 +37,11 @@ from .consys import (
     Unknown,
     eval_tree,
     sort_key,
+    unknown_key,
 )
 from .minic.cfg import NodeAssignment, assign_node_ids
 from .minic.syntax import Program, normalize
+from .minic.system import AnalysisConfig, BuiltSystem, build_system
 from .tdsolver import SolverOptions, SolverState, run
 
 INIT_PSEUDO_FN = "__init"
@@ -69,13 +72,6 @@ class ChangeSet:
             "removed": sorted(self.removed),
             "unchanged": sorted(self.unchanged),
         }
-
-
-@dataclass
-class ReanalyzeOptions:
-    mode: str = "reluctant"      # "plain" | "reluctant"
-    restart: str = "minimal"     # "off" | "minimal" | explicit iterable of globals
-    solver: SolverOptions = field(default_factory=SolverOptions)
 
 
 def detect_changes(old: Program, new: Program) -> ChangeSet:
@@ -116,26 +112,29 @@ def relabel_nodes(changes: ChangeSet, old: Optional[NodeAssignment],
 # ---------------------------------------------------------------------------
 
 
-def _recorded_contexts(st: SolverState, fn: str, nodes: Iterable[int]) -> List:
-    node_set = set(nodes)
-    ctxs = {u.ctx for u in st.sigma if isinstance(u, NodeCtx) and u.fn == fn and u.node in node_set}
-    ctxs |= {u.ctx for u in st.stable if isinstance(u, NodeCtx) and u.fn == fn and u.node in node_set}
-    return sorted(ctxs, key=lambda c: str(sort_key(NodeCtx(fn, 0, c))))
+def recorded_contexts(st: SolverState, asg: NodeAssignment) -> Dict[str, Set[Context]]:
+    """The contexts each function was analyzed in, read off σ in one pass.
+
+    Entry nodes get values only by side-effects from call and creation
+    sites, which are never Bot, so every context in which any node of a
+    function was solved has its entry unknown in σ."""
+    entries = {fn: ids[0] for fn, ids in asg.assign.items() if ids}
+    out: Dict[str, Set[Context]] = {}
+    for u in st.sigma:
+        if isinstance(u, NodeCtx) and entries.get(u.fn) == u.node:
+            out.setdefault(u.fn, set()).add(u.ctx)
+    return out
 
 
-def _return_unknowns(changes_fns: Iterable[str], st: SolverState,
+def _return_unknowns(changes_fns: Iterable[str], contexts: Dict[str, Set[Context]],
                      old_asg: NodeAssignment) -> List[Unknown]:
     out: List[Unknown] = []
-    for fn in sorted(changes_fns):
+    for fn in changes_fns:
         if fn == INIT_PSEUDO_FN:
             out.append(INIT)
-            continue
-        ids = old_asg.assign.get(fn)
-        if not ids:
-            continue
-        ret = ids[-1]
-        for ctx in _recorded_contexts(st, fn, (ids[0], ret)):
-            out.append(NodeCtx(fn, ret, ctx))
+        elif fn in old_asg.assign:
+            ret = old_asg.assign[fn][-1]
+            out.extend(NodeCtx(fn, ret, ctx) for ctx in contexts.get(fn, ()))
     out.sort(key=sort_key)
     return out
 
@@ -180,7 +179,7 @@ def prepare_plain(changes: ChangeSet, st: SolverState, old_asg: NodeAssignment,
     st.superstable = set(st.stable)
     _drop_obsolete_starts(st, new_sys)
     _drop_stale_nodes(changes, st, old_asg)
-    for u in _return_unknowns(changes.edited(), st, old_asg):
+    for u in _return_unknowns(changes.edited(), recorded_contexts(st, old_asg), old_asg):
         st.stable.discard(u)
         st.superstable.discard(u)
         st.destabilize(u)
@@ -196,11 +195,12 @@ def prepare_reluctant(changes: ChangeSet, st: SolverState, old_asg: NodeAssignme
     st.superstable = set(st.stable)
     _drop_obsolete_starts(st, new_sys)
     _drop_stale_nodes(changes, st, old_asg)
-    for u in _return_unknowns(changes.header_changed | changes.removed, st, old_asg):
+    contexts = recorded_contexts(st, old_asg)
+    for u in _return_unknowns(changes.header_changed | changes.removed, contexts, old_asg):
         st.stable.discard(u)
         st.superstable.discard(u)
         st.destabilize(u)
-    A = _return_unknowns(changes.changed, st, old_asg)
+    A = _return_unknowns(changes.changed, contexts, old_asg)
     for u in A:
         st.stable.discard(u)
         st.superstable.discard(u)
@@ -256,13 +256,25 @@ def restart_globals(G: Iterable[Unknown], st: SolverState) -> None:
 # ---------------------------------------------------------------------------
 
 
-def reanalyze(sys_new: EqSys, st: SolverState, opts: ReanalyzeOptions,
-              pre_solve: Iterable[Unknown] = ()) -> dict:
-    """Solve the pre-solve set (step 1), then the query (step 2).
+def reanalyze(old_prog: Program, old_asg: NodeAssignment, st: SolverState,
+              new_prog: Program, mode: str = "reluctant", restart: str = "minimal",
+              config: Optional[AnalysisConfig] = None,
+              solver: Optional[SolverOptions] = None) -> Tuple[ChangeSet, BuiltSystem, dict]:
+    """Bring `st`, the solver state of `old_prog`, up to date with `new_prog`.
 
-    `prepare_plain`/`prepare_reluctant` and any restarting must have been
-    applied already; this only drives the solver."""
-    return run(sys_new, st, opts.solver, pre_solve=pre_solve)
+    `mode` is "plain" or "reluctant" destabilization; `restart` is "off" or
+    "minimal".  The restart set is read off the old state before relabeling
+    erases the old unknowns.  Returns the change set, the new system and the
+    solver's per-step statistics plus the keys of the restarted globals."""
+    changes = detect_changes(old_prog, new_prog)
+    restarted = select_restart_globals(changes, st, old_asg) if restart == "minimal" else []
+    built = build_system(new_prog, relabel_nodes(changes, old_asg, new_prog), config)
+    prepare = prepare_reluctant if mode == "reluctant" else prepare_plain
+    pre_solve = prepare(changes, st, old_asg, built.sys)
+    restart_globals(restarted, st)
+    stats = run(built.sys, st, solver, pre_solve=pre_solve)
+    stats["restarted"] = [unknown_key(g) for g in restarted]
+    return changes, built, stats
 
 
 # ---------------------------------------------------------------------------

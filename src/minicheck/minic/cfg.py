@@ -124,9 +124,6 @@ class NodeAssignment:
     assign: Dict[str, Tuple[int, ...]] = field(default_factory=dict)
     counter: int = 0
 
-    def entry_of(self, fn: str) -> int:
-        return self.assign[fn][0]
-
     def return_of(self, fn: str) -> int:
         return self.assign[fn][-1]
 
@@ -215,9 +212,3 @@ def build_cfgs(prog: Program, assignment: NodeAssignment) -> Dict[str, FuncCFG]:
                              function_locals(fn, global_names))
     return cfgs
 
-
-def find_edge(cfgs: Dict[str, FuncCFG], fn: str, src: int, dst: int) -> Optional[Edge]:
-    cfg = cfgs.get(fn)
-    if cfg is None:
-        return None
-    return cfg.edge_between(src, dst)

@@ -40,7 +40,6 @@ from ..domains import (
     AccessSet,
     Access,
     AddressSet,
-    DEFAULT_SET_BOUND,
     Env,
     Interval,
     LocalState,
@@ -76,7 +75,6 @@ from .syntax import (
 @dataclass(frozen=True)
 class AnalysisConfig:
     domain: str = "valueset"  # "valueset" | "interval"
-    bound: int = DEFAULT_SET_BOUND
 
     def int_top(self) -> Value:
         return Interval.top() if self.domain == "interval" else ValueSet.top()
@@ -95,12 +93,7 @@ MAIN_HARNESS = "__main"
 class BuiltSystem:
     sys: EqSys
     cfgs: Dict[str, FuncCFG]
-    program: Program
     assignment: NodeAssignment
-    config: AnalysisConfig
-
-    def node_unknowns_in_sigma(self, sigma: dict) -> List[NodeCtx]:
-        return [u for u in sigma if isinstance(u, NodeCtx)]
 
 
 def build_system(prog: Program, assignment: NodeAssignment,
@@ -109,7 +102,7 @@ def build_system(prog: Program, assignment: NodeAssignment,
     cfgs = build_cfgs(prog, assignment)
     gen = _SystemGen(prog, cfgs, config)
     sys_ = EqSys(gen.rhs, gen.is_leaf, gen.starts(), MAIN, gen.bot_of)
-    return BuiltSystem(sys_, cfgs, prog, assignment, config)
+    return BuiltSystem(sys_, cfgs, assignment)
 
 
 class _SystemGen:
@@ -352,7 +345,7 @@ class _SystemGen:
         if isinstance(e, BinOp):
             return self._eval_expr(e.left, s, emit,
                                    lambda lv: self._eval_expr(e.right, s, emit,
-                                                              lambda rv: k(arith_binop(e.op, lv, rv, self.config.bound))))
+                                                              lambda rv: k(arith_binop(e.op, lv, rv))))
         raise TypeError(f"unexpected expression {e!r}")
 
     def _as_int(self, v: Value) -> Value:

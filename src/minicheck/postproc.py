@@ -22,8 +22,8 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .consys import (
     AccCollector,
+    Context,
     NodeCtx,
-    Unknown,
     eval_tree,
     sort_key,
     unknown_key,
@@ -36,7 +36,7 @@ from .domains import (
     access_from_json,
     access_to_json,
 )
-from .increment import prune, reachable_set
+from .increment import prune, reachable_set, recorded_contexts
 from .minic.syntax import Store
 from .minic.system import BuiltSystem
 from .tdsolver import SolverState
@@ -172,10 +172,11 @@ def postprocess(built: BuiltSystem, st: SolverState, prev: Optional[WarnStore],
     assert frozenset(st.sigma.keys()) == sigma_keys_before, \
         "postprocessing must not modify the solution"
 
+    contexts = recorded_contexts(st, built.assignment)
     warnings: List[Warning] = []
     warnings.extend(races(store, built, filename))
-    warnings.extend(_unsound_stores(built, st, filename))
-    warnings.extend(_dead_code(built, st, reachable, filename))
+    warnings.extend(_unsound_stores(built, st, contexts, filename))
+    warnings.extend(_dead_code(built, st, contexts, filename))
     store.warnings = sorted(warnings, key=lambda w: (w.kind, w.id, w.message))
 
     stats = {
@@ -229,14 +230,8 @@ def races(store: WarnStore, built: BuiltSystem, filename: str) -> List[Warning]:
     return out
 
 
-def _recorded_contexts(built: BuiltSystem, st: SolverState, fn: str) -> list:
-    cfg = built.cfgs[fn]
-    return sorted({u.ctx for u in st.sigma
-                   if isinstance(u, NodeCtx) and u.fn == fn and u.node == cfg.entry},
-                  key=lambda c: str(c.params))
-
-
-def _unsound_stores(built: BuiltSystem, st: SolverState, filename: str) -> List[Warning]:
+def _unsound_stores(built: BuiltSystem, st: SolverState, contexts: Dict[str, Set[Context]],
+                    filename: str) -> List[Warning]:
     """A `*p = e` whose pointer evaluates to Top cannot be reflected on any
     global soundly; surface it."""
     out: List[Warning] = []
@@ -245,7 +240,7 @@ def _unsound_stores(built: BuiltSystem, st: SolverState, filename: str) -> List[
             if not isinstance(e.label, Store):
                 continue
             offending = []
-            for ctx in _recorded_contexts(built, st, fn):
+            for ctx in contexts.get(fn, ()):
                 s = st.sigma.get(NodeCtx(fn, e.src, ctx))
                 if not isinstance(s, LocalState) or s.is_bot():
                     continue
@@ -262,13 +257,13 @@ def _unsound_stores(built: BuiltSystem, st: SolverState, filename: str) -> List[
     return out
 
 
-def _dead_code(built: BuiltSystem, st: SolverState, reachable: Set[Unknown],
+def _dead_code(built: BuiltSystem, st: SolverState, contexts: Dict[str, Set[Context]],
                filename: str) -> List[Warning]:
     """One warning per maximal connected region of dead nodes inside an
     analyzed function (dead: Bot or absent in every recorded context)."""
     out: List[Warning] = []
     for fn, cfg in sorted(built.cfgs.items()):
-        ctxs = _recorded_contexts(built, st, fn)
+        ctxs = contexts.get(fn)
         if not ctxs:
             continue  # function never analyzed; not dead code, just unused
         dead: Set[int] = set()

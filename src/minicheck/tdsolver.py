@@ -8,14 +8,14 @@ destabilize its dependents.  The resulting ``SolverState`` is a *partial
 post-solution*: re-evaluating any stable unknown under σ stays below its
 stored value (checked by :func:`verify_solution`).
 
-Two optional policies refine precision:
+The optional ``restart_wpoint`` policy refines precision in two ways:
 
-* ``localized_widening`` removes an unknown from the widening-point set once
-  its narrowing iteration stabilizes, so inner cycles can be re-iterated
+* it resets an unknown to Bot (and destabilizes it) whenever it turns into
+  a widening point, purging values accumulated before the cycle was known;
+  restarts are bounded per unknown per run;
+* it localizes widening: an unknown leaves the widening-point set once its
+  narrowing iteration stabilizes, so inner cycles can be re-iterated
   without widening when outer values shrink.
-* ``restart_wpoint`` resets an unknown to Bot (and destabilizes it) whenever
-  it turns into a widening point, purging values accumulated before the
-  cycle was known.  Restarts are bounded per unknown per run.
 
 The solver keeps the natural recursive call structure; entry points execute
 on a dedicated thread with a large stack, since dependency chains can run
@@ -25,6 +25,7 @@ thousands of frames deep.
 from __future__ import annotations
 
 import enum
+import functools
 import logging
 import sys as _sys
 import threading
@@ -44,7 +45,6 @@ from .consys import (
     unknown_key,
 )
 from .domains import (
-    DEFAULT_SET_BOUND,
     Value,
     join,
     leq,
@@ -64,12 +64,12 @@ class Phase(enum.Enum):
     NARROW = "narrow"
 
 
+MAX_WPOINT_RESTARTS = 32  # per unknown per run, defensive
+
+
 @dataclass
 class SolverOptions:
     restart_wpoint: bool = False
-    localized_widening: bool = False
-    valueset_bound: int = DEFAULT_SET_BOUND
-    max_wpoint_restarts: int = 32  # per unknown per run, defensive
     max_depth: int = 400_000       # defensive recursion diagnostic
 
 
@@ -187,7 +187,7 @@ class Solver:
             if x in st.point:
                 cur = self._get(x)
                 if phase is Phase.WIDEN:
-                    tmp = widen(cur, tmp, self.opts.valueset_bound)
+                    tmp = widen(cur, tmp)
                 else:
                     tmp = narrow(cur, tmp)
             if x not in st.stable:
@@ -197,7 +197,7 @@ class Solver:
                 if phase is Phase.WIDEN and x in st.point:
                     st.stable.discard(x)
                     self.solve(Phase.NARROW, x)
-                    if self.opts.localized_widening:
+                    if self.opts.restart_wpoint:
                         st.point.discard(x)
             else:
                 st.sigma[x] = tmp
@@ -247,7 +247,7 @@ class Solver:
     def _restart_widening_point(self, y: Unknown) -> None:
         st = self.state
         n = self._wpoint_restarts.get(y, 0)
-        if n >= self.opts.max_wpoint_restarts:
+        if n >= MAX_WPOINT_RESTARTS:
             msg = f"widening-point restart bound hit at {y!r}"
             st.diagnostics.append(msg)
             log.warning(msg)
@@ -265,7 +265,7 @@ class Solver:
             # Write-only collectors keep their bookkeeping but the value is
             # dropped during solving; postprocessing re-emits it.
             cur = self._get(g)
-            new = widen(cur, d, self.opts.valueset_bound)
+            new = widen(cur, d)
             if new != cur:
                 st.sigma[g] = new
                 st.stable.add(g)
@@ -377,19 +377,21 @@ def state_to_json(state: SolverState) -> dict:
 def state_from_json(doc: dict) -> SolverState:
     if doc.get("format") != STATE_FORMAT:
         raise ValueError(f"unsupported solver state format: {doc.get('format')!r}")
+    # every unknown recurs under several maps; decode each key once
+    unknown = functools.cache(unknown_from_key)
 
     def from_omap(m: dict) -> Dict[Unknown, Dict[Unknown, None]]:
-        return {unknown_from_key(k): {unknown_from_key(v): None for v in vs}
+        return {unknown(k): {unknown(v): None for v in vs}
                 for k, vs in m.items()}
 
     st = SolverState()
-    st.sigma = {unknown_from_key(k): value_from_json(v) for k, v in doc["sigma"].items()}
+    st.sigma = {unknown(k): value_from_json(v) for k, v in doc["sigma"].items()}
     st.infl = from_omap(doc["infl"])
-    st.stable = {unknown_from_key(k) for k in doc["stable"]}
-    st.point = {unknown_from_key(k) for k in doc["point"]}
+    st.stable = {unknown(k) for k in doc["stable"]}
+    st.point = {unknown(k) for k in doc["point"]}
     st.side_dep = from_omap(doc["side_dep"])
     st.side_infl = from_omap(doc["side_infl"])
-    st.starts = {unknown_from_key(k): value_from_json(v) for k, v in doc["starts"].items()}
+    st.starts = {unknown(k): value_from_json(v) for k, v in doc["starts"].items()}
     st.rhs_evals = doc["counters"]["rhs_evals"]
     st.destabilizations = doc["counters"]["destabilizations"]
     return st

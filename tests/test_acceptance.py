@@ -32,15 +32,12 @@ from minicheck.domains import (
     leq,
 )
 from minicheck.increment import (
-    ReanalyzeOptions,
     detect_changes,
-    prepare_plain,
     prepare_reluctant,
     prune,
     reanalyze,
+    recorded_contexts,
     relabel_nodes,
-    restart_globals,
-    select_restart_globals,
 )
 from minicheck.minic import build_system, parse
 from minicheck.minic.cfg import Guard
@@ -94,17 +91,9 @@ def _clone(state):
 
 def _incremental(old_text, new_text, mode, restart, base_built, base_state):
     st = _clone(base_state)
-    old_prog, new_prog = parse(old_text), parse(new_text)
-    changes = detect_changes(old_prog, new_prog)
-    G_sel = select_restart_globals(changes, st, base_built.assignment) if restart == "minimal" else []
-    new_asg = relabel_nodes(changes, base_built.assignment, new_prog)
-    new_built = build_system(new_prog, new_asg)
-    prep = prepare_reluctant if mode == "reluctant" else prepare_plain
-    A = prep(changes, st, base_built.assignment, new_built.sys)
-    restart_globals(G_sel, st)
-    stats = reanalyze(new_built.sys, st, ReanalyzeOptions(mode=mode, restart=restart),
-                      pre_solve=A)
-    return new_built, st, stats, A
+    _, new_built, stats = reanalyze(parse(old_text), base_built.assignment, st,
+                                    parse(new_text), mode, restart)
+    return new_built, st, stats
 
 
 # -- 1: Example 2 reproduction ---------------------------------------------------
@@ -182,13 +171,13 @@ def test_criterion_3_incremental_trio():
     results = {}
     for mode in ("plain", "reluctant"):
         t0 = time.perf_counter()
-        _, st, _, _ = _incremental(FIG2, FIG2_EDIT, mode, "off", base_built, base_state)
+        _, st, _ = _incremental(FIG2, FIG2_EDIT, mode, "off", base_built, base_state)
         dt = time.perf_counter() - t0
         assert dt < 1.0
         results[(mode, "off")] = st.sigma[G]
     for mode in ("plain", "reluctant"):
         t0 = time.perf_counter()
-        _, st, _, _ = _incremental(FIG2, FIG2_EDIT, mode, "minimal", base_built, base_state)
+        _, st, _ = _incremental(FIG2, FIG2_EDIT, mode, "minimal", base_built, base_state)
         dt = time.perf_counter() - t0
         assert dt < 1.0
         results[(mode, "minimal")] = st.sigma[G]
@@ -224,8 +213,7 @@ def test_criterion_4_reluctant_stable_sets_and_counter():
     assert node_stable == {node("foo", 0, BETA0), node("main", 3),
                            node("main", 4), node("main", 5)}
 
-    stats = reanalyze(new_built.sys, st, ReanalyzeOptions(mode="reluctant", restart="off"),
-                      pre_solve=A)
+    stats = run(new_built.sys, st, pre_solve=A)
 
     # step 1 left ⟨4,∅⟩ alone but the new side-effect destabilized ⟨5,∅⟩;
     # afterwards everything is stable again with the endpoint re-evaluated once
@@ -274,10 +262,10 @@ def test_criterion_5_efficiency_proxy():
     full = scratch.rhs_evals
     counts = {}
     for mode in ("reluctant", "plain"):
-        _, st, stats, _ = _incremental(old_text, new_text, mode, "minimal",
-                                       base_built, base_state)
+        new_built, st, stats = _incremental(old_text, new_text, mode, "minimal",
+                                            base_built, base_state)
         counts[mode] = stats["step1_rhs_evals"] + stats["step2_rhs_evals"]
-        assert verify_solution(_built_sys_of(old_text, new_text, base_built), st) == []
+        assert verify_solution(new_built.sys, st) == []
     elapsed = time.perf_counter() - t0
     assert counts["reluctant"] <= 0.10 * full, counts
     assert counts["plain"] <= 0.50 * full, counts
@@ -287,41 +275,50 @@ def test_criterion_5_efficiency_proxy():
           f"({100*counts['plain']/full:.1f}%), {elapsed:.1f}s")
 
 
-def _built_sys_of(old_text, new_text, base_built):
-    changes = detect_changes(parse(old_text), parse(new_text))
-    new_asg = relabel_nodes(changes, base_built.assignment, parse(new_text))
-    return build_system(parse(new_text), new_asg).sys
-
-
 # -- 6: consistency harness ----------------------------------------------------------------
 
 
+def _scanned_contexts(units, nodes):
+    """Reference for `recorded_contexts`: the contexts of the unknowns in
+    `units` at the nodes `nodes[fn]` of each function, as the per-function
+    scans it replaced collected them."""
+    out = {}
+    for u in units:
+        if isinstance(u, NodeCtx) and u.node in nodes.get(u.fn, ()):
+            out.setdefault(u.fn, set()).add(u.ctx)
+    return out
+
+
 def _run_sequence(spec0, seq_seed):
-    """One 5-edit incremental session; returns its consistency report."""
+    """One 5-edit incremental session; returns its consistency report.
+
+    Before each edit and after each solve, the context index must agree
+    with the per-function scans it replaced."""
     text = corpus_source(spec0)
     built, st, _ = analyze_source(text)
     report = {"seed": seq_seed, "steps": []}
     specs = edit_sequence(spec0, 5, seed=seq_seed)
-    asg, cur_text = built.assignment, text
+    cur_text = text
     for step, spec in enumerate(specs):
         new_text = corpus_source(spec)
-        old_prog, new_prog = parse(cur_text), parse(new_text)
-        changes = detect_changes(old_prog, new_prog)
-        G_sel = select_restart_globals(changes, st, asg)
-        new_asg = relabel_nodes(changes, asg, new_prog)
-        new_built = build_system(new_prog, new_asg)
-        A = prepare_reluctant(changes, st, asg, new_built.sys)
-        restart_globals(G_sel, st)
-        reanalyze(new_built.sys, st, ReanalyzeOptions(restart="minimal"), pre_solve=A)
-        violations = verify_solution(new_built.sys, st)
+        # destabilization scanned σ and stable at entry and return nodes
+        ends = {fn: (ids[0], ids[-1]) for fn, ids in built.assignment.assign.items()}
+        assert recorded_contexts(st, built.assignment) == \
+            _scanned_contexts(list(st.sigma) + list(st.stable), ends), f"seq {seq_seed} step {step}"
+        changes, built, _ = reanalyze(parse(cur_text), built.assignment, st, parse(new_text))
+        # postprocessing scanned σ at entry nodes
+        entries = {fn: (cfg.entry,) for fn, cfg in built.cfgs.items()}
+        assert recorded_contexts(st, built.assignment) == \
+            _scanned_contexts(st.sigma, entries), f"seq {seq_seed} step {step}"
+        violations = verify_solution(built.sys, st)
         report["steps"].append({"changed": sorted(changes.changed),
                                 "violations": len(violations)})
         assert violations == [], f"seq {seq_seed} step {step}"
-        prune(new_built.sys, st)
-        asg, cur_text = new_asg, new_text
+        prune(built.sys, st)
+        cur_text = new_text
     # final from-scratch comparison; the scratch run reuses the incremental
     # node naming so equal ids denote equal program points
-    _, scratch, _ = analyze_source(cur_text, assignment=asg)
+    _, scratch, _ = analyze_source(cur_text, assignment=built.assignment)
     inc_pts = {u: v for u, v in st.sigma.items() if isinstance(u, NodeCtx)}
     scr_pts = {u: v for u, v in scratch.sigma.items() if isinstance(u, NodeCtx)}
     shared = set(inc_pts) & set(scr_pts)
@@ -350,7 +347,7 @@ def test_criterion_6_consistency_harness():
     assert json.dumps(again, sort_keys=True) == json.dumps(reports[0], sort_keys=True)
     frac = max(r["coarser_fraction"] for r in reports)
     ok(6, f"10 five-edit sequences sound; worst coarser fraction {frac:.3f} ≤ 0.05; "
-          f"report deterministic")
+          f"report deterministic; context index agrees with per-function scans")
 
 
 # -- 7: Proposition 1 property suite ----------------------------------------------------------
@@ -487,7 +484,7 @@ def test_criterion_10_widening_point_restart():
     t0 = time.perf_counter()
     built, st, _ = analyze_source(
         HYBRID, domain="interval",
-        solver_opts=SolverOptions(restart_wpoint=True, localized_widening=True))
+        solver_opts=SolverOptions(restart_wpoint=True))
     elapsed = time.perf_counter() - t0
     u = node("main", _inner_body_node(built))
     inner = st.sigma[u]

@@ -1,11 +1,17 @@
 import io
 import json
 import os
+import shutil
+import socket
+import tempfile
+import threading
+import time
 
 import pytest
 
 from minicheck import cli
 from minicheck.consys import GlobalVar
+from minicheck.corpus import CorpusSpec, corpus_source
 from minicheck.domains import ValueSet
 from minicheck.tdsolver import state_from_json
 
@@ -253,6 +259,17 @@ def test_serve_unknown_method(ws):
     assert "error" in responses[0]
 
 
+def test_serve_rejects_a_path_that_is_not_a_string(ws):
+    src, sd = ws
+    opts = cli.Options(state_dir=sd)
+    code, responses = serve_lines(opts, [
+        json.dumps({"id": 1, "method": "reanalyze"}),
+        json.dumps({"id": 2, "method": "reanalyze", "path": ["prog.mc"]}),
+        json.dumps({"method": "shutdown"}),
+    ])
+    assert ["path" in r["error"] for r in responses[:2]] == [True, True]
+
+
 def test_serve_reanalyze_without_state_falls_back(ws):
     src, sd = ws
     write(src, FIG2)
@@ -263,3 +280,169 @@ def test_serve_reanalyze_without_state_falls_back(ws):
     ])
     assert responses[0]["result"]["fallback"] == "analyze"
     assert responses[0]["result"]["added"]  # first analysis: the race is new
+
+
+def test_serve_socket_outlives_a_disconnecting_client(ws):
+    src, sd = ws
+    write(src, FIG2)
+    opts = cli.Options(state_dir=sd)
+    invoke(cli.cmd_analyze, src, opts)
+    sock_dir = tempfile.mkdtemp()  # short: Unix socket paths are limited to ~108 bytes
+    path = os.path.join(sock_dir, "s")
+    box = {}
+    server = threading.Thread(
+        target=lambda: box.setdefault("code", cli.cmd_serve(opts, path, err=io.StringIO())),
+        daemon=True)
+    server.start()
+    try:
+        deadline = time.monotonic() + 10
+        while not os.path.exists(path):
+            assert time.monotonic() < deadline, "server never listened"
+            time.sleep(0.01)
+        with socket.socket(socket.AF_UNIX) as first:
+            first.connect(path)
+        with socket.socket(socket.AF_UNIX) as second:
+            second.connect(path)
+            second.sendall(b'{"id": 1, "method": "warnings"}\n{"id": 2, "method": "shutdown"}\n')
+            with second.makefile("r") as answers:
+                responses = [json.loads(answers.readline()) for _ in range(2)]
+    finally:
+        server.join(timeout=10)
+        shutil.rmtree(sock_dir, ignore_errors=True)
+    assert not server.is_alive()
+    assert box["code"] == 0
+    assert responses[0]["id"] == 1 and isinstance(responses[0]["result"], list)
+    assert responses[1]["result"] == "bye"
+
+
+@pytest.mark.parametrize("damage", ["truncated", "not-json", "missing-key"])
+@pytest.mark.parametrize("command", [cli.cmd_reanalyze, cli.cmd_compare])
+def test_damaged_bundle_exits_two_with_an_error(ws, command, damage):
+    src, sd = ws
+    write(src, FIG2)
+    invoke(cli.cmd_analyze, src, cli.Options(state_dir=sd))
+    path = os.path.join(sd, "bundle.json")
+    text = open(path).read()
+    if damage == "truncated":
+        text = text[:len(text) // 2]
+    elif damage == "not-json":
+        text = "[1, 2"
+    else:
+        doc = json.loads(text)
+        del doc["solver"]
+        text = json.dumps(doc)
+    write(path, text)
+    code, out, err = invoke(command, src, cli.Options(state_dir=sd))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: state bundle") and "Traceback" not in err
+
+
+def test_serve_answers_a_damaged_bundle_with_an_error(ws):
+    src, sd = ws
+    write(src, FIG2)
+    opts = cli.Options(state_dir=sd)
+    invoke(cli.cmd_analyze, src, opts)
+    path = os.path.join(sd, "bundle.json")
+    write(path, open(path).read()[:100])
+    code, responses = serve_lines(opts, [
+        json.dumps({"id": 1, "method": "reanalyze", "path": src}),
+        json.dumps({"id": 2, "method": "warnings"}),
+        json.dumps({"method": "shutdown"}),
+    ])
+    assert code == 0
+    assert [r["id"] for r in responses[:2]] == [1, 2]
+    assert all("state bundle" in r["error"] for r in responses[:2])
+
+
+def _corpus_edits():
+    """A small corpus and three cumulative edits; f003 writes a global, so
+    its `gval` edits restart that global."""
+    spec = CorpusSpec(n_functions=24, seed=7)
+    edits = []
+    for idx, variant in ((3, "gval:17"), (5, "const:9"), (10, "gval:2")):
+        spec = spec.with_variant(idx, variant)
+        edits.append(corpus_source(spec))
+    return corpus_source(CorpusSpec(n_functions=24, seed=7)), edits
+
+
+def _count_loads(monkeypatch):
+    """Record every `load_bundle` call from here on."""
+    loads = []
+    original = cli.load_bundle
+
+    def counting(*args):
+        loads.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cli, "load_bundle", counting)
+    return loads
+
+
+def test_serve_session_matches_cli_reanalyze(tmp_path, monkeypatch):
+    base, edits = _corpus_edits()
+    src = str(tmp_path / "prog.mc")
+    cli_dir, serve_dir = str(tmp_path / "cli"), str(tmp_path / "serve")
+
+    write(src, base)
+    invoke(cli.cmd_analyze, src, cli.Options(state_dir=cli_dir))
+    cli_diffs, cli_stats = [], []
+    for text in edits:
+        write(src, text)
+        code, out, err = invoke(cli.cmd_reanalyze, src,
+                                cli.Options(state_dir=cli_dir, stats=True))
+        assert code == 0
+        cli_diffs.append(json.loads(out))
+        cli_stats.append(json.loads(err))
+    assert any(s["run"]["restarted"] for s in cli_stats)
+    cli_bundle = bundle_of(cli_dir)
+
+    write(src, base)
+    invoke(cli.cmd_analyze, src, cli.Options(state_dir=serve_dir))
+    loads = _count_loads(monkeypatch)
+
+    def requests():
+        for i, text in enumerate(edits):
+            write(src, text)
+            yield json.dumps({"id": i, "method": "reanalyze", "path": src})
+        yield json.dumps({"method": "shutdown"})
+
+    out = io.StringIO()
+    assert cli.serve_loop(cli.Options(state_dir=serve_dir, stats=True), requests(), out) == 0
+    results = [json.loads(l)["result"] for l in out.getvalue().splitlines()[:-1]]
+    assert [r.pop("stats") for r in results] == \
+        [{k: s[k] for k in ("rhs_evals_total", "destabilizations_total")} for s in cli_stats]
+    assert results == cli_diffs
+    assert len(loads) == 1
+    serve_bundle = bundle_of(serve_dir)
+    cli_bundle.pop("created_at"), serve_bundle.pop("created_at")
+    assert json.dumps(serve_bundle) == json.dumps(cli_bundle)
+    assert os.listdir(serve_dir) == ["bundle.json"]
+
+
+def test_serve_reloads_the_bundle_after_a_failed_request(ws, monkeypatch):
+    src, sd = ws
+    write(src, FIG2)
+    opts = cli.Options(state_dir=sd)
+    invoke(cli.cmd_analyze, src, opts)
+    before = open(os.path.join(sd, "bundle.json")).read()
+    write(src, FIG2_EDIT)
+    request = json.dumps({"id": 1, "method": "reanalyze", "path": src}) + "\n"
+    loads = _count_loads(monkeypatch)
+
+    server = cli.Server(opts)
+    with monkeypatch.context() as m:
+        m.setattr(cli, "verify_solution", lambda sys_, st: ["injected violation"])
+        out = io.StringIO()
+        server.serve(io.StringIO(request), out)
+        assert "verification failed" in json.loads(out.getvalue())["error"]
+    assert open(os.path.join(sd, "bundle.json")).read() == before
+    out = io.StringIO()
+    server.serve(io.StringIO(request), out)
+    assert len(loads) == 2
+
+    write(os.path.join(sd, "bundle.json"), before)
+    fresh = io.StringIO()
+    cli.Server(opts).serve(io.StringIO(request), fresh)
+    assert json.loads(out.getvalue()) == json.loads(fresh.getvalue())
+    assert "result" in json.loads(fresh.getvalue())

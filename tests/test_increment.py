@@ -10,7 +10,6 @@ from minicheck.consys import (
 )
 from minicheck.domains import AddressSet, ValueSet, leq
 from minicheck.increment import (
-    ReanalyzeOptions,
     detect_changes,
     prepare_plain,
     prepare_reluctant,
@@ -23,7 +22,7 @@ from minicheck.increment import (
 )
 from minicheck.minic import build_system, parse
 from minicheck.minic.cfg import assign_node_ids
-from minicheck.tdsolver import verify_solution
+from minicheck.tdsolver import run, verify_solution
 
 from support import FIG2, FIG2_EDIT, analyze_source
 
@@ -171,7 +170,7 @@ def test_prepare_reluctant_matches_fig4():
 
 def test_reluctant_step1_matches_fig5_and_step2_is_single_lookup():
     new_built, st, changes, A = incremental_setup(FIG2, FIG2_EDIT)
-    stats = reanalyze(new_built.sys, st, ReanalyzeOptions(restart="off"), pre_solve=A)
+    stats = run(new_built.sys, st, pre_solve=A)
     assert st.sigma[G] == vs(0, 1, 2)
     assert st.sigma[node("main", 5)].env.get("ret") == vs(0, 1, 2)
     assert verify_solution(new_built.sys, st) == []
@@ -197,7 +196,7 @@ int main() { a = f(1); b = f(2); return a + b; }
     assert len(A) == 2
     assert {u.node for u in A} == {ret}
     assert {u.ctx for u in A} == {Context.of({"x": vs(1)}), Context.of({"x": vs(2)})}
-    reanalyze(new_built.sys, st, ReanalyzeOptions(restart="off"), pre_solve=A)
+    run(new_built.sys, st, pre_solve=A)
     assert verify_solution(new_built.sys, st) == []
 
 
@@ -220,7 +219,7 @@ int main() { r = f(1, 2); return r; }
     A = prepare_reluctant(changes, st, built.assignment, new_built.sys)
     # f is excluded from A; only main's return unknown is re-solved reluctantly
     assert all(u.fn == "main" for u in A)
-    stats = reanalyze(new_built.sys, st, ReanalyzeOptions(restart="off"), pre_solve=A)
+    stats = run(new_built.sys, st, pre_solve=A)
     assert verify_solution(new_built.sys, st) == []
 
 
@@ -228,8 +227,7 @@ def test_reluctant_work_never_exceeds_plain():
     evals = {}
     for mode in ("plain", "reluctant"):
         new_built, st, changes, A = incremental_setup(FIG2, FIG2_EDIT, mode=mode)
-        stats = reanalyze(new_built.sys, st, ReanalyzeOptions(mode=mode, restart="off"),
-                          pre_solve=A)
+        stats = run(new_built.sys, st, pre_solve=A)
         evals[mode] = stats["step1_rhs_evals"] + stats["step2_rhs_evals"]
     assert evals["reluctant"] <= evals["plain"]
 
@@ -267,7 +265,7 @@ def test_restart_matches_fig6_and_recovers_precision():
     # after restarting G={g}: only the entry nodes stay stable; g is reset
     assert node_stable(st) == {node("foo", 0, BETA0), node("main", 3)}
     assert G not in st.sigma and G not in st.stable
-    stats = reanalyze(new_built.sys, st, ReanalyzeOptions(restart="minimal"), pre_solve=A)
+    stats = run(new_built.sys, st, pre_solve=A)
     assert st.sigma[G] == vs(0, 2)
     assert st.sigma[node("main", 5)].env.get("ret") == vs(0, 2)
     assert verify_solution(new_built.sys, st) == []
@@ -284,7 +282,7 @@ def test_restart_globals_empty_is_noop():
 def test_monotone_accumulation_without_restart():
     new_built, st, changes, A = incremental_setup(FIG2, FIG2_EDIT, restart="off")
     old_g = vs(0, 1)
-    reanalyze(new_built.sys, st, ReanalyzeOptions(restart="off"), pre_solve=A)
+    run(new_built.sys, st, pre_solve=A)
     assert leq(old_g, st.sigma[G])
 
 
@@ -294,7 +292,7 @@ def test_monotone_accumulation_without_restart():
 def test_prune_drops_thread_unknowns_after_create_removed():
     no_create = FIG2.replace("create(foo, &g);", "g = 3;")
     new_built, st, changes, A = incremental_setup(FIG2, no_create, mode="plain")
-    reanalyze(new_built.sys, st, ReanalyzeOptions(mode="plain", restart="off"), pre_solve=A)
+    run(new_built.sys, st, pre_solve=A)
     prune(new_built.sys, st)
     assert not any(isinstance(u, NodeCtx) and u.fn == "foo" for u in st.sigma)
     assert not any(isinstance(u, NodeCtx) and u.fn == "foo" for u in st.stable)
@@ -364,14 +362,8 @@ def test_edit_sequences_stay_sound_and_consistent():
             m = list(re.finditer(r"(\+|\*|=)\s*(\d+)", text))
             target = m[rng.randrange(len(m))]
             new_text = text[:target.start(2)] + str(const) + text[target.end(2):]
-            old_prog, new_prog = parse(text), parse(new_text)
-            changes = detect_changes(old_prog, new_prog)
-            G_sel = select_restart_globals(changes, st, asg)
-            new_asg = relabel_nodes(changes, asg, new_prog)
-            new_built = build_system(new_prog, new_asg)
-            A = prepare_reluctant(changes, st, asg, new_built.sys)
-            restart_globals(G_sel, st)
-            reanalyze(new_built.sys, st, ReanalyzeOptions(), pre_solve=A)
+            _, new_built, _ = reanalyze(parse(text), asg, st, parse(new_text))
+            new_asg = new_built.assignment
             assert verify_solution(new_built.sys, st) == [], f"program {pi} step {step}"
             assert st.check_side_maps_inverse()
             prune(new_built.sys, st)

@@ -5,13 +5,10 @@ import pytest
 from minicheck.consys import Context
 from minicheck.domains import Access, AddressSet, Lockset
 from minicheck.increment import (
-    ReanalyzeOptions,
     detect_changes,
     prepare_reluctant,
     reanalyze,
     relabel_nodes,
-    restart_globals,
-    select_restart_globals,
 )
 from minicheck.minic import build_system, parse
 from minicheck.postproc import (
@@ -22,6 +19,7 @@ from minicheck.postproc import (
     postprocess,
     races,
 )
+from minicheck.tdsolver import run
 
 
 from support import FIG2, FIG2_EDIT, analyze_source
@@ -37,14 +35,8 @@ def full_pipeline(text, domain="valueset"):
 
 def incremental_pipeline(old_text, new_text, prev_store, built_old, st,
                          restart="minimal"):
-    old_prog, new_prog = parse(old_text), parse(new_text)
-    changes = detect_changes(old_prog, new_prog)
-    G_sel = select_restart_globals(changes, st, built_old.assignment) if restart == "minimal" else []
-    new_asg = relabel_nodes(changes, built_old.assignment, new_prog)
-    new_built = build_system(new_prog, new_asg)
-    A = prepare_reluctant(changes, st, built_old.assignment, new_built.sys)
-    restart_globals(G_sel, st)
-    reanalyze(new_built.sys, st, ReanalyzeOptions(restart=restart), pre_solve=A)
+    _, new_built, _ = reanalyze(parse(old_text), built_old.assignment, st, parse(new_text),
+                                restart=restart)
     store, stats = postprocess(new_built, st, prev_store, "<test>")
     return new_built, store, stats
 
@@ -196,7 +188,7 @@ def test_superstable_subset_of_stable_at_phase_boundaries():
     new_built = build_system(parse(FIG2_EDIT), new_asg)
     A = prepare_reluctant(changes, st, built.assignment, new_built.sys)
     assert st.superstable <= st.stable
-    reanalyze(new_built.sys, st, ReanalyzeOptions(restart="off"), pre_solve=A)
+    run(new_built.sys, st, pre_solve=A)
     assert st.superstable <= st.stable
     postprocess(new_built, st, store0, "<test>")
     assert st.superstable <= st.stable
