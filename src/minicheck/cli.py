@@ -23,6 +23,7 @@ import datetime
 import json
 import os
 import socket
+import stat
 import sys
 import tempfile
 from dataclasses import dataclass
@@ -31,10 +32,11 @@ from typing import Optional, TextIO
 from .consys import NodeCtx, unknown_key
 from .domains import leq
 from .increment import reanalyze
-from .minic import AnalysisConfig, BuiltSystem, MiniCError, Program, build_system, parse
+from .minic import AnalysisConfig, MiniCError, Program, build_system, parse
 from .minic.cfg import NodeAssignment, assign_node_ids
-from .postproc import WarnStore, diff_warnings, postprocess
+from .postproc import StateCorruption, WarnStore, diff_warnings, postprocess
 from .tdsolver import (
+    SolverDepthError,
     SolverOptions,
     SolverState,
     run,
@@ -49,6 +51,12 @@ BUNDLE_FORMAT = 1
 
 class CliError(Exception):
     pass
+
+
+# What ends a command with exit code 2 and a request with an error response.
+# A RecursionError escapes a solve whose dependency chain outgrows even the
+# deep-stack thread; the server then reloads its state from the bundle.
+ERRORS = (MiniCError, CliError, SolverDepthError, RecursionError, StateCorruption)
 
 
 @dataclass
@@ -155,19 +163,12 @@ def load_bundle(state_dir: str, opts: Options) -> Optional[Session]:
 # ---------------------------------------------------------------------------
 
 
-def _verify(built: BuiltSystem, state: SolverState) -> None:
-    violations = verify_solution(built.sys, state)
-    if violations:
-        raise CliError(f"internal error: solution verification failed: {violations[:3]}")
-
-
 def run_analysis(text: str, filename: str, opts: Options) -> AnalysisResult:
     prog = parse(text)
     assignment = assign_node_ids(prog, None, set(), set())
     built = build_system(prog, assignment, opts.config())
     state = SolverState()
     run_stats = run(built.sys, state, opts.solver())
-    _verify(built, state)
     store, post_stats = postprocess(built, state, None, filename)
     return AnalysisResult(Session(text, filename, prog, built.assignment, state, store),
                           run_stats, post_stats, diff_warnings(None, store))
@@ -182,7 +183,6 @@ def run_reanalysis(session: Session, text: str, filename: str,
     changes, built, run_stats = reanalyze(session.program, session.assignment, state, prog,
                                           opts.mode, opts.restart, opts.config(),
                                           opts.solver())
-    _verify(built, state)
     store, post_stats = postprocess(built, state, session.store, filename)
     return AnalysisResult(Session(text, filename, prog, built.assignment, state, store),
                           run_stats, post_stats, diff_warnings(session.store, store),
@@ -200,7 +200,9 @@ def compare_report(session: Session, text: str, opts: Options) -> dict:
     built = build_system(session.program, session.assignment, opts.config())
     scratch_state = SolverState()
     run(built.sys, scratch_state, opts.solver())
-    _verify(built, scratch_state)
+    violations = verify_solution(built.sys, scratch_state)
+    if violations:
+        raise CliError(f"internal error: solution verification failed: {violations[:3]}")
     inc_points = {u: v for u, v in session.state.sigma.items() if isinstance(u, NodeCtx)}
     scr_points = {u: v for u, v in scratch_state.sigma.items() if isinstance(u, NodeCtx)}
     shared = sorted(set(inc_points) & set(scr_points), key=unknown_key)
@@ -275,7 +277,7 @@ def cmd_analyze(path: str, opts: Options, out: Optional[TextIO] = None,
     try:
         result = run_analysis(_read_source(path), path, opts)
         save_bundle(opts.state_dir, result.session, opts)
-    except (MiniCError, CliError) as exc:
+    except ERRORS as exc:
         print(f"error: {exc}", file=err)
         return 2
     return _report(result.session.store.warnings_json(), result, opts, out, err)
@@ -292,7 +294,7 @@ def cmd_reanalyze(path: str, opts: Options, out: Optional[TextIO] = None,
             return cmd_analyze(path, opts, out, err)
         result = run_reanalysis(session, _read_source(path), path, opts)
         save_bundle(opts.state_dir, result.session, opts)
-    except (MiniCError, CliError) as exc:
+    except ERRORS as exc:
         print(f"error: {exc}", file=err)
         return 2
     payload = _diff_json(result.diff)
@@ -310,7 +312,7 @@ def cmd_compare(path: str, opts: Options, out: Optional[TextIO] = None,
         if session is None:
             raise CliError("no state bundle; run analyze first")
         report = compare_report(session, _read_source(path), opts)
-    except (MiniCError, CliError) as exc:
+    except ERRORS as exc:
         print(f"error: {exc}", file=err)
         return 2
     print(json.dumps(report, indent=1), file=out)
@@ -390,7 +392,7 @@ class Server:
                     result = self.reanalyze(path)
                 else:
                     raise CliError(f"unknown method {method!r}")
-            except (CliError, MiniCError) as exc:
+            except ERRORS as exc:
                 _respond(out, {"id": rid, "error": str(exc)})
             else:
                 _respond(out, {"id": rid, "result": result})
@@ -414,11 +416,19 @@ def cmd_serve(opts: Options, socket_path: Optional[str],
     if socket_path is None:
         return serve_loop(opts, sys.stdin, sys.stdout, err)
     server = Server(opts)
-    if os.path.exists(socket_path):
-        os.unlink(socket_path)
+    if os.path.lexists(socket_path):
+        if not stat.S_ISSOCK(os.lstat(socket_path).st_mode):
+            print(f"error: {socket_path} exists and is not a socket", file=err)
+            return 2
+        os.unlink(socket_path)  # left behind by a server that did not shut down
     srv = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-    srv.bind(socket_path)
-    srv.listen(1)
+    try:
+        srv.bind(socket_path)
+        srv.listen(1)
+    except OSError as exc:
+        srv.close()
+        print(f"error: cannot listen on {socket_path}: {exc}", file=err)
+        return 2
     print(f"listening on {socket_path}", file=err)
     try:
         while True:

@@ -339,11 +339,5 @@ class EqSys:
             return None
         return self._rhs_fn(u, postproc)
 
-    def has_rhs(self, u: Unknown) -> bool:
-        return self.rhs(u) is not None
-
-    def is_leaf(self, u: Unknown) -> bool:
-        return self._leaf_fn(u)
-
     def lookup(self, sigma: dict) -> Callable:
         return lookup_from(sigma, self.bot_of)

@@ -17,14 +17,14 @@ all their producers, purging values accumulated across runs.  The minimal
 strategy restarts exactly the globals that the old version of an edited
 function side-effected (read off ``side_infl`` before relabeling).
 
-Pruning drops everything no longer reachable from the query, computed by
-pure re-evaluation of right-hand sides under the current σ.
+Pruning drops everything no longer reachable from the query; postprocessing
+shares the evaluations of that one pure walk over σ.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from .consys import (
     INIT,
@@ -282,10 +282,11 @@ def reanalyze(old_prog: Program, old_asg: NodeAssignment, st: SolverState,
 # ---------------------------------------------------------------------------
 
 
-def reachable_set(sys_: EqSys, st: SolverState) -> Set[Unknown]:
-    """Unknowns reachable from the query (and seeded starts) by re-evaluating
-    right-hand sides under the current σ: queried dependencies plus
-    side-effect targets."""
+def reachable_set(sys_: EqSys, st: SolverState, visit: Optional[Callable] = None) -> Set[Unknown]:
+    """Unknowns reachable from the query (and seeded starts) under σ: queried
+    dependencies plus side-effect targets other than access collectors.  Each
+    reached rhs is evaluated purely, once, in its postprocessing variant (it
+    only adds access-collector sides); `visit(u, eval_state, value)` sees it."""
     look = sys_.lookup(st.sigma)
     seeds = [sys_.query] + sorted(st.starts, key=sort_key) + sorted(sys_.starts, key=sort_key)
     reached: Set[Unknown] = set()
@@ -295,10 +296,12 @@ def reachable_set(sys_: EqSys, st: SolverState) -> Set[Unknown]:
         if u in reached:
             continue
         reached.add(u)
-        tree = sys_.rhs(u)
+        tree = sys_.rhs(u, postproc=True)
         if tree is None:
             continue
-        es, _ = eval_tree(tree, look)
+        es, value = eval_tree(tree, look)
+        if visit is not None:
+            visit(u, es, value)
         for y in es.queried:
             if y not in reached:
                 stack.append(y)
@@ -315,7 +318,6 @@ def prune(sys_: EqSys, st: SolverState, reachable: Optional[Set[Unknown]] = None
     st.stable &= R
     st.superstable &= R
     st.point &= R
-    st.evals_by_unknown = {u: n for u, n in st.evals_by_unknown.items() if u in R}
 
     def prune_map(m: Dict[Unknown, Dict[Unknown, None]]) -> Dict[Unknown, Dict[Unknown, None]]:
         out: Dict[Unknown, Dict[Unknown, None]] = {}

@@ -194,8 +194,6 @@ class FuncCFG:
         lbl = e.label
         if lbl is None:
             return None
-        if isinstance(lbl, Guard):
-            return lbl.loc
         return lbl.loc
 
 

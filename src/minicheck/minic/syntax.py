@@ -200,7 +200,6 @@ class Program:
     globals: List[GlobalDecl] = field(default_factory=list)
     mutexes: List[MutexDecl] = field(default_factory=list)
     functions: dict = field(default_factory=dict)  # name -> Function, in order
-    source: str = ""
 
     def global_names(self) -> set:
         return {g.name for g in self.globals}
@@ -704,6 +703,5 @@ def _check_semantics(prog: Program) -> None:
 def parse(text: str) -> Program:
     """Parse and semantically check a MiniC compilation unit."""
     prog = _Parser(_lex(text)).program()
-    prog.source = text
     _check_semantics(prog)
     return prog

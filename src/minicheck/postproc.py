@@ -2,9 +2,10 @@
 
 Warnings are generated only after solving has finished (widening can
 introduce spurious values that narrowing later removes, so generating them
-mid-solve would overreport).  Re-evaluations here are limited to stable
-unknowns that left ``superstable`` during the incremental run; for the rest,
-the previous run's per-producer access contributions are reused verbatim.
+mid-solve would overreport).  The reachability walk evaluates each reached
+rhs once; that evaluation verifies the unknown and, if it left
+``superstable`` during the incremental run, yields its access records; for
+the rest, the previous run's per-producer access contributions are reused.
 Because every contribution is attributed to the unknown that produced it,
 contributions of vanished producers vanish with them, so stale data-race
 evidence cannot accumulate across reanalyses.
@@ -20,14 +21,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from .consys import (
-    AccCollector,
-    Context,
-    NodeCtx,
-    eval_tree,
-    sort_key,
-    unknown_key,
-)
+from .consys import AccCollector, Context, NodeCtx, unknown_key
 from .domains import (
     Access,
     AccessSet,
@@ -39,7 +33,7 @@ from .domains import (
 from .increment import prune, reachable_set, recorded_contexts
 from .minic.syntax import Store
 from .minic.system import BuiltSystem
-from .tdsolver import SolverState
+from .tdsolver import SolverState, Violation, check_unknown, verify_solution
 
 
 class StateCorruption(Exception):
@@ -134,8 +128,9 @@ class WarnStore:
 
 def postprocess(built: BuiltSystem, st: SolverState, prev: Optional[WarnStore],
                 filename: str = "<input>") -> Tuple[WarnStore, dict]:
-    """Re-evaluate what the incremental run touched, reuse the rest, then run
-    whole-store analyses and prune the solver state.
+    """Verify the solution (raising StateCorruption before any warning is
+    made), re-evaluate what the incremental run touched, reuse the rest,
+    then run whole-store analyses and prune the solver state.
 
     Returns the new store plus statistics (which unknowns were re-evaluated
     versus reused)."""
@@ -143,34 +138,39 @@ def postprocess(built: BuiltSystem, st: SolverState, prev: Optional[WarnStore],
     if st.superstable and prev is None:
         raise StateCorruption("superstable unknowns present but no previous warning store")
 
-    reachable = reachable_set(sys_, st)
-    live = [u for u in sorted(st.stable & reachable, key=sort_key) if sys_.has_rhs(u)]
-    recompute = [u for u in live if u not in st.superstable]
-    reused = [u for u in live if u in st.superstable]
-
-    sigma_keys_before = frozenset(st.sigma.keys())
-    look = sys_.lookup(st.sigma)
-
-    store = WarnStore()
     prev_by_producer: Dict[str, List[Tuple[str, FrozenSet[Access]]]] = {}
     if prev is not None:
         for g, producers in prev.accesses.items():
             for p, records in producers.items():
                 prev_by_producer.setdefault(p, []).append((g, records))
 
-    for u in recompute:
-        tree = sys_.rhs(u, postproc=True)
-        es, _value = eval_tree(tree, look)
-        for target, contribution in es.sides.items():
-            if isinstance(target, AccCollector) and isinstance(contribution, AccessSet):
-                if contribution.records:
-                    store.accesses.setdefault(target.name, {})[unknown_key(u)] = contribution.records
-    for u in reused:
-        for g, records in prev_by_producer.get(unknown_key(u), ()):
-            store.accesses.setdefault(g, {})[unknown_key(u)] = records
+    store = WarnStore()
+    violations: List[Violation] = []
+    stats: Dict[str, List[str]] = {"reevaluated": [], "reused": []}
 
+    def visit(u, es, value):
+        if u not in st.stable:
+            return
+        violations.extend(check_unknown(sys_, st, u, es, value))
+        key = unknown_key(u)
+        if u in st.superstable:
+            stats["reused"].append(key)
+            for g, records in prev_by_producer.get(key, ()):
+                store.accesses.setdefault(g, {})[key] = records
+        else:
+            stats["reevaluated"].append(key)
+            for target, contribution in es.sides.items():
+                if isinstance(target, AccCollector) and isinstance(contribution, AccessSet):
+                    if contribution.records:
+                        store.accesses.setdefault(target.name, {})[key] = contribution.records
+
+    sigma_keys_before = frozenset(st.sigma.keys())
+    reachable = reachable_set(sys_, st, visit)
     assert frozenset(st.sigma.keys()) == sigma_keys_before, \
         "postprocessing must not modify the solution"
+    violations.extend(verify_solution(sys_, st, st.stable - reachable))
+    if violations:
+        raise StateCorruption(f"internal error: solution verification failed: {violations[:3]}")
 
     contexts = recorded_contexts(st, built.assignment)
     warnings: List[Warning] = []
@@ -179,10 +179,6 @@ def postprocess(built: BuiltSystem, st: SolverState, prev: Optional[WarnStore],
     warnings.extend(_dead_code(built, st, contexts, filename))
     store.warnings = sorted(warnings, key=lambda w: (w.kind, w.id, w.message))
 
-    stats = {
-        "reevaluated": [unknown_key(u) for u in recompute],
-        "reused": [unknown_key(u) for u in reused],
-    }
     prune(sys_, st, reachable)
     return store, stats
 

@@ -36,6 +36,7 @@ from .consys import (
     AccCollector,
     EqSys,
     EvalError,
+    EvalState,
     Tree,
     Unknown,
     run_tree,
@@ -107,7 +108,6 @@ class SolverState:
         self.starts: Dict[Unknown, Value] = {}
         self.rhs_evals = 0
         self.destabilizations = 0
-        self.evals_by_unknown: Dict[Unknown, int] = {}
         self.diagnostics: List[str] = []
 
     def destabilize(self, x: Unknown) -> None:
@@ -144,6 +144,7 @@ class Solver:
         self._depth = 0
         self._wpoint_restarts: Dict[Unknown, int] = {}
         self._rhs_cache: Dict[Unknown, Optional[Tree]] = {}
+        self.evals_by_unknown: Dict[Unknown, int] = {}  # this step's evaluations
 
     # -- σ and rhs access ---------------------------------------------------
 
@@ -209,7 +210,7 @@ class Solver:
     def _eval_rhs(self, x: Unknown) -> Value:
         st = self.state
         st.rhs_evals += 1
-        st.evals_by_unknown[x] = st.evals_by_unknown.get(x, 0) + 1
+        self.evals_by_unknown[x] = self.evals_by_unknown.get(x, 0) + 1
         prev_sides = list(st.side_infl.get(x, ()))
         current: Dict[Unknown, None] = {}
         st.side_infl[x] = current
@@ -274,15 +275,6 @@ class Solver:
         st.side_infl.setdefault(x, {})[g] = None
 
 
-def _counter_delta(before: Dict, after: Dict) -> Dict[str, int]:
-    out = {}
-    for u, n in after.items():
-        d = n - before.get(u, 0)
-        if d:
-            out[unknown_key(u)] = d
-    return out
-
-
 def run(sys_: EqSys, state: SolverState, opts: Optional[SolverOptions] = None,
         pre_solve: Iterable[Unknown] = (), deep_stack: bool = True) -> dict:
     """Seed start unknowns, solve `pre_solve` in order, then the query.
@@ -296,18 +288,17 @@ def run(sys_: EqSys, state: SolverState, opts: Optional[SolverOptions] = None,
         for s in sorted(sys_.starts, key=sort_key):
             solver.seed(s, sys_.starts[s])
         state.starts = dict(sys_.starts)
-        evals0, by0 = state.rhs_evals, dict(state.evals_by_unknown)
         for a in pre_solve:
             solver.solve(Phase.WIDEN, a)
-        evals1, by1 = state.rhs_evals, dict(state.evals_by_unknown)
+        step1, solver.evals_by_unknown = solver.evals_by_unknown, {}
         solver.solve(Phase.WIDEN, sys_.query)
-        evals2, by2 = state.rhs_evals, dict(state.evals_by_unknown)
+        step2 = solver.evals_by_unknown
         assert not state.called, "called set must be empty at rest"
         return {
-            "step1_rhs_evals": evals1 - evals0,
-            "step2_rhs_evals": evals2 - evals1,
-            "step1_evals_by_unknown": _counter_delta(by0, by1),
-            "step2_evals_by_unknown": _counter_delta(by1, by2),
+            "step1_rhs_evals": sum(step1.values()),
+            "step2_rhs_evals": sum(step2.values()),
+            "step1_evals_by_unknown": {unknown_key(u): n for u, n in step1.items()},
+            "step2_evals_by_unknown": {unknown_key(u): n for u, n in step2.items()},
         }
 
     if deep_stack:
@@ -315,29 +306,36 @@ def run(sys_: EqSys, state: SolverState, opts: Optional[SolverOptions] = None,
     return go()
 
 
-def verify_solution(sys_: EqSys, state: SolverState) -> List[Violation]:
-    """Check the partial post-solution: every stable rhs re-evaluates below
-    its stored value, and captured side contributions stay below their
-    targets (access collectors excepted; they are deferred)."""
+def check_unknown(sys_: EqSys, state: SolverState, x: Unknown, es: EvalState,
+                  val: Value) -> List[Violation]:
+    """Violations of the partial post-solution at stable `x`, given `(es, val)`,
+    a pure evaluation of its rhs under σ: its value and side contributions
+    (access collectors excepted; they are deferred) must stay below σ."""
+    out: List[Violation] = []
+    cur = state.sigma.get(x)
+    cur = sys_.bot_of(x) if cur is None else cur
+    if not leq(val, cur):
+        out.append(Violation(x, "value", f"rhs value {val!r} ⋢ σ {cur!r}"))
+    for g, d in es.sides.items():
+        if isinstance(g, AccCollector):
+            continue
+        tgt = state.sigma.get(g)
+        tgt = sys_.bot_of(g) if tgt is None else tgt
+        if not leq(d, tgt):
+            out.append(Violation(g, "side", f"contribution {d!r} from {x!r} ⋢ σ {tgt!r}"))
+    return out
+
+
+def verify_solution(sys_: EqSys, state: SolverState,
+                    unknowns: Optional[Iterable[Unknown]] = None) -> List[Violation]:
+    """Check the partial post-solution at `unknowns` (default: all stable ones)."""
     assert not state.called, "verify_solution requires a state at rest"
     look = sys_.lookup(state.sigma)
     out: List[Violation] = []
-    for x in sorted(state.stable, key=sort_key):
+    for x in sorted(state.stable if unknowns is None else unknowns, key=sort_key):
         tree = sys_.rhs(x)
-        if tree is None:
-            continue
-        es, val = eval_tree(tree, look)
-        cur = state.sigma.get(x)
-        cur = sys_.bot_of(x) if cur is None else cur
-        if not leq(val, cur):
-            out.append(Violation(x, "value", f"rhs value {val!r} ⋢ σ {cur!r}"))
-        for g, d in es.sides.items():
-            if isinstance(g, AccCollector):
-                continue
-            tgt = state.sigma.get(g)
-            tgt = sys_.bot_of(g) if tgt is None else tgt
-            if not leq(d, tgt):
-                out.append(Violation(g, "side", f"contribution {d!r} from {x!r} ⋢ σ {tgt!r}"))
+        if tree is not None:
+            out.extend(check_unknown(sys_, state, x, *eval_tree(tree, look)))
     return out
 
 

@@ -1,19 +1,21 @@
+import collections
 import io
 import json
 import os
 import shutil
 import socket
+import sys
 import tempfile
 import threading
 import time
 
 import pytest
 
-from minicheck import cli
-from minicheck.consys import GlobalVar
+from minicheck import cli, consys, postproc, tdsolver
+from minicheck.consys import MAIN, Context, EqSys, GlobalVar, NodeCtx
 from minicheck.corpus import CorpusSpec, corpus_source
 from minicheck.domains import ValueSet
-from minicheck.tdsolver import state_from_json
+from minicheck.tdsolver import SolverOptions, state_from_json
 
 from support import FIG2, FIG2_EDIT
 
@@ -432,7 +434,7 @@ def test_serve_reloads_the_bundle_after_a_failed_request(ws, monkeypatch):
 
     server = cli.Server(opts)
     with monkeypatch.context() as m:
-        m.setattr(cli, "verify_solution", lambda sys_, st: ["injected violation"])
+        m.setattr(postproc, "check_unknown", lambda sys_, st, u, es, value: ["injected violation"])
         out = io.StringIO()
         server.serve(io.StringIO(request), out)
         assert "verification failed" in json.loads(out.getvalue())["error"]
@@ -446,3 +448,216 @@ def test_serve_reloads_the_bundle_after_a_failed_request(ws, monkeypatch):
     cli.Server(opts).serve(io.StringIO(request), fresh)
     assert json.loads(out.getvalue()) == json.loads(fresh.getvalue())
     assert "result" in json.loads(fresh.getvalue())
+
+
+# -- one evaluation per unknown after the solve, and what it still verifies ----
+
+
+def _rebind(monkeypatch, original, replacement):
+    """Replace `original` in every loaded minicheck namespace that binds it."""
+    for name, module in list(sys.modules.items()):
+        if name == "minicheck" or name.startswith("minicheck."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
+def _after_run(monkeypatch, action):
+    """Call `action(sys_, state)` each time `tdsolver.run` returns."""
+    original = tdsolver.run
+
+    def run(sys_, state, *args, **kwargs):
+        stats = original(sys_, state, *args, **kwargs)
+        action(sys_, state)
+        return stats
+
+    _rebind(monkeypatch, original, run)
+
+
+def test_post_solve_work_evaluates_each_unknown_once(monkeypatch):
+    """Verification, reachability and access collection share one pure
+    evaluation of each right-hand side."""
+    owner = {}  # id(tree) -> (tree, unknown), for every rhs built
+    counts = collections.Counter()
+    solved = []
+    build_rhs, evaluate = EqSys.rhs, consys.eval_tree
+
+    def rhs(self, u, postproc=False):
+        tree = build_rhs(self, u, postproc)
+        owner[id(tree)] = (tree, u)
+        return tree
+
+    def counting_eval_tree(tree, lookup, state=None):
+        if solved:
+            counts[owner[id(tree)][1]] += 1
+        return evaluate(tree, lookup, state)
+
+    monkeypatch.setattr(EqSys, "rhs", rhs)
+    _rebind(monkeypatch, evaluate, counting_eval_tree)
+    _after_run(monkeypatch, lambda sys_, state: solved.append(True))
+
+    base, edits = _corpus_edits()
+    session = None
+    for text in [base, *edits]:
+        solved.clear()
+        counts.clear()
+        if session is None:
+            result = cli.run_analysis(text, "prog.mc", cli.Options())
+        else:
+            result = cli.run_reanalysis(session, text, "prog.mc", cli.Options())
+        session = result.session
+        assert solved and counts and max(counts.values()) == 1
+
+
+def _main_return(sys_, state):
+    """The unknown of main's return node, which the query always reaches."""
+    es, _ = consys.eval_tree(sys_.rhs(MAIN), sys_.lookup(state.sigma))
+    return list(es.queried)[-1]
+
+
+def _lower_reachable(sys_, state):
+    state.sigma.pop(_main_return(sys_, state))
+
+
+def _lower_unreachable(sys_, state):
+    """Copy main's nodes into a calling context nothing calls, all stable,
+    with the copy of the return node at Bot below its right-hand side."""
+    unused = Context.of({"planted": ValueSet.of([1])})
+    for u in [u for u in state.stable if isinstance(u, NodeCtx) and u.fn == "main"]:
+        copy = NodeCtx(u.fn, u.node, unused)
+        state.sigma[copy] = state.sigma[u]
+        state.stable.add(copy)
+    state.sigma.pop(NodeCtx("main", _main_return(sys_, state).node, unused))
+
+
+@pytest.mark.parametrize("plant", [_lower_reachable, _lower_unreachable])
+@pytest.mark.parametrize("command", ["analyze", "reanalyze"])
+def test_a_planted_violation_fails_verification(ws, monkeypatch, command, plant):
+    src, sd = ws
+    base, edits = _corpus_edits()
+    write(src, base)
+    if command == "reanalyze":
+        invoke(cli.cmd_analyze, src, cli.Options(state_dir=sd))
+        before = bundle_of(sd)
+        write(src, edits[0])
+    _after_run(monkeypatch, plant)
+    run_command = cli.cmd_analyze if command == "analyze" else cli.cmd_reanalyze
+    code, out, err = invoke(run_command, src, cli.Options(state_dir=sd))
+    assert code == 2 and out == ""
+    assert err.startswith("error: internal error: solution verification failed")
+    if command == "analyze":
+        assert not os.path.exists(os.path.join(sd, "bundle.json"))
+    else:
+        assert bundle_of(sd) == before
+
+
+# -- solver errors ----------------------------------------------------------------
+
+
+def _shallow_solver(monkeypatch, max_depth):
+    """Make the solver give up beyond `max_depth[0]` nested solves."""
+    monkeypatch.setattr(cli.Options, "solver",
+                        lambda self: SolverOptions(max_depth=max_depth[0]))
+
+
+def test_a_solver_depth_error_exits_two_without_a_bundle(ws, monkeypatch):
+    src, sd = ws
+    write(src, corpus_source(CorpusSpec(20, 7)))
+    _shallow_solver(monkeypatch, [5])
+    code, out, err = invoke(cli.cmd_analyze, src, cli.Options(state_dir=sd))
+    assert code == 2 and out == ""
+    assert err.startswith("error: solve depth exceeded 5") and "Traceback" not in err
+    assert not os.path.exists(os.path.join(sd, "bundle.json"))
+
+
+def test_serve_answers_a_solver_depth_error_and_the_next_request(ws, monkeypatch):
+    src, sd = ws
+    write(src, corpus_source(CorpusSpec(20, 7)))
+    opts = cli.Options(state_dir=sd)
+    invoke(cli.cmd_analyze, src, opts)
+    write(src, corpus_source(CorpusSpec(20, 7).with_variant(3, "gval:17")))
+    max_depth = [5]
+    _shallow_solver(monkeypatch, max_depth)
+
+    def requests():
+        yield json.dumps({"id": 1, "method": "reanalyze", "path": src})
+        max_depth[0] = SolverOptions().max_depth
+        yield json.dumps({"id": 2, "method": "reanalyze", "path": src})
+        yield json.dumps({"method": "shutdown"})
+
+    out = io.StringIO()
+    assert cli.serve_loop(opts, requests(), out) == 0
+    first, second, _bye = [json.loads(l) for l in out.getvalue().splitlines()]
+    assert first["id"] == 1 and "solve depth exceeded 5" in first["error"]
+    assert second["id"] == 2 and set(second["result"]) == {"added", "removed", "kept"}
+
+
+# -- serve --socket and what is at its path ---------------------------------------------
+
+
+def _serve_socket(opts, path):
+    """Run `cmd_serve` on `path` in a daemon thread; returns the thread and
+    a box that receives its exit code."""
+    box = {}
+    thread = threading.Thread(
+        target=lambda: box.setdefault("code", cli.cmd_serve(opts, path, err=io.StringIO())),
+        daemon=True)
+    thread.start()
+    return thread, box
+
+
+def test_serve_socket_refuses_to_delete_a_regular_file(ws):
+    _, sd = ws
+    sock_dir = tempfile.mkdtemp()
+    try:
+        path = os.path.join(sock_dir, "s")
+        write(path, "precious")
+        thread, box = _serve_socket(cli.Options(state_dir=sd), path)
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert box["code"] == 2
+        with open(path) as f:
+            assert f.read() == "precious"
+    finally:
+        shutil.rmtree(sock_dir, ignore_errors=True)
+
+
+def test_serve_socket_in_a_missing_directory_exits_two(ws):
+    _, sd = ws
+    sock_dir = tempfile.mkdtemp()
+    try:
+        err = io.StringIO()
+        code = cli.cmd_serve(cli.Options(state_dir=sd), os.path.join(sock_dir, "no", "s"), err)
+        assert code == 2
+        assert err.getvalue().startswith("error: cannot listen on")
+    finally:
+        shutil.rmtree(sock_dir, ignore_errors=True)
+
+
+def test_serve_socket_replaces_a_stale_socket(ws):
+    _, sd = ws
+    sock_dir = tempfile.mkdtemp()
+    try:
+        path = os.path.join(sock_dir, "s")
+        with socket.socket(socket.AF_UNIX) as stale:
+            stale.bind(path)  # closed without unlinking, as by a killed server
+        thread, box = _serve_socket(cli.Options(state_dir=sd), path)
+        deadline = time.monotonic() + 10
+        while True:
+            try:
+                client = socket.socket(socket.AF_UNIX)
+                client.connect(path)
+                break
+            except ConnectionRefusedError:
+                client.close()
+                assert time.monotonic() < deadline, "server never listened"
+                time.sleep(0.01)
+        with client:
+            client.sendall(b'{"id": 1, "method": "shutdown"}\n')
+            with client.makefile("r") as answers:
+                assert json.loads(answers.readline())["result"] == "bye"
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert box["code"] == 0
+    finally:
+        shutil.rmtree(sock_dir, ignore_errors=True)
