@@ -7,9 +7,10 @@ Subcommands::
     minicheck compare   prog.mc   # precision of the persisted state vs scratch
     minicheck serve               # line-delimited JSON request loop
 
-State persists in a single bundle (``--state-dir``): source snapshot,
-node-id assignment, solver state, warning store and the analysis options
-that produced them.  A bundle whose format or analysis domain does not match
+State persists in a single compact JSON bundle (``--state-dir``): source
+snapshot, per-function digests for change detection, node-id assignment,
+solver state, warning store and the analysis options that produced them.  A
+bundle whose format, analysis domain or widening-point policy does not match
 is refused; reusing solver data across differing abstractions is unsound.
 A damaged bundle is an error, never a traceback.
 
@@ -19,6 +20,7 @@ Exit codes: 0 ok; 1 warnings present (with ``--fail-on-warn``); 2 errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import json
 import os
@@ -32,7 +34,7 @@ from typing import Optional, TextIO
 from .consys import NodeCtx, unknown_key
 from .domains import leq
 from .increment import reanalyze
-from .minic import AnalysisConfig, MiniCError, Program, build_system, parse
+from .minic import AnalysisConfig, MiniCError, build_system, parse
 from .minic.cfg import NodeAssignment, assign_node_ids
 from .postproc import StateCorruption, WarnStore, diff_warnings, postprocess
 from .tdsolver import (
@@ -46,7 +48,7 @@ from .tdsolver import (
 )
 
 BUNDLE_NAME = "bundle.json"
-BUNDLE_FORMAT = 1
+BUNDLE_FORMAT = 2
 
 
 class CliError(Exception):
@@ -76,6 +78,10 @@ class Options:
     def solver(self) -> SolverOptions:
         return SolverOptions(restart_wpoint=self.wpoint_restart)
 
+    def compat(self) -> dict:
+        """The options a bundle must have been produced with to be reused."""
+        return {"domain": self.domain, "wpoint_restart": self.wpoint_restart}
+
 
 @dataclass
 class Session:
@@ -83,7 +89,7 @@ class Session:
 
     source: str
     source_path: str
-    program: Program
+    digests: dict  # Program.digests of the source
     assignment: NodeAssignment
     state: SolverState
     store: WarnStore
@@ -109,9 +115,10 @@ def save_bundle(state_dir: str, session: Session, opts: Options) -> None:
     doc = {
         "format": BUNDLE_FORMAT,
         "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "compat": {"domain": opts.domain},
+        "compat": opts.compat(),
         "source": session.source,
         "source_path": session.source_path,
+        "digests": session.digests,
         "nodes": session.assignment.to_json(),
         "solver": state_to_json(session.state),
         "warnstore": session.store.to_json(),
@@ -121,8 +128,7 @@ def save_bundle(state_dir: str, session: Session, opts: Options) -> None:
         fd, tmp = tempfile.mkstemp(prefix=BUNDLE_NAME + ".", suffix=".tmp", dir=state_dir)
         try:
             with os.fdopen(fd, "w") as f:
-                json.dump(doc, f, indent=1)
-                f.write("\n")
+                f.write(json.dumps(doc, separators=(",", ":")) + "\n")
                 f.flush()
                 os.fsync(f.fileno())
             os.replace(tmp, os.path.join(state_dir, BUNDLE_NAME))
@@ -140,20 +146,28 @@ def load_bundle(state_dir: str, opts: Options) -> Optional[Session]:
         with open(path) as f:
             doc = json.load(f)
         if doc.get("format") != BUNDLE_FORMAT:
-            raise CliError(f"state bundle format {doc.get('format')!r} is not supported")
-        domain = doc.get("compat", {}).get("domain")
-        if domain != opts.domain:
+            raise CliError(f"state bundle format {doc.get('format')!r} is not supported "
+                           f"(this version reads format {BUNDLE_FORMAT}); "
+                           "delete the state dir to reanalyze from scratch")
+        stored = doc.get("compat", {})
+        differ = [f"{k} {stored.get(k)!r} vs {v!r}"
+                  for k, v in opts.compat().items() if stored.get(k) != v]
+        if differ:
             raise CliError(
                 "state bundle was produced with different analysis options "
-                f"(domain {domain!r} vs {opts.domain!r}); "
+                f"({', '.join(differ)}); "
                 "refusing to reuse it; delete the state dir to reanalyze from scratch")
-        return Session(doc["source"], doc["source_path"], parse(doc["source"]),
+        digests = doc["digests"]
+        if not isinstance(digests["init"], str) or \
+                any(len(d) != 2 for d in digests["functions"].values()):
+            raise ValueError("malformed digests")
+        return Session(doc["source"], doc["source_path"], digests,
                        NodeAssignment.from_json(doc["nodes"]),
                        state_from_json(doc["solver"]),
                        WarnStore.from_json(doc["warnstore"]))
     except FileNotFoundError:
         return None
-    except (OSError, ValueError, LookupError, TypeError, AttributeError, MiniCError) as exc:
+    except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
         raise CliError(f"state bundle {path} is unreadable or corrupt ({exc!r}); "
                        "delete the state dir to reanalyze from scratch") from exc
 
@@ -170,7 +184,7 @@ def run_analysis(text: str, filename: str, opts: Options) -> AnalysisResult:
     state = SolverState()
     run_stats = run(built.sys, state, opts.solver())
     store, post_stats = postprocess(built, state, None, filename)
-    return AnalysisResult(Session(text, filename, prog, built.assignment, state, store),
+    return AnalysisResult(Session(text, filename, prog.digests, built.assignment, state, store),
                           run_stats, post_stats, diff_warnings(None, store))
 
 
@@ -180,11 +194,11 @@ def run_reanalysis(session: Session, text: str, filename: str,
     place (and is unusable if this raises)."""
     prog = parse(text)
     state = session.state
-    changes, built, run_stats = reanalyze(session.program, session.assignment, state, prog,
+    changes, built, run_stats = reanalyze(session.digests, session.assignment, state, prog,
                                           opts.mode, opts.restart, opts.config(),
                                           opts.solver())
     store, post_stats = postprocess(built, state, session.store, filename)
-    return AnalysisResult(Session(text, filename, prog, built.assignment, state, store),
+    return AnalysisResult(Session(text, filename, prog.digests, built.assignment, state, store),
                           run_stats, post_stats, diff_warnings(session.store, store),
                           changes.to_json())
 
@@ -197,7 +211,7 @@ def compare_report(session: Session, text: str, opts: Options) -> dict:
     that change node counts."""
     if session.source != text:
         raise CliError("state bundle does not match the current source; run reanalyze first")
-    built = build_system(session.program, session.assignment, opts.config())
+    built = build_system(parse(text), session.assignment, opts.config())
     scratch_state = SolverState()
     run(built.sys, scratch_state, opts.solver())
     violations = verify_solution(built.sys, scratch_state)
@@ -410,24 +424,44 @@ def _respond(out: TextIO, doc: dict) -> None:
     out.flush()
 
 
+def _clear_socket_path(socket_path: str) -> Optional[str]:
+    """Why a server cannot bind `socket_path`, or None when it can.  A socket
+    there that no server listens on was left behind by a server that did not
+    shut down; it is removed."""
+    if not os.path.lexists(socket_path):
+        return None
+    if not stat.S_ISSOCK(os.lstat(socket_path).st_mode):
+        return f"{socket_path} exists and is not a socket"
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as probe:
+        probe.setblocking(False)
+        try:
+            probe.connect(socket_path)
+        except ConnectionRefusedError:
+            os.unlink(socket_path)
+            return None
+        except BlockingIOError:
+            pass  # a server whose backlog is full
+    return f"another server is listening on {socket_path}"
+
+
 def cmd_serve(opts: Options, socket_path: Optional[str],
               err: Optional[TextIO] = None) -> int:
     err = err if err is not None else sys.stderr
     if socket_path is None:
         return serve_loop(opts, sys.stdin, sys.stdout, err)
     server = Server(opts)
-    if os.path.lexists(socket_path):
-        if not stat.S_ISSOCK(os.lstat(socket_path).st_mode):
-            print(f"error: {socket_path} exists and is not a socket", file=err)
-            return 2
-        os.unlink(socket_path)  # left behind by a server that did not shut down
     srv = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
     try:
-        srv.bind(socket_path)
-        srv.listen(1)
+        problem = _clear_socket_path(socket_path)
+        if problem is None:
+            srv.bind(socket_path)
+            bound = os.lstat(socket_path)
+            srv.listen(1)
     except OSError as exc:
+        problem = f"cannot listen on {socket_path}: {exc}"
+    if problem is not None:
         srv.close()
-        print(f"error: cannot listen on {socket_path}: {exc}", file=err)
+        print(f"error: {problem}", file=err)
         return 2
     print(f"listening on {socket_path}", file=err)
     try:
@@ -442,8 +476,9 @@ def cmd_serve(opts: Options, socket_path: Optional[str],
                 pass  # the client left without reading its answer; serve the next
     finally:
         srv.close()
-        if os.path.exists(socket_path):
-            os.unlink(socket_path)
+        with contextlib.suppress(OSError):
+            if os.path.samestat(os.lstat(socket_path), bound):
+                os.unlink(socket_path)  # still ours, not another server's
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ only on the values of the unknowns actually queried.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Dict, Iterable, Optional, Tuple
@@ -129,6 +130,7 @@ def sort_key(u: Unknown):
     raise TypeError(f"not an unknown: {u!r}")
 
 
+@functools.lru_cache(maxsize=1024)  # a program has few distinct contexts
 def _ctx_key(c: Context) -> str:
     return json.dumps([[k, value_to_json(v)] for k, v in c.params],
                       sort_keys=True, separators=(",", ":"))
@@ -170,12 +172,9 @@ def unknown_from_json(d: dict) -> Unknown:
 
 
 def unknown_key(u: Unknown) -> str:
-    """Canonical string identity, stable across runs; invertible via loads."""
+    """Canonical string identity, stable across runs; `unknown_from_json` of
+    its `json.loads` inverts it."""
     return json.dumps(unknown_to_json(u), sort_keys=True, separators=(",", ":"))
-
-
-def unknown_from_key(s: str) -> Unknown:
-    return unknown_from_json(json.loads(s))
 
 
 # ---------------------------------------------------------------------------

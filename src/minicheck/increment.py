@@ -1,8 +1,10 @@
 """Everything between two program versions.
 
-Change detection works at function granularity (normalized ASTs, locations
-erased).  Interior nodes of an edited function get fresh ids, so their old
-unknowns simply become garbage; entry and return nodes keep their ids.
+Change detection works at function granularity: it compares digests of
+headers and of normalized bodies (ASTs with locations erased), so the old
+version is known by its ``Program.digests`` alone.  Interior nodes of an
+edited function get fresh ids, so their old unknowns simply become garbage;
+entry and return nodes keep their ids.
 
 Two destabilization strategies:
 
@@ -40,7 +42,7 @@ from .consys import (
     unknown_key,
 )
 from .minic.cfg import NodeAssignment, assign_node_ids
-from .minic.syntax import Program, normalize
+from .minic.syntax import Program
 from .minic.system import AnalysisConfig, BuiltSystem, build_system
 from .tdsolver import SolverOptions, SolverState, run
 
@@ -74,22 +76,24 @@ class ChangeSet:
         }
 
 
-def detect_changes(old: Program, new: Program) -> ChangeSet:
+def detect_changes(old: dict, new: Program) -> ChangeSet:
+    """Diff `new` against `old`, the digests (``Program.digests``) of the
+    previous version."""
     changed, header_changed, added, removed, unchanged = set(), set(), set(), set(), set()
-    old_fns, new_fns = old.functions, new.functions
-    for name, fn in new_fns.items():
+    old_fns, new_fns = old["functions"], new.digests["functions"]
+    for name, (header, body) in new_fns.items():
         if name not in old_fns:
             added.add(name)
-        elif old_fns[name].header() != fn.header():
+        elif old_fns[name][0] != header:
             header_changed.add(name)
-        elif normalize(old_fns[name].body) == normalize(fn.body):
+        elif old_fns[name][1] == body:
             unchanged.add(name)
         else:
             changed.add(name)
     for name in old_fns:
         if name not in new_fns:
             removed.add(name)
-    if old.init_signature() != new.init_signature():
+    if old["init"] != new.digests["init"]:
         changed.add(INIT_PSEUDO_FN)
     else:
         unchanged.add(INIT_PSEUDO_FN)
@@ -256,17 +260,18 @@ def restart_globals(G: Iterable[Unknown], st: SolverState) -> None:
 # ---------------------------------------------------------------------------
 
 
-def reanalyze(old_prog: Program, old_asg: NodeAssignment, st: SolverState,
+def reanalyze(old_digests: dict, old_asg: NodeAssignment, st: SolverState,
               new_prog: Program, mode: str = "reluctant", restart: str = "minimal",
               config: Optional[AnalysisConfig] = None,
               solver: Optional[SolverOptions] = None) -> Tuple[ChangeSet, BuiltSystem, dict]:
-    """Bring `st`, the solver state of `old_prog`, up to date with `new_prog`.
+    """Bring `st`, the solver state of the program with `old_digests`, up to
+    date with `new_prog`.
 
     `mode` is "plain" or "reluctant" destabilization; `restart` is "off" or
     "minimal".  The restart set is read off the old state before relabeling
     erases the old unknowns.  Returns the change set, the new system and the
     solver's per-step statistics plus the keys of the restarted globals."""
-    changes = detect_changes(old_prog, new_prog)
+    changes = detect_changes(old_digests, new_prog)
     restarted = select_restart_globals(changes, st, old_asg) if restart == "minimal" else []
     built = build_system(new_prog, relabel_nodes(changes, old_asg, new_prog), config)
     prepare = prepare_reluctant if mode == "reluctant" else prepare_plain

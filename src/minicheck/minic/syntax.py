@@ -24,6 +24,8 @@ assignment target, plus the synthetic ``ret``.  Comments are ``//`` and
 
 from __future__ import annotations
 
+import functools
+import hashlib
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -210,6 +212,21 @@ class Program:
     def init_signature(self) -> tuple:
         """What the synthetic global initializer depends on."""
         return tuple((g.name, g.init) for g in self.globals)
+
+    @functools.cached_property
+    def digests(self) -> dict:
+        """What change detection compares, as JSON: per function (in program
+        order) the digests of its header and of its normalized body, and the
+        digest of the init signature."""
+        return {"functions": {name: [_digest(fn.header()), _digest(normalize(fn.body))]
+                              for name, fn in self.functions.items()},
+                "init": _digest(self.init_signature())}
+
+
+def _digest(form: tuple) -> str:
+    """sha256 of a normalized form; its repr is canonical (nested tuples of
+    strings, ints and None)."""
+    return hashlib.sha256(repr(form).encode()).hexdigest()
 
 
 # -- normalization (for change detection) -------------------------------------

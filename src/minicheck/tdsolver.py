@@ -25,11 +25,11 @@ thousands of frames deep.
 from __future__ import annotations
 
 import enum
-import functools
 import logging
 import sys as _sys
 import threading
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Optional
 
 from .consys import (
@@ -42,8 +42,9 @@ from .consys import (
     run_tree,
     eval_tree,
     sort_key,
-    unknown_from_key,
+    unknown_from_json,
     unknown_key,
+    unknown_to_json,
 )
 from .domains import (
     Value,
@@ -57,7 +58,7 @@ from .domains import (
 
 log = logging.getLogger(__name__)
 
-STATE_FORMAT = 1
+STATE_FORMAT = 2
 
 
 class Phase(enum.Enum):
@@ -340,31 +341,46 @@ def verify_solution(sys_: EqSys, state: SolverState,
 
 
 # ---------------------------------------------------------------------------
-# Persistence (format 1).  superstable and called are not persisted:
-# superstable is reconstructed when an incremental run begins, called is
-# empty at rest.
+# Persistence (format 2).  Every unknown is written once, into the table
+# "unknowns" (sorted by sort_key), and every distinct value once, into
+# "values" (in order of first use); the maps refer to both by index.
+# superstable and called are not persisted: superstable is reconstructed
+# when an incremental run begins, called is empty at rest.
 # ---------------------------------------------------------------------------
 
 
 def state_to_json(state: SolverState) -> dict:
-    def omap(m: Dict[Unknown, Dict[Unknown, None]]) -> dict:
-        return {
-            unknown_key(u): [unknown_key(v) for v in members]
-            for u, members in sorted(m.items(), key=lambda kv: sort_key(kv[0]))
-            if members
-        }
+    maps = (state.infl, state.side_dep, state.side_infl)
+    unknowns = set(state.sigma) | state.stable | state.point | set(state.starts)
+    for m in maps:
+        for u, members in m.items():
+            if members:
+                unknowns.add(u)
+                unknowns.update(members)
+    table = sorted(unknowns, key=sort_key)
+    index = {u: i for i, u in enumerate(table)}
+    values: Dict[Value, int] = {}
 
+    def pairs(m: Dict[Unknown, Value]) -> list:
+        return [[i, values.setdefault(v, len(values))]
+                for i, v in sorted(((index[u], v) for u, v in m.items()), key=itemgetter(0))]
+
+    def omap(m: Dict[Unknown, Dict[Unknown, None]]) -> list:
+        return sorted(([index[u], [index[v] for v in members]]
+                       for u, members in m.items() if members), key=itemgetter(0))
+
+    sigma, starts = pairs(state.sigma), pairs(state.starts)
     return {
         "format": STATE_FORMAT,
-        "sigma": {unknown_key(u): value_to_json(v)
-                  for u, v in sorted(state.sigma.items(), key=lambda kv: sort_key(kv[0]))},
+        "unknowns": [unknown_to_json(u) for u in table],
+        "values": [value_to_json(v) for v in values],
+        "sigma": sigma,
         "infl": omap(state.infl),
-        "stable": sorted((unknown_key(u) for u in state.stable)),
-        "point": sorted((unknown_key(u) for u in state.point)),
+        "stable": sorted(index[u] for u in state.stable),
+        "point": sorted(index[u] for u in state.point),
         "side_dep": omap(state.side_dep),
         "side_infl": omap(state.side_infl),
-        "starts": {unknown_key(u): value_to_json(v)
-                   for u, v in sorted(state.starts.items(), key=lambda kv: sort_key(kv[0]))},
+        "starts": starts,
         "counters": {
             "rhs_evals": state.rhs_evals,
             "destabilizations": state.destabilizations,
@@ -375,21 +391,21 @@ def state_to_json(state: SolverState) -> dict:
 def state_from_json(doc: dict) -> SolverState:
     if doc.get("format") != STATE_FORMAT:
         raise ValueError(f"unsupported solver state format: {doc.get('format')!r}")
-    # every unknown recurs under several maps; decode each key once
-    unknown = functools.cache(unknown_from_key)
+    unknowns = [unknown_from_json(d) for d in doc["unknowns"]]
+    values = [value_from_json(d) for d in doc["values"]]
 
-    def from_omap(m: dict) -> Dict[Unknown, Dict[Unknown, None]]:
-        return {unknown(k): {unknown(v): None for v in vs}
-                for k, vs in m.items()}
+    def from_omap(m: list) -> Dict[Unknown, Dict[Unknown, None]]:
+        return {unknowns[u]: dict.fromkeys(unknowns[v] for v in members)
+                for u, members in m}
 
     st = SolverState()
-    st.sigma = {unknown(k): value_from_json(v) for k, v in doc["sigma"].items()}
+    st.sigma = {unknowns[u]: values[v] for u, v in doc["sigma"]}
     st.infl = from_omap(doc["infl"])
-    st.stable = {unknown(k) for k in doc["stable"]}
-    st.point = {unknown(k) for k in doc["point"]}
+    st.stable = {unknowns[u] for u in doc["stable"]}
+    st.point = {unknowns[u] for u in doc["point"]}
     st.side_dep = from_omap(doc["side_dep"])
     st.side_infl = from_omap(doc["side_infl"])
-    st.starts = {unknown(k): value_from_json(v) for k, v in doc["starts"].items()}
+    st.starts = {unknowns[u]: values[v] for u, v in doc["starts"]}
     st.rhs_evals = doc["counters"]["rhs_evals"]
     st.destabilizations = doc["counters"]["destabilizations"]
     return st

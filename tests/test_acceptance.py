@@ -91,7 +91,7 @@ def _clone(state):
 
 def _incremental(old_text, new_text, mode, restart, base_built, base_state):
     st = _clone(base_state)
-    _, new_built, stats = reanalyze(parse(old_text), base_built.assignment, st,
+    _, new_built, stats = reanalyze(parse(old_text).digests, base_built.assignment, st,
                                     parse(new_text), mode, restart)
     return new_built, st, stats
 
@@ -200,7 +200,7 @@ def test_criterion_3_incremental_trio():
 def test_criterion_4_reluctant_stable_sets_and_counter():
     base_built, base_state, _ = analyze_source(FIG2)
     st = _clone(base_state)
-    changes = detect_changes(parse(FIG2), parse(FIG2_EDIT))
+    changes = detect_changes(parse(FIG2).digests, parse(FIG2_EDIT))
     new_asg = relabel_nodes(changes, base_built.assignment, parse(FIG2_EDIT))
     new_built = build_system(parse(FIG2_EDIT), new_asg)
     A = prepare_reluctant(changes, st, base_built.assignment, new_built.sys)
@@ -229,7 +229,7 @@ def test_criterion_4_step1_intermediate_state():
     # drive the two steps separately to observe the state between them
     base_built, base_state, _ = analyze_source(FIG2)
     st = _clone(base_state)
-    changes = detect_changes(parse(FIG2), parse(FIG2_EDIT))
+    changes = detect_changes(parse(FIG2).digests, parse(FIG2_EDIT))
     new_asg = relabel_nodes(changes, base_built.assignment, parse(FIG2_EDIT))
     new_built = build_system(parse(FIG2_EDIT), new_asg)
     A = prepare_reluctant(changes, st, base_built.assignment, new_built.sys)
@@ -305,7 +305,7 @@ def _run_sequence(spec0, seq_seed):
         ends = {fn: (ids[0], ids[-1]) for fn, ids in built.assignment.assign.items()}
         assert recorded_contexts(st, built.assignment) == \
             _scanned_contexts(list(st.sigma) + list(st.stable), ends), f"seq {seq_seed} step {step}"
-        changes, built, _ = reanalyze(parse(cur_text), built.assignment, st, parse(new_text))
+        changes, built, _ = reanalyze(parse(cur_text).digests, built.assignment, st, parse(new_text))
         # postprocessing scanned σ at entry nodes
         entries = {fn: (cfg.entry,) for fn, cfg in built.cfgs.items()}
         assert recorded_contexts(st, built.assignment) == \

@@ -4,6 +4,7 @@ import json
 import os
 import shutil
 import socket
+import subprocess
 import sys
 import tempfile
 import threading
@@ -15,6 +16,7 @@ from minicheck import cli, consys, postproc, tdsolver
 from minicheck.consys import MAIN, Context, EqSys, GlobalVar, NodeCtx
 from minicheck.corpus import CorpusSpec, corpus_source
 from minicheck.domains import ValueSet
+from minicheck.minic import parse
 from minicheck.tdsolver import SolverOptions, state_from_json
 
 from support import FIG2, FIG2_EDIT
@@ -154,6 +156,111 @@ def test_options_mismatch_is_refused(ws):
                           cli.Options(state_dir=sd, domain="interval"))
     assert code == 2
     assert "different analysis options" in err
+
+
+@pytest.mark.parametrize("analyzed, reused", [(False, True), (True, False)])
+def test_wpoint_restart_mismatch_is_refused(ws, analyzed, reused):
+    src, sd = ws
+    write(src, FIG2)
+    invoke(cli.cmd_analyze, src, cli.Options(state_dir=sd, wpoint_restart=analyzed))
+    bundle = bundle_of(sd)
+    assert bundle["compat"]["wpoint_restart"] is analyzed
+    opts = cli.Options(state_dir=sd, wpoint_restart=reused)
+    for command in (cli.cmd_reanalyze, cli.cmd_compare):
+        code, out, err = invoke(command, src, opts)
+        assert code == 2 and out == ""
+        assert err.startswith("error: state bundle was produced with different analysis "
+                              f"options (wpoint_restart {analyzed!r} vs {reused!r})")
+    _, responses = serve_lines(opts, [
+        json.dumps({"id": 1, "method": "reanalyze", "path": src}),
+        json.dumps({"method": "shutdown"}),
+    ])
+    assert "wpoint_restart" in responses[0]["error"]
+    assert bundle_of(sd) == bundle  # refused, not overwritten
+
+
+def _format_1_bundle(sd):
+    path = os.path.join(sd, "bundle.json")
+    doc = bundle_of(sd)
+    doc["format"] = 1
+    write(path, json.dumps(doc))
+
+
+@pytest.mark.parametrize("command", [cli.cmd_reanalyze, cli.cmd_compare])
+def test_format_1_bundle_is_refused(ws, command):
+    src, sd = ws
+    write(src, FIG2)
+    invoke(cli.cmd_analyze, src, cli.Options(state_dir=sd))
+    _format_1_bundle(sd)
+    code, out, err = invoke(command, src, cli.Options(state_dir=sd))
+    assert code == 2 and out == ""
+    assert err.startswith("error: state bundle format 1 is not supported")
+    assert "delete the state dir" in err and "Traceback" not in err
+
+
+def test_serve_answers_a_format_1_bundle_with_an_error(ws):
+    src, sd = ws
+    write(src, FIG2)
+    opts = cli.Options(state_dir=sd)
+    invoke(cli.cmd_analyze, src, opts)
+    _format_1_bundle(sd)
+    _, responses = serve_lines(opts, [
+        json.dumps({"id": 1, "method": "reanalyze", "path": src}),
+        json.dumps({"id": 2, "method": "warnings"}),
+        json.dumps({"method": "shutdown"}),
+    ])
+    assert [r["id"] for r in responses[:2]] == [1, 2]
+    for r in responses[:2]:
+        assert r["error"].startswith("state bundle format 1 is not supported")
+        assert "delete the state dir" in r["error"]
+
+
+def test_reanalyze_parses_only_the_new_source(ws, monkeypatch):
+    src, sd = ws
+    write(src, FIG2)
+    invoke(cli.cmd_analyze, src, cli.Options(state_dir=sd))
+    write(src, FIG2_EDIT)
+    parsed = []
+    original = cli.parse
+
+    def counting(text):
+        parsed.append(text)
+        return original(text)
+
+    monkeypatch.setattr(cli, "parse", counting)
+    code, out, _ = invoke(cli.cmd_reanalyze, src, cli.Options(state_dir=sd, explain_diff=True))
+    assert code == 0
+    assert json.loads(out)["changes"]["changed"] == ["foo"]
+    assert parsed == [FIG2_EDIT]
+
+
+def test_bundle_is_compact_and_holds_digests(ws):
+    src, sd = ws
+    write(src, FIG2)
+    invoke(cli.cmd_analyze, src, cli.Options(state_dir=sd))
+    with open(os.path.join(sd, "bundle.json")) as f:
+        text = f.read()
+    doc = json.loads(text)
+    assert doc["format"] == cli.BUNDLE_FORMAT == 2
+    assert text == json.dumps(doc, separators=(",", ":")) + "\n"
+    assert doc["digests"] == parse(FIG2).digests
+
+
+def test_bundle_does_not_depend_on_the_hash_seed(tmp_path):
+    src = tmp_path / "prog.mc"
+    write(str(src), corpus_source(CorpusSpec(40, 3)))
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    bundles = []
+    for seed in ("1", "2"):
+        state = tmp_path / f"state-{seed}"
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=package_root)
+        subprocess.run([sys.executable, "-m", "minicheck.cli", "analyze", str(src),
+                        "--state-dir", str(state)],
+                       env=env, check=True, stdout=subprocess.DEVNULL)
+        with open(state / "bundle.json") as f:
+            text = f.read()
+        bundles.append(text.replace(json.loads(text)["created_at"], ""))
+    assert bundles[0] == bundles[1]
 
 
 def test_compare_right_after_analyze_is_all_equal(ws):
@@ -317,7 +424,7 @@ def test_serve_socket_outlives_a_disconnecting_client(ws):
     assert responses[1]["result"] == "bye"
 
 
-@pytest.mark.parametrize("damage", ["truncated", "not-json", "missing-key"])
+@pytest.mark.parametrize("damage", ["truncated", "not-json", "missing-key", "bad-digests"])
 @pytest.mark.parametrize("command", [cli.cmd_reanalyze, cli.cmd_compare])
 def test_damaged_bundle_exits_two_with_an_error(ws, command, damage):
     src, sd = ws
@@ -329,9 +436,13 @@ def test_damaged_bundle_exits_two_with_an_error(ws, command, damage):
         text = text[:len(text) // 2]
     elif damage == "not-json":
         text = "[1, 2"
-    else:
+    elif damage == "missing-key":
         doc = json.loads(text)
         del doc["solver"]
+        text = json.dumps(doc)
+    else:
+        doc = json.loads(text)
+        doc["digests"]["functions"]["main"] = "?"
         text = json.dumps(doc)
     write(path, text)
     code, out, err = invoke(command, src, cli.Options(state_dir=sd))
@@ -597,13 +708,38 @@ def test_serve_answers_a_solver_depth_error_and_the_next_request(ws, monkeypatch
 
 def _serve_socket(opts, path):
     """Run `cmd_serve` on `path` in a daemon thread; returns the thread and
-    a box that receives its exit code."""
+    a box that receives its exit code and what it wrote to stderr."""
     box = {}
-    thread = threading.Thread(
-        target=lambda: box.setdefault("code", cli.cmd_serve(opts, path, err=io.StringIO())),
-        daemon=True)
+
+    def serve():
+        err = io.StringIO()
+        box["code"] = cli.cmd_serve(opts, path, err=err)
+        box["err"] = err.getvalue()
+
+    thread = threading.Thread(target=serve, daemon=True)
     thread.start()
     return thread, box
+
+
+def _connect(path):
+    """A client connected to the server at `path`, once it listens."""
+    deadline = time.monotonic() + 10
+    while True:
+        client = socket.socket(socket.AF_UNIX)
+        try:
+            client.connect(path)
+            return client
+        except (FileNotFoundError, ConnectionRefusedError):  # not bound or not listening yet
+            client.close()
+            assert time.monotonic() < deadline, "server never listened"
+            time.sleep(0.01)
+
+
+def _ask(path, method):
+    """The answer of the server at `path` to one request on a new connection."""
+    with _connect(path) as client, client.makefile("r") as answers:
+        client.sendall(json.dumps({"id": 1, "method": method}).encode() + b"\n")
+        return json.loads(answers.readline())
 
 
 def test_serve_socket_refuses_to_delete_a_regular_file(ws):
@@ -642,22 +778,54 @@ def test_serve_socket_replaces_a_stale_socket(ws):
         with socket.socket(socket.AF_UNIX) as stale:
             stale.bind(path)  # closed without unlinking, as by a killed server
         thread, box = _serve_socket(cli.Options(state_dir=sd), path)
-        deadline = time.monotonic() + 10
-        while True:
-            try:
-                client = socket.socket(socket.AF_UNIX)
-                client.connect(path)
-                break
-            except ConnectionRefusedError:
-                client.close()
-                assert time.monotonic() < deadline, "server never listened"
-                time.sleep(0.01)
-        with client:
-            client.sendall(b'{"id": 1, "method": "shutdown"}\n')
-            with client.makefile("r") as answers:
-                assert json.loads(answers.readline())["result"] == "bye"
+        assert _ask(path, "shutdown")["result"] == "bye"
         thread.join(timeout=10)
         assert not thread.is_alive()
         assert box["code"] == 0
+    finally:
+        shutil.rmtree(sock_dir, ignore_errors=True)
+
+
+def test_serve_socket_leaves_a_live_server_alone(ws):
+    src, sd = ws
+    write(src, FIG2)
+    opts = cli.Options(state_dir=sd)
+    invoke(cli.cmd_analyze, src, opts)
+    sock_dir = tempfile.mkdtemp()
+    try:
+        path = os.path.join(sock_dir, "s")
+        first, first_box = _serve_socket(opts, path)
+        assert isinstance(_ask(path, "warnings")["result"], list)
+        inode = os.lstat(path).st_ino
+        second, second_box = _serve_socket(opts, path)
+        second.join(timeout=10)
+        assert not second.is_alive() and second_box["code"] == 2
+        assert second_box["err"] == f"error: another server is listening on {path}\n"
+        assert os.lstat(path).st_ino == inode
+        assert isinstance(_ask(path, "warnings")["result"], list)
+        assert _ask(path, "shutdown")["result"] == "bye"
+        first.join(timeout=10)
+        assert not first.is_alive() and first_box["code"] == 0
+        assert not os.path.lexists(path)
+    finally:
+        shutil.rmtree(sock_dir, ignore_errors=True)
+
+
+def test_serve_socket_removes_only_its_own_socket_on_exit(ws):
+    _, sd = ws
+    sock_dir = tempfile.mkdtemp()
+    try:
+        path = os.path.join(sock_dir, "s")
+        thread, box = _serve_socket(cli.Options(state_dir=sd), path)
+        with _connect(path) as client, client.makefile("r") as answers:
+            os.unlink(path)
+            with socket.socket(socket.AF_UNIX) as other:
+                other.bind(path)  # another server's socket, bound meanwhile
+                theirs = os.lstat(path)
+                client.sendall(b'{"id": 1, "method": "shutdown"}\n')
+                assert json.loads(answers.readline())["result"] == "bye"
+                thread.join(timeout=10)
+                assert not thread.is_alive() and box["code"] == 0
+                assert os.path.samestat(os.lstat(path), theirs)
     finally:
         shutil.rmtree(sock_dir, ignore_errors=True)

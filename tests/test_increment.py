@@ -1,3 +1,4 @@
+import json
 import random
 
 from minicheck.consys import (
@@ -8,8 +9,11 @@ from minicheck.consys import (
     NodeCtx,
     StartOf,
 )
+from minicheck.corpus import CorpusSpec, corpus_source, edit_sequence
 from minicheck.domains import AddressSet, ValueSet, leq
 from minicheck.increment import (
+    INIT_PSEUDO_FN,
+    ChangeSet,
     detect_changes,
     prepare_plain,
     prepare_reluctant,
@@ -21,6 +25,7 @@ from minicheck.increment import (
     select_restart_globals,
 )
 from minicheck.minic import build_system, parse
+from minicheck.minic.syntax import normalize
 from minicheck.minic.cfg import assign_node_ids
 from minicheck.tdsolver import run, verify_solution
 
@@ -46,9 +51,8 @@ def incremental_setup(old_text, new_text, mode="reluctant", restart="off"):
     """Analyze old_text, then prepare reanalysis of new_text: returns the
     state after preparation plus everything needed to run step 1/2."""
     built, st, _ = analyze_source(old_text)
-    old_prog = parse(old_text)
     new_prog = parse(new_text)
-    changes = detect_changes(old_prog, new_prog)
+    changes = detect_changes(parse(old_text).digests, new_prog)
     G_sel = select_restart_globals(changes, st, built.assignment) if restart == "minimal" else []
     new_asg = relabel_nodes(changes, built.assignment, new_prog)
     new_built = build_system(new_prog, new_asg)
@@ -62,21 +66,20 @@ def incremental_setup(old_text, new_text, mode="reluctant", restart="off"):
 
 
 def test_identical_programs_are_unchanged():
-    p = parse(FIG2)
-    c = detect_changes(p, parse(FIG2))
+    c = detect_changes(parse(FIG2).digests, parse(FIG2))
     assert not c.changed and not c.header_changed and not c.added and not c.removed
     assert c.unchanged >= {"foo", "main"}
 
 
 def test_fig2_edit_changes_only_foo():
-    c = detect_changes(parse(FIG2), parse(FIG2_EDIT))
+    c = detect_changes(parse(FIG2).digests, parse(FIG2_EDIT))
     assert c.changed == {"foo"}
     assert c.unchanged >= {"main", "__init"}
 
 
 def test_whitespace_and_comments_are_no_change():
     edited = FIG2.replace("*p = 1;", "  *p = 1;   // store\n")
-    c = detect_changes(parse(FIG2), parse(edited))
+    c = detect_changes(parse(FIG2).digests, parse(edited))
     assert not c.changed
 
 
@@ -84,29 +87,78 @@ def test_header_change_detected():
     new = FIG2.replace("void* foo(void* p)", "void* foo(void* p, int n)")
     new = new.replace("create(foo, &g);", "create(foo, &g);")  # create arity now wrong
     new = new.replace("void* foo(void* p, int n) {\n   *p = 1;", "void* foo(void* q) {\n   *q = 1;")
-    c = detect_changes(parse(FIG2), parse(new))
+    c = detect_changes(parse(FIG2).digests, parse(new))
     assert "foo" in c.header_changed
 
 
 def test_added_and_removed_functions():
     new = FIG2 + "\nint extra(int x) { return x; }\n"
-    c = detect_changes(parse(FIG2), parse(new))
+    c = detect_changes(parse(FIG2).digests, parse(new))
     assert c.added == {"extra"}
-    c2 = detect_changes(parse(new), parse(FIG2))
+    c2 = detect_changes(parse(new).digests, parse(FIG2))
     assert c2.removed == {"extra"}
 
 
 def test_global_initializer_change_marks_init():
     new = FIG2.replace("atomic int g = 0 ;", "atomic int g = 5 ;")
-    c = detect_changes(parse(FIG2), parse(new))
+    c = detect_changes(parse(FIG2).digests, parse(new))
     assert "__init" in c.changed
+
+
+def _structural_changes(old, new) -> ChangeSet:
+    """Change detection on the ASTs of both versions, as it was before the
+    old version was known by its digests alone."""
+    changed, header_changed, added, unchanged = set(), set(), set(), set()
+    for name, fn in new.functions.items():
+        if name not in old.functions:
+            added.add(name)
+        elif old.functions[name].header() != fn.header():
+            header_changed.add(name)
+        elif normalize(old.functions[name].body) == normalize(fn.body):
+            unchanged.add(name)
+        else:
+            changed.add(name)
+    removed = set(old.functions) - set(new.functions)
+    (changed if old.init_signature() != new.init_signature() else unchanged).add(INIT_PSEUDO_FN)
+    return ChangeSet(frozenset(changed), frozenset(header_changed), frozenset(added),
+                     frozenset(removed), frozenset(unchanged))
+
+
+def test_digest_change_detection_matches_the_structural_comparison():
+    extra = FIG2 + "\nint extra(int x) { return x; }\n"
+    pairs = [
+        (FIG2, FIG2),
+        (FIG2, FIG2_EDIT),
+        (FIG2, FIG2.replace("*p = 1;", "  *p = 1;   // store\n")),
+        (FIG2, FIG2.replace("void* foo(void* p) {\n   *p = 1;", "void* foo(void* q) {\n   *q = 1;")),
+        (FIG2, extra),
+        (extra, FIG2),
+        (FIG2, FIG2.replace("atomic int g = 0 ;", "atomic int g = 5 ;")),
+        (FIG2, FIG2.replace("atomic int g = 0 ;", "atomic int g ;")),
+        ("int f(int x) { return x; }\nint main() { r = f(1); return r; }",
+         "int f(int x, int y) { return x; }\nint main() { r = f(1, 2); return r; }"),
+    ]
+    pairs += [(tpl % 1, tpl % k) for tpl in SMALL_PROGRAMS for k in (1, 2)]
+    spec = CorpusSpec(n_functions=30, seed=5)
+    texts = [corpus_source(spec)] + [corpus_source(s) for s in edit_sequence(spec, 12, seed=11)]
+    pairs += list(zip(texts, texts[1:]))
+    seen = set()  # the kinds of change the pairs exercise
+    for old_text, new_text in pairs:
+        old, new = parse(old_text), parse(new_text)
+        stored = json.loads(json.dumps(old.digests))  # as a state bundle keeps them
+        changes = detect_changes(stored, new)
+        assert changes == _structural_changes(old, new), (old_text, new_text)
+        seen |= {kind for kind, fns in changes.to_json().items() if set(fns) - {INIT_PSEUDO_FN}}
+        if INIT_PSEUDO_FN in changes.changed:
+            seen.add("init")
+    assert seen == {"changed", "header_changed", "added", "removed", "unchanged", "init"}
 
 
 # -- relabeling --------------------------------------------------------------------
 
 
 def test_fig2_edit_relabeling_gives_fresh_interior():
-    c = detect_changes(parse(FIG2), parse(FIG2_EDIT))
+    c = detect_changes(parse(FIG2).digests, parse(FIG2_EDIT))
     old = assign_node_ids(parse(FIG2), None, set(), set())
     new = relabel_nodes(c, old, parse(FIG2_EDIT))
     assert new.assign["foo"] == (0, 6, 2)
@@ -115,7 +167,7 @@ def test_fig2_edit_relabeling_gives_fresh_interior():
 
 
 def test_unchanged_function_keeps_identity_assignment():
-    c = detect_changes(parse(FIG2), parse(FIG2))
+    c = detect_changes(parse(FIG2).digests, parse(FIG2))
     old = assign_node_ids(parse(FIG2), None, set(), set())
     new = relabel_nodes(c, old, parse(FIG2))
     assert new.assign == old.assign
@@ -123,7 +175,7 @@ def test_unchanged_function_keeps_identity_assignment():
 
 def test_added_function_gets_fresh_nodes():
     new_text = FIG2 + "\nint extra(int x) { y = x; return y; }\n"
-    c = detect_changes(parse(FIG2), parse(new_text))
+    c = detect_changes(parse(FIG2).digests, parse(new_text))
     old = assign_node_ids(parse(FIG2), None, set(), set())
     new = relabel_nodes(c, old, parse(new_text))
     assert min(new.assign["extra"]) >= 6
@@ -144,7 +196,7 @@ def test_prepare_plain_matches_fig3_stable_set():
 def test_prepare_plain_on_empty_changeset_is_noop():
     built, st, _ = analyze_source(FIG2)
     stable_before = set(st.stable)
-    changes = detect_changes(parse(FIG2), parse(FIG2))
+    changes = detect_changes(parse(FIG2).digests, parse(FIG2))
     prepare_plain(changes, st, built.assignment, built.sys)
     assert st.stable == stable_before
     assert st.superstable == stable_before
@@ -188,7 +240,7 @@ int main() { a = f(1); b = f(2); return a + b; }
 """
     new = old.replace("x + 1", "x + 3")
     built, st, _ = analyze_source(old)
-    changes = detect_changes(parse(old), parse(new))
+    changes = detect_changes(parse(old).digests, parse(new))
     new_asg = relabel_nodes(changes, built.assignment, parse(new))
     new_built = build_system(parse(new), new_asg)
     A = prepare_reluctant(changes, st, built.assignment, new_built.sys)
@@ -212,7 +264,7 @@ int f(int x, int y) { return x; }
 int main() { r = f(1, 2); return r; }
 """
     built, st, _ = analyze_source(old)
-    changes = detect_changes(parse(old), parse(new))
+    changes = detect_changes(parse(old).digests, parse(new))
     assert "f" in changes.header_changed and "main" in changes.changed
     new_asg = relabel_nodes(changes, built.assignment, parse(new))
     new_built = build_system(parse(new), new_asg)
@@ -237,7 +289,7 @@ def test_reluctant_work_never_exceeds_plain():
 
 def test_select_restart_globals_fig2_edit():
     built, st, _ = analyze_source(FIG2)
-    changes = detect_changes(parse(FIG2), parse(FIG2_EDIT))
+    changes = detect_changes(parse(FIG2).digests, parse(FIG2_EDIT))
     assert select_restart_globals(changes, st, built.assignment) == [G]
 
 
@@ -249,14 +301,14 @@ int main() { r = f(1); return r + g; }
 """
     edited = src.replace("x + 1", "x + 2")
     built, st, _ = analyze_source(src)
-    changes = detect_changes(parse(src), parse(edited))
+    changes = detect_changes(parse(src).digests, parse(edited))
     assert select_restart_globals(changes, st, built.assignment) == []
 
 
 def test_select_restart_globals_init_edit():
     built, st, _ = analyze_source(FIG2)
     new_text = FIG2.replace("atomic int g = 0 ;", "atomic int g = 9 ;")
-    changes = detect_changes(parse(FIG2), parse(new_text))
+    changes = detect_changes(parse(FIG2).digests, parse(new_text))
     assert select_restart_globals(changes, st, built.assignment) == [G]
 
 
@@ -362,7 +414,7 @@ def test_edit_sequences_stay_sound_and_consistent():
             m = list(re.finditer(r"(\+|\*|=)\s*(\d+)", text))
             target = m[rng.randrange(len(m))]
             new_text = text[:target.start(2)] + str(const) + text[target.end(2):]
-            _, new_built, _ = reanalyze(parse(text), asg, st, parse(new_text))
+            _, new_built, _ = reanalyze(parse(text).digests, asg, st, parse(new_text))
             new_asg = new_built.assignment
             assert verify_solution(new_built.sys, st) == [], f"program {pi} step {step}"
             assert st.check_side_maps_inverse()

@@ -35,7 +35,7 @@ def full_pipeline(text, domain="valueset"):
 
 def incremental_pipeline(old_text, new_text, prev_store, built_old, st,
                          restart="minimal"):
-    _, new_built, _ = reanalyze(parse(old_text), built_old.assignment, st, parse(new_text),
+    _, new_built, _ = reanalyze(parse(old_text).digests, built_old.assignment, st, parse(new_text),
                                 restart=restart)
     store, stats = postprocess(new_built, st, prev_store, "<test>")
     return new_built, store, stats
@@ -183,7 +183,7 @@ def test_incremental_warnings_match_from_scratch_when_sigma_agrees():
 def test_superstable_subset_of_stable_at_phase_boundaries():
     built, st, _ = analyze_source(FIG2)
     store0, _ = postprocess(built, st, None, "<test>")
-    changes = detect_changes(parse(FIG2), parse(FIG2_EDIT))
+    changes = detect_changes(parse(FIG2).digests, parse(FIG2_EDIT))
     new_asg = relabel_nodes(changes, built.assignment, parse(FIG2_EDIT))
     new_built = build_system(parse(FIG2_EDIT), new_asg)
     A = prepare_reluctant(changes, st, built.assignment, new_built.sys)

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -14,10 +15,12 @@ from minicheck.consys import (
     QGet,
     QSet,
 )
+from minicheck.corpus import CorpusSpec, corpus_source
 from minicheck.domains import AccessSet, AddressSet, Env, LocalState, Lockset, ValueSet, leq
 from minicheck.tdsolver import (
     Phase,
     Solver,
+    STATE_FORMAT,
     SolverState,
     run,
     state_from_json,
@@ -318,7 +321,7 @@ def test_termination_accounting_is_bounded():
 def test_state_json_roundtrip_and_warm_restart():
     built, st, _ = analyze_source(FIG2)
     doc = state_to_json(st)
-    assert doc["format"] == 1
+    assert doc["format"] == STATE_FORMAT
     assert "superstable" not in doc and "called" not in doc
     st2 = state_from_json(doc)
     assert st2.sigma == st.sigma
@@ -329,6 +332,54 @@ def test_state_json_roundtrip_and_warm_restart():
     before = st2.rhs_evals
     run(built.sys, st2)
     assert st2.rhs_evals == before  # everything stable after reload
+
+
+def assert_same_state(st2, st):
+    """Everything persisted survives, maps with their members' order."""
+    def ordered(m):
+        return {k: list(v) for k, v in m.items() if v}
+
+    assert st2.sigma == st.sigma
+    assert ordered(st2.infl) == ordered(st.infl)
+    assert ordered(st2.side_dep) == ordered(st.side_dep)
+    assert ordered(st2.side_infl) == ordered(st.side_infl)
+    assert st2.stable == st.stable
+    assert st2.point == st.point
+    assert st2.starts == st.starts
+    assert (st2.rhs_evals, st2.destabilizations) == (st.rhs_evals, st.destabilizations)
+
+
+def assert_interned(doc, st):
+    """Each unknown is written once, each distinct value once."""
+    keys = [json.dumps(u, sort_keys=True) for u in doc["unknowns"]]
+    assert len(keys) == len(set(keys))
+    mentioned = set(st.sigma) | st.stable | st.point | set(st.starts)
+    for m in (st.infl, st.side_dep, st.side_infl):
+        mentioned |= {u for u, vs_ in m.items() if vs_} | {v for vs_ in m.values() for v in vs_}
+    assert len(keys) == len(mentioned)
+    values = [json.dumps(v, sort_keys=True) for v in doc["values"]]
+    assert len(values) == len(set(values))
+
+
+def test_state_json_roundtrip_on_random_systems():
+    rng = random.Random(4242)
+    for _ in range(60):
+        sys_, *_ = make_random_system(rng, n_unknowns=rng.randrange(2, 12))
+        st = SolverState()
+        run(sys_, st, deep_stack=False)
+        doc = json.loads(json.dumps(state_to_json(st)))
+        assert_interned(doc, st)
+        assert_same_state(state_from_json(doc), st)
+
+
+def test_state_json_roundtrip_on_the_corpus():
+    _, st, _ = analyze_source(corpus_source(CorpusSpec(n_functions=40, seed=3)))
+    doc = json.loads(json.dumps(state_to_json(st)))
+    assert_interned(doc, st)
+    assert len(doc["values"]) < len(doc["sigma"])
+    st2 = state_from_json(doc)
+    assert_same_state(st2, st)
+    assert json.dumps(state_to_json(st2)) == json.dumps(doc)
 
 
 def test_state_format_is_checked():
