@@ -373,6 +373,7 @@ class Server:
             payload["stats"] = {
                 "rhs_evals_total": result.session.state.rhs_evals,
                 "destabilizations_total": result.session.state.destabilizations,
+                "diagnostics": result.run_stats["diagnostics"],
             }
         return payload
 

@@ -28,13 +28,26 @@ from .domains import Value, join, value_from_json, value_key, value_to_json
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+# Unknowns are dict and set keys on every solver step.  Context, NodeCtx and
+# StartOf nest tuples of values, so each computes its hash once, at
+# construction; the value is the hash the dataclass would generate (that of
+# the compared fields' tuple), which keeps every set and dict order.
+
+
+@dataclass(frozen=True, slots=True)
 class Context:
     """Calling context: canonical (sorted) abstract parameter assignment."""
 
     params: tuple = ()
+    _hash: int = field(init=False, repr=False, compare=False)
 
     EMPTY: ClassVar["Context"]  # the empty calling context, set below
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.params,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def of(mapping: dict) -> "Context":
@@ -52,13 +65,20 @@ class Context:
 Context.EMPTY = Context()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeCtx:
     """Program point of a function, decorated with a calling context."""
 
     fn: str
     node: int
     ctx: Context
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.fn, self.node, self.ctx)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __repr__(self) -> str:
         return f"⟨{self.node},{self.ctx!r}⟩"
@@ -82,12 +102,19 @@ class AccCollector:
         return f"acc_{self.name}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StartOf:
     """Seeded start unknown of an entry function."""
 
     fn: str
     ctx: Context
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.fn, self.ctx)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __repr__(self) -> str:
         return f"start({self.fn},{self.ctx!r})"

@@ -10,9 +10,10 @@ All analysis values live in one of a handful of complete lattices:
 * ``AccessSet``   -- accumulated global-access records (join = union)
 * ``LocalState``  -- an ``Env`` paired with a ``Lockset``
 
-Every value is immutable and hashable.  ``join``/``widen``/``narrow``/``leq``
-are available both as methods and as the module-level functions below, which
-additionally reject mixed-domain arguments.
+Every value is immutable and hashable, so each constant element
+(``top()``, ``bot()``) is one shared instance.  ``join``/``widen``/
+``narrow``/``leq`` are available both as methods and as the module-level
+functions below, which additionally reject mixed-domain arguments.
 """
 
 from __future__ import annotations
@@ -95,11 +96,11 @@ class ValueSet(Value):
 
     @staticmethod
     def top() -> "ValueSet":
-        return ValueSet(None)
+        return _VALUESET_TOP
 
     @staticmethod
     def bot() -> "ValueSet":
-        return ValueSet(frozenset())
+        return _VALUESET_BOT
 
     def is_top(self) -> bool:
         return self.values is None
@@ -140,6 +141,10 @@ class ValueSet(Value):
         return "{" + ",".join(str(v) for v in sorted(self.values)) + "}"
 
 
+_VALUESET_TOP = ValueSet(None)
+_VALUESET_BOT = ValueSet(frozenset())
+
+
 @dataclass(frozen=True)
 class Interval(Value):
     """Integer interval [lo, hi]; None bounds are -inf/+inf; empty = Bot."""
@@ -163,11 +168,11 @@ class Interval(Value):
 
     @staticmethod
     def top() -> "Interval":
-        return Interval(None, None)
+        return _INTERVAL_TOP
 
     @staticmethod
     def bot() -> "Interval":
-        return Interval(None, None, empty=True)
+        return _INTERVAL_BOT
 
     def is_bot(self) -> bool:
         return self.empty
@@ -224,6 +229,10 @@ class Interval(Value):
         return f"[{lo},{hi}]"
 
 
+_INTERVAL_TOP = Interval(None, None)
+_INTERVAL_BOT = Interval(None, None, empty=True)
+
+
 @dataclass(frozen=True)
 class AddressSet(Value):
     """Set of abstract addresses (global names, ``null``); None = Top."""
@@ -242,11 +251,11 @@ class AddressSet(Value):
 
     @staticmethod
     def top() -> "AddressSet":
-        return AddressSet(None)
+        return _ADDRESSSET_TOP
 
     @staticmethod
     def bot() -> "AddressSet":
-        return AddressSet(frozenset())
+        return _ADDRESSSET_BOT
 
     def is_top(self) -> bool:
         return self.addrs is None
@@ -286,6 +295,10 @@ class AddressSet(Value):
         return "{" + ",".join(a if a == self.NULL else "&" + a for a in sorted(self.addrs)) + "}"
 
 
+_ADDRESSSET_TOP = AddressSet(None)
+_ADDRESSSET_BOT = AddressSet(frozenset())
+
+
 @dataclass(frozen=True)
 class Lockset(Value):
     """Must-held mutexes.  More locks = more precise = lower in the lattice.
@@ -302,11 +315,11 @@ class Lockset(Value):
 
     @staticmethod
     def top() -> "Lockset":
-        return Lockset(frozenset())
+        return _LOCKSET_TOP
 
     @staticmethod
     def bot() -> "Lockset":
-        return Lockset(None)
+        return _LOCKSET_BOT
 
     def is_bot(self) -> bool:
         return self.held is None
@@ -358,6 +371,10 @@ class Lockset(Value):
         return "{" + ",".join(sorted(self.held)) + "}"
 
 
+_LOCKSET_TOP = Lockset(frozenset())
+_LOCKSET_BOT = Lockset(None)
+
+
 @dataclass(frozen=True)
 class Env(Value):
     """Finite map from local names to values; ``bindings is None`` is Bot.
@@ -374,7 +391,7 @@ class Env(Value):
 
     @staticmethod
     def bot() -> "Env":
-        return Env(None)
+        return _ENV_BOT
 
     def is_bot(self) -> bool:
         return self.bindings is None
@@ -443,6 +460,9 @@ class Env(Value):
         return "{" + ", ".join(f"{k}↦{v!r}" for k, v in self.bindings) + "}"
 
 
+_ENV_BOT = Env(None)
+
+
 @dataclass(frozen=True)
 class Access:
     """One recorded access to a global: producing CFG edge, kind, held locks.
@@ -474,7 +494,7 @@ class AccessSet(Value):
 
     @staticmethod
     def bot() -> "AccessSet":
-        return AccessSet(frozenset())
+        return _ACCESSSET_BOT
 
     def is_bot(self) -> bool:
         return not self.records
@@ -498,6 +518,9 @@ class AccessSet(Value):
         return f"AccessSet({len(self.records)})"
 
 
+_ACCESSSET_BOT = AccessSet(frozenset())
+
+
 @dataclass(frozen=True)
 class LocalState(Value):
     """Per-program-point state: local environment plus must-lockset.
@@ -510,7 +533,7 @@ class LocalState(Value):
 
     @staticmethod
     def bot() -> "LocalState":
-        return LocalState(Env.bot(), Lockset.bot())
+        return _LOCALSTATE_BOT
 
     def __post_init__(self):
         if self.env.is_bot() and not self.locks.is_bot():
@@ -560,6 +583,9 @@ class LocalState(Value):
         if self.is_bot():
             return "⊥"
         return f"({self.env!r}, locks={self.locks!r})"
+
+
+_LOCALSTATE_BOT = LocalState(Env.bot(), Lockset.bot())
 
 
 # ---------------------------------------------------------------------------

@@ -52,41 +52,44 @@ class LocalCFG:
     edges: List[Edge]
 
 
-def build_local_cfg(fn: Function) -> LocalCFG:
-    edges: List[Edge] = []
-    counter = 0
+_RET = -1  # placeholder target of return edges, patched once the body is built
 
-    def new_node() -> int:
-        nonlocal counter
-        n = counter
-        counter += 1
+
+class _LocalBuilder:
+    """Edges and node counter of one local CFG under construction."""
+
+    def __init__(self):
+        self.edges: List[Edge] = []
+        self.counter = 0
+
+    def new_node(self) -> int:
+        n = self.counter
+        self.counter += 1
         return n
 
-    entry = new_node()
-    RET = -1  # patched once the body is built
-
-    def walk(block: Block, cur: Optional[int]) -> Optional[int]:
+    def walk(self, block: Block, cur: Optional[int]) -> Optional[int]:
+        edges = self.edges
         for s in block.stmts:
             if cur is None:
-                cur = new_node()  # unreachable continuation after a return
+                cur = self.new_node()  # unreachable continuation after a return
             if isinstance(s, (Assign, Store, LockStmt, UnlockStmt, Create, Call)):
-                nxt = new_node()
+                nxt = self.new_node()
                 edges.append(Edge(cur, nxt, s))
                 cur = nxt
             elif isinstance(s, Return):
-                edges.append(Edge(cur, RET, s))
+                edges.append(Edge(cur, _RET, s))
                 cur = None
             elif isinstance(s, If):
-                t_entry = new_node()
+                t_entry = self.new_node()
                 edges.append(Edge(cur, t_entry, Guard(s.cond, True, s.loc)))
-                t_exit = walk(s.then, t_entry)
-                f_entry = new_node()
+                t_exit = self.walk(s.then, t_entry)
+                f_entry = self.new_node()
                 edges.append(Edge(cur, f_entry, Guard(s.cond, False, s.loc)))
-                f_exit = walk(s.orelse, f_entry) if s.orelse else f_entry
+                f_exit = self.walk(s.orelse, f_entry) if s.orelse else f_entry
                 if t_exit is None and f_exit is None:
                     cur = None
                 else:
-                    merge = new_node()
+                    merge = self.new_node()
                     if t_exit is not None:
                         edges.append(Edge(t_exit, merge, None))
                     if f_exit is not None:
@@ -95,26 +98,30 @@ def build_local_cfg(fn: Function) -> LocalCFG:
             elif isinstance(s, While):
                 # dedicated head node: the back edge must never target the
                 # function entry, whose rhs is the constant Bot
-                head = new_node()
+                head = self.new_node()
                 edges.append(Edge(cur, head, None))
-                b_entry = new_node()
+                b_entry = self.new_node()
                 edges.append(Edge(head, b_entry, Guard(s.cond, True, s.loc)))
-                b_exit = walk(s.body, b_entry)
+                b_exit = self.walk(s.body, b_entry)
                 if b_exit is not None:
                     edges.append(Edge(b_exit, head, None))
-                after = new_node()
+                after = self.new_node()
                 edges.append(Edge(head, after, Guard(s.cond, False, s.loc)))
                 cur = after
             else:
                 raise TypeError(f"unexpected statement {s!r}")
         return cur
 
-    exit_node = walk(fn.body, entry)
+
+def build_local_cfg(fn: Function) -> LocalCFG:
+    b = _LocalBuilder()
+    entry = b.new_node()
+    exit_node = b.walk(fn.body, entry)
     if exit_node is not None:
-        edges.append(Edge(exit_node, RET, Return(None, fn.loc)))
-    ret = new_node()
-    edges = [Edge(e.src, ret if e.dst == RET else e.dst, e.label) for e in edges]
-    return LocalCFG(fn.name, counter, edges)
+        b.edges.append(Edge(exit_node, _RET, Return(None, fn.loc)))
+    ret = b.new_node()
+    edges = [Edge(e.src, ret if e.dst == _RET else e.dst, e.label) for e in b.edges]
+    return LocalCFG(fn.name, b.counter, edges)
 
 
 @dataclass
@@ -178,15 +185,16 @@ class FuncCFG:
     entry: int
     ret: int
     node_ids: Tuple[int, ...]
-    edges: List[Edge]  # src/dst are global ids
+    edges: List[Edge]  # src/dst are global ids, sorted by (dst, src)
     locals: List[str]
+    incoming: Dict[int, List[Edge]]  # dst -> its edges, in `edges` order
 
     def in_edges(self, node: int) -> List[Edge]:
-        return [e for e in self.edges if e.dst == node]
+        return self.incoming.get(node, [])
 
     def edge_between(self, src: int, dst: int) -> Optional[Edge]:
-        for e in self.edges:
-            if e.src == src and e.dst == dst:
+        for e in self.in_edges(dst):
+            if e.src == src:
                 return e
         return None
 
@@ -206,7 +214,10 @@ def build_cfgs(prog: Program, assignment: NodeAssignment) -> Dict[str, FuncCFG]:
         edges = [Edge(ids[e.src], ids[e.dst], e.label) for e in local.edges]
         # deterministic edge order: by target then source
         edges.sort(key=lambda e: (e.dst, e.src))
+        incoming: Dict[int, List[Edge]] = {}
+        for e in edges:
+            incoming.setdefault(e.dst, []).append(e)
         cfgs[name] = FuncCFG(name, fn, ids[0], ids[-1], ids, edges,
-                             function_locals(fn, global_names))
+                             function_locals(fn, global_names), incoming)
     return cfgs
 

@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import re
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 
 class MiniCError(Exception):
@@ -274,11 +275,23 @@ def normalize(node) -> tuple:
 
 _KEYWORDS = {"int", "void", "mutex", "atomic", "while", "if", "else", "return",
              "lock", "unlock", "create", "NULL"}
-_PUNCT = ["==", "!=", "<", ">", "+", "-", "*", "&", "(", ")", "{", "}", ";", ",", "="]
+# One alternative per token class, tried at each position.  `\d` is exactly
+# `str.isdecimal` and `\w` is `str.isalnum` plus "_", so a literal is
+# always valid for `int()`.  A word's first character must also be a letter
+# or "_", which `word` does not check: superscript digits and other numeric
+# characters are word characters, but they start no token.
+_TOKEN_RE = re.compile(r"""
+    (?P<space>[ \t\r]+)
+  | (?P<newline>\n)
+  | (?P<line_comment>//[^\n]*)
+  | (?P<block_comment>/\*.*?\*/)
+  | (?P<int>\d+)
+  | (?P<word>\w+)
+  | (?P<punct>==|!=|[<>+\-*&(){};,=])
+""", re.VERBOSE | re.DOTALL)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident" | "int" | "kw" | "punct" | "eof"
     text: str
     line: int
@@ -287,66 +300,38 @@ class Token:
 
 def _lex(src: str) -> List[Token]:
     toks: List[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(src)
-
-    def err(msg):
-        raise ParseError(msg, line, col)
-
-    while i < n:
-        c = src[i]
-        if c == "\n":
-            i += 1
+    match = _TOKEN_RE.match
+    pos, n = 0, len(src)
+    line, line_start = 1, 0  # current line and the index it starts at
+    eof_pos = n
+    while pos < n:
+        m = match(src, pos)
+        kind = m.lastgroup if m is not None else None
+        if kind == "word" and not (src[pos].isalpha() or src[pos] == "_"):
+            kind = None
+        if kind is None:
+            msg = "unterminated comment" if src.startswith("/*", pos) \
+                else f"unexpected character {src[pos]!r}"
+            raise ParseError(msg, line, pos - line_start + 1)
+        end = m.end()
+        if kind == "word":
+            text = m.group()
+            toks.append(Token("kw" if text in _KEYWORDS else "ident", text,
+                              line, pos - line_start + 1))
+        elif kind == "int" or kind == "punct":
+            toks.append(Token(kind, m.group(), line, pos - line_start + 1))
+        elif kind == "newline":
             line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if src.startswith("//", i):
-            j = src.find("\n", i)
-            i = n if j < 0 else j
-            continue
-        if src.startswith("/*", i):
-            j = src.find("*/", i + 2)
-            if j < 0:
-                err("unterminated comment")
-            skipped = src[i:j + 2]
-            nl = skipped.count("\n")
+            line_start = end
+        elif kind == "block_comment":
+            nl = src.count("\n", pos, end)
             if nl:
                 line += nl
-                col = len(skipped) - skipped.rfind("\n")
-            else:
-                col += len(skipped)
-            i = j + 2
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            toks.append(Token("int", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            word = src[i:j]
-            toks.append(Token("kw" if word in _KEYWORDS else "ident", word, line, col))
-            col += j - i
-            i = j
-            continue
-        for p in _PUNCT:
-            if src.startswith(p, i):
-                toks.append(Token("punct", p, line, col))
-                col += len(p)
-                i += len(p)
-                break
-        else:
-            err(f"unexpected character {c!r}")
-    toks.append(Token("eof", "", line, col))
+                line_start = src.rindex("\n", pos, end) + 1
+        elif kind == "line_comment" and end == n:
+            eof_pos = pos  # a comment that ends the source moves no column
+        pos = end
+    toks.append(Token("eof", "", line, eof_pos - line_start + 1))
     return toks
 
 
@@ -377,6 +362,12 @@ class _Parser:
             want = text or kind
             self.err(f"expected {want!r}, found {t.text!r}")
         return self.next()
+
+    def int_value(self, t: Token) -> int:
+        try:
+            return int(t.text)
+        except ValueError:  # more digits than the interpreter converts
+            self.err(f"integer literal of {len(t.text)} digits is too long", t)
 
     def at(self, kind: str, text: Optional[str] = None) -> bool:
         t = self.peek()
@@ -415,7 +406,7 @@ class _Parser:
                     if self.at("punct", "="):
                         self.next()
                         lit = self.expect("int")
-                        init = int(lit.text)
+                        init = self.int_value(lit)
                     self.expect("punct", ";")
                     prog.globals.append(GlobalDecl(name.text, init, atomic, Loc(name.line, name.col)))
                 continue
@@ -569,7 +560,7 @@ class _Parser:
         loc = Loc(t.line, t.col)
         if t.kind == "int":
             self.next()
-            return IntLit(int(t.text), loc)
+            return IntLit(self.int_value(t), loc)
         if t.kind == "kw" and t.text == "NULL":
             self.next()
             return NullLit(loc)
@@ -603,25 +594,23 @@ def function_locals(fn: Function, global_names: set = frozenset()) -> List[str]:
 
     Assignments to a global name are global writes, not local definitions."""
     names = [p.name for p in fn.params]
-
-    def seen(target: str) -> bool:
-        return target in names or target in global_names
-
-    def walk(block: Block):
-        for s in block.stmts:
-            if isinstance(s, (Assign, Call)) and not seen(s.target):
-                names.append(s.target)
-            elif isinstance(s, If):
-                walk(s.then)
-                if s.orelse:
-                    walk(s.orelse)
-            elif isinstance(s, While):
-                walk(s.body)
-
-    walk(fn.body)
+    _collect_locals(fn.body, names, global_names)
     if "ret" not in names:
         names.append("ret")
     return names
+
+
+def _collect_locals(block: Block, names: List[str], global_names: set) -> None:
+    for s in block.stmts:
+        if isinstance(s, (Assign, Call)) and s.target not in names \
+                and s.target not in global_names:
+            names.append(s.target)
+        elif isinstance(s, If):
+            _collect_locals(s.then, names, global_names)
+            if s.orelse:
+                _collect_locals(s.orelse, names, global_names)
+        elif isinstance(s, While):
+            _collect_locals(s.body, names, global_names)
 
 
 def _check_semantics(prog: Program) -> None:
@@ -651,70 +640,80 @@ def _check_semantics(prog: Program) -> None:
                 f"parameters of {fn.name!r} shadow globals: {sorted(shadowed)}",
                 fn.loc.line, fn.loc.col)
 
-        def check_expr(e):
-            if isinstance(e, Var):
-                if e.name not in locals_ and e.name not in globals_:
-                    raise SemanticError(f"unknown identifier {e.name!r}", e.loc.line, e.loc.col)
-            elif isinstance(e, AddrOf):
-                if e.name not in globals_:
-                    raise SemanticError(f"address-of applies to int globals only: {e.name!r}",
-                                        e.loc.line, e.loc.col)
-            elif isinstance(e, Deref):
-                if e.name not in locals_:
-                    raise SemanticError(f"cannot dereference {e.name!r}", e.loc.line, e.loc.col)
-            elif isinstance(e, BinOp):
-                check_expr(e.left)
-                check_expr(e.right)
+        _SemanticChecker(prog, locals_, globals_, mutexes).block(fn.body)
 
-        def check_block(block: Block):
-            for s in block.stmts:
-                if isinstance(s, Assign):
-                    if s.target not in locals_ and s.target not in globals_:
-                        raise SemanticError(f"unknown assignment target {s.target!r}",
-                                            s.loc.line, s.loc.col)
-                    check_expr(s.expr)
-                elif isinstance(s, Store):
-                    if s.pointer not in locals_:
-                        raise SemanticError(f"store through unknown pointer {s.pointer!r}",
-                                            s.loc.line, s.loc.col)
-                    check_expr(s.expr)
-                elif isinstance(s, (LockStmt, UnlockStmt)):
-                    if s.mutex not in mutexes:
-                        raise SemanticError(f"unknown mutex {s.mutex!r}", s.loc.line, s.loc.col)
-                elif isinstance(s, Create):
-                    callee = prog.functions.get(s.fn)
-                    if callee is None:
-                        raise SemanticError(f"unresolved function {s.fn!r}", s.loc.line, s.loc.col)
-                    if len(callee.params) != 1:
-                        raise SemanticError(f"create target {s.fn!r} must take one parameter",
-                                            s.loc.line, s.loc.col)
-                    check_expr(s.arg)
-                elif isinstance(s, Call):
-                    callee = prog.functions.get(s.fn)
-                    if callee is None:
-                        raise SemanticError(f"unresolved function {s.fn!r}", s.loc.line, s.loc.col)
-                    if len(callee.params) != len(s.args):
-                        raise SemanticError(
-                            f"{s.fn!r} expects {len(callee.params)} argument(s), got {len(s.args)}",
-                            s.loc.line, s.loc.col)
-                    if s.target not in locals_ and s.target not in globals_:
-                        raise SemanticError(f"unknown assignment target {s.target!r}",
-                                            s.loc.line, s.loc.col)
-                    for a in s.args:
-                        check_expr(a)
-                elif isinstance(s, If):
-                    check_expr(s.cond)
-                    check_block(s.then)
-                    if s.orelse:
-                        check_block(s.orelse)
-                elif isinstance(s, While):
-                    check_expr(s.cond)
-                    check_block(s.body)
-                elif isinstance(s, Return):
-                    if s.expr is not None:
-                        check_expr(s.expr)
 
-        check_block(fn.body)
+class _SemanticChecker:
+    """Name resolution and arity checks of one function's body."""
+
+    def __init__(self, prog: Program, locals_: set, globals_: set, mutexes: set):
+        self.prog = prog
+        self.locals_ = locals_
+        self.globals_ = globals_
+        self.mutexes = mutexes
+
+    def expr(self, e) -> None:
+        if isinstance(e, Var):
+            if e.name not in self.locals_ and e.name not in self.globals_:
+                raise SemanticError(f"unknown identifier {e.name!r}", e.loc.line, e.loc.col)
+        elif isinstance(e, AddrOf):
+            if e.name not in self.globals_:
+                raise SemanticError(f"address-of applies to int globals only: {e.name!r}",
+                                    e.loc.line, e.loc.col)
+        elif isinstance(e, Deref):
+            if e.name not in self.locals_:
+                raise SemanticError(f"cannot dereference {e.name!r}", e.loc.line, e.loc.col)
+        elif isinstance(e, BinOp):
+            self.expr(e.left)
+            self.expr(e.right)
+
+    def block(self, block: Block) -> None:
+        for s in block.stmts:
+            if isinstance(s, Assign):
+                if s.target not in self.locals_ and s.target not in self.globals_:
+                    raise SemanticError(f"unknown assignment target {s.target!r}",
+                                        s.loc.line, s.loc.col)
+                self.expr(s.expr)
+            elif isinstance(s, Store):
+                if s.pointer not in self.locals_:
+                    raise SemanticError(f"store through unknown pointer {s.pointer!r}",
+                                        s.loc.line, s.loc.col)
+                self.expr(s.expr)
+            elif isinstance(s, (LockStmt, UnlockStmt)):
+                if s.mutex not in self.mutexes:
+                    raise SemanticError(f"unknown mutex {s.mutex!r}", s.loc.line, s.loc.col)
+            elif isinstance(s, Create):
+                callee = self.prog.functions.get(s.fn)
+                if callee is None:
+                    raise SemanticError(f"unresolved function {s.fn!r}", s.loc.line, s.loc.col)
+                if len(callee.params) != 1:
+                    raise SemanticError(f"create target {s.fn!r} must take one parameter",
+                                        s.loc.line, s.loc.col)
+                self.expr(s.arg)
+            elif isinstance(s, Call):
+                callee = self.prog.functions.get(s.fn)
+                if callee is None:
+                    raise SemanticError(f"unresolved function {s.fn!r}", s.loc.line, s.loc.col)
+                if len(callee.params) != len(s.args):
+                    raise SemanticError(
+                        f"{s.fn!r} expects {len(callee.params)} argument(s), got {len(s.args)}",
+                        s.loc.line, s.loc.col)
+                if s.target not in self.locals_ and s.target not in self.globals_:
+                    raise SemanticError(f"unknown assignment target {s.target!r}",
+                                        s.loc.line, s.loc.col)
+                for a in s.args:
+                    self.expr(a)
+            elif isinstance(s, If):
+                self.expr(s.cond)
+                self.block(s.then)
+                if s.orelse:
+                    self.block(s.orelse)
+            elif isinstance(s, While):
+                self.expr(s.cond)
+                self.block(s.body)
+            elif isinstance(s, Return):
+                if s.expr is not None:
+                    self.expr(s.expr)
 
 
 def parse(text: str) -> Program:

@@ -53,7 +53,7 @@ from ..domains import (
     refine_nonzero,
     refine_zero,
 )
-from .cfg import FuncCFG, Guard, NodeAssignment, build_cfgs
+from .cfg import Edge, FuncCFG, Guard, NodeAssignment, build_cfgs
 from .syntax import (
     AddrOf,
     Assign,
@@ -176,21 +176,26 @@ class _SystemGen:
     # -- per-node right-hand sides ----------------------------------------------
 
     def _node_rhs(self, cfg: FuncCFG, node: int, ctx: Context, post: bool) -> Tree:
-        edges = cfg.in_edges(node)
+        return self._fold(cfg, cfg.in_edges(node), ctx, post, 0, LocalState.bot())
 
-        # Fold the incoming edges, threading the joined state through the
-        # continuation chain so the tree stays pure.
-        def fold(i: int, acc: LocalState) -> Tree:
-            if i == len(edges):
-                return Ans(acc)
-            e = edges[i]
-            pred = NodeCtx(cfg.name, e.src, ctx)
-            return QGet(pred, lambda s, i=i, e=e, acc=acc:
-                        fold(i + 1, acc) if (not isinstance(s, LocalState) or s.is_bot())
-                        else self._transfer(cfg, e, s, post,
-                                            lambda out, i=i, acc=acc: fold(i + 1, acc.join(out))))
+    # Recursion goes through methods, never through local closures: a closure
+    # that refers to itself is a reference cycle, which would make every tree
+    # garbage that only the cyclic collector frees.
 
-        return fold(0, LocalState.bot())
+    def _fold(self, cfg: FuncCFG, edges: List[Edge], ctx: Context, post: bool, i: int,
+              acc: LocalState) -> Tree:
+        """Fold the incoming edges from `i` on, threading the joined state
+        through the continuation chain so the tree stays pure."""
+        if i == len(edges):
+            return Ans(acc)
+        e = edges[i]
+        pred = NodeCtx(cfg.name, e.src, ctx)
+        return QGet(pred, lambda s:
+                    self._fold(cfg, edges, ctx, post, i + 1, acc)
+                    if (not isinstance(s, LocalState) or s.is_bot())
+                    else self._transfer(cfg, e, s, post,
+                                        lambda out: self._fold(cfg, edges, ctx, post, i + 1,
+                                                               acc.join(out))))
 
     # -- transfer functions -------------------------------------------------------
 
@@ -255,7 +260,7 @@ class _SystemGen:
         ret_u = NodeCtx(fname, callee.ret, ctx)
         return QSet(entry_u, entry_state, QGet(ret_u, lambda _ignored: k(s)))
 
-    def _call(self, label: Call, vs: List[Value], s: LocalState, emit: "_Emitter",
+    def _call(self, label: Call, vs: Tuple[Value, ...], s: LocalState, emit: "_Emitter",
               k: Callable) -> Tree:
         callee = self.cfgs[label.fn]
         params = [p.name for p in callee.fn.params]
@@ -301,16 +306,13 @@ class _SystemGen:
     # -- expressions ---------------------------------------------------------------
 
     def _eval_args(self, exprs, s: LocalState, emit: "_Emitter",
-                   k: Callable[[List[Value]], Tree]) -> Tree:
-        vals: List[Value] = []
-
-        def go(i: int) -> Tree:
-            if i == len(exprs):
-                return k(vals)
-            return self._eval_expr(exprs[i], s, emit,
-                                   lambda v, i=i: (vals.append(v), go(i + 1))[1])
-
-        return go(0)
+                   k: Callable[[Tuple[Value, ...]], Tree], vals: Tuple[Value, ...] = ()) -> Tree:
+        """Evaluate `exprs` after the already evaluated `vals`, left to right."""
+        i = len(vals)
+        if i == len(exprs):
+            return k(vals)
+        return self._eval_expr(exprs[i], s, emit,
+                               lambda v: self._eval_args(exprs, s, emit, k, vals + (v,)))
 
     def _eval_expr(self, e, s: LocalState, emit: "_Emitter",
                    k: Callable[[Value], Tree]) -> Tree:
@@ -332,21 +334,23 @@ class _SystemGen:
             targets = sorted(a for a in addrs.addrs if a != AddressSet.NULL and a in self.globals)
             if not targets:
                 return k(self.config.int_bot())
-
-            def read_all(i: int, acc: Value) -> Tree:
-                if i == len(targets):
-                    return k(acc)
-                gname = targets[i]
-                return QGet(GlobalVar(gname),
-                            lambda v, i=i, acc=acc: emit.read(
-                                gname, s, read_all(i + 1, acc.join(self._as_int(v)))))
-
-            return read_all(0, self.config.int_bot())
+            return self._read_all(targets, 0, self.config.int_bot(), s, emit, k)
         if isinstance(e, BinOp):
             return self._eval_expr(e.left, s, emit,
                                    lambda lv: self._eval_expr(e.right, s, emit,
                                                               lambda rv: k(arith_binop(e.op, lv, rv))))
         raise TypeError(f"unexpected expression {e!r}")
+
+    def _read_all(self, targets: List[str], i: int, acc: Value, s: LocalState,
+                  emit: "_Emitter", k: Callable[[Value], Tree]) -> Tree:
+        """Join the values of the globals `targets[i:]` into `acc`."""
+        if i == len(targets):
+            return k(acc)
+        gname = targets[i]
+        return QGet(GlobalVar(gname),
+                    lambda v: emit.read(gname, s,
+                                        self._read_all(targets, i + 1, acc.join(self._as_int(v)),
+                                                       s, emit, k)))
 
     def _as_int(self, v: Value) -> Value:
         if isinstance(v, (ValueSet, Interval)):

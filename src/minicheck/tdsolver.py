@@ -109,7 +109,6 @@ class SolverState:
         self.starts: Dict[Unknown, Value] = {}
         self.rhs_evals = 0
         self.destabilizations = 0
-        self.diagnostics: List[str] = []
 
     def destabilize(self, x: Unknown) -> None:
         """Transitively remove everything influenced by `x` from stable and
@@ -146,6 +145,7 @@ class Solver:
         self._wpoint_restarts: Dict[Unknown, int] = {}
         self._rhs_cache: Dict[Unknown, Optional[Tree]] = {}
         self.evals_by_unknown: Dict[Unknown, int] = {}  # this step's evaluations
+        self.diagnostics: List[str] = []  # this run's widening-restart bound hits
 
     # -- σ and rhs access ---------------------------------------------------
 
@@ -251,7 +251,7 @@ class Solver:
         n = self._wpoint_restarts.get(y, 0)
         if n >= MAX_WPOINT_RESTARTS:
             msg = f"widening-point restart bound hit at {y!r}"
-            st.diagnostics.append(msg)
+            self.diagnostics.append(msg)
             log.warning(msg)
             return
         self._wpoint_restarts[y] = n + 1
@@ -281,7 +281,8 @@ def run(sys_: EqSys, state: SolverState, opts: Optional[SolverOptions] = None,
     """Seed start unknowns, solve `pre_solve` in order, then the query.
 
     Returns per-step statistics: rhs-evaluation counts overall and by
-    unknown (canonical keys), for the pre-solve step and the query step.
+    unknown (canonical keys), for the pre-solve step and the query step,
+    and the run's diagnostics (widening-point restart bound hits).
     """
 
     def go():
@@ -300,6 +301,7 @@ def run(sys_: EqSys, state: SolverState, opts: Optional[SolverOptions] = None,
             "step2_rhs_evals": sum(step2.values()),
             "step1_evals_by_unknown": {unknown_key(u): n for u, n in step1.items()},
             "step2_evals_by_unknown": {unknown_key(u): n for u, n in step2.items()},
+            "diagnostics": solver.diagnostics,
         }
 
     if deep_stack:

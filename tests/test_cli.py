@@ -1,4 +1,5 @@
 import collections
+import gc
 import io
 import json
 import os
@@ -524,7 +525,9 @@ def test_serve_session_matches_cli_reanalyze(tmp_path, monkeypatch):
     assert cli.serve_loop(cli.Options(state_dir=serve_dir, stats=True), requests(), out) == 0
     results = [json.loads(l)["result"] for l in out.getvalue().splitlines()[:-1]]
     assert [r.pop("stats") for r in results] == \
-        [{k: s[k] for k in ("rhs_evals_total", "destabilizations_total")} for s in cli_stats]
+        [{"rhs_evals_total": s["rhs_evals_total"],
+          "destabilizations_total": s["destabilizations_total"],
+          "diagnostics": s["run"]["diagnostics"]} for s in cli_stats]
     assert results == cli_diffs
     assert len(loads) == 1
     serve_bundle = bundle_of(serve_dir)
@@ -829,3 +832,111 @@ def test_serve_socket_removes_only_its_own_socket_on_exit(ws):
                 assert os.path.samestat(os.lstat(path), theirs)
     finally:
         shutil.rmtree(sock_dir, ignore_errors=True)
+
+
+# -- parse errors, solver diagnostics ------------------------------------------------
+
+
+def test_a_non_decimal_digit_exits_two_and_serve_answers_an_error(ws):
+    src, sd = ws
+    write(src, "int g = ²;\nint main() { return g; }\n")
+    code, out, err = invoke(cli.cmd_analyze, src, cli.Options(state_dir=sd))
+    assert (code, out, err) == (2, "", "error: 1:9: unexpected character '²'\n")
+    code, responses = serve_lines(cli.Options(state_dir=sd), [
+        json.dumps({"id": 1, "method": "reanalyze", "path": src}),
+        json.dumps({"method": "shutdown"}),
+    ])
+    assert responses[0] == {"id": 1, "error": "1:9: unexpected character '²'"}
+
+
+LOOP = """int main() {
+  i = 0;
+  while (i < 10) {
+    i = i + 1;
+  }
+  return i;
+}
+"""
+
+
+def test_widening_restart_bound_hits_are_reported_per_run(ws, monkeypatch):
+    src, sd = ws
+    write(src, LOOP)
+    monkeypatch.setattr(tdsolver, "MAX_WPOINT_RESTARTS", 0)
+    opts = cli.Options(state_dir=sd, stats=True, wpoint_restart=True)
+    code, _, err = invoke(cli.cmd_analyze, src, opts)
+    assert code == 0
+    hits = json.loads(err)["run"]["diagnostics"]
+    assert hits and all(h.startswith("widening-point restart bound hit at ") for h in hits)
+
+    shutil.rmtree(sd)
+    code, responses = serve_lines(opts, [
+        json.dumps({"id": 1, "method": "reanalyze", "path": src}),
+        json.dumps({"id": 2, "method": "reanalyze", "path": src}),
+        json.dumps({"method": "shutdown"}),
+    ])
+    assert responses[0]["result"]["fallback"] == "analyze"
+    assert responses[0]["result"]["stats"]["diagnostics"] == hits
+    assert responses[1]["result"]["stats"]["diagnostics"] == []  # nothing re-solved
+
+
+# -- work done and garbage left by the pipeline ----------------------------------------
+
+
+def _pinned_versions():
+    """A 200-function corpus and three cumulative edits: a value-preserving
+    `sum`, a `gval:` on a function that writes a global (which restarts the
+    global) and a value-changing `const:`."""
+    spec = CorpusSpec(n_functions=200, seed=7)
+    versions = [corpus_source(spec)]
+    for idx, variant in ((100, "sum"), (17, "gval:17"), (9, "const:9")):
+        spec = spec.with_variant(idx, variant)
+        versions.append(corpus_source(spec))
+    return versions
+
+
+# (rhs_evals_total, destabilizations_total, step-1 rhs evaluations, step-2 rhs
+# evaluations, re-evaluated, reused) after the analyze and after each edit.
+PINNED_COUNTS = [
+    (3508, 4055, 0, 3508, 1388, 0),
+    (3512, 4058, 4, 0, 4, 1384),
+    (4465, 5129, 7, 946, 237, 1151),
+    (4662, 5327, 4, 193, 197, 1191),
+]
+
+
+def test_counters_of_an_analyze_and_three_edits_are_pinned(tmp_path):
+    """Work done, counted: a change to the hot path that alters what the
+    solver or postprocessing does fails here."""
+    def counts(r):  # read at once: a reanalysis updates the state in place
+        return (r.session.state.rhs_evals, r.session.state.destabilizations,
+                r.run_stats["step1_rhs_evals"], r.run_stats["step2_rhs_evals"],
+                len(r.post_stats["reevaluated"]), len(r.post_stats["reused"]))
+
+    base, *edits = _pinned_versions()
+    opts = cli.Options(state_dir=str(tmp_path))
+    result = cli.run_analysis(base, "prog.mc", opts)
+    seen = [counts(result)]
+    for text in edits:
+        result = cli.run_reanalysis(result.session, text, "prog.mc", opts)
+        seen.append(counts(result))
+    assert seen == PINNED_COUNTS
+
+
+def test_the_pipeline_leaves_no_cyclic_garbage(tmp_path):
+    """Strategy trees, CFGs and ASTs are freed by reference counting alone,
+    so the cyclic collector never has to trace them."""
+    base, *edits = _pinned_versions()
+    opts = cli.Options(state_dir=str(tmp_path))
+    gc.collect()
+    gc.disable()
+    try:
+        result = cli.run_analysis(base, "prog.mc", opts)
+        cli.save_bundle(opts.state_dir, result.session, opts)
+        session = cli.load_bundle(opts.state_dir, opts)
+        for text in edits:
+            session = cli.run_reanalysis(session, text, "prog.mc", opts).session
+        del result, session
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

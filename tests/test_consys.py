@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -12,6 +13,7 @@ from minicheck.consys import (
     NodeCtx,
     QGet,
     QSet,
+    StartOf,
     eval_tree,
     lookup_from,
     materialize,
@@ -20,7 +22,7 @@ from minicheck.consys import (
     unknown_from_json,
     unknown_key,
 )
-from minicheck.domains import AddressSet, LocalState, Lockset, ValueSet
+from minicheck.domains import AddressSet, Interval, LocalState, Lockset, ValueSet
 
 from support import FIG2, analyze_source, random_tree, random_value
 
@@ -178,6 +180,28 @@ def test_unknown_key_roundtrip():
     for u in us:
         assert unknown_from_json(json.loads(unknown_key(u))) == u
     assert sorted(us, key=sort_key)
+
+
+def _field_hash(u):
+    """The hash a frozen dataclass generates: that of its compared fields."""
+    return hash(tuple(getattr(u, f.name) for f in dataclasses.fields(u) if f.compare))
+
+
+def test_cached_hashes_equal_the_dataclass_hash():
+    ctx = Context.of({"p": AddressSet.of(["g"]), "q": Interval.of(0, None), "r": vs(1, 2)})
+    direct = [Context.EMPTY, ctx, NodeCtx("foo", 1, ctx), NodeCtx("main", 4, Context.EMPTY),
+              StartOf("__main", Context.EMPTY), StartOf("foo", ctx)]
+    decoded = [unknown_from_json(json.loads(unknown_key(u)))
+               for u in direct if not isinstance(u, Context)]
+    replaced = [dataclasses.replace(ctx, params=ctx.params[1:]),
+                dataclasses.replace(NodeCtx("foo", 1, ctx), node=2),
+                dataclasses.replace(NodeCtx("foo", 1, ctx), ctx=BETA0),
+                dataclasses.replace(StartOf("foo", ctx), fn="bar")]
+    for u in direct + decoded + replaced:
+        assert hash(u) == _field_hash(u), u
+        assert not hasattr(u, "__dict__"), u  # slotted: the cache costs no dict
+    assert decoded == direct[2:] and [hash(u) for u in decoded] == [hash(u) for u in direct[2:]]
+    assert replaced[1] == NodeCtx("foo", 2, ctx) and replaced[3] == StartOf("bar", ctx)
 
 
 def test_eqsys_from_dict_rejects_overlapping_leaf():

@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from minicheck.domains import (
+    AccessSet,
     AddressSet,
     DomainError,
     Env,
@@ -275,3 +276,14 @@ def test_refinement_keeps_satisfying_values(values, op, lit, sense):
     for x in values:
         if ops[op](x, lit) is sense:
             assert x in refined.values
+
+
+def test_lattice_constants_are_shared_instances():
+    fresh = {ValueSet.top: ValueSet(None), ValueSet.bot: ValueSet(frozenset()),
+             Interval.top: Interval(None, None), Interval.bot: Interval(None, None, empty=True),
+             AddressSet.top: AddressSet(None), AddressSet.bot: AddressSet(frozenset()),
+             Lockset.top: Lockset(frozenset()), Lockset.bot: Lockset(None),
+             Env.bot: Env(None), AccessSet.bot: AccessSet(frozenset()),
+             LocalState.bot: LocalState(Env(None), Lockset(None))}
+    for make, value in fresh.items():
+        assert make() is make() and make() == value and hash(make()) == hash(value)

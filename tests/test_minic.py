@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from minicheck.consys import (
@@ -25,8 +27,9 @@ from minicheck.minic import (
     build_system,
     parse,
 )
-from minicheck.minic.cfg import Guard, build_local_cfg
-from minicheck.minic.syntax import normalize
+from minicheck.corpus import CorpusSpec, corpus_source
+from minicheck.minic.cfg import Guard, build_cfgs, build_local_cfg
+from minicheck.minic.syntax import _KEYWORDS, _lex, normalize
 
 from support import FIG2, analyze_source
 
@@ -100,6 +103,130 @@ def test_comments_and_whitespace_do_not_change_normalized_ast():
     assert normalize(a.functions["foo"].body) == normalize(b.functions["foo"].body)
 
 
+# The lexer as it was before it became one loop over a regular expression:
+# the reference the current one is compared against.
+_REFERENCE_PUNCT = ["==", "!=", "<", ">", "+", "-", "*", "&", "(", ")", "{", "}", ";", ",", "="]
+
+
+def _reference_lex(src):
+    toks = []
+    i, line, col = 0, 1, 1
+    n = len(src)
+
+    def err(msg):
+        raise ParseError(msg, line, col)
+
+    while i < n:
+        c = src[i]
+        if c == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if src.startswith("//", i):
+            j = src.find("\n", i)
+            i = n if j < 0 else j
+            continue
+        if src.startswith("/*", i):
+            j = src.find("*/", i + 2)
+            if j < 0:
+                err("unterminated comment")
+            skipped = src[i:j + 2]
+            nl = skipped.count("\n")
+            if nl:
+                line += nl
+                col = len(skipped) - skipped.rfind("\n")
+            else:
+                col += len(skipped)
+            i = j + 2
+            continue
+        if c.isdigit():
+            j = i
+            while j < n and src[j].isdigit():
+                j += 1
+            toks.append(("int", src[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (src[j].isalnum() or src[j] == "_"):
+                j += 1
+            word = src[i:j]
+            toks.append(("kw" if word in _KEYWORDS else "ident", word, line, col))
+            col += j - i
+            i = j
+            continue
+        for p in _REFERENCE_PUNCT:
+            if src.startswith(p, i):
+                toks.append(("punct", p, line, col))
+                col += len(p)
+                i += len(p)
+                break
+        else:
+            err(f"unexpected character {c!r}")
+    toks.append(("eof", "", line, col))
+    return toks
+
+
+def _outcome(lex, src):
+    try:
+        return [tuple(t) for t in lex(src)]
+    except ParseError as exc:
+        return exc
+
+
+# "é" starts identifiers, "٣" is an Arabic-Indic decimal digit; "²" and "①"
+# are digits but not decimal ones, and "½" is numeric but not a digit.
+_LEX_ALPHABET = list("ab_x1 09\t\n\r/*=!<>+-&(){};,@é٣²①½") + \
+    ["//", "/*", "*/", "int", "while", "NULL"]
+
+
+def test_lexer_agrees_with_the_reference_lexer():
+    rng = random.Random(5)
+    for _ in range(20000):
+        src = "".join(rng.choice(_LEX_ALPHABET) for _ in range(rng.randrange(25)))
+        old, new = _outcome(_reference_lex, src), _outcome(_lex, src)
+        if isinstance(old, ParseError):
+            # the same error, unless a non-decimal digit stops the new lexer first
+            assert isinstance(new, ParseError), src
+            if not any(c.isdigit() and not c.isdecimal() for c in src):
+                assert (new.message, new.line, new.col) == (old.message, old.line, old.col), src
+            else:
+                assert (new.line, new.col) <= (old.line, old.col), src
+            continue
+        bad = [t for t in old if t[0] == "int" and not t[1].isdecimal()]
+        if not bad:
+            assert new == old, src
+            continue
+        # the reference made an int literal that `int()` rejects
+        kind, text, line, col = bad[0]
+        k = next(i for i, c in enumerate(text) if not c.isdecimal())
+        assert isinstance(new, ParseError), src
+        assert (new.message, new.line, new.col) == \
+            (f"unexpected character {text[k]!r}", line, col + k), src
+
+
+def test_a_non_decimal_digit_is_a_parse_error():
+    with pytest.raises(ParseError) as e:
+        parse("int g = ²;\nint main() { return g; }\n")
+    assert (e.value.message, e.value.line, e.value.col) == ("unexpected character '²'", 1, 9)
+    prog = parse("int g = ٣;\nint main() { xé² = g; return xé²; }\n")
+    assert prog.globals[0].init == 3
+    assert prog.functions["main"].body.stmts[0].target == "xé²"
+
+
+def test_an_integer_literal_too_long_to_convert_is_a_parse_error():
+    with pytest.raises(ParseError) as e:
+        parse("int main() { x = " + "1" * 5000 + "; return x; }")
+    assert (e.value.message, e.value.line, e.value.col) == \
+        ("integer literal of 5000 digits is too long", 1, 18)
+
+
 # -- CFG construction -------------------------------------------------------------
 
 
@@ -127,6 +254,18 @@ int main(){ r = helper(1); return r; }
         sources = {e.src for e in cfg.edges}
         assert 0 not in targets or fn.name == "helper"  # loop back-edge may target head
         assert cfg.n_nodes - 1 not in sources  # return node has no successors
+
+
+def test_in_edge_index_agrees_with_a_scan_of_the_edges():
+    prog = parse(corpus_source(CorpusSpec(n_functions=30, seed=7)))
+    cfgs = build_cfgs(prog, assign_node_ids(prog, None, set(), set()))
+    for cfg in cfgs.values():
+        nodes = set(cfg.node_ids) | {e.src for e in cfg.edges}
+        for dst in nodes:
+            assert cfg.in_edges(dst) == [e for e in cfg.edges if e.dst == dst]
+            for src in nodes:
+                scanned = [e for e in cfg.edges if e.src == src and e.dst == dst]
+                assert cfg.edge_between(src, dst) == (scanned[0] if scanned else None)
 
 
 def test_loop_as_first_statement_gets_its_own_head():
