@@ -39,7 +39,6 @@ from .minic.cfg import NodeAssignment, assign_node_ids
 from .postproc import StateCorruption, WarnStore, diff_warnings, postprocess
 from .tdsolver import (
     SolverDepthError,
-    SolverOptions,
     SolverState,
     run,
     state_from_json,
@@ -56,8 +55,11 @@ class CliError(Exception):
 
 
 # What ends a command with exit code 2 and a request with an error response.
-# A RecursionError escapes a solve whose dependency chain outgrows even the
-# deep-stack thread; the server then reloads its state from the bundle.
+# A RecursionError escapes the recursive-descent parser and the right-hand
+# sides the system builder makes, which recurse once per nesting level of an
+# expression (~200 nested parentheses, a ~250-term sum or ~330 call arguments
+# exhaust the default recursion limit); after an error the server reloads
+# its state from the bundle.
 ERRORS = (MiniCError, CliError, SolverDepthError, RecursionError, StateCorruption)
 
 
@@ -74,9 +76,6 @@ class Options:
 
     def config(self) -> AnalysisConfig:
         return AnalysisConfig(domain=self.domain)
-
-    def solver(self) -> SolverOptions:
-        return SolverOptions(restart_wpoint=self.wpoint_restart)
 
     def compat(self) -> dict:
         """The options a bundle must have been produced with to be reused."""
@@ -182,7 +181,7 @@ def run_analysis(text: str, filename: str, opts: Options) -> AnalysisResult:
     assignment = assign_node_ids(prog, None, set(), set())
     built = build_system(prog, assignment, opts.config())
     state = SolverState()
-    run_stats = run(built.sys, state, opts.solver())
+    run_stats = run(built.sys, state, restart_wpoint=opts.wpoint_restart)
     store, post_stats = postprocess(built, state, None, filename)
     return AnalysisResult(Session(text, filename, prog.digests, built.assignment, state, store),
                           run_stats, post_stats, diff_warnings(None, store))
@@ -196,7 +195,7 @@ def run_reanalysis(session: Session, text: str, filename: str,
     state = session.state
     changes, built, run_stats = reanalyze(session.digests, session.assignment, state, prog,
                                           opts.mode, opts.restart, opts.config(),
-                                          opts.solver())
+                                          restart_wpoint=opts.wpoint_restart)
     store, post_stats = postprocess(built, state, session.store, filename)
     return AnalysisResult(Session(text, filename, prog.digests, built.assignment, state, store),
                           run_stats, post_stats, diff_warnings(session.store, store),
@@ -213,7 +212,7 @@ def compare_report(session: Session, text: str, opts: Options) -> dict:
         raise CliError("state bundle does not match the current source; run reanalyze first")
     built = build_system(parse(text), session.assignment, opts.config())
     scratch_state = SolverState()
-    run(built.sys, scratch_state, opts.solver())
+    run(built.sys, scratch_state, restart_wpoint=opts.wpoint_restart)
     violations = verify_solution(built.sys, scratch_state)
     if violations:
         raise CliError(f"internal error: solution verification failed: {violations[:3]}")

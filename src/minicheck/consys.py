@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Dict, Iterable, Optional, Tuple
 
-from .domains import Value, join, value_from_json, value_key, value_to_json
+from .domains import Value, join, value_from_json, value_to_json
 
 
 # ---------------------------------------------------------------------------
@@ -246,43 +246,27 @@ class EvalState:
     sides: Dict = field(default_factory=dict)    # unknown -> joined value
 
 
-def run_tree(t: Tree, get: Callable, set_: Callable) -> Value:
-    """Drive a tree against impure get/set callbacks; returns the answer."""
-    while True:
-        if isinstance(t, Ans):
-            return t.value
-        if isinstance(t, QGet):
-            t = t.cont(get(t.unknown))
-        elif isinstance(t, QSet):
-            set_(t.unknown, t.value)
-            t = t.rest
-        else:
-            raise TypeError(f"not a strategy tree node: {t!r}")
-
-
 def eval_tree(t: Tree, lookup: Callable, state: Optional[EvalState] = None) -> Tuple[EvalState, Value]:
     """Pure evaluation: record queries, join side contributions, never write σ."""
     s = state if state is not None else EvalState()
-
-    def get(u):
-        s.queried[u] = None
-        return lookup(u)
-
-    def set_(u, d):
-        old = s.sides.get(u)
-        try:
-            s.sides[u] = d if old is None else join(old, d)
-        except Exception as exc:
-            raise EvalError(u, f"side contribution of wrong domain: {exc}") from exc
-
-    value = run_tree(t, get, set_)
-    return s, value
-
-
-def queried_deps(t: Tree, lookup: Callable) -> Dict:
-    """Unknowns a tree queries under `lookup` (ordered set, as a dict)."""
-    s, _ = eval_tree(t, lookup)
-    return s.queried
+    queried, sides = s.queried, s.sides
+    while True:
+        if isinstance(t, Ans):
+            return s, t.value
+        if isinstance(t, QGet):
+            u = t.unknown
+            queried[u] = None
+            t = t.cont(lookup(u))
+        elif isinstance(t, QSet):
+            u, d = t.unknown, t.value
+            old = sides.get(u)
+            try:
+                sides[u] = d if old is None else join(old, d)
+            except Exception as exc:
+                raise EvalError(u, f"side contribution of wrong domain: {exc}") from exc
+            t = t.rest
+        else:
+            raise TypeError(f"not a strategy tree node: {t!r}")
 
 
 def lookup_from(sigma: dict, bot_of: Callable) -> Callable:
@@ -293,36 +277,6 @@ def lookup_from(sigma: dict, bot_of: Callable) -> Callable:
         return bot_of(u) if v is None else v
 
     return look
-
-
-def materialize(t: Tree, samples: Iterable[Value], max_depth: int = 12):
-    """Expand a tree into an explicit, continuation-free form for inspection.
-
-    QGet branches are enumerated over `samples`.  Purely a testing aid: the
-    result is a nested structure of tuples keyed by the canonical encoding of
-    each sample value.
-    """
-    samples = list(samples)
-
-    def go(node, depth):
-        if depth > max_depth:
-            return ("...",)
-        if isinstance(node, Ans):
-            return ("ans", value_to_json(node.value))
-        if isinstance(node, QGet):
-            branches = {}
-            for v in samples:
-                try:
-                    branches[value_key(v)] = go(node.cont(v), depth + 1)
-                except Exception as exc:  # sample outside the tree's domain
-                    branches[value_key(v)] = ("error", str(exc))
-            return ("qget", unknown_key(node.unknown), branches)
-        if isinstance(node, QSet):
-            return ("qset", unknown_key(node.unknown), value_to_json(node.value),
-                    go(node.rest, depth + 1))
-        raise TypeError(f"not a strategy tree node: {node!r}")
-
-    return go(t, 0)
 
 
 # ---------------------------------------------------------------------------

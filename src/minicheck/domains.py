@@ -468,7 +468,7 @@ class Access:
     """One recorded access to a global: producing CFG edge, kind, held locks.
 
     Deliberately carries no source location; locations are resolved from the
-    current CFG when warnings are materialized, so records survive code moves.
+    current CFG when warnings are built, so records survive code moves.
     """
 
     kind: str  # "read" | "write"

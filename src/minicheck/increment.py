@@ -44,7 +44,7 @@ from .consys import (
 from .minic.cfg import NodeAssignment, assign_node_ids
 from .minic.syntax import Program
 from .minic.system import AnalysisConfig, BuiltSystem, build_system
-from .tdsolver import SolverOptions, SolverState, run
+from .tdsolver import SolverState, run
 
 INIT_PSEUDO_FN = "__init"
 
@@ -262,8 +262,8 @@ def restart_globals(G: Iterable[Unknown], st: SolverState) -> None:
 
 def reanalyze(old_digests: dict, old_asg: NodeAssignment, st: SolverState,
               new_prog: Program, mode: str = "reluctant", restart: str = "minimal",
-              config: Optional[AnalysisConfig] = None,
-              solver: Optional[SolverOptions] = None) -> Tuple[ChangeSet, BuiltSystem, dict]:
+              config: Optional[AnalysisConfig] = None, *,
+              restart_wpoint: bool = False) -> Tuple[ChangeSet, BuiltSystem, dict]:
     """Bring `st`, the solver state of the program with `old_digests`, up to
     date with `new_prog`.
 
@@ -277,7 +277,7 @@ def reanalyze(old_digests: dict, old_asg: NodeAssignment, st: SolverState,
     prepare = prepare_reluctant if mode == "reluctant" else prepare_plain
     pre_solve = prepare(changes, st, old_asg, built.sys)
     restart_globals(restarted, st)
-    stats = run(built.sys, st, solver, pre_solve=pre_solve)
+    stats = run(built.sys, st, pre_solve, restart_wpoint=restart_wpoint)
     stats["restarted"] = [unknown_key(g) for g in restarted]
     return changes, built, stats
 

@@ -184,7 +184,7 @@ class _SystemGen:
 
     def _fold(self, cfg: FuncCFG, edges: List[Edge], ctx: Context, post: bool, i: int,
               acc: LocalState) -> Tree:
-        """Fold the incoming edges from `i` on, threading the joined state
+        """Fold the incoming edges from `i` on, passing the joined state
         through the continuation chain so the tree stays pure."""
         if i == len(edges):
             return Ans(acc)

@@ -16,30 +16,25 @@ The optional ``restart_wpoint`` policy refines precision in two ways:
 * it localizes widening: an unknown leaves the widening-point set once its
   narrowing iteration stabilizes, so inner cycles can be re-iterated
   without widening when outer values shrink.
-
-The solver keeps the natural recursive call structure; entry points execute
-on a dedicated thread with a large stack, since dependency chains can run
-thousands of frames deep.
 """
 
 from __future__ import annotations
 
 import enum
-import logging
-import sys as _sys
-import threading
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from .consys import (
     AccCollector,
+    Ans,
     EqSys,
     EvalError,
     EvalState,
+    QGet,
+    QSet,
     Tree,
     Unknown,
-    run_tree,
     eval_tree,
     sort_key,
     unknown_from_json,
@@ -56,8 +51,6 @@ from .domains import (
     widen,
 )
 
-log = logging.getLogger(__name__)
-
 STATE_FORMAT = 2
 
 
@@ -67,12 +60,7 @@ class Phase(enum.Enum):
 
 
 MAX_WPOINT_RESTARTS = 32  # per unknown per run, defensive
-
-
-@dataclass
-class SolverOptions:
-    restart_wpoint: bool = False
-    max_depth: int = 400_000       # defensive recursion diagnostic
+MAX_SOLVE_DEPTH = 400_000  # frames on the solve stack, defensive
 
 
 class SolverDepthError(Exception):
@@ -129,19 +117,29 @@ class SolverState:
                 if y not in self.called:
                     stack.append(y)
 
-    def check_side_maps_inverse(self) -> bool:
-        """side_dep and side_infl must be exact inverses."""
-        fwd = {(x, g) for g, xs in self.side_dep.items() for x in xs}
-        bwd = {(x, g) for x, gs in self.side_infl.items() for g in gs}
-        return fwd == bwd
+
+class _Frame:
+    """An unknown being solved: the tree node where its rhs stopped, the
+    unknown it waits for there, and the side targets of its previous
+    evaluation.  `drop_point` removes it from `point` when the frame
+    finishes (localized widening, after its narrowing iteration)."""
+
+    __slots__ = ("x", "phase", "node", "wait", "prev_sides", "drop_point")
+
+    def __init__(self, x: Unknown, phase: Phase):
+        self.x = x
+        self.phase = phase
+        self.node: Tree = None
+        self.wait: Optional[Unknown] = None
+        self.prev_sides: List[Unknown] = []
+        self.drop_point = False
 
 
 class Solver:
-    def __init__(self, sys_: EqSys, state: SolverState, opts: Optional[SolverOptions] = None):
+    def __init__(self, sys_: EqSys, state: SolverState, restart_wpoint: bool = False):
         self.sys = sys_
         self.state = state
-        self.opts = opts or SolverOptions()
-        self._depth = 0
+        self.restart_wpoint = restart_wpoint
         self._wpoint_restarts: Dict[Unknown, int] = {}
         self._rhs_cache: Dict[Unknown, Optional[Tree]] = {}
         self.evals_by_unknown: Dict[Unknown, int] = {}  # this step's evaluations
@@ -174,56 +172,79 @@ class Solver:
         st.stable.add(s)
 
     def solve(self, phase: Phase, x: Unknown) -> None:
+        """Solve `x` and, depth first, every unstable unknown its rhs queries.
+
+        The unknowns being solved are frames on an explicit stack.  A rhs
+        that queries an unknown in need of solving stops at that `QGet`,
+        pushes its frame, and continues with the value once it finishes; a
+        re-solve of the same unknown restarts its frame."""
         st = self.state
         if x in st.stable or x in st.called:
             return
-        self._depth += 1
-        if self._depth > self.opts.max_depth:
-            raise SolverDepthError(
-                f"solve depth exceeded {self.opts.max_depth} at {x!r}")
-        try:
-            st.stable.add(x)
-            st.called.add(x)
-            tmp = self._eval_rhs(x)
-            st.called.discard(x)
-            if x in st.point:
-                cur = self._get(x)
-                if phase is Phase.WIDEN:
-                    tmp = widen(cur, tmp)
+        stack: List[_Frame] = []
+        self._push(stack, x, phase)
+        while stack:
+            f = stack[-1]
+            x, t, y = f.x, f.node, f.wait
+            if y is not None:  # y's frame has finished
+                f.wait = None
+                st.infl.setdefault(y, {})[x] = None
+                t = t.cont(self._get(y))
+            while True:
+                if isinstance(t, Ans):
+                    self._finish(stack, f, t.value)
+                    break
+                if isinstance(t, QGet):
+                    y = t.unknown
+                    if y in st.called or self._rhs(y) is None:
+                        newly = y not in st.point
+                        st.point.add(y)
+                        if newly and self.restart_wpoint and y in st.called:
+                            self._restart_widening_point(y)
+                    elif y not in st.stable:
+                        f.node, f.wait = t, y
+                        self._push(stack, y, Phase.WIDEN)
+                        break
+                    st.infl.setdefault(y, {})[x] = None
+                    t = t.cont(self._get(y))
+                elif isinstance(t, QSet):
+                    self.side(x, t.unknown, t.value)
+                    t = t.rest
                 else:
-                    tmp = narrow(cur, tmp)
-            if x not in st.stable:
-                # a side-effect during evaluation hit something we depend on
-                self.solve(Phase.WIDEN, x)
-            elif self._get(x) == tmp:
-                if phase is Phase.WIDEN and x in st.point:
-                    st.stable.discard(x)
-                    self.solve(Phase.NARROW, x)
-                    if self.opts.restart_wpoint:
-                        st.point.discard(x)
-            else:
-                st.sigma[x] = tmp
-                st.destabilize(x)
-                self.solve(phase, x)
-        finally:
-            self._depth -= 1
+                    raise TypeError(f"not a strategy tree node: {t!r}")
 
-    def _eval_rhs(self, x: Unknown) -> Value:
+    def _push(self, stack: List[_Frame], x: Unknown, phase: Phase) -> None:
+        if len(stack) >= MAX_SOLVE_DEPTH:
+            raise SolverDepthError(f"solve depth exceeded {MAX_SOLVE_DEPTH} at {x!r}")
+        f = _Frame(x, phase)
+        stack.append(f)
+        self._start(f)
+
+    def _start(self, f: _Frame) -> None:
+        """Begin an evaluation of `f`'s rhs."""
         st = self.state
+        x = f.x
+        st.stable.add(x)
+        st.called.add(x)
         st.rhs_evals += 1
         self.evals_by_unknown[x] = self.evals_by_unknown.get(x, 0) + 1
-        prev_sides = list(st.side_infl.get(x, ()))
-        current: Dict[Unknown, None] = {}
-        st.side_infl[x] = current
-        tree = self._rhs(x)
-        if tree is None:
+        f.prev_sides = list(st.side_infl.get(x, ()))
+        st.side_infl[x] = {}
+        f.node = self._rhs(x)
+        if f.node is None:
             raise EvalError(x, "unknown has no right-hand side")
-        value = run_tree(tree, lambda y: self.eval(x, y), lambda g, d: self.side(x, g, d))
+
+    def _finish(self, stack: List[_Frame], f: _Frame, value: Value) -> None:
+        """Settle `f`'s evaluation, which answered `value`: restart the frame
+        if its unknown must be solved again, else pop it."""
+        st = self.state
+        x = f.x
         bot = self.sys.bot_of(x)
         if type(value) is not type(bot):
             raise EvalError(x, f"rhs produced {type(value).__name__}, expected {type(bot).__name__}")
         # side_infl reflects the *last* evaluation; keep side_dep the inverse
-        for g in prev_sides:
+        current = st.side_infl[x]
+        for g in f.prev_sides:
             if g not in current:
                 m = st.side_dep.get(g)
                 if m is not None:
@@ -232,27 +253,37 @@ class Solver:
                         del st.side_dep[g]
         if not current:
             del st.side_infl[x]
-        return value
-
-    def eval(self, x: Unknown, y: Unknown) -> Value:
-        st = self.state
-        if y in st.called or self._rhs(y) is None:
-            newly = y not in st.point
-            st.point.add(y)
-            if newly and self.opts.restart_wpoint and y in st.called:
-                self._restart_widening_point(y)
+        st.called.discard(x)
+        if x in st.point:
+            cur = self._get(x)
+            value = widen(cur, value) if f.phase is Phase.WIDEN else narrow(cur, value)
+        if x not in st.stable:
+            # a side-effect during evaluation hit something we depend on
+            f.phase = Phase.WIDEN
+        elif self._get(x) == value:
+            if f.phase is Phase.NARROW or x not in st.point:
+                return self._pop(stack)
+            # a widening point at its fixpoint: narrow
+            st.stable.discard(x)
+            f.phase = Phase.NARROW
+            f.drop_point = self.restart_wpoint
         else:
-            self.solve(Phase.WIDEN, y)
-        st.infl.setdefault(y, {})[x] = None
-        return self._get(y)
+            st.sigma[x] = value
+            st.destabilize(x)
+            if x in st.stable:
+                return self._pop(stack)
+        self._start(f)
+
+    def _pop(self, stack: List[_Frame]) -> None:
+        f = stack.pop()
+        if f.drop_point:
+            self.state.point.discard(f.x)
 
     def _restart_widening_point(self, y: Unknown) -> None:
         st = self.state
         n = self._wpoint_restarts.get(y, 0)
         if n >= MAX_WPOINT_RESTARTS:
-            msg = f"widening-point restart bound hit at {y!r}"
-            self.diagnostics.append(msg)
-            log.warning(msg)
+            self.diagnostics.append(f"widening-point restart bound hit at {y!r}")
             return
         self._wpoint_restarts[y] = n + 1
         st.sigma.pop(y, None)
@@ -276,37 +307,31 @@ class Solver:
         st.side_infl.setdefault(x, {})[g] = None
 
 
-def run(sys_: EqSys, state: SolverState, opts: Optional[SolverOptions] = None,
-        pre_solve: Iterable[Unknown] = (), deep_stack: bool = True) -> dict:
+def run(sys_: EqSys, state: SolverState, pre_solve: Iterable[Unknown] = (), *,
+        restart_wpoint: bool = False) -> dict:
     """Seed start unknowns, solve `pre_solve` in order, then the query.
 
     Returns per-step statistics: rhs-evaluation counts overall and by
     unknown (canonical keys), for the pre-solve step and the query step,
     and the run's diagnostics (widening-point restart bound hits).
     """
-
-    def go():
-        solver = Solver(sys_, state, opts)
-        for s in sorted(sys_.starts, key=sort_key):
-            solver.seed(s, sys_.starts[s])
-        state.starts = dict(sys_.starts)
-        for a in pre_solve:
-            solver.solve(Phase.WIDEN, a)
-        step1, solver.evals_by_unknown = solver.evals_by_unknown, {}
-        solver.solve(Phase.WIDEN, sys_.query)
-        step2 = solver.evals_by_unknown
-        assert not state.called, "called set must be empty at rest"
-        return {
-            "step1_rhs_evals": sum(step1.values()),
-            "step2_rhs_evals": sum(step2.values()),
-            "step1_evals_by_unknown": {unknown_key(u): n for u, n in step1.items()},
-            "step2_evals_by_unknown": {unknown_key(u): n for u, n in step2.items()},
-            "diagnostics": solver.diagnostics,
-        }
-
-    if deep_stack:
-        return call_with_deep_stack(go)
-    return go()
+    solver = Solver(sys_, state, restart_wpoint)
+    for s in sorted(sys_.starts, key=sort_key):
+        solver.seed(s, sys_.starts[s])
+    state.starts = dict(sys_.starts)
+    for a in pre_solve:
+        solver.solve(Phase.WIDEN, a)
+    step1, solver.evals_by_unknown = solver.evals_by_unknown, {}
+    solver.solve(Phase.WIDEN, sys_.query)
+    step2 = solver.evals_by_unknown
+    assert not state.called, "called set must be empty at rest"
+    return {
+        "step1_rhs_evals": sum(step1.values()),
+        "step2_rhs_evals": sum(step2.values()),
+        "step1_evals_by_unknown": {unknown_key(u): n for u, n in step1.items()},
+        "step2_evals_by_unknown": {unknown_key(u): n for u, n in step2.items()},
+        "diagnostics": solver.diagnostics,
+    }
 
 
 def check_unknown(sys_: EqSys, state: SolverState, x: Unknown, es: EvalState,
@@ -411,38 +436,3 @@ def state_from_json(doc: dict) -> SolverState:
     st.rhs_evals = doc["counters"]["rhs_evals"]
     st.destabilizations = doc["counters"]["destabilizations"]
     return st
-
-
-# ---------------------------------------------------------------------------
-# Deep-stack execution: dependency chains recurse far beyond the default
-# thread stack, so solver entry points run on a worker thread with a large
-# stack and a raised recursion limit.
-# ---------------------------------------------------------------------------
-
-_STACK_BYTES = 512 * 1024 * 1024
-_RECURSION_LIMIT = 1_000_000
-
-
-def call_with_deep_stack(fn: Callable, *args, **kwargs):
-    box: dict = {}
-
-    def work():
-        old = _sys.getrecursionlimit()
-        _sys.setrecursionlimit(_RECURSION_LIMIT)
-        try:
-            box["value"] = fn(*args, **kwargs)
-        except BaseException as exc:  # propagate to caller
-            box["error"] = exc
-        finally:
-            _sys.setrecursionlimit(old)
-
-    old_size = threading.stack_size(_STACK_BYTES)
-    try:
-        t = threading.Thread(target=work, name="td-solve")
-        t.start()
-    finally:
-        threading.stack_size(old_size)
-    t.join()
-    if "error" in box:
-        raise box["error"]
-    return box["value"]

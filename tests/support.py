@@ -19,8 +19,9 @@ from minicheck.consys import (
     QGet,
     QSet,
     eval_tree,
+    unknown_key,
 )
-from minicheck.domains import ValueSet, join
+from minicheck.domains import ValueSet, join, value_key, value_to_json
 from minicheck.minic import AnalysisConfig, assign_node_ids, build_system, parse
 from minicheck.tdsolver import SolverState, run
 
@@ -42,7 +43,7 @@ int main() {
 FIG2_EDIT = FIG2.replace("*p = 1;", "*p = 2;")
 
 
-def analyze_source(text: str, domain: str = "valueset", solver_opts=None,
+def analyze_source(text: str, domain: str = "valueset", restart_wpoint: bool = False,
                    assignment=None):
     """Library-level from-scratch pipeline (no persistence).
 
@@ -52,8 +53,44 @@ def analyze_source(text: str, domain: str = "valueset", solver_opts=None,
     asg = assignment if assignment is not None else assign_node_ids(prog, None, set(), set())
     built = build_system(prog, asg, AnalysisConfig(domain=domain))
     st = SolverState()
-    stats = run(built.sys, st, solver_opts)
+    stats = run(built.sys, st, restart_wpoint=restart_wpoint)
     return built, st, stats
+
+
+def side_maps_inverse(st: SolverState) -> bool:
+    """side_dep and side_infl must be exact inverses."""
+    fwd = {(x, g) for g, xs in st.side_dep.items() for x in xs}
+    bwd = {(x, g) for x, gs in st.side_infl.items() for g in gs}
+    return fwd == bwd
+
+
+def materialize(t, samples, max_depth: int = 12):
+    """Expand a tree into an explicit, continuation-free form for inspection.
+
+    QGet branches are enumerated over `samples`.  The result is a nested
+    structure of tuples keyed by the canonical encoding of each sample
+    value."""
+    samples = list(samples)
+
+    def go(node, depth):
+        if depth > max_depth:
+            return ("...",)
+        if isinstance(node, Ans):
+            return ("ans", value_to_json(node.value))
+        if isinstance(node, QGet):
+            branches = {}
+            for v in samples:
+                try:
+                    branches[value_key(v)] = go(node.cont(v), depth + 1)
+                except Exception as exc:  # sample outside the tree's domain
+                    branches[value_key(v)] = ("error", str(exc))
+            return ("qget", unknown_key(node.unknown), branches)
+        if isinstance(node, QSet):
+            return ("qset", unknown_key(node.unknown), value_to_json(node.value),
+                    go(node.rest, depth + 1))
+        raise TypeError(f"not a strategy tree node: {node!r}")
+
+    return go(t, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,6 @@ from minicheck.minic.cfg import Guard
 from minicheck.minic.syntax import BinOp, Var
 from minicheck.postproc import WarnStore
 from minicheck.tdsolver import (
-    SolverOptions,
     SolverState,
     run,
     state_from_json,
@@ -233,7 +232,7 @@ def test_criterion_4_step1_intermediate_state():
     new_asg = relabel_nodes(changes, base_built.assignment, parse(FIG2_EDIT))
     new_built = build_system(parse(FIG2_EDIT), new_asg)
     A = prepare_reluctant(changes, st, base_built.assignment, new_built.sys)
-    run(new_built.sys, st, SolverOptions(), pre_solve=A)  # without querying further
+    run(new_built.sys, st, pre_solve=A)  # without querying further
     # (run also solves the query; replicate the step-1-only state instead)
     st = _clone(base_state)
     A = prepare_reluctant(changes, st, base_built.assignment, new_built.sys)
@@ -388,7 +387,7 @@ def test_criterion_8_oracle_soundness():
         n = rng.randrange(2, 13)
         sys_, rhs, deps, starts, query = make_random_system(rng, n_unknowns=n)
         st = SolverState()
-        run(sys_, st, deep_stack=False)
+        run(sys_, st)
         assert verify_solution(sys_, st) == []
         oracle, reached = kleene_local_solution(rhs, deps, starts, query)
         for u in reached:
@@ -482,9 +481,7 @@ def _inner_body_node(built):
 
 def test_criterion_10_widening_point_restart():
     t0 = time.perf_counter()
-    built, st, _ = analyze_source(
-        HYBRID, domain="interval",
-        solver_opts=SolverOptions(restart_wpoint=True))
+    built, st, _ = analyze_source(HYBRID, domain="interval", restart_wpoint=True)
     elapsed = time.perf_counter() - t0
     u = node("main", _inner_body_node(built))
     inner = st.sigma[u]

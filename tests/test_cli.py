@@ -18,7 +18,7 @@ from minicheck.consys import MAIN, Context, EqSys, GlobalVar, NodeCtx
 from minicheck.corpus import CorpusSpec, corpus_source
 from minicheck.domains import ValueSet
 from minicheck.minic import parse
-from minicheck.tdsolver import SolverOptions, state_from_json
+from minicheck.tdsolver import state_from_json
 
 from support import FIG2, FIG2_EDIT
 
@@ -668,16 +668,10 @@ def test_a_planted_violation_fails_verification(ws, monkeypatch, command, plant)
 # -- solver errors ----------------------------------------------------------------
 
 
-def _shallow_solver(monkeypatch, max_depth):
-    """Make the solver give up beyond `max_depth[0]` nested solves."""
-    monkeypatch.setattr(cli.Options, "solver",
-                        lambda self: SolverOptions(max_depth=max_depth[0]))
-
-
 def test_a_solver_depth_error_exits_two_without_a_bundle(ws, monkeypatch):
     src, sd = ws
     write(src, corpus_source(CorpusSpec(20, 7)))
-    _shallow_solver(monkeypatch, [5])
+    monkeypatch.setattr(tdsolver, "MAX_SOLVE_DEPTH", 5)
     code, out, err = invoke(cli.cmd_analyze, src, cli.Options(state_dir=sd))
     assert code == 2 and out == ""
     assert err.startswith("error: solve depth exceeded 5") and "Traceback" not in err
@@ -690,12 +684,12 @@ def test_serve_answers_a_solver_depth_error_and_the_next_request(ws, monkeypatch
     opts = cli.Options(state_dir=sd)
     invoke(cli.cmd_analyze, src, opts)
     write(src, corpus_source(CorpusSpec(20, 7).with_variant(3, "gval:17")))
-    max_depth = [5]
-    _shallow_solver(monkeypatch, max_depth)
+    max_depth = tdsolver.MAX_SOLVE_DEPTH
+    monkeypatch.setattr(tdsolver, "MAX_SOLVE_DEPTH", 5)
 
     def requests():
         yield json.dumps({"id": 1, "method": "reanalyze", "path": src})
-        max_depth[0] = SolverOptions().max_depth
+        monkeypatch.setattr(tdsolver, "MAX_SOLVE_DEPTH", max_depth)
         yield json.dumps({"id": 2, "method": "reanalyze", "path": src})
         yield json.dumps({"method": "shutdown"})
 
@@ -849,6 +843,25 @@ def test_a_non_decimal_digit_exits_two_and_serve_answers_an_error(ws):
     assert responses[0] == {"id": 1, "error": "1:9: unexpected character '²'"}
 
 
+
+def test_deeply_nested_source_exits_two_and_serve_answers_an_error(ws):
+    # The parser and the right-hand sides recurse once per nesting level of
+    # an expression, so a RecursionError stays one of the errors reported.
+    src, sd = ws
+    write(src, "int main() { x = " + "(" * 3000 + "1" + ")" * 3000 + "; return x; }\n")
+    code, out, err = invoke(cli.cmd_analyze, src, cli.Options(state_dir=sd))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    ok = os.path.join(os.path.dirname(src), "ok.mc")
+    write(ok, FIG2)
+    code, responses = serve_lines(cli.Options(state_dir=sd), [
+        json.dumps({"id": 1, "method": "reanalyze", "path": src}),
+        json.dumps({"id": 2, "method": "reanalyze", "path": ok}),
+        json.dumps({"method": "shutdown"}),
+    ])
+    assert code == 0 and "error" in responses[0]
+    assert responses[1]["id"] == 2 and responses[1]["result"]["added"]
+
 LOOP = """int main() {
   i = 0;
   while (i < 10) {
@@ -879,6 +892,21 @@ def test_widening_restart_bound_hits_are_reported_per_run(ws, monkeypatch):
     assert responses[0]["result"]["stats"]["diagnostics"] == hits
     assert responses[1]["result"]["stats"]["diagnostics"] == []  # nothing re-solved
 
+
+
+def test_a_widening_restart_bound_hit_leaves_one_json_document_on_stderr(ws):
+    # a process of its own, so that stderr and logging are the command's
+    src, sd = ws
+    write(src, LOOP)
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    program = ("import sys; from minicheck import cli, tdsolver; "
+               "tdsolver.MAX_WPOINT_RESTARTS = 0; sys.exit(cli.main(sys.argv[1:]))")
+    done = subprocess.run([sys.executable, "-c", program, "analyze", src, "--state-dir", sd,
+                           "--stats", "--wpoint-restart"],
+                          env=dict(os.environ, PYTHONPATH=package_root),
+                          capture_output=True, text=True)
+    assert done.returncode == 0
+    assert json.loads(done.stderr)["run"]["diagnostics"]
 
 # -- work done and garbage left by the pipeline ----------------------------------------
 

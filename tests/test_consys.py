@@ -16,15 +16,13 @@ from minicheck.consys import (
     StartOf,
     eval_tree,
     lookup_from,
-    materialize,
-    queried_deps,
     sort_key,
     unknown_from_json,
     unknown_key,
 )
 from minicheck.domains import AddressSet, Interval, LocalState, Lockset, ValueSet
 
-from support import FIG2, analyze_source, random_tree, random_value
+from support import FIG2, analyze_source, materialize, random_tree, random_value
 
 G = GlobalVar("g")
 H = GlobalVar("h")
@@ -74,11 +72,11 @@ def test_missing_lookup_defaults_to_bot():
 
 
 def test_queried_deps_examples():
-    assert not queried_deps(Ans(vs(1)), look({}))
+    assert not eval_tree(Ans(vs(1)), look({}))[0].queried
     # data-dependent querying
     t = QGet(G, lambda v: Ans(ValueSet.bot()) if v.is_bot() else QGet(H, lambda w: Ans(w)))
-    assert list(queried_deps(t, look({}))) == [G]
-    assert list(queried_deps(t, look({G: vs(1)}))) == [G, H]
+    assert list(eval_tree(t, look({}))[0].queried) == [G]
+    assert list(eval_tree(t, look({G: vs(1)}))[0].queried) == [G, H]
 
 
 def test_thread_creation_rhs_queries_callee_endpoint_and_own_predecessor():

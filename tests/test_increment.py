@@ -29,7 +29,7 @@ from minicheck.minic.syntax import normalize
 from minicheck.minic.cfg import assign_node_ids
 from minicheck.tdsolver import run, verify_solution
 
-from support import FIG2, FIG2_EDIT, analyze_source
+from support import FIG2, FIG2_EDIT, analyze_source, side_maps_inverse
 
 BETA0 = Context.of({"p": AddressSet.of(["g"])})
 G = GlobalVar("g")
@@ -321,7 +321,7 @@ def test_restart_matches_fig6_and_recovers_precision():
     assert st.sigma[G] == vs(0, 2)
     assert st.sigma[node("main", 5)].env.get("ret") == vs(0, 2)
     assert verify_solution(new_built.sys, st) == []
-    assert st.check_side_maps_inverse()
+    assert side_maps_inverse(st)
 
 
 def test_restart_globals_empty_is_noop():
@@ -417,7 +417,7 @@ def test_edit_sequences_stay_sound_and_consistent():
             _, new_built, _ = reanalyze(parse(text).digests, asg, st, parse(new_text))
             new_asg = new_built.assignment
             assert verify_solution(new_built.sys, st) == [], f"program {pi} step {step}"
-            assert st.check_side_maps_inverse()
+            assert side_maps_inverse(st)
             prune(new_built.sys, st)
             # from-scratch consistency: scratch ⊑ incremental on shared points
             _, scratch, _ = analyze_source(new_text, assignment=new_asg)

@@ -451,16 +451,17 @@ int main() { x = fac(3); return x; }
     assert ret.env.get("ret") == vs(6)
 
 
-def test_unbounded_context_growth_hits_depth_diagnostic():
+def test_unbounded_context_growth_hits_depth_diagnostic(monkeypatch):
     # full context sensitivity diverges on ever-growing arguments; the
     # defensive depth bound turns the hang into a diagnostic
     import pytest as _pytest
-    from minicheck.tdsolver import SolverDepthError, SolverOptions
-    with _pytest.raises(SolverDepthError):
+    from minicheck import tdsolver
+    monkeypatch.setattr(tdsolver, "MAX_SOLVE_DEPTH", 300)
+    with _pytest.raises(tdsolver.SolverDepthError):
         analyze_source("""
 int f(int n) { m = f(n + 1); return m; }
 int main() { x = f(0); return x; }
-""", solver_opts=SolverOptions(max_depth=300))
+""")
 
 
 def test_start_unknown_is_seeded():

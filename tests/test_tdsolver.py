@@ -1,8 +1,11 @@
 import json
 import random
+import sys
+import threading
 
 import pytest
 
+from minicheck import cli, tdsolver
 from minicheck.consys import (
     INIT,
     MAIN,
@@ -15,12 +18,13 @@ from minicheck.consys import (
     QGet,
     QSet,
 )
-from minicheck.corpus import CorpusSpec, corpus_source
+from minicheck.corpus import CorpusSpec, corpus_source, edit_sequence
 from minicheck.domains import AccessSet, AddressSet, Env, LocalState, Lockset, ValueSet, leq
 from minicheck.tdsolver import (
     Phase,
     Solver,
     STATE_FORMAT,
+    SolverDepthError,
     SolverState,
     run,
     state_from_json,
@@ -28,12 +32,15 @@ from minicheck.tdsolver import (
     verify_solution,
 )
 
+from recursive_solver import RecursiveSolver
 from support import (
     FIG2,
     analyze_source,
     kleene_local_solution,
     kleene_solve,
     make_random_system,
+    random_tree,
+    side_maps_inverse,
 )
 
 BETA0 = Context.of({"p": AddressSet.of(["g"])})
@@ -294,7 +301,7 @@ def test_td_result_bounds_kleene_oracle_on_random_systems():
             got = st.sigma.get(u, ValueSet.bot())
             want = oracle.get(u, ValueSet.bot())
             assert leq(want, got), f"trial {trial}: {u!r}: oracle {want!r} ⋢ TD {got!r}"
-        assert st.check_side_maps_inverse()
+        assert side_maps_inverse(st)
 
 
 def test_locality_unqueried_unknowns_stay_untouched():
@@ -366,7 +373,7 @@ def test_state_json_roundtrip_on_random_systems():
     for _ in range(60):
         sys_, *_ = make_random_system(rng, n_unknowns=rng.randrange(2, 12))
         st = SolverState()
-        run(sys_, st, deep_stack=False)
+        run(sys_, st)
         doc = json.loads(json.dumps(state_to_json(st)))
         assert_interned(doc, st)
         assert_same_state(state_from_json(doc), st)
@@ -392,7 +399,7 @@ def test_wrong_domain_rhs_is_an_eval_error_carrying_the_unknown():
     x = node("t", 0)
     sys_ = simple_sys({x: Ans(Lockset.top())}, query=x)  # expected: ValueSet
     with pytest.raises(EvalError) as e:
-        run(sys_, SolverState(), deep_stack=False)
+        run(sys_, SolverState())
     assert e.value.unknown == x
 
 
@@ -401,5 +408,164 @@ def test_wrong_domain_side_is_an_eval_error_carrying_the_target():
     x, g = node("t", 0), GlobalVar("gg")
     sys_ = simple_sys({x: QSet(g, Lockset.top(), Ans(vs(1)))}, leaf=[g], query=x)
     with pytest.raises(EvalError) as e:
-        run(sys_, SolverState(), deep_stack=False)
+        run(sys_, SolverState())
     assert e.value.unknown == g
+
+
+# -- the explicit solve stack ------------------------------------------------------
+
+
+def chain(n):
+    """A system whose query depends on a chain of `n` unknowns."""
+    xs = [node("chain", i) for i in range(n)]
+    rhs = {x: QGet(y, Ans) for x, y in zip(xs, xs[1:])}
+    rhs[xs[-1]] = Ans(vs(1))
+    return xs, simple_sys(rhs, query=xs[0])
+
+
+def test_a_20000_unknown_chain_solves_on_the_calling_thread():
+    limit, threads = sys.getrecursionlimit(), threading.active_count()
+    xs, sys_ = chain(20_000)
+    st = SolverState()
+    Solver(sys_, st).solve(Phase.WIDEN, xs[0])
+    assert sys.getrecursionlimit() == limit and threading.active_count() == threads
+    assert all(st.sigma[x] == vs(1) for x in xs)
+    assert st.stable == set(xs) and not st.called and st.rhs_evals == len(xs)
+
+
+def test_the_depth_bound_counts_frames_on_the_stack(monkeypatch):
+    xs, sys_ = chain(50)
+    monkeypatch.setattr(tdsolver, "MAX_SOLVE_DEPTH", 50)
+    run(sys_, SolverState())
+    monkeypatch.setattr(tdsolver, "MAX_SOLVE_DEPTH", 49)
+    with pytest.raises(SolverDepthError, match=f"^solve depth exceeded 49 at {xs[49]!r}$"):
+        run(sys_, SolverState())
+
+
+def snapshot(st):
+    """The solver state, with the order of every insertion-ordered map."""
+    def ordered(m):
+        return [(u, list(members)) for u, members in m.items()]
+
+    return {
+        "sigma": list(st.sigma.items()),
+        "infl": ordered(st.infl),
+        "stable": st.stable,
+        "point": st.point,
+        "superstable": st.superstable,
+        "called": st.called,
+        "side_dep": ordered(st.side_dep),
+        "side_infl": ordered(st.side_infl),
+        "counters": (st.rhs_evals, st.destabilizations),
+    }
+
+
+def solved_by(solver_cls, fn):
+    """`fn()` with `solver_cls` as the solver that `run` drives."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tdsolver, "Solver", solver_cls)
+        return fn()
+
+
+@pytest.mark.parametrize("restart_wpoint", [False, True])
+def test_explicit_stack_matches_the_recursive_solver_on_random_systems(restart_wpoint,
+                                                                       monkeypatch):
+    rng = random.Random(606 + restart_wpoint)
+    narrowed = hits = 0
+    for trial in range(300):
+        n, n_globals = rng.randrange(2, 16), rng.randrange(1, 4)
+        sys1, *_ = make_random_system(rng, n, n_globals)
+        # an "edit": a new system over the same unknowns, re-solved from the
+        # old state after destabilizing some of them
+        sys2, *_ = make_random_system(rng, n, n_globals)
+        edited = rng.sample([node("t", i) for i in range(n)], rng.randrange(0, n + 1))
+        monkeypatch.setattr(tdsolver, "MAX_WPOINT_RESTARTS", rng.choice([0, 1, 32]))
+
+        def go():
+            st = SolverState()
+            stats = [run(sys1, st, restart_wpoint=restart_wpoint)]
+            first = snapshot(st)
+            for u in edited:
+                st.stable.discard(u)
+                st.destabilize(u)
+            stats.append(run(sys2, st, edited, restart_wpoint=restart_wpoint))
+            return first, snapshot(st), stats
+
+        got = solved_by(Solver, go)
+        assert got == solved_by(RecursiveSolver, go), f"trial {trial}"
+        narrowed += bool(got[0]["point"])
+        hits += any(s["diagnostics"] for s in got[2])
+    assert narrowed > 100 and (hits > 10 if restart_wpoint else hits == 0)
+
+
+class OutOfBudget(Exception):
+    pass
+
+
+@pytest.mark.parametrize("restart_wpoint", [False, True])
+def test_explicit_stack_matches_the_recursive_solver_on_non_monotone_systems(restart_wpoint,
+                                                                            monkeypatch):
+    # Data-dependent trees that side-effect any unknown reach paths monotone
+    # systems do not, such as a narrowing evaluation that leaves its unknown
+    # unstable.  Such systems need not converge, so a run is cut after a
+    # budget of `bot_of` calls, which both solvers make at the same steps.
+    rng = random.Random(99 + restart_wpoint)
+    cut = 0
+    for trial in range(300):
+        n, n_globals = rng.randrange(2, 12), rng.randrange(1, 4)
+        nodes = [node("t", i) for i in range(n)]
+        globs = [GlobalVar(f"g{j}") for j in range(n_globals)]
+        budget = [0]
+
+        def bot_of(u):
+            budget[0] -= 1
+            if budget[0] < 0:
+                raise OutOfBudget
+            return ValueSet.bot()
+
+        rhs = {x: random_tree(rng, nodes + globs) for x in nodes}
+        sys_ = EqSys.from_dict(rhs, globs, {}, nodes[0], bot_of)
+        monkeypatch.setattr(tdsolver, "MAX_WPOINT_RESTARTS", rng.choice([0, 1, 32]))
+
+        def go():
+            budget[0] = 300
+            st = SolverState()
+            try:
+                stats = run(sys_, st, restart_wpoint=restart_wpoint)
+            except OutOfBudget:
+                stats = None
+            return snapshot(st), stats
+
+        got = solved_by(Solver, go)
+        assert got == solved_by(RecursiveSolver, go), f"trial {trial}"
+        cut += got[1] is None
+    assert 0 < cut < 30
+
+
+@pytest.mark.parametrize("mode,restart,wpoint_restart,domain", [
+    ("reluctant", "minimal", False, "valueset"),
+    ("plain", "minimal", True, "interval"),
+    ("reluctant", "off", True, "valueset"),
+])
+def test_explicit_stack_matches_the_recursive_solver_on_corpus_edits(
+        mode, restart, wpoint_restart, domain):
+    spec = CorpusSpec(n_functions=40, seed=7)
+    specs = [spec]
+    for idx, variant in ((20, "sum"), (3, "gval:17"), (9, "const:9"), (5, "extra:4")):
+        specs.append(specs[-1].with_variant(idx, variant))
+    specs += edit_sequence(specs[-1], 4, seed=3)
+    texts = [corpus_source(s) for s in specs]
+    opts = cli.Options(mode=mode, restart=restart, wpoint_restart=wpoint_restart,
+                       domain=domain)
+
+    def go():
+        res = cli.run_analysis(texts[0], "p.mc", opts)
+        out = [(snapshot(res.session.state), res.run_stats, res.post_stats)]
+        for text in texts[1:]:
+            res = cli.run_reanalysis(res.session, text, "p.mc", opts)
+            out.append((snapshot(res.session.state), res.run_stats, res.post_stats))
+        return out
+
+    got = solved_by(Solver, go)
+    assert got == solved_by(RecursiveSolver, go)
+    assert all(stats["step1_rhs_evals"] + stats["step2_rhs_evals"] for _, stats, _ in got)
