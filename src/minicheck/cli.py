@@ -7,12 +7,16 @@ Subcommands::
     minicheck compare   prog.mc   # precision of the persisted state vs scratch
     minicheck serve               # line-delimited JSON request loop
 
-State persists in a single compact JSON bundle (``--state-dir``): source
-snapshot, per-function digests for change detection, node-id assignment,
-solver state, warning store and the analysis options that produced them.  A
-bundle whose format, analysis domain or widening-point policy does not match
-is refused; reusing solver data across differing abstractions is unsound.
-A damaged bundle is an error, never a traceback.
+There is one pipeline, `run_reanalysis`: an analysis from scratch is the
+reanalysis of ``Session.empty()``, and the server drives the same pipeline.
+
+State persists in a single compact JSON bundle (``--state-dir``): the
+per-function digests for change detection, node-id assignment, solver state,
+warning store and the analysis options that produced them.  A bundle whose
+format, analysis domain or widening-point policy does not match is refused;
+reusing solver data across differing abstractions is unsound.  A damaged
+bundle is an error, never a traceback.  ``compare`` refuses a bundle whose
+digests differ from the current source's.
 
 Exit codes: 0 ok; 1 warnings present (with ``--fail-on-warn``); 2 errors.
 """
@@ -34,8 +38,8 @@ from typing import Optional, TextIO
 from .consys import NodeCtx, unknown_key
 from .domains import leq
 from .increment import reanalyze
-from .minic import AnalysisConfig, MiniCError, build_system, parse
-from .minic.cfg import NodeAssignment, assign_node_ids
+from .minic import MiniCError, build_system, parse
+from .minic.cfg import NodeAssignment
 from .postproc import StateCorruption, WarnStore, diff_warnings, postprocess
 from .tdsolver import (
     SolverDepthError,
@@ -74,9 +78,6 @@ class Options:
     fail_on_warn: bool = False
     explain_diff: bool = False
 
-    def config(self) -> AnalysisConfig:
-        return AnalysisConfig(domain=self.domain)
-
     def compat(self) -> dict:
         """The options a bundle must have been produced with to be reused."""
         return {"domain": self.domain, "wpoint_restart": self.wpoint_restart}
@@ -86,12 +87,16 @@ class Options:
 class Session:
     """One analyzed version of a program: everything a bundle persists."""
 
-    source: str
-    source_path: str
     digests: dict  # Program.digests of the source
     assignment: NodeAssignment
     state: SolverState
     store: WarnStore
+
+    @staticmethod
+    def empty() -> "Session":
+        """The version before the first analysis: no functions, no state."""
+        return Session({"init": None, "functions": {}}, NodeAssignment(), SolverState(),
+                       WarnStore())
 
 
 @dataclass
@@ -100,7 +105,7 @@ class AnalysisResult:
     run_stats: dict
     post_stats: dict
     diff: dict
-    changes: Optional[dict] = None
+    changes: dict
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +120,6 @@ def save_bundle(state_dir: str, session: Session, opts: Options) -> None:
         "format": BUNDLE_FORMAT,
         "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "compat": opts.compat(),
-        "source": session.source,
-        "source_path": session.source_path,
         "digests": session.digests,
         "nodes": session.assignment.to_json(),
         "solver": state_to_json(session.state),
@@ -160,8 +163,7 @@ def load_bundle(state_dir: str, opts: Options) -> Optional[Session]:
         if not isinstance(digests["init"], str) or \
                 any(len(d) != 2 for d in digests["functions"].values()):
             raise ValueError("malformed digests")
-        return Session(doc["source"], doc["source_path"], digests,
-                       NodeAssignment.from_json(doc["nodes"]),
+        return Session(digests, NodeAssignment.from_json(doc["nodes"]),
                        state_from_json(doc["solver"]),
                        WarnStore.from_json(doc["warnstore"]))
     except FileNotFoundError:
@@ -177,14 +179,8 @@ def load_bundle(state_dir: str, opts: Options) -> Optional[Session]:
 
 
 def run_analysis(text: str, filename: str, opts: Options) -> AnalysisResult:
-    prog = parse(text)
-    assignment = assign_node_ids(prog, None, set(), set())
-    built = build_system(prog, assignment, opts.config())
-    state = SolverState()
-    run_stats = run(built.sys, state, restart_wpoint=opts.wpoint_restart)
-    store, post_stats = postprocess(built, state, None, filename)
-    return AnalysisResult(Session(text, filename, prog.digests, built.assignment, state, store),
-                          run_stats, post_stats, diff_warnings(None, store))
+    """Analyze `text` from scratch."""
+    return run_reanalysis(Session.empty(), text, filename, opts)
 
 
 def run_reanalysis(session: Session, text: str, filename: str,
@@ -194,10 +190,10 @@ def run_reanalysis(session: Session, text: str, filename: str,
     prog = parse(text)
     state = session.state
     changes, built, run_stats = reanalyze(session.digests, session.assignment, state, prog,
-                                          opts.mode, opts.restart, opts.config(),
+                                          opts.mode, opts.restart, opts.domain,
                                           restart_wpoint=opts.wpoint_restart)
     store, post_stats = postprocess(built, state, session.store, filename)
-    return AnalysisResult(Session(text, filename, prog.digests, built.assignment, state, store),
+    return AnalysisResult(Session(prog.digests, built.assignment, state, store),
                           run_stats, post_stats, diff_warnings(session.store, store),
                           changes.to_json())
 
@@ -208,9 +204,10 @@ def compare_report(session: Session, text: str, opts: Options) -> dict:
     The scratch run reuses the session's node-id assignment so that equal ids
     denote equal program points; a fresh numbering would shift after edits
     that change node counts."""
-    if session.source != text:
+    prog = parse(text)
+    if prog.digests != session.digests:
         raise CliError("state bundle does not match the current source; run reanalyze first")
-    built = build_system(parse(text), session.assignment, opts.config())
+    built = build_system(prog, session.assignment, opts.domain)
     scratch_state = SolverState()
     run(built.sys, scratch_state, restart_wpoint=opts.wpoint_restart)
     violations = verify_solution(built.sys, scratch_state)
@@ -359,10 +356,7 @@ class Server:
     def reanalyze(self, path: str) -> dict:
         text = _read_source(path)
         session, self.session = self.current(), None  # reloaded if this request fails
-        if session is None:
-            result = run_analysis(text, path, self.opts)
-        else:
-            result = run_reanalysis(session, text, path, self.opts)
+        result = run_reanalysis(session or Session.empty(), text, path, self.opts)
         save_bundle(self.opts.state_dir, result.session, self.opts)
         self.session = result.session
         payload = _diff_json(result.diff)
@@ -413,12 +407,6 @@ class Server:
         return False
 
 
-def serve_loop(opts: Options, inp: TextIO, out: TextIO,
-               err: Optional[TextIO] = None) -> int:
-    Server(opts).serve(inp, out)
-    return 0
-
-
 def _respond(out: TextIO, doc: dict) -> None:
     out.write(json.dumps(doc, separators=(",", ":")) + "\n")
     out.flush()
@@ -447,9 +435,10 @@ def _clear_socket_path(socket_path: str) -> Optional[str]:
 def cmd_serve(opts: Options, socket_path: Optional[str],
               err: Optional[TextIO] = None) -> int:
     err = err if err is not None else sys.stderr
-    if socket_path is None:
-        return serve_loop(opts, sys.stdin, sys.stdout, err)
     server = Server(opts)
+    if socket_path is None:
+        server.serve(sys.stdin, sys.stdout)
+        return 0
     srv = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
     try:
         problem = _clear_socket_path(socket_path)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Dict, Iterable, Optional, Tuple
+from typing import Callable, ClassVar, Dict, Optional, Tuple
 
 from .domains import Value, join, value_from_json, value_to_json
 
@@ -287,37 +287,18 @@ def lookup_from(sigma: dict, bot_of: Callable) -> Callable:
 class EqSys:
     """A side-effecting constraint system.
 
-    ``rhs_fn(u, postproc)`` returns the strategy tree of `u` (or None if `u`
-    has no right-hand side); `postproc` selects the postprocessing variant,
-    which additionally emits deferred access-collector contributions.  `leaf`
-    holds the flow-insensitive unknowns (no rhs; values arrive by side-effect
-    only).  `starts` are seeded into σ before solving.
+    ``rhs(u, postproc=False)`` returns the strategy tree of `u`, or None if
+    `u` has no right-hand side (a flow-insensitive unknown, whose values
+    arrive by side-effect only); `postproc` selects the postprocessing
+    variant, which additionally emits deferred access-collector
+    contributions.  `starts` are seeded into σ before solving.
     """
 
-    def __init__(self, rhs_fn: Callable, leaf_fn: Callable, starts: dict,
-                 query: Unknown, bot_of: Callable):
-        self._rhs_fn = rhs_fn
-        self._leaf_fn = leaf_fn
+    def __init__(self, rhs: Callable, starts: dict, query: Unknown, bot_of: Callable):
+        self.rhs = rhs
         self.starts = dict(starts)
         self.query = query
         self.bot_of = bot_of
-
-    @staticmethod
-    def from_dict(rhs: dict, leaf: Iterable, starts: dict, query: Unknown,
-                  bot_of: Callable) -> "EqSys":
-        leaf_set = frozenset(leaf)
-        overlap = leaf_set & set(rhs)
-        if overlap:
-            raise ValueError(f"leaf unknowns with a rhs: {sorted(map(repr, overlap))}")
-        if query not in rhs:
-            raise ValueError("query has no rhs")
-        return EqSys(lambda u, post=False: rhs.get(u), lambda u: u in leaf_set,
-                     starts, query, bot_of)
-
-    def rhs(self, u: Unknown, postproc: bool = False) -> Optional[Tree]:
-        if self._leaf_fn(u):
-            return None
-        return self._rhs_fn(u, postproc)
 
     def lookup(self, sigma: dict) -> Callable:
         return lookup_from(sigma, self.bot_of)

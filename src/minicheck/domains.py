@@ -18,7 +18,6 @@ functions below, which additionally reject mixed-domain arguments.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -93,6 +92,10 @@ class ValueSet(Value):
     @staticmethod
     def of(items: Iterable[int]) -> "ValueSet":
         return ValueSet(frozenset(int(v) for v in items))
+
+    @staticmethod
+    def const(n: int) -> "ValueSet":
+        return ValueSet.of((n,))
 
     @staticmethod
     def top() -> "ValueSet":
@@ -878,8 +881,3 @@ def value_from_json(d: dict) -> Value:
     if t == "LocalState":
         return LocalState(value_from_json(d["env"]), value_from_json(d["locks"]))
     raise DomainError(f"unknown value tag {t!r}")
-
-
-def value_key(v: Value) -> str:
-    """Deterministic string form, usable as a sort/compare key."""
-    return json.dumps(value_to_json(v), sort_keys=True, separators=(",", ":"))

@@ -6,6 +6,11 @@ version is known by its ``Program.digests`` alone.  Interior nodes of an
 edited function get fresh ids, so their old unknowns simply become garbage;
 entry and return nodes keep their ids.
 
+An analysis from scratch is the reanalysis of the empty version (digests
+``{"init": None, "functions": {}}``, no node ids, an empty solver state):
+every function and the initializer are added, nothing is destabilized or
+restarted, and the solver starts from nothing.
+
 Two destabilization strategies:
 
 * *plain* removes the return unknowns of edited functions from stable and
@@ -43,7 +48,7 @@ from .consys import (
 )
 from .minic.cfg import NodeAssignment, assign_node_ids
 from .minic.syntax import Program
-from .minic.system import AnalysisConfig, BuiltSystem, build_system
+from .minic.system import BuiltSystem, build_system
 from .tdsolver import SolverState, run
 
 INIT_PSEUDO_FN = "__init"
@@ -54,7 +59,8 @@ class ChangeSet:
     """Function-granularity diff between two program versions.
 
     The pseudo-function ``__init`` appears in `changed` when the global
-    declarations (and hence the synthetic initializer) differ.
+    declarations (and hence the synthetic initializer) differ, and in
+    `added` when the old version is the empty one.
     """
 
     changed: frozenset
@@ -93,7 +99,9 @@ def detect_changes(old: dict, new: Program) -> ChangeSet:
     for name in old_fns:
         if name not in new_fns:
             removed.add(name)
-    if old["init"] != new.digests["init"]:
+    if old["init"] is None:
+        added.add(INIT_PSEUDO_FN)
+    elif old["init"] != new.digests["init"]:
         changed.add(INIT_PSEUDO_FN)
     else:
         unchanged.add(INIT_PSEUDO_FN)
@@ -101,7 +109,7 @@ def detect_changes(old: dict, new: Program) -> ChangeSet:
                      frozenset(removed), frozenset(unchanged))
 
 
-def relabel_nodes(changes: ChangeSet, old: Optional[NodeAssignment],
+def relabel_nodes(changes: ChangeSet, old: NodeAssignment,
                   new_prog: Program) -> NodeAssignment:
     """Node identities for the new version: unchanged functions keep all ids,
     edited ones keep entry/return ids, everything else is fresh."""
@@ -262,18 +270,19 @@ def restart_globals(G: Iterable[Unknown], st: SolverState) -> None:
 
 def reanalyze(old_digests: dict, old_asg: NodeAssignment, st: SolverState,
               new_prog: Program, mode: str = "reluctant", restart: str = "minimal",
-              config: Optional[AnalysisConfig] = None, *,
+              domain: str = "valueset", *,
               restart_wpoint: bool = False) -> Tuple[ChangeSet, BuiltSystem, dict]:
     """Bring `st`, the solver state of the program with `old_digests`, up to
     date with `new_prog`.
 
     `mode` is "plain" or "reluctant" destabilization; `restart` is "off" or
-    "minimal".  The restart set is read off the old state before relabeling
-    erases the old unknowns.  Returns the change set, the new system and the
-    solver's per-step statistics plus the keys of the restarted globals."""
+    "minimal"; `domain` is the integer value domain of `build_system`.  The
+    restart set is read off the old state before relabeling erases the old
+    unknowns.  Returns the change set, the new system and the solver's
+    per-step statistics plus the keys of the restarted globals."""
     changes = detect_changes(old_digests, new_prog)
     restarted = select_restart_globals(changes, st, old_asg) if restart == "minimal" else []
-    built = build_system(new_prog, relabel_nodes(changes, old_asg, new_prog), config)
+    built = build_system(new_prog, relabel_nodes(changes, old_asg, new_prog), domain)
     prepare = prepare_reluctant if mode == "reluctant" else prepare_plain
     pre_solve = prepare(changes, st, old_asg, built.sys)
     restart_globals(restarted, st)

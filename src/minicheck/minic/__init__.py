@@ -8,7 +8,7 @@ from .syntax import (
     parse,
 )
 from .cfg import FuncCFG, NodeAssignment, build_cfgs, assign_node_ids
-from .system import AnalysisConfig, BuiltSystem, build_system
+from .system import BuiltSystem, build_system
 
 __all__ = [
     "MiniCError",
@@ -20,7 +20,6 @@ __all__ = [
     "NodeAssignment",
     "build_cfgs",
     "assign_node_ids",
-    "AnalysisConfig",
     "BuiltSystem",
     "build_system",
 ]

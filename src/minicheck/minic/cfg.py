@@ -131,9 +131,6 @@ class NodeAssignment:
     assign: Dict[str, Tuple[int, ...]] = field(default_factory=dict)
     counter: int = 0
 
-    def return_of(self, fn: str) -> int:
-        return self.assign[fn][-1]
-
     def to_json(self) -> dict:
         return {"assign": {k: list(v) for k, v in self.assign.items()},
                 "counter": self.counter}
@@ -144,7 +141,7 @@ class NodeAssignment:
                               doc["counter"])
 
 
-def assign_node_ids(prog: Program, old: Optional[NodeAssignment],
+def assign_node_ids(prog: Program, old: NodeAssignment,
                     reuse_all: set, reuse_endpoints: set) -> NodeAssignment:
     """Compute the node-id assignment for `prog`.
 
@@ -153,18 +150,18 @@ def assign_node_ids(prog: Program, old: Optional[NodeAssignment],
     remaining functions are new and fully fresh.  Ids of functions absent
     from `prog` are dropped (the counter still never goes backwards).
     """
-    counter = old.counter if old else 0
+    counter = old.counter
     assign: Dict[str, Tuple[int, ...]] = {}
     for name, fn in prog.functions.items():
         local = build_local_cfg(fn)
         n = local.n_nodes
-        if old is not None and name in reuse_all and name in old.assign:
+        if name in reuse_all and name in old.assign:
             ids = old.assign[name]
             if len(ids) != n:
                 raise ValueError(
                     f"structure of unchanged function {name!r} does not match its previous CFG")
             assign[name] = ids
-        elif old is not None and name in reuse_endpoints and name in old.assign:
+        elif name in reuse_endpoints and name in old.assign:
             entry = old.assign[name][0]
             ret = old.assign[name][-1]
             interior = tuple(range(counter, counter + n - 2))

@@ -72,20 +72,6 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
-class AnalysisConfig:
-    domain: str = "valueset"  # "valueset" | "interval"
-
-    def int_top(self) -> Value:
-        return Interval.top() if self.domain == "interval" else ValueSet.top()
-
-    def int_bot(self) -> Value:
-        return Interval.bot() if self.domain == "interval" else ValueSet.bot()
-
-    def int_const(self, n: int) -> Value:
-        return Interval.const(n) if self.domain == "interval" else ValueSet.of([n])
-
-
 MAIN_HARNESS = "__main"
 
 
@@ -97,19 +83,20 @@ class BuiltSystem:
 
 
 def build_system(prog: Program, assignment: NodeAssignment,
-                 config: Optional[AnalysisConfig] = None) -> BuiltSystem:
-    config = config or AnalysisConfig()
+                 domain: str = "valueset") -> BuiltSystem:
+    """The equation system of `prog` under `assignment`; `domain` is the
+    integer value domain, "valueset" or "interval"."""
     cfgs = build_cfgs(prog, assignment)
-    gen = _SystemGen(prog, cfgs, config)
-    sys_ = EqSys(gen.rhs, gen.is_leaf, gen.starts(), MAIN, gen.bot_of)
+    gen = _SystemGen(prog, cfgs, Interval if domain == "interval" else ValueSet)
+    sys_ = EqSys(gen.rhs, gen.starts(), MAIN, gen.bot_of)
     return BuiltSystem(sys_, cfgs, assignment)
 
 
 class _SystemGen:
-    def __init__(self, prog: Program, cfgs: Dict[str, FuncCFG], config: AnalysisConfig):
+    def __init__(self, prog: Program, cfgs: Dict[str, FuncCFG], int_domain: type):
         self.prog = prog
         self.cfgs = cfgs
-        self.config = config
+        self.int = int_domain  # Interval or ValueSet
         self.globals = prog.global_names()
         self.mutexes = prog.mutex_names()
         self._node_to_fn: Dict[int, str] = {}
@@ -119,18 +106,15 @@ class _SystemGen:
 
     # -- system interface ----------------------------------------------------
 
-    def is_leaf(self, u: Unknown) -> bool:
-        return isinstance(u, (GlobalVar, AccCollector))
-
     def bot_of(self, u: Unknown) -> Value:
         if isinstance(u, GlobalVar):
-            return self.config.int_bot()
+            return self.int.bot()
         if isinstance(u, AccCollector):
             return AccessSet.bot()
         return LocalState.bot()
 
     def starts(self) -> dict:
-        harness_env = Env.of({"ret": self.config.int_top()})
+        harness_env = Env.of({"ret": self.int.top()})
         return {StartOf(MAIN_HARNESS, Context.EMPTY):
                 LocalState(harness_env, Lockset.top())}
 
@@ -154,7 +138,7 @@ class _SystemGen:
         tree: Tree = Ans(LocalState.bot())
         for g in reversed(self.prog.globals):
             init = 0 if g.init is None else g.init
-            tree = QSet(GlobalVar(g.name), self.config.int_const(init), tree)
+            tree = QSet(GlobalVar(g.name), self.int.const(init), tree)
         return tree
 
     def _harness_rhs(self) -> Tree:
@@ -168,7 +152,7 @@ class _SystemGen:
         cfg = self.cfgs[fn]
         env = {}
         for name in cfg.locals:
-            env[name] = args.get(name, self.config.int_top())
+            env[name] = args.get(name, self.int.top())
         if cfg.fn.ret_type == "void*":
             env["ret"] = args.get("ret", AddressSet.top())
         return LocalState(Env.of(env), locks)
@@ -273,7 +257,7 @@ class _SystemGen:
         def bind(rv: Value) -> Tree:
             if not isinstance(rv, LocalState) or rv.is_bot():
                 return k(LocalState.bot())
-            v = rv.env.as_dict().get("ret", self.config.int_top())
+            v = rv.env.as_dict().get("ret", self.int.top())
             after = s.with_locks(rv.locks)
             return self._assign(label.target, v, after, emit, k)
 
@@ -317,7 +301,7 @@ class _SystemGen:
     def _eval_expr(self, e, s: LocalState, emit: "_Emitter",
                    k: Callable[[Value], Tree]) -> Tree:
         if isinstance(e, IntLit):
-            return k(self.config.int_const(e.value))
+            return k(self.int.const(e.value))
         if isinstance(e, NullLit):
             return k(AddressSet.null())
         if isinstance(e, AddrOf):
@@ -326,15 +310,15 @@ class _SystemGen:
             if e.name in self.globals:
                 return QGet(GlobalVar(e.name),
                             lambda v: emit.read(e.name, s, k(v)))
-            return k(s.env.as_dict().get(e.name, self.config.int_top()))
+            return k(s.env.as_dict().get(e.name, self.int.top()))
         if isinstance(e, Deref):
             addrs = s.env.as_dict().get(e.name)
             if not isinstance(addrs, AddressSet) or addrs.is_top():
-                return k(self.config.int_top())
+                return k(self.int.top())
             targets = sorted(a for a in addrs.addrs if a != AddressSet.NULL and a in self.globals)
             if not targets:
-                return k(self.config.int_bot())
-            return self._read_all(targets, 0, self.config.int_bot(), s, emit, k)
+                return k(self.int.bot())
+            return self._read_all(targets, 0, self.int.bot(), s, emit, k)
         if isinstance(e, BinOp):
             return self._eval_expr(e.left, s, emit,
                                    lambda lv: self._eval_expr(e.right, s, emit,
@@ -355,7 +339,7 @@ class _SystemGen:
     def _as_int(self, v: Value) -> Value:
         if isinstance(v, (ValueSet, Interval)):
             return v
-        return self.config.int_top()
+        return self.int.top()
 
 
 class _Emitter:

@@ -126,23 +126,20 @@ class WarnStore:
 # ---------------------------------------------------------------------------
 
 
-def postprocess(built: BuiltSystem, st: SolverState, prev: Optional[WarnStore],
+def postprocess(built: BuiltSystem, st: SolverState, prev: WarnStore,
                 filename: str = "<input>") -> Tuple[WarnStore, dict]:
     """Verify the solution (raising StateCorruption before any warning is
-    made), re-evaluate what the incremental run touched, reuse the rest,
-    then run whole-store analyses and prune the solver state.
+    made), re-evaluate what the incremental run touched, reuse the rest of
+    `prev`, prune the solver state to what is reachable, then run the
+    whole-store analyses.
 
     Returns the new store plus statistics (which unknowns were re-evaluated
     versus reused)."""
     sys_ = built.sys
-    if st.superstable and prev is None:
-        raise StateCorruption("superstable unknowns present but no previous warning store")
-
     prev_by_producer: Dict[str, List[Tuple[str, FrozenSet[Access]]]] = {}
-    if prev is not None:
-        for g, producers in prev.accesses.items():
-            for p, records in producers.items():
-                prev_by_producer.setdefault(p, []).append((g, records))
+    for g, producers in prev.accesses.items():
+        for p, records in producers.items():
+            prev_by_producer.setdefault(p, []).append((g, records))
 
     store = WarnStore()
     violations: List[Violation] = []
@@ -172,14 +169,15 @@ def postprocess(built: BuiltSystem, st: SolverState, prev: Optional[WarnStore],
     if violations:
         raise StateCorruption(f"internal error: solution verification failed: {violations[:3]}")
 
+    # Pruning first: a context that the edit made unreachable must not
+    # contribute warnings.
+    prune(sys_, st, reachable)
     contexts = recorded_contexts(st, built.assignment)
     warnings: List[Warning] = []
     warnings.extend(races(store, built, filename))
     warnings.extend(_unsound_stores(built, st, contexts, filename))
     warnings.extend(_dead_code(built, st, contexts, filename))
     store.warnings = sorted(warnings, key=lambda w: (w.kind, w.id, w.message))
-
-    prune(sys_, st, reachable)
     return store, stats
 
 
@@ -309,9 +307,9 @@ def _dead_code(built: BuiltSystem, st: SolverState, contexts: Dict[str, Set[Cont
     return out
 
 
-def diff_warnings(old: Optional[WarnStore], new: WarnStore) -> dict:
+def diff_warnings(old: WarnStore, new: WarnStore) -> dict:
     """Warning diff by id; `kept` carries the new (refreshed) locations."""
-    old_by_id = {w.id: w for w in old.warnings} if old else {}
+    old_by_id = {w.id: w for w in old.warnings}
     new_by_id = {w.id: w for w in new.warnings}
     added = [w for wid, w in sorted(new_by_id.items()) if wid not in old_by_id]
     removed = [w for wid, w in sorted(old_by_id.items()) if wid not in new_by_id]

@@ -7,8 +7,9 @@ expected results by brute force so solver regressions cannot hide.
 
 from __future__ import annotations
 
+import json
 import random
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from minicheck.consys import (
     Ans,
@@ -21,8 +22,8 @@ from minicheck.consys import (
     eval_tree,
     unknown_key,
 )
-from minicheck.domains import ValueSet, join, value_key, value_to_json
-from minicheck.minic import AnalysisConfig, assign_node_ids, build_system, parse
+from minicheck.domains import Value, ValueSet, join, value_to_json
+from minicheck.minic import NodeAssignment, assign_node_ids, build_system, parse
 from minicheck.tdsolver import SolverState, run
 
 # ---------------------------------------------------------------------------
@@ -50,11 +51,29 @@ def analyze_source(text: str, domain: str = "valueset", restart_wpoint: bool = F
     Pass `assignment` to name program points like an existing state does
     (required when comparing σ across runs after node counts changed)."""
     prog = parse(text)
-    asg = assignment if assignment is not None else assign_node_ids(prog, None, set(), set())
-    built = build_system(prog, asg, AnalysisConfig(domain=domain))
+    asg = assignment if assignment is not None else fresh_assignment(prog)
+    built = build_system(prog, asg, domain)
     st = SolverState()
     stats = run(built.sys, st, restart_wpoint=restart_wpoint)
     return built, st, stats
+
+
+def fresh_assignment(prog):
+    """Node ids of `prog` analyzed for the first time."""
+    return assign_node_ids(prog, NodeAssignment(), set(), set())
+
+
+def eqsys_from_dict(rhs: dict, starts: dict, query, bot_of: Callable) -> EqSys:
+    """A system with the explicit right-hand sides `rhs`; every other unknown
+    has none (its values arrive by side-effect only)."""
+    if query not in rhs:
+        raise ValueError("query has no rhs")
+    return EqSys(lambda u, postproc=False: rhs.get(u), starts, query, bot_of)
+
+
+def value_key(v: Value) -> str:
+    """Deterministic string form, usable as a sort/compare key."""
+    return json.dumps(value_to_json(v), sort_keys=True, separators=(",", ":"))
 
 
 def side_maps_inverse(st: SolverState) -> bool:
@@ -189,7 +208,7 @@ def make_random_system(rng: random.Random, n_unknowns: int = 8, n_globals: int =
     if rng.random() < 0.5:
         starts[rng.choice(globs)] = random_value(rng)
     query = nodes[0]
-    sys_ = EqSys.from_dict(rhs, globs, starts, query, lambda u: ValueSet.bot())
+    sys_ = eqsys_from_dict(rhs, starts, query, lambda u: ValueSet.bot())
     return sys_, rhs, deps, starts, query
 
 

@@ -14,10 +14,10 @@ import time
 import pytest
 
 from minicheck import cli, consys, postproc, tdsolver
-from minicheck.consys import MAIN, Context, EqSys, GlobalVar, NodeCtx
+from minicheck.consys import MAIN, Context, GlobalVar, NodeCtx
 from minicheck.corpus import CorpusSpec, corpus_source
 from minicheck.domains import ValueSet
-from minicheck.minic import parse
+from minicheck.minic import parse, system
 from minicheck.tdsolver import state_from_json
 
 from support import FIG2, FIG2_EDIT
@@ -172,7 +172,7 @@ def test_wpoint_restart_mismatch_is_refused(ws, analyzed, reused):
         assert code == 2 and out == ""
         assert err.startswith("error: state bundle was produced with different analysis "
                               f"options (wpoint_restart {analyzed!r} vs {reused!r})")
-    _, responses = serve_lines(opts, [
+    responses = serve_lines(opts, [
         json.dumps({"id": 1, "method": "reanalyze", "path": src}),
         json.dumps({"method": "shutdown"}),
     ])
@@ -205,7 +205,7 @@ def test_serve_answers_a_format_1_bundle_with_an_error(ws):
     opts = cli.Options(state_dir=sd)
     invoke(cli.cmd_analyze, src, opts)
     _format_1_bundle(sd)
-    _, responses = serve_lines(opts, [
+    responses = serve_lines(opts, [
         json.dumps({"id": 1, "method": "reanalyze", "path": src}),
         json.dumps({"id": 2, "method": "warnings"}),
         json.dumps({"method": "shutdown"}),
@@ -290,7 +290,32 @@ def test_compare_on_stale_bundle_is_refused(ws):
     write(src, FIG2_EDIT)
     code, _, err = invoke(cli.cmd_compare, src, cli.Options(state_dir=sd))
     assert code == 2
-    assert "reanalyze" in err
+    assert "run reanalyze first" in err
+
+
+def test_compare_after_a_whitespace_and_comment_edit_is_all_equal(ws):
+    # staleness is decided on the digests, which erase source locations
+    src, sd = ws
+    write(src, FIG2)
+    invoke(cli.cmd_analyze, src, cli.Options(state_dir=sd))
+    write(src, "// moved down\n\n" + FIG2.replace("*p = 1;", "*p  =  1;  /* same */"))
+    code, out, _ = invoke(cli.cmd_compare, src, cli.Options(state_dir=sd))
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["total"] > 0 and rep["equal"] == rep["total"]
+
+
+def test_reanalyze_without_bundle_writes_the_bundle_of_an_analyze(tmp_path):
+    src = str(tmp_path / "prog.mc")
+    write(src, FIG2)
+    bundles = []
+    for command in (cli.cmd_analyze, cli.cmd_reanalyze):
+        sd = str(tmp_path / command.__name__)
+        assert invoke(command, src, cli.Options(state_dir=sd))[0] == 0
+        doc = bundle_of(sd)
+        doc.pop("created_at")
+        bundles.append(doc)
+    assert bundles[0] == bundles[1]
 
 
 def test_main_entrypoint_wires_subcommands(ws, capsys):
@@ -306,10 +331,11 @@ def test_main_entrypoint_wires_subcommands(ws, capsys):
 
 
 def serve_lines(opts, lines):
+    """The responses of one server to `lines`, which end in a shutdown."""
     inp = io.StringIO("".join(l + "\n" for l in lines))
     out = io.StringIO()
-    code = cli.serve_loop(opts, inp, out, err=io.StringIO())
-    return code, [json.loads(l) for l in out.getvalue().splitlines()]
+    assert cli.Server(opts).serve(inp, out)  # the shutdown ended the loop
+    return [json.loads(l) for l in out.getvalue().splitlines()]
 
 
 def test_serve_reanalyze_and_warnings_flow(ws):
@@ -318,12 +344,11 @@ def test_serve_reanalyze_and_warnings_flow(ws):
     opts = cli.Options(state_dir=sd)
     invoke(cli.cmd_analyze, src, opts)
     write(src, FIG2_EDIT)
-    code, responses = serve_lines(opts, [
+    responses = serve_lines(opts, [
         json.dumps({"id": 1, "method": "reanalyze", "path": src}),
         json.dumps({"id": 2, "method": "warnings"}),
         json.dumps({"id": 3, "method": "shutdown"}),
     ])
-    assert code == 0
     r1, r2, r3 = responses
     assert r1["id"] == 1 and "result" in r1
     assert set(r1["result"]) >= {"added", "removed", "kept"}
@@ -336,12 +361,11 @@ def test_serve_survives_malformed_json(ws):
     write(src, FIG2)
     opts = cli.Options(state_dir=sd)
     invoke(cli.cmd_analyze, src, opts)
-    code, responses = serve_lines(opts, [
+    responses = serve_lines(opts, [
         "{this is not json",
         json.dumps({"id": 5, "method": "warnings"}),
         json.dumps({"method": "shutdown"}),
     ])
-    assert code == 0
     assert "error" in responses[0]
     assert responses[1]["id"] == 5 and "result" in responses[1]
 
@@ -351,7 +375,7 @@ def test_serve_processes_requests_in_order(ws):
     write(src, FIG2)
     opts = cli.Options(state_dir=sd)
     invoke(cli.cmd_analyze, src, opts)
-    code, responses = serve_lines(opts, [
+    responses = serve_lines(opts, [
         json.dumps({"id": "a", "method": "reanalyze", "path": src}),
         json.dumps({"id": "b", "method": "reanalyze", "path": src}),
         json.dumps({"method": "shutdown"}),
@@ -362,7 +386,7 @@ def test_serve_processes_requests_in_order(ws):
 def test_serve_unknown_method(ws):
     src, sd = ws
     opts = cli.Options(state_dir=sd)
-    code, responses = serve_lines(opts, [
+    responses = serve_lines(opts, [
         json.dumps({"id": 9, "method": "bogus"}),
         json.dumps({"method": "shutdown"}),
     ])
@@ -372,7 +396,7 @@ def test_serve_unknown_method(ws):
 def test_serve_rejects_a_path_that_is_not_a_string(ws):
     src, sd = ws
     opts = cli.Options(state_dir=sd)
-    code, responses = serve_lines(opts, [
+    responses = serve_lines(opts, [
         json.dumps({"id": 1, "method": "reanalyze"}),
         json.dumps({"id": 2, "method": "reanalyze", "path": ["prog.mc"]}),
         json.dumps({"method": "shutdown"}),
@@ -384,7 +408,7 @@ def test_serve_reanalyze_without_state_falls_back(ws):
     src, sd = ws
     write(src, FIG2)
     opts = cli.Options(state_dir=sd)
-    code, responses = serve_lines(opts, [
+    responses = serve_lines(opts, [
         json.dumps({"id": 1, "method": "reanalyze", "path": src}),
         json.dumps({"method": "shutdown"}),
     ])
@@ -459,12 +483,11 @@ def test_serve_answers_a_damaged_bundle_with_an_error(ws):
     invoke(cli.cmd_analyze, src, opts)
     path = os.path.join(sd, "bundle.json")
     write(path, open(path).read()[:100])
-    code, responses = serve_lines(opts, [
+    responses = serve_lines(opts, [
         json.dumps({"id": 1, "method": "reanalyze", "path": src}),
         json.dumps({"id": 2, "method": "warnings"}),
         json.dumps({"method": "shutdown"}),
     ])
-    assert code == 0
     assert [r["id"] for r in responses[:2]] == [1, 2]
     assert all("state bundle" in r["error"] for r in responses[:2])
 
@@ -522,7 +545,7 @@ def test_serve_session_matches_cli_reanalyze(tmp_path, monkeypatch):
         yield json.dumps({"method": "shutdown"})
 
     out = io.StringIO()
-    assert cli.serve_loop(cli.Options(state_dir=serve_dir, stats=True), requests(), out) == 0
+    assert cli.Server(cli.Options(state_dir=serve_dir, stats=True)).serve(requests(), out)
     results = [json.loads(l)["result"] for l in out.getvalue().splitlines()[:-1]]
     assert [r.pop("stats") for r in results] == \
         [{"rhs_evals_total": s["rhs_evals_total"],
@@ -594,7 +617,7 @@ def test_post_solve_work_evaluates_each_unknown_once(monkeypatch):
     owner = {}  # id(tree) -> (tree, unknown), for every rhs built
     counts = collections.Counter()
     solved = []
-    build_rhs, evaluate = EqSys.rhs, consys.eval_tree
+    build_rhs, evaluate = system._SystemGen.rhs, consys.eval_tree
 
     def rhs(self, u, postproc=False):
         tree = build_rhs(self, u, postproc)
@@ -606,20 +629,16 @@ def test_post_solve_work_evaluates_each_unknown_once(monkeypatch):
             counts[owner[id(tree)][1]] += 1
         return evaluate(tree, lookup, state)
 
-    monkeypatch.setattr(EqSys, "rhs", rhs)
+    monkeypatch.setattr(system._SystemGen, "rhs", rhs)
     _rebind(monkeypatch, evaluate, counting_eval_tree)
     _after_run(monkeypatch, lambda sys_, state: solved.append(True))
 
     base, edits = _corpus_edits()
-    session = None
+    session = cli.Session.empty()
     for text in [base, *edits]:
         solved.clear()
         counts.clear()
-        if session is None:
-            result = cli.run_analysis(text, "prog.mc", cli.Options())
-        else:
-            result = cli.run_reanalysis(session, text, "prog.mc", cli.Options())
-        session = result.session
+        session = cli.run_reanalysis(session, text, "prog.mc", cli.Options()).session
         assert solved and counts and max(counts.values()) == 1
 
 
@@ -694,7 +713,7 @@ def test_serve_answers_a_solver_depth_error_and_the_next_request(ws, monkeypatch
         yield json.dumps({"method": "shutdown"})
 
     out = io.StringIO()
-    assert cli.serve_loop(opts, requests(), out) == 0
+    assert cli.Server(opts).serve(requests(), out)
     first, second, _bye = [json.loads(l) for l in out.getvalue().splitlines()]
     assert first["id"] == 1 and "solve depth exceeded 5" in first["error"]
     assert second["id"] == 2 and set(second["result"]) == {"added", "removed", "kept"}
@@ -836,7 +855,7 @@ def test_a_non_decimal_digit_exits_two_and_serve_answers_an_error(ws):
     write(src, "int g = ²;\nint main() { return g; }\n")
     code, out, err = invoke(cli.cmd_analyze, src, cli.Options(state_dir=sd))
     assert (code, out, err) == (2, "", "error: 1:9: unexpected character '²'\n")
-    code, responses = serve_lines(cli.Options(state_dir=sd), [
+    responses = serve_lines(cli.Options(state_dir=sd), [
         json.dumps({"id": 1, "method": "reanalyze", "path": src}),
         json.dumps({"method": "shutdown"}),
     ])
@@ -854,12 +873,12 @@ def test_deeply_nested_source_exits_two_and_serve_answers_an_error(ws):
     assert err.startswith("error: ") and "Traceback" not in err
     ok = os.path.join(os.path.dirname(src), "ok.mc")
     write(ok, FIG2)
-    code, responses = serve_lines(cli.Options(state_dir=sd), [
+    responses = serve_lines(cli.Options(state_dir=sd), [
         json.dumps({"id": 1, "method": "reanalyze", "path": src}),
         json.dumps({"id": 2, "method": "reanalyze", "path": ok}),
         json.dumps({"method": "shutdown"}),
     ])
-    assert code == 0 and "error" in responses[0]
+    assert "error" in responses[0]
     assert responses[1]["id"] == 2 and responses[1]["result"]["added"]
 
 LOOP = """int main() {
@@ -883,7 +902,7 @@ def test_widening_restart_bound_hits_are_reported_per_run(ws, monkeypatch):
     assert hits and all(h.startswith("widening-point restart bound hit at ") for h in hits)
 
     shutil.rmtree(sd)
-    code, responses = serve_lines(opts, [
+    responses = serve_lines(opts, [
         json.dumps({"id": 1, "method": "reanalyze", "path": src}),
         json.dumps({"id": 2, "method": "reanalyze", "path": src}),
         json.dumps({"method": "shutdown"}),

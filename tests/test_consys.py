@@ -2,12 +2,9 @@ import dataclasses
 import json
 import random
 
-import pytest
-
 from minicheck.consys import (
     Ans,
     Context,
-    EqSys,
     EvalState,
     GlobalVar,
     NodeCtx,
@@ -200,8 +197,3 @@ def test_cached_hashes_equal_the_dataclass_hash():
         assert not hasattr(u, "__dict__"), u  # slotted: the cache costs no dict
     assert decoded == direct[2:] and [hash(u) for u in decoded] == [hash(u) for u in direct[2:]]
     assert replaced[1] == NodeCtx("foo", 2, ctx) and replaced[3] == StartOf("bar", ctx)
-
-
-def test_eqsys_from_dict_rejects_overlapping_leaf():
-    with pytest.raises(ValueError):
-        EqSys.from_dict({G: Ans(vs(1))}, [G], {}, G, lambda u: ValueSet.bot())

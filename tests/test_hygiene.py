@@ -1,0 +1,49 @@
+"""Static hygiene of the package: no function, class or method that nothing
+calls.
+
+Every module-level function or class and every method under
+``src/minicheck`` must be named (as a ``Name`` or an ``Attribute``)
+somewhere in the package outside its own definition.  Dunder methods are
+called by the language and are exempt.  The allowlist names the entry
+points that only code outside the package (the benchmark) uses."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "minicheck"
+
+# corpus generators driven by perfbench/run.py
+USED_OUTSIDE_THE_PACKAGE = {"corpus_source", "edit_sequence"}
+
+
+def _definitions(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield member
+
+
+def test_every_definition_is_used_in_the_package():
+    refs = {}  # name -> [(file, line)]
+    defs = []  # (name, file, first line, last line)
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.setdefault(node.id, []).append((path, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                refs.setdefault(node.attr, []).append((path, node.lineno))
+        for d in _definitions(tree):
+            defs.append((d.name, path, d.lineno, d.end_lineno))
+    unused = []
+    for name, path, first, last in defs:
+        if (name.startswith("__") and name.endswith("__")) or name in USED_OUTSIDE_THE_PACKAGE:
+            continue
+        if not any(p != path or not first <= line <= last for p, line in refs.get(name, ())):
+            unused.append(f"{path.relative_to(PACKAGE)}:{first} {name}")
+    assert unused == []

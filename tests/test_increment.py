@@ -26,10 +26,9 @@ from minicheck.increment import (
 )
 from minicheck.minic import build_system, parse
 from minicheck.minic.syntax import normalize
-from minicheck.minic.cfg import assign_node_ids
 from minicheck.tdsolver import run, verify_solution
 
-from support import FIG2, FIG2_EDIT, analyze_source, side_maps_inverse
+from support import FIG2, FIG2_EDIT, analyze_source, fresh_assignment, side_maps_inverse
 
 BETA0 = Context.of({"p": AddressSet.of(["g"])})
 G = GlobalVar("g")
@@ -159,7 +158,7 @@ def test_digest_change_detection_matches_the_structural_comparison():
 
 def test_fig2_edit_relabeling_gives_fresh_interior():
     c = detect_changes(parse(FIG2).digests, parse(FIG2_EDIT))
-    old = assign_node_ids(parse(FIG2), None, set(), set())
+    old = fresh_assignment(parse(FIG2))
     new = relabel_nodes(c, old, parse(FIG2_EDIT))
     assert new.assign["foo"] == (0, 6, 2)
     assert new.assign["main"] == (3, 4, 5)
@@ -168,7 +167,7 @@ def test_fig2_edit_relabeling_gives_fresh_interior():
 
 def test_unchanged_function_keeps_identity_assignment():
     c = detect_changes(parse(FIG2).digests, parse(FIG2))
-    old = assign_node_ids(parse(FIG2), None, set(), set())
+    old = fresh_assignment(parse(FIG2))
     new = relabel_nodes(c, old, parse(FIG2))
     assert new.assign == old.assign
 
@@ -176,7 +175,7 @@ def test_unchanged_function_keeps_identity_assignment():
 def test_added_function_gets_fresh_nodes():
     new_text = FIG2 + "\nint extra(int x) { y = x; return y; }\n"
     c = detect_changes(parse(FIG2).digests, parse(new_text))
-    old = assign_node_ids(parse(FIG2), None, set(), set())
+    old = fresh_assignment(parse(FIG2))
     new = relabel_nodes(c, old, parse(new_text))
     assert min(new.assign["extra"]) >= 6
 
@@ -244,7 +243,7 @@ int main() { a = f(1); b = f(2); return a + b; }
     new_asg = relabel_nodes(changes, built.assignment, parse(new))
     new_built = build_system(parse(new), new_asg)
     A = prepare_reluctant(changes, st, built.assignment, new_built.sys)
-    ret = built.assignment.return_of("f")
+    ret = built.assignment.assign["f"][-1]
     assert len(A) == 2
     assert {u.node for u in A} == {ret}
     assert {u.ctx for u in A} == {Context.of({"x": vs(1)}), Context.of({"x": vs(2)})}

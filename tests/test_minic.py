@@ -20,10 +20,8 @@ from minicheck.domains import (
     leq,
 )
 from minicheck.minic import (
-    AnalysisConfig,
     ParseError,
     SemanticError,
-    assign_node_ids,
     build_system,
     parse,
 )
@@ -31,7 +29,7 @@ from minicheck.corpus import CorpusSpec, corpus_source
 from minicheck.minic.cfg import Guard, build_cfgs, build_local_cfg
 from minicheck.minic.syntax import _KEYWORDS, _lex, normalize
 
-from support import FIG2, analyze_source
+from support import FIG2, analyze_source, fresh_assignment
 
 BETA0 = Context.of({"p": AddressSet.of(["g"])})
 
@@ -42,8 +40,7 @@ def vs(*xs):
 
 def build(text, domain="valueset"):
     prog = parse(text)
-    asg = assign_node_ids(prog, None, set(), set())
-    return build_system(prog, asg, AnalysisConfig(domain=domain))
+    return build_system(prog, fresh_assignment(prog), domain)
 
 
 # -- parsing -------------------------------------------------------------------
@@ -232,7 +229,7 @@ def test_an_integer_literal_too_long_to_convert_is_a_parse_error():
 
 def test_fig2_node_numbering_matches_reference_layout():
     prog = parse(FIG2)
-    asg = assign_node_ids(prog, None, set(), set())
+    asg = fresh_assignment(prog)
     assert asg.assign == {"foo": (0, 1, 2), "main": (3, 4, 5)}
     assert asg.counter == 6
 
@@ -258,7 +255,7 @@ int main(){ r = helper(1); return r; }
 
 def test_in_edge_index_agrees_with_a_scan_of_the_edges():
     prog = parse(corpus_source(CorpusSpec(n_functions=30, seed=7)))
-    cfgs = build_cfgs(prog, assign_node_ids(prog, None, set(), set()))
+    cfgs = build_cfgs(prog, fresh_assignment(prog))
     for cfg in cfgs.values():
         nodes = set(cfg.node_ids) | {e.src for e in cfg.edges}
         for dst in nodes:

@@ -1,7 +1,5 @@
 import json
 
-import pytest
-
 from minicheck.consys import Context
 from minicheck.domains import Access, AddressSet, Lockset
 from minicheck.increment import (
@@ -12,7 +10,6 @@ from minicheck.increment import (
 )
 from minicheck.minic import build_system, parse
 from minicheck.postproc import (
-    StateCorruption,
     WarnStore,
     diff_warnings,
     make_warning,
@@ -29,7 +26,7 @@ BETA0 = Context.of({"p": AddressSet.of(["g"])})
 
 def full_pipeline(text, domain="valueset"):
     built, st, _ = analyze_source(text, domain=domain)
-    store, stats = postprocess(built, st, None, "<test>")
+    store, stats = postprocess(built, st, WarnStore(), "<test>")
     return built, st, store, stats
 
 
@@ -92,7 +89,7 @@ def test_from_scratch_postprocess_evaluates_every_stable_rhs():
 
 def test_incremental_postprocess_reevaluates_only_destabilized_unknowns():
     built, st, _ = analyze_source(FIG2)
-    store0, _ = postprocess(built, st, None, "<test>")
+    store0, _ = postprocess(built, st, WarnStore(), "<test>")
     new_built, store1, stats = incremental_pipeline(FIG2, FIG2_EDIT, store0, built, st,
                                                     restart="off")
     ever = {json.loads(k).get("fn") for k in stats["reevaluated"]}
@@ -103,24 +100,17 @@ def test_incremental_postprocess_reevaluates_only_destabilized_unknowns():
 
 def test_two_postprocesses_without_edit_are_byte_identical():
     built, st, _ = analyze_source(FIG2)
-    store0, _ = postprocess(built, st, None, "<test>")
+    store0, _ = postprocess(built, st, WarnStore(), "<test>")
     # an incremental no-op run: everything stays superstable
     new_built, store1, stats = incremental_pipeline(FIG2, FIG2, store0, built, st)
     assert stats["reevaluated"] == []
     assert json.dumps(store0.to_json()) == json.dumps(store1.to_json())
 
 
-def test_missing_previous_store_with_superstable_is_a_hard_error():
-    built, st, _ = analyze_source(FIG2)
-    st.superstable = set(st.stable)
-    with pytest.raises(StateCorruption):
-        postprocess(built, st, None, "<test>")
-
-
 def test_postprocess_never_changes_sigma():
     built, st, _ = analyze_source(FIG2)
     before = dict(st.sigma)
-    postprocess(built, st, None, "<test>")
+    postprocess(built, st, WarnStore(), "<test>")
     # prune may drop entries, but no value may change
     for u, v in st.sigma.items():
         assert before[u] == v
@@ -147,7 +137,7 @@ def test_warning_id_is_location_independent():
 
 def test_pure_code_move_keeps_warning_id_with_new_locations():
     built, st, _ = analyze_source(FIG2)
-    store0, _ = postprocess(built, st, None, "<test>")
+    store0, _ = postprocess(built, st, WarnStore(), "<test>")
     moved = "// a new comment line\n\n" + FIG2
     new_built, store1, stats = incremental_pipeline(FIG2, moved, store0, built, st)
     diff = diff_warnings(store0, store1)
@@ -170,19 +160,37 @@ def test_incremental_warnings_match_from_scratch_when_sigma_agrees():
     # with minimal restarting the Fig-2 edit converges to the from-scratch σ,
     # so the incrementally maintained store must coincide with a fresh one
     built, st, _ = analyze_source(FIG2)
-    store0, _ = postprocess(built, st, None, "<test>")
+    store0, _ = postprocess(built, st, WarnStore(), "<test>")
     new_built, store_inc, _ = incremental_pipeline(FIG2, FIG2_EDIT, store0, built, st,
                                                    restart="minimal")
     from support import analyze_source as fresh
     built2, st2, _ = fresh(FIG2_EDIT, assignment=new_built.assignment)
-    store_scratch, _ = postprocess(built2, st2, None, "<test>")
+    store_scratch, _ = postprocess(built2, st2, WarnStore(), "<test>")
     assert {(w.id, w.message) for w in store_inc.warnings} == \
            {(w.id, w.message) for w in store_scratch.warnings}
 
 
+CALLS_F1 = """int g = 0;
+int f(int x) { if (x == 1) { g = 1; } return 0; }
+int main() { y = f(1); return 0; }
+"""
+
+
+def test_contexts_an_edit_made_unreachable_give_no_warnings():
+    # after f(1) becomes f(2), f's context x = 1 is unreachable; its σ
+    # entries must not keep the then-branch alive
+    edited = CALLS_F1.replace("f(1)", "f(2)")
+    built, st, store0, _ = full_pipeline(CALLS_F1)
+    new_built, store_inc, _ = incremental_pipeline(CALLS_F1, edited, store0, built, st)
+    built2, st2, _ = analyze_source(edited, assignment=new_built.assignment)
+    store_scratch, _ = postprocess(built2, st2, WarnStore(), "<test>")
+    assert [w.message for w in store_scratch.warnings] == ["unreachable code in 'f'"]
+    assert store_inc.warnings_json() == store_scratch.warnings_json()
+
+
 def test_superstable_subset_of_stable_at_phase_boundaries():
     built, st, _ = analyze_source(FIG2)
-    store0, _ = postprocess(built, st, None, "<test>")
+    store0, _ = postprocess(built, st, WarnStore(), "<test>")
     changes = detect_changes(parse(FIG2).digests, parse(FIG2_EDIT))
     new_asg = relabel_nodes(changes, built.assignment, parse(FIG2_EDIT))
     new_built = build_system(parse(FIG2_EDIT), new_asg)
@@ -214,7 +222,7 @@ FIXED = RACY.replace("  *p = 1;", "  lock(m);\n  *p = 1;\n  unlock(m);")
 
 def test_fixing_a_race_removes_it_and_purges_stale_accesses():
     built, st, _ = analyze_source(RACY)
-    store0, _ = postprocess(built, st, None, "<test>")
+    store0, _ = postprocess(built, st, WarnStore(), "<test>")
     race_ids = [w.id for w in store0.warnings if w.kind == "race"]
     assert len(race_ids) == 1
     new_built, store1, _ = incremental_pipeline(RACY, FIXED, store0, built, st)

@@ -12,7 +12,6 @@ from minicheck.consys import (
     AccCollector,
     Ans,
     Context,
-    EqSys,
     GlobalVar,
     NodeCtx,
     QGet,
@@ -36,6 +35,7 @@ from recursive_solver import RecursiveSolver
 from support import (
     FIG2,
     analyze_source,
+    eqsys_from_dict,
     kleene_local_solution,
     kleene_solve,
     make_random_system,
@@ -55,8 +55,8 @@ def node(fn, i, ctx=Context.EMPTY):
     return NodeCtx(fn, i, ctx)
 
 
-def simple_sys(rhs, leaf=(), starts=None, query=None):
-    return EqSys.from_dict(rhs, leaf, starts or {}, query, lambda u: ValueSet.bot())
+def simple_sys(rhs, starts=None, query=None):
+    return eqsys_from_dict(rhs, starts or {}, query, lambda u: ValueSet.bot())
 
 
 # -- the running example ------------------------------------------------------
@@ -174,7 +174,7 @@ def test_two_cycle_marks_the_reentered_unknown_as_widening_point():
 
 def test_eval_of_leaf_marks_point_and_records_influence():
     x, g = node("t", 0), GlobalVar("gg")
-    sys_ = simple_sys({x: QGet(g, lambda v: Ans(v))}, leaf=[g], query=x)
+    sys_ = simple_sys({x: QGet(g, lambda v: Ans(v))}, query=x)
     st = SolverState()
     run(sys_, st)
     assert g in st.point
@@ -186,8 +186,7 @@ def test_eval_of_leaf_marks_point_and_records_influence():
 
 def test_side_unchanged_value_updates_bookkeeping_only():
     x, g = node("t", 0), GlobalVar("gg")
-    sys_ = simple_sys({x: QSet(g, vs(1), Ans(vs(0)))}, leaf=[g],
-                      starts={g: vs(1, 2)}, query=x)
+    sys_ = simple_sys({x: QSet(g, vs(1), Ans(vs(0)))}, starts={g: vs(1, 2)}, query=x)
     st = SolverState()
     run(sys_, st)
     destab_before = st.destabilizations
@@ -201,7 +200,7 @@ def test_side_unchanged_value_updates_bookkeeping_only():
 def test_side_to_access_collector_is_deferred_but_tracked():
     x, acc = node("t", 0), AccCollector("g")
     bot_of = lambda u: AccessSet.bot() if isinstance(u, AccCollector) else ValueSet.bot()
-    sys_ = EqSys.from_dict({x: Ans(vs(0))}, [acc], {}, x, bot_of)
+    sys_ = eqsys_from_dict({x: Ans(vs(0))}, {}, x, bot_of)
     st = SolverState()
     solver = Solver(sys_, st)
     rec = AccessSet.bot()
@@ -406,7 +405,7 @@ def test_wrong_domain_rhs_is_an_eval_error_carrying_the_unknown():
 def test_wrong_domain_side_is_an_eval_error_carrying_the_target():
     from minicheck.consys import EvalError
     x, g = node("t", 0), GlobalVar("gg")
-    sys_ = simple_sys({x: QSet(g, Lockset.top(), Ans(vs(1)))}, leaf=[g], query=x)
+    sys_ = simple_sys({x: QSet(g, Lockset.top(), Ans(vs(1)))}, query=x)
     with pytest.raises(EvalError) as e:
         run(sys_, SolverState())
     assert e.value.unknown == g
@@ -524,7 +523,7 @@ def test_explicit_stack_matches_the_recursive_solver_on_non_monotone_systems(res
             return ValueSet.bot()
 
         rhs = {x: random_tree(rng, nodes + globs) for x in nodes}
-        sys_ = EqSys.from_dict(rhs, globs, {}, nodes[0], bot_of)
+        sys_ = eqsys_from_dict(rhs, {}, nodes[0], bot_of)
         monkeypatch.setattr(tdsolver, "MAX_WPOINT_RESTARTS", rng.choice([0, 1, 32]))
 
         def go():
