@@ -39,7 +39,7 @@ from .consys import NodeCtx, unknown_key
 from .domains import leq
 from .increment import reanalyze
 from .minic import MiniCError, build_system, parse
-from .minic.cfg import NodeAssignment
+from .minic.cfg import NodeAssignment, NodeTableError, assign_node_ids
 from .postproc import StateCorruption, WarnStore, diff_warnings, postprocess
 from .tdsolver import (
     SolverDepthError,
@@ -64,7 +64,8 @@ class CliError(Exception):
 # expression (~200 nested parentheses, a ~250-term sum or ~330 call arguments
 # exhaust the default recursion limit); after an error the server reloads
 # its state from the bundle.
-ERRORS = (MiniCError, CliError, SolverDepthError, RecursionError, StateCorruption)
+ERRORS = (MiniCError, CliError, NodeTableError, SolverDepthError, RecursionError,
+          StateCorruption)
 
 
 @dataclass
@@ -201,13 +202,14 @@ def run_reanalysis(session: Session, text: str, filename: str,
 def compare_report(session: Session, text: str, opts: Options) -> dict:
     """From-scratch precision report for the persisted incremental state.
 
-    The scratch run reuses the session's node-id assignment so that equal ids
-    denote equal program points; a fresh numbering would shift after edits
-    that change node counts."""
+    The scratch run reuses the session's node ids, every function being
+    unchanged, so that equal ids denote equal program points; a fresh
+    numbering would shift after edits that change node counts."""
     prog = parse(text)
     if prog.digests != session.digests:
         raise CliError("state bundle does not match the current source; run reanalyze first")
-    built = build_system(prog, session.assignment, opts.domain)
+    asg = assign_node_ids(prog, session.assignment, set(prog.functions), set())
+    built = build_system(prog, asg, opts.domain)
     scratch_state = SolverState()
     run(built.sys, scratch_state, restart_wpoint=opts.wpoint_restart)
     violations = verify_solution(built.sys, scratch_state)

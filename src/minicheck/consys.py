@@ -1,16 +1,18 @@
 """Side-effecting constraint systems with strategy-tree right-hand sides.
 
-An unknown is a decorated program point, a global, an access collector, a
-start unknown, or one of the two harness markers.  A right-hand side is a
-strategy tree::
+An unknown is a decorated program point, a global, a start unknown, or one
+of the two harness markers.  A right-hand side is a strategy tree::
 
     Ans(value) | QGet(unknown, continuation) | QSet(unknown, value, rest)
+               | Emit(global, access, rest)
 
 evaluated under a state-monad discipline: ``QGet`` asks for the value of an
 unknown and records the query, ``QSet`` contributes a value to an unknown by
-joining it into a write-only side channel.  Trees are pure: re-evaluating a
-tree under the same lookup yields identical results, and the result depends
-only on the values of the unknowns actually queried.
+joining it into a write-only side channel, and ``Emit`` annotates the
+evaluation with an access record of a global, which no value depends on.
+Trees are pure: re-evaluating a tree under the same lookup yields identical
+results, and the result depends only on the values of the unknowns actually
+queried.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Dict, Optional, Tuple
+from typing import Callable, ClassVar, Dict, List, Optional, Tuple
 
-from .domains import Value, join, value_from_json, value_to_json
+from .domains import Access, Value, join, value_from_json, value_to_json
 
 
 # ---------------------------------------------------------------------------
@@ -92,16 +94,6 @@ class GlobalVar:
         return self.name
 
 
-@dataclass(frozen=True)
-class AccCollector:
-    """Write-only access accumulator for one global."""
-
-    name: str
-
-    def __repr__(self) -> str:
-        return f"acc_{self.name}"
-
-
 @dataclass(frozen=True, slots=True)
 class StartOf:
     """Seeded start unknown of an entry function."""
@@ -137,17 +129,13 @@ MAIN = MainMarker()
 
 Unknown = object  # union of the five kinds above
 
-_KIND_RANK = {InitMarker: 0, MainMarker: 1, GlobalVar: 2, AccCollector: 3, StartOf: 4, NodeCtx: 5}
-
 
 def sort_key(u: Unknown):
     """Total deterministic order over unknowns."""
     if isinstance(u, NodeCtx):
-        return (5, u.fn, u.node, _ctx_key(u.ctx))
+        return (4, u.fn, u.node, _ctx_key(u.ctx))
     if isinstance(u, StartOf):
-        return (4, u.fn, 0, _ctx_key(u.ctx))
-    if isinstance(u, AccCollector):
-        return (3, u.name, 0, "")
+        return (3, u.fn, 0, _ctx_key(u.ctx))
     if isinstance(u, GlobalVar):
         return (2, u.name, 0, "")
     if isinstance(u, MainMarker):
@@ -169,8 +157,6 @@ def unknown_to_json(u: Unknown):
                 "ctx": [[k, value_to_json(v)] for k, v in u.ctx.params]}
     if isinstance(u, GlobalVar):
         return {"k": "global", "name": u.name}
-    if isinstance(u, AccCollector):
-        return {"k": "acc", "name": u.name}
     if isinstance(u, StartOf):
         return {"k": "start", "fn": u.fn,
                 "ctx": [[k, value_to_json(v)] for k, v in u.ctx.params]}
@@ -187,8 +173,6 @@ def unknown_from_json(d: dict) -> Unknown:
         return NodeCtx(d["fn"], d["id"], Context(tuple((n, value_from_json(v)) for n, v in d["ctx"])))
     if k == "global":
         return GlobalVar(d["name"])
-    if k == "acc":
-        return AccCollector(d["name"])
     if k == "start":
         return StartOf(d["fn"], Context(tuple((n, value_from_json(v)) for n, v in d["ctx"])))
     if k == "init":
@@ -227,7 +211,14 @@ class QSet:
     rest: object  # tree
 
 
-Tree = object  # Ans | QGet | QSet
+@dataclass(frozen=True)
+class Emit:
+    glob: str
+    access: Access
+    rest: object  # tree
+
+
+Tree = object  # Ans | QGet | QSet | Emit
 
 
 class EvalError(Exception):
@@ -240,14 +231,17 @@ class EvalError(Exception):
 
 @dataclass
 class EvalState:
-    """Queried unknowns (in query order) and accumulated side contributions."""
+    """Queried unknowns (in query order), accumulated side contributions and
+    emitted access records (in emission order)."""
 
     queried: Dict = field(default_factory=dict)  # ordered set of unknowns
     sides: Dict = field(default_factory=dict)    # unknown -> joined value
+    accesses: List[Tuple[str, Access]] = field(default_factory=list)  # (global, record)
 
 
 def eval_tree(t: Tree, lookup: Callable, state: Optional[EvalState] = None) -> Tuple[EvalState, Value]:
-    """Pure evaluation: record queries, join side contributions, never write σ."""
+    """Pure evaluation: record queries, join side contributions, collect
+    access records, never write σ."""
     s = state if state is not None else EvalState()
     queried, sides = s.queried, s.sides
     while True:
@@ -265,18 +259,11 @@ def eval_tree(t: Tree, lookup: Callable, state: Optional[EvalState] = None) -> T
             except Exception as exc:
                 raise EvalError(u, f"side contribution of wrong domain: {exc}") from exc
             t = t.rest
+        elif isinstance(t, Emit):
+            s.accesses.append((t.glob, t.access))
+            t = t.rest
         else:
             raise TypeError(f"not a strategy tree node: {t!r}")
-
-
-def lookup_from(sigma: dict, bot_of: Callable) -> Callable:
-    """σ view for pure evaluation; missing entries default to the domain Bot."""
-
-    def look(u):
-        v = sigma.get(u)
-        return bot_of(u) if v is None else v
-
-    return look
 
 
 # ---------------------------------------------------------------------------
@@ -287,11 +274,9 @@ def lookup_from(sigma: dict, bot_of: Callable) -> Callable:
 class EqSys:
     """A side-effecting constraint system.
 
-    ``rhs(u, postproc=False)`` returns the strategy tree of `u`, or None if
-    `u` has no right-hand side (a flow-insensitive unknown, whose values
-    arrive by side-effect only); `postproc` selects the postprocessing
-    variant, which additionally emits deferred access-collector
-    contributions.  `starts` are seeded into σ before solving.
+    ``rhs(u)`` returns the strategy tree of `u`, or None if `u` has no
+    right-hand side (a flow-insensitive unknown, whose values arrive by
+    side-effect only).  `starts` are seeded into σ before solving.
     """
 
     def __init__(self, rhs: Callable, starts: dict, query: Unknown, bot_of: Callable):
@@ -301,4 +286,11 @@ class EqSys:
         self.bot_of = bot_of
 
     def lookup(self, sigma: dict) -> Callable:
-        return lookup_from(sigma, self.bot_of)
+        """σ view for pure evaluation; missing entries default to the domain Bot."""
+        bot_of = self.bot_of
+
+        def look(u):
+            v = sigma.get(u)
+            return bot_of(u) if v is None else v
+
+        return look

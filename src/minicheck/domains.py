@@ -7,8 +7,10 @@ All analysis values live in one of a handful of complete lattices:
 * ``AddressSet``  -- sets of global-variable addresses (plus ``null``), or Top
 * ``Lockset``     -- must-held mutex sets, ordered by *superset*
 * ``Env``         -- finite maps from local names to values, with a real Bot
-* ``AccessSet``   -- accumulated global-access records (join = union)
 * ``LocalState``  -- an ``Env`` paired with a ``Lockset``
+
+An ``Access`` record of a global is no lattice value: it annotates the
+right-hand-side evaluation that produced it (``consys.Emit``).
 
 Every value is immutable and hashable, so each constant element
 (``top()``, ``bot()``) is one shared instance.  ``join``/``widen``/
@@ -486,45 +488,6 @@ class Access:
 
 
 @dataclass(frozen=True)
-class AccessSet(Value):
-    """Purely accumulating set of access records; join is union."""
-
-    records: frozenset = frozenset()
-
-    @staticmethod
-    def of(records: Iterable[Access]) -> "AccessSet":
-        return AccessSet(frozenset(records))
-
-    @staticmethod
-    def bot() -> "AccessSet":
-        return _ACCESSSET_BOT
-
-    def is_bot(self) -> bool:
-        return not self.records
-
-    def bot_like(self) -> "AccessSet":
-        return AccessSet.bot()
-
-    def leq(self, other: "AccessSet") -> bool:
-        return self.records <= other.records
-
-    def join(self, other: "AccessSet") -> "AccessSet":
-        return AccessSet(self.records | other.records)
-
-    def widen(self, other: "AccessSet", bound: int = DEFAULT_SET_BOUND) -> "AccessSet":
-        return self.join(other)
-
-    def narrow(self, other: "AccessSet") -> "AccessSet":
-        return self
-
-    def __repr__(self) -> str:
-        return f"AccessSet({len(self.records)})"
-
-
-_ACCESSSET_BOT = AccessSet(frozenset())
-
-
-@dataclass(frozen=True)
 class LocalState(Value):
     """Per-program-point state: local environment plus must-lockset.
 
@@ -837,9 +800,6 @@ def value_to_json(v: Value) -> dict:
         if v.bindings is None:
             return {"t": "Env", "v": "bot"}
         return {"t": "Env", "v": {k: value_to_json(val) for k, val in v.bindings}}
-    if isinstance(v, AccessSet):
-        recs = sorted(v.records, key=Access.sort_key)
-        return {"t": "AccessSet", "v": [access_to_json(r) for r in recs]}
     if isinstance(v, LocalState):
         return {"t": "LocalState", "env": value_to_json(v.env), "locks": value_to_json(v.locks)}
     raise DomainError(f"cannot serialize {type(v).__name__}")
@@ -876,8 +836,6 @@ def value_from_json(d: dict) -> Value:
         if d["v"] == "bot":
             return Env.bot()
         return Env.of({k: value_from_json(val) for k, val in d["v"].items()})
-    if t == "AccessSet":
-        return AccessSet.of(access_from_json(r) for r in d["v"])
     if t == "LocalState":
         return LocalState(value_from_json(d["env"]), value_from_json(d["locks"]))
     raise DomainError(f"unknown value tag {t!r}")

@@ -35,7 +35,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from .consys import (
     INIT,
-    AccCollector,
     Context,
     EqSys,
     GlobalVar,
@@ -298,9 +297,9 @@ def reanalyze(old_digests: dict, old_asg: NodeAssignment, st: SolverState,
 
 def reachable_set(sys_: EqSys, st: SolverState, visit: Optional[Callable] = None) -> Set[Unknown]:
     """Unknowns reachable from the query (and seeded starts) under σ: queried
-    dependencies plus side-effect targets other than access collectors.  Each
-    reached rhs is evaluated purely, once, in its postprocessing variant (it
-    only adds access-collector sides); `visit(u, eval_state, value)` sees it."""
+    dependencies plus side-effect targets.  Each reached rhs is evaluated
+    purely, once; `visit(u, eval_state, value)` sees that evaluation, with
+    its access records."""
     look = sys_.lookup(st.sigma)
     seeds = [sys_.query] + sorted(st.starts, key=sort_key) + sorted(sys_.starts, key=sort_key)
     reached: Set[Unknown] = set()
@@ -310,7 +309,7 @@ def reachable_set(sys_: EqSys, st: SolverState, visit: Optional[Callable] = None
         if u in reached:
             continue
         reached.add(u)
-        tree = sys_.rhs(u, postproc=True)
+        tree = sys_.rhs(u)
         if tree is None:
             continue
         es, value = eval_tree(tree, look)
@@ -320,7 +319,7 @@ def reachable_set(sys_: EqSys, st: SolverState, visit: Optional[Callable] = None
             if y not in reached:
                 stack.append(y)
         for g in es.sides:
-            if not isinstance(g, AccCollector) and g not in reached:
+            if g not in reached:
                 stack.append(g)
     return reached
 

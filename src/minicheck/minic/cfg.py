@@ -52,6 +52,11 @@ class LocalCFG:
     edges: List[Edge]
 
 
+class NodeTableError(Exception):
+    """A node-id assignment that does not fit the program's CFGs: a state
+    bundle whose node table is damaged."""
+
+
 _RET = -1  # placeholder target of return edges, patched once the body is built
 
 
@@ -149,21 +154,26 @@ def assign_node_ids(prog: Program, old: NodeAssignment,
     functions keep entry and return ids but get fresh interior ids; all
     remaining functions are new and fully fresh.  Ids of functions absent
     from `prog` are dropped (the counter still never goes backwards).
+    NodeTableError if `old` lacks the ids to reuse: one per node of a
+    `reuse_all` function, an entry and a return of a `reuse_endpoints` one.
     """
     counter = old.counter
     assign: Dict[str, Tuple[int, ...]] = {}
     for name, fn in prog.functions.items():
         local = build_local_cfg(fn)
         n = local.n_nodes
-        if name in reuse_all and name in old.assign:
-            ids = old.assign[name]
-            if len(ids) != n:
-                raise ValueError(
-                    f"structure of unchanged function {name!r} does not match its previous CFG")
+        if name in reuse_all or name in reuse_endpoints:
+            ids = old.assign.get(name, ())
+            whole = name in reuse_all
+            if (len(ids) != n) if whole else (len(ids) < 2):
+                raise NodeTableError(
+                    f"state bundle node ids of function {name!r} do not fit its CFG "
+                    f"({len(ids)} ids for {n if whole else 'at least 2'} nodes); "
+                    "delete the state dir to reanalyze from scratch")
+        if name in reuse_all:
             assign[name] = ids
-        elif name in reuse_endpoints and name in old.assign:
-            entry = old.assign[name][0]
-            ret = old.assign[name][-1]
+        elif name in reuse_endpoints:
+            entry, ret = ids[0], ids[-1]
             interior = tuple(range(counter, counter + n - 2))
             counter += n - 2
             assign[name] = (entry,) + interior + (ret,)

@@ -9,11 +9,10 @@ together: the ``init`` unknown side-effects global initializers, and the
 ``__main`` unknown (the analysis query) runs ``init``, seeds ``main``'s
 entry and queries ``main``'s endpoint.
 
-Right-hand sides exist in two variants.  The solving variant omits all
-access bookkeeping.  The postprocessing variant additionally side-effects an
-access record (read/write, held lockset, producing edge) to the global's
-access collector; those contributions are deferred to postprocessing and
-never consulted during solving.
+Every read and write of a global annotates the right-hand side with an
+access record (read/write, held lockset, producing edge).  No value depends
+on a record: the solver steps over them, and postprocessing collects them
+from its evaluation of each right-hand side.
 """
 
 from __future__ import annotations
@@ -24,9 +23,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..consys import (
     INIT,
     MAIN,
-    AccCollector,
     Ans,
     Context,
+    Emit,
     EqSys,
     GlobalVar,
     NodeCtx,
@@ -37,7 +36,6 @@ from ..consys import (
     Unknown,
 )
 from ..domains import (
-    AccessSet,
     Access,
     AddressSet,
     Env,
@@ -109,8 +107,6 @@ class _SystemGen:
     def bot_of(self, u: Unknown) -> Value:
         if isinstance(u, GlobalVar):
             return self.int.bot()
-        if isinstance(u, AccCollector):
-            return AccessSet.bot()
         return LocalState.bot()
 
     def starts(self) -> dict:
@@ -118,7 +114,7 @@ class _SystemGen:
         return {StartOf(MAIN_HARNESS, Context.EMPTY):
                 LocalState(harness_env, Lockset.top())}
 
-    def rhs(self, u: Unknown, postproc: bool = False) -> Optional[Tree]:
+    def rhs(self, u: Unknown) -> Optional[Tree]:
         if u is INIT or isinstance(u, type(INIT)):
             return self._init_rhs()
         if u is MAIN or isinstance(u, type(MAIN)):
@@ -129,7 +125,7 @@ class _SystemGen:
                 return None
             if u.node == cfg.entry:
                 return Ans(LocalState.bot())
-            return self._node_rhs(cfg, u.node, u.ctx, postproc)
+            return self._node_rhs(cfg, u.node, u.ctx)
         return None
 
     # -- harness ---------------------------------------------------------------
@@ -159,14 +155,14 @@ class _SystemGen:
 
     # -- per-node right-hand sides ----------------------------------------------
 
-    def _node_rhs(self, cfg: FuncCFG, node: int, ctx: Context, post: bool) -> Tree:
-        return self._fold(cfg, cfg.in_edges(node), ctx, post, 0, LocalState.bot())
+    def _node_rhs(self, cfg: FuncCFG, node: int, ctx: Context) -> Tree:
+        return self._fold(cfg, cfg.in_edges(node), ctx, 0, LocalState.bot())
 
     # Recursion goes through methods, never through local closures: a closure
     # that refers to itself is a reference cycle, which would make every tree
     # garbage that only the cyclic collector frees.
 
-    def _fold(self, cfg: FuncCFG, edges: List[Edge], ctx: Context, post: bool, i: int,
+    def _fold(self, cfg: FuncCFG, edges: List[Edge], ctx: Context, i: int,
               acc: LocalState) -> Tree:
         """Fold the incoming edges from `i` on, passing the joined state
         through the continuation chain so the tree stays pure."""
@@ -175,18 +171,18 @@ class _SystemGen:
         e = edges[i]
         pred = NodeCtx(cfg.name, e.src, ctx)
         return QGet(pred, lambda s:
-                    self._fold(cfg, edges, ctx, post, i + 1, acc)
+                    self._fold(cfg, edges, ctx, i + 1, acc)
                     if (not isinstance(s, LocalState) or s.is_bot())
-                    else self._transfer(cfg, e, s, post,
-                                        lambda out: self._fold(cfg, edges, ctx, post, i + 1,
+                    else self._transfer(cfg, e, s,
+                                        lambda out: self._fold(cfg, edges, ctx, i + 1,
                                                                acc.join(out))))
 
     # -- transfer functions -------------------------------------------------------
 
-    def _transfer(self, cfg: FuncCFG, edge, s: LocalState, post: bool,
+    def _transfer(self, cfg: FuncCFG, edge, s: LocalState,
                   k: Callable[[LocalState], Tree]) -> Tree:
         label = edge.label
-        emit = _Emitter(self, cfg.name, edge, post)
+        emit = _Emitter(cfg.name, edge)
         if label is None:
             return k(s)
         if isinstance(label, Guard):
@@ -343,19 +339,14 @@ class _SystemGen:
 
 
 class _Emitter:
-    """Wraps access-record emission; inactive during solving (deferred)."""
+    """Annotates a tree with the access records of one CFG edge."""
 
-    def __init__(self, gen: _SystemGen, fn: str, edge, post: bool):
-        self.gen = gen
+    def __init__(self, fn: str, edge):
         self.fn = fn
         self.edge = edge
-        self.post = post
 
     def _record(self, kind: str, glob: str, s: LocalState, rest: Tree) -> Tree:
-        if not self.post:
-            return rest
-        rec = Access(kind, s.locks, self.fn, self.edge.src, self.edge.dst)
-        return QSet(AccCollector(glob), AccessSet.of([rec]), rest)
+        return Emit(glob, Access(kind, s.locks, self.fn, self.edge.src, self.edge.dst), rest)
 
     def read(self, glob: str, s: LocalState, rest: Tree) -> Tree:
         return self._record("read", glob, s, rest)

@@ -1,13 +1,13 @@
-"""Incremental postprocessing: deferred accesses, warnings, warning reuse.
+"""Incremental postprocessing: access records, warnings, warning reuse.
 
 Warnings are generated only after solving has finished (widening can
 introduce spurious values that narrowing later removes, so generating them
 mid-solve would overreport).  The reachability walk evaluates each reached
 rhs once; that evaluation verifies the unknown and, if it left
-``superstable`` during the incremental run, yields its access records; for
-the rest, the previous run's per-producer access contributions are reused.
-Because every contribution is attributed to the unknown that produced it,
-contributions of vanished producers vanish with them, so stale data-race
+``superstable`` during the incremental run, yields the access records its
+rhs emits; for the rest, the previous run's per-producer access records are
+reused.  Because every record is attributed to the unknown that produced
+it, records of vanished producers vanish with them, so stale data-race
 evidence cannot accumulate across reanalyses.
 
 Warning identity hashes the kind, the provenance unknowns and a message
@@ -18,13 +18,13 @@ id while the reported locations are refreshed from the current CFG.
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from .consys import AccCollector, Context, NodeCtx, unknown_key
+from .consys import Context, NodeCtx, unknown_key
 from .domains import (
     Access,
-    AccessSet,
     AddressSet,
     LocalState,
     access_from_json,
@@ -156,10 +156,11 @@ def postprocess(built: BuiltSystem, st: SolverState, prev: WarnStore,
                 store.accesses.setdefault(g, {})[key] = records
         else:
             stats["reevaluated"].append(key)
-            for target, contribution in es.sides.items():
-                if isinstance(target, AccCollector) and isinstance(contribution, AccessSet):
-                    if contribution.records:
-                        store.accesses.setdefault(target.name, {})[key] = contribution.records
+            records: Dict[str, Set[Access]] = {}
+            for g, access in es.accesses:
+                records.setdefault(g, set()).add(access)
+            for g, rs in records.items():
+                store.accesses.setdefault(g, {})[key] = frozenset(rs)
 
     sigma_keys_before = frozenset(st.sigma.keys())
     reachable = reachable_set(sys_, st, visit)
@@ -217,10 +218,14 @@ def races(store: WarnStore, built: BuiltSystem, filename: str) -> List[Warning]:
             loc = _edge_location(built, r.fn, r.src, r.dst, filename)
             if loc is not None:
                 locs.append(loc)
+        # Warning ids hash the provenance, and ids are persisted and diffed
+        # by id, so a race's provenance stays this fixed string: race warning
+        # ids must not change.
+        prov = json.dumps({"k": "acc", "name": glob}, sort_keys=True, separators=(",", ":"))
         out.append(make_warning(
             "race", f"race:{glob}",
             f"possible data race on global '{glob}'",
-            [unknown_key(AccCollector(glob))], locs))
+            [prov], locs))
     return out
 
 

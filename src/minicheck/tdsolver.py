@@ -5,7 +5,7 @@ tracking influences as it goes.  Widening/narrowing phases are applied at
 dynamically detected widening points (unknowns closing a dependency cycle,
 and flow-insensitive leaves).  Side-effects widen the target's value and
 destabilize its dependents.  The resulting ``SolverState`` is a *partial
-post-solution*: re-evaluating any stable unknown under σ stays below its
+postsolution*: re-evaluating any stable unknown under σ stays below its
 stored value (checked by :func:`verify_solution`).
 
 The optional ``restart_wpoint`` policy refines precision in two ways:
@@ -26,8 +26,8 @@ from operator import itemgetter
 from typing import Dict, Iterable, List, Optional
 
 from .consys import (
-    AccCollector,
     Ans,
+    Emit,
     EqSys,
     EvalError,
     EvalState,
@@ -210,6 +210,8 @@ class Solver:
                 elif isinstance(t, QSet):
                     self.side(x, t.unknown, t.value)
                     t = t.rest
+                elif isinstance(t, Emit):  # an access record: no value depends on it
+                    t = t.rest
                 else:
                     raise TypeError(f"not a strategy tree node: {t!r}")
 
@@ -290,19 +292,18 @@ class Solver:
         st.destabilize(y)
 
     def side(self, x: Unknown, g: Unknown, d: Value) -> None:
+        """`x`'s contribution `d` to `g`: widened into σ(g), destabilizing
+        the readers of `g` if it grew; `x` is recorded as a producer of `g`."""
         st = self.state
         bot = self.sys.bot_of(g)
         if type(d) is not type(bot):
             raise EvalError(g, f"side contribution of {type(d).__name__}, expected {type(bot).__name__}")
-        if not isinstance(g, AccCollector):
-            # Write-only collectors keep their bookkeeping but the value is
-            # dropped during solving; postprocessing re-emits it.
-            cur = self._get(g)
-            new = widen(cur, d)
-            if new != cur:
-                st.sigma[g] = new
-                st.stable.add(g)
-                st.destabilize(g)
+        cur = self._get(g)
+        new = widen(cur, d)
+        if new != cur:
+            st.sigma[g] = new
+            st.stable.add(g)
+            st.destabilize(g)
         st.side_dep.setdefault(g, {})[x] = None
         st.side_infl.setdefault(x, {})[g] = None
 
@@ -336,19 +337,16 @@ def run(sys_: EqSys, state: SolverState, pre_solve: Iterable[Unknown] = (), *,
 
 def check_unknown(sys_: EqSys, state: SolverState, x: Unknown, es: EvalState,
                   val: Value) -> List[Violation]:
-    """Violations of the partial post-solution at stable `x`, given `(es, val)`,
+    """Violations of the partial postsolution at stable `x`, given `(es, val)`,
     a pure evaluation of its rhs under σ: its value and side contributions
-    (access collectors excepted; they are deferred) must stay below σ."""
+    must stay below σ."""
     out: List[Violation] = []
-    cur = state.sigma.get(x)
-    cur = sys_.bot_of(x) if cur is None else cur
+    look = sys_.lookup(state.sigma)
+    cur = look(x)
     if not leq(val, cur):
         out.append(Violation(x, "value", f"rhs value {val!r} ⋢ σ {cur!r}"))
     for g, d in es.sides.items():
-        if isinstance(g, AccCollector):
-            continue
-        tgt = state.sigma.get(g)
-        tgt = sys_.bot_of(g) if tgt is None else tgt
+        tgt = look(g)
         if not leq(d, tgt):
             out.append(Violation(g, "side", f"contribution {d!r} from {x!r} ⋢ σ {tgt!r}"))
     return out
@@ -356,7 +354,7 @@ def check_unknown(sys_: EqSys, state: SolverState, x: Unknown, es: EvalState,
 
 def verify_solution(sys_: EqSys, state: SolverState,
                     unknowns: Optional[Iterable[Unknown]] = None) -> List[Violation]:
-    """Check the partial post-solution at `unknowns` (default: all stable ones)."""
+    """Check the partial postsolution at `unknowns` (default: all stable ones)."""
     assert not state.called, "verify_solution requires a state at rest"
     look = sys_.lookup(state.sigma)
     out: List[Violation] = []

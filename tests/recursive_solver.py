@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from minicheck import tdsolver
-from minicheck.consys import AccCollector, Ans, EqSys, EvalError, QGet, QSet, Tree, Unknown
+from minicheck.consys import Ans, Emit, EqSys, EvalError, QGet, QSet, Tree, Unknown
 from minicheck.domains import Value, join, narrow, widen
 from minicheck.tdsolver import Phase, SolverState
 
@@ -93,6 +93,8 @@ class RecursiveSolver:
             elif isinstance(t, QSet):
                 self.side(x, t.unknown, t.value)
                 t = t.rest
+            elif isinstance(t, Emit):
+                t = t.rest
             else:
                 raise TypeError(f"not a strategy tree node: {t!r}")
         value = t.value
@@ -137,12 +139,11 @@ class RecursiveSolver:
         bot = self.sys.bot_of(g)
         if type(d) is not type(bot):
             raise EvalError(g, f"side contribution of {type(d).__name__}, expected {type(bot).__name__}")
-        if not isinstance(g, AccCollector):
-            cur = self._get(g)
-            new = widen(cur, d)
-            if new != cur:
-                st.sigma[g] = new
-                st.stable.add(g)
-                st.destabilize(g)
+        cur = self._get(g)
+        new = widen(cur, d)
+        if new != cur:
+            st.sigma[g] = new
+            st.stable.add(g)
+            st.destabilize(g)
         st.side_dep.setdefault(g, {})[x] = None
         st.side_infl.setdefault(x, {})[g] = None

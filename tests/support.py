@@ -14,6 +14,7 @@ from typing import Callable, Dict, List, Tuple
 from minicheck.consys import (
     Ans,
     Context,
+    Emit,
     EqSys,
     GlobalVar,
     NodeCtx,
@@ -22,7 +23,7 @@ from minicheck.consys import (
     eval_tree,
     unknown_key,
 )
-from minicheck.domains import Value, ValueSet, join, value_to_json
+from minicheck.domains import Access, Lockset, Value, ValueSet, access_to_json, join, value_to_json
 from minicheck.minic import NodeAssignment, assign_node_ids, build_system, parse
 from minicheck.tdsolver import SolverState, run
 
@@ -68,7 +69,7 @@ def eqsys_from_dict(rhs: dict, starts: dict, query, bot_of: Callable) -> EqSys:
     has none (its values arrive by side-effect only)."""
     if query not in rhs:
         raise ValueError("query has no rhs")
-    return EqSys(lambda u, postproc=False: rhs.get(u), starts, query, bot_of)
+    return EqSys(rhs.get, starts, query, bot_of)
 
 
 def value_key(v: Value) -> str:
@@ -107,6 +108,8 @@ def materialize(t, samples, max_depth: int = 12):
         if isinstance(node, QSet):
             return ("qset", unknown_key(node.unknown), value_to_json(node.value),
                     go(node.rest, depth + 1))
+        if isinstance(node, Emit):
+            return ("emit", node.glob, access_to_json(node.access), go(node.rest, depth + 1))
         raise TypeError(f"not a strategy tree node: {node!r}")
 
     return go(t, 0)
@@ -126,6 +129,13 @@ def random_value(rng: random.Random) -> ValueSet:
     return ValueSet.of(rng.sample(UNIVERSE, k))
 
 
+def random_emission(rng: random.Random, n_globals: int = 3) -> Tuple[str, Access]:
+    """An access record of one of the globals g0, g1, ..."""
+    locks = rng.choice([Lockset.top(), Lockset.of(["m"])])
+    access = Access(rng.choice(["read", "write"]), locks, "t", rng.randrange(4), rng.randrange(4))
+    return f"g{rng.randrange(n_globals)}", access
+
+
 def random_tree(rng: random.Random, unknowns: List, depth: int = 0):
     """A random, pure, possibly data-dependent strategy tree.
 
@@ -139,6 +149,9 @@ def random_tree(rng: random.Random, unknowns: List, depth: int = 0):
         target = rng.choice(unknowns)
         contribution = random_value(rng)
         return QSet(target, contribution, random_tree(rng, unknowns, depth + 1))
+    if r < 0.65:
+        glob, access = random_emission(rng)
+        return Emit(glob, access, random_tree(rng, unknowns, depth + 1))
     u = rng.choice(unknowns)
     pivot = rng.choice(UNIVERSE)
     sub_a = random_tree(rng, unknowns, depth + 1)
@@ -168,9 +181,10 @@ def _combine(const: ValueSet, mask: Tuple[bool, ...], got: Tuple[ValueSet, ...])
     return out
 
 
-def monotone_tree(queries: List, sides: List[Tuple], ans: Tuple):
+def monotone_tree(queries: List, sides: List[Tuple], ans: Tuple, emissions: List[Tuple] = ()):
     """Tree that queries `queries` in order, then side-effects and answers
-    monotone combinations (constant joined with selected queried values)."""
+    monotone combinations (constant joined with selected queried values);
+    the access records `emissions` come before the side effects."""
 
     def go(i: int, got: Tuple[ValueSet, ...]):
         if i < len(queries):
@@ -178,6 +192,8 @@ def monotone_tree(queries: List, sides: List[Tuple], ans: Tuple):
         tree = Ans(_combine(ans[0], ans[1], got))
         for target, const, mask in reversed(sides):
             tree = QSet(target, _combine(const, mask, got), tree)
+        for glob, access in reversed(emissions):
+            tree = Emit(glob, access, tree)
         return tree
 
     return go(0, ())
@@ -202,7 +218,8 @@ def make_random_system(rng: random.Random, n_unknowns: int = 8, n_globals: int =
             mask = tuple(rng.random() < 0.5 for _ in range(n_q))
             sides.append((rng.choice(globs), random_value(rng), mask))
         ans_mask = tuple(rng.random() < 0.6 for _ in range(n_q))
-        rhs[x] = monotone_tree(queries, sides, (random_value(rng), ans_mask))
+        emissions = [random_emission(rng, n_globals) for _ in range(rng.randrange(0, 2))]
+        rhs[x] = monotone_tree(queries, sides, (random_value(rng), ans_mask), emissions)
         deps[x] = (list(queries), [g for g, _, _ in sides])
     starts = {}
     if rng.random() < 0.5:

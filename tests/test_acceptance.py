@@ -370,6 +370,7 @@ def test_criterion_7_strategy_tree_agreement():
         assert v1 == v2
         assert list(s1.queried) == list(s2.queried)
         assert s1.sides == s2.sides
+        assert s1.accesses == s2.accesses
         checked += 1
     assert checked >= 1000
     ok(7, f"{checked} random strategy trees: value/queried/sides agree on "

@@ -492,6 +492,42 @@ def test_serve_answers_a_damaged_bundle_with_an_error(ws):
     assert all("state bundle" in r["error"] for r in responses[:2])
 
 
+def _damage_the_node_table(src, sd):
+    """Analyze a 20-function corpus, then drop the last node id of `f000`
+    from the bundle: its digests stay intact, its node table no longer fits
+    the source."""
+    write(src, corpus_source(CorpusSpec(n_functions=20, seed=7)))
+    opts = cli.Options(state_dir=sd)
+    assert invoke(cli.cmd_analyze, src, opts)[0] == 0
+    doc = bundle_of(sd)
+    doc["nodes"]["assign"]["f000"].pop()
+    write(os.path.join(sd, "bundle.json"), json.dumps(doc))
+    return opts
+
+
+@pytest.mark.parametrize("command", [cli.cmd_reanalyze, cli.cmd_compare])
+def test_a_node_table_that_does_not_fit_the_source_exits_two(ws, command):
+    src, sd = ws
+    opts = _damage_the_node_table(src, sd)
+    code, out, err = invoke(command, src, opts)
+    assert (code, out) == (2, "")
+    assert err == ("error: state bundle node ids of function 'f000' do not fit its CFG "
+                   "(4 ids for 5 nodes); delete the state dir to reanalyze from scratch\n")
+
+
+def test_serve_answers_a_node_table_that_does_not_fit_the_source_with_an_error(ws):
+    src, sd = ws
+    opts = _damage_the_node_table(src, sd)
+    responses = serve_lines(opts, [
+        json.dumps({"id": 1, "method": "reanalyze", "path": src}),
+        json.dumps({"id": 2, "method": "reanalyze", "path": src}),
+        json.dumps({"id": 3, "method": "shutdown"}),
+    ])
+    assert [r["id"] for r in responses] == [1, 2, 3]
+    assert all(r["error"].startswith("state bundle node ids of function 'f000'")
+               for r in responses[:2])
+
+
 def _corpus_edits():
     """A small corpus and three cumulative edits; f003 writes a global, so
     its `gval` edits restart that global."""
@@ -619,8 +655,8 @@ def test_post_solve_work_evaluates_each_unknown_once(monkeypatch):
     solved = []
     build_rhs, evaluate = system._SystemGen.rhs, consys.eval_tree
 
-    def rhs(self, u, postproc=False):
-        tree = build_rhs(self, u, postproc)
+    def rhs(self, u):
+        tree = build_rhs(self, u)
         owner[id(tree)] = (tree, u)
         return tree
 
@@ -951,23 +987,34 @@ PINNED_COUNTS = [
     (4662, 5327, 4, 193, 197, 1191),
 ]
 
+# The sorted warning ids after the analyze and after each edit: ids are
+# persisted and diffed by id, so a change to what they hash shows here.
+_RACE_IDS = ["50673fde15a24591", "9080625c282233d7", "9a5a82cbfbb6fed0", "9cd35a0b6555e8b5"]
+PINNED_WARNING_IDS = [_RACE_IDS] * 4
+
 
 def test_counters_of_an_analyze_and_three_edits_are_pinned(tmp_path):
-    """Work done, counted: a change to the hot path that alters what the
-    solver or postprocessing does fails here."""
+    """Work done, counted, and the warning ids: a change to the hot path that
+    alters what the solver or postprocessing does, or what an id hashes,
+    fails here."""
     def counts(r):  # read at once: a reanalysis updates the state in place
         return (r.session.state.rhs_evals, r.session.state.destabilizations,
                 r.run_stats["step1_rhs_evals"], r.run_stats["step2_rhs_evals"],
                 len(r.post_stats["reevaluated"]), len(r.post_stats["reused"]))
 
+    def warning_ids(r):
+        return sorted(w.id for w in r.session.store.warnings)
+
     base, *edits = _pinned_versions()
     opts = cli.Options(state_dir=str(tmp_path))
     result = cli.run_analysis(base, "prog.mc", opts)
-    seen = [counts(result)]
+    seen, ids = [counts(result)], [warning_ids(result)]
     for text in edits:
         result = cli.run_reanalysis(result.session, text, "prog.mc", opts)
         seen.append(counts(result))
+        ids.append(warning_ids(result))
     assert seen == PINNED_COUNTS
+    assert ids == PINNED_WARNING_IDS
 
 
 def test_the_pipeline_leaves_no_cyclic_garbage(tmp_path):

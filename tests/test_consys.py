@@ -5,6 +5,7 @@ import random
 from minicheck.consys import (
     Ans,
     Context,
+    Emit,
     EvalState,
     GlobalVar,
     NodeCtx,
@@ -12,12 +13,11 @@ from minicheck.consys import (
     QSet,
     StartOf,
     eval_tree,
-    lookup_from,
     sort_key,
     unknown_from_json,
     unknown_key,
 )
-from minicheck.domains import AddressSet, Interval, LocalState, Lockset, ValueSet
+from minicheck.domains import Access, AddressSet, Interval, LocalState, Lockset, ValueSet
 
 from support import FIG2, analyze_source, materialize, random_tree, random_value
 
@@ -31,7 +31,7 @@ def vs(*xs):
 
 
 def look(mapping):
-    return lookup_from(mapping, lambda u: ValueSet.bot())
+    return lambda u: mapping.get(u, ValueSet.bot())
 
 
 def test_ans_returns_value_and_leaves_state_alone():
@@ -97,6 +97,17 @@ def test_evaluation_is_deterministic():
         assert v1 == v2
         assert list(s1.queried) == list(s2.queried)
         assert s1.sides == s2.sides
+        assert s1.accesses == s2.accesses
+
+
+def test_emit_collects_access_records_in_order_and_nothing_else():
+    r1 = Access("write", Lockset.top(), "f", 1, 2)
+    r2 = Access("read", Lockset.of(["m"]), "f", 2, 3)
+    t = Emit("g", r1, QGet(G, lambda v: Emit("h", r2, Emit("g", r1, Ans(v)))))
+    s, v = eval_tree(t, look({G: vs(4)}))
+    assert v == vs(4)
+    assert s.accesses == [("g", r1), ("h", r2), ("g", r1)]
+    assert list(s.queried) == [G] and not s.sides
 
 
 def test_result_is_insensitive_to_preseeded_sides():
@@ -156,6 +167,7 @@ def test_proposition_1_agreement_on_queried_values():
         assert v1 == v2
         assert list(s1.queried) == list(s2.queried)
         assert s1.sides == s2.sides
+        assert s1.accesses == s2.accesses
 
 
 def test_materialize_expands_trees():

@@ -3,7 +3,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from minicheck.domains import (
-    AccessSet,
     AddressSet,
     DomainError,
     Env,
@@ -283,7 +282,7 @@ def test_lattice_constants_are_shared_instances():
              Interval.top: Interval(None, None), Interval.bot: Interval(None, None, empty=True),
              AddressSet.top: AddressSet(None), AddressSet.bot: AddressSet(frozenset()),
              Lockset.top: Lockset(frozenset()), Lockset.bot: Lockset(None),
-             Env.bot: Env(None), AccessSet.bot: AccessSet(frozenset()),
+             Env.bot: Env(None),
              LocalState.bot: LocalState(Env(None), Lockset(None))}
     for make, value in fresh.items():
         assert make() is make() and make() == value and hash(make()) == hash(value)

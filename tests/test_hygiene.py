@@ -1,11 +1,11 @@
-"""Static hygiene of the package: no function, class or method that nothing
-calls.
+"""Static hygiene of the package: no function, class, method or module-level
+name that nothing uses.
 
-Every module-level function or class and every method under
+Every module-level function, class or assigned name and every method under
 ``src/minicheck`` must be named (as a ``Name`` or an ``Attribute``)
-somewhere in the package outside its own definition.  Dunder methods are
-called by the language and are exempt.  The allowlist names the entry
-points that only code outside the package (the benchmark) uses."""
+somewhere in the package outside its own definition.  Dunders are used by
+the language and are exempt.  The allowlist names the entry points that
+only code outside the package (the benchmark) uses."""
 
 from __future__ import annotations
 
@@ -19,13 +19,20 @@ USED_OUTSIDE_THE_PACKAGE = {"corpus_source", "edit_sequence"}
 
 
 def _definitions(tree: ast.Module):
+    """(name, defining statement) of every definition the test covers."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node
+            yield node.name, node
         if isinstance(node, ast.ClassDef):
             for member in node.body:
                 if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    yield member
+                    yield member.name, member
+        targets = node.targets if isinstance(node, ast.Assign) else \
+            [node.target] if isinstance(node, ast.AnnAssign) else []
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name):
+                    yield name.id, node
 
 
 def test_every_definition_is_used_in_the_package():
@@ -38,8 +45,8 @@ def test_every_definition_is_used_in_the_package():
                 refs.setdefault(node.id, []).append((path, node.lineno))
             elif isinstance(node, ast.Attribute):
                 refs.setdefault(node.attr, []).append((path, node.lineno))
-        for d in _definitions(tree):
-            defs.append((d.name, path, d.lineno, d.end_lineno))
+        for name, d in _definitions(tree):
+            defs.append((name, path, d.lineno, d.end_lineno))
     unused = []
     for name, path, first, last in defs:
         if (name.startswith("__") and name.endswith("__")) or name in USED_OUTSIDE_THE_PACKAGE:

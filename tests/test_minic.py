@@ -3,7 +3,6 @@ import random
 import pytest
 
 from minicheck.consys import (
-    AccCollector,
     Context,
     GlobalVar,
     NodeCtx,
@@ -330,23 +329,19 @@ int main() { create(foo, &g); create(foo, &h); return 0; }
 
 def test_transfer_on_bot_source_produces_bot_and_no_emissions():
     built = build(FIG2)
-    tree = built.sys.rhs(NodeCtx("foo", 1, BETA0), postproc=True)
+    tree = built.sys.rhs(NodeCtx("foo", 1, BETA0))
     es, v = eval_tree(tree, built.sys.lookup({}))  # predecessor is Bot
     assert v == LocalState.bot()
-    assert not es.sides
+    assert not es.sides and not es.accesses
 
 
-def test_access_emission_only_in_postprocessing_mode():
+def test_access_records_annotate_the_rhs_without_side_effects():
     built, st, _ = analyze_source(FIG2)
-    look = built.sys.lookup(st.sigma)
     u1 = NodeCtx("foo", 1, BETA0)
-    es_solve, _ = eval_tree(built.sys.rhs(u1), look)
-    assert not any(isinstance(t, AccCollector) for t in es_solve.sides)
-    es_post, _ = eval_tree(built.sys.rhs(u1, postproc=True), look)
-    accs = {t: v for t, v in es_post.sides.items() if isinstance(t, AccCollector)}
-    assert set(accs) == {AccCollector("g")}
-    (rec,) = next(iter(accs.values())).records
-    assert rec.kind == "write" and rec.fn == "foo"
+    es, _ = eval_tree(built.sys.rhs(u1), built.sys.lookup(st.sigma))
+    assert set(es.sides) == {GlobalVar("g")}
+    ((glob, rec),) = es.accesses
+    assert glob == "g" and rec.kind == "write" and rec.fn == "foo"
 
 
 def test_locked_access_records_held_lockset():
@@ -363,16 +358,14 @@ int main() {
     look = built.sys.lookup(st.sigma)
     cfg = built.cfgs["main"]
     write_node = cfg.node_ids[2]  # entry -> lock -> write
-    es, _ = eval_tree(built.sys.rhs(NodeCtx("main", write_node, Context.EMPTY), postproc=True), look)
-    (recs,) = [v.records for t, v in es.sides.items() if isinstance(t, AccCollector)]
-    (rec,) = recs
-    assert rec.kind == "write"
+    es, _ = eval_tree(built.sys.rhs(NodeCtx("main", write_node, Context.EMPTY)), look)
+    ((glob, rec),) = es.accesses
+    assert glob == "g" and rec.kind == "write"
     assert rec.locks == Lockset.of(["m"])
     # ... and the read after unlock holds nothing
-    es, _ = eval_tree(built.sys.rhs(NodeCtx("main", cfg.ret, Context.EMPTY), postproc=True), look)
-    (recs,) = [v.records for t, v in es.sides.items() if isinstance(t, AccCollector)]
-    (rec,) = recs
-    assert rec.kind == "read" and rec.locks == Lockset.top()
+    es, _ = eval_tree(built.sys.rhs(NodeCtx("main", cfg.ret, Context.EMPTY)), look)
+    ((glob, rec),) = es.accesses
+    assert glob == "g" and rec.kind == "read" and rec.locks == Lockset.top()
 
 
 def test_context_sensitivity_single_context_for_foo():

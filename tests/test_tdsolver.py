@@ -9,16 +9,16 @@ from minicheck import cli, tdsolver
 from minicheck.consys import (
     INIT,
     MAIN,
-    AccCollector,
     Ans,
     Context,
+    Emit,
     GlobalVar,
     NodeCtx,
     QGet,
     QSet,
 )
 from minicheck.corpus import CorpusSpec, corpus_source, edit_sequence
-from minicheck.domains import AccessSet, AddressSet, Env, LocalState, Lockset, ValueSet, leq
+from minicheck.domains import Access, AddressSet, Env, LocalState, Lockset, ValueSet, leq
 from minicheck.tdsolver import (
     Phase,
     Solver,
@@ -197,17 +197,21 @@ def test_side_unchanged_value_updates_bookkeeping_only():
     assert list(st.side_dep[g]) == [x]
 
 
-def test_side_to_access_collector_is_deferred_but_tracked():
-    x, acc = node("t", 0), AccCollector("g")
-    bot_of = lambda u: AccessSet.bot() if isinstance(u, AccCollector) else ValueSet.bot()
-    sys_ = eqsys_from_dict({x: Ans(vs(0))}, {}, x, bot_of)
-    st = SolverState()
-    solver = Solver(sys_, st)
-    rec = AccessSet.bot()
-    solver.side(x, acc, rec)
-    assert acc not in st.sigma
-    assert list(st.side_dep[acc]) == [x]
-    assert list(st.side_infl[x]) == [acc]
+def test_access_annotations_leave_the_solver_state_alone():
+    x, y = node("t", 0), node("t", 1)
+    rec = Access("write", Lockset.top(), "t", 0, 1)
+
+    def solved(annotate):
+        wrap = (lambda t: Emit("g", rec, t)) if annotate else (lambda t: t)
+        sys_ = simple_sys({x: wrap(QGet(y, lambda v: wrap(QSet(G, v, Ans(v))))),
+                           y: wrap(Ans(vs(1)))}, query=x)
+        st = SolverState()
+        run(sys_, st)
+        return snapshot(st)
+
+    got = solved(True)
+    assert got == solved(False)
+    assert (G, vs(1)) in got["sigma"]
 
 
 def test_side_changed_value_destabilizes_readers():
