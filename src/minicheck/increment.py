@@ -24,8 +24,14 @@ all their producers, purging values accumulated across runs.  The minimal
 strategy restarts exactly the globals that the old version of an edited
 function side-effected (read off ``side_infl`` before relabeling).
 
-Pruning drops everything no longer reachable from the query; postprocessing
-shares the evaluations of that one pure walk over σ.
+After the solve, one walk over σ finds what is reachable from the query;
+postprocessing shares its evaluations.  An unknown that stayed stable
+through the run and at which, at whose last reads and at whose side targets
+σ is unchanged since the run began is reused, not evaluated: its recorded
+successors are the inverse of ``infl`` minus the stale edges the walk noted
+when it last evaluated it.  So the walk evaluates only what the run
+touched.  Pruning drops the unknowns that left the reached set and the rows
+that name them.
 """
 
 from __future__ import annotations
@@ -283,6 +289,7 @@ def reanalyze(old_digests: dict, old_asg: NodeAssignment, st: SolverState,
     restarted = select_restart_globals(changes, st, old_asg) if restart == "minimal" else []
     built = build_system(new_prog, relabel_nodes(changes, old_asg, new_prog), domain)
     prepare = prepare_reluctant if mode == "reluctant" else prepare_plain
+    st.sigma_at_start = dict(st.sigma)
     pre_solve = prepare(changes, st, old_asg, built.sys)
     restart_globals(restarted, st)
     stats = run(built.sys, st, pre_solve, restart_wpoint=restart_wpoint)
@@ -295,12 +302,37 @@ def reanalyze(old_digests: dict, old_asg: NodeAssignment, st: SolverState,
 # ---------------------------------------------------------------------------
 
 
-def reachable_set(sys_: EqSys, st: SolverState, visit: Optional[Callable] = None) -> Set[Unknown]:
+def reachable_set(sys_: EqSys, st: SolverState, visit: Optional[Callable] = None,
+                  reuse: Optional[Callable] = None) -> Set[Unknown]:
     """Unknowns reachable from the query (and seeded starts) under σ: queried
-    dependencies plus side-effect targets.  Each reached rhs is evaluated
-    purely, once; `visit(u, eval_state, value)` sees that evaluation, with
-    its access records."""
-    look = sys_.lookup(st.sigma)
+    dependencies plus side-effect targets.
+
+    A reached unknown is *reusable* when it is stable and superstable and σ
+    is unchanged, by identity since ``st.sigma_at_start``, at itself, at
+    every unknown its last evaluation read and at every global it
+    side-effected.  Its rhs is not evaluated: the walk follows those
+    recorded successors and hands it to `reuse(u)` if it has a rhs.  Every
+    other reached rhs is evaluated purely, once; `visit(u, eval_state,
+    value)` sees that evaluation, with its access records, and ``st.stale``
+    records the ``infl`` edges it did not read.  Reuse presumes that a
+    verified walk followed the previous solve, as the pipeline does.  The
+    snapshot licenses one walk: it is cleared here."""
+    sigma, before = st.sigma, st.sigma_at_start
+    st.sigma_at_start = {}
+    look = sys_.lookup(sigma)
+    reads: Dict[Unknown, List[Unknown]] = {}  # the inverse of infl
+    for y, xs in st.infl.items():
+        for x in xs:
+            reads.setdefault(x, []).append(y)
+    reusable = set()
+    if before:
+        # Not reusable: what changed, what read it last and what side-effected it.
+        dirty = {u for u, v in sigma.items() if before.get(u) is not v}
+        dirty |= before.keys() - sigma.keys()
+        for y in list(dirty):
+            dirty.update(x for x in st.infl.get(y, ()) if y not in st.stale.get(x, ()))
+            dirty.update(st.side_dep.get(y, ()))
+        reusable = (st.superstable & st.stable) - dirty
     seeds = [sys_.query] + sorted(st.starts, key=sort_key) + sorted(sys_.starts, key=sort_key)
     reached: Set[Unknown] = set()
     stack = list(reversed(seeds))
@@ -309,12 +341,27 @@ def reachable_set(sys_: EqSys, st: SolverState, visit: Optional[Callable] = None
         if u in reached:
             continue
         reached.add(u)
+        if u in reusable:
+            if reuse is not None and sys_.has_rhs(u):
+                reuse(u)
+            stale = st.stale.get(u, ())
+            stack.extend(y for y in reads.get(u, ()) if y not in reached and y not in stale)
+            stack.extend(g for g in st.side_infl.get(u, ()) if g not in reached)
+            continue
         tree = sys_.rhs(u)
         if tree is None:
             continue
         es, value = eval_tree(tree, look)
         if visit is not None:
             visit(u, es, value)
+        last = reads.get(u, ())
+        # A stable unknown's reads all have infl edges: equal counts, none stale.
+        stale = [y for y in last if y not in es.queried] \
+            if len(last) != len(es.queried) or u not in st.stable else ()
+        if stale:
+            st.stale[u] = dict.fromkeys(stale)
+        else:
+            st.stale.pop(u, None)
         for y in es.queried:
             if y not in reached:
                 stack.append(y)
@@ -324,24 +371,31 @@ def reachable_set(sys_: EqSys, st: SolverState, visit: Optional[Callable] = None
     return reached
 
 
-def prune(sys_: EqSys, st: SolverState, reachable: Optional[Set[Unknown]] = None) -> None:
-    """Drop every unknown not reachable from the query from all solver maps."""
+def prune(sys_: EqSys, st: SolverState, reachable: Optional[Set[Unknown]] = None) -> Set[Unknown]:
+    """Drop every unknown not reachable from the query from all solver maps,
+    touching only the unknowns that left and the rows that name them.
+    Returns the unknowns that left."""
     R = reachable_set(sys_, st) if reachable is None else reachable
-    st.sigma = {u: v for u, v in st.sigma.items() if u in R}
-    st.stable &= R
-    st.superstable &= R
-    st.point &= R
-
-    def prune_map(m: Dict[Unknown, Dict[Unknown, None]]) -> Dict[Unknown, Dict[Unknown, None]]:
-        out: Dict[Unknown, Dict[Unknown, None]] = {}
-        for u, members in m.items():
-            if u not in R:
-                continue
-            kept = {y: None for y in members if y in R}
+    maps = (st.infl, st.side_dep, st.side_infl, st.stale)
+    left = st.sigma.keys() | st.stable | st.superstable | st.point
+    for m in maps:
+        left |= m.keys()
+        left.update(*m.values())
+    left -= R
+    if not left:
+        return left
+    for u in left:
+        st.sigma.pop(u, None)
+        st.stable.discard(u)
+        st.superstable.discard(u)
+        st.point.discard(u)
+        for m in maps:
+            m.pop(u, None)
+    for m in maps:
+        for u in [u for u, members in m.items() if not left.isdisjoint(members)]:
+            kept = {y: None for y in m[u] if y not in left}
             if kept:
-                out[u] = kept
-        return out
-
-    st.infl = prune_map(st.infl)
-    st.side_dep = prune_map(st.side_dep)
-    st.side_infl = prune_map(st.side_infl)
+                m[u] = kept
+            else:
+                del m[u]
+    return left

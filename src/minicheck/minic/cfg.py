@@ -142,8 +142,16 @@ class NodeAssignment:
 
     @staticmethod
     def from_json(doc: dict) -> "NodeAssignment":
-        return NodeAssignment({k: tuple(v) for k, v in doc["assign"].items()},
-                              doc["counter"])
+        """NodeTableError if a function has fewer ids than the entry and the
+        return node that every CFG has."""
+        assign = {k: tuple(v) for k, v in doc["assign"].items()}
+        for name, ids in assign.items():
+            if len(ids) < 2:
+                raise NodeTableError(
+                    f"state bundle node ids of function {name!r} do not fit any CFG "
+                    f"({len(ids)} ids for at least 2 nodes); "
+                    "delete the state dir to reanalyze from scratch")
+        return NodeAssignment(assign, doc["counter"])
 
 
 def assign_node_ids(prog: Program, old: NodeAssignment,

@@ -86,7 +86,7 @@ def build_system(prog: Program, assignment: NodeAssignment,
     integer value domain, "valueset" or "interval"."""
     cfgs = build_cfgs(prog, assignment)
     gen = _SystemGen(prog, cfgs, Interval if domain == "interval" else ValueSet)
-    sys_ = EqSys(gen.rhs, gen.starts(), MAIN, gen.bot_of)
+    sys_ = EqSys(gen.rhs, gen.starts(), MAIN, gen.bot_of, gen.has_rhs)
     return BuiltSystem(sys_, cfgs, assignment)
 
 
@@ -114,19 +114,22 @@ class _SystemGen:
         return {StartOf(MAIN_HARNESS, Context.EMPTY):
                 LocalState(harness_env, Lockset.top())}
 
-    def rhs(self, u: Unknown) -> Optional[Tree]:
-        if u is INIT or isinstance(u, type(INIT)):
-            return self._init_rhs()
-        if u is MAIN or isinstance(u, type(MAIN)):
-            return self._harness_rhs()
+    def has_rhs(self, u: Unknown) -> bool:
         if isinstance(u, NodeCtx):
-            cfg = self.cfgs.get(u.fn)
-            if cfg is None or u.node not in cfg.node_ids:
-                return None
-            if u.node == cfg.entry:
-                return Ans(LocalState.bot())
-            return self._node_rhs(cfg, u.node, u.ctx)
-        return None
+            return self._node_to_fn.get(u.node) == u.fn
+        return isinstance(u, (type(INIT), type(MAIN)))
+
+    def rhs(self, u: Unknown) -> Optional[Tree]:
+        if not self.has_rhs(u):
+            return None
+        if isinstance(u, type(INIT)):
+            return self._init_rhs()
+        if isinstance(u, type(MAIN)):
+            return self._harness_rhs()
+        cfg = self.cfgs[u.fn]
+        if u.node == cfg.entry:
+            return Ans(LocalState.bot())
+        return self._node_rhs(cfg, u.node, u.ctx)
 
     # -- harness ---------------------------------------------------------------
 

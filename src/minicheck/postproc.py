@@ -2,13 +2,16 @@
 
 Warnings are generated only after solving has finished (widening can
 introduce spurious values that narrowing later removes, so generating them
-mid-solve would overreport).  The reachability walk evaluates each reached
-rhs once; that evaluation verifies the unknown and, if it left
-``superstable`` during the incremental run, yields the access records its
-rhs emits; for the rest, the previous run's per-producer access records are
-reused.  Because every record is attributed to the unknown that produced
-it, records of vanished producers vanish with them, so stale data-race
-evidence cannot accumulate across reanalyses.
+mid-solve would overreport).  The reachability walk evaluates a reached rhs
+at most once; that evaluation verifies the unknown and yields the access
+records its rhs emits.  An unknown the walk reuses instead (it stayed
+superstable, and σ at it, at its last reads and at its side targets is the
+object the run began with) keeps the previous run's check and access
+records: they were made at exactly these inputs, and a state is only
+persisted after a run whose check passed.  Because every record is
+attributed to the unknown that produced it, records of vanished producers
+vanish with them, so stale data-race evidence cannot accumulate across
+reanalyses.
 
 Warning identity hashes the kind, the provenance unknowns and a message
 skeleton, never source locations: moved-but-unchanged code keeps its warning
@@ -133,37 +136,42 @@ def postprocess(built: BuiltSystem, st: SolverState, prev: WarnStore,
     `prev`, prune the solver state to what is reachable, then run the
     whole-store analyses.
 
-    Returns the new store plus statistics (which unknowns were re-evaluated
-    versus reused)."""
+    Returns the new store plus statistics: the keys of the reached stable
+    unknowns that left ``superstable`` (`reevaluated`), the ones that did
+    not (`reused`, unknowns, not keys) and the keys of every unknown the
+    walk evaluated (`evaluated`)."""
     sys_ = built.sys
-    prev_by_producer: Dict[str, List[Tuple[str, FrozenSet[Access]]]] = {}
+    prev_globals: Dict[str, List[str]] = {}  # producer key -> globals it has records of
     for g, producers in prev.accesses.items():
-        for p, records in producers.items():
-            prev_by_producer.setdefault(p, []).append((g, records))
-
-    store = WarnStore()
+        for p in producers:
+            prev_globals.setdefault(p, []).append(g)
+    store = WarnStore({g: dict(producers) for g, producers in prev.accesses.items()})
     violations: List[Violation] = []
-    stats: Dict[str, List[str]] = {"reevaluated": [], "reused": []}
+    stats: Dict[str, list] = {"reevaluated": [], "reused": [], "evaluated": []}
+
+    def forget(key):
+        for g in prev_globals.get(key, ()):
+            store.accesses[g].pop(key, None)
 
     def visit(u, es, value):
+        key = unknown_key(u)
+        stats["evaluated"].append(key)
+        forget(key)
         if u not in st.stable:
             return
         violations.extend(check_unknown(sys_, st, u, es, value))
-        key = unknown_key(u)
         if u in st.superstable:
-            stats["reused"].append(key)
-            for g, records in prev_by_producer.get(key, ()):
-                store.accesses.setdefault(g, {})[key] = records
+            stats["reused"].append(u)
         else:
             stats["reevaluated"].append(key)
-            records: Dict[str, Set[Access]] = {}
-            for g, access in es.accesses:
-                records.setdefault(g, set()).add(access)
-            for g, rs in records.items():
-                store.accesses.setdefault(g, {})[key] = frozenset(rs)
+        records: Dict[str, Set[Access]] = {}
+        for g, access in es.accesses:
+            records.setdefault(g, set()).add(access)
+        for g, rs in records.items():
+            store.accesses.setdefault(g, {})[key] = frozenset(rs)
 
     sigma_keys_before = frozenset(st.sigma.keys())
-    reachable = reachable_set(sys_, st, visit)
+    reachable = reachable_set(sys_, st, visit, stats["reused"].append)
     assert frozenset(st.sigma.keys()) == sigma_keys_before, \
         "postprocessing must not modify the solution"
     violations.extend(verify_solution(sys_, st, st.stable - reachable))
@@ -172,7 +180,9 @@ def postprocess(built: BuiltSystem, st: SolverState, prev: WarnStore,
 
     # Pruning first: a context that the edit made unreachable must not
     # contribute warnings.
-    prune(sys_, st, reachable)
+    for u in prune(sys_, st, reachable):
+        forget(unknown_key(u))
+    store.accesses = {g: producers for g, producers in store.accesses.items() if producers}
     contexts = recorded_contexts(st, built.assignment)
     warnings: List[Warning] = []
     warnings.extend(races(store, built, filename))

@@ -83,6 +83,13 @@ class SolverState:
     ``infl``, ``side_dep`` and ``side_infl`` are insertion-ordered sets
     (dicts with None values); destabilization iterates ``infl`` in recorded
     order, which keeps counters and warning output reproducible.
+
+    ``infl`` keeps edges of older evaluations: `x` stays in ``infl[y]`` after
+    an evaluation of `x` that no longer reads `y`.  ``stale`` maps each such
+    `x` to those `y`, as the post-solve walk last found them, so that the
+    reads of an evaluation are the inverse of ``infl`` minus ``stale``.
+    ``sigma_at_start`` is σ as a reanalysis found it, before anything
+    changed; it is not persisted.
     """
 
     def __init__(self):
@@ -93,7 +100,9 @@ class SolverState:
         self.point: set = set()
         self.side_dep: Dict[Unknown, Dict[Unknown, None]] = {}
         self.side_infl: Dict[Unknown, Dict[Unknown, None]] = {}
+        self.stale: Dict[Unknown, Dict[Unknown, None]] = {}
         self.superstable: set = set()
+        self.sigma_at_start: Dict[Unknown, Value] = {}
         self.starts: Dict[Unknown, Value] = {}
         self.rhs_evals = 0
         self.destabilizations = 0
@@ -369,13 +378,13 @@ def verify_solution(sys_: EqSys, state: SolverState,
 # Persistence (format 2).  Every unknown is written once, into the table
 # "unknowns" (sorted by sort_key), and every distinct value once, into
 # "values" (in order of first use); the maps refer to both by index.
-# superstable and called are not persisted: superstable is reconstructed
-# when an incremental run begins, called is empty at rest.
+# superstable, sigma_at_start and called are not persisted: the first two
+# are reconstructed when an incremental run begins, called is empty at rest.
 # ---------------------------------------------------------------------------
 
 
 def state_to_json(state: SolverState) -> dict:
-    maps = (state.infl, state.side_dep, state.side_infl)
+    maps = (state.infl, state.side_dep, state.side_infl, state.stale)
     unknowns = set(state.sigma) | state.stable | state.point | set(state.starts)
     for m in maps:
         for u, members in m.items():
@@ -405,6 +414,7 @@ def state_to_json(state: SolverState) -> dict:
         "point": sorted(index[u] for u in state.point),
         "side_dep": omap(state.side_dep),
         "side_infl": omap(state.side_infl),
+        "stale": omap(state.stale),
         "starts": starts,
         "counters": {
             "rhs_evals": state.rhs_evals,
@@ -430,6 +440,7 @@ def state_from_json(doc: dict) -> SolverState:
     st.point = {unknowns[u] for u in doc["point"]}
     st.side_dep = from_omap(doc["side_dep"])
     st.side_infl = from_omap(doc["side_infl"])
+    st.stale = from_omap(doc["stale"])
     st.starts = {unknowns[u]: values[v] for u, v in doc["starts"]}
     st.rhs_evals = doc["counters"]["rhs_evals"]
     st.destabilizations = doc["counters"]["destabilizations"]

@@ -21,11 +21,14 @@ from minicheck.consys import (
     QGet,
     QSet,
     eval_tree,
+    sort_key,
     unknown_key,
 )
 from minicheck.domains import Access, Lockset, Value, ValueSet, access_to_json, join, value_to_json
+from minicheck.increment import recorded_contexts
 from minicheck.minic import NodeAssignment, assign_node_ids, build_system, parse
-from minicheck.tdsolver import SolverState, run
+from minicheck.postproc import StateCorruption, WarnStore, _dead_code, _unsound_stores, races
+from minicheck.tdsolver import SolverState, check_unknown, run, verify_solution
 
 # ---------------------------------------------------------------------------
 # The running example (two concurrent functions sharing one global)
@@ -279,3 +282,99 @@ def kleene_local_solution(rhs: dict, deps: dict, starts: dict, query) -> tuple:
     reached = oracle_reached_static(deps, query)
     sub = {x: t for x, t in rhs.items() if x in reached}
     return kleene_solve(sub, starts), reached
+
+
+# ---------------------------------------------------------------------------
+# Post-solve work done in full: the reference for the incremental walk,
+# pruning and postprocessing, which skip what an edit left alone
+# ---------------------------------------------------------------------------
+
+
+def full_reachable_set(sys_: EqSys, st: SolverState, visit: Callable = None) -> set:
+    """Unknowns reachable from the query (and seeded starts) under σ, each
+    reached rhs evaluated purely, once; `visit(u, eval_state, value)` sees
+    that evaluation."""
+    look = sys_.lookup(st.sigma)
+    seeds = [sys_.query] + sorted(st.starts, key=sort_key) + sorted(sys_.starts, key=sort_key)
+    reached = set()
+    stack = list(reversed(seeds))
+    while stack:
+        u = stack.pop()
+        if u in reached:
+            continue
+        reached.add(u)
+        tree = sys_.rhs(u)
+        if tree is None:
+            continue
+        es, value = eval_tree(tree, look)
+        if visit is not None:
+            visit(u, es, value)
+        stack.extend(y for y in es.queried if y not in reached)
+        stack.extend(g for g in es.sides if g not in reached)
+    return reached
+
+
+def full_prune(st: SolverState, reachable: set) -> None:
+    """Rebuild every solver map from what `reachable` holds."""
+    R = reachable
+    st.sigma = {u: v for u, v in st.sigma.items() if u in R}
+    st.stable &= R
+    st.superstable &= R
+    st.point &= R
+
+    def prune_map(m):
+        out = {}
+        for u, members in m.items():
+            if u not in R:
+                continue
+            kept = {y: None for y in members if y in R}
+            if kept:
+                out[u] = kept
+        return out
+
+    st.infl = prune_map(st.infl)
+    st.side_dep = prune_map(st.side_dep)
+    st.side_infl = prune_map(st.side_infl)
+
+
+def full_postprocess(built, st: SolverState, prev: WarnStore, filename: str = "<input>"):
+    """Postprocessing that evaluates and checks every reached stable unknown;
+    a superstable one takes its access records from `prev`.  Returns the
+    store, the keys of the re-evaluated and the reused unknowns, and the
+    reached set."""
+    sys_ = built.sys
+    prev_by_producer = {}
+    for g, producers in prev.accesses.items():
+        for p, records in producers.items():
+            prev_by_producer.setdefault(p, []).append((g, records))
+    store = WarnStore()
+    violations = []
+    stats = {"reevaluated": [], "reused": []}
+
+    def visit(u, es, value):
+        if u not in st.stable:
+            return
+        violations.extend(check_unknown(sys_, st, u, es, value))
+        key = unknown_key(u)
+        if u in st.superstable:
+            stats["reused"].append(key)
+            for g, records in prev_by_producer.get(key, ()):
+                store.accesses.setdefault(g, {})[key] = records
+        else:
+            stats["reevaluated"].append(key)
+            records = {}
+            for g, access in es.accesses:
+                records.setdefault(g, set()).add(access)
+            for g, rs in records.items():
+                store.accesses.setdefault(g, {})[key] = frozenset(rs)
+
+    reachable = full_reachable_set(sys_, st, visit)
+    violations.extend(verify_solution(sys_, st, st.stable - reachable))
+    if violations:
+        raise StateCorruption(f"internal error: solution verification failed: {violations[:3]}")
+    full_prune(st, reachable)
+    contexts = recorded_contexts(st, built.assignment)
+    warnings = races(store, built, filename) + _unsound_stores(built, st, contexts, filename) \
+        + _dead_code(built, st, contexts, filename)
+    store.warnings = sorted(warnings, key=lambda w: (w.kind, w.id, w.message))
+    return store, stats, reachable

@@ -16,7 +16,7 @@ import pytest
 from minicheck import cli, consys, postproc, tdsolver
 from minicheck.consys import MAIN, Context, GlobalVar, NodeCtx
 from minicheck.corpus import CorpusSpec, corpus_source
-from minicheck.domains import ValueSet
+from minicheck.domains import LocalState, ValueSet
 from minicheck.minic import parse, system
 from minicheck.tdsolver import state_from_json
 
@@ -110,6 +110,8 @@ def test_reanalyze_round_trip_on_unchanged_source(ws):
     assert diff["added"] == [] and diff["removed"] == []
     assert [w["id"] for w in diff["kept"]] == [w["id"] for w in json.loads(warn0)]
     assert bundle_of(sd)["solver"]["counters"]["rhs_evals"] == evals_before
+    # nothing changed, so the post-solve walk evaluates no rhs
+    assert json.loads(err)["postprocess"] == {"reevaluated": 0, "reused": 8, "evaluated": 0}
 
 
 def test_reanalyze_without_bundle_falls_back_to_analyze(ws):
@@ -528,6 +530,43 @@ def test_serve_answers_a_node_table_that_does_not_fit_the_source_with_an_error(w
                for r in responses[:2])
 
 
+REMOVES_H = "int g = 0; int f(int x) { return x; } %sint main() { y = f(1); return 0; }\n"
+
+
+def _empty_the_node_ids_of_h(src, sd):
+    """Analyze a program with a function `h`, empty `h`'s node ids in the
+    bundle and remove `h` from the source: the ids of a removed function are
+    read, never reused."""
+    write(src, REMOVES_H % "int h(int x) { return x; } ")
+    opts = cli.Options(state_dir=sd)
+    assert invoke(cli.cmd_analyze, src, opts)[0] == 0
+    doc = bundle_of(sd)
+    doc["nodes"]["assign"]["h"] = []
+    write(os.path.join(sd, "bundle.json"), json.dumps(doc))
+    write(src, REMOVES_H % "")
+    return opts
+
+
+EMPTY_IDS_OF_H = ("state bundle node ids of function 'h' do not fit any CFG (0 ids for at "
+                  "least 2 nodes); delete the state dir to reanalyze from scratch")
+
+
+def test_empty_node_ids_of_a_removed_function_exit_two(ws):
+    src, sd = ws
+    opts = _empty_the_node_ids_of_h(src, sd)
+    assert invoke(cli.cmd_reanalyze, src, opts) == (2, "", f"error: {EMPTY_IDS_OF_H}\n")
+
+
+def test_serve_answers_empty_node_ids_of_a_removed_function_with_an_error(ws):
+    src, sd = ws
+    opts = _empty_the_node_ids_of_h(src, sd)
+    responses = serve_lines(opts, [
+        json.dumps({"id": 1, "method": "reanalyze", "path": src}),
+        json.dumps({"id": 2, "method": "shutdown"}),
+    ])
+    assert responses == [{"id": 1, "error": EMPTY_IDS_OF_H}, {"id": 2, "result": "bye"}]
+
+
 def _corpus_edits():
     """A small corpus and three cumulative edits; f003 writes a global, so
     its `gval` edits restart that global."""
@@ -699,7 +738,61 @@ def _lower_unreachable(sys_, state):
     state.sigma.pop(NodeCtx("main", _main_return(sys_, state).node, unused))
 
 
-@pytest.mark.parametrize("plant", [_lower_reachable, _lower_unreachable])
+def _reused(state):
+    """Stable nodes with a value outside `main` that no edit touched:
+    superstable after a reanalysis; after an analyze, which reuses nothing,
+    every stable one."""
+    return sorted((u for u in state.superstable or state.stable
+                   if isinstance(u, NodeCtx) and u.fn != "main" and u in state.sigma),
+                  key=consys.sort_key)
+
+
+def _reads_of_reused(sys_, state):
+    """(reused unknown, a node it reads that has a value), in order."""
+    for x in _reused(state):
+        es, _ = consys.eval_tree(sys_.rhs(x), sys_.lookup(state.sigma))
+        for y in es.queried:
+            if isinstance(y, NodeCtx) and y in state.sigma:
+                yield x, y
+
+
+def _lower_a_read_of_a_reused_unknown(sys_, state):
+    _, y = next(_reads_of_reused(sys_, state))
+    state.sigma.pop(y)
+
+
+def _raise_a_read_of_a_reused_unknown(sys_, state):
+    """Raise the parameter `p` to Top at a node that a reused unknown reads:
+    that node's own check still holds, its reader's does not."""
+    for _, y in _reads_of_reused(sys_, state):
+        s = state.sigma[y]
+        if not s.is_bot() and "p" in s.env.as_dict():
+            state.sigma[y] = LocalState(s.env.set("p", ValueSet.top()), s.locks)
+            return
+    raise AssertionError("no reused unknown reads a node that binds p")
+
+
+def _lower_a_global_a_reused_unknown_writes(sys_, state):
+    """Lower a global to what the initializer writes: only the reused writer
+    exceeds it."""
+    init, _ = consys.eval_tree(sys_.rhs(consys.INIT), sys_.lookup(state.sigma))
+    for x in _reused(state):
+        for g in state.side_infl.get(x, ()):
+            if isinstance(g, GlobalVar) and state.sigma.get(g) != init.sides[g]:
+                state.sigma[g] = init.sides[g]
+                return
+    raise AssertionError("no reused unknown writes a global beyond its initial value")
+
+
+def _drop_a_reused_unknown(sys_, state):
+    state.sigma.pop(next(u for u in _reused(state) if u not in state.side_dep))
+
+
+@pytest.mark.parametrize("plant", [_lower_reachable, _lower_unreachable,
+                                   _lower_a_read_of_a_reused_unknown,
+                                   _raise_a_read_of_a_reused_unknown,
+                                   _lower_a_global_a_reused_unknown_writes,
+                                   _drop_a_reused_unknown])
 @pytest.mark.parametrize("command", ["analyze", "reanalyze"])
 def test_a_planted_violation_fails_verification(ws, monkeypatch, command, plant):
     src, sd = ws
@@ -979,12 +1072,13 @@ def _pinned_versions():
 
 
 # (rhs_evals_total, destabilizations_total, step-1 rhs evaluations, step-2 rhs
-# evaluations, re-evaluated, reused) after the analyze and after each edit.
+# evaluations, re-evaluated, reused, evaluated by the post-solve walk) after
+# the analyze and after each edit.
 PINNED_COUNTS = [
-    (3508, 4055, 0, 3508, 1388, 0),
-    (3512, 4058, 4, 0, 4, 1384),
-    (4465, 5129, 7, 946, 237, 1151),
-    (4662, 5327, 4, 193, 197, 1191),
+    (3508, 4055, 0, 3508, 1388, 0, 1388),
+    (3512, 4058, 4, 0, 4, 1384, 4),
+    (4465, 5129, 7, 946, 237, 1151, 237),
+    (4662, 5327, 4, 193, 197, 1191, 197),
 ]
 
 # The sorted warning ids after the analyze and after each edit: ids are
@@ -1000,7 +1094,8 @@ def test_counters_of_an_analyze_and_three_edits_are_pinned(tmp_path):
     def counts(r):  # read at once: a reanalysis updates the state in place
         return (r.session.state.rhs_evals, r.session.state.destabilizations,
                 r.run_stats["step1_rhs_evals"], r.run_stats["step2_rhs_evals"],
-                len(r.post_stats["reevaluated"]), len(r.post_stats["reused"]))
+                len(r.post_stats["reevaluated"]), len(r.post_stats["reused"]),
+                len(r.post_stats["evaluated"]))
 
     def warning_ids(r):
         return sorted(w.id for w in r.session.store.warnings)

@@ -264,6 +264,16 @@ def test_in_edge_index_agrees_with_a_scan_of_the_edges():
                 assert cfg.edge_between(src, dst) == (scanned[0] if scanned else None)
 
 
+def test_has_rhs_agrees_with_building_the_rhs():
+    built, st, _ = analyze_source(FIG2)
+    foo_node = next(u for u in st.sigma if isinstance(u, NodeCtx) and u.fn == "foo")
+    unknowns = set(st.sigma) | set(st.infl) | {
+        NodeCtx("main", foo_node.node, Context.EMPTY),  # foo's node id, main's name
+        NodeCtx("gone", 1, Context.EMPTY), StartOf("__main", Context.EMPTY), GlobalVar("g")}
+    for u in unknowns:
+        assert built.sys.has_rhs(u) == (built.sys.rhs(u) is not None), u
+
+
 def test_loop_as_first_statement_gets_its_own_head():
     # the back edge must not target the entry node: entry right-hand sides
     # are constant Bot, so a back edge into them would be ignored

@@ -1,6 +1,10 @@
 import json
 
+import pytest
+
+from minicheck import cli, postproc
 from minicheck.consys import Context
+from minicheck.corpus import CorpusSpec, corpus_source, edit_sequence
 from minicheck.domains import Access, AddressSet, Lockset
 from minicheck.increment import (
     detect_changes,
@@ -19,7 +23,7 @@ from minicheck.postproc import (
 from minicheck.tdsolver import run
 
 
-from support import FIG2, FIG2_EDIT, analyze_source
+from support import FIG2, FIG2_EDIT, analyze_source, full_postprocess
 
 BETA0 = Context.of({"p": AddressSet.of(["g"])})
 
@@ -114,6 +118,74 @@ def test_postprocess_never_changes_sigma():
     # prune may drop entries, but no value may change
     for u, v in st.sigma.items():
         assert before[u] == v
+
+
+# -- the incremental walk and pruning against the full ones ----------------------------
+
+
+def _reference_reanalysis(session, text, opts):
+    """The pipeline with the full walk, pruning and postprocessing."""
+    prog = parse(text)
+    _, built, _ = reanalyze(session.digests, session.assignment, session.state, prog,
+                            opts.mode, opts.restart, opts.domain,
+                            restart_wpoint=opts.wpoint_restart)
+    store, stats, reached = full_postprocess(built, session.state, session.store, "prog.mc")
+    return cli.Session(prog.digests, built.assignment, session.state, store), stats, reached
+
+
+def _ordered(m):
+    return [(u, list(members)) for u, members in m.items()]
+
+
+def _assert_same_as_the_full_walk(versions, opts, monkeypatch):
+    """Run `versions` through the pipeline and through the reference side by
+    side; after every step both leave the same state, store and counts."""
+    walks = []
+    walk = postproc.reachable_set
+    monkeypatch.setattr(postproc, "reachable_set", lambda *a: walks.append(walk(*a)) or walks[-1])
+    session, reference = cli.Session.empty(), cli.Session.empty()
+    for step, text in enumerate(versions):
+        result = cli.run_reanalysis(session, text, "prog.mc", opts)
+        session = result.session
+        reference, ref_stats, ref_reached = _reference_reanalysis(reference, text, opts)
+        st, ref = session.state, reference.state
+        assert walks[-1] == ref_reached, f"step {step}"
+        assert st.sigma == ref.sigma, f"step {step}"
+        for name in ("infl", "side_dep", "side_infl"):
+            assert _ordered(getattr(st, name)) == _ordered(getattr(ref, name)), f"step {step}"
+        assert (st.stable, st.point) == (ref.stable, ref.point), f"step {step}"
+        assert session.store.to_json() == reference.store.to_json(), f"step {step}"
+        assert [len(result.post_stats[k]) for k in ("reevaluated", "reused")] == \
+            [len(ref_stats[k]) for k in ("reevaluated", "reused")], f"step {step}"
+        # the reanalyses reuse: they evaluate fewer rhs than the full walk
+        assert step == 0 or len(result.post_stats["evaluated"]) < \
+            len(ref_stats["reevaluated"]) + len(ref_stats["reused"]), f"step {step}"
+
+
+@pytest.mark.parametrize("wpoint_restart", [False, True])
+@pytest.mark.parametrize("restart", ["off", "minimal"])
+@pytest.mark.parametrize("mode", ["plain", "reluctant"])
+def test_the_walk_reuses_exactly_what_the_full_walk_would_find(monkeypatch, mode, restart,
+                                                               wpoint_restart):
+    spec = CorpusSpec(n_functions=40, seed=7)
+    versions = [corpus_source(s) for s in [spec, *edit_sequence(spec, 10, seed=3)]]
+    opts = cli.Options(mode=mode, restart=restart, wpoint_restart=wpoint_restart)
+    _assert_same_as_the_full_walk(versions, opts, monkeypatch)
+
+
+# `h`'s loop node first calls `f` in the context x ↦ {0}, then in a wider one:
+# its infl edge from the first evaluation stays, and only `main`'s call keeps
+# that context reachable.
+STALE_EDGE = """int f(int x){a = x + 1; return a;}
+int h(){k = 0; while (k < 3) {r = f(k); k = k + 1;} return 0;}
+int main(){%sr = h(); return 0;}
+"""
+
+
+def test_a_stale_infl_edge_does_not_keep_an_unknown_reachable(monkeypatch):
+    with_call, without = STALE_EDGE % "s = f(0); ", STALE_EDGE % ""
+    assert cli.run_analysis(with_call, "prog.mc", cli.Options()).session.state.stale
+    _assert_same_as_the_full_walk([with_call, without, with_call], cli.Options(), monkeypatch)
 
 
 def test_warnstore_json_roundtrip():
