@@ -190,10 +190,10 @@ def run_reanalysis(session: Session, text: str, filename: str,
     place (and is unusable if this raises)."""
     prog = parse(text)
     state = session.state
-    changes, built, run_stats = reanalyze(session.digests, session.assignment, state, prog,
-                                          opts.mode, opts.restart, opts.domain,
-                                          restart_wpoint=opts.wpoint_restart)
-    store, post_stats = postprocess(built, state, session.store, filename)
+    changes, built, run_stats, start = reanalyze(session.digests, session.assignment, state,
+                                                 prog, opts.mode, opts.restart, opts.domain,
+                                                 restart_wpoint=opts.wpoint_restart)
+    store, post_stats = postprocess(built, state, session.store, filename, start)
     return AnalysisResult(Session(prog.digests, built.assignment, state, store),
                           run_stats, post_stats, diff_warnings(session.store, store),
                           changes.to_json())

@@ -276,14 +276,14 @@ class EqSys:
 
     ``rhs(u)`` returns the strategy tree of `u`, or None if `u` has no
     right-hand side (a flow-insensitive unknown, whose values arrive by
-    side-effect only); ``has_rhs(u)`` tells which without building the tree
-    (by default it builds it).  `starts` are seeded into σ before solving.
+    side-effect only); ``has_rhs(u)`` tells which without building the tree.
+    `starts` are seeded into σ before solving.
     """
 
     def __init__(self, rhs: Callable, starts: dict, query: Unknown, bot_of: Callable,
-                 has_rhs: Optional[Callable] = None):
+                 has_rhs: Callable):
         self.rhs = rhs
-        self.has_rhs = has_rhs if has_rhs is not None else (lambda u: rhs(u) is not None)
+        self.has_rhs = has_rhs
         self.starts = dict(starts)
         self.query = query
         self.bot_of = bot_of

@@ -25,13 +25,19 @@ strategy restarts exactly the globals that the old version of an edited
 function side-effected (read off ``side_infl`` before relabeling).
 
 After the solve, one walk over σ finds what is reachable from the query;
-postprocessing shares its evaluations.  An unknown that stayed stable
-through the run and at which, at whose last reads and at whose side targets
-σ is unchanged since the run began is reused, not evaluated: its recorded
-successors are the inverse of ``infl`` minus the stale edges the walk noted
-when it last evaluated it.  So the walk evaluates only what the run
-touched.  Pruning drops the unknowns that left the reached set and the rows
-that name them.
+postprocessing shares its evaluations.  `reanalyze` returns σ and the stable
+set as it found them (a `StartState`).  Given that snapshot, the walk reuses
+an unknown that stayed stable through the run and at which, at whose last
+reads and at whose side targets σ is unchanged since the run began: it is
+not evaluated, and its recorded successors are the inverse of ``infl``
+minus the stale edges the walk noted when it last evaluated it.  So the walk
+evaluates only what the run touched.  An edit can rewrite a rhs outside the
+edited function without the solver noticing (a call site builds the callee's
+start state from the callee's locals; the global declarations decide what a
+name denotes), so those unknowns are never reused, and after an edit of the
+global declarations `reanalyze` returns no snapshot and the walk evaluates
+every reached rhs.  Pruning drops the unknowns that left the reached set and
+the rows that name them.
 """
 
 from __future__ import annotations
@@ -51,12 +57,25 @@ from .consys import (
     sort_key,
     unknown_key,
 )
+from .domains import Value
 from .minic.cfg import NodeAssignment, assign_node_ids
 from .minic.syntax import Program
 from .minic.system import BuiltSystem, build_system
 from .tdsolver import SolverState, run
 
 INIT_PSEUDO_FN = "__init"
+
+
+@dataclass(frozen=True)
+class StartState:
+    """σ and the stable set as a reanalysis found them, before it changed
+    anything, and the unknowns whose right-hand side the edit may have
+    rewritten although their own function is unchanged; the post-solve walk
+    compares against them.  Not persisted."""
+
+    sigma: Dict[Unknown, Value]
+    stable: Set[Unknown]
+    rewritten: Set[Unknown]
 
 
 @dataclass(frozen=True)
@@ -276,25 +295,44 @@ def restart_globals(G: Iterable[Unknown], st: SolverState) -> None:
 def reanalyze(old_digests: dict, old_asg: NodeAssignment, st: SolverState,
               new_prog: Program, mode: str = "reluctant", restart: str = "minimal",
               domain: str = "valueset", *,
-              restart_wpoint: bool = False) -> Tuple[ChangeSet, BuiltSystem, dict]:
+              restart_wpoint: bool = False) -> Tuple[ChangeSet, BuiltSystem, dict,
+                                                     Optional[StartState]]:
     """Bring `st`, the solver state of the program with `old_digests`, up to
     date with `new_prog`.
 
     `mode` is "plain" or "reluctant" destabilization; `restart` is "off" or
     "minimal"; `domain` is the integer value domain of `build_system`.  The
     restart set is read off the old state before relabeling erases the old
-    unknowns.  Returns the change set, the new system and the solver's
-    per-step statistics plus the keys of the restarted globals."""
+    unknowns.  Returns the change set, the new system, the solver's per-step
+    statistics plus the keys of the restarted globals, and the state as the
+    run found it (None when the walk must reuse nothing)."""
     changes = detect_changes(old_digests, new_prog)
     restarted = select_restart_globals(changes, st, old_asg) if restart == "minimal" else []
     built = build_system(new_prog, relabel_nodes(changes, old_asg, new_prog), domain)
     prepare = prepare_reluctant if mode == "reluctant" else prepare_plain
-    st.sigma_at_start = dict(st.sigma)
+    # Global declarations decide which names in unchanged functions denote
+    # globals, so after an edit of them nothing is reused.
+    start = None if INIT_PSEUDO_FN in changes.changed else \
+        StartState(dict(st.sigma), set(st.stable), _entry_producers(changes, st, old_asg))
     pre_solve = prepare(changes, st, old_asg, built.sys)
     restart_globals(restarted, st)
     stats = run(built.sys, st, pre_solve, restart_wpoint=restart_wpoint)
     stats["restarted"] = [unknown_key(g) for g in restarted]
-    return changes, built, stats
+    return changes, built, stats, start
+
+
+def _entry_producers(changes: ChangeSet, st: SolverState,
+                     old_asg: NodeAssignment) -> Set[Unknown]:
+    """The call sites, creation sites and harness that side-effect the entry
+    of an edited function: the start state they side-effect lists that
+    function's locals, so their right-hand sides change with its body."""
+    entries = {fn: old_asg.assign[fn][0] for fn in changes.changed | changes.header_changed
+               if fn in old_asg.assign}
+    out: Set[Unknown] = set()
+    for u, producers in st.side_dep.items():
+        if isinstance(u, NodeCtx) and entries.get(u.fn) == u.node:
+            out.update(producers)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -303,36 +341,39 @@ def reanalyze(old_digests: dict, old_asg: NodeAssignment, st: SolverState,
 
 
 def reachable_set(sys_: EqSys, st: SolverState, visit: Optional[Callable] = None,
-                  reuse: Optional[Callable] = None) -> Set[Unknown]:
+                  reuse: Optional[Callable] = None,
+                  start: Optional[StartState] = None) -> Set[Unknown]:
     """Unknowns reachable from the query (and seeded starts) under σ: queried
     dependencies plus side-effect targets.
 
-    A reached unknown is *reusable* when it is stable and superstable and σ
-    is unchanged, by identity since ``st.sigma_at_start``, at itself, at
-    every unknown its last evaluation read and at every global it
-    side-effected.  Its rhs is not evaluated: the walk follows those
-    recorded successors and hands it to `reuse(u)` if it has a rhs.  Every
-    other reached rhs is evaluated purely, once; `visit(u, eval_state,
-    value)` sees that evaluation, with its access records, and ``st.stale``
-    records the ``infl`` edges it did not read.  Reuse presumes that a
-    verified walk followed the previous solve, as the pipeline does.  The
-    snapshot licenses one walk: it is cleared here."""
-    sigma, before = st.sigma, st.sigma_at_start
-    st.sigma_at_start = {}
+    Given `start`, the state the reanalysis that produced σ began with, a
+    reached unknown is *reusable* when it is stable and superstable, its rhs
+    is not among ``start.rewritten`` and σ is unchanged, by identity since
+    `start`, at itself, at every unknown its last evaluation read and at
+    every global it side-effected.  Its rhs is not evaluated: the walk
+    follows those recorded successors and hands it to `reuse(u)` if it has
+    a rhs.  Every other reached rhs is evaluated purely, once; `visit(u,
+    eval_state, value)` sees that evaluation, with its access records, and
+    ``st.stale`` records the ``infl`` edges it did not read.  Reuse
+    presumes that the state `start` records was left by a verified walk, as
+    every persisted state is; without `start` every reached rhs is
+    evaluated."""
+    sigma = st.sigma
     look = sys_.lookup(sigma)
     reads: Dict[Unknown, List[Unknown]] = {}  # the inverse of infl
     for y, xs in st.infl.items():
         for x in xs:
             reads.setdefault(x, []).append(y)
     reusable = set()
-    if before:
+    if start is not None and start.sigma:
+        before = start.sigma
         # Not reusable: what changed, what read it last and what side-effected it.
         dirty = {u for u, v in sigma.items() if before.get(u) is not v}
         dirty |= before.keys() - sigma.keys()
         for y in list(dirty):
             dirty.update(x for x in st.infl.get(y, ()) if y not in st.stale.get(x, ()))
             dirty.update(st.side_dep.get(y, ()))
-        reusable = (st.superstable & st.stable) - dirty
+        reusable = (st.superstable & st.stable) - dirty - start.rewritten
     seeds = [sys_.query] + sorted(st.starts, key=sort_key) + sorted(sys_.starts, key=sort_key)
     reached: Set[Unknown] = set()
     stack = list(reversed(seeds))
@@ -371,10 +412,9 @@ def reachable_set(sys_: EqSys, st: SolverState, visit: Optional[Callable] = None
     return reached
 
 
-def prune(sys_: EqSys, st: SolverState, reachable: Optional[Set[Unknown]] = None) -> Set[Unknown]:
+def prune(sys_: EqSys, st: SolverState, reachable: Optional[Set[Unknown]] = None) -> None:
     """Drop every unknown not reachable from the query from all solver maps,
-    touching only the unknowns that left and the rows that name them.
-    Returns the unknowns that left."""
+    touching only the unknowns that left and the rows that name them."""
     R = reachable_set(sys_, st) if reachable is None else reachable
     maps = (st.infl, st.side_dep, st.side_infl, st.stale)
     left = st.sigma.keys() | st.stable | st.superstable | st.point
@@ -383,7 +423,7 @@ def prune(sys_: EqSys, st: SolverState, reachable: Optional[Set[Unknown]] = None
         left.update(*m.values())
     left -= R
     if not left:
-        return left
+        return
     for u in left:
         st.sigma.pop(u, None)
         st.stable.discard(u)
@@ -398,4 +438,3 @@ def prune(sys_: EqSys, st: SolverState, reachable: Optional[Set[Unknown]] = None
                 m[u] = kept
             else:
                 del m[u]
-    return left

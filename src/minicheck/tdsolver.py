@@ -88,8 +88,6 @@ class SolverState:
     an evaluation of `x` that no longer reads `y`.  ``stale`` maps each such
     `x` to those `y`, as the post-solve walk last found them, so that the
     reads of an evaluation are the inverse of ``infl`` minus ``stale``.
-    ``sigma_at_start`` is σ as a reanalysis found it, before anything
-    changed; it is not persisted.
     """
 
     def __init__(self):
@@ -102,7 +100,6 @@ class SolverState:
         self.side_infl: Dict[Unknown, Dict[Unknown, None]] = {}
         self.stale: Dict[Unknown, Dict[Unknown, None]] = {}
         self.superstable: set = set()
-        self.sigma_at_start: Dict[Unknown, Value] = {}
         self.starts: Dict[Unknown, Value] = {}
         self.rhs_evals = 0
         self.destabilizations = 0
@@ -378,8 +375,8 @@ def verify_solution(sys_: EqSys, state: SolverState,
 # Persistence (format 2).  Every unknown is written once, into the table
 # "unknowns" (sorted by sort_key), and every distinct value once, into
 # "values" (in order of first use); the maps refer to both by index.
-# superstable, sigma_at_start and called are not persisted: the first two
-# are reconstructed when an incremental run begins, called is empty at rest.
+# superstable and called are not persisted: superstable is reconstructed
+# when an incremental run begins, called is empty at rest.
 # ---------------------------------------------------------------------------
 
 

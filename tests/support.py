@@ -72,7 +72,7 @@ def eqsys_from_dict(rhs: dict, starts: dict, query, bot_of: Callable) -> EqSys:
     has none (its values arrive by side-effect only)."""
     if query not in rhs:
         raise ValueError("query has no rhs")
-    return EqSys(rhs.get, starts, query, bot_of)
+    return EqSys(rhs.get, starts, query, bot_of, rhs.__contains__)
 
 
 def value_key(v: Value) -> str:

@@ -413,7 +413,7 @@ def test_edit_sequences_stay_sound_and_consistent():
             m = list(re.finditer(r"(\+|\*|=)\s*(\d+)", text))
             target = m[rng.randrange(len(m))]
             new_text = text[:target.start(2)] + str(const) + text[target.end(2):]
-            _, new_built, _ = reanalyze(parse(text).digests, asg, st, parse(new_text))
+            _, new_built, _, _ = reanalyze(parse(text).digests, asg, st, parse(new_text))
             new_asg = new_built.assignment
             assert verify_solution(new_built.sys, st) == [], f"program {pi} step {step}"
             assert side_maps_inverse(st)

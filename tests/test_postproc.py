@@ -36,9 +36,9 @@ def full_pipeline(text, domain="valueset"):
 
 def incremental_pipeline(old_text, new_text, prev_store, built_old, st,
                          restart="minimal"):
-    _, new_built, _ = reanalyze(parse(old_text).digests, built_old.assignment, st, parse(new_text),
-                                restart=restart)
-    store, stats = postprocess(new_built, st, prev_store, "<test>")
+    _, new_built, _, start = reanalyze(parse(old_text).digests, built_old.assignment, st,
+                                       parse(new_text), restart=restart)
+    store, stats = postprocess(new_built, st, prev_store, "<test>", start)
     return new_built, store, stats
 
 
@@ -126,9 +126,9 @@ def test_postprocess_never_changes_sigma():
 def _reference_reanalysis(session, text, opts):
     """The pipeline with the full walk, pruning and postprocessing."""
     prog = parse(text)
-    _, built, _ = reanalyze(session.digests, session.assignment, session.state, prog,
-                            opts.mode, opts.restart, opts.domain,
-                            restart_wpoint=opts.wpoint_restart)
+    _, built, _, _ = reanalyze(session.digests, session.assignment, session.state, prog,
+                               opts.mode, opts.restart, opts.domain,
+                               restart_wpoint=opts.wpoint_restart)
     store, stats, reached = full_postprocess(built, session.state, session.store, "prog.mc")
     return cli.Session(prog.digests, built.assignment, session.state, store), stats, reached
 
@@ -142,7 +142,8 @@ def _assert_same_as_the_full_walk(versions, opts, monkeypatch):
     side; after every step both leave the same state, store and counts."""
     walks = []
     walk = postproc.reachable_set
-    monkeypatch.setattr(postproc, "reachable_set", lambda *a: walks.append(walk(*a)) or walks[-1])
+    monkeypatch.setattr(postproc, "reachable_set",
+                        lambda *a, **k: walks.append(walk(*a, **k)) or walks[-1])
     session, reference = cli.Session.empty(), cli.Session.empty()
     for step, text in enumerate(versions):
         result = cli.run_reanalysis(session, text, "prog.mc", opts)
@@ -186,6 +187,43 @@ def test_a_stale_infl_edge_does_not_keep_an_unknown_reachable(monkeypatch):
     with_call, without = STALE_EDGE % "s = f(0); ", STALE_EDGE % ""
     assert cli.run_analysis(with_call, "prog.mc", cli.Options()).session.state.stale
     _assert_same_as_the_full_walk([with_call, without, with_call], cli.Options(), monkeypatch)
+
+
+# In the context x ↦ {1}, the node after `g == 5` is stable at Bot, so it has
+# no σ entry, yet its rhs read `g`.  The edit makes that context unreachable.
+BOT_PRODUCER = """int g = 0;
+int f(int x){ t = g; if (g == 5) { t = 1; } return 0; }
+int main(){ %s return 0; }
+"""
+
+
+@pytest.mark.parametrize("mode", ["plain", "reluctant"])
+def test_records_of_a_bot_unknown_leave_with_its_context(monkeypatch, mode):
+    versions = [BOT_PRODUCER % "a = f(1);", BOT_PRODUCER % "g = 1; a = f(2);"]
+    _assert_same_as_the_full_walk(versions, cli.Options(mode=mode), monkeypatch)
+
+
+# Edits that rewrite a rhs outside the edited function, which the solver does
+# not yet re-solve: a new local in a `main` that never returns changes the
+# start state the harness side-effects to `main`'s entry, and a new global
+# declaration turns `t` in the unchanged `f` into a global.  The walk must not
+# reuse those unknowns: the reanalysis is refused, as by the full walk,
+# instead of persisting an unverified σ.
+REWRITTEN = [
+    ("int g = 0;\nint main() { while (1) { y = 1; } return 0; }\n",
+     "int g = 0;\nint main() { while (1) { y = 1; g = z; z = 2; } return 0; }\n"),
+    ("int g = 0;\nint f(int x) { t = x; g = t; return 0; }\nint main() { a = f(1); return 0; }\n",
+     "int g = 0;\nint t = 5;\nint f(int x) { t = x; g = t; return 0; }\n"
+     "int main() { a = f(1); return 0; }\n"),
+]
+
+
+@pytest.mark.parametrize("old, new", REWRITTEN,
+                         ids=["main-gains-a-local", "a-local-turns-global"])
+def test_a_rhs_rewritten_outside_the_edited_function_is_checked(old, new):
+    session = cli.run_analysis(old, "prog.mc", cli.Options()).session
+    with pytest.raises(postproc.StateCorruption, match="solution verification failed"):
+        cli.run_reanalysis(session, new, "prog.mc", cli.Options())
 
 
 def test_warnstore_json_roundtrip():
