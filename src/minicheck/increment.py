@@ -7,9 +7,9 @@ edited function get fresh ids, so their old unknowns simply become garbage;
 entry and return nodes keep their ids.
 
 An analysis from scratch is the reanalysis of the empty version (digests
-``{"init": None, "functions": {}}``, no node ids, an empty solver state):
-every function and the initializer are added, nothing is destabilized or
-restarted, and the solver starts from nothing.
+``{"init": None, "functions": {}, "globals": []}``, no node ids, an empty
+solver state): every function and the initializer are added, nothing is
+destabilized or restarted, and the solver starts from nothing.
 
 Two destabilization strategies:
 
@@ -18,6 +18,14 @@ Two destabilization strategies:
 * *reluctant* only removes the return unknowns themselves and re-solves them
   first; destabilization beyond a return node happens solely when its value
   actually changes.
+
+An edit can rewrite right-hand sides outside the edited function: the
+global declarations decide which names denote globals, and a call site
+builds the callee's start state from the callee's locals.  So a function
+that uses a name which became or stopped being a global counts as changed,
+and both strategies restart the entry of an edited function in each
+context whose start state lists other locals than the new version, which
+re-evaluates the call sites, creation sites and harness that side-effect it.
 
 Restarting resets selected flow-insensitive unknowns to Bot and destabilizes
 all their producers, purging values accumulated across runs.  The minimal
@@ -31,13 +39,11 @@ an unknown that stayed stable through the run and at which, at whose last
 reads and at whose side targets σ is unchanged since the run began: it is
 not evaluated, and its recorded successors are the inverse of ``infl``
 minus the stale edges the walk noted when it last evaluated it.  So the walk
-evaluates only what the run touched.  An edit can rewrite a rhs outside the
-edited function without the solver noticing (a call site builds the callee's
-start state from the callee's locals; the global declarations decide what a
-name denotes), so those unknowns are never reused, and after an edit of the
-global declarations `reanalyze` returns no snapshot and the walk evaluates
-every reached rhs.  Pruning drops the unknowns that left the reached set and
-the rows that name them.
+evaluates only what the run touched.  The producers of an edited
+function's entry are never reused, and after an edit of the global
+declarations `reanalyze` returns no snapshot and the walk evaluates every
+reached rhs.  Pruning drops the unknowns that left the reached set and the
+rows that name them.
 """
 
 from __future__ import annotations
@@ -59,7 +65,7 @@ from .consys import (
 )
 from .domains import Value
 from .minic.cfg import NodeAssignment, assign_node_ids
-from .minic.syntax import Program
+from .minic.syntax import Program, names_used
 from .minic.system import BuiltSystem, build_system
 from .tdsolver import SolverState, run
 
@@ -108,7 +114,8 @@ class ChangeSet:
 
 def detect_changes(old: dict, new: Program) -> ChangeSet:
     """Diff `new` against `old`, the digests (``Program.digests``) of the
-    previous version."""
+    previous version.  A function whose digests are unchanged but that uses
+    a name which was added to or removed from the globals is `changed`."""
     changed, header_changed, added, removed, unchanged = set(), set(), set(), set(), set()
     old_fns, new_fns = old["functions"], new.digests["functions"]
     for name, (header, body) in new_fns.items():
@@ -123,6 +130,14 @@ def detect_changes(old: dict, new: Program) -> ChangeSet:
     for name in old_fns:
         if name not in new_fns:
             removed.add(name)
+    # A name that became or stopped being a global changes the right-hand
+    # sides of every function that uses it, edited or not.
+    redeclared = set(old["globals"]).symmetric_difference(new.digests["globals"])
+    if redeclared:
+        for name in [n for n in unchanged if not redeclared.isdisjoint(
+                names_used(new.functions[n].body))]:
+            unchanged.remove(name)
+            changed.add(name)
     if old["init"] is None:
         added.add(INIT_PSEUDO_FN)
     elif old["init"] != new.digests["init"]:
@@ -207,15 +222,33 @@ def _drop_stale_nodes(changes: ChangeSet, st: SolverState, old_asg: NodeAssignme
             coll.discard(u)
 
 
+def _restart_entries(changes: ChangeSet, st: SolverState, old_asg: NodeAssignment,
+                     new: BuiltSystem, contexts: Dict[str, Set[Context]]) -> None:
+    """Restart the entry of a body-changed function in every context whose
+    start state lists other locals than the new version has.  The call
+    sites, creation sites and harness that side-effect it build that state
+    from the callee's locals, so their right-hand sides changed although
+    their own functions did not."""
+    for fn in sorted(changes.changed - {INIT_PSEUDO_FN}):
+        entry, local_names = old_asg.assign[fn][0], set(new.cfgs[fn].locals)
+        for u in sorted((NodeCtx(fn, entry, ctx) for ctx in contexts.get(fn, ())),
+                        key=sort_key):
+            s = st.sigma[u]
+            if not s.is_bot() and s.env.as_dict().keys() != local_names:
+                _restart(u, st)
+
+
 def prepare_plain(changes: ChangeSet, st: SolverState, old_asg: NodeAssignment,
-                  new_sys: EqSys) -> List[Unknown]:
+                  new: BuiltSystem) -> List[Unknown]:
     """Eager destabilization at the return nodes of every edited function.
 
     Returns the empty pre-solve list (step 1 is empty in plain mode)."""
     st.superstable = set(st.stable)
-    _drop_obsolete_starts(st, new_sys)
+    _drop_obsolete_starts(st, new.sys)
     _drop_stale_nodes(changes, st, old_asg)
-    for u in _return_unknowns(changes.edited(), recorded_contexts(st, old_asg), old_asg):
+    contexts = recorded_contexts(st, old_asg)
+    _restart_entries(changes, st, old_asg, new, contexts)
+    for u in _return_unknowns(changes.edited(), contexts, old_asg):
         st.stable.discard(u)
         st.superstable.discard(u)
         st.destabilize(u)
@@ -223,15 +256,16 @@ def prepare_plain(changes: ChangeSet, st: SolverState, old_asg: NodeAssignment,
 
 
 def prepare_reluctant(changes: ChangeSet, st: SolverState, old_asg: NodeAssignment,
-                      new_sys: EqSys) -> List[Unknown]:
+                      new: BuiltSystem) -> List[Unknown]:
     """Confined destabilization: body-changed functions contribute their
     return unknowns to the pre-solve set A without destabilizing their
     dependents.  Header-changed and removed functions are handled plainly
     (reluctance could only do work in vain there)."""
     st.superstable = set(st.stable)
-    _drop_obsolete_starts(st, new_sys)
+    _drop_obsolete_starts(st, new.sys)
     _drop_stale_nodes(changes, st, old_asg)
     contexts = recorded_contexts(st, old_asg)
+    _restart_entries(changes, st, old_asg, new, contexts)
     for u in _return_unknowns(changes.header_changed | changes.removed, contexts, old_asg):
         st.stable.discard(u)
         st.superstable.discard(u)
@@ -267,24 +301,29 @@ def select_restart_globals(changes: ChangeSet, st: SolverState,
 
 
 def restart_globals(G: Iterable[Unknown], st: SolverState) -> None:
-    """Reset each global to Bot, destabilize it, and force re-evaluation of
-    every unknown that ever side-effected it."""
+    """Restart each global in `G`."""
     for g in sorted(G, key=sort_key):
-        st.sigma.pop(g, None)
-        st.stable.discard(g)
-        st.superstable.discard(g)
-        st.destabilize(g)
-        producers = list(st.side_dep.pop(g, ()))
-        for x in producers:
-            row = st.side_infl.get(x)
-            if row is not None:
-                row.pop(g, None)
-                if not row:
-                    del st.side_infl[x]
-        for x in producers:
-            st.stable.discard(x)
-            st.superstable.discard(x)
-            st.destabilize(x)
+        _restart(g, st)
+
+
+def _restart(u: Unknown, st: SolverState) -> None:
+    """Reset `u` to Bot, destabilize it, and force re-evaluation of every
+    unknown that ever side-effected it."""
+    st.sigma.pop(u, None)
+    st.stable.discard(u)
+    st.superstable.discard(u)
+    st.destabilize(u)
+    producers = list(st.side_dep.pop(u, ()))
+    for x in producers:
+        row = st.side_infl.get(x)
+        if row is not None:
+            row.pop(u, None)
+            if not row:
+                del st.side_infl[x]
+    for x in producers:
+        st.stable.discard(x)
+        st.superstable.discard(x)
+        st.destabilize(x)
 
 
 # ---------------------------------------------------------------------------
@@ -310,11 +349,12 @@ def reanalyze(old_digests: dict, old_asg: NodeAssignment, st: SolverState,
     restarted = select_restart_globals(changes, st, old_asg) if restart == "minimal" else []
     built = build_system(new_prog, relabel_nodes(changes, old_asg, new_prog), domain)
     prepare = prepare_reluctant if mode == "reluctant" else prepare_plain
-    # Global declarations decide which names in unchanged functions denote
-    # globals, so after an edit of them nothing is reused.
+    # Global declarations also decide which targets of a pointer a store or
+    # a dereference touches, in functions that do not name them, so after
+    # an edit of them nothing is reused.
     start = None if INIT_PSEUDO_FN in changes.changed else \
         StartState(dict(st.sigma), set(st.stable), _entry_producers(changes, st, old_asg))
-    pre_solve = prepare(changes, st, old_asg, built.sys)
+    pre_solve = prepare(changes, st, old_asg, built)
     restart_globals(restarted, st)
     stats = run(built.sys, st, pre_solve, restart_wpoint=restart_wpoint)
     stats["restarted"] = [unknown_key(g) for g in restarted]

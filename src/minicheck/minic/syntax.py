@@ -217,11 +217,12 @@ class Program:
     @functools.cached_property
     def digests(self) -> dict:
         """What change detection compares, as JSON: per function (in program
-        order) the digests of its header and of its normalized body, and the
-        digest of the init signature."""
+        order) the digests of its header and of its normalized body, the
+        digest of the init signature and the sorted names of the globals."""
         return {"functions": {name: [_digest(fn.header()), _digest(normalize(fn.body))]
                               for name, fn in self.functions.items()},
-                "init": _digest(self.init_signature())}
+                "init": _digest(self.init_signature()),
+                "globals": sorted(self.global_names())}
 
 
 def _digest(form: tuple) -> str:
@@ -611,6 +612,41 @@ def _collect_locals(block: Block, names: List[str], global_names: set) -> None:
                 _collect_locals(s.orelse, names, global_names)
         elif isinstance(s, While):
             _collect_locals(s.body, names, global_names)
+
+
+def names_used(node, out: Optional[set] = None) -> set:
+    """Every name that an AST fragment reads, assigns, stores through or takes
+    the address of: the names whose meaning the global declarations decide."""
+    out = set() if out is None else out
+    if isinstance(node, (Var, AddrOf, Deref)):
+        out.add(node.name)
+    elif isinstance(node, BinOp):
+        names_used(node.left, out)
+        names_used(node.right, out)
+    elif isinstance(node, Block):
+        for s in node.stmts:
+            names_used(s, out)
+    elif isinstance(node, Assign):
+        out.add(node.target)
+        names_used(node.expr, out)
+    elif isinstance(node, Store):
+        out.add(node.pointer)
+        names_used(node.expr, out)
+    elif isinstance(node, Call):
+        out.add(node.target)
+        for a in node.args:
+            names_used(a, out)
+    elif isinstance(node, If):
+        for part in (node.cond, node.then, node.orelse):
+            names_used(part, out)
+    elif isinstance(node, While):
+        names_used(node.cond, out)
+        names_used(node.body, out)
+    elif isinstance(node, Create):
+        names_used(node.arg, out)
+    elif isinstance(node, Return) and node.expr is not None:
+        names_used(node.expr, out)
+    return out
 
 
 def _check_semantics(prog: Program) -> None:

@@ -1,4 +1,5 @@
 import collections
+import contextlib
 import gc
 import io
 import json
@@ -451,7 +452,8 @@ def test_serve_socket_outlives_a_disconnecting_client(ws):
     assert responses[1]["result"] == "bye"
 
 
-@pytest.mark.parametrize("damage", ["truncated", "not-json", "missing-key", "bad-digests"])
+@pytest.mark.parametrize("damage", ["truncated", "not-json", "missing-key", "bad-digests",
+                                    "no-global-names"])
 @pytest.mark.parametrize("command", [cli.cmd_reanalyze, cli.cmd_compare])
 def test_damaged_bundle_exits_two_with_an_error(ws, command, damage):
     src, sd = ws
@@ -466,6 +468,10 @@ def test_damaged_bundle_exits_two_with_an_error(ws, command, damage):
     elif damage == "missing-key":
         doc = json.loads(text)
         del doc["solver"]
+        text = json.dumps(doc)
+    elif damage == "no-global-names":  # as a bundle written before they were recorded
+        doc = json.loads(text)
+        del doc["digests"]["globals"]
         text = json.dumps(doc)
     else:
         doc = json.loads(text)
@@ -1112,20 +1118,156 @@ def test_counters_of_an_analyze_and_three_edits_are_pinned(tmp_path):
     assert ids == PINNED_WARNING_IDS
 
 
+@contextlib.contextmanager
+def _collector_off():
+    """Run the body with the cyclic collector off.  Yields the list of what
+    each collection meanwhile freed; a full collection at the end adds its
+    count, so the list is all zeros only if the body made no cyclic garbage."""
+    freed = []
+
+    def note(phase, info):
+        if phase == "stop":
+            freed.append(info["collected"])
+
+    gc.collect()
+    gc.disable()
+    gc.callbacks.append(note)
+    try:
+        yield freed
+        gc.collect()
+    finally:
+        gc.callbacks.remove(note)
+        gc.enable()
+
+
 def test_the_pipeline_leaves_no_cyclic_garbage(tmp_path):
     """Strategy trees, CFGs and ASTs are freed by reference counting alone,
     so the cyclic collector never has to trace them."""
     base, *edits = _pinned_versions()
     opts = cli.Options(state_dir=str(tmp_path))
-    gc.collect()
-    gc.disable()
-    try:
+    with _collector_off() as freed:
         result = cli.run_analysis(base, "prog.mc", opts)
         cli.save_bundle(opts.state_dir, result.session, opts)
         session = cli.load_bundle(opts.state_dir, opts)
         for text in edits:
             session = cli.run_reanalysis(session, text, "prog.mc", opts).session
         del result, session
-        assert gc.collect() == 0
+    assert set(freed) == {0}
+
+
+def test_compare_leaves_no_cyclic_garbage(tmp_path):
+    base, edit = _pinned_versions()[:2]
+    opts = cli.Options(state_dir=str(tmp_path))
+    session = cli.run_analysis(base, "prog.mc", opts).session
+    session = cli.run_reanalysis(session, edit, "prog.mc", opts).session
+    with _collector_off() as freed:
+        report = cli.compare_report(session, edit, opts)
+        del report
+    assert set(freed) == {0}
+
+
+def _serve_corpus(tmp_path, edits):
+    """A 200-function corpus and `edits`, cumulative (index, variant) pairs.
+    Returns a function that writes version i (0 is the unedited corpus) to
+    the source file and returns the request to reanalyze it."""
+    src = str(tmp_path / "prog.mc")
+    specs = [CorpusSpec(n_functions=200, seed=7)]
+    for idx, variant in edits:
+        specs.append(specs[-1].with_variant(idx, variant))
+
+    def request(i):
+        write(src, corpus_source(specs[i]))
+        return json.dumps({"id": i, "method": "reanalyze", "path": src})
+
+    return request
+
+
+def test_serve_leaves_no_cyclic_garbage(tmp_path, monkeypatch):
+    """With the collector off, neither the young collection after each
+    response nor a full one at the end finds garbage: not after edits that
+    restart globals, nor after an error response of any kind."""
+    sd = str(tmp_path / "state")
+    request = _serve_corpus(tmp_path, [(100, "sum"), (17, "gval:17"), (9, "const:9"),
+                                       (4, "extra:4"), (24, "gval:3"), (60, "sum")])
+    bad = {"digit": "int g = ²;\nint main() { return g; }\n",
+           "nested": "int main() { x = " + "(" * 3000 + "1" + ")" * 3000 + "; return x; }\n"}
+    for name, text in bad.items():
+        write(str(tmp_path / f"{name}.mc"), text)
+    bundle = os.path.join(sd, "bundle.json")
+
+    def requests():
+        for i in range(7):  # the analyze, then six edits
+            yield request(i)
+        yield "{not json"
+        yield json.dumps({"id": "list", "method": "reanalyze", "path": ["prog.mc"]})
+        yield json.dumps({"id": "missing", "method": "reanalyze",
+                          "path": str(tmp_path / "missing.mc")})
+        for name in bad:
+            yield json.dumps({"id": name, "method": "reanalyze",
+                              "path": str(tmp_path / f"{name}.mc")})
+        intact = open(bundle).read()
+        write(bundle, intact[:len(intact) // 2])  # a failed request drops the session
+        yield json.dumps({"id": "corrupt", "method": "warnings"})
+        write(bundle, intact)
+        with monkeypatch.context() as m:
+            m.setattr(postproc, "check_unknown", lambda *a: ["injected violation"])
+            yield request(5)
+        yield request(6)
+        yield json.dumps({"method": "shutdown"})
+
+    out = io.StringIO()
+    with _collector_off() as freed:
+        assert cli.Server(cli.Options(state_dir=sd)).serve(requests(), out)
+    responses = [json.loads(l) for l in out.getvalue().splitlines()]
+    assert all("result" in r for r in responses[:7] + responses[-2:])
+    errors = [r["error"] for r in responses[7:-2]]
+    assert len(errors) == 7
+    assert "state bundle" in errors[-2] and "verification failed" in errors[-1]
+    assert len(freed) == len(responses) + 1 and set(freed) == {0}
+
+
+def test_serve_memory_stays_level_over_thirty_requests(tmp_path):
+    """The tracked objects after each request stay within a fixed bound of
+    those after the first: nothing a request replaces outlives it, although
+    only the youngest generation is ever collected."""
+    sd = str(tmp_path / "state")
+    request = _serve_corpus(tmp_path, [(i * 37 % 200, "sum" if i % 2 else f"const:{i + 1}")
+                                       for i in range(29)])
+    counts = []
+
+    def requests():
+        for i in range(30):
+            yield request(i)
+            counts.append(len(gc.get_objects()))
+        yield json.dumps({"method": "shutdown"})
+
+    with _collector_off():
+        assert cli.Server(cli.Options(state_dir=sd)).serve(requests(), io.StringIO())
+    assert len(counts) == 30
+    assert max(abs(c - counts[0]) for c in counts) < 2000, counts
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_runs_the_command_with_the_collector_off(ws, monkeypatch, enabled):
+    """A command runs with the collector off; `main` restores the state it
+    found, also when the command raises."""
+    src, sd = ws
+    seen = []
+
+    def command(path, opts):
+        seen.append(gc.isenabled())
+        if len(seen) == 2:
+            raise KeyboardInterrupt
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_analyze", command)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert cli.main(["analyze", src, "--state-dir", sd]) == 0
+        assert gc.isenabled() is enabled
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["analyze", src, "--state-dir", sd])
+        assert gc.isenabled() is enabled
     finally:
         gc.enable()
+    assert seen == [False, False]

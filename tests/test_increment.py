@@ -56,7 +56,7 @@ def incremental_setup(old_text, new_text, mode="reluctant", restart="off"):
     new_asg = relabel_nodes(changes, built.assignment, new_prog)
     new_built = build_system(new_prog, new_asg)
     prep = prepare_reluctant if mode == "reluctant" else prepare_plain
-    A = prep(changes, st, built.assignment, new_built.sys)
+    A = prep(changes, st, built.assignment, new_built)
     restart_globals(G_sel, st)
     return new_built, st, changes, A
 
@@ -102,6 +102,19 @@ def test_global_initializer_change_marks_init():
     new = FIG2.replace("atomic int g = 0 ;", "atomic int g = 5 ;")
     c = detect_changes(parse(FIG2).digests, parse(new))
     assert "__init" in c.changed
+
+
+def test_a_function_that_names_a_redeclared_global_is_changed():
+    """Adding `t` to the globals turns f's local `t` into a global, so f's
+    right-hand sides change although its digests do not; h, which does
+    not name `t`, stays unchanged.  Removing it again is symmetric."""
+    old = ("int g = 0;\nint f(int x) { t = x; g = t; return 0; }\n"
+           "int h(int x) { return x; }\nint main() { a = f(1); b = h(2); return 0; }\n")
+    new = old.replace("int g = 0;\n", "int g = 0;\nint t = 5;\n")
+    for before, after in ((old, new), (new, old)):
+        c = detect_changes(parse(before).digests, parse(after))
+        assert c.changed == {"f", "__init"}
+        assert c.unchanged == {"h", "main"}
 
 
 def _structural_changes(old, new) -> ChangeSet:
@@ -196,7 +209,7 @@ def test_prepare_plain_on_empty_changeset_is_noop():
     built, st, _ = analyze_source(FIG2)
     stable_before = set(st.stable)
     changes = detect_changes(parse(FIG2).digests, parse(FIG2))
-    prepare_plain(changes, st, built.assignment, built.sys)
+    prepare_plain(changes, st, built.assignment, built)
     assert st.stable == stable_before
     assert st.superstable == stable_before
 
@@ -242,7 +255,7 @@ int main() { a = f(1); b = f(2); return a + b; }
     changes = detect_changes(parse(old).digests, parse(new))
     new_asg = relabel_nodes(changes, built.assignment, parse(new))
     new_built = build_system(parse(new), new_asg)
-    A = prepare_reluctant(changes, st, built.assignment, new_built.sys)
+    A = prepare_reluctant(changes, st, built.assignment, new_built)
     ret = built.assignment.assign["f"][-1]
     assert len(A) == 2
     assert {u.node for u in A} == {ret}
@@ -267,7 +280,7 @@ int main() { r = f(1, 2); return r; }
     assert "f" in changes.header_changed and "main" in changes.changed
     new_asg = relabel_nodes(changes, built.assignment, parse(new))
     new_built = build_system(parse(new), new_asg)
-    A = prepare_reluctant(changes, st, built.assignment, new_built.sys)
+    A = prepare_reluctant(changes, st, built.assignment, new_built)
     # f is excluded from A; only main's return unknown is re-solved reluctantly
     assert all(u.fn == "main" for u in A)
     stats = run(new_built.sys, st, pre_solve=A)

@@ -203,12 +203,10 @@ def test_records_of_a_bot_unknown_leave_with_its_context(monkeypatch, mode):
     _assert_same_as_the_full_walk(versions, cli.Options(mode=mode), monkeypatch)
 
 
-# Edits that rewrite a rhs outside the edited function, which the solver does
-# not yet re-solve: a new local in a `main` that never returns changes the
-# start state the harness side-effects to `main`'s entry, and a new global
-# declaration turns `t` in the unchanged `f` into a global.  The walk must not
-# reuse those unknowns: the reanalysis is refused, as by the full walk,
-# instead of persisting an unverified σ.
+# Edits that rewrite a rhs outside the edited function: a new local in a
+# `main` that never returns changes the start state the harness side-effects
+# to `main`'s entry, and a new global declaration turns `t` in the unchanged
+# `f` into a global.
 REWRITTEN = [
     ("int g = 0;\nint main() { while (1) { y = 1; } return 0; }\n",
      "int g = 0;\nint main() { while (1) { y = 1; g = z; z = 2; } return 0; }\n"),
@@ -218,12 +216,20 @@ REWRITTEN = [
 ]
 
 
-@pytest.mark.parametrize("old, new", REWRITTEN,
-                         ids=["main-gains-a-local", "a-local-turns-global"])
-def test_a_rhs_rewritten_outside_the_edited_function_is_checked(old, new):
-    session = cli.run_analysis(old, "prog.mc", cli.Options()).session
-    with pytest.raises(postproc.StateCorruption, match="solution verification failed"):
-        cli.run_reanalysis(session, new, "prog.mc", cli.Options())
+@pytest.mark.parametrize("old, new, mode", [
+    pytest.param(old, new, mode, id=name if mode == "reluctant" else f"{name}-{mode}")
+    for name, (old, new) in zip(["main-gains-a-local", "a-local-turns-global"], REWRITTEN)
+    for mode in ("reluctant", "plain")])
+def test_a_rhs_rewritten_outside_the_edited_function_is_checked(old, new, mode):
+    """The harness's side-effect to the entry of a main that never returns,
+    and every right-hand side of a function that names a new global, are
+    solved again: the reanalysis verifies and equals a from-scratch run."""
+    opts = cli.Options(mode=mode)
+    session = cli.run_analysis(old, "prog.mc", opts).session
+    session = cli.run_reanalysis(session, new, "prog.mc", opts).session
+    report = cli.compare_report(session, new, opts)
+    assert report["finer"] == report["incomparable"] == 0
+    assert report["equal"] == report["total"] > 0
 
 
 def test_warnstore_json_roundtrip():
@@ -304,7 +310,7 @@ def test_superstable_subset_of_stable_at_phase_boundaries():
     changes = detect_changes(parse(FIG2).digests, parse(FIG2_EDIT))
     new_asg = relabel_nodes(changes, built.assignment, parse(FIG2_EDIT))
     new_built = build_system(parse(FIG2_EDIT), new_asg)
-    A = prepare_reluctant(changes, st, built.assignment, new_built.sys)
+    A = prepare_reluctant(changes, st, built.assignment, new_built)
     assert st.superstable <= st.stable
     run(new_built.sys, st, pre_solve=A)
     assert st.superstable <= st.stable
