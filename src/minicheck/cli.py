@@ -29,8 +29,6 @@ import datetime
 import gc
 import json
 import os
-import socket
-import stat
 import sys
 import tempfile
 from dataclasses import dataclass
@@ -39,7 +37,7 @@ from typing import Optional, TextIO
 from .consys import NodeCtx, unknown_key
 from .domains import leq
 from .increment import reanalyze
-from .minic import MiniCError, build_system, parse
+from .minic import MiniCError, Program, build_system, parse
 from .minic.cfg import NodeAssignment, NodeTableError, assign_node_ids
 from .postproc import StateCorruption, WarnStore, diff_warnings, postprocess
 from .tdsolver import (
@@ -87,12 +85,20 @@ class Options:
 
 @dataclass
 class Session:
-    """One analyzed version of a program: everything a bundle persists."""
+    """One analyzed version of a program: everything a bundle persists, and
+    the parsed program, which is not persisted.
+
+    The program's items (``syntax.Item``) hold each function's digests and
+    CFGs, so a reanalysis of this session reuses every item whose text and
+    position did not change.  Only the current version's items are kept.  A
+    session from `empty` or `load_bundle` has no program: its first
+    reanalysis parses every item."""
 
     digests: dict  # Program.digests of the source
     assignment: NodeAssignment
     state: SolverState
     store: WarnStore
+    program: Optional[Program] = None
 
     @staticmethod
     def empty() -> "Session":
@@ -108,6 +114,7 @@ class AnalysisResult:
     post_stats: dict
     diff: dict
     changes: dict
+    parsed: int  # function items lexed and parsed anew (`Program.parsed`)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +139,8 @@ def save_bundle(state_dir: str, session: Session, opts: Options) -> None:
         fd, tmp = tempfile.mkstemp(prefix=BUNDLE_NAME + ".", suffix=".tmp", dir=state_dir)
         try:
             with os.fdopen(fd, "w") as f:
-                f.write(json.dumps(doc, separators=(",", ":")) + "\n")
+                _write_json(f, doc, 2)
+                f.write("\n")
                 f.flush()
                 os.fsync(f.fileno())
             os.replace(tmp, os.path.join(state_dir, BUNDLE_NAME))
@@ -141,6 +149,21 @@ def save_bundle(state_dir: str, session: Session, opts: Options) -> None:
                 os.unlink(tmp)
     except OSError as exc:
         raise CliError(f"cannot write state bundle to {state_dir}: {exc}") from exc
+
+
+def _write_json(f: TextIO, doc, depth: int) -> None:
+    """Write `doc` as ``json.dumps(doc, separators=(",", ":"))`` would, but
+    each member of the dicts in its top `depth` levels (whose keys are
+    strings) on its own: encoding the bundle is every command's memory
+    high-water mark, and no whole encoding of it is then held at once."""
+    if depth == 0 or not isinstance(doc, dict):
+        f.write(json.dumps(doc, separators=(",", ":")))
+        return
+    f.write("{")
+    for i, (key, value) in enumerate(doc.items()):
+        f.write(f"{',' if i else ''}{json.dumps(key)}:")
+        _write_json(f, value, depth - 1)
+    f.write("}")
 
 
 def load_bundle(state_dir: str, opts: Options) -> Optional[Session]:
@@ -191,15 +214,15 @@ def run_reanalysis(session: Session, text: str, filename: str,
                    opts: Options) -> AnalysisResult:
     """Reanalyze `text` against `session`, whose solver state is updated in
     place (and is unusable if this raises)."""
-    prog = parse(text)
+    prog = parse(text, session.program)
     state = session.state
     changes, built, run_stats, start = reanalyze(session.digests, session.assignment, state,
                                                  prog, opts.mode, opts.restart, opts.domain,
                                                  restart_wpoint=opts.wpoint_restart)
     store, post_stats = postprocess(built, state, session.store, filename, start)
-    return AnalysisResult(Session(prog.digests, built.assignment, state, store),
+    return AnalysisResult(Session(prog.digests, built.assignment, state, store, prog),
                           run_stats, post_stats, diff_warnings(session.store, store),
-                          changes.to_json())
+                          changes.to_json(), prog.parsed)
 
 
 def compare_report(session: Session, text: str, opts: Options) -> dict:
@@ -278,6 +301,7 @@ def _report(payload, result: AnalysisResult, opts: Options, out: TextIO, err: Te
         stats = {
             "rhs_evals_total": state.rhs_evals,
             "destabilizations_total": state.destabilizations,
+            "parsed": result.parsed,
             "run": result.run_stats,
             "postprocess": {k: len(v) for k, v in result.post_stats.items()},
         }
@@ -291,6 +315,7 @@ def cmd_analyze(path: str, opts: Options, out: Optional[TextIO] = None,
     err = err if err is not None else sys.stderr
     try:
         result = run_analysis(_read_source(path), path, opts)
+        result.session.program = None  # nothing reuses it; its memory is the bundle's
         save_bundle(opts.state_dir, result.session, opts)
     except ERRORS as exc:
         print(f"error: {exc}", file=err)
@@ -308,6 +333,7 @@ def cmd_reanalyze(path: str, opts: Options, out: Optional[TextIO] = None,
             print("notice: no previous state; analyzing from scratch", file=err)
             return cmd_analyze(path, opts, out, err)
         result = run_reanalysis(session, _read_source(path), path, opts)
+        result.session.program = None  # nothing reuses it; its memory is the bundle's
         save_bundle(opts.state_dir, result.session, opts)
     except ERRORS as exc:
         print(f"error: {exc}", file=err)
@@ -361,16 +387,19 @@ class Server:
     def reanalyze(self, path: str) -> dict:
         text = _read_source(path)
         session, self.session = self.current(), None  # reloaded if this request fails
+        fallback = session is None
         result = run_reanalysis(session or Session.empty(), text, path, self.opts)
+        del session  # what the new session replaces is freed before the bundle is encoded
         save_bundle(self.opts.state_dir, result.session, self.opts)
         self.session = result.session
         payload = _diff_json(result.diff)
-        if session is None:
+        if fallback:
             payload["fallback"] = "analyze"
         if self.opts.stats:
             payload["stats"] = {
                 "rhs_evals_total": result.session.state.rhs_evals,
                 "destabilizations_total": result.session.state.destabilizations,
+                "parsed": result.parsed,
                 "diagnostics": result.run_stats["diagnostics"],
             }
         return payload
@@ -426,6 +455,8 @@ def _clear_socket_path(socket_path: str) -> Optional[str]:
     """Why a server cannot bind `socket_path`, or None when it can.  A socket
     there that no server listens on was left behind by a server that did not
     shut down; it is removed."""
+    import socket
+    import stat
     if not os.path.lexists(socket_path):
         return None
     if not stat.S_ISSOCK(os.lstat(socket_path).st_mode):
@@ -449,6 +480,7 @@ def cmd_serve(opts: Options, socket_path: Optional[str],
     if socket_path is None:
         server.serve(sys.stdin, sys.stdout)
         return 0
+    import socket  # only a socket server needs it
     srv = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
     try:
         problem = _clear_socket_path(socket_path)

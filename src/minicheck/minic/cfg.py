@@ -6,6 +6,10 @@ last.  A :class:`NodeAssignment` then maps local positions to program-wide
 ids.  Unchanged functions keep their previous ids wholesale; edited
 functions keep entry and return ids but draw fresh ids for interior nodes
 from a monotone counter that never reuses an id.
+
+A function's :class:`FuncCFG` is kept with its ``syntax.Item``, so an item
+that a later version reuses brings it along.  Its local CFG is kept there
+only until the FuncCFG is built, so that it is built once per run.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from .syntax import (
     Create,
     Function,
     If,
+    Item,
     Loc,
     LockStmt,
     Program,
@@ -31,14 +36,14 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Guard:
     cond: object
     sense: bool
     loc: Loc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     src: int
     dst: int
@@ -129,6 +134,13 @@ def build_local_cfg(fn: Function) -> LocalCFG:
     return LocalCFG(fn.name, b.counter, edges)
 
 
+def local_cfg(item: Item) -> LocalCFG:
+    """The local CFG of a function item, built on first need."""
+    if item.local is None:
+        item.local = build_local_cfg(item.decl)
+    return item.local
+
+
 @dataclass
 class NodeAssignment:
     """Positional map from each function's local node numbering to global ids."""
@@ -167,9 +179,11 @@ def assign_node_ids(prog: Program, old: NodeAssignment,
     """
     counter = old.counter
     assign: Dict[str, Tuple[int, ...]] = {}
-    for name, fn in prog.functions.items():
-        local = build_local_cfg(fn)
-        n = local.n_nodes
+    for item in prog.items.values():
+        if not isinstance(item.decl, Function):
+            continue
+        name = item.decl.name
+        n = len(item.cfg[0].node_ids) if item.cfg is not None else local_cfg(item).n_nodes
         if name in reuse_all or name in reuse_endpoints:
             ids = old.assign.get(name, ())
             whole = name in reuse_all
@@ -221,18 +235,25 @@ class FuncCFG:
 
 
 def build_cfgs(prog: Program, assignment: NodeAssignment) -> Dict[str, FuncCFG]:
+    """The CFG of every function of `prog` under `assignment`.  A function
+    whose item, ids and global and mutex names are those of its last CFG
+    gets that CFG again."""
     global_names = prog.global_names() | prog.mutex_names()
     cfgs: Dict[str, FuncCFG] = {}
-    for name, fn in prog.functions.items():
-        local = build_local_cfg(fn)
-        ids = assignment.assign[name]
-        edges = [Edge(ids[e.src], ids[e.dst], e.label) for e in local.edges]
-        # deterministic edge order: by target then source
-        edges.sort(key=lambda e: (e.dst, e.src))
-        incoming: Dict[int, List[Edge]] = {}
-        for e in edges:
-            incoming.setdefault(e.dst, []).append(e)
-        cfgs[name] = FuncCFG(name, fn, ids[0], ids[-1], ids, edges,
-                             function_locals(fn, global_names), incoming)
+    for item in prog.items.values():
+        fn = item.decl
+        if not isinstance(fn, Function):
+            continue
+        ids = assignment.assign[fn.name]
+        if item.cfg is None or item.cfg[0].node_ids != ids or item.cfg[1] != global_names:
+            edges = [Edge(ids[e.src], ids[e.dst], e.label) for e in local_cfg(item).edges]
+            # deterministic edge order: by target then source
+            edges.sort(key=lambda e: (e.dst, e.src))
+            incoming: Dict[int, List[Edge]] = {}
+            for e in edges:
+                incoming.setdefault(e.dst, []).append(e)
+            item.cfg = (FuncCFG(fn.name, fn, ids[0], ids[-1], ids, edges,
+                                function_locals(fn, global_names), incoming), global_names)
+            item.local = None
+        cfgs[fn.name] = item.cfg[0]
     return cfgs
-

@@ -20,6 +20,19 @@ Types are ``int``, ``void*`` and ``void`` (``mutex`` only at global scope).
 Locals are implicit: the locals of a function are its parameters plus every
 assignment target, plus the synthetic ``ret``.  Comments are ``//`` and
 ``/* */``.
+
+`parse` works item by item.  One scan over braces, depth-0 semicolons and
+comments splits the source into top-level *items*, one declaration each.
+A ``Program`` keeps its items (`Item`) keyed by their start line, start
+column and text.  This item table is never persisted; ``cli.Session``
+keeps the last version's ``Program`` in memory.  Given that previous
+``Program``, an item whose key is unchanged is the same object again: its
+declaration, digests and CFG (see ``cfg``) are reused, and only new items
+are lexed, parsed, checked and digested.  An edit that shifts lines gives
+every item below it a new key.  Errors are those of a parse of the whole
+text: every new item is lexed before any is parsed, items are parsed in
+order, and the body of an unchanged function is checked again whenever a
+global or mutex name or a function header changed.
 """
 
 from __future__ import annotations
@@ -47,7 +60,7 @@ class SemanticError(MiniCError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Loc:
     line: int
     col: int
@@ -56,36 +69,36 @@ class Loc:
 # -- expressions -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntLit:
     value: int
     loc: Loc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NullLit:
     loc: Loc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     name: str
     loc: Loc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AddrOf:
     name: str
     loc: Loc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Deref:
     name: str
     loc: Loc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BinOp:
     op: str
     left: object
@@ -96,21 +109,21 @@ class BinOp:
 # -- statements ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Assign:
     target: str
     expr: object
     loc: Loc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Store:
     pointer: str
     expr: object
     loc: Loc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class If:
     cond: object
     then: "Block"
@@ -118,39 +131,39 @@ class If:
     loc: Loc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class While:
     cond: object
     body: "Block"
     loc: Loc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Return:
     expr: Optional[object]
     loc: Loc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LockStmt:
     mutex: str
     loc: Loc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnlockStmt:
     mutex: str
     loc: Loc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Create:
     fn: str
     arg: object
     loc: Loc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Call:
     target: str
     fn: str
@@ -158,7 +171,7 @@ class Call:
     loc: Loc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
     stmts: Tuple[object, ...]
 
@@ -166,7 +179,7 @@ class Block:
 # -- declarations -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GlobalDecl:
     name: str
     init: Optional[int]
@@ -174,19 +187,19 @@ class GlobalDecl:
     loc: Loc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MutexDecl:
     name: str
     loc: Loc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Param:
     name: str
     type: str  # "int" | "void*"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Function:
     name: str
     ret_type: str
@@ -198,11 +211,26 @@ class Function:
         return (self.name, self.ret_type, tuple((p.name, p.type) for p in self.params))
 
 
+@dataclass(eq=False)
+class Item:
+    """One top-level declaration and what is derived from it alone.  The
+    item of an unchanged key in a later version is this same object, so
+    the caches that `cfg` keeps here are reused with it."""
+
+    decl: object  # GlobalDecl | MutexDecl | Function
+    digests: Optional[list] = None  # a function's [header digest, body digest]
+    local: object = None  # a function's LocalCFG, until its FuncCFG is built
+    cfg: object = None  # a function's last FuncCFG and the names it was built with
+
+
 @dataclass
 class Program:
     globals: List[GlobalDecl] = field(default_factory=list)
     mutexes: List[MutexDecl] = field(default_factory=list)
     functions: dict = field(default_factory=dict)  # name -> Function, in order
+    # (line, col, text) -> Item, in source order
+    items: dict = field(default_factory=dict, compare=False, repr=False)
+    parsed: int = field(default=0, compare=False, repr=False)  # function items parsed anew
 
     def global_names(self) -> set:
         return {g.name for g in self.globals}
@@ -219,8 +247,8 @@ class Program:
         """What change detection compares, as JSON: per function (in program
         order) the digests of its header and of its normalized body, the
         digest of the init signature and the sorted names of the globals."""
-        return {"functions": {name: [_digest(fn.header()), _digest(normalize(fn.body))]
-                              for name, fn in self.functions.items()},
+        return {"functions": {it.decl.name: it.digests for it in self.items.values()
+                              if it.digests is not None},
                 "init": _digest(self.init_signature()),
                 "globals": sorted(self.global_names())}
 
@@ -299,11 +327,12 @@ class Token(NamedTuple):
     col: int
 
 
-def _lex(src: str) -> List[Token]:
+def _lex(src: str, line: int = 1, col: int = 1) -> List[Token]:
+    """The tokens of `src`, whose first character is at `line` and `col`."""
     toks: List[Token] = []
     match = _TOKEN_RE.match
     pos, n = 0, len(src)
-    line, line_start = 1, 0  # current line and the index it starts at
+    line_start = 1 - col  # the index the current line starts at
     eof_pos = n
     while pos < n:
         m = match(src, pos)
@@ -340,9 +369,10 @@ def _lex(src: str) -> List[Token]:
 
 
 class _Parser:
-    def __init__(self, toks: List[Token]):
+    def __init__(self, toks: List[Token], functions: dict):
         self.toks = toks
         self.pos = 0
+        self.functions = functions  # the functions defined before these tokens
 
     def peek(self, ahead: int = 0) -> Token:
         return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
@@ -376,43 +406,39 @@ class _Parser:
 
     # -- top level
 
-    def program(self) -> Program:
-        prog = Program()
-        while not self.at("eof"):
+    def declaration(self):
+        """One top-level declaration.  A function named like one of
+        `self.functions` is a duplicate, found before its body is parsed."""
+        t = self.peek()
+        if t.kind == "kw" and t.text == "mutex":
+            self.next()
+            name = self.expect("ident")
+            self.expect("punct", ";")
+            return MutexDecl(name.text, Loc(name.line, name.col))
+        atomic = False
+        if t.kind == "kw" and t.text == "atomic":
+            self.next()
+            atomic = True
             t = self.peek()
-            if t.kind == "kw" and t.text == "mutex":
+        if t.kind == "kw" and t.text in ("int", "void"):
+            ty = self.parse_type()
+            name = self.expect("ident")
+            if self.at("punct", "("):
+                if atomic:
+                    self.err("'atomic' applies to globals only", name)
+                if name.text in self.functions:
+                    self.err(f"duplicate definition of {name.text!r}", name)
+                return self.function(ty, name)
+            if ty != "int":
+                self.err("only 'int' globals are supported", name)
+            init = None
+            if self.at("punct", "="):
                 self.next()
-                name = self.expect("ident")
-                self.expect("punct", ";")
-                prog.mutexes.append(MutexDecl(name.text, Loc(name.line, name.col)))
-                continue
-            atomic = False
-            if t.kind == "kw" and t.text == "atomic":
-                self.next()
-                atomic = True
-                t = self.peek()
-            if t.kind == "kw" and t.text in ("int", "void"):
-                ty = self.parse_type()
-                name = self.expect("ident")
-                if self.at("punct", "("):
-                    if atomic:
-                        self.err("'atomic' applies to globals only", name)
-                    if name.text in prog.functions:
-                        self.err(f"duplicate definition of {name.text!r}", name)
-                    prog.functions[name.text] = self.function(ty, name)
-                else:
-                    if ty != "int":
-                        self.err("only 'int' globals are supported", name)
-                    init = None
-                    if self.at("punct", "="):
-                        self.next()
-                        lit = self.expect("int")
-                        init = self.int_value(lit)
-                    self.expect("punct", ";")
-                    prog.globals.append(GlobalDecl(name.text, init, atomic, Loc(name.line, name.col)))
-                continue
-            self.err(f"expected declaration, found {t.text!r}")
-        return prog
+                lit = self.expect("int")
+                init = self.int_value(lit)
+            self.expect("punct", ";")
+            return GlobalDecl(name.text, init, atomic, Loc(name.line, name.col))
+        self.err(f"expected declaration, found {t.text!r}")
 
     def parse_type(self) -> str:
         t = self.expect("kw")
@@ -649,7 +675,9 @@ def names_used(node, out: Optional[set] = None) -> set:
     return out
 
 
-def _check_semantics(prog: Program) -> None:
+def _check_semantics(prog: Program, fns: List[Function]) -> None:
+    """The checks of the whole program, then those of the functions `fns`,
+    in program order."""
     globals_ = prog.global_names()
     mutexes = prog.mutex_names()
     seen = set()
@@ -668,7 +696,7 @@ def _check_semantics(prog: Program) -> None:
     if "main" not in prog.functions:
         raise SemanticError("no 'main' function")
 
-    for fn in prog.functions.values():
+    for fn in fns:
         locals_ = set(function_locals(fn, globals_ | mutexes))
         shadowed = {p.name for p in fn.params} & (globals_ | mutexes)
         if shadowed:
@@ -752,8 +780,108 @@ class _SemanticChecker:
                     self.expr(s.expr)
 
 
-def parse(text: str) -> Program:
-    """Parse and semantically check a MiniC compilation unit."""
-    prog = _Parser(_lex(text)).program()
-    _check_semantics(prog)
+# What the item scan stops at: braces, the "/" that may start a comment
+# (whose braces and semicolons do not count) and, at brace depth 0 only,
+# semicolons.
+_SCAN_TOP = re.compile(r"[{};/]")
+_SCAN_NESTED = re.compile(r"[{}/]")
+# What lies between two items: whitespace and complete comments.
+_GAP = re.compile(r"(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*", re.DOTALL)
+
+
+def _split(text: str) -> List[Tuple[int, int, str]]:
+    """The top-level items of `text`: (line, col, text) of each, in order.
+
+    An item starts after the whitespace and comments that follow the item
+    before it, and ends at a ";" at brace depth 0 or at the "}" that brings
+    the depth back to 0.  A declaration ends at such a character, so an
+    item holds at most one, and a parse of the item fails where a parse of
+    the whole text would.  A "}" at depth 0 ends an item too, which the
+    parser rejects.  Text after the last item is one more item; so is
+    everything from the start of the item that holds an unterminated "/*",
+    whose lexing reports it."""
+    out: List[Tuple[int, int, str]] = []
+    search_top, search_nested, gap = _SCAN_TOP.search, _SCAN_NESTED.search, _GAP.match
+    n = len(text)
+    start = pos = gap(text).end()
+    line = 1 + text.count("\n", 0, start)
+    col = start - text.rfind("\n", 0, start)
+    depth = 0
+    while True:
+        m = (search_nested if depth else search_top)(text, pos)
+        if m is None:
+            break
+        pos = m.end()
+        c = m.group()
+        if c == "{":
+            depth += 1
+            continue
+        if c == "/":
+            if text.startswith("/", pos):
+                pos = text.find("\n", pos)
+                pos = n if pos < 0 else pos
+            elif text.startswith("*", pos):
+                pos = text.find("*/", pos + 1) + 2
+                if pos == 1:
+                    break  # an unterminated "/*"
+            continue
+        if c == "}" and depth:
+            depth -= 1
+        if depth == 0:
+            out.append((line, col, text[start:pos]))
+            pos = gap(text, pos).end()
+            line += text.count("\n", start, pos)
+            col = pos - text.rfind("\n", 0, pos)
+            start = pos
+    if start < n:
+        out.append((line, col, text[start:]))
+    return out
+
+
+def parse(text: str, previous: Optional[Program] = None) -> Program:
+    """Parse and semantically check a MiniC compilation unit.
+
+    An item of `previous`, the parsed previous version, whose line, column
+    and text are unchanged is reused; only the other items are lexed,
+    parsed, checked and digested (see the module docstring)."""
+    prog, new = _parse_items(_split(text), previous.items if previous is not None else {})
+    # What the body of an unchanged function was checked against before:
+    # the global and mutex names and every function header.
+    same_context = previous is not None \
+        and prog.global_names() == previous.global_names() \
+        and prog.mutex_names() == previous.mutex_names() \
+        and prog.functions.keys() == previous.functions.keys() \
+        and all(previous.functions[it.decl.name].header() == it.decl.header() for it in new)
+    _check_semantics(prog, [it.decl for it in new] if same_context
+                     else list(prog.functions.values()))
+    for it in new:
+        it.digests = [_digest(it.decl.header()), _digest(normalize(it.decl.body))]
+    prog.parsed = len(new)
     return prog
+
+
+def _parse_items(keys: List[Tuple[int, int, str]], old: dict) -> Tuple[Program, List[Item]]:
+    """The program made of the items `keys`, those in `old` reused, and its
+    new function items.  The tokens are freed when it returns."""
+    # Every new item is lexed before any is parsed, as the whole text would be.
+    tokens = {key: _lex(key[2], key[0], key[1]) for key in keys if key not in old}
+    prog = Program()
+    new: List[Item] = []
+    for key in keys:
+        item = old.get(key)
+        if item is None:
+            item = Item(_Parser(tokens[key], prog.functions).declaration())
+            if isinstance(item.decl, Function):
+                new.append(item)
+        decl = item.decl
+        if isinstance(decl, Function):
+            if decl.name in prog.functions:  # a reused item: the parser checks new ones
+                raise ParseError(f"duplicate definition of {decl.name!r}",
+                                 decl.loc.line, decl.loc.col)
+            prog.functions[decl.name] = decl
+        elif isinstance(decl, GlobalDecl):
+            prog.globals.append(decl)
+        else:
+            prog.mutexes.append(decl)
+        prog.items[key] = item
+    return prog, new

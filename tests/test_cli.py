@@ -227,9 +227,9 @@ def test_reanalyze_parses_only_the_new_source(ws, monkeypatch):
     parsed = []
     original = cli.parse
 
-    def counting(text):
+    def counting(text, previous=None):
         parsed.append(text)
-        return original(text)
+        return original(text, previous)
 
     monkeypatch.setattr(cli, "parse", counting)
     code, out, _ = invoke(cli.cmd_reanalyze, src, cli.Options(state_dir=sd, explain_diff=True))
@@ -628,10 +628,15 @@ def test_serve_session_matches_cli_reanalyze(tmp_path, monkeypatch):
     out = io.StringIO()
     assert cli.Server(cli.Options(state_dir=serve_dir, stats=True)).serve(requests(), out)
     results = [json.loads(l)["result"] for l in out.getvalue().splitlines()[:-1]]
+    # The CLI parses all 25 functions every time; the server, which loaded
+    # its state from the bundle, parses them all once and then only the
+    # edited one.
+    assert [s["parsed"] for s in cli_stats] == [25, 25, 25]
     assert [r.pop("stats") for r in results] == \
         [{"rhs_evals_total": s["rhs_evals_total"],
           "destabilizations_total": s["destabilizations_total"],
-          "diagnostics": s["run"]["diagnostics"]} for s in cli_stats]
+          "parsed": parsed,
+          "diagnostics": s["run"]["diagnostics"]} for s, parsed in zip(cli_stats, [25, 1, 1])]
     assert results == cli_diffs
     assert len(loads) == 1
     serve_bundle = bundle_of(serve_dir)
@@ -1245,6 +1250,93 @@ def test_serve_memory_stays_level_over_thirty_requests(tmp_path):
         assert cli.Server(cli.Options(state_dir=sd)).serve(requests(), io.StringIO())
     assert len(counts) == 30
     assert max(abs(c - counts[0]) for c in counts) < 2000, counts
+
+
+def _without_f030(text):
+    """`text` without the function f030 and its call in main."""
+    blocks = [b for b in text.split("\n\n") if not b.startswith("int f030(")]
+    return "\n\n".join(blocks).replace("  r = f030(0);\n", "")
+
+
+def _lockstep_versions():
+    """A 40-function corpus, then: two value-changing edits, an `extra:`
+    edit that shifts the lines of every function below it, a syntax error,
+    a valid edit, the removal of f030 and one more edit."""
+    spec = CorpusSpec(n_functions=40, seed=7)
+    versions = [corpus_source(spec)]
+    for idx, variant in ((5, "const:9"), (3, "gval:17"), (10, "extra:4")):
+        spec = spec.with_variant(idx, variant)
+        versions.append(corpus_source(spec))
+    versions.append(versions[-1].replace("  a = p + 1", "  a = p + ;", 1))
+    spec = spec.with_variant(20, "const:3")
+    versions.append(corpus_source(spec))
+    versions.append(_without_f030(versions[-1]))
+    spec = spec.with_variant(2, "const:5")
+    versions.append(_without_f030(corpus_source(spec)))
+    return versions
+
+
+# Functions parsed per request by a server that loaded its state from the
+# bundle: all 41 at first, the edited one after a single-function edit, 31
+# after the `extra:` edit of f010 (it and every function below it moved),
+# all 41 again after the failed request (the server reloads the bundle),
+# and main plus the 9 functions below f030 after its removal.
+SERVE_PARSED = [41, 1, 31, 41, 10, 1]
+
+
+def test_serve_works_in_lockstep_with_cli_reanalyze(tmp_path):
+    """A CLI reanalyze chain and one server on the same versions give the
+    same responses and byte-identical bundles after every request, while
+    the server parses only what moved and leaves no cyclic garbage."""
+    base, *edits = _lockstep_versions()
+    assert len(edits) == 7
+    src = str(tmp_path / "prog.mc")
+    cli_dir, serve_dir = str(tmp_path / "cli"), str(tmp_path / "serve")
+
+    def bundle_text(state_dir):
+        with open(os.path.join(state_dir, "bundle.json")) as f:
+            text = f.read()
+        return text.replace(json.loads(text)["created_at"], "")
+
+    write(src, base)
+    cli_runs, cli_bundles = [], []
+    for sd in (cli_dir, serve_dir):
+        assert invoke(cli.cmd_analyze, src, cli.Options(state_dir=sd))[0] == 0
+    for text in edits:
+        write(src, text)
+        cli_runs.append(invoke(cli.cmd_reanalyze, src, cli.Options(state_dir=cli_dir, stats=True)))
+        cli_bundles.append(bundle_text(cli_dir))
+    assert [code for code, _, _ in cli_runs] == [0, 0, 0, 2, 0, 0, 0]
+    assert [json.loads(err)["parsed"] for code, _, err in cli_runs if code == 0] == \
+        [41, 41, 41, 41, 40, 40]
+
+    serve_bundles = []
+
+    def requests():
+        for i, text in enumerate(edits):
+            write(src, text)
+            yield json.dumps({"id": i, "method": "reanalyze", "path": src})
+            serve_bundles.append(bundle_text(serve_dir))
+        yield json.dumps({"method": "shutdown"})
+
+    out = io.StringIO()
+    with _collector_off() as freed:
+        assert cli.Server(cli.Options(state_dir=serve_dir, stats=True)).serve(requests(), out)
+    assert set(freed) == {0}
+    responses = [json.loads(line) for line in out.getvalue().splitlines()[:-1]]
+    parsed = []
+    for response, (code, stdout, stderr) in zip(responses, cli_runs):
+        if code == 2:
+            assert response["error"] == stderr.strip().removeprefix("error: ")
+            continue
+        stats, cli_stats = response["result"].pop("stats"), json.loads(stderr)
+        parsed.append(stats.pop("parsed"))
+        assert stats == {"rhs_evals_total": cli_stats["rhs_evals_total"],
+                         "destabilizations_total": cli_stats["destabilizations_total"],
+                         "diagnostics": cli_stats["run"]["diagnostics"]}
+        assert json.dumps(response["result"]) == json.dumps(json.loads(stdout))
+    assert parsed == SERVE_PARSED
+    assert serve_bundles == cli_bundles
 
 
 @pytest.mark.parametrize("enabled", [True, False])
