@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Optional, TextIO
 
 from .consys import NodeCtx, unknown_key
-from .domains import leq
+from .domains import DomainError, leq
 from .increment import reanalyze
 from .minic import MiniCError, Program, build_system, parse
 from .minic.cfg import NodeAssignment, NodeTableError, assign_node_ids
@@ -50,7 +50,7 @@ from .tdsolver import (
 )
 
 BUNDLE_NAME = "bundle.json"
-BUNDLE_FORMAT = 2
+BUNDLE_FORMAT = 3
 
 
 class CliError(Exception):
@@ -61,10 +61,12 @@ class CliError(Exception):
 # A RecursionError escapes the recursive-descent parser and the right-hand
 # sides the system builder makes, which recurse once per nesting level of an
 # expression (~200 nested parentheses, a ~250-term sum or ~330 call arguments
-# exhaust the default recursion limit); after an error the server reloads
-# its state from the bundle.
+# exhaust the default recursion limit).  A DomainError is a program the
+# value domains cannot represent, such as a local that holds an integer on
+# one path and a pointer on another.  After an error the server reloads its
+# state from the bundle.
 ERRORS = (MiniCError, CliError, NodeTableError, SolverDepthError, RecursionError,
-          StateCorruption)
+          StateCorruption, DomainError)
 
 
 @dataclass

@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Dict, List, Optional, Tuple
+from typing import Callable, ClassVar, Dict, List, Tuple
 
 from .domains import Access, Value, join, value_from_json, value_to_json
 
@@ -239,10 +239,10 @@ class EvalState:
     accesses: List[Tuple[str, Access]] = field(default_factory=list)  # (global, record)
 
 
-def eval_tree(t: Tree, lookup: Callable, state: Optional[EvalState] = None) -> Tuple[EvalState, Value]:
+def eval_tree(t: Tree, lookup: Callable) -> Tuple[EvalState, Value]:
     """Pure evaluation: record queries, join side contributions, collect
     access records, never write σ."""
-    s = state if state is not None else EvalState()
+    s = EvalState()
     queried, sides = s.queried, s.sides
     while True:
         if isinstance(t, Ans):

@@ -44,7 +44,7 @@ class Value:
     def join(self, other: "Value") -> "Value":
         raise NotImplementedError
 
-    def widen(self, other: "Value", bound: int = DEFAULT_SET_BOUND) -> "Value":
+    def widen(self, other: "Value") -> "Value":
         raise NotImplementedError
 
     def narrow(self, other: "Value") -> "Value":
@@ -75,9 +75,9 @@ def join(a: Value, b: Value) -> Value:
     return a.join(b)
 
 
-def widen(a: Value, b: Value, bound: int = DEFAULT_SET_BOUND) -> Value:
+def widen(a: Value, b: Value) -> Value:
     _check_same_domain(a, b)
-    return a.widen(b, bound)
+    return a.widen(b)
 
 
 def narrow(a: Value, b: Value) -> Value:
@@ -128,9 +128,9 @@ class ValueSet(Value):
             return ValueSet.top()
         return ValueSet(self.values | other.values)
 
-    def widen(self, other: "ValueSet", bound: int = DEFAULT_SET_BOUND) -> "ValueSet":
+    def widen(self, other: "ValueSet") -> "ValueSet":
         u = self.join(other)
-        if u.values is not None and len(u.values) > bound:
+        if u.values is not None and len(u.values) > DEFAULT_SET_BOUND:
             return ValueSet.top()
         return u
 
@@ -206,7 +206,7 @@ class Interval(Value):
         hi = None if self.hi is None or other.hi is None else max(self.hi, other.hi)
         return Interval(lo, hi)
 
-    def widen(self, other: "Interval", bound: int = DEFAULT_SET_BOUND) -> "Interval":
+    def widen(self, other: "Interval") -> "Interval":
         if self.empty:
             return other
         if other.empty:
@@ -283,9 +283,9 @@ class AddressSet(Value):
             return AddressSet.top()
         return AddressSet(self.addrs | other.addrs)
 
-    def widen(self, other: "AddressSet", bound: int = DEFAULT_SET_BOUND) -> "AddressSet":
+    def widen(self, other: "AddressSet") -> "AddressSet":
         u = self.join(other)
-        if u.addrs is not None and len(u.addrs) > bound:
+        if u.addrs is not None and len(u.addrs) > DEFAULT_SET_BOUND:
             return AddressSet.top()
         return u
 
@@ -346,7 +346,7 @@ class Lockset(Value):
             return self
         return Lockset(self.held & other.held)
 
-    def widen(self, other: "Lockset", bound: int = DEFAULT_SET_BOUND) -> "Lockset":
+    def widen(self, other: "Lockset") -> "Lockset":
         # Ascending chains are bounded by the (finite) mutex universe.
         return self.join(other)
 
@@ -447,12 +447,12 @@ class Env(Value):
             return self
         return self._pointwise(other, join)
 
-    def widen(self, other: "Env", bound: int = DEFAULT_SET_BOUND) -> "Env":
+    def widen(self, other: "Env") -> "Env":
         if self.bindings is None:
             return other
         if other.bindings is None:
             return self
-        return self._pointwise(other, lambda a, b: widen(a, b, bound))
+        return self._pointwise(other, widen)
 
     def narrow(self, other: "Env") -> "Env":
         if self.bindings is None or other.bindings is None:
@@ -525,12 +525,12 @@ class LocalState(Value):
             return self
         return LocalState(self.env.join(other.env), self.locks.join(other.locks))
 
-    def widen(self, other: "LocalState", bound: int = DEFAULT_SET_BOUND) -> "LocalState":
+    def widen(self, other: "LocalState") -> "LocalState":
         if self.is_bot():
             return other
         if other.is_bot():
             return self
-        return LocalState(self.env.widen(other.env, bound), self.locks.widen(other.locks, bound))
+        return LocalState(self.env.widen(other.env), self.locks.widen(other.locks))
 
     def narrow(self, other: "LocalState") -> "LocalState":
         if self.is_bot() or other.is_bot():
@@ -641,7 +641,7 @@ def _interval_cmp(op: str, a: Interval, b: Interval) -> Interval:
     return Interval(lo, hi)
 
 
-def arith_binop(op: str, a: Value, b: Value, bound: int = DEFAULT_SET_BOUND) -> Value:
+def arith_binop(op: str, a: Value, b: Value) -> Value:
     """Abstract binary operation on integers; Top-absorbing.
 
     Mixed or non-integer operands (e.g. pointer arithmetic) fall back to the
@@ -652,7 +652,7 @@ def arith_binop(op: str, a: Value, b: Value, bound: int = DEFAULT_SET_BOUND) -> 
             if a.values is None or b.values is None:
                 return ValueSet.top()
             out = {_clamp(_ARITH[op](x, y)) for x in a.values for y in b.values}
-            if len(out) > bound:
+            if len(out) > DEFAULT_SET_BOUND:
                 return ValueSet.top()
             return ValueSet(frozenset(out))
         if op in _CMP:

@@ -2,9 +2,11 @@
 
 Change detection works at function granularity: it compares digests of
 headers and of normalized bodies (ASTs with locations erased), so the old
-version is known by its ``Program.digests`` alone.  Interior nodes of an
-edited function get fresh ids, so their old unknowns simply become garbage;
-entry and return nodes keep their ids.
+version is known by its ``Program.digests`` alone.  Interior nodes of a
+body-changed function get fresh ids, so their old unknowns simply become
+garbage; entry and return nodes keep their ids.  A header-changed function
+gets fresh ids for every node, like a removed one that was added again:
+its entry and return values bind other names or types now.
 
 An analysis from scratch is the reanalysis of the empty version (digests
 ``{"init": None, "functions": {}, "globals": []}``, no node ids, an empty
@@ -19,13 +21,13 @@ Two destabilization strategies:
   first; destabilization beyond a return node happens solely when its value
   actually changes.
 
-An edit can rewrite right-hand sides outside the edited function: the
-global declarations decide which names denote globals, and a call site
-builds the callee's start state from the callee's locals.  So a function
-that uses a name which became or stopped being a global counts as changed,
-and both strategies restart the entry of an edited function in each
-context whose start state lists other locals than the new version, which
-re-evaluates the call sites, creation sites and harness that side-effect it.
+A call site reads only its callee's header: the start state it
+side-effects binds the parameters and ``ret``, and the callee binds its
+other locals itself.  So an edit rewrites right-hand sides outside the
+edited function in two cases only, and the functions that own them count as
+changed: a function that uses a name which became or stopped being a global
+(the global declarations decide which names denote globals), and a function
+that calls or creates a header-changed function.
 
 Restarting resets selected flow-insensitive unknowns to Bot and destabilizes
 all their producers, purging values accumulated across runs.  The minimal
@@ -39,8 +41,7 @@ an unknown that stayed stable through the run and at which, at whose last
 reads and at whose side targets σ is unchanged since the run began: it is
 not evaluated, and its recorded successors are the inverse of ``infl``
 minus the stale edges the walk noted when it last evaluated it.  So the walk
-evaluates only what the run touched.  The producers of an edited
-function's entry are never reused, and after an edit of the global
+evaluates only what the run touched.  After an edit of the global
 declarations `reanalyze` returns no snapshot and the walk evaluates every
 reached rhs.  Pruning drops the unknowns that left the reached set and the
 rows that name them.
@@ -75,13 +76,10 @@ INIT_PSEUDO_FN = "__init"
 @dataclass(frozen=True)
 class StartState:
     """σ and the stable set as a reanalysis found them, before it changed
-    anything, and the unknowns whose right-hand side the edit may have
-    rewritten although their own function is unchanged; the post-solve walk
-    compares against them.  Not persisted."""
+    anything; the post-solve walk compares against them.  Not persisted."""
 
     sigma: Dict[Unknown, Value]
     stable: Set[Unknown]
-    rewritten: Set[Unknown]
 
 
 @dataclass(frozen=True)
@@ -115,7 +113,8 @@ class ChangeSet:
 def detect_changes(old: dict, new: Program) -> ChangeSet:
     """Diff `new` against `old`, the digests (``Program.digests``) of the
     previous version.  A function whose digests are unchanged but that uses
-    a name which was added to or removed from the globals is `changed`."""
+    a name which was added to or removed from the globals, or that calls or
+    creates a header-changed function, is `changed`."""
     changed, header_changed, added, removed, unchanged = set(), set(), set(), set(), set()
     old_fns, new_fns = old["functions"], new.digests["functions"]
     for name, (header, body) in new_fns.items():
@@ -130,11 +129,12 @@ def detect_changes(old: dict, new: Program) -> ChangeSet:
     for name in old_fns:
         if name not in new_fns:
             removed.add(name)
-    # A name that became or stopped being a global changes the right-hand
-    # sides of every function that uses it, edited or not.
-    redeclared = set(old["globals"]).symmetric_difference(new.digests["globals"])
-    if redeclared:
-        for name in [n for n in unchanged if not redeclared.isdisjoint(
+    # A name that became or stopped being a global, and a function whose
+    # header changed, change the right-hand sides of every function that
+    # uses the name, edited or not.
+    redefined = set(old["globals"]).symmetric_difference(new.digests["globals"]) | header_changed
+    if redefined:
+        for name in [n for n in unchanged if not redefined.isdisjoint(
                 names_used(new.functions[n].body))]:
             unchanged.remove(name)
             changed.add(name)
@@ -151,9 +151,9 @@ def detect_changes(old: dict, new: Program) -> ChangeSet:
 def relabel_nodes(changes: ChangeSet, old: NodeAssignment,
                   new_prog: Program) -> NodeAssignment:
     """Node identities for the new version: unchanged functions keep all ids,
-    edited ones keep entry/return ids, everything else is fresh."""
+    body-changed ones keep entry/return ids, everything else is fresh."""
     reuse_all = set(changes.unchanged)
-    reuse_endpoints = set(changes.changed | changes.header_changed)
+    reuse_endpoints = set(changes.changed)
     reuse_endpoints.discard(INIT_PSEUDO_FN)
     return assign_node_ids(new_prog, old, reuse_all, reuse_endpoints)
 
@@ -203,15 +203,16 @@ def _drop_obsolete_starts(st: SolverState, new_sys: EqSys) -> None:
 
 
 def _drop_stale_nodes(changes: ChangeSet, st: SolverState, old_asg: NodeAssignment) -> None:
-    """Unknowns of interior nodes of edited functions (and all nodes of
-    removed ones) no longer exist in the new system; drop them from stable
-    and superstable.  Their σ entries are garbage until pruning."""
+    """Unknowns of interior nodes of body-changed functions (and all nodes
+    of header-changed and removed ones) no longer exist in the new system;
+    drop them from stable and superstable.  Their σ entries are garbage
+    until pruning."""
     stale: Set[Tuple[str, int]] = set()
-    for fn in changes.changed | changes.header_changed:
+    for fn in changes.changed:
         ids = old_asg.assign.get(fn)
         if ids:
             stale.update((fn, n) for n in ids[1:-1])
-    for fn in changes.removed:
+    for fn in changes.header_changed | changes.removed:
         ids = old_asg.assign.get(fn)
         if ids:
             stale.update((fn, n) for n in ids)
@@ -222,32 +223,15 @@ def _drop_stale_nodes(changes: ChangeSet, st: SolverState, old_asg: NodeAssignme
             coll.discard(u)
 
 
-def _restart_entries(changes: ChangeSet, st: SolverState, old_asg: NodeAssignment,
-                     new: BuiltSystem, contexts: Dict[str, Set[Context]]) -> None:
-    """Restart the entry of a body-changed function in every context whose
-    start state lists other locals than the new version has.  The call
-    sites, creation sites and harness that side-effect it build that state
-    from the callee's locals, so their right-hand sides changed although
-    their own functions did not."""
-    for fn in sorted(changes.changed - {INIT_PSEUDO_FN}):
-        entry, local_names = old_asg.assign[fn][0], set(new.cfgs[fn].locals)
-        for u in sorted((NodeCtx(fn, entry, ctx) for ctx in contexts.get(fn, ())),
-                        key=sort_key):
-            s = st.sigma[u]
-            if not s.is_bot() and s.env.as_dict().keys() != local_names:
-                _restart(u, st)
-
-
 def prepare_plain(changes: ChangeSet, st: SolverState, old_asg: NodeAssignment,
-                  new: BuiltSystem) -> List[Unknown]:
+                  new_sys: EqSys) -> List[Unknown]:
     """Eager destabilization at the return nodes of every edited function.
 
     Returns the empty pre-solve list (step 1 is empty in plain mode)."""
     st.superstable = set(st.stable)
-    _drop_obsolete_starts(st, new.sys)
+    _drop_obsolete_starts(st, new_sys)
     _drop_stale_nodes(changes, st, old_asg)
     contexts = recorded_contexts(st, old_asg)
-    _restart_entries(changes, st, old_asg, new, contexts)
     for u in _return_unknowns(changes.edited(), contexts, old_asg):
         st.stable.discard(u)
         st.superstable.discard(u)
@@ -256,16 +240,15 @@ def prepare_plain(changes: ChangeSet, st: SolverState, old_asg: NodeAssignment,
 
 
 def prepare_reluctant(changes: ChangeSet, st: SolverState, old_asg: NodeAssignment,
-                      new: BuiltSystem) -> List[Unknown]:
+                      new_sys: EqSys) -> List[Unknown]:
     """Confined destabilization: body-changed functions contribute their
     return unknowns to the pre-solve set A without destabilizing their
     dependents.  Header-changed and removed functions are handled plainly
     (reluctance could only do work in vain there)."""
     st.superstable = set(st.stable)
-    _drop_obsolete_starts(st, new.sys)
+    _drop_obsolete_starts(st, new_sys)
     _drop_stale_nodes(changes, st, old_asg)
     contexts = recorded_contexts(st, old_asg)
-    _restart_entries(changes, st, old_asg, new, contexts)
     for u in _return_unknowns(changes.header_changed | changes.removed, contexts, old_asg):
         st.stable.discard(u)
         st.superstable.discard(u)
@@ -301,29 +284,24 @@ def select_restart_globals(changes: ChangeSet, st: SolverState,
 
 
 def restart_globals(G: Iterable[Unknown], st: SolverState) -> None:
-    """Restart each global in `G`."""
+    """Reset each global in `G` to Bot, destabilize it, and force
+    re-evaluation of every unknown that ever side-effected it."""
     for g in sorted(G, key=sort_key):
-        _restart(g, st)
-
-
-def _restart(u: Unknown, st: SolverState) -> None:
-    """Reset `u` to Bot, destabilize it, and force re-evaluation of every
-    unknown that ever side-effected it."""
-    st.sigma.pop(u, None)
-    st.stable.discard(u)
-    st.superstable.discard(u)
-    st.destabilize(u)
-    producers = list(st.side_dep.pop(u, ()))
-    for x in producers:
-        row = st.side_infl.get(x)
-        if row is not None:
-            row.pop(u, None)
-            if not row:
-                del st.side_infl[x]
-    for x in producers:
-        st.stable.discard(x)
-        st.superstable.discard(x)
-        st.destabilize(x)
+        st.sigma.pop(g, None)
+        st.stable.discard(g)
+        st.superstable.discard(g)
+        st.destabilize(g)
+        producers = list(st.side_dep.pop(g, ()))
+        for x in producers:
+            row = st.side_infl.get(x)
+            if row is not None:
+                row.pop(g, None)
+                if not row:
+                    del st.side_infl[x]
+        for x in producers:
+            st.stable.discard(x)
+            st.superstable.discard(x)
+            st.destabilize(x)
 
 
 # ---------------------------------------------------------------------------
@@ -353,26 +331,12 @@ def reanalyze(old_digests: dict, old_asg: NodeAssignment, st: SolverState,
     # a dereference touches, in functions that do not name them, so after
     # an edit of them nothing is reused.
     start = None if INIT_PSEUDO_FN in changes.changed else \
-        StartState(dict(st.sigma), set(st.stable), _entry_producers(changes, st, old_asg))
-    pre_solve = prepare(changes, st, old_asg, built)
+        StartState(dict(st.sigma), set(st.stable))
+    pre_solve = prepare(changes, st, old_asg, built.sys)
     restart_globals(restarted, st)
     stats = run(built.sys, st, pre_solve, restart_wpoint=restart_wpoint)
     stats["restarted"] = [unknown_key(g) for g in restarted]
     return changes, built, stats, start
-
-
-def _entry_producers(changes: ChangeSet, st: SolverState,
-                     old_asg: NodeAssignment) -> Set[Unknown]:
-    """The call sites, creation sites and harness that side-effect the entry
-    of an edited function: the start state they side-effect lists that
-    function's locals, so their right-hand sides change with its body."""
-    entries = {fn: old_asg.assign[fn][0] for fn in changes.changed | changes.header_changed
-               if fn in old_asg.assign}
-    out: Set[Unknown] = set()
-    for u, producers in st.side_dep.items():
-        if isinstance(u, NodeCtx) and entries.get(u.fn) == u.node:
-            out.update(producers)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -387,16 +351,19 @@ def reachable_set(sys_: EqSys, st: SolverState, visit: Optional[Callable] = None
     dependencies plus side-effect targets.
 
     Given `start`, the state the reanalysis that produced σ began with, a
-    reached unknown is *reusable* when it is stable and superstable, its rhs
-    is not among ``start.rewritten`` and σ is unchanged, by identity since
-    `start`, at itself, at every unknown its last evaluation read and at
-    every global it side-effected.  Its rhs is not evaluated: the walk
-    follows those recorded successors and hands it to `reuse(u)` if it has
-    a rhs.  Every other reached rhs is evaluated purely, once; `visit(u,
-    eval_state, value)` sees that evaluation, with its access records, and
-    ``st.stale`` records the ``infl`` edges it did not read.  Reuse
-    presumes that the state `start` records was left by a verified walk, as
-    every persisted state is; without `start` every reached rhs is
+    reached unknown is *reusable* when it is stable and superstable and σ
+    is unchanged, by identity since `start`, at itself, at every unknown
+    its last evaluation read and at every global it side-effected.  Its rhs
+    is not evaluated: the walk follows those recorded successors and hands
+    it to `reuse(u)` if it has a rhs.  Every other reached rhs is evaluated
+    purely, once; `visit(u, eval_state, value)` sees that evaluation, with
+    its access records, and ``st.stale`` records the ``infl`` edges it did
+    not read.  Reuse presumes that the state `start` records was left by a
+    verified walk, as every persisted state is, and that a superstable
+    unknown's rhs is the one that walk evaluated: a rhs an edit rewrites
+    belongs to a function counted as changed, whose rewritten nodes are
+    new, or follows an edit of the global declarations, after which
+    `reanalyze` gives no `start`.  Without `start` every reached rhs is
     evaluated."""
     sigma = st.sigma
     look = sys_.lookup(sigma)
@@ -413,7 +380,7 @@ def reachable_set(sys_: EqSys, st: SolverState, visit: Optional[Callable] = None
         for y in list(dirty):
             dirty.update(x for x in st.infl.get(y, ()) if y not in st.stale.get(x, ()))
             dirty.update(st.side_dep.get(y, ()))
-        reusable = (st.superstable & st.stable) - dirty - start.rewritten
+        reusable = (st.superstable & st.stable) - dirty
     seeds = [sys_.query] + sorted(st.starts, key=sort_key) + sorted(sys_.starts, key=sort_key)
     reached: Set[Unknown] = set()
     stack = list(reversed(seeds))

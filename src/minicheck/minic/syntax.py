@@ -641,8 +641,9 @@ def _collect_locals(block: Block, names: List[str], global_names: set) -> None:
 
 
 def names_used(node, out: Optional[set] = None) -> set:
-    """Every name that an AST fragment reads, assigns, stores through or takes
-    the address of: the names whose meaning the global declarations decide."""
+    """Every name that an AST fragment reads, assigns, stores through, takes
+    the address of, calls or creates: the names whose meaning the global
+    declarations and the function headers decide."""
     out = set() if out is None else out
     if isinstance(node, (Var, AddrOf, Deref)):
         out.add(node.name)
@@ -660,6 +661,7 @@ def names_used(node, out: Optional[set] = None) -> set:
         names_used(node.expr, out)
     elif isinstance(node, Call):
         out.add(node.target)
+        out.add(node.fn)
         for a in node.args:
             names_used(a, out)
     elif isinstance(node, If):
@@ -669,6 +671,7 @@ def names_used(node, out: Optional[set] = None) -> set:
         names_used(node.cond, out)
         names_used(node.body, out)
     elif isinstance(node, Create):
+        out.add(node.fn)
         names_used(node.arg, out)
     elif isinstance(node, Return) and node.expr is not None:
         names_used(node.expr, out)

@@ -9,6 +9,11 @@ together: the ``init`` unknown side-effects global initializers, and the
 ``__main`` unknown (the analysis query) runs ``init``, seeds ``main``'s
 entry and queries ``main``'s endpoint.
 
+What a caller side-effects to an entry is read off the callee's header
+alone: the parameters and ``ret``.  The callee binds its other locals to
+Top on the edges out of its entry, so no right-hand side outside a function
+depends on its body.
+
 Every read and write of a global annotates the right-hand side with an
 access record (read/write, held lockset, producing edge).  No value depends
 on a record: the solver steps over them, and postprocessing collects them
@@ -148,13 +153,18 @@ class _SystemGen:
         return QGet(INIT, lambda _v: QSet(entry_u, start, QGet(ret_u, lambda v: Ans(v))))
 
     def _fn_start_state(self, fn: str, args: Dict[str, Value], locks: Lockset) -> LocalState:
-        cfg = self.cfgs[fn]
-        env = {}
-        for name in cfg.locals:
-            env[name] = args.get(name, self.int.top())
-        if cfg.fn.ret_type == "void*":
-            env["ret"] = args.get("ret", AddressSet.top())
-        return LocalState(Env.of(env), locks)
+        """The state a call site, creation site or the harness side-effects
+        to `fn`'s entry: `args` and ``ret``, of the type `fn`'s header
+        declares."""
+        ret = AddressSet.top() if self.cfgs[fn].fn.ret_type == "void*" else self.int.top()
+        return LocalState(Env.of({"ret": ret, **args}), locks)
+
+    def _bind_locals(self, cfg: FuncCFG, s: LocalState) -> LocalState:
+        """`s`, a state at `cfg`'s entry, with every local the start state
+        leaves unbound bound to Top."""
+        env = dict.fromkeys(cfg.locals, self.int.top())
+        env.update(s.env.as_dict())
+        return LocalState(Env.of(env), s.locks)
 
     # -- per-node right-hand sides ----------------------------------------------
 
@@ -176,7 +186,8 @@ class _SystemGen:
         return QGet(pred, lambda s:
                     self._fold(cfg, edges, ctx, i + 1, acc)
                     if (not isinstance(s, LocalState) or s.is_bot())
-                    else self._transfer(cfg, e, s,
+                    else self._transfer(cfg, e,
+                                        self._bind_locals(cfg, s) if e.src == cfg.entry else s,
                                         lambda out: self._fold(cfg, edges, ctx, i + 1,
                                                                acc.join(out))))
 

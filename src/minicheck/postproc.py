@@ -48,7 +48,7 @@ class StateCorruption(Exception):
 @dataclass(frozen=True)
 class Warning:
     id: str
-    kind: str  # "race" | "assert" | "unsound-store" | "dead-code"
+    kind: str  # "race" | "unsound-store" | "dead-code"
     message: str
     locations: Tuple[Tuple[str, int, int], ...]  # (file, line, col)
     provenance: Tuple[str, ...]  # canonical unknown keys

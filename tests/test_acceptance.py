@@ -202,7 +202,7 @@ def test_criterion_4_reluctant_stable_sets_and_counter():
     changes = detect_changes(parse(FIG2).digests, parse(FIG2_EDIT))
     new_asg = relabel_nodes(changes, base_built.assignment, parse(FIG2_EDIT))
     new_built = build_system(parse(FIG2_EDIT), new_asg)
-    A = prepare_reluctant(changes, st, base_built.assignment, new_built)
+    A = prepare_reluctant(changes, st, base_built.assignment, new_built.sys)
 
     # after preparation: the return unknown is scheduled, its dependents kept
     assert A == [node("foo", 2, BETA0)]
@@ -231,11 +231,11 @@ def test_criterion_4_step1_intermediate_state():
     changes = detect_changes(parse(FIG2).digests, parse(FIG2_EDIT))
     new_asg = relabel_nodes(changes, base_built.assignment, parse(FIG2_EDIT))
     new_built = build_system(parse(FIG2_EDIT), new_asg)
-    A = prepare_reluctant(changes, st, base_built.assignment, new_built)
+    A = prepare_reluctant(changes, st, base_built.assignment, new_built.sys)
     run(new_built.sys, st, pre_solve=A)  # without querying further
     # (run also solves the query; replicate the step-1-only state instead)
     st = _clone(base_state)
-    A = prepare_reluctant(changes, st, base_built.assignment, new_built)
+    A = prepare_reluctant(changes, st, base_built.assignment, new_built.sys)
     from minicheck.tdsolver import Phase, Solver
     solver = Solver(new_built.sys, st)
     for a in A:

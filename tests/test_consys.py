@@ -2,6 +2,7 @@ import dataclasses
 import json
 import random
 
+from minicheck import consys
 from minicheck.consys import (
     Ans,
     Context,
@@ -48,10 +49,9 @@ def test_qget_records_query_and_passes_value():
 
 
 def test_qset_joins_with_preexisting_contribution():
-    pre = EvalState()
-    pre.sides[G] = vs(0)
-    t = QSet(G, vs(1), Ans(vs(7)))
-    s, v = eval_tree(t, look({}), pre)
+    # a contribution made before a query is joined with the one after it
+    t = QSet(G, vs(0), QGet(H, lambda _v: QSet(G, vs(1), Ans(vs(7)))))
+    s, v = eval_tree(t, look({}))
     assert s.sides[G] == vs(0, 1)
     assert v == vs(7)
 
@@ -118,10 +118,10 @@ def test_result_is_insensitive_to_preseeded_sides():
         t = random_tree(rng, unknowns)
         sigma = {u: random_value(rng) for u in unknowns}
         fresh, v_fresh = eval_tree(t, look(sigma))
-        seeded = EvalState()
+        seeded = t
         for u in unknowns:
-            seeded.sides[u] = random_value(rng)
-        out, v_seeded = eval_tree(t, look(sigma), seeded)
+            seeded = QSet(u, random_value(rng), seeded)
+        out, v_seeded = eval_tree(seeded, look(sigma))
         assert v_fresh == v_seeded
         assert list(fresh.queried) == list(out.queried)
         for u, d in fresh.sides.items():
@@ -140,14 +140,19 @@ class _CountingDict(dict):
         return super().__getitem__(k)
 
 
-def test_sides_are_write_only_during_evaluation():
+class _CountingState(EvalState):
+    def __init__(self):
+        super().__init__()
+        self.sides = _CountingDict()
+
+
+def test_sides_are_write_only_during_evaluation(monkeypatch):
     # instrument reads of the side channel: the only permitted access is the
     # accumulator's own join (one lookup per QSet), never the tree's logic
     t = QSet(G, vs(1), QGet(G, lambda v: QSet(H, v, Ans(v))))
-    state = EvalState()
-    state.sides = _CountingDict()
+    monkeypatch.setattr(consys, "EvalState", _CountingState)
     _CountingDict.reads = 0
-    _, v = eval_tree(t, look({G: vs(5)}), state)
+    _, v = eval_tree(t, look({G: vs(5)}))
     assert v == vs(5)  # the QGet saw σ, not the earlier side contribution
     assert _CountingDict.reads == 2  # exactly one accumulator read per QSet
 

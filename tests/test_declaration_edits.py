@@ -1,15 +1,20 @@
-"""Random edits of the global declarations and of the locals of small
-programs: the reanalysis must verify and be no less sound than a run from
-scratch, in both destabilization modes.
+"""Random edits of the global declarations, of the locals and of the
+function headers of small programs: the reanalysis must verify and be no
+less sound than a run from scratch, in both destabilization modes.
 
 A template program has one to three globals, up to two helper functions
 and one function that never returns (`w`, or `main` itself).  Every name a
 function reads it also assigns, so the program stays valid whichever of
 those names are declared global: an edit can add a global that functions
 name (turning their locals into it), remove one (turning it back into
-locals) or add a local to a function.
+locals) or add a local to a function.  A header edit renames a helper's
+parameter, with its uses, or switches a helper's return type between
+``int`` and ``void*``.  `main` assigns what a helper returns only to `r`,
+which no other statement assigns, so `r` never holds an integer on one
+path and a pointer on another.
 """
 
+import re
 from dataclasses import dataclass, replace
 from typing import Tuple
 
@@ -28,6 +33,8 @@ class Template:
     functions: Tuple[Tuple[str, Tuple[str, ...]], ...]  # (name, statements), main last
     loop: str  # "thread": main creates w; "call": main calls w; "main": main loops
     fresh: int = 0  # locals added so far
+    params: Tuple[Tuple[str, str], ...] = ()  # helper -> its parameter, if not `x`
+    pointers: Tuple[str, ...] = ()  # helpers that return void*
 
     def names(self) -> set:
         return {n for _, stmts in self.functions for s in stmts for n in NAMES
@@ -38,11 +45,15 @@ class Template:
         *helpers, (_, main_body) = self.functions
         calls = []
         for name, stmts in helpers:
-            body = " ".join(stmts)
+            param = dict(self.params).get(name, "x")
+            body = re.sub(r"\bx\b", param, " ".join(stmts))
+            pointer = name in self.pointers
+            header = f"{'void*' if pointer else 'int'} {name}(int {param})"
             if name == "w":
-                lines.append(f"int w(int x) {{ while (1) {{ {body} }} return 0; }}")
+                lines.append(f"{header} {{ while (1) {{ {body} }} "
+                             f"return {'NULL' if pointer else 0}; }}")
             else:
-                lines.append(f"int {name}(int x) {{ {body} return {stmts[0][0]}; }}")
+                lines.append(f"{header} {{ {body} return {'NULL' if pointer else stmts[0][0]}; }}")
                 calls.append(f"r = {name}(1);")
         body = " ".join(main_body)
         if self.loop == "thread":
@@ -88,12 +99,22 @@ def templates(draw):
 
 @st.composite
 def edits(draw, t: Template):
-    """`t` with a global added that some function names, a global removed
-    or a local added to one function."""
+    """`t` with a global added that some function names, a global removed,
+    a local added to one function, or a helper's parameter renamed or its
+    return type switched."""
     declared = {g for g, _ in t.globals}
+    helpers = [name for name, _ in t.functions[:-1]]
     kinds = ["local"] + (["undeclare"] if declared else []) + \
-        (["declare"] if t.names() - declared else [])
+        (["declare"] if t.names() - declared else []) + (["param", "pointer"] if helpers else [])
     kind = draw(st.sampled_from(kinds))
+    if kind == "param":
+        name = draw(st.sampled_from(helpers))
+        params = dict(t.params)
+        params[name] = "y" if params.get(name, "x") == "x" else "x"
+        return replace(t, params=tuple(sorted(params.items())))
+    if kind == "pointer":
+        name = draw(st.sampled_from(helpers))
+        return replace(t, pointers=tuple(sorted(set(t.pointers) ^ {name})))
     if kind == "declare":
         name = draw(st.sampled_from(sorted(t.names() - declared)))
         return replace(t, globals=t.globals + ((name, draw(st.integers(0, 3))),))

@@ -207,7 +207,7 @@ def test_valueset_widening_chains_stabilize(ys):
     x = ValueSet.bot()
     changes = 0
     for y in ys:
-        nxt = widen(x, y, bound=8)
+        nxt = widen(x, y)
         if nxt != x:
             changes += 1
         x = nxt
@@ -241,7 +241,7 @@ def test_valueset_arithmetic():
     # result cardinality is capped
     a = ValueSet.of(range(5))
     b = ValueSet.of([10, 20, 30])
-    assert arith_binop("+", a, b, bound=8) == ValueSet.top()
+    assert arith_binop("+", a, b) == ValueSet.top()
     assert arith_binop("<", ValueSet.of([1]), ValueSet.of([5])) == ValueSet.of([1])
     assert arith_binop("==", ValueSet.of([1, 2]), ValueSet.of([2])) == ValueSet.of([0, 1])
 

@@ -1,6 +1,9 @@
 import json
 import random
 
+import pytest
+
+from minicheck import cli
 from minicheck.consys import (
     INIT,
     MAIN,
@@ -25,7 +28,7 @@ from minicheck.increment import (
     select_restart_globals,
 )
 from minicheck.minic import build_system, parse
-from minicheck.minic.syntax import normalize
+from minicheck.minic.syntax import Call, Create, If, While, normalize
 from minicheck.tdsolver import run, verify_solution
 
 from support import FIG2, FIG2_EDIT, analyze_source, fresh_assignment, side_maps_inverse
@@ -56,7 +59,7 @@ def incremental_setup(old_text, new_text, mode="reluctant", restart="off"):
     new_asg = relabel_nodes(changes, built.assignment, new_prog)
     new_built = build_system(new_prog, new_asg)
     prep = prepare_reluctant if mode == "reluctant" else prepare_plain
-    A = prep(changes, st, built.assignment, new_built)
+    A = prep(changes, st, built.assignment, new_built.sys)
     restart_globals(G_sel, st)
     return new_built, st, changes, A
 
@@ -117,9 +120,24 @@ def test_a_function_that_names_a_redeclared_global_is_changed():
         assert c.unchanged == {"h", "main"}
 
 
+def _callees(block) -> set:
+    """The functions that a body calls or creates."""
+    out = set()
+    for s in block.stmts:
+        if isinstance(s, (Call, Create)):
+            out.add(s.fn)
+        elif isinstance(s, If):
+            out |= _callees(s.then) | (_callees(s.orelse) if s.orelse else set())
+        elif isinstance(s, While):
+            out |= _callees(s.body)
+    return out
+
+
 def _structural_changes(old, new) -> ChangeSet:
     """Change detection on the ASTs of both versions, as it was before the
-    old version was known by its digests alone."""
+    old version was known by its digests alone.  A call site reads its
+    callee's header, so a function that calls or creates a header-changed
+    one is changed."""
     changed, header_changed, added, unchanged = set(), set(), set(), set()
     for name, fn in new.functions.items():
         if name not in old.functions:
@@ -130,6 +148,9 @@ def _structural_changes(old, new) -> ChangeSet:
             unchanged.add(name)
         else:
             changed.add(name)
+    for name in [n for n in unchanged if _callees(new.functions[n].body) & header_changed]:
+        unchanged.remove(name)
+        changed.add(name)
     removed = set(old.functions) - set(new.functions)
     (changed if old.init_signature() != new.init_signature() else unchanged).add(INIT_PSEUDO_FN)
     return ChangeSet(frozenset(changed), frozenset(header_changed), frozenset(added),
@@ -209,7 +230,7 @@ def test_prepare_plain_on_empty_changeset_is_noop():
     built, st, _ = analyze_source(FIG2)
     stable_before = set(st.stable)
     changes = detect_changes(parse(FIG2).digests, parse(FIG2))
-    prepare_plain(changes, st, built.assignment, built)
+    prepare_plain(changes, st, built.assignment, built.sys)
     assert st.stable == stable_before
     assert st.superstable == stable_before
 
@@ -255,7 +276,7 @@ int main() { a = f(1); b = f(2); return a + b; }
     changes = detect_changes(parse(old).digests, parse(new))
     new_asg = relabel_nodes(changes, built.assignment, parse(new))
     new_built = build_system(parse(new), new_asg)
-    A = prepare_reluctant(changes, st, built.assignment, new_built)
+    A = prepare_reluctant(changes, st, built.assignment, new_built.sys)
     ret = built.assignment.assign["f"][-1]
     assert len(A) == 2
     assert {u.node for u in A} == {ret}
@@ -280,11 +301,71 @@ int main() { r = f(1, 2); return r; }
     assert "f" in changes.header_changed and "main" in changes.changed
     new_asg = relabel_nodes(changes, built.assignment, parse(new))
     new_built = build_system(parse(new), new_asg)
-    A = prepare_reluctant(changes, st, built.assignment, new_built)
+    A = prepare_reluctant(changes, st, built.assignment, new_built.sys)
     # f is excluded from A; only main's return unknown is re-solved reluctantly
     assert all(u.fn == "main" for u in A)
     stats = run(new_built.sys, st, pre_solve=A)
     assert verify_solution(new_built.sys, st) == []
+
+
+# -- a call site reads only its callee's header ----------------------------------------
+
+
+def _entry_names(session):
+    """(function, names σ binds at its entry) for every context, plus what
+    the header declares: its parameters and ``ret``."""
+    for u, s in session.state.sigma.items():
+        ids = session.assignment.assign.get(getattr(u, "fn", None))
+        if isinstance(u, NodeCtx) and ids and u.node == ids[0] and not s.is_bot():
+            fn = session.program.functions[u.fn]
+            yield u.fn, set(s.env.as_dict()), {p.name for p in fn.params} | {"ret"}
+
+
+def test_entry_states_bind_only_the_header():
+    spec = CorpusSpec(n_functions=40, seed=7)
+    versions = [corpus_source(s) for s in [spec, *edit_sequence(spec, 10, seed=3)]]
+    session = cli.Session.empty()
+    for step, text in enumerate(versions):
+        session = cli.run_reanalysis(session, text, "prog.mc", cli.Options()).session
+        entries = list(_entry_names(session))
+        assert len({fn for fn, _, _ in entries}) == 41, f"step {step}"
+        for fn, bound, header in entries:
+            assert bound == header, f"step {step}: {fn}"
+
+
+@pytest.mark.parametrize("edit", ["sum", "extra:3"])
+@pytest.mark.parametrize("idx", [5, 11, 20])
+def test_a_body_edit_evaluates_only_the_edited_function(edit, idx):
+    """f005 loops; none of the three writes a global, so nothing restarts."""
+    spec = CorpusSpec(n_functions=40, seed=7)
+    opts = cli.Options()
+    session = cli.run_analysis(corpus_source(spec), "prog.mc", opts).session
+    result = cli.run_reanalysis(session, corpus_source(spec.with_variant(idx, edit)),
+                                "prog.mc", opts)
+    evaluated = result.post_stats["evaluated"]
+    assert evaluated and {json.loads(k)["fn"] for k in evaluated} == {f"f{idx:03d}"}
+
+
+RETURNS_INT = "int f(int x) { y = x; return y; }\nint main() { %s return 0; }\n"
+RETURNS_POINTER = "void* f(int x) { y = x; return NULL; }\nint main() { %s return 0; }\n"
+
+
+@pytest.mark.parametrize("site", ["a = f(1);", "create(f, 1);"])
+@pytest.mark.parametrize("mode", ["plain", "reluctant"])
+def test_a_return_type_change_is_reanalyzed(mode, site):
+    """The callers of a header-changed function are changed, and its nodes
+    are new: no old value of another type meets a new one."""
+    opts = cli.Options(mode=mode)
+    old, new = RETURNS_INT % site, RETURNS_POINTER % site
+    session = cli.run_analysis(old, "prog.mc", opts).session
+    for text in (new, old):
+        result = cli.run_reanalysis(session, text, "prog.mc", opts)
+        assert result.changes["header_changed"] == ["f"]
+        assert result.changes["changed"] == ["main"]
+        session = result.session
+        report = cli.compare_report(session, text, opts)
+        assert report["finer"] == report["incomparable"] == 0
+        assert report["equal"] == report["total"] > 0
 
 
 def test_reluctant_work_never_exceeds_plain():

@@ -203,10 +203,10 @@ def test_records_of_a_bot_unknown_leave_with_its_context(monkeypatch, mode):
     _assert_same_as_the_full_walk(versions, cli.Options(mode=mode), monkeypatch)
 
 
-# Edits that rewrite a rhs outside the edited function: a new local in a
-# `main` that never returns changes the start state the harness side-effects
-# to `main`'s entry, and a new global declaration turns `t` in the unchanged
-# `f` into a global.
+# Edits at the edge of the edited function: a new local in a `main` that
+# never returns, which `main` binds on the edges out of its entry (the
+# harness side-effects only `ret` there), and a new global declaration that
+# turns `t` in the unchanged `f` into a global.
 REWRITTEN = [
     ("int g = 0;\nint main() { while (1) { y = 1; } return 0; }\n",
      "int g = 0;\nint main() { while (1) { y = 1; g = z; z = 2; } return 0; }\n"),
@@ -221,9 +221,9 @@ REWRITTEN = [
     for name, (old, new) in zip(["main-gains-a-local", "a-local-turns-global"], REWRITTEN)
     for mode in ("reluctant", "plain")])
 def test_a_rhs_rewritten_outside_the_edited_function_is_checked(old, new, mode):
-    """The harness's side-effect to the entry of a main that never returns,
-    and every right-hand side of a function that names a new global, are
-    solved again: the reanalysis verifies and equals a from-scratch run."""
+    """The new local of a main that never returns, and every right-hand
+    side of a function that names a new global, are solved again: the
+    reanalysis verifies and equals a from-scratch run."""
     opts = cli.Options(mode=mode)
     session = cli.run_analysis(old, "prog.mc", opts).session
     session = cli.run_reanalysis(session, new, "prog.mc", opts).session
@@ -310,7 +310,7 @@ def test_superstable_subset_of_stable_at_phase_boundaries():
     changes = detect_changes(parse(FIG2).digests, parse(FIG2_EDIT))
     new_asg = relabel_nodes(changes, built.assignment, parse(FIG2_EDIT))
     new_built = build_system(parse(FIG2_EDIT), new_asg)
-    A = prepare_reluctant(changes, st, built.assignment, new_built)
+    A = prepare_reluctant(changes, st, built.assignment, new_built.sys)
     assert st.superstable <= st.stable
     run(new_built.sys, st, pre_solve=A)
     assert st.superstable <= st.stable
@@ -388,4 +388,15 @@ int main() {
 """)
     (w,) = [w for w in store.warnings if w.kind == "unsound-store"]
     assert "'p'" in w.message
+
+
+def test_a_store_through_ret_at_the_entry_is_flagged():
+    # the start state binds `ret` to the unknown pointer a `void*` header declares
+    _, _, store, _ = full_pipeline("""
+int g = 0;
+void* w(void* p) { *ret = 1; return NULL; }
+int main() { create(w, &g); return g; }
+""")
+    (w,) = [w for w in store.warnings if w.kind == "unsound-store"]
+    assert "'ret'" in w.message
     assert w.provenance  # anchored at the offending program point
