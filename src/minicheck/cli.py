@@ -50,7 +50,7 @@ from .tdsolver import (
 )
 
 BUNDLE_NAME = "bundle.json"
-BUNDLE_FORMAT = 3
+BUNDLE_FORMAT = 4
 
 
 class CliError(Exception):
@@ -198,7 +198,9 @@ def load_bundle(state_dir: str, opts: Options) -> Optional[Session]:
     except FileNotFoundError:
         return None
     except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
-        raise CliError(f"state bundle {path} is unreadable or corrupt ({exc!r}); "
+        # The repr of a UnicodeDecodeError holds the whole input.
+        raise CliError(f"state bundle {path} is unreadable or corrupt "
+                       f"({type(exc).__name__}: {exc}); "
                        "delete the state dir to reanalyze from scratch") from exc
 
 
@@ -286,7 +288,7 @@ def _read_source(path: str) -> str:
     try:
         with open(path) as f:
             return f.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
 
 
@@ -520,16 +522,17 @@ def cmd_serve(opts: Options, socket_path: Optional[str],
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mode", choices=["plain", "reluctant"], default="reluctant",
+    p.add_argument("--mode", choices=["plain", "reluctant"], default=Options.mode,
                    help="destabilization strategy for reanalysis")
-    p.add_argument("--restart", choices=["off", "minimal"], default="minimal",
+    p.add_argument("--restart", choices=["off", "minimal"], default=Options.restart,
                    help="restarting of flow-insensitive unknowns")
     p.add_argument("--wpoint-restart", action="store_true",
                    help="restart an unknown when it first becomes a widening point "
                         "(enables localized widening)")
-    p.add_argument("--domain", choices=["valueset", "interval"], default="valueset",
+    p.add_argument("--domain", choices=["valueset", "interval"], default=Options.domain,
                    help="integer value domain")
-    p.add_argument("--state-dir", default=".minicheck", help="where analysis state persists")
+    p.add_argument("--state-dir", default=Options.state_dir,
+                   help="where analysis state persists")
     p.add_argument("--stats", action="store_true", help="print solver counters to stderr")
     p.add_argument("--fail-on-warn", action="store_true",
                    help="exit 1 when warnings are present")

@@ -1,7 +1,7 @@
 """Side-effecting constraint systems with strategy-tree right-hand sides.
 
-An unknown is a decorated program point, a global, a start unknown, or one
-of the two harness markers.  A right-hand side is a strategy tree::
+An unknown is a decorated program point, a global, or one of the two
+harness markers.  A right-hand side is a strategy tree::
 
     Ans(value) | QGet(unknown, continuation) | QSet(unknown, value, rest)
                | Emit(global, access, rest)
@@ -30,10 +30,10 @@ from .domains import Access, Value, join, value_from_json, value_to_json
 # ---------------------------------------------------------------------------
 
 
-# Unknowns are dict and set keys on every solver step.  Context, NodeCtx and
-# StartOf nest tuples of values, so each computes its hash once, at
-# construction; the value is the hash the dataclass would generate (that of
-# the compared fields' tuple), which keeps every set and dict order.
+# Unknowns are dict and set keys on every solver step.  Context and NodeCtx
+# nest tuples of values, so each computes its hash once, at construction;
+# the value is the hash the dataclass would generate (that of the compared
+# fields' tuple), which keeps every set and dict order.
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,24 +94,6 @@ class GlobalVar:
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
-class StartOf:
-    """Seeded start unknown of an entry function."""
-
-    fn: str
-    ctx: Context
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.fn, self.ctx)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"start({self.fn},{self.ctx!r})"
-
-
 @dataclass(frozen=True)
 class InitMarker:
     def __repr__(self) -> str:
@@ -127,15 +109,13 @@ class MainMarker:
 INIT = InitMarker()
 MAIN = MainMarker()
 
-Unknown = object  # union of the five kinds above
+Unknown = object  # union of the four kinds above
 
 
 def sort_key(u: Unknown):
     """Total deterministic order over unknowns."""
     if isinstance(u, NodeCtx):
-        return (4, u.fn, u.node, _ctx_key(u.ctx))
-    if isinstance(u, StartOf):
-        return (3, u.fn, 0, _ctx_key(u.ctx))
+        return (3, u.fn, u.node, _ctx_key(u.ctx))
     if isinstance(u, GlobalVar):
         return (2, u.name, 0, "")
     if isinstance(u, MainMarker):
@@ -157,9 +137,6 @@ def unknown_to_json(u: Unknown):
                 "ctx": [[k, value_to_json(v)] for k, v in u.ctx.params]}
     if isinstance(u, GlobalVar):
         return {"k": "global", "name": u.name}
-    if isinstance(u, StartOf):
-        return {"k": "start", "fn": u.fn,
-                "ctx": [[k, value_to_json(v)] for k, v in u.ctx.params]}
     if isinstance(u, InitMarker):
         return {"k": "init"}
     if isinstance(u, MainMarker):
@@ -173,8 +150,6 @@ def unknown_from_json(d: dict) -> Unknown:
         return NodeCtx(d["fn"], d["id"], Context(tuple((n, value_from_json(v)) for n, v in d["ctx"])))
     if k == "global":
         return GlobalVar(d["name"])
-    if k == "start":
-        return StartOf(d["fn"], Context(tuple((n, value_from_json(v)) for n, v in d["ctx"])))
     if k == "init":
         return INIT
     if k == "main":
@@ -277,14 +252,12 @@ class EqSys:
     ``rhs(u)`` returns the strategy tree of `u`, or None if `u` has no
     right-hand side (a flow-insensitive unknown, whose values arrive by
     side-effect only); ``has_rhs(u)`` tells which without building the tree.
-    `starts` are seeded into σ before solving.
+    `query` is the one unknown that solving starts from.
     """
 
-    def __init__(self, rhs: Callable, starts: dict, query: Unknown, bot_of: Callable,
-                 has_rhs: Callable):
+    def __init__(self, rhs: Callable, query: Unknown, bot_of: Callable, has_rhs: Callable):
         self.rhs = rhs
         self.has_rhs = has_rhs
-        self.starts = dict(starts)
         self.query = query
         self.bot_of = bot_of
 

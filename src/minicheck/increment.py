@@ -190,18 +190,6 @@ def _return_unknowns(changes_fns: Iterable[str], contexts: Dict[str, Set[Context
     return out
 
 
-def _drop_obsolete_starts(st: SolverState, new_sys: EqSys) -> None:
-    """Start unknowns of the previous run that the new version no longer
-    seeds are destabilized and dropped."""
-    for s in sorted(st.starts, key=sort_key):
-        if s not in new_sys.starts:
-            st.destabilize(s)
-            st.stable.discard(s)
-            st.superstable.discard(s)
-            st.sigma.pop(s, None)
-            del st.starts[s]
-
-
 def _drop_stale_nodes(changes: ChangeSet, st: SolverState, old_asg: NodeAssignment) -> None:
     """Unknowns of interior nodes of body-changed functions (and all nodes
     of header-changed and removed ones) no longer exist in the new system;
@@ -223,13 +211,12 @@ def _drop_stale_nodes(changes: ChangeSet, st: SolverState, old_asg: NodeAssignme
             coll.discard(u)
 
 
-def prepare_plain(changes: ChangeSet, st: SolverState, old_asg: NodeAssignment,
-                  new_sys: EqSys) -> List[Unknown]:
+def prepare_plain(changes: ChangeSet, st: SolverState,
+                  old_asg: NodeAssignment) -> List[Unknown]:
     """Eager destabilization at the return nodes of every edited function.
 
     Returns the empty pre-solve list (step 1 is empty in plain mode)."""
     st.superstable = set(st.stable)
-    _drop_obsolete_starts(st, new_sys)
     _drop_stale_nodes(changes, st, old_asg)
     contexts = recorded_contexts(st, old_asg)
     for u in _return_unknowns(changes.edited(), contexts, old_asg):
@@ -239,14 +226,13 @@ def prepare_plain(changes: ChangeSet, st: SolverState, old_asg: NodeAssignment,
     return []
 
 
-def prepare_reluctant(changes: ChangeSet, st: SolverState, old_asg: NodeAssignment,
-                      new_sys: EqSys) -> List[Unknown]:
+def prepare_reluctant(changes: ChangeSet, st: SolverState,
+                      old_asg: NodeAssignment) -> List[Unknown]:
     """Confined destabilization: body-changed functions contribute their
     return unknowns to the pre-solve set A without destabilizing their
     dependents.  Header-changed and removed functions are handled plainly
     (reluctance could only do work in vain there)."""
     st.superstable = set(st.stable)
-    _drop_obsolete_starts(st, new_sys)
     _drop_stale_nodes(changes, st, old_asg)
     contexts = recorded_contexts(st, old_asg)
     for u in _return_unknowns(changes.header_changed | changes.removed, contexts, old_asg):
@@ -332,7 +318,7 @@ def reanalyze(old_digests: dict, old_asg: NodeAssignment, st: SolverState,
     # an edit of them nothing is reused.
     start = None if INIT_PSEUDO_FN in changes.changed else \
         StartState(dict(st.sigma), set(st.stable))
-    pre_solve = prepare(changes, st, old_asg, built.sys)
+    pre_solve = prepare(changes, st, old_asg)
     restart_globals(restarted, st)
     stats = run(built.sys, st, pre_solve, restart_wpoint=restart_wpoint)
     stats["restarted"] = [unknown_key(g) for g in restarted]
@@ -347,8 +333,8 @@ def reanalyze(old_digests: dict, old_asg: NodeAssignment, st: SolverState,
 def reachable_set(sys_: EqSys, st: SolverState, visit: Optional[Callable] = None,
                   reuse: Optional[Callable] = None,
                   start: Optional[StartState] = None) -> Set[Unknown]:
-    """Unknowns reachable from the query (and seeded starts) under σ: queried
-    dependencies plus side-effect targets.
+    """Unknowns reachable from the query under σ: queried dependencies plus
+    side-effect targets.
 
     Given `start`, the state the reanalysis that produced σ began with, a
     reached unknown is *reusable* when it is stable and superstable and σ
@@ -381,9 +367,8 @@ def reachable_set(sys_: EqSys, st: SolverState, visit: Optional[Callable] = None
             dirty.update(x for x in st.infl.get(y, ()) if y not in st.stale.get(x, ()))
             dirty.update(st.side_dep.get(y, ()))
         reusable = (st.superstable & st.stable) - dirty
-    seeds = [sys_.query] + sorted(st.starts, key=sort_key) + sorted(sys_.starts, key=sort_key)
     reached: Set[Unknown] = set()
-    stack = list(reversed(seeds))
+    stack = [sys_.query]
     while stack:
         u = stack.pop()
         if u in reached:

@@ -6,8 +6,9 @@ applied to the predecessor's state.  Function entry points have the constant
 right-hand side Bot; they receive real values only via side-effects from
 call and thread-creation sites.  A synthetic harness ties the system
 together: the ``init`` unknown side-effects global initializers, and the
-``__main`` unknown (the analysis query) runs ``init``, seeds ``main``'s
-entry and queries ``main``'s endpoint.
+``__main`` unknown (the analysis query, the one unknown the solver starts
+from) runs ``init``, side-effects ``main``'s start state to its entry and
+queries ``main``'s endpoint.
 
 What a caller side-effects to an entry is read off the callee's header
 alone: the parameters and ``ret``.  The callee binds its other locals to
@@ -36,7 +37,6 @@ from ..consys import (
     NodeCtx,
     QGet,
     QSet,
-    StartOf,
     Tree,
     Unknown,
 )
@@ -75,9 +75,6 @@ from .syntax import (
 )
 
 
-MAIN_HARNESS = "__main"
-
-
 @dataclass
 class BuiltSystem:
     sys: EqSys
@@ -91,7 +88,7 @@ def build_system(prog: Program, assignment: NodeAssignment,
     integer value domain, "valueset" or "interval"."""
     cfgs = build_cfgs(prog, assignment)
     gen = _SystemGen(prog, cfgs, Interval if domain == "interval" else ValueSet)
-    sys_ = EqSys(gen.rhs, gen.starts(), MAIN, gen.bot_of, gen.has_rhs)
+    sys_ = EqSys(gen.rhs, MAIN, gen.bot_of, gen.has_rhs)
     return BuiltSystem(sys_, cfgs, assignment)
 
 
@@ -113,11 +110,6 @@ class _SystemGen:
         if isinstance(u, GlobalVar):
             return self.int.bot()
         return LocalState.bot()
-
-    def starts(self) -> dict:
-        harness_env = Env.of({"ret": self.int.top()})
-        return {StartOf(MAIN_HARNESS, Context.EMPTY):
-                LocalState(harness_env, Lockset.top())}
 
     def has_rhs(self, u: Unknown) -> bool:
         if isinstance(u, NodeCtx):

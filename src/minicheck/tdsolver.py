@@ -43,15 +43,12 @@ from .consys import (
 )
 from .domains import (
     Value,
-    join,
     leq,
     narrow,
     value_from_json,
     value_to_json,
     widen,
 )
-
-STATE_FORMAT = 2
 
 
 class Phase(enum.Enum):
@@ -100,7 +97,6 @@ class SolverState:
         self.side_infl: Dict[Unknown, Dict[Unknown, None]] = {}
         self.stale: Dict[Unknown, Dict[Unknown, None]] = {}
         self.superstable: set = set()
-        self.starts: Dict[Unknown, Value] = {}
         self.rhs_evals = 0
         self.destabilizations = 0
 
@@ -147,35 +143,16 @@ class Solver:
         self.state = state
         self.restart_wpoint = restart_wpoint
         self._wpoint_restarts: Dict[Unknown, int] = {}
-        self._rhs_cache: Dict[Unknown, Optional[Tree]] = {}
         self.evals_by_unknown: Dict[Unknown, int] = {}  # this step's evaluations
         self.diagnostics: List[str] = []  # this run's widening-restart bound hits
 
-    # -- σ and rhs access ---------------------------------------------------
+    # -- σ access -----------------------------------------------------------
 
     def _get(self, u: Unknown) -> Value:
         v = self.state.sigma.get(u)
         return self.sys.bot_of(u) if v is None else v
 
-    def _rhs(self, u: Unknown) -> Optional[Tree]:
-        if u in self._rhs_cache:
-            return self._rhs_cache[u]
-        t = self.sys.rhs(u)
-        self._rhs_cache[u] = t
-        return t
-
     # -- the TD machinery ---------------------------------------------------
-
-    def seed(self, s: Unknown, d: Value) -> None:
-        """Start unknowns get their initial value joined in and become stable."""
-        cur = self._get(s)
-        new = join(cur, d)
-        st = self.state
-        if new != cur:
-            st.sigma[s] = new
-            st.superstable.discard(s)
-            st.destabilize(s)
-        st.stable.add(s)
 
     def solve(self, phase: Phase, x: Unknown) -> None:
         """Solve `x` and, depth first, every unstable unknown its rhs queries.
@@ -202,7 +179,7 @@ class Solver:
                     break
                 if isinstance(t, QGet):
                     y = t.unknown
-                    if y in st.called or self._rhs(y) is None:
+                    if y in st.called or not self.sys.has_rhs(y):
                         newly = y not in st.point
                         st.point.add(y)
                         if newly and self.restart_wpoint and y in st.called:
@@ -238,7 +215,7 @@ class Solver:
         self.evals_by_unknown[x] = self.evals_by_unknown.get(x, 0) + 1
         f.prev_sides = list(st.side_infl.get(x, ()))
         st.side_infl[x] = {}
-        f.node = self._rhs(x)
+        f.node = self.sys.rhs(x)
         if f.node is None:
             raise EvalError(x, "unknown has no right-hand side")
 
@@ -316,16 +293,13 @@ class Solver:
 
 def run(sys_: EqSys, state: SolverState, pre_solve: Iterable[Unknown] = (), *,
         restart_wpoint: bool = False) -> dict:
-    """Seed start unknowns, solve `pre_solve` in order, then the query.
+    """Solve `pre_solve` in order, then the query.
 
     Returns per-step statistics: rhs-evaluation counts overall and by
     unknown (canonical keys), for the pre-solve step and the query step,
     and the run's diagnostics (widening-point restart bound hits).
     """
     solver = Solver(sys_, state, restart_wpoint)
-    for s in sorted(sys_.starts, key=sort_key):
-        solver.seed(s, sys_.starts[s])
-    state.starts = dict(sys_.starts)
     for a in pre_solve:
         solver.solve(Phase.WIDEN, a)
     step1, solver.evals_by_unknown = solver.evals_by_unknown, {}
@@ -372,17 +346,18 @@ def verify_solution(sys_: EqSys, state: SolverState,
 
 
 # ---------------------------------------------------------------------------
-# Persistence (format 2).  Every unknown is written once, into the table
-# "unknowns" (sorted by sort_key), and every distinct value once, into
-# "values" (in order of first use); the maps refer to both by index.
-# superstable and called are not persisted: superstable is reconstructed
-# when an incremental run begins, called is empty at rest.
+# Persistence.  Every unknown is written once, into the table "unknowns"
+# (sorted by sort_key), and every distinct value once, into "values" (in
+# order of first use); the maps refer to both by index.  The section has no
+# format number of its own: the bundle's format covers it.  superstable and
+# called are not persisted: superstable is reconstructed when an incremental
+# run begins, called is empty at rest.
 # ---------------------------------------------------------------------------
 
 
 def state_to_json(state: SolverState) -> dict:
     maps = (state.infl, state.side_dep, state.side_infl, state.stale)
-    unknowns = set(state.sigma) | state.stable | state.point | set(state.starts)
+    unknowns = set(state.sigma) | state.stable | state.point
     for m in maps:
         for u, members in m.items():
             if members:
@@ -400,9 +375,8 @@ def state_to_json(state: SolverState) -> dict:
         return sorted(([index[u], [index[v] for v in members]]
                        for u, members in m.items() if members), key=itemgetter(0))
 
-    sigma, starts = pairs(state.sigma), pairs(state.starts)
+    sigma = pairs(state.sigma)
     return {
-        "format": STATE_FORMAT,
         "unknowns": [unknown_to_json(u) for u in table],
         "values": [value_to_json(v) for v in values],
         "sigma": sigma,
@@ -412,7 +386,6 @@ def state_to_json(state: SolverState) -> dict:
         "side_dep": omap(state.side_dep),
         "side_infl": omap(state.side_infl),
         "stale": omap(state.stale),
-        "starts": starts,
         "counters": {
             "rhs_evals": state.rhs_evals,
             "destabilizations": state.destabilizations,
@@ -421,8 +394,6 @@ def state_to_json(state: SolverState) -> dict:
 
 
 def state_from_json(doc: dict) -> SolverState:
-    if doc.get("format") != STATE_FORMAT:
-        raise ValueError(f"unsupported solver state format: {doc.get('format')!r}")
     unknowns = [unknown_from_json(d) for d in doc["unknowns"]]
     values = [value_from_json(d) for d in doc["values"]]
 
@@ -438,7 +409,6 @@ def state_from_json(doc: dict) -> SolverState:
     st.side_dep = from_omap(doc["side_dep"])
     st.side_infl = from_omap(doc["side_infl"])
     st.stale = from_omap(doc["stale"])
-    st.starts = {unknowns[u]: values[v] for u, v in doc["starts"]}
     st.rhs_evals = doc["counters"]["rhs_evals"]
     st.destabilizations = doc["counters"]["destabilizations"]
     return st

@@ -11,11 +11,11 @@ recursion fits the interpreter's default limit can be solved here.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from minicheck import tdsolver
-from minicheck.consys import Ans, Emit, EqSys, EvalError, QGet, QSet, Tree, Unknown
-from minicheck.domains import Value, join, narrow, widen
+from minicheck.consys import Ans, Emit, EqSys, EvalError, QGet, QSet, Unknown
+from minicheck.domains import Value, narrow, widen
 from minicheck.tdsolver import Phase, SolverState
 
 
@@ -25,30 +25,12 @@ class RecursiveSolver:
         self.state = state
         self.restart_wpoint = restart_wpoint
         self._wpoint_restarts: Dict[Unknown, int] = {}
-        self._rhs_cache: Dict[Unknown, Optional[Tree]] = {}
         self.evals_by_unknown: Dict[Unknown, int] = {}
         self.diagnostics: List[str] = []
 
     def _get(self, u: Unknown) -> Value:
         v = self.state.sigma.get(u)
         return self.sys.bot_of(u) if v is None else v
-
-    def _rhs(self, u: Unknown) -> Optional[Tree]:
-        if u in self._rhs_cache:
-            return self._rhs_cache[u]
-        t = self.sys.rhs(u)
-        self._rhs_cache[u] = t
-        return t
-
-    def seed(self, s: Unknown, d: Value) -> None:
-        cur = self._get(s)
-        new = join(cur, d)
-        st = self.state
-        if new != cur:
-            st.sigma[s] = new
-            st.superstable.discard(s)
-            st.destabilize(s)
-        st.stable.add(s)
 
     def solve(self, phase: Phase, x: Unknown) -> None:
         st = self.state
@@ -84,7 +66,7 @@ class RecursiveSolver:
         prev_sides = list(st.side_infl.get(x, ()))
         current: Dict[Unknown, None] = {}
         st.side_infl[x] = current
-        t = self._rhs(x)
+        t = self.sys.rhs(x)
         if t is None:
             raise EvalError(x, "unknown has no right-hand side")
         while not isinstance(t, Ans):
@@ -114,7 +96,7 @@ class RecursiveSolver:
 
     def eval(self, x: Unknown, y: Unknown) -> Value:
         st = self.state
-        if y in st.called or self._rhs(y) is None:
+        if y in st.called or not self.sys.has_rhs(y):
             newly = y not in st.point
             st.point.add(y)
             if newly and self.restart_wpoint and y in st.called:

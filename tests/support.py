@@ -21,7 +21,6 @@ from minicheck.consys import (
     QGet,
     QSet,
     eval_tree,
-    sort_key,
     unknown_key,
 )
 from minicheck.domains import Access, Lockset, Value, ValueSet, access_to_json, join, value_to_json
@@ -67,12 +66,12 @@ def fresh_assignment(prog):
     return assign_node_ids(prog, NodeAssignment(), set(), set())
 
 
-def eqsys_from_dict(rhs: dict, starts: dict, query, bot_of: Callable) -> EqSys:
+def eqsys_from_dict(rhs: dict, query, bot_of: Callable) -> EqSys:
     """A system with the explicit right-hand sides `rhs`; every other unknown
     has none (its values arrive by side-effect only)."""
     if query not in rhs:
         raise ValueError("query has no rhs")
-    return EqSys(rhs.get, starts, query, bot_of, rhs.__contains__)
+    return EqSys(rhs.get, query, bot_of, rhs.__contains__)
 
 
 def value_key(v: Value) -> str:
@@ -224,19 +223,18 @@ def make_random_system(rng: random.Random, n_unknowns: int = 8, n_globals: int =
         emissions = [random_emission(rng, n_globals) for _ in range(rng.randrange(0, 2))]
         rhs[x] = monotone_tree(queries, sides, (random_value(rng), ans_mask), emissions)
         deps[x] = (list(queries), [g for g, _, _ in sides])
-    starts = {}
-    if rng.random() < 0.5:
-        starts[rng.choice(globs)] = random_value(rng)
     query = nodes[0]
-    sys_ = eqsys_from_dict(rhs, starts, query, lambda u: ValueSet.bot())
-    return sys_, rhs, deps, starts, query
+    if rng.random() < 0.5:  # the query side-effects a global before all else
+        g = rng.choice(globs)
+        rhs[query] = QSet(g, random_value(rng), rhs[query])
+        deps[query][1].insert(0, g)
+    sys_ = eqsys_from_dict(rhs, query, lambda u: ValueSet.bot())
+    return sys_, rhs, deps, query
 
 
-def kleene_solve(rhs: dict, starts: dict, max_rounds: int = 2000) -> dict:
+def kleene_solve(rhs: dict, max_rounds: int = 2000) -> dict:
     """Round-robin iteration to the least solution of a monotone system."""
     sigma: Dict = {}
-    for g, d in starts.items():
-        sigma[g] = d
 
     def look(u):
         return sigma.get(u, ValueSet.bot())
@@ -249,8 +247,6 @@ def kleene_solve(rhs: dict, starts: dict, max_rounds: int = 2000) -> dict:
             new_sigma[x] = v
             for g, d in es.sides.items():
                 contributions[g] = contributions.get(g, ValueSet.bot()).join(d)
-        for g, d in starts.items():
-            contributions[g] = contributions.get(g, ValueSet.bot()).join(d)
         for g, d in contributions.items():
             new_sigma[g] = new_sigma.get(g, ValueSet.bot()).join(d)
         if new_sigma == sigma:
@@ -274,14 +270,14 @@ def oracle_reached_static(deps: dict, query) -> set:
     return reached
 
 
-def kleene_local_solution(rhs: dict, deps: dict, starts: dict, query) -> tuple:
+def kleene_local_solution(rhs: dict, deps: dict, query) -> tuple:
     """Least solution of the subsystem statically reachable from the query.
 
     A local solver never evaluates right-hand sides outside this subsystem,
     so contributions from elsewhere must not be counted by the oracle."""
     reached = oracle_reached_static(deps, query)
     sub = {x: t for x, t in rhs.items() if x in reached}
-    return kleene_solve(sub, starts), reached
+    return kleene_solve(sub), reached
 
 
 # ---------------------------------------------------------------------------
@@ -291,13 +287,11 @@ def kleene_local_solution(rhs: dict, deps: dict, starts: dict, query) -> tuple:
 
 
 def full_reachable_set(sys_: EqSys, st: SolverState, visit: Callable = None) -> set:
-    """Unknowns reachable from the query (and seeded starts) under σ, each
-    reached rhs evaluated purely, once; `visit(u, eval_state, value)` sees
-    that evaluation."""
+    """Unknowns reachable from the query under σ, each reached rhs evaluated
+    purely, once; `visit(u, eval_state, value)` sees that evaluation."""
     look = sys_.lookup(st.sigma)
-    seeds = [sys_.query] + sorted(st.starts, key=sort_key) + sorted(sys_.starts, key=sort_key)
     reached = set()
-    stack = list(reversed(seeds))
+    stack = [sys_.query]
     while stack:
         u = stack.pop()
         if u in reached:

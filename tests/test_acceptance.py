@@ -202,7 +202,7 @@ def test_criterion_4_reluctant_stable_sets_and_counter():
     changes = detect_changes(parse(FIG2).digests, parse(FIG2_EDIT))
     new_asg = relabel_nodes(changes, base_built.assignment, parse(FIG2_EDIT))
     new_built = build_system(parse(FIG2_EDIT), new_asg)
-    A = prepare_reluctant(changes, st, base_built.assignment, new_built.sys)
+    A = prepare_reluctant(changes, st, base_built.assignment)
 
     # after preparation: the return unknown is scheduled, its dependents kept
     assert A == [node("foo", 2, BETA0)]
@@ -231,11 +231,11 @@ def test_criterion_4_step1_intermediate_state():
     changes = detect_changes(parse(FIG2).digests, parse(FIG2_EDIT))
     new_asg = relabel_nodes(changes, base_built.assignment, parse(FIG2_EDIT))
     new_built = build_system(parse(FIG2_EDIT), new_asg)
-    A = prepare_reluctant(changes, st, base_built.assignment, new_built.sys)
+    A = prepare_reluctant(changes, st, base_built.assignment)
     run(new_built.sys, st, pre_solve=A)  # without querying further
     # (run also solves the query; replicate the step-1-only state instead)
     st = _clone(base_state)
-    A = prepare_reluctant(changes, st, base_built.assignment, new_built.sys)
+    A = prepare_reluctant(changes, st, base_built.assignment)
     from minicheck.tdsolver import Phase, Solver
     solver = Solver(new_built.sys, st)
     for a in A:
@@ -387,11 +387,11 @@ def test_criterion_8_oracle_soundness():
     trials = 0
     for _ in range(500):
         n = rng.randrange(2, 13)
-        sys_, rhs, deps, starts, query = make_random_system(rng, n_unknowns=n)
+        sys_, rhs, deps, query = make_random_system(rng, n_unknowns=n)
         st = SolverState()
         run(sys_, st)
         assert verify_solution(sys_, st) == []
-        oracle, reached = kleene_local_solution(rhs, deps, starts, query)
+        oracle, reached = kleene_local_solution(rhs, deps, query)
         for u in reached:
             got = st.sigma.get(u, ValueSet.bot())
             want = oracle.get(u, ValueSet.bot())

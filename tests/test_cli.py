@@ -16,7 +16,7 @@ import pytest
 
 from minicheck import cli, consys, postproc, tdsolver
 from minicheck.consys import MAIN, Context, GlobalVar, NodeCtx
-from minicheck.corpus import CorpusSpec, corpus_source
+from minicheck.corpus import CorpusSpec, corpus_source, edit_sequence
 from minicheck.domains import LocalState, ValueSet
 from minicheck.minic import parse, system
 from minicheck.tdsolver import state_from_json
@@ -86,6 +86,29 @@ def test_missing_file_exits_two(ws):
     src, sd = ws
     code, _, err = invoke(cli.cmd_analyze, src + ".nope", cli.Options(state_dir=sd))
     assert code == 2
+
+
+def test_a_source_that_is_not_utf8_exits_two_and_serve_answers_an_error(ws):
+    src, sd = ws
+    write(src, FIG2)
+    opts = cli.Options(state_dir=sd)
+    invoke(cli.cmd_analyze, src, opts)
+    bundle = bundle_of(sd)
+    bad = src + ".bad"
+    with open(bad, "wb") as f:
+        f.write(b"int main() { return 0; } // \xff\n")
+    for command in (cli.cmd_analyze, cli.cmd_reanalyze, cli.cmd_compare):
+        code, out, err = invoke(command, bad, opts)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff")
+    assert bundle_of(sd) == bundle
+    responses = serve_lines(opts, [
+        json.dumps({"id": 1, "method": "reanalyze", "path": bad}),
+        json.dumps({"id": 2, "method": "reanalyze", "path": src}),
+        json.dumps({"method": "shutdown"}),
+    ])
+    assert responses[0]["error"].startswith(f"cannot read {bad}: 'utf-8' codec")
+    assert responses[1]["id"] == 2 and responses[1]["result"]["added"] == []
 
 
 def test_repeated_analyze_is_byte_identical_modulo_timestamp(ws):
@@ -183,31 +206,34 @@ def test_wpoint_restart_mismatch_is_refused(ws, analyzed, reused):
     assert bundle_of(sd) == bundle  # refused, not overwritten
 
 
-def _format_1_bundle(sd):
+def _set_format(sd, fmt):
     path = os.path.join(sd, "bundle.json")
     doc = bundle_of(sd)
-    doc["format"] = 1
+    doc["format"] = fmt
     write(path, json.dumps(doc))
 
 
+# Format 3 is the last format whose solver section holds a start unknown.
+@pytest.mark.parametrize("fmt", [1, 3])
 @pytest.mark.parametrize("command", [cli.cmd_reanalyze, cli.cmd_compare])
-def test_format_1_bundle_is_refused(ws, command):
+def test_an_old_bundle_format_is_refused(ws, command, fmt):
     src, sd = ws
     write(src, FIG2)
     invoke(cli.cmd_analyze, src, cli.Options(state_dir=sd))
-    _format_1_bundle(sd)
+    _set_format(sd, fmt)
     code, out, err = invoke(command, src, cli.Options(state_dir=sd))
     assert code == 2 and out == ""
-    assert err.startswith("error: state bundle format 1 is not supported")
+    assert err.startswith(f"error: state bundle format {fmt} is not supported")
     assert "delete the state dir" in err and "Traceback" not in err
 
 
-def test_serve_answers_a_format_1_bundle_with_an_error(ws):
+@pytest.mark.parametrize("fmt", [1, 3])
+def test_serve_answers_an_old_bundle_format_with_an_error(ws, fmt):
     src, sd = ws
     write(src, FIG2)
     opts = cli.Options(state_dir=sd)
     invoke(cli.cmd_analyze, src, opts)
-    _format_1_bundle(sd)
+    _set_format(sd, fmt)
     responses = serve_lines(opts, [
         json.dumps({"id": 1, "method": "reanalyze", "path": src}),
         json.dumps({"id": 2, "method": "warnings"}),
@@ -215,7 +241,7 @@ def test_serve_answers_a_format_1_bundle_with_an_error(ws):
     ])
     assert [r["id"] for r in responses[:2]] == [1, 2]
     for r in responses[:2]:
-        assert r["error"].startswith("state bundle format 1 is not supported")
+        assert r["error"].startswith(f"state bundle format {fmt} is not supported")
         assert "delete the state dir" in r["error"]
 
 
@@ -245,9 +271,29 @@ def test_bundle_is_compact_and_holds_digests(ws):
     with open(os.path.join(sd, "bundle.json")) as f:
         text = f.read()
     doc = json.loads(text)
-    assert doc["format"] == cli.BUNDLE_FORMAT == 3
+    assert doc["format"] == cli.BUNDLE_FORMAT == 4
     assert text == json.dumps(doc, separators=(",", ":")) + "\n"
     assert doc["digests"] == parse(FIG2).digests
+
+
+def test_the_solver_section_holds_only_the_unknowns_of_the_system(ws):
+    """After an analyze and two edits the solver section has one fixed set of
+    members, and the only unknowns are program points, globals and the two
+    harness markers."""
+    src, sd = ws
+    spec = CorpusSpec(40, 3)
+    opts = cli.Options(state_dir=sd)
+    write(src, corpus_source(spec))
+    assert invoke(cli.cmd_analyze, src, opts)[0] == 0
+    for edited in edit_sequence(spec, 2, seed=1):
+        write(src, corpus_source(edited))
+        assert invoke(cli.cmd_reanalyze, src, opts)[0] == 0
+    solver = bundle_of(sd)["solver"]
+    assert list(solver) == ["unknowns", "values", "sigma", "infl", "stable", "point",
+                            "side_dep", "side_infl", "stale", "counters"]
+    kinds = [u["k"] for u in solver["unknowns"]]
+    assert set(kinds) == {"node", "global", "init", "main"}
+    assert {kinds[i] for i, _ in solver["sigma"]} <= {"node", "global", "init", "main"}
 
 
 def test_bundle_does_not_depend_on_the_hash_seed(tmp_path):
@@ -453,7 +499,7 @@ def test_serve_socket_outlives_a_disconnecting_client(ws):
 
 
 @pytest.mark.parametrize("damage", ["truncated", "not-json", "missing-key", "bad-digests",
-                                    "no-global-names"])
+                                    "no-global-names", "not-utf8"])
 @pytest.mark.parametrize("command", [cli.cmd_reanalyze, cli.cmd_compare])
 def test_damaged_bundle_exits_two_with_an_error(ws, command, damage):
     src, sd = ws
@@ -473,15 +519,20 @@ def test_damaged_bundle_exits_two_with_an_error(ws, command, damage):
         doc = json.loads(text)
         del doc["digests"]["globals"]
         text = json.dumps(doc)
-    else:
+    elif damage == "bad-digests":
         doc = json.loads(text)
         doc["digests"]["functions"]["main"] = "?"
         text = json.dumps(doc)
-    write(path, text)
+    data = text.encode()
+    if damage == "not-utf8":
+        data = data[:len(data) // 2] + b"\xff" + data[len(data) // 2 + 1:]
+    with open(path, "wb") as f:
+        f.write(data)
     code, out, err = invoke(command, src, cli.Options(state_dir=sd))
     assert code == 2
     assert out == ""
     assert err.startswith("error: state bundle") and "Traceback" not in err
+    assert err.count("\n") == 1 and len(err) < 500  # the cause, not the bundle
 
 
 def test_serve_answers_a_damaged_bundle_with_an_error(ws):
@@ -1110,10 +1161,10 @@ def _pinned_versions():
 # evaluations, re-evaluated, reused, evaluated by the post-solve walk) after
 # the analyze and after each edit.
 PINNED_COUNTS = [
-    (3508, 4055, 0, 3508, 1388, 0, 1388),
-    (3512, 4058, 4, 0, 4, 1384, 4),
-    (4465, 5129, 7, 946, 237, 1151, 237),
-    (4662, 5327, 4, 193, 197, 1191, 197),
+    (3508, 4054, 0, 3508, 1388, 0, 1388),
+    (3512, 4057, 4, 0, 4, 1384, 4),
+    (4465, 5128, 7, 946, 237, 1151, 237),
+    (4662, 5326, 4, 193, 197, 1191, 197),
 ]
 
 # The sorted warning ids after the analyze and after each edit: ids are
@@ -1361,6 +1412,16 @@ def test_serve_works_in_lockstep_with_cli_reanalyze(tmp_path):
         assert json.dumps(response["result"]) == json.dumps(json.loads(stdout))
     assert parsed == SERVE_PARSED
     assert serve_bundles == cli_bundles
+
+
+@pytest.mark.parametrize("command", ["analyze", "reanalyze", "compare", "serve"])
+def test_the_command_line_defaults_are_the_option_defaults(monkeypatch, command):
+    seen = []
+    for name in ("cmd_analyze", "cmd_reanalyze", "cmd_compare"):
+        monkeypatch.setattr(cli, name, lambda path, opts: seen.append(opts) or 0)
+    monkeypatch.setattr(cli, "cmd_serve", lambda opts, socket_path: seen.append(opts) or 0)
+    assert cli.main([command] if command == "serve" else [command, "p.mc"]) == 0
+    assert seen == [cli.Options()]
 
 
 @pytest.mark.parametrize("enabled", [True, False])

@@ -12,7 +12,6 @@ from minicheck.consys import (
     NodeCtx,
     QGet,
     QSet,
-    StartOf,
     eval_tree,
     sort_key,
     unknown_from_json,
@@ -201,16 +200,14 @@ def _field_hash(u):
 
 def test_cached_hashes_equal_the_dataclass_hash():
     ctx = Context.of({"p": AddressSet.of(["g"]), "q": Interval.of(0, None), "r": vs(1, 2)})
-    direct = [Context.EMPTY, ctx, NodeCtx("foo", 1, ctx), NodeCtx("main", 4, Context.EMPTY),
-              StartOf("__main", Context.EMPTY), StartOf("foo", ctx)]
+    direct = [Context.EMPTY, ctx, NodeCtx("foo", 1, ctx), NodeCtx("main", 4, Context.EMPTY)]
     decoded = [unknown_from_json(json.loads(unknown_key(u)))
                for u in direct if not isinstance(u, Context)]
     replaced = [dataclasses.replace(ctx, params=ctx.params[1:]),
                 dataclasses.replace(NodeCtx("foo", 1, ctx), node=2),
-                dataclasses.replace(NodeCtx("foo", 1, ctx), ctx=BETA0),
-                dataclasses.replace(StartOf("foo", ctx), fn="bar")]
+                dataclasses.replace(NodeCtx("foo", 1, ctx), ctx=BETA0)]
     for u in direct + decoded + replaced:
         assert hash(u) == _field_hash(u), u
         assert not hasattr(u, "__dict__"), u  # slotted: the cache costs no dict
     assert decoded == direct[2:] and [hash(u) for u in decoded] == [hash(u) for u in direct[2:]]
-    assert replaced[1] == NodeCtx("foo", 2, ctx) and replaced[3] == StartOf("bar", ctx)
+    assert replaced[1] == NodeCtx("foo", 2, ctx)

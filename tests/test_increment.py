@@ -10,7 +10,6 @@ from minicheck.consys import (
     Context,
     GlobalVar,
     NodeCtx,
-    StartOf,
 )
 from minicheck.corpus import CorpusSpec, corpus_source, edit_sequence
 from minicheck.domains import AddressSet, ValueSet, leq
@@ -59,7 +58,7 @@ def incremental_setup(old_text, new_text, mode="reluctant", restart="off"):
     new_asg = relabel_nodes(changes, built.assignment, new_prog)
     new_built = build_system(new_prog, new_asg)
     prep = prepare_reluctant if mode == "reluctant" else prepare_plain
-    A = prep(changes, st, built.assignment, new_built.sys)
+    A = prep(changes, st, built.assignment)
     restart_globals(G_sel, st)
     return new_built, st, changes, A
 
@@ -230,7 +229,7 @@ def test_prepare_plain_on_empty_changeset_is_noop():
     built, st, _ = analyze_source(FIG2)
     stable_before = set(st.stable)
     changes = detect_changes(parse(FIG2).digests, parse(FIG2))
-    prepare_plain(changes, st, built.assignment, built.sys)
+    prepare_plain(changes, st, built.assignment)
     assert st.stable == stable_before
     assert st.superstable == stable_before
 
@@ -276,7 +275,7 @@ int main() { a = f(1); b = f(2); return a + b; }
     changes = detect_changes(parse(old).digests, parse(new))
     new_asg = relabel_nodes(changes, built.assignment, parse(new))
     new_built = build_system(parse(new), new_asg)
-    A = prepare_reluctant(changes, st, built.assignment, new_built.sys)
+    A = prepare_reluctant(changes, st, built.assignment)
     ret = built.assignment.assign["f"][-1]
     assert len(A) == 2
     assert {u.node for u in A} == {ret}
@@ -301,7 +300,7 @@ int main() { r = f(1, 2); return r; }
     assert "f" in changes.header_changed and "main" in changes.changed
     new_asg = relabel_nodes(changes, built.assignment, parse(new))
     new_built = build_system(parse(new), new_asg)
-    A = prepare_reluctant(changes, st, built.assignment, new_built.sys)
+    A = prepare_reluctant(changes, st, built.assignment)
     # f is excluded from A; only main's return unknown is re-solved reluctantly
     assert all(u.fn == "main" for u in A)
     stats = run(new_built.sys, st, pre_solve=A)
@@ -462,7 +461,7 @@ def test_prune_keeps_fully_reachable_state_and_is_idempotent():
 def test_reachable_set_covers_harness_and_globals():
     built, st, _ = analyze_source(FIG2)
     R = reachable_set(built.sys, st)
-    assert {MAIN, INIT, G, StartOf("__main", Context.EMPTY)} <= R
+    assert {MAIN, INIT, G} <= R
     assert node("foo", 1, BETA0) in R
 
 

@@ -6,7 +6,6 @@ from minicheck.consys import (
     Context,
     GlobalVar,
     NodeCtx,
-    StartOf,
     eval_tree,
 )
 from minicheck.domains import (
@@ -269,7 +268,7 @@ def test_has_rhs_agrees_with_building_the_rhs():
     foo_node = next(u for u in st.sigma if isinstance(u, NodeCtx) and u.fn == "foo")
     unknowns = set(st.sigma) | set(st.infl) | {
         NodeCtx("main", foo_node.node, Context.EMPTY),  # foo's node id, main's name
-        NodeCtx("gone", 1, Context.EMPTY), StartOf("__main", Context.EMPTY), GlobalVar("g")}
+        NodeCtx("gone", 1, Context.EMPTY), GlobalVar("g")}
     for u in unknowns:
         assert built.sys.has_rhs(u) == (built.sys.rhs(u) is not None), u
 
@@ -464,11 +463,11 @@ int main() { x = f(0); return x; }
 """)
 
 
-def test_start_unknown_is_seeded():
+def test_main_entry_holds_the_harness_start_state():
     built, st, _ = analyze_source(FIG2)
-    s = StartOf("__main", Context.EMPTY)
-    assert s in built.sys.starts
-    assert st.sigma[s].env.get("ret") == ValueSet.top()
+    entry = NodeCtx("main", built.cfgs["main"].entry, Context.EMPTY)
+    # the harness side-effects it: `ret` of main's declared type, no mutex held
+    assert st.sigma[entry] == LocalState(Env.of({"ret": ValueSet.top()}), Lockset.of([]))
 
 
 def test_harness_reads_globals_of_declared_initializers():

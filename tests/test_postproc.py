@@ -310,7 +310,7 @@ def test_superstable_subset_of_stable_at_phase_boundaries():
     changes = detect_changes(parse(FIG2).digests, parse(FIG2_EDIT))
     new_asg = relabel_nodes(changes, built.assignment, parse(FIG2_EDIT))
     new_built = build_system(parse(FIG2_EDIT), new_asg)
-    A = prepare_reluctant(changes, st, built.assignment, new_built.sys)
+    A = prepare_reluctant(changes, st, built.assignment)
     assert st.superstable <= st.stable
     run(new_built.sys, st, pre_solve=A)
     assert st.superstable <= st.stable

@@ -22,7 +22,6 @@ from minicheck.domains import Access, AddressSet, Env, LocalState, Lockset, Valu
 from minicheck.tdsolver import (
     Phase,
     Solver,
-    STATE_FORMAT,
     SolverDepthError,
     SolverState,
     run,
@@ -55,8 +54,8 @@ def node(fn, i, ctx=Context.EMPTY):
     return NodeCtx(fn, i, ctx)
 
 
-def simple_sys(rhs, starts=None, query=None):
-    return eqsys_from_dict(rhs, starts or {}, query, lambda u: ValueSet.bot())
+def simple_sys(rhs, query=None):
+    return eqsys_from_dict(rhs, query, lambda u: ValueSet.bot())
 
 
 # -- the running example ------------------------------------------------------
@@ -152,7 +151,7 @@ def test_self_loop_matches_kleene_oracle():
     st = SolverState()
     run(sys_, st)
     assert head in st.point
-    oracle = kleene_solve(rhs, {})
+    oracle = kleene_solve(rhs)
     assert st.sigma[head] == oracle[head] == vs(1)
     assert verify_solution(sys_, st) == []
 
@@ -186,7 +185,7 @@ def test_eval_of_leaf_marks_point_and_records_influence():
 
 def test_side_unchanged_value_updates_bookkeeping_only():
     x, g = node("t", 0), GlobalVar("gg")
-    sys_ = simple_sys({x: QSet(g, vs(1), Ans(vs(0)))}, starts={g: vs(1, 2)}, query=x)
+    sys_ = simple_sys({x: QSet(g, vs(1, 2), Ans(vs(0)))}, query=x)
     st = SolverState()
     run(sys_, st)
     destab_before = st.destabilizations
@@ -295,11 +294,11 @@ def test_verify_on_empty_state():
 def test_td_result_bounds_kleene_oracle_on_random_systems():
     rng = random.Random(1234)
     for trial in range(120):
-        sys_, rhs, deps, starts, query = make_random_system(rng, n_unknowns=rng.randrange(2, 10))
+        sys_, rhs, deps, query = make_random_system(rng, n_unknowns=rng.randrange(2, 10))
         st = SolverState()
         run(sys_, st)
         assert verify_solution(sys_, st) == [], f"trial {trial}"
-        oracle, reached = kleene_local_solution(rhs, deps, starts, query)
+        oracle, reached = kleene_local_solution(rhs, deps, query)
         for u in reached:
             got = st.sigma.get(u, ValueSet.bot())
             want = oracle.get(u, ValueSet.bot())
@@ -331,14 +330,13 @@ def test_termination_accounting_is_bounded():
 def test_state_json_roundtrip_and_warm_restart():
     built, st, _ = analyze_source(FIG2)
     doc = state_to_json(st)
-    assert doc["format"] == STATE_FORMAT
+    assert "format" not in doc  # the bundle's format covers the section
     assert "superstable" not in doc and "called" not in doc
     st2 = state_from_json(doc)
     assert st2.sigma == st.sigma
     assert {k: list(v) for k, v in st2.infl.items()} == {k: list(v) for k, v in st.infl.items()}
     assert st2.stable == st.stable
     assert st2.point == st.point
-    assert st2.starts == st.starts
     before = st2.rhs_evals
     run(built.sys, st2)
     assert st2.rhs_evals == before  # everything stable after reload
@@ -355,7 +353,6 @@ def assert_same_state(st2, st):
     assert ordered(st2.side_infl) == ordered(st.side_infl)
     assert st2.stable == st.stable
     assert st2.point == st.point
-    assert st2.starts == st.starts
     assert (st2.rhs_evals, st2.destabilizations) == (st.rhs_evals, st.destabilizations)
 
 
@@ -363,7 +360,7 @@ def assert_interned(doc, st):
     """Each unknown is written once, each distinct value once."""
     keys = [json.dumps(u, sort_keys=True) for u in doc["unknowns"]]
     assert len(keys) == len(set(keys))
-    mentioned = set(st.sigma) | st.stable | st.point | set(st.starts)
+    mentioned = set(st.sigma) | st.stable | st.point
     for m in (st.infl, st.side_dep, st.side_infl):
         mentioned |= {u for u, vs_ in m.items() if vs_} | {v for vs_ in m.values() for v in vs_}
     assert len(keys) == len(mentioned)
@@ -390,11 +387,6 @@ def test_state_json_roundtrip_on_the_corpus():
     st2 = state_from_json(doc)
     assert_same_state(st2, st)
     assert json.dumps(state_to_json(st2)) == json.dumps(doc)
-
-
-def test_state_format_is_checked():
-    with pytest.raises(ValueError):
-        state_from_json({"format": 99})
 
 
 def test_wrong_domain_rhs_is_an_eval_error_carrying_the_unknown():
@@ -527,7 +519,7 @@ def test_explicit_stack_matches_the_recursive_solver_on_non_monotone_systems(res
             return ValueSet.bot()
 
         rhs = {x: random_tree(rng, nodes + globs) for x in nodes}
-        sys_ = eqsys_from_dict(rhs, {}, nodes[0], bot_of)
+        sys_ = eqsys_from_dict(rhs, nodes[0], bot_of)
         monkeypatch.setattr(tdsolver, "MAX_WPOINT_RESTARTS", rng.choice([0, 1, 32]))
 
         def go():
