@@ -10,13 +10,15 @@ Subcommands::
 There is one pipeline, `run_reanalysis`: an analysis from scratch is the
 reanalysis of ``Session.empty()``, and the server drives the same pipeline.
 
-State persists in a single compact JSON bundle (``--state-dir``): the
-per-function digests for change detection, node-id assignment, solver state,
-warning store and the analysis options that produced them.  A bundle whose
-format, analysis domain or widening-point policy does not match is refused;
-reusing solver data across differing abstractions is unsound.  A damaged
-bundle is an error, never a traceback.  ``compare`` refuses a bundle whose
-digests differ from the current source's.
+State persists in a bundle in ``--state-dir``: the per-function digests
+for change detection, node-id assignment, solver state, warning store and
+the analysis options that produced them.  The bundle is a compact JSON base
+and a journal of the rows each reanalysis changed since (see `journal`).  A
+bundle whose format, analysis domain or widening-point policy does not
+match is refused; reusing solver data across differing abstractions is
+unsound.  A damaged bundle, whose checksums catch a flipped byte, is an
+error, never a traceback.  ``compare`` refuses a bundle whose digests
+differ from the current source's.
 
 Exit codes: 0 ok; 1 warnings present (with ``--fail-on-warn``); 2 errors.
 """
@@ -27,13 +29,15 @@ import argparse
 import contextlib
 import datetime
 import gc
+import hashlib
 import json
 import os
 import sys
 import tempfile
 from dataclasses import dataclass
-from typing import Optional, TextIO
+from typing import Callable, Iterator, Optional, TextIO
 
+from . import journal
 from .consys import NodeCtx, unknown_key
 from .domains import DomainError, leq
 from .increment import reanalyze
@@ -49,8 +53,12 @@ from .tdsolver import (
     verify_solution,
 )
 
-BUNDLE_NAME = "bundle.json"
-BUNDLE_FORMAT = 4
+BUNDLE_NAME = "bundle.json"  # the base
+JOURNAL_NAME = "bundle.journal"
+BUNDLE_FORMAT = 5
+# A save writes a full base instead of a record that would make the journal
+# longer than the base divided by this.
+COMPACTION_RATIO = 4
 
 
 class CliError(Exception):
@@ -94,13 +102,18 @@ class Session:
     CFGs, so a reanalysis of this session reuses every item whose text and
     position did not change.  Only the current version's items are kept.  A
     session from `empty` or `load_bundle` has no program: its first
-    reanalysis parses every item."""
+    reanalysis parses every item.
+
+    A session that was loaded or saved also holds the image of what is on
+    disk (`journal.Image`), which its reanalysis inherits: the next save
+    writes only how the session differs from it."""
 
     digests: dict  # Program.digests of the source
     assignment: NodeAssignment
     state: SolverState
     store: WarnStore
     program: Optional[Program] = None
+    image: Optional[journal.Image] = None
 
     @staticmethod
     def empty() -> "Session":
@@ -124,56 +137,142 @@ class AnalysisResult:
 # ---------------------------------------------------------------------------
 
 
-def save_bundle(state_dir: str, session: Session, opts: Options) -> None:
-    """Write the bundle to a temporary file and rename it over the old one,
-    so that a crash never leaves a partly written bundle behind."""
-    doc = {
-        "format": BUNDLE_FORMAT,
-        "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+def save_bundle(state_dir: str, session: Session, opts: Options) -> dict:
+    """Persist `session` in `state_dir` and keep its image of what is now on
+    disk.  Returns what was written: ``{"kind": "delta"|"full", "bytes": n}``.
+
+    A session whose image is still what the state dir holds appends one
+    record to the journal (nothing if nothing changed).  Any other session,
+    and one whose record would grow the journal past a quarter of the base,
+    writes a full base, which empties the journal."""
+    image = session.image
+    try:
+        if image is not None and _is_on_disk(state_dir, image):
+            now = journal.tables(session)
+            framed = journal.record(image.tables, now, image.base, image.tail)
+            if framed is None:
+                return {"kind": "delta", "bytes": 0}
+            data, rid = framed
+            if (image.end + len(data)) * COMPACTION_RATIO <= image.base_size:
+                with open(os.path.join(state_dir, JOURNAL_NAME), "ab") as f:
+                    f.write(data)
+                    f.flush()
+                    os.fsync(f.fileno())
+                session.image = journal.Image(image.base, image.base_size,
+                                              image.end + len(data), rid, now)
+                return {"kind": "delta", "bytes": len(data)}
+            del now, framed, data
+        image = session.image = None  # the old tables are freed before the base is encoded
+        size = _write_base(state_dir, session, opts)
+    except OSError as exc:
+        raise CliError(f"cannot write state bundle to {state_dir}: {exc}") from exc
+    return {"kind": "full", "bytes": size}
+
+
+def _is_on_disk(state_dir: str, image: journal.Image) -> bool:
+    """Whether `image` is still the tail of the state dir: its base, and a
+    journal that ends where its last record does.  It is not after another
+    writer saved to the state dir, or after a torn record."""
+    try:
+        with open(os.path.join(state_dir, BUNDLE_NAME), "rb") as f:
+            head = f.readline()
+    except FileNotFoundError:
+        return False
+    try:
+        size = os.path.getsize(os.path.join(state_dir, JOURNAL_NAME))
+    except FileNotFoundError:
+        size = 0
+    return _base_id(head.rstrip(b"\n")) == image.base and size == image.end
+
+
+def _base_id(head: bytes) -> str:
+    """A base's id: the sha256 of its first line, which holds its creation
+    time and the checksum of the rest."""
+    return hashlib.sha256(head).hexdigest()
+
+
+def _write_base(state_dir: str, session: Session, opts: Options) -> int:
+    """Write `session` as the base, to a temporary file renamed over the old
+    base, then remove the journal; returns the base's size.  A crash before
+    the rename leaves the old base and journal, one after it a journal whose
+    records name the old base and are ignored.
+
+    The first line holds the format, the creation time and the sha256 of
+    the bytes after it; the whole file is one JSON object.  The members are
+    encoded and written one at a time, the solver section's as it builds
+    them, so that no whole encoding of the state is ever held."""
+    created = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="microseconds")
+    members = {
         "compat": opts.compat(),
         "digests": session.digests,
         "nodes": session.assignment.to_json(),
         "solver": state_to_json(session.state),
         "warnstore": session.store.to_json(),
     }
+    os.makedirs(state_dir, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=BUNDLE_NAME + ".", suffix=".tmp", dir=state_dir)
     try:
-        os.makedirs(state_dir, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(prefix=BUNDLE_NAME + ".", suffix=".tmp", dir=state_dir)
-        try:
-            with os.fdopen(fd, "w") as f:
-                _write_json(f, doc, 2)
-                f.write("\n")
-                f.flush()
-                os.fsync(f.fileno())
-            os.replace(tmp, os.path.join(state_dir, BUNDLE_NAME))
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-    except OSError as exc:
-        raise CliError(f"cannot write state bundle to {state_dir}: {exc}") from exc
+        with os.fdopen(fd, "wb") as f:
+            head = _base_head(created, "0" * 64)
+            f.write(head)
+            digest = hashlib.sha256()
+
+            def write(text: str) -> None:
+                data = text.encode()
+                digest.update(data)
+                f.write(data)
+
+            _write_json(write, members, 2, opened=True)
+            write("\n")
+            size = f.tell()
+            head = _base_head(created, digest.hexdigest())
+            f.seek(0)
+            f.write(head)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, os.path.join(state_dir, BUNDLE_NAME))
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(os.path.join(state_dir, JOURNAL_NAME))
+    session.image = journal.Image(_base_id(head[:-1]), size, 0, _base_id(head[:-1]),
+                                  journal.tables(session))
+    return size
 
 
-def _write_json(f: TextIO, doc, depth: int) -> None:
+def _base_head(created: str, sha256: str) -> bytes:
+    return (f'{{"format":{BUNDLE_FORMAT},"created_at":{json.dumps(created)},'
+            f'"sha256":"{sha256}",\n').encode()
+
+
+def _write_json(write: Callable[[str], None], doc, depth: int, opened: bool = False) -> None:
     """Write `doc` as ``json.dumps(doc, separators=(",", ":"))`` would, but
-    each member of the dicts in its top `depth` levels (whose keys are
-    strings) on its own: encoding the bundle is every command's memory
-    high-water mark, and no whole encoding of it is then held at once."""
-    if depth == 0 or not isinstance(doc, dict):
-        f.write(json.dumps(doc, separators=(",", ":")))
+    each member of the objects in its top `depth` levels on its own.  An
+    object may also be an iterator of (key, value) pairs, whose values are
+    then built only as they are written.  With `opened`, the top object's
+    opening brace and the members before it are already written."""
+    if depth == 0 or not isinstance(doc, (dict, Iterator)):
+        write(json.dumps(doc, separators=(",", ":")))
         return
-    f.write("{")
-    for i, (key, value) in enumerate(doc.items()):
-        f.write(f"{',' if i else ''}{json.dumps(key)}:")
-        _write_json(f, value, depth - 1)
-    f.write("}")
+    if not opened:
+        write("{")
+    for i, (key, value) in enumerate(doc.items() if isinstance(doc, dict) else doc):
+        write(f"{',' if i else ''}{json.dumps(key)}:")
+        _write_json(write, value, depth - 1)
+    write("}")
 
 
 def load_bundle(state_dir: str, opts: Options) -> Optional[Session]:
-    """The session persisted in `state_dir`, or None if there is no bundle."""
+    """The session persisted in `state_dir`, the base with the journal's
+    records replayed, or None if there is no base.  Records of another
+    base, or that do not follow the record before them, are ignored; so is
+    a torn last record."""
     path = os.path.join(state_dir, BUNDLE_NAME)
     try:
-        with open(path) as f:
-            doc = json.load(f)
+        with open(path, "rb") as f:
+            data = f.read()
+        doc = json.loads(data)
         if doc.get("format") != BUNDLE_FORMAT:
             raise CliError(f"state bundle format {doc.get('format')!r} is not supported "
                            f"(this version reads format {BUNDLE_FORMAT}); "
@@ -186,15 +285,35 @@ def load_bundle(state_dir: str, opts: Options) -> Optional[Session]:
                 "state bundle was produced with different analysis options "
                 f"({', '.join(differ)}); "
                 "refusing to reuse it; delete the state dir to reanalyze from scratch")
-        digests = doc["digests"]
+        nl = data.find(b"\n")
+        if nl < 0 or hashlib.sha256(memoryview(data)[nl + 1:]).hexdigest() != doc["sha256"]:
+            raise ValueError("its checksum does not match")
+        head = data[:nl]
+        session = Session(doc["digests"], NodeAssignment.from_json(doc["nodes"]),
+                          state_from_json(doc["solver"]),
+                          WarnStore.from_json(doc["warnstore"]))
+        size = len(data)
+        del data, doc
+        base = tail = _base_id(head)
+        end = 0
+        path = os.path.join(state_dir, JOURNAL_NAME)
+        try:
+            with open(path, "rb") as f:
+                data = f.read()
+        except FileNotFoundError:
+            data = b""
+        for record, rid, record_end in journal.records(data):
+            if record["base"] == base and record["prev"] == tail:
+                journal.replay(session, record)
+                tail, end = rid, record_end
+        digests = session.digests
         if not isinstance(digests["init"], str) or \
                 any(len(d) != 2 for d in digests["functions"].values()) or \
                 not isinstance(digests["globals"], list) or \
                 not all(isinstance(g, str) for g in digests["globals"]):
             raise ValueError("malformed digests")
-        return Session(digests, NodeAssignment.from_json(doc["nodes"]),
-                       state_from_json(doc["solver"]),
-                       WarnStore.from_json(doc["warnstore"]))
+        session.image = journal.Image(base, size, end, tail, journal.tables(session))
+        return session
     except FileNotFoundError:
         return None
     except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
@@ -224,7 +343,8 @@ def run_reanalysis(session: Session, text: str, filename: str,
                                                  prog, opts.mode, opts.restart, opts.domain,
                                                  restart_wpoint=opts.wpoint_restart)
     store, post_stats = postprocess(built, state, session.store, filename, start)
-    return AnalysisResult(Session(prog.digests, built.assignment, state, store, prog),
+    return AnalysisResult(Session(prog.digests, built.assignment, state, store, prog,
+                                  session.image),
                           run_stats, post_stats, diff_warnings(session.store, store),
                           changes.to_json(), prog.parsed)
 
@@ -296,9 +416,10 @@ def _diff_json(diff: dict) -> dict:
     return {k: [w.to_json() for w in ws] for k, ws in diff.items()}
 
 
-def _report(payload, result: AnalysisResult, opts: Options, out: TextIO, err: TextIO) -> int:
-    """Print a command's payload (and its counters with --stats); returns the
-    exit code."""
+def _report(payload, result: AnalysisResult, persisted: dict, opts: Options, out: TextIO,
+            err: TextIO) -> int:
+    """Print a command's payload (and its counters and what it persisted
+    with --stats); returns the exit code."""
     print(json.dumps(payload, indent=1), file=out)
     if opts.stats:
         state = result.session.state
@@ -308,6 +429,7 @@ def _report(payload, result: AnalysisResult, opts: Options, out: TextIO, err: Te
             "parsed": result.parsed,
             "run": result.run_stats,
             "postprocess": {k: len(v) for k, v in result.post_stats.items()},
+            "persisted": persisted,
         }
         print(json.dumps(stats, indent=1), file=err)
     return 1 if opts.fail_on_warn and result.session.store.warnings else 0
@@ -320,11 +442,11 @@ def cmd_analyze(path: str, opts: Options, out: Optional[TextIO] = None,
     try:
         result = run_analysis(_read_source(path), path, opts)
         result.session.program = None  # nothing reuses it; its memory is the bundle's
-        save_bundle(opts.state_dir, result.session, opts)
+        persisted = save_bundle(opts.state_dir, result.session, opts)
     except ERRORS as exc:
         print(f"error: {exc}", file=err)
         return 2
-    return _report(result.session.store.warnings_json(), result, opts, out, err)
+    return _report(result.session.store.warnings_json(), result, persisted, opts, out, err)
 
 
 def cmd_reanalyze(path: str, opts: Options, out: Optional[TextIO] = None,
@@ -338,14 +460,14 @@ def cmd_reanalyze(path: str, opts: Options, out: Optional[TextIO] = None,
             return cmd_analyze(path, opts, out, err)
         result = run_reanalysis(session, _read_source(path), path, opts)
         result.session.program = None  # nothing reuses it; its memory is the bundle's
-        save_bundle(opts.state_dir, result.session, opts)
+        persisted = save_bundle(opts.state_dir, result.session, opts)
     except ERRORS as exc:
         print(f"error: {exc}", file=err)
         return 2
     payload = _diff_json(result.diff)
     if opts.explain_diff:
         payload["changes"] = result.changes
-    return _report(payload, result, opts, out, err)
+    return _report(payload, result, persisted, opts, out, err)
 
 
 def cmd_compare(path: str, opts: Options, out: Optional[TextIO] = None,
@@ -375,9 +497,10 @@ class Server:
 
     The bundle is read only while the server holds no session: at the first
     request that needs state, and after a failed reanalysis, which may have
-    left the solver state half updated.  Every successful reanalysis writes
-    the bundle back, so the state survives a crash of the server; a CLI run
-    against the same state dir meanwhile goes unseen."""
+    left the solver state half updated.  Every successful reanalysis saves
+    the session, so the state survives a crash of the server.  A CLI run
+    against the same state dir meanwhile goes unseen, and the server's next
+    save overwrites it with a full base."""
 
     def __init__(self, opts: Options):
         self.opts = opts
@@ -394,7 +517,7 @@ class Server:
         fallback = session is None
         result = run_reanalysis(session or Session.empty(), text, path, self.opts)
         del session  # what the new session replaces is freed before the bundle is encoded
-        save_bundle(self.opts.state_dir, result.session, self.opts)
+        persisted = save_bundle(self.opts.state_dir, result.session, self.opts)
         self.session = result.session
         payload = _diff_json(result.diff)
         if fallback:
@@ -405,6 +528,7 @@ class Server:
                 "destabilizations_total": result.session.state.destabilizations,
                 "parsed": result.parsed,
                 "diagnostics": result.run_stats["diagnostics"],
+                "persisted": persisted,
             }
         return payload
 

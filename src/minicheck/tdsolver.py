@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .consys import (
     Ans,
@@ -355,7 +355,11 @@ def verify_solution(sys_: EqSys, state: SolverState,
 # ---------------------------------------------------------------------------
 
 
-def state_to_json(state: SolverState) -> dict:
+def state_to_json(state: SolverState) -> Iterator[Tuple[str, object]]:
+    """The solver section as (member, JSON value) pairs, in order.  A member
+    is built only when the iteration reaches it, so a writer that encodes
+    and drops each one never holds the whole section; ``dict`` of the pairs
+    is the section."""
     maps = (state.infl, state.side_dep, state.side_infl, state.stale)
     unknowns = set(state.sigma) | state.stable | state.point
     for m in maps:
@@ -364,33 +368,32 @@ def state_to_json(state: SolverState) -> dict:
                 unknowns.add(u)
                 unknowns.update(members)
     table = sorted(unknowns, key=sort_key)
+    del unknowns
     index = {u: i for i, u in enumerate(table)}
     values: Dict[Value, int] = {}
-
-    def pairs(m: Dict[Unknown, Value]) -> list:
-        return [[i, values.setdefault(v, len(values))]
-                for i, v in sorted(((index[u], v) for u, v in m.items()), key=itemgetter(0))]
 
     def omap(m: Dict[Unknown, Dict[Unknown, None]]) -> list:
         return sorted(([index[u], [index[v] for v in members]]
                        for u, members in m.items() if members), key=itemgetter(0))
 
-    sigma = pairs(state.sigma)
-    return {
-        "unknowns": [unknown_to_json(u) for u in table],
-        "values": [value_to_json(v) for v in values],
-        "sigma": sigma,
-        "infl": omap(state.infl),
-        "stable": sorted(index[u] for u in state.stable),
-        "point": sorted(index[u] for u in state.point),
-        "side_dep": omap(state.side_dep),
-        "side_infl": omap(state.side_infl),
-        "stale": omap(state.stale),
-        "counters": {
-            "rhs_evals": state.rhs_evals,
-            "destabilizations": state.destabilizations,
-        },
-    }
+    # σ is encoded first: it numbers the values
+    sigma = [[i, values.setdefault(v, len(values))]
+             for i, v in sorted(((index[u], v) for u, v in state.sigma.items()),
+                                key=itemgetter(0))]
+    yield "unknowns", [unknown_to_json(u) for u in table]
+    del table
+    yield "values", [value_to_json(v) for v in values]
+    del values
+    yield "sigma", sigma
+    del sigma
+    yield "infl", omap(state.infl)
+    yield "stable", sorted(index[u] for u in state.stable)
+    yield "point", sorted(index[u] for u in state.point)
+    yield "side_dep", omap(state.side_dep)
+    yield "side_infl", omap(state.side_infl)
+    yield "stale", omap(state.stale)
+    yield "counters", {"rhs_evals": state.rhs_evals,
+                       "destabilizations": state.destabilizations}
 
 
 def state_from_json(doc: dict) -> SolverState:

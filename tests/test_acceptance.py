@@ -42,7 +42,6 @@ from minicheck.increment import (
 from minicheck.minic import build_system, parse
 from minicheck.minic.cfg import Guard
 from minicheck.minic.syntax import BinOp, Var
-from minicheck.postproc import WarnStore
 from minicheck.tdsolver import (
     SolverState,
     run,
@@ -84,7 +83,7 @@ def _invoke(fn, *args, **kw):
 
 
 def _clone(state):
-    st = state_from_json(state_to_json(state))
+    st = state_from_json(dict(state_to_json(state)))
     return st
 
 
@@ -443,8 +442,7 @@ def test_criterion_9_warning_lifecycle(tmp_path):
     assert race_id in [w["id"] for w in diff["removed"]]
     assert race_id not in [w["id"] for w in diff["kept"]]
 
-    bundle = json.load(open(tmp_path / "st" / "bundle.json"))
-    store = WarnStore.from_json(bundle["warnstore"])
+    store = cli.load_bundle(sd, cli.Options(state_dir=sd)).store  # base and journal
     for rec in store.merged_accesses("shared"):
         assert rec.locks == Lockset.of(["m"]), "stale unlocked access survived"
     ok(9, "race reported, then listed under `removed` after the fix; "

@@ -1,6 +1,7 @@
 import collections
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import os
@@ -43,8 +44,33 @@ def ws(tmp_path):
 
 
 def bundle_of(state_dir):
+    """The state persisted in `state_dir`, the base with the journal
+    replayed, as the document a full save of it writes, under the base's
+    format, creation time and checksum."""
     with open(os.path.join(state_dir, "bundle.json")) as f:
-        return json.load(f)
+        doc = json.load(f)
+    compat = doc["compat"]
+    session = cli.load_bundle(state_dir, cli.Options(domain=compat["domain"],
+                                                     wpoint_restart=compat["wpoint_restart"]))
+    doc.update(digests=session.digests, nodes=session.assignment.to_json(),
+               solver=dict(tdsolver.state_to_json(session.state)),
+               warnstore=session.store.to_json())
+    return doc
+
+
+def write_bundle(state_dir, doc):
+    """Write `doc`, a document as `bundle_of` returns it, as the base of
+    `state_dir`, its first line with the checksum of the rest, and drop the
+    journal."""
+    doc = dict(doc)
+    head = {"format": doc.pop("format"), "created_at": doc.pop("created_at")}
+    doc.pop("sha256", None)
+    body = json.dumps(doc, separators=(",", ":"))[1:] + "\n"
+    head["sha256"] = hashlib.sha256(body.encode()).hexdigest()
+    write(os.path.join(state_dir, "bundle.json"),
+          json.dumps(head, separators=(",", ":"))[:-1] + ",\n" + body)
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(os.path.join(state_dir, "bundle.journal"))
 
 
 def test_analyze_reports_race_and_persists_state(ws):
@@ -207,14 +233,14 @@ def test_wpoint_restart_mismatch_is_refused(ws, analyzed, reused):
 
 
 def _set_format(sd, fmt):
-    path = os.path.join(sd, "bundle.json")
     doc = bundle_of(sd)
     doc["format"] = fmt
-    write(path, json.dumps(doc))
+    write_bundle(sd, doc)
 
 
-# Format 3 is the last format whose solver section holds a start unknown.
-@pytest.mark.parametrize("fmt", [1, 3])
+# Format 3 is the last format whose solver section holds a start unknown,
+# format 4 the last one without a journal.
+@pytest.mark.parametrize("fmt", [1, 3, 4])
 @pytest.mark.parametrize("command", [cli.cmd_reanalyze, cli.cmd_compare])
 def test_an_old_bundle_format_is_refused(ws, command, fmt):
     src, sd = ws
@@ -227,7 +253,7 @@ def test_an_old_bundle_format_is_refused(ws, command, fmt):
     assert "delete the state dir" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("fmt", [1, 3])
+@pytest.mark.parametrize("fmt", [1, 3, 4])
 def test_serve_answers_an_old_bundle_format_with_an_error(ws, fmt):
     src, sd = ws
     write(src, FIG2)
@@ -271,9 +297,30 @@ def test_bundle_is_compact_and_holds_digests(ws):
     with open(os.path.join(sd, "bundle.json")) as f:
         text = f.read()
     doc = json.loads(text)
-    assert doc["format"] == cli.BUNDLE_FORMAT == 4
-    assert text == json.dumps(doc, separators=(",", ":")) + "\n"
+    assert doc["format"] == cli.BUNDLE_FORMAT == 5
+    head, body = text.split("\n", 1)
+    assert head + body == json.dumps(doc, separators=(",", ":")) + "\n"
+    assert list(doc)[:4] == ["format", "created_at", "sha256", "compat"]
+    assert head.endswith(f'"sha256":"{hashlib.sha256(body.encode()).hexdigest()}",')
     assert doc["digests"] == parse(FIG2).digests
+
+
+def test_a_full_save_writes_the_bytes_of_a_one_shot_encoding(tmp_path):
+    """The base is encoded member by member, the solver section's members as
+    they are built; the bytes are those of one `json.dumps` of the whole
+    document, with a newline after the first line."""
+    opts = cli.Options(state_dir=str(tmp_path))
+    session = cli.run_analysis(corpus_source(CorpusSpec(40, 3)), "prog.mc", opts).session
+    assert cli.save_bundle(opts.state_dir, session, opts)["kind"] == "full"
+    with open(tmp_path / "bundle.json", "rb") as f:
+        data = f.read()
+    header = json.loads(data)
+    doc = {"format": 5, "created_at": header["created_at"], "sha256": header["sha256"],
+           "compat": opts.compat(), "digests": session.digests,
+           "nodes": session.assignment.to_json(),
+           "solver": dict(tdsolver.state_to_json(session.state)),
+           "warnstore": session.store.to_json()}
+    assert data.replace(b"\n", b"", 1) == json.dumps(doc, separators=(",", ":")).encode() + b"\n"
 
 
 def test_the_solver_section_holds_only_the_unknowns_of_the_system(ws):
@@ -499,39 +546,45 @@ def test_serve_socket_outlives_a_disconnecting_client(ws):
 
 
 @pytest.mark.parametrize("damage", ["truncated", "not-json", "missing-key", "bad-digests",
-                                    "no-global-names", "not-utf8"])
+                                    "no-global-names", "not-utf8", "flipped-digit"])
 @pytest.mark.parametrize("command", [cli.cmd_reanalyze, cli.cmd_compare])
 def test_damaged_bundle_exits_two_with_an_error(ws, command, damage):
+    """The structural damages come with a valid checksum, so that the checks
+    behind it are reached."""
     src, sd = ws
     write(src, FIG2)
     invoke(cli.cmd_analyze, src, cli.Options(state_dir=sd))
     path = os.path.join(sd, "bundle.json")
     text = open(path).read()
+    doc = bundle_of(sd)
     if damage == "truncated":
         text = text[:len(text) // 2]
     elif damage == "not-json":
         text = "[1, 2"
     elif damage == "missing-key":
-        doc = json.loads(text)
         del doc["solver"]
-        text = json.dumps(doc)
     elif damage == "no-global-names":  # as a bundle written before they were recorded
-        doc = json.loads(text)
         del doc["digests"]["globals"]
-        text = json.dumps(doc)
     elif damage == "bad-digests":
-        doc = json.loads(text)
         doc["digests"]["functions"]["main"] = "?"
-        text = json.dumps(doc)
-    data = text.encode()
-    if damage == "not-utf8":
-        data = data[:len(data) // 2] + b"\xff" + data[len(data) // 2 + 1:]
-    with open(path, "wb") as f:
-        f.write(data)
+    elif damage == "flipped-digit":  # still valid JSON: only the checksum tells
+        at = text.index('"v":[', text.index('"values":')) + len('"v":[')
+        text = text[:at] + str((int(text[at]) + 1) % 10) + text[at + 1:]
+        assert json.loads(text) != json.loads(open(path).read())
+    if damage in ("missing-key", "no-global-names", "bad-digests"):
+        write_bundle(sd, doc)
+    else:
+        data = text.encode()
+        if damage == "not-utf8":
+            data = data[:len(data) // 2] + b"\xff" + data[len(data) // 2 + 1:]
+        with open(path, "wb") as f:
+            f.write(data)
     code, out, err = invoke(command, src, cli.Options(state_dir=sd))
     assert code == 2
     assert out == ""
     assert err.startswith("error: state bundle") and "Traceback" not in err
+    if damage == "flipped-digit":
+        assert "checksum" in err
     assert err.count("\n") == 1 and len(err) < 500  # the cause, not the bundle
 
 
@@ -560,7 +613,7 @@ def _damage_the_node_table(src, sd):
     assert invoke(cli.cmd_analyze, src, opts)[0] == 0
     doc = bundle_of(sd)
     doc["nodes"]["assign"]["f000"].pop()
-    write(os.path.join(sd, "bundle.json"), json.dumps(doc))
+    write_bundle(sd, doc)
     return opts
 
 
@@ -599,7 +652,7 @@ def _empty_the_node_ids_of_h(src, sd):
     assert invoke(cli.cmd_analyze, src, opts)[0] == 0
     doc = bundle_of(sd)
     doc["nodes"]["assign"]["h"] = []
-    write(os.path.join(sd, "bundle.json"), json.dumps(doc))
+    write_bundle(sd, doc)
     write(src, REMOVES_H % "")
     return opts
 
@@ -687,13 +740,14 @@ def test_serve_session_matches_cli_reanalyze(tmp_path, monkeypatch):
         [{"rhs_evals_total": s["rhs_evals_total"],
           "destabilizations_total": s["destabilizations_total"],
           "parsed": parsed,
-          "diagnostics": s["run"]["diagnostics"]} for s, parsed in zip(cli_stats, [25, 1, 1])]
+          "diagnostics": s["run"]["diagnostics"],
+          "persisted": s["persisted"]} for s, parsed in zip(cli_stats, [25, 1, 1])]
     assert results == cli_diffs
     assert len(loads) == 1
     serve_bundle = bundle_of(serve_dir)
     cli_bundle.pop("created_at"), serve_bundle.pop("created_at")
     assert json.dumps(serve_bundle) == json.dumps(cli_bundle)
-    assert os.listdir(serve_dir) == ["bundle.json"]
+    assert sorted(os.listdir(serve_dir)) == ["bundle.journal", "bundle.json"]
 
 
 def test_serve_reloads_the_bundle_after_a_failed_request(ws, monkeypatch):
@@ -1361,7 +1415,7 @@ SERVE_PARSED = [41, 1, 31, 41, 10, 1]
 
 def test_serve_works_in_lockstep_with_cli_reanalyze(tmp_path):
     """A CLI reanalyze chain and one server on the same versions give the
-    same responses and byte-identical bundles after every request, while
+    same responses and persist the same state after every request, while
     the server parses only what moved and leaves no cyclic garbage."""
     base, *edits = _lockstep_versions()
     assert len(edits) == 7
@@ -1369,9 +1423,9 @@ def test_serve_works_in_lockstep_with_cli_reanalyze(tmp_path):
     cli_dir, serve_dir = str(tmp_path / "cli"), str(tmp_path / "serve")
 
     def bundle_text(state_dir):
-        with open(os.path.join(state_dir, "bundle.json")) as f:
-            text = f.read()
-        return text.replace(json.loads(text)["created_at"], "")
+        doc = bundle_of(state_dir)
+        doc.pop("created_at")
+        return json.dumps(doc)
 
     write(src, base)
     cli_runs, cli_bundles = [], []
@@ -1408,7 +1462,8 @@ def test_serve_works_in_lockstep_with_cli_reanalyze(tmp_path):
         parsed.append(stats.pop("parsed"))
         assert stats == {"rhs_evals_total": cli_stats["rhs_evals_total"],
                          "destabilizations_total": cli_stats["destabilizations_total"],
-                         "diagnostics": cli_stats["run"]["diagnostics"]}
+                         "diagnostics": cli_stats["run"]["diagnostics"],
+                         "persisted": cli_stats["persisted"]}
         assert json.dumps(response["result"]) == json.dumps(json.loads(stdout))
     assert parsed == SERVE_PARSED
     assert serve_bundles == cli_bundles

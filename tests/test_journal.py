@@ -1,0 +1,245 @@
+"""The state dir as a base plus a journal of delta records: what each save
+writes, that replaying the journal gives the state the writer held, and
+what a torn, corrupt or stale record does."""
+
+import io
+import json
+import os
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from minicheck import cli, tdsolver
+from minicheck.corpus import CorpusSpec, corpus_source, edit_sequence
+
+from test_declaration_edits import edits, templates
+
+BASE, JOURNAL = cli.BUNDLE_NAME, cli.JOURNAL_NAME
+
+
+def write(path, text):
+    with open(path, "w") as f:
+        f.write(text)
+
+
+def persisted(session):
+    """Everything a bundle persists of `session`, as JSON."""
+    return (dict(tdsolver.state_to_json(session.state)), session.assignment.to_json(),
+            session.digests, session.store.to_json())
+
+
+def reanalyze(sd, src, text, opts):
+    """A CLI reanalysis of `text`: the session it saved and what it wrote."""
+    write(src, text)
+    result = cli.run_reanalysis(cli.load_bundle(sd, opts), text, src, opts)
+    return result.session, cli.save_bundle(sd, result.session, opts)
+
+
+def size(path):
+    return os.path.getsize(path) if os.path.exists(path) else 0
+
+
+def _corpus_versions(n_edits, n_functions=24):
+    spec = CorpusSpec(n_functions=n_functions, seed=7)
+    return [corpus_source(spec)] + [corpus_source(s) for s in edit_sequence(spec, n_edits, 5)]
+
+
+# -- what each save writes ----------------------------------------------------------
+
+
+# What the reanalyses of twelve cumulative edits of a 24-function corpus
+# write (records of 2-4 KB, a base of 51 KB): the fourth and the ninth
+# record would have passed a quarter of the base.
+KINDS = ["delta"] * 3 + ["full"] + ["delta"] * 4 + ["full"] + ["delta"] * 3
+
+
+def test_what_each_save_persists(tmp_path):
+    """An analyze writes a full base.  Each reanalysis appends a record until
+    the journal would pass a quarter of the base; that save compacts into a
+    full base and empties the journal.  A server whose image a CLI run
+    outdated writes a full base too, so the last writer wins."""
+    src, sd = str(tmp_path / "prog.mc"), str(tmp_path / "state")
+    opts = cli.Options(state_dir=sd, stats=True)
+    versions = _corpus_versions(15)
+    write(src, versions[0])
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.cmd_analyze(src, opts, out, err) == 0
+    assert json.loads(err.getvalue())["persisted"] == {"kind": "full", "bytes": size(f"{sd}/{BASE}")}
+    assert not os.path.exists(f"{sd}/{JOURNAL}")
+    kinds = []
+    for text in versions[1:13]:
+        write(src, text)
+        out, err = io.StringIO(), io.StringIO()
+        journal_before = size(f"{sd}/{JOURNAL}")
+        assert cli.cmd_reanalyze(src, opts, out, err) == 0
+        written = json.loads(err.getvalue())["persisted"]
+        kinds.append(written["kind"])
+        if written["kind"] == "delta":
+            assert size(f"{sd}/{JOURNAL}") == journal_before + written["bytes"] > 0
+            assert size(f"{sd}/{JOURNAL}") * cli.COMPACTION_RATIO <= size(f"{sd}/{BASE}")
+        else:
+            assert written["bytes"] == size(f"{sd}/{BASE}")
+            assert not os.path.exists(f"{sd}/{JOURNAL}")
+            compacted = cli.load_bundle(sd, opts)
+    assert kinds == KINDS
+    # after a compaction base plus journal stay within 1.25 times a full bundle
+    full_dir = str(tmp_path / "full")
+    fresh = cli.load_bundle(sd, opts)
+    cli.save_bundle(full_dir, cli.Session(fresh.digests, fresh.assignment, fresh.state,
+                                          fresh.store), opts)
+    assert size(f"{sd}/{BASE}") + size(f"{sd}/{JOURNAL}") <= 1.25 * size(f"{full_dir}/{BASE}")
+    assert persisted(compacted) != persisted(fresh)  # records followed the compaction
+
+    def stats(server, text):
+        write(src, text)
+        return server.reanalyze(src)["stats"]["persisted"]["kind"]
+
+    server = cli.Server(opts)
+    assert stats(server, versions[13]) == "delta"
+    reanalyze(sd, src, versions[14], opts)  # a CLI run the server does not see
+    assert stats(server, versions[15]) == "full"
+    assert persisted(cli.load_bundle(sd, opts)) == persisted(server.session)
+
+
+# -- replay gives the writer's state -------------------------------------------------
+
+
+@st.composite
+def histories(draw):
+    """Program versions, an analyzed one and edits of it, each step run by
+    the CLI (False) or by one long-lived server (True)."""
+    if draw(st.booleans()):
+        spec = CorpusSpec(n_functions=40, seed=draw(st.integers(0, 50)))
+        versions = [corpus_source(spec)] + [
+            corpus_source(s) for s in edit_sequence(spec, draw(st.integers(1, 8)),
+                                                    draw(st.integers(0, 1000)))]
+    else:
+        t = draw(templates())
+        versions = [t]
+        for _ in range(draw(st.integers(1, 4))):
+            versions.append(draw(edits(versions[-1])))
+        versions = [v.source() for v in versions]
+    return versions, [draw(st.booleans()) for _ in versions[1:]]
+
+
+@settings(max_examples=25, deadline=None)
+@given(history=histories())
+def test_replaying_the_journal_gives_the_state_the_writer_held(tmp_path_factory, history):
+    """After every step of a history that alternates CLI runs and a server
+    on one state dir, loading the state dir gives what the writer held in
+    memory, which is also what a full save of it gives."""
+    versions, by_server = history
+    tmp = tmp_path_factory.mktemp("history")
+    src, sd = str(tmp / "prog.mc"), str(tmp / "state")
+    opts = cli.Options(state_dir=sd)
+    write(src, versions[0])
+    assert cli.cmd_analyze(src, opts, io.StringIO(), io.StringIO()) == 0
+    server = cli.Server(opts)
+    for step, (text, serve) in enumerate(zip(versions[1:], by_server)):
+        if serve:
+            write(src, text)
+            server.reanalyze(src)
+            held = server.session
+        else:
+            held, _ = reanalyze(sd, src, text, opts)
+        loaded = cli.load_bundle(sd, opts)
+        assert persisted(loaded) == persisted(held), step
+        full_dir = str(tmp / f"full-{step}")
+        cli.save_bundle(full_dir, cli.Session(held.digests, held.assignment, held.state,
+                                              held.store), opts)
+        assert persisted(cli.load_bundle(full_dir, cli.Options(state_dir=full_dir))) == \
+            persisted(held), step
+
+
+# -- torn, corrupt and stale records ---------------------------------------------------
+
+
+def _two_records(tmp_path):
+    """An analyzed corpus and two CLI reanalyses, each one record; returns
+    the source path, the state dir and the state after each reanalysis."""
+    src, sd = str(tmp_path / "prog.mc"), str(tmp_path / "state")
+    opts = cli.Options(state_dir=sd)
+    versions = _corpus_versions(2)
+    write(src, versions[0])
+    assert cli.cmd_analyze(src, opts, io.StringIO(), io.StringIO()) == 0
+    states = []
+    for text in versions[1:]:
+        session, written = reanalyze(sd, src, text, opts)
+        assert written["kind"] == "delta" and written["bytes"] > 0
+        states.append(persisted(session))
+    return src, sd, states
+
+
+def test_a_torn_last_record_loads_the_state_before_it(tmp_path):
+    src, sd, states = _two_records(tmp_path)
+    with open(f"{sd}/{JOURNAL}", "rb") as f:
+        data = f.read()
+    opts = cli.Options(state_dir=sd)
+    first_end = data.index(b"\n") + 1
+    for cut in (first_end + 10, len(data) - 1):  # mid-record and just its newline
+        with open(f"{sd}/{JOURNAL}", "wb") as f:
+            f.write(data[:cut])
+        assert persisted(cli.load_bundle(sd, opts)) == states[0]
+    # the next save cannot append after the torn bytes: it writes a full base
+    write(src, _corpus_versions(3)[3])
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.cmd_reanalyze(src, cli.Options(state_dir=sd, stats=True), out, err) == 0
+    assert json.loads(err.getvalue())["persisted"]["kind"] == "full"
+    assert not os.path.exists(f"{sd}/{JOURNAL}")
+
+
+def test_a_corrupt_record_before_the_last_exits_two(tmp_path):
+    src, sd, _ = _two_records(tmp_path)
+    with open(f"{sd}/{JOURNAL}", "rb") as f:
+        data = bytearray(f.read())
+    at = data.index(b'"sigma":[[') + len(b'"sigma":[[')
+    data[at] = ord("0") + (data[at] - ord("0") + 1) % 10  # still valid JSON
+    with open(f"{sd}/{JOURNAL}", "wb") as f:
+        f.write(data)
+    opts = cli.Options(state_dir=sd)
+    for command in (cli.cmd_reanalyze, cli.cmd_compare):
+        out, err = io.StringIO(), io.StringIO()
+        assert command(src, opts, out, err) == 2 and out.getvalue() == ""
+        message = err.getvalue()
+        assert message.startswith(f"error: state bundle {sd}/{JOURNAL} is unreadable or "
+                                  "corrupt (ValueError: journal record at byte 0 fails its "
+                                  "checksum)")
+        assert message.count("\n") == 1 and len(message) < 500
+    out = io.StringIO()
+    request = json.dumps({"id": 1, "method": "reanalyze", "path": src})
+    cli.Server(opts).serve(io.StringIO(request + "\n"), out)
+    assert "fails its checksum" in json.loads(out.getvalue())["error"]
+
+
+def test_records_of_a_replaced_base_are_ignored(tmp_path):
+    """A crash after a full base replaced the old one, before the journal
+    was emptied, leaves records that name the old base."""
+    src, sd, _ = _two_records(tmp_path)
+    with open(f"{sd}/{JOURNAL}", "rb") as f:
+        stale = f.read()
+    opts = cli.Options(state_dir=sd)
+    versions = _corpus_versions(3)
+    write(src, versions[3])
+    assert cli.cmd_analyze(src, opts, io.StringIO(), io.StringIO()) == 0
+    analyzed = persisted(cli.load_bundle(sd, opts))
+    with open(f"{sd}/{JOURNAL}", "wb") as f:
+        f.write(stale)
+    assert persisted(cli.load_bundle(sd, opts)) == analyzed
+    _, written = reanalyze(sd, src, versions[1], opts)
+    assert written["kind"] == "full"  # the stale records are not the session's tail
+
+
+@pytest.mark.parametrize("fraction", [0.5, 1.0])
+def test_a_record_that_fails_its_checksum_at_the_end_is_not_torn(tmp_path, fraction):
+    """A complete last record is committed: a flipped byte in it is an
+    error, not a torn write."""
+    src, sd, _ = _two_records(tmp_path)
+    with open(f"{sd}/{JOURNAL}", "rb") as f:
+        data = bytearray(f.read())
+    at = data.index(b"\n") + int((len(data) - data.index(b"\n")) * fraction) - 2
+    data[at] ^= 1
+    with open(f"{sd}/{JOURNAL}", "wb") as f:
+        f.write(data)
+    with pytest.raises(cli.CliError, match="fails its checksum"):
+        cli.load_bundle(sd, cli.Options(state_dir=sd))

@@ -329,7 +329,7 @@ def test_termination_accounting_is_bounded():
 
 def test_state_json_roundtrip_and_warm_restart():
     built, st, _ = analyze_source(FIG2)
-    doc = state_to_json(st)
+    doc = dict(state_to_json(st))
     assert "format" not in doc  # the bundle's format covers the section
     assert "superstable" not in doc and "called" not in doc
     st2 = state_from_json(doc)
@@ -374,19 +374,19 @@ def test_state_json_roundtrip_on_random_systems():
         sys_, *_ = make_random_system(rng, n_unknowns=rng.randrange(2, 12))
         st = SolverState()
         run(sys_, st)
-        doc = json.loads(json.dumps(state_to_json(st)))
+        doc = json.loads(json.dumps(dict(state_to_json(st))))
         assert_interned(doc, st)
         assert_same_state(state_from_json(doc), st)
 
 
 def test_state_json_roundtrip_on_the_corpus():
     _, st, _ = analyze_source(corpus_source(CorpusSpec(n_functions=40, seed=3)))
-    doc = json.loads(json.dumps(state_to_json(st)))
+    doc = json.loads(json.dumps(dict(state_to_json(st))))
     assert_interned(doc, st)
     assert len(doc["values"]) < len(doc["sigma"])
     st2 = state_from_json(doc)
     assert_same_state(st2, st)
-    assert json.dumps(state_to_json(st2)) == json.dumps(doc)
+    assert json.dumps(dict(state_to_json(st2))) == json.dumps(doc)
 
 
 def test_wrong_domain_rhs_is_an_eval_error_carrying_the_unknown():
