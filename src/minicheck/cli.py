@@ -12,11 +12,11 @@ reanalysis of ``Session.empty()``, and the server drives the same pipeline.
 
 State persists in a bundle in ``--state-dir``: the per-function digests
 for change detection, node-id assignment, solver state, warning store and
-the analysis options that produced them.  The bundle is a compact JSON base
-and a journal of the rows each reanalysis changed since (see `journal`).  A
-bundle whose format, analysis domain or widening-point policy does not
-match is refused; reusing solver data across differing abstractions is
-unsound.  A damaged bundle, whose checksums catch a flipped byte, is an
+the analysis options that produced them.  The bundle is a base, the record
+of every row, and a journal of the records of the rows each reanalysis
+changed since, all read by one replay (see `journal`).  A bundle whose
+format, analysis domain or widening-point policy does not match is
+refused; reusing solver data across differing abstractions is unsound.  A damaged bundle, whose checksums catch a flipped byte, is an
 error, never a traceback.  ``compare`` refuses a bundle whose digests
 differ from the current source's.
 
@@ -30,12 +30,13 @@ import contextlib
 import datetime
 import gc
 import hashlib
+import itertools
 import json
 import os
 import sys
 import tempfile
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, TextIO
+from typing import Optional, TextIO
 
 from . import journal
 from .consys import NodeCtx, unknown_key
@@ -44,18 +45,11 @@ from .increment import reanalyze
 from .minic import MiniCError, Program, build_system, parse
 from .minic.cfg import NodeAssignment, NodeTableError, assign_node_ids
 from .postproc import StateCorruption, WarnStore, diff_warnings, postprocess
-from .tdsolver import (
-    SolverDepthError,
-    SolverState,
-    run,
-    state_from_json,
-    state_to_json,
-    verify_solution,
-)
+from .tdsolver import SolverDepthError, SolverState, run, verify_solution
 
 BUNDLE_NAME = "bundle.json"  # the base
 JOURNAL_NAME = "bundle.journal"
-BUNDLE_FORMAT = 5
+BUNDLE_FORMAT = 6
 # A save writes a full base instead of a record that would make the journal
 # longer than the base divided by this.
 COMPACTION_RATIO = 4
@@ -147,8 +141,8 @@ def save_bundle(state_dir: str, session: Session, opts: Options) -> dict:
     writes a full base, which empties the journal."""
     image = session.image
     try:
+        now = journal.tables(session)
         if image is not None and _is_on_disk(state_dir, image):
-            now = journal.tables(session)
             framed = journal.record(image.tables, now, image.base, image.tail)
             if framed is None:
                 return {"kind": "delta", "bytes": 0}
@@ -161,9 +155,9 @@ def save_bundle(state_dir: str, session: Session, opts: Options) -> dict:
                 session.image = journal.Image(image.base, image.base_size,
                                               image.end + len(data), rid, now)
                 return {"kind": "delta", "bytes": len(data)}
-            del now, framed, data
+            del framed, data
         image = session.image = None  # the old tables are freed before the base is encoded
-        size = _write_base(state_dir, session, opts)
+        size = _write_base(state_dir, session, now, opts)
     except OSError as exc:
         raise CliError(f"cannot write state bundle to {state_dir}: {exc}") from exc
     return {"kind": "full", "bytes": size}
@@ -191,24 +185,19 @@ def _base_id(head: bytes) -> str:
     return hashlib.sha256(head).hexdigest()
 
 
-def _write_base(state_dir: str, session: Session, opts: Options) -> int:
-    """Write `session` as the base, to a temporary file renamed over the old
-    base, then remove the journal; returns the base's size.  A crash before
-    the rename leaves the old base and journal, one after it a journal whose
-    records name the old base and are ignored.
+def _write_base(state_dir: str, session: Session, now: dict, opts: Options) -> int:
+    """Write the base of `session`, whose tables are `now`: a temporary
+    file renamed over the old base, then the journal is removed; returns the
+    base's size.  A crash before the rename leaves the old base and journal,
+    one after it a journal whose records name the old base and are ignored.
 
-    The first line holds the format, the creation time and the sha256 of
-    the bytes after it; the whole file is one JSON object.  The members are
-    encoded and written one at a time, the solver section's as it builds
-    them, so that no whole encoding of the state is ever held."""
+    The base is one JSON object.  Its first line holds the format, the
+    creation time and the sha256 of the bytes after that line: the options
+    and the record that turns the empty session into `session`
+    (`journal.members`), written as it is built, so that no whole encoding
+    of the state is ever held."""
     created = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="microseconds")
-    members = {
-        "compat": opts.compat(),
-        "digests": session.digests,
-        "nodes": session.assignment.to_json(),
-        "solver": state_to_json(session.state),
-        "warnstore": session.store.to_json(),
-    }
+    body = itertools.chain([("compat", opts.compat())], journal.members(journal.EMPTY, now))
     os.makedirs(state_dir, exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix=BUNDLE_NAME + ".", suffix=".tmp", dir=state_dir)
     try:
@@ -222,7 +211,7 @@ def _write_base(state_dir: str, session: Session, opts: Options) -> int:
                 digest.update(data)
                 f.write(data)
 
-            _write_json(write, members, 2, opened=True)
+            journal.write_json(write, body, opened=True)
             write("\n")
             size = f.tell()
             head = _base_head(created, digest.hexdigest())
@@ -236,8 +225,8 @@ def _write_base(state_dir: str, session: Session, opts: Options) -> int:
             os.unlink(tmp)
     with contextlib.suppress(FileNotFoundError):
         os.unlink(os.path.join(state_dir, JOURNAL_NAME))
-    session.image = journal.Image(_base_id(head[:-1]), size, 0, _base_id(head[:-1]),
-                                  journal.tables(session))
+    base = _base_id(head[:-1])
+    session.image = journal.Image(base, size, 0, base, now)
     return size
 
 
@@ -246,29 +235,14 @@ def _base_head(created: str, sha256: str) -> bytes:
             f'"sha256":"{sha256}",\n').encode()
 
 
-def _write_json(write: Callable[[str], None], doc, depth: int, opened: bool = False) -> None:
-    """Write `doc` as ``json.dumps(doc, separators=(",", ":"))`` would, but
-    each member of the objects in its top `depth` levels on its own.  An
-    object may also be an iterator of (key, value) pairs, whose values are
-    then built only as they are written.  With `opened`, the top object's
-    opening brace and the members before it are already written."""
-    if depth == 0 or not isinstance(doc, (dict, Iterator)):
-        write(json.dumps(doc, separators=(",", ":")))
-        return
-    if not opened:
-        write("{")
-    for i, (key, value) in enumerate(doc.items() if isinstance(doc, dict) else doc):
-        write(f"{',' if i else ''}{json.dumps(key)}:")
-        _write_json(write, value, depth - 1)
-    write("}")
-
-
 def load_bundle(state_dir: str, opts: Options) -> Optional[Session]:
-    """The session persisted in `state_dir`, the base with the journal's
-    records replayed, or None if there is no base.  Records of another
-    base, or that do not follow the record before them, are ignored; so is
-    a torn last record."""
+    """The session persisted in `state_dir`, the empty session with the base
+    and then the journal's records replayed, or None if there is no base.
+    Records of another base, or that do not follow the record before them,
+    are ignored; so is a torn last record.  An error names the file it
+    comes from."""
     path = os.path.join(state_dir, BUNDLE_NAME)
+    session = Session.empty()
     try:
         with open(path, "rb") as f:
             data = f.read()
@@ -288,13 +262,10 @@ def load_bundle(state_dir: str, opts: Options) -> Optional[Session]:
         nl = data.find(b"\n")
         if nl < 0 or hashlib.sha256(memoryview(data)[nl + 1:]).hexdigest() != doc["sha256"]:
             raise ValueError("its checksum does not match")
-        head = data[:nl]
-        session = Session(doc["digests"], NodeAssignment.from_json(doc["nodes"]),
-                          state_from_json(doc["solver"]),
-                          WarnStore.from_json(doc["warnstore"]))
+        journal.replay(session, doc)
+        base = tail = _base_id(data[:nl])
         size = len(data)
         del data, doc
-        base = tail = _base_id(head)
         end = 0
         path = os.path.join(state_dir, JOURNAL_NAME)
         try:
@@ -306,14 +277,6 @@ def load_bundle(state_dir: str, opts: Options) -> Optional[Session]:
             if record["base"] == base and record["prev"] == tail:
                 journal.replay(session, record)
                 tail, end = rid, record_end
-        digests = session.digests
-        if not isinstance(digests["init"], str) or \
-                any(len(d) != 2 for d in digests["functions"].values()) or \
-                not isinstance(digests["globals"], list) or \
-                not all(isinstance(g, str) for g in digests["globals"]):
-            raise ValueError("malformed digests")
-        session.image = journal.Image(base, size, end, tail, journal.tables(session))
-        return session
     except FileNotFoundError:
         return None
     except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
@@ -321,6 +284,8 @@ def load_bundle(state_dir: str, opts: Options) -> Optional[Session]:
         raise CliError(f"state bundle {path} is unreadable or corrupt "
                        f"({type(exc).__name__}: {exc}); "
                        "delete the state dir to reanalyze from scratch") from exc
+    session.image = journal.Image(base, size, end, tail, journal.tables(session))
+    return session
 
 
 # ---------------------------------------------------------------------------

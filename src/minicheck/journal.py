@@ -1,42 +1,53 @@
-"""Delta records: a reanalysis persisted as the rows it changed.
+"""Records: the one encoding of a persisted `cli.Session`.
 
-A state dir holds a base, a full snapshot of one `cli.Session`, and a
-journal beside it: a sequence of records, each the difference between the
-state a reanalysis left and the state before it.  The state on disk is the
-base with every record replayed in order.
+A record is the difference between two states of a session.  A state dir
+holds a base, the record that turns the empty session into the saved one,
+and a journal beside it: a sequence of records, each the difference between
+the state a reanalysis left and the state before it.  The state on disk is
+the empty session with the base and then every record of the journal
+replayed in order, all by `replay`, so every row is checked by the same
+code however it was written.
 
 What a record holds is found without any bookkeeping in the solver or the
 pipeline.  A session that was loaded or saved keeps an `Image` of what is on
 disk: its persisted data as tables of rows (`tables`).  At the next save the
-session's tables are diffed against the image's: σ compares values by
-identity (a value the run did not touch is still the object it was), and
-every other row by equality, each map row as the tuple of its members, in
-order, since their order drives destabilization.  Only the changed and the
-removed rows are written.
+session's tables are diffed against the image's, and only the changed and
+the removed rows are written; a base is the diff against `EMPTY`.  The
+solver's tables and their rows are `tdsolver`'s (`tdsolver.tables`,
+`state_to_json`, `state_from_json`); the rows of the digests, node ids,
+access records and scalars are this module's, compared by equality.
 
-A record is one line, ``<sha256 of the payload> <payload>\\n``, whose payload
-is a JSON object that names the base (`Image.base`) and the record it
-follows (`Image.tail`, the base's id for the first record).  A last line
-without its newline is a torn record: the save that wrote it never
-completed, so it never committed and is not replayed.
+A record is a JSON object: "solver", the solver section, and "put" and
+"gone", the session's rows that changed, by table and key, and the keys of
+those that went.
+A journal record is one line, ``<sha256 of the payload> <payload>\\n``,
+whose payload also names the base (`Image.base`) and the record it follows
+(`Image.tail`, the base's id for the first record).  A last line without
+its newline is a torn record: the save that wrote it never completed, so it
+never committed and is not replayed.  The base's framing, a first line with
+the format and a checksum, is `cli`'s.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from itertools import islice
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from .consys import sort_key, unknown_from_json, unknown_to_json
-from .domains import Access, access_from_json, access_to_json, value_from_json, value_to_json
+from . import tdsolver
+from .domains import Access, access_from_json, access_to_json
+from .minic.cfg import NodeTableError
 from .postproc import Warning
 
-MAPS = ("infl", "side_dep", "side_infl", "stale")  # unknown -> its members, in order
-SETS = ("stable", "point")
-UNKNOWN_KEYED = ("sigma",) + MAPS + SETS
+SESSION_TABLES = ("functions", "assign", "accesses", "scalars")
 
-_ABSENT = object()
+# The tables of the empty session: every row of a record against it is new.
+EMPTY: Dict[str, dict] = {}
+
+_dumps = functools.partial(json.dumps, separators=(",", ":"))
 
 
 @dataclass
@@ -56,82 +67,84 @@ def tables(session) -> Dict[str, object]:
     """The persisted data of `session` as tables of rows.  The rows share
     what the session holds and never mutates (σ's values, digests, node
     ids, access records, warnings) and copy what it mutates in place."""
-    st, store, digests, asg = session.state, session.store, session.digests, session.assignment
-    out: Dict[str, object] = {"sigma": dict(st.sigma), "stable": set(st.stable),
-                              "point": set(st.point)}
-    for name in MAPS:
-        out[name] = {u: tuple(members) for u, members in getattr(st, name).items() if members}
-    out["functions"] = dict(digests["functions"])
-    out["assign"] = dict(asg.assign)
-    out["accesses"] = {(g, p): records for g, producers in store.accesses.items()
-                       for p, records in producers.items()}
-    out["scalars"] = {"init": digests["init"], "globals": digests["globals"],
-                      "counter": asg.counter, "rhs_evals": st.rhs_evals,
-                      "destabilizations": st.destabilizations,
-                      "warnings": tuple(store.warnings)}
-    return out
+    store, digests, asg = session.store, session.digests, session.assignment
+    return {"solver": tdsolver.tables(session.state),
+            "functions": dict(digests["functions"]),
+            "assign": dict(asg.assign),
+            "accesses": {(g, p): records for g, producers in store.accesses.items()
+                         for p, records in producers.items()},
+            "scalars": {"init": digests["init"], "globals": digests["globals"],
+                        "counter": asg.counter, "warnings": tuple(store.warnings)}}
 
 
-def _changes(then: dict, now: dict) -> Tuple[Dict[str, list], Dict[str, list]]:
-    """Per table, the keys of the rows of `now` that are new or differ from
-    `then`, and the keys of the rows of `then` that `now` lacks."""
+def members(then: dict, now: dict) -> Iterator[Tuple[str, object]]:
+    """The record that turns the tables `then` into `now`, as (member, JSON
+    value) pairs in the form `write_json` writes.  Rows are written in a
+    fixed order, so equal changes give equal records."""
+    yield "solver", tdsolver.state_to_json(then.get("solver", {}), now["solver"])
     put: Dict[str, list] = {}
     gone: Dict[str, list] = {}
-    for name, rows in now.items():
-        old = then[name]
-        if name in SETS:
-            put[name], gone[name] = list(rows - old), list(old - rows)
-            continue
-        if name == "sigma":
-            put[name] = [k for k, v in rows.items() if old.get(k, _ABSENT) is not v]
-        else:
-            put[name] = [k for k, v in rows.items() if old.get(k, _ABSENT) != v]
-        # a set built from a dict, and its difference with one, reuse the
-        # keys' stored hashes: no unknown's __hash__ runs
-        gone[name] = list(set(old).difference(rows))
-    return put, gone
+    for name in SESSION_TABLES:  # no row is None
+        old, rows = then.get(name, {}), now[name]
+        keys = sorted(k for k, v in rows.items() if old.get(k) != v)
+        if keys:
+            put[name] = out = {}
+            for k in keys:  # a tuple is written as an array
+                if name == "accesses":  # keyed by global, then producer
+                    out.setdefault(k[0], {})[k[1]] = [
+                        access_to_json(r) for r in sorted(rows[k], key=Access.sort_key)]
+                elif name == "scalars" and k == "warnings":
+                    out[k] = [w.to_json() for w in rows[k]]
+                else:
+                    out[k] = rows[k]
+        keys = sorted(set(old).difference(rows))
+        if keys:
+            gone[name] = keys
+    yield "put", put
+    yield "gone", gone
+
+
+def write_json(write: Callable[[str], None], doc, opened: bool = False) -> None:
+    """Write `doc` as ``json.dumps(doc, separators=(",", ":"))`` would.  An
+    object may also be an iterator of (key, value) pairs and an array a
+    `map`; these are written as they are produced, so their whole encoding
+    is never held.  With `opened`, the opening brace of the top object and
+    the members before it are already written."""
+    if isinstance(doc, map):
+        write("[")
+        sep = ""
+        for chunk in iter(lambda: list(islice(doc, 512)), []):
+            write(sep + _dumps(chunk)[1:-1])
+            sep = ","
+        write("]")
+    elif isinstance(doc, Iterator):
+        if not opened:
+            write("{")
+        for i, (key, value) in enumerate(doc):
+            write(f"{',' if i else ''}{_dumps(key)}:")
+            write_json(write, value)
+        write("}")
+    else:
+        write(_dumps(doc))
+
+
+def _built(doc):
+    """`doc` with what `write_json` writes as it is produced built whole."""
+    if isinstance(doc, map):
+        return list(doc)
+    if isinstance(doc, Iterator):
+        return {key: _built(value) for key, value in doc}
+    return doc
 
 
 def record(then: dict, now: dict, base: str, prev: str) -> Optional[Tuple[bytes, str]]:
-    """The framed record that turns the tables `then` into `now`, and its
-    id; None if they do not differ.  Rows are written in a fixed order, so
-    equal changes give equal records."""
-    put, gone = _changes(then, now)
-    if not any(put.values()) and not any(gone.values()):
+    """The framed journal record that turns the tables `then` into `now`,
+    and its id; None if they do not differ."""
+    doc = _built(members(then, now))
+    solver = doc["solver"]
+    if not (solver["put"] or solver["gone"] or doc["put"] or doc["gone"]):
         return None
-    mentioned = set()
-    for name in UNKNOWN_KEYED:
-        mentioned.update(put[name], gone[name])
-    for name in MAPS:
-        for u in put[name]:
-            mentioned.update(now[name][u])
-    unknowns = sorted(mentioned, key=sort_key)
-    index = {u: i for i, u in enumerate(unknowns)}
-    values: Dict[object, int] = {}
-    rows = {
-        "sigma": [[i, values.setdefault(now["sigma"][unknowns[i]], len(values))]
-                  for i in sorted(index[u] for u in put["sigma"])],
-        "functions": [[k, now["functions"][k]] for k in sorted(put["functions"])],
-        "assign": [[k, list(now["assign"][k])] for k in sorted(put["assign"])],
-        "accesses": [[list(k), [access_to_json(r) for r in
-                                sorted(now["accesses"][k], key=Access.sort_key)]]
-                     for k in sorted(put["accesses"])],
-        "scalars": [[k, [w.to_json() for w in now["scalars"][k]] if k == "warnings"
-                     else now["scalars"][k]] for k in sorted(put["scalars"])],
-    }
-    for name in MAPS:
-        rows[name] = sorted([index[u], [index[v] for v in now[name][u]]] for u in put[name])
-    for name in SETS:
-        rows[name] = sorted(index[u] for u in put[name])
-    removed = {name: sorted(index[u] for u in gone[name]) for name in UNKNOWN_KEYED}
-    removed.update({name: sorted(gone[name]) for name in ("functions", "assign")})
-    removed["accesses"] = sorted(list(k) for k in gone["accesses"])
-    doc = {"base": base, "prev": prev,
-           "unknowns": [unknown_to_json(u) for u in unknowns],
-           "values": [value_to_json(v) for v in values],
-           "put": {name: r for name, r in rows.items() if r},
-           "gone": {name: r for name, r in removed.items() if r}}
-    payload = json.dumps(doc, separators=(",", ":")).encode()
+    payload = _dumps({"base": base, "prev": prev, **doc}).encode()
     digest = hashlib.sha256(payload).hexdigest()
     return digest.encode() + b" " + payload + b"\n", digest
 
@@ -154,44 +167,50 @@ def records(data: bytes) -> List[Tuple[dict, str, int]]:
 
 
 def replay(session, doc: dict) -> None:
-    """Apply the record `doc` to `session`, in place."""
-    st, store, digests, asg = session.state, session.store, session.digests, session.assignment
-    unknowns = [unknown_from_json(d) for d in doc["unknowns"]]
-    values = [value_from_json(d) for d in doc["values"]]
+    """Apply the record `doc` to `session`, in place.  ValueError for a
+    digest row of the wrong shape, NodeTableError for node ids that fit no
+    CFG: fewer than the entry and the return node that every CFG has."""
+    store, digests, asg = session.store, session.digests, session.assignment
+    tdsolver.state_from_json(session.state, doc["solver"])
     put, gone = doc["put"], doc["gone"]
-    for i in gone.get("sigma", ()):
-        del st.sigma[unknowns[i]]
-    for i, v in put.get("sigma", ()):
-        st.sigma[unknowns[i]] = values[v]
-    for name in MAPS:
-        m = getattr(st, name)
-        for i in gone.get(name, ()):
-            del m[unknowns[i]]
-        for i, members in put.get(name, ()):
-            m[unknowns[i]] = dict.fromkeys(unknowns[j] for j in members)
-    for name in SETS:
-        s = getattr(st, name)
-        s.difference_update(unknowns[i] for i in gone.get(name, ()))
-        s.update(unknowns[i] for i in put.get(name, ()))
     for k in gone.get("functions", ()):
         del digests["functions"][k]
-    digests["functions"].update(put.get("functions", ()))
+    for k, pair in put.get("functions", {}).items():
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ValueError(f"malformed digests of function {k!r}")
+        digests["functions"][k] = pair
     for k in gone.get("assign", ()):
         del asg.assign[k]
-    asg.assign.update((k, tuple(ids)) for k, ids in put.get("assign", ()))
+    for k, ids in put.get("assign", {}).items():
+        if len(ids) < 2:
+            raise NodeTableError(
+                f"state bundle node ids of function {k!r} do not fit any CFG "
+                f"({len(ids)} ids for at least 2 nodes); "
+                "delete the state dir to reanalyze from scratch")
+        asg.assign[k] = tuple(ids)
     for g, p in gone.get("accesses", ()):
         producers = store.accesses[g]
         del producers[p]
         if not producers:
             del store.accesses[g]
-    for (g, p), rs in put.get("accesses", ()):
-        store.accesses.setdefault(g, {})[p] = frozenset(access_from_json(r) for r in rs)
-    for k, v in put.get("scalars", ()):
+    for g, producers in put.get("accesses", {}).items():
+        for p, rs in producers.items():
+            store.accesses.setdefault(g, {})[p] = frozenset(access_from_json(r) for r in rs)
+    for k, v in put.get("scalars", {}).items():
         if k == "warnings":
-            store.warnings = [Warning.from_json(w) for w in v]
-        elif k in ("init", "globals"):
+            store.warnings = [Warning(w["id"], w["kind"], w["message"],
+                                      tuple((loc["file"], loc["line"], loc["col"])
+                                            for loc in w["locations"]),
+                                      tuple(w["provenance"])) for w in v]
+        elif k == "init":
+            if not isinstance(v, str):
+                raise ValueError("malformed digest of the global initializers")
+            digests[k] = v
+        elif k == "globals":
+            if not isinstance(v, list) or not all(isinstance(g, str) for g in v):
+                raise ValueError("malformed names of the globals")
             digests[k] = v
         elif k == "counter":
             asg.counter = v
-        else:  # the solver's counters
-            setattr(st, k, v)
+        else:
+            raise ValueError(f"unknown scalar {k!r}")

@@ -148,23 +148,6 @@ class NodeAssignment:
     assign: Dict[str, Tuple[int, ...]] = field(default_factory=dict)
     counter: int = 0
 
-    def to_json(self) -> dict:
-        return {"assign": {k: list(v) for k, v in self.assign.items()},
-                "counter": self.counter}
-
-    @staticmethod
-    def from_json(doc: dict) -> "NodeAssignment":
-        """NodeTableError if a function has fewer ids than the entry and the
-        return node that every CFG has."""
-        assign = {k: tuple(v) for k, v in doc["assign"].items()}
-        for name, ids in assign.items():
-            if len(ids) < 2:
-                raise NodeTableError(
-                    f"state bundle node ids of function {name!r} do not fit any CFG "
-                    f"({len(ids)} ids for at least 2 nodes); "
-                    "delete the state dir to reanalyze from scratch")
-        return NodeAssignment(assign, doc["counter"])
-
 
 def assign_node_ids(prog: Program, old: NodeAssignment,
                     reuse_all: set, reuse_endpoints: set) -> NodeAssignment:

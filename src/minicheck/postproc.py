@@ -28,13 +28,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .consys import Context, NodeCtx, unknown_key
-from .domains import (
-    Access,
-    AddressSet,
-    LocalState,
-    access_from_json,
-    access_to_json,
-)
+from .domains import Access, AddressSet, LocalState
 from .increment import StartState, prune, reachable_set, recorded_contexts
 from .minic.syntax import Store
 from .minic.system import BuiltSystem
@@ -61,12 +55,6 @@ class Warning:
             "locations": [{"file": f, "line": l, "col": c} for f, l, c in self.locations],
             "provenance": list(self.provenance),
         }
-
-    @staticmethod
-    def from_json(d: dict) -> "Warning":
-        return Warning(d["id"], d["kind"], d["message"],
-                       tuple((loc["file"], loc["line"], loc["col"]) for loc in d["locations"]),
-                       tuple(d["provenance"]))
 
 
 def _warning_id(kind: str, skeleton: str, provenance: Iterable[str]) -> str:
@@ -103,27 +91,6 @@ class WarnStore:
 
     def warnings_json(self) -> list:
         return [w.to_json() for w in self.warnings]
-
-    def to_json(self) -> dict:
-        return {
-            "accesses": {
-                g: {p: [access_to_json(r) for r in sorted(rs, key=Access.sort_key)]
-                    for p, rs in sorted(producers.items())}
-                for g, producers in sorted(self.accesses.items())
-            },
-            "warnings": self.warnings_json(),
-        }
-
-    @staticmethod
-    def from_json(doc: dict) -> "WarnStore":
-        store = WarnStore()
-        store.accesses = {
-            g: {p: frozenset(access_from_json(r) for r in rs)
-                for p, rs in producers.items()}
-            for g, producers in doc["accesses"].items()
-        }
-        store.warnings = [Warning.from_json(w) for w in doc["warnings"]]
-        return store
 
 
 # ---------------------------------------------------------------------------

@@ -346,72 +346,133 @@ def verify_solution(sys_: EqSys, state: SolverState,
 
 
 # ---------------------------------------------------------------------------
-# Persistence.  Every unknown is written once, into the table "unknowns"
-# (sorted by sort_key), and every distinct value once, into "values" (in
-# order of first use); the maps refer to both by index.  The section has no
-# format number of its own: the bundle's format covers it.  superstable and
-# called are not persisted: superstable is reconstructed when an incremental
-# run begins, called is empty at rest.
+# Persistence: the solver section of a journal record (see `journal`).  A
+# record holds the rows of σ, of the maps and of the sets that differ
+# between two tables of the state, and the keys of the rows that went.
+# Every unknown it mentions is written once, into "unknowns" (sorted by
+# sort_key), and every distinct value of σ once, into "values" (in order of
+# first use); the rows refer to both by index.  The section has no format
+# number of its own: the bundle's format covers it.  superstable and called
+# are not persisted: superstable is reconstructed when an incremental run
+# begins, called is empty at rest.
 # ---------------------------------------------------------------------------
 
+MAPS = ("infl", "side_dep", "side_infl", "stale")  # unknown -> its members, in order
+SETS = ("stable", "point")
 
-def state_to_json(state: SolverState) -> Iterator[Tuple[str, object]]:
-    """The solver section as (member, JSON value) pairs, in order.  A member
-    is built only when the iteration reaches it, so a writer that encodes
-    and drops each one never holds the whole section; ``dict`` of the pairs
-    is the section."""
-    maps = (state.infl, state.side_dep, state.side_infl, state.stale)
-    unknowns = set(state.sigma) | state.stable | state.point
-    for m in maps:
-        for u, members in m.items():
-            if members:
-                unknowns.add(u)
-                unknowns.update(members)
-    table = sorted(unknowns, key=sort_key)
-    del unknowns
-    index = {u: i for i, u in enumerate(table)}
+
+def tables(state: SolverState) -> Dict[str, object]:
+    """The persisted data of `state` as tables of rows: σ, each map's rows
+    as the tuple of their members, in order (it drives destabilization),
+    the sets and the counters.  σ's values are shared, never mutated; the
+    rest is copied."""
+    out: Dict[str, object] = {"sigma": dict(state.sigma), "stable": set(state.stable),
+                              "point": set(state.point),
+                              "counters": {"rhs_evals": state.rhs_evals,
+                                           "destabilizations": state.destabilizations}}
+    for name in MAPS:
+        out[name] = {u: tuple(members) for u, members in getattr(state, name).items() if members}
+    return out
+
+
+def state_to_json(then: dict, now: dict) -> Iterator[Tuple[str, object]]:
+    """The solver section of the record that turns the tables `then` into
+    `now` (an empty dict for the empty state), as (member, JSON value)
+    pairs.  σ's rows differ when their values are distinct objects (a value
+    the run did not touch is still the object it was), the others when they
+    are unequal.
+
+    The section is built as it is written: the "unknowns" and "values"
+    arrays are `map`s encoded element by element, and "put" is an iterator
+    of its members, each built when the writer reaches it (see
+    `journal.write_json`)."""
+    put: Dict[str, object] = {}
+    gone: Dict[str, object] = {}
+    for name in SETS:
+        old = then.get(name, set())
+        put[name], gone[name] = now[name] - old, old - now[name]
+    # A set built from a dict, a set's update with one and its difference
+    # with one reuse the keys' stored hashes: no unknown's __hash__ runs.  So
+    # when every row is new (a base), the table itself stands for its keys.
+    # No row is None.
+    for name in ("sigma",) + MAPS:
+        old, rows = then.get(name, {}), now[name]
+        if not old:
+            put[name] = rows
+        elif name == "sigma":
+            put[name] = [u for u, v in rows.items() if old.get(u) is not v]
+        else:
+            put[name] = [u for u, v in rows.items() if old.get(u) != v]
+        gone[name] = set(old).difference(rows)
+    mentioned = set(put["sigma"])
+    for name in SETS:
+        mentioned.update(put[name])
+    for name in MAPS:
+        mentioned.update(put[name])
+        for u in put[name]:
+            mentioned.update(now[name][u])
+    for keys in gone.values():
+        mentioned.update(keys)
+    unknowns = sorted(mentioned, key=sort_key)
+    del mentioned
+    index = {u: i for i, u in enumerate(unknowns)}
     values: Dict[Value, int] = {}
-
-    def omap(m: Dict[Unknown, Dict[Unknown, None]]) -> list:
-        return sorted(([index[u], [index[v] for v in members]]
-                       for u, members in m.items() if members), key=itemgetter(0))
-
     # σ is encoded first: it numbers the values
-    sigma = [[i, values.setdefault(v, len(values))]
-             for i, v in sorted(((index[u], v) for u, v in state.sigma.items()),
-                                key=itemgetter(0))]
-    yield "unknowns", [unknown_to_json(u) for u in table]
-    del table
-    yield "values", [value_to_json(v) for v in values]
+    sigma = [[i, values.setdefault(now["sigma"][unknowns[i]], len(values))]
+             for i in sorted(index[u] for u in put["sigma"])]
+    counters = now["counters"] if then.get("counters") != now["counters"] else None
+    yield "unknowns", map(unknown_to_json, unknowns)
+    del unknowns
+    yield "values", map(value_to_json, values)
     del values
-    yield "sigma", sigma
+    yield "put", _put_rows(now, put, index, sigma, counters)
     del sigma
-    yield "infl", omap(state.infl)
-    yield "stable", sorted(index[u] for u in state.stable)
-    yield "point", sorted(index[u] for u in state.point)
-    yield "side_dep", omap(state.side_dep)
-    yield "side_infl", omap(state.side_infl)
-    yield "stale", omap(state.stale)
-    yield "counters", {"rhs_evals": state.rhs_evals,
-                       "destabilizations": state.destabilizations}
+    yield "gone", {name: sorted(index[u] for u in keys) for name, keys in gone.items() if keys}
 
 
-def state_from_json(doc: dict) -> SolverState:
-    unknowns = [unknown_from_json(d) for d in doc["unknowns"]]
-    values = [value_from_json(d) for d in doc["values"]]
+def _put_rows(now: dict, put: dict, index: Dict[Unknown, int], sigma: list,
+              counters: Optional[dict]) -> Iterator[Tuple[str, object]]:
+    """The "put" member of `state_to_json`: the non-empty tables of rows,
+    each built as it is reached and dropped once it is written."""
+    if sigma:
+        yield "sigma", sigma
+    del sigma
+    for name in MAPS:
+        rows = now[name]
+        out = sorted(([index[u], [index[v] for v in rows[u]]] for u in put[name]),
+                     key=itemgetter(0))
+        if out:
+            yield name, out
+    for name in SETS:
+        out = sorted(index[u] for u in put[name])
+        if out:
+            yield name, out
+    if counters is not None:
+        yield "counters", counters
 
-    def from_omap(m: list) -> Dict[Unknown, Dict[Unknown, None]]:
-        return {unknowns[u]: dict.fromkeys(unknowns[v] for v in members)
-                for u, members in m}
 
-    st = SolverState()
-    st.sigma = {unknowns[u]: values[v] for u, v in doc["sigma"]}
-    st.infl = from_omap(doc["infl"])
-    st.stable = {unknowns[u] for u in doc["stable"]}
-    st.point = {unknowns[u] for u in doc["point"]}
-    st.side_dep = from_omap(doc["side_dep"])
-    st.side_infl = from_omap(doc["side_infl"])
-    st.stale = from_omap(doc["stale"])
-    st.rhs_evals = doc["counters"]["rhs_evals"]
-    st.destabilizations = doc["counters"]["destabilizations"]
-    return st
+def state_from_json(state: SolverState, doc: dict) -> None:
+    """Apply the solver section `doc` of a record to `state`, in place.
+    The "unknowns" and "values" lists are taken out of `doc` as they are
+    decoded, so their parsed JSON is freed before the rows are applied."""
+    unknowns = [unknown_from_json(d) for d in doc.pop("unknowns")]
+    values = [value_from_json(d) for d in doc.pop("values")]
+    put, gone = doc["put"], doc["gone"]
+    sigma = state.sigma
+    for i in gone.get("sigma", ()):
+        del sigma[unknowns[i]]
+    for i, v in put.get("sigma", ()):
+        sigma[unknowns[i]] = values[v]
+    for name in MAPS:
+        m = getattr(state, name)
+        for i in gone.get(name, ()):
+            del m[unknowns[i]]
+        for i, members in put.get(name, ()):
+            m[unknowns[i]] = dict.fromkeys(unknowns[j] for j in members)
+    for name in SETS:
+        s = getattr(state, name)
+        s.difference_update(unknowns[i] for i in gone.get(name, ()))
+        s.update(unknowns[i] for i in put.get(name, ()))
+    if "counters" in put:
+        state.rhs_evals = put["counters"]["rhs_evals"]
+        state.destabilizations = put["counters"]["destabilizations"]

@@ -27,6 +27,7 @@ from minicheck.domains import Access, Lockset, Value, ValueSet, access_to_json, 
 from minicheck.increment import recorded_contexts
 from minicheck.minic import NodeAssignment, assign_node_ids, build_system, parse
 from minicheck.postproc import StateCorruption, WarnStore, _dead_code, _unsound_stores, races
+from minicheck import journal, tdsolver
 from minicheck.tdsolver import SolverState, check_unknown, run, verify_solution
 
 # ---------------------------------------------------------------------------
@@ -72,6 +73,27 @@ def eqsys_from_dict(rhs: dict, query, bot_of: Callable) -> EqSys:
     if query not in rhs:
         raise ValueError("query has no rhs")
     return EqSys(rhs.get, query, bot_of, rhs.__contains__)
+
+
+def solver_section(then: dict, now: dict) -> dict:
+    """The solver section of the record that turns the solver tables `then`
+    into `now` (``{}`` for the empty state), as the JSON it is written as."""
+    parts = []
+    journal.write_json(parts.append, tdsolver.state_to_json(then, now))
+    return json.loads("".join(parts))
+
+
+def reloaded(st: SolverState) -> SolverState:
+    """`st` written as the solver section of a base and read back."""
+    out = SolverState()
+    tdsolver.state_from_json(out, solver_section({}, tdsolver.tables(st)))
+    return out
+
+
+def persisted(session) -> bytes:
+    """Everything a state dir persists of `session`: the record that turns
+    the empty session into it."""
+    return journal.record(journal.EMPTY, journal.tables(session), "", "")[0]
 
 
 def value_key(v: Value) -> str:

@@ -46,7 +46,6 @@ from minicheck.tdsolver import (
     SolverState,
     run,
     state_from_json,
-    state_to_json,
     verify_solution,
 )
 
@@ -58,6 +57,7 @@ from support import (
     make_random_system,
     random_tree,
     random_value,
+    reloaded,
 )
 
 BETA0 = Context.of({"p": AddressSet.of(["g"])})
@@ -82,13 +82,8 @@ def _invoke(fn, *args, **kw):
     return code, out.getvalue(), err.getvalue()
 
 
-def _clone(state):
-    st = state_from_json(dict(state_to_json(state)))
-    return st
-
-
 def _incremental(old_text, new_text, mode, restart, base_built, base_state):
-    st = _clone(base_state)
+    st = reloaded(base_state)
     _, new_built, stats, _ = reanalyze(parse(old_text).digests, base_built.assignment, st,
                                        parse(new_text), mode, restart)
     return new_built, st, stats
@@ -106,7 +101,8 @@ def test_criterion_1_example_solution(tmp_path):
     elapsed = time.perf_counter() - t0
     assert code == 0
     bundle = json.load(open(tmp_path / "st" / "bundle.json"))
-    st = state_from_json(bundle["solver"])
+    st = SolverState()
+    state_from_json(st, bundle["solver"])
 
     ls = lambda env: LocalState(Env.of(env), Lockset.top())
     assert st.sigma[G] == vs(0, 1)
@@ -131,7 +127,8 @@ def test_criterion_2_dependency_tables(tmp_path):
     _invoke(cli.cmd_analyze, str(src), cli.Options(state_dir=str(tmp_path / "st")))
     elapsed = time.perf_counter() - t0
     bundle = json.load(open(tmp_path / "st" / "bundle.json"))
-    st = state_from_json(bundle["solver"])
+    st = SolverState()
+    state_from_json(st, bundle["solver"])
 
     def table(m):
         return {k: set(v) for k, v in m.items()}
@@ -197,7 +194,7 @@ def test_criterion_3_incremental_trio():
 
 def test_criterion_4_reluctant_stable_sets_and_counter():
     base_built, base_state, _ = analyze_source(FIG2)
-    st = _clone(base_state)
+    st = reloaded(base_state)
     changes = detect_changes(parse(FIG2).digests, parse(FIG2_EDIT))
     new_asg = relabel_nodes(changes, base_built.assignment, parse(FIG2_EDIT))
     new_built = build_system(parse(FIG2_EDIT), new_asg)
@@ -226,14 +223,14 @@ def test_criterion_4_reluctant_stable_sets_and_counter():
 def test_criterion_4_step1_intermediate_state():
     # drive the two steps separately to observe the state between them
     base_built, base_state, _ = analyze_source(FIG2)
-    st = _clone(base_state)
+    st = reloaded(base_state)
     changes = detect_changes(parse(FIG2).digests, parse(FIG2_EDIT))
     new_asg = relabel_nodes(changes, base_built.assignment, parse(FIG2_EDIT))
     new_built = build_system(parse(FIG2_EDIT), new_asg)
     A = prepare_reluctant(changes, st, base_built.assignment)
     run(new_built.sys, st, pre_solve=A)  # without querying further
     # (run also solves the query; replicate the step-1-only state instead)
-    st = _clone(base_state)
+    st = reloaded(base_state)
     A = prepare_reluctant(changes, st, base_built.assignment)
     from minicheck.tdsolver import Phase, Solver
     solver = Solver(new_built.sys, st)

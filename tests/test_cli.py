@@ -15,12 +15,11 @@ import time
 
 import pytest
 
-from minicheck import cli, consys, postproc, tdsolver
+from minicheck import cli, consys, journal, postproc, tdsolver
 from minicheck.consys import MAIN, Context, GlobalVar, NodeCtx
 from minicheck.corpus import CorpusSpec, corpus_source, edit_sequence
 from minicheck.domains import LocalState, ValueSet
 from minicheck.minic import parse, system
-from minicheck.tdsolver import state_from_json
 
 from support import FIG2, FIG2_EDIT
 
@@ -48,13 +47,16 @@ def bundle_of(state_dir):
     replayed, as the document a full save of it writes, under the base's
     format, creation time and checksum."""
     with open(os.path.join(state_dir, "bundle.json")) as f:
-        doc = json.load(f)
-    compat = doc["compat"]
-    session = cli.load_bundle(state_dir, cli.Options(domain=compat["domain"],
-                                                     wpoint_restart=compat["wpoint_restart"]))
-    doc.update(digests=session.digests, nodes=session.assignment.to_json(),
-               solver=dict(tdsolver.state_to_json(session.state)),
-               warnstore=session.store.to_json())
+        head = json.load(f)
+    compat = head["compat"]
+    opts = cli.Options(domain=compat["domain"], wpoint_restart=compat["wpoint_restart"])
+    session = cli.load_bundle(state_dir, opts)
+    session.image = None
+    with tempfile.TemporaryDirectory() as full:
+        cli.save_bundle(full, session, opts)
+        with open(os.path.join(full, "bundle.json")) as f:
+            doc = json.load(f)
+    doc.update((k, head[k]) for k in ("format", "created_at", "sha256"))
     return doc
 
 
@@ -153,13 +155,13 @@ def test_reanalyze_round_trip_on_unchanged_source(ws):
     src, sd = ws
     write(src, FIG2)
     _, warn0, _ = invoke(cli.cmd_analyze, src, cli.Options(state_dir=sd))
-    evals_before = bundle_of(sd)["solver"]["counters"]["rhs_evals"]
+    evals_before = bundle_of(sd)["solver"]["put"]["counters"]["rhs_evals"]
     code, out, err = invoke(cli.cmd_reanalyze, src, cli.Options(state_dir=sd, stats=True))
     assert code == 0
     diff = json.loads(out)
     assert diff["added"] == [] and diff["removed"] == []
     assert [w["id"] for w in diff["kept"]] == [w["id"] for w in json.loads(warn0)]
-    assert bundle_of(sd)["solver"]["counters"]["rhs_evals"] == evals_before
+    assert bundle_of(sd)["solver"]["put"]["counters"]["rhs_evals"] == evals_before
     # nothing changed, so the post-solve walk evaluates no rhs
     assert json.loads(err)["postprocess"] == {"reevaluated": 0, "reused": 8, "evaluated": 0}
 
@@ -185,7 +187,7 @@ def test_reanalyze_reports_value_change_and_stats(ws):
     assert payload["changes"]["changed"] == ["foo"]
     stats = json.loads(err)
     assert stats["run"]["step1_rhs_evals"] >= 1
-    st = state_from_json(bundle_of(sd)["solver"])
+    st = cli.load_bundle(sd, opts).state
     assert st.sigma[GlobalVar("g")] == ValueSet.of([0, 1, 2])
 
 
@@ -194,10 +196,10 @@ def test_reanalyze_with_minimal_restart_recovers_precision(ws):
     write(src, FIG2)
     invoke(cli.cmd_analyze, src, cli.Options(state_dir=sd))
     write(src, FIG2_EDIT)
-    code, out, _ = invoke(cli.cmd_reanalyze, src,
-                          cli.Options(state_dir=sd, restart="minimal"))
+    opts = cli.Options(state_dir=sd, restart="minimal")
+    code, out, _ = invoke(cli.cmd_reanalyze, src, opts)
     assert code == 0
-    st = state_from_json(bundle_of(sd)["solver"])
+    st = cli.load_bundle(sd, opts).state
     assert st.sigma[GlobalVar("g")] == ValueSet.of([0, 2])
 
 
@@ -239,8 +241,9 @@ def _set_format(sd, fmt):
 
 
 # Format 3 is the last format whose solver section holds a start unknown,
-# format 4 the last one without a journal.
-@pytest.mark.parametrize("fmt", [1, 3, 4])
+# format 4 the last one without a journal, format 5 the last one whose base
+# is not a record.
+@pytest.mark.parametrize("fmt", [1, 3, 4, 5])
 @pytest.mark.parametrize("command", [cli.cmd_reanalyze, cli.cmd_compare])
 def test_an_old_bundle_format_is_refused(ws, command, fmt):
     src, sd = ws
@@ -253,7 +256,7 @@ def test_an_old_bundle_format_is_refused(ws, command, fmt):
     assert "delete the state dir" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("fmt", [1, 3, 4])
+@pytest.mark.parametrize("fmt", [1, 3, 4, 5])
 def test_serve_answers_an_old_bundle_format_with_an_error(ws, fmt):
     src, sd = ws
     write(src, FIG2)
@@ -297,34 +300,36 @@ def test_bundle_is_compact_and_holds_digests(ws):
     with open(os.path.join(sd, "bundle.json")) as f:
         text = f.read()
     doc = json.loads(text)
-    assert doc["format"] == cli.BUNDLE_FORMAT == 5
+    assert doc["format"] == cli.BUNDLE_FORMAT == 6
     head, body = text.split("\n", 1)
     assert head + body == json.dumps(doc, separators=(",", ":")) + "\n"
-    assert list(doc)[:4] == ["format", "created_at", "sha256", "compat"]
+    assert list(doc) == ["format", "created_at", "sha256", "compat", "solver", "put", "gone"]
     assert head.endswith(f'"sha256":"{hashlib.sha256(body.encode()).hexdigest()}",')
-    assert doc["digests"] == parse(FIG2).digests
+    assert doc["gone"] == doc["solver"]["gone"] == {}
+    assert cli.load_bundle(sd, cli.Options()).digests == parse(FIG2).digests
 
 
 def test_a_full_save_writes_the_bytes_of_a_one_shot_encoding(tmp_path):
-    """The base is encoded member by member, the solver section's members as
-    they are built; the bytes are those of one `json.dumps` of the whole
-    document, with a newline after the first line."""
+    """The base is the journal record that turns the empty session into the
+    saved one, encoded member by member as it is built; the bytes are those
+    of one `json.dumps` of the whole document, with a newline after the
+    first line."""
     opts = cli.Options(state_dir=str(tmp_path))
     session = cli.run_analysis(corpus_source(CorpusSpec(40, 3)), "prog.mc", opts).session
+    framed, _ = journal.record(journal.EMPTY, journal.tables(session), "b", "p")
     assert cli.save_bundle(opts.state_dir, session, opts)["kind"] == "full"
     with open(tmp_path / "bundle.json", "rb") as f:
         data = f.read()
     header = json.loads(data)
-    doc = {"format": 5, "created_at": header["created_at"], "sha256": header["sha256"],
-           "compat": opts.compat(), "digests": session.digests,
-           "nodes": session.assignment.to_json(),
-           "solver": dict(tdsolver.state_to_json(session.state)),
-           "warnstore": session.store.to_json()}
+    record = json.loads(framed.split(b" ", 1)[1])
+    assert (record.pop("base"), record.pop("prev")) == ("b", "p")
+    doc = {"format": 6, "created_at": header["created_at"], "sha256": header["sha256"],
+           "compat": opts.compat(), **record}
     assert data.replace(b"\n", b"", 1) == json.dumps(doc, separators=(",", ":")).encode() + b"\n"
 
 
 def test_the_solver_section_holds_only_the_unknowns_of_the_system(ws):
-    """After an analyze and two edits the solver section has one fixed set of
+    """After an analyze and two edits the solver section has its fixed
     members, and the only unknowns are program points, globals and the two
     harness markers."""
     src, sd = ws
@@ -336,11 +341,14 @@ def test_the_solver_section_holds_only_the_unknowns_of_the_system(ws):
         write(src, corpus_source(edited))
         assert invoke(cli.cmd_reanalyze, src, opts)[0] == 0
     solver = bundle_of(sd)["solver"]
-    assert list(solver) == ["unknowns", "values", "sigma", "infl", "stable", "point",
-                            "side_dep", "side_infl", "stale", "counters"]
+    assert list(solver) == ["unknowns", "values", "put", "gone"] and solver["gone"] == {}
+    # the tables in one fixed order, an empty one left out
+    order = ["sigma", "infl", "side_dep", "side_infl", "stale", "stable", "point", "counters"]
+    assert list(solver["put"]) == [m for m in order if m in solver["put"]]
+    assert {"sigma", "infl", "stable", "point", "counters"} <= set(solver["put"])
     kinds = [u["k"] for u in solver["unknowns"]]
     assert set(kinds) == {"node", "global", "init", "main"}
-    assert {kinds[i] for i, _ in solver["sigma"]} <= {"node", "global", "init", "main"}
+    assert {kinds[i] for i, _ in solver["put"]["sigma"]} <= {"node", "global", "init", "main"}
 
 
 def test_bundle_does_not_depend_on_the_hash_seed(tmp_path):
@@ -546,7 +554,7 @@ def test_serve_socket_outlives_a_disconnecting_client(ws):
 
 
 @pytest.mark.parametrize("damage", ["truncated", "not-json", "missing-key", "bad-digests",
-                                    "no-global-names", "not-utf8", "flipped-digit"])
+                                    "globals-not-names", "not-utf8", "flipped-digit"])
 @pytest.mark.parametrize("command", [cli.cmd_reanalyze, cli.cmd_compare])
 def test_damaged_bundle_exits_two_with_an_error(ws, command, damage):
     """The structural damages come with a valid checksum, so that the checks
@@ -563,15 +571,15 @@ def test_damaged_bundle_exits_two_with_an_error(ws, command, damage):
         text = "[1, 2"
     elif damage == "missing-key":
         del doc["solver"]
-    elif damage == "no-global-names":  # as a bundle written before they were recorded
-        del doc["digests"]["globals"]
+    elif damage == "globals-not-names":
+        doc["put"]["scalars"]["globals"] = [1]
     elif damage == "bad-digests":
-        doc["digests"]["functions"]["main"] = "?"
+        doc["put"]["functions"]["main"] = "?"
     elif damage == "flipped-digit":  # still valid JSON: only the checksum tells
         at = text.index('"v":[', text.index('"values":')) + len('"v":[')
         text = text[:at] + str((int(text[at]) + 1) % 10) + text[at + 1:]
         assert json.loads(text) != json.loads(open(path).read())
-    if damage in ("missing-key", "no-global-names", "bad-digests"):
+    if damage in ("missing-key", "globals-not-names", "bad-digests"):
         write_bundle(sd, doc)
     else:
         data = text.encode()
@@ -612,7 +620,7 @@ def _damage_the_node_table(src, sd):
     opts = cli.Options(state_dir=sd)
     assert invoke(cli.cmd_analyze, src, opts)[0] == 0
     doc = bundle_of(sd)
-    doc["nodes"]["assign"]["f000"].pop()
+    doc["put"]["assign"]["f000"].pop()
     write_bundle(sd, doc)
     return opts
 
@@ -651,7 +659,7 @@ def _empty_the_node_ids_of_h(src, sd):
     opts = cli.Options(state_dir=sd)
     assert invoke(cli.cmd_analyze, src, opts)[0] == 0
     doc = bundle_of(sd)
-    doc["nodes"]["assign"]["h"] = []
+    doc["put"]["assign"]["h"] = []
     write_bundle(sd, doc)
     write(src, REMOVES_H % "")
     return opts

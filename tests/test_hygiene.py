@@ -54,3 +54,38 @@ def test_every_definition_is_used_in_the_package():
         if not any(p != path or not first <= line <= last for p, line in refs.get(name, ())):
             unused.append(f"{path.relative_to(PACKAGE)}:{first} {name}")
     assert unused == []
+
+
+# The persisted format is read in one place: a decoder, a function or method
+# named `from_json` or ending in `_from_json`, is called only by the record
+# codec (`journal`, the solver section in `tdsolver`, unknowns in `consys`)
+# or by another decoder, and defined only there or in `domains`, which
+# decodes values and access records.
+CODEC = {"journal.py", "tdsolver.py", "consys.py"}
+DECODER_MODULES = CODEC | {"domains.py"}
+
+
+def _is_decoder(name: str) -> bool:
+    return name == "from_json" or name.endswith("_from_json")
+
+
+def test_only_the_codec_decodes():
+    problems = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = path.relative_to(PACKAGE).as_posix()
+        tree = ast.parse(path.read_text(), filename=str(path))
+        decoders = [node for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and _is_decoder(node.name)]
+        if module not in DECODER_MODULES:
+            problems += [f"{module}:{d.lineno} defines {d.name}" for d in decoders]
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else \
+                func.attr if isinstance(func, ast.Attribute) else ""
+            if _is_decoder(name) and module not in CODEC and \
+                    not any(d.lineno <= node.lineno <= d.end_lineno for d in decoders):
+                problems.append(f"{module}:{node.lineno} calls {name}")
+    assert problems == []

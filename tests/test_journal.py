@@ -2,6 +2,7 @@
 writes, that replaying the journal gives the state the writer held, and
 what a torn, corrupt or stale record does."""
 
+import hashlib
 import io
 import json
 import os
@@ -10,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minicheck import cli, tdsolver
+from minicheck import cli
 from minicheck.corpus import CorpusSpec, corpus_source, edit_sequence
 
+from support import persisted
 from test_declaration_edits import edits, templates
 
 BASE, JOURNAL = cli.BUNDLE_NAME, cli.JOURNAL_NAME
@@ -21,12 +23,6 @@ BASE, JOURNAL = cli.BUNDLE_NAME, cli.JOURNAL_NAME
 def write(path, text):
     with open(path, "w") as f:
         f.write(text)
-
-
-def persisted(session):
-    """Everything a bundle persists of `session`, as JSON."""
-    return (dict(tdsolver.state_to_json(session.state)), session.assignment.to_json(),
-            session.digests, session.store.to_json())
 
 
 def reanalyze(sd, src, text, opts):
@@ -243,3 +239,83 @@ def test_a_record_that_fails_its_checksum_at_the_end_is_not_torn(tmp_path, fract
         f.write(data)
     with pytest.raises(cli.CliError, match="fails its checksum"):
         cli.load_bundle(sd, cli.Options(state_dir=sd))
+
+
+# -- every row is checked by the one decoder -------------------------------------------
+
+
+def _append_record(sd, opts, put):
+    """Append to the journal of `sd` a checksummed record that follows its
+    last one and puts the session rows `put`."""
+    image = cli.load_bundle(sd, opts).image
+    payload = json.dumps({"base": image.base, "prev": image.tail,
+                          "solver": {"unknowns": [], "values": [], "put": {}, "gone": {}},
+                          "put": put, "gone": {}}, separators=(",", ":")).encode()
+    with open(f"{sd}/{JOURNAL}", "ab") as f:
+        f.write(hashlib.sha256(payload).hexdigest().encode() + b" " + payload + b"\n")
+
+
+def _rewrite_base(sd, change):
+    """Apply `change` to the document of the base of `sd` and write it back
+    with a valid checksum."""
+    with open(f"{sd}/{BASE}") as f:
+        doc = json.load(f)
+    change(doc)
+    head = {k: doc.pop(k) for k in ("format", "created_at", "sha256")}
+    body = json.dumps(doc, separators=(",", ":"))[1:] + "\n"
+    head["sha256"] = hashlib.sha256(body.encode()).hexdigest()
+    write(f"{sd}/{BASE}", json.dumps(head, separators=(",", ":"))[:-1] + ",\n" + body)
+
+
+def _without_f003(text):
+    """`text` without the function f003 and its call in main."""
+    blocks = [b for b in text.split("\n\n") if not b.startswith("int f003(")]
+    return "\n\n".join(blocks).replace("  r = f003(0);\n", "")
+
+
+@pytest.mark.parametrize("ids", [[], [5]])
+def test_node_ids_in_a_record_that_fit_no_cfg_exit_two(tmp_path, ids):
+    """A complete record whose node ids of f003 fit no CFG is refused as
+    the same row in the base is, also when the source no longer has f003
+    and so never asks for its ids."""
+    src, sd = str(tmp_path / "prog.mc"), str(tmp_path / "state")
+    opts = cli.Options(state_dir=sd)
+    text = _corpus_versions(0)[0]
+    write(src, text)
+    assert cli.cmd_analyze(src, opts, io.StringIO(), io.StringIO()) == 0
+    _append_record(sd, opts, {"assign": {"f003": ids}})
+    write(src, _without_f003(text))
+    message = (f"state bundle node ids of function 'f003' do not fit any CFG ({len(ids)} ids "
+               "for at least 2 nodes); delete the state dir to reanalyze from scratch")
+    for command in (cli.cmd_reanalyze, cli.cmd_compare):
+        out, err = io.StringIO(), io.StringIO()
+        assert command(src, opts, out, err) == 2 and out.getvalue() == ""
+        assert err.getvalue() == f"error: {message}\n"
+    out = io.StringIO()
+    request = json.dumps({"id": 1, "method": "reanalyze", "path": src})
+    cli.Server(opts).serve(io.StringIO(request + "\n"), out)
+    assert json.loads(out.getvalue()) == {"id": 1, "error": message}
+
+
+def test_an_error_names_the_file_it_comes_from(tmp_path):
+    """Names of the globals that are not names: in the base the error names
+    the base, in a record the journal."""
+    src, sd = str(tmp_path / "prog.mc"), str(tmp_path / "state")
+    opts = cli.Options(state_dir=sd)
+    write(src, _corpus_versions(0)[0])
+
+    def bad_globals(doc):
+        doc["put"]["scalars"]["globals"] = [1]
+
+    for name in (BASE, JOURNAL):
+        assert cli.cmd_analyze(src, opts, io.StringIO(), io.StringIO()) == 0
+        if name == BASE:
+            _rewrite_base(sd, bad_globals)
+        else:
+            _append_record(sd, opts, {"scalars": {"globals": [1]}})
+        assert os.path.exists(f"{sd}/{JOURNAL}") == (name == JOURNAL)
+        out, err = io.StringIO(), io.StringIO()
+        assert cli.cmd_reanalyze(src, opts, out, err) == 2
+        assert err.getvalue() == (
+            f"error: state bundle {sd}/{name} is unreadable or corrupt (ValueError: malformed "
+            "names of the globals); delete the state dir to reanalyze from scratch\n")

@@ -26,7 +26,7 @@ from minicheck.tdsolver import (
     SolverState,
     run,
     state_from_json,
-    state_to_json,
+    tables,
     verify_solution,
 )
 
@@ -39,7 +39,9 @@ from support import (
     kleene_solve,
     make_random_system,
     random_tree,
+    reloaded,
     side_maps_inverse,
+    solver_section,
 )
 
 BETA0 = Context.of({"p": AddressSet.of(["g"])})
@@ -329,10 +331,12 @@ def test_termination_accounting_is_bounded():
 
 def test_state_json_roundtrip_and_warm_restart():
     built, st, _ = analyze_source(FIG2)
-    doc = dict(state_to_json(st))
+    doc = solver_section({}, tables(st))
+    assert list(doc) == ["unknowns", "values", "put", "gone"] and doc["gone"] == {}
     assert "format" not in doc  # the bundle's format covers the section
-    assert "superstable" not in doc and "called" not in doc
-    st2 = state_from_json(doc)
+    assert "superstable" not in doc["put"] and "called" not in doc["put"]
+    st2 = SolverState()
+    state_from_json(st2, doc)
     assert st2.sigma == st.sigma
     assert {k: list(v) for k, v in st2.infl.items()} == {k: list(v) for k, v in st.infl.items()}
     assert st2.stable == st.stable
@@ -351,6 +355,7 @@ def assert_same_state(st2, st):
     assert ordered(st2.infl) == ordered(st.infl)
     assert ordered(st2.side_dep) == ordered(st.side_dep)
     assert ordered(st2.side_infl) == ordered(st.side_infl)
+    assert ordered(st2.stale) == ordered(st.stale)
     assert st2.stable == st.stable
     assert st2.point == st.point
     assert (st2.rhs_evals, st2.destabilizations) == (st.rhs_evals, st.destabilizations)
@@ -361,7 +366,7 @@ def assert_interned(doc, st):
     keys = [json.dumps(u, sort_keys=True) for u in doc["unknowns"]]
     assert len(keys) == len(set(keys))
     mentioned = set(st.sigma) | st.stable | st.point
-    for m in (st.infl, st.side_dep, st.side_infl):
+    for m in (st.infl, st.side_dep, st.side_infl, st.stale):
         mentioned |= {u for u, vs_ in m.items() if vs_} | {v for vs_ in m.values() for v in vs_}
     assert len(keys) == len(mentioned)
     values = [json.dumps(v, sort_keys=True) for v in doc["values"]]
@@ -369,24 +374,43 @@ def assert_interned(doc, st):
 
 
 def test_state_json_roundtrip_on_random_systems():
+    """A base section reloads to the state it was written from, and the
+    section between two unrelated states turns the one into the other."""
     rng = random.Random(4242)
+    previous = SolverState()
     for _ in range(60):
         sys_, *_ = make_random_system(rng, n_unknowns=rng.randrange(2, 12))
         st = SolverState()
         run(sys_, st)
-        doc = json.loads(json.dumps(dict(state_to_json(st))))
+        doc = json.loads(json.dumps(solver_section({}, tables(st))))
         assert_interned(doc, st)
-        assert_same_state(state_from_json(doc), st)
+        assert_same_state(reloaded(st), st)
+        delta = solver_section(tables(previous), tables(st))
+        replayed = reloaded(previous)
+        state_from_json(replayed, delta)
+        assert_same_state(replayed, st)
+        previous = st
 
 
 def test_state_json_roundtrip_on_the_corpus():
     _, st, _ = analyze_source(corpus_source(CorpusSpec(n_functions=40, seed=3)))
-    doc = json.loads(json.dumps(dict(state_to_json(st))))
+    doc = solver_section({}, tables(st))
     assert_interned(doc, st)
-    assert len(doc["values"]) < len(doc["sigma"])
-    st2 = state_from_json(doc)
+    assert len(doc["values"]) < len(doc["put"]["sigma"])
+    assert list(doc["put"]) == ["sigma", "infl", "side_dep", "side_infl", "stable", "point",
+                                "counters"]
+    assert doc["put"]["counters"] == {"rhs_evals": st.rhs_evals,
+                                      "destabilizations": st.destabilizations}
+    written = json.dumps(doc)
+    st2 = SolverState()
+    state_from_json(st2, doc)
+    assert "unknowns" not in doc and "values" not in doc  # freed as they are decoded
     assert_same_state(st2, st)
-    assert json.dumps(dict(state_to_json(st2))) == json.dumps(doc)
+    assert json.dumps(solver_section({}, tables(st2))) == written
+    # σ's rows compare by identity: a reloaded value is a new object
+    assert solver_section(tables(st), tables(st)) == {"unknowns": [], "values": [], "put": {},
+                                                      "gone": {}}
+    assert len(solver_section(tables(st), tables(st2))["put"]["sigma"]) == len(st.sigma)
 
 
 def test_wrong_domain_rhs_is_an_eval_error_carrying_the_unknown():
