@@ -41,7 +41,7 @@ from typing import Optional, TextIO
 from . import journal
 from .consys import NodeCtx, unknown_key
 from .domains import DomainError, leq
-from .increment import reanalyze
+from .increment import INIT_PSEUDO_FN, reanalyze
 from .minic import MiniCError, Program, build_system, parse
 from .minic.cfg import NodeAssignment, NodeTableError, assign_node_ids
 from .postproc import StateCorruption, WarnStore, diff_warnings, postprocess
@@ -98,9 +98,10 @@ class Session:
     session from `empty` or `load_bundle` has no program: its first
     reanalysis parses every item.
 
-    A session that was loaded or saved also holds the image of what is on
-    disk (`journal.Image`), which its reanalysis inherits: the next save
-    writes only how the session differs from it."""
+    A session that was loaded or saved holds where on disk it is (`image`).
+    Its reanalysis inherits the image and keeps what it began from (`then`,
+    `journal.tables`) until its save, which writes only how the session
+    differs from that; the reanalysis of another session keeps neither."""
 
     digests: dict  # Program.digests of the source
     assignment: NodeAssignment
@@ -108,6 +109,7 @@ class Session:
     store: WarnStore
     program: Optional[Program] = None
     image: Optional[journal.Image] = None
+    then: Optional[dict] = None
 
     @staticmethod
     def empty() -> "Session":
@@ -132,18 +134,19 @@ class AnalysisResult:
 
 
 def save_bundle(state_dir: str, session: Session, opts: Options) -> dict:
-    """Persist `session` in `state_dir` and keep its image of what is now on
-    disk.  Returns what was written: ``{"kind": "delta"|"full", "bytes": n}``.
+    """Persist `session` in `state_dir`, set its image to what is now on disk
+    and drop its `then`.  Returns what was written: ``{"kind":
+    "delta"|"full", "bytes": n}``.
 
-    A session whose image is still what the state dir holds appends one
-    record to the journal (nothing if nothing changed).  Any other session,
-    and one whose record would grow the journal past a quarter of the base,
-    writes a full base, which empties the journal."""
-    image = session.image
+    A session with a `then` whose image is still what the state dir holds
+    appends one record to the journal (nothing if nothing changed).  Any
+    other session, and one whose record would grow the journal past a
+    quarter of the base, writes a full base, which empties the journal."""
+    image, then = session.image, session.then
+    session.then = None
     try:
-        now = journal.tables(session)
-        if image is not None and _is_on_disk(state_dir, image):
-            framed = journal.record(image.tables, now, image.base, image.tail)
+        if then is not None and _is_on_disk(state_dir, image):
+            framed = journal.record(then, session, image.base, image.tail)
             if framed is None:
                 return {"kind": "delta", "bytes": 0}
             data, rid = framed
@@ -153,11 +156,11 @@ def save_bundle(state_dir: str, session: Session, opts: Options) -> dict:
                     f.flush()
                     os.fsync(f.fileno())
                 session.image = journal.Image(image.base, image.base_size,
-                                              image.end + len(data), rid, now)
+                                              image.end + len(data), rid)
                 return {"kind": "delta", "bytes": len(data)}
             del framed, data
-        image = session.image = None  # the old tables are freed before the base is encoded
-        size = _write_base(state_dir, session, now, opts)
+        del then  # the snapshot is freed before the base is encoded
+        size = _write_base(state_dir, session, opts)
     except OSError as exc:
         raise CliError(f"cannot write state bundle to {state_dir}: {exc}") from exc
     return {"kind": "full", "bytes": size}
@@ -185,11 +188,11 @@ def _base_id(head: bytes) -> str:
     return hashlib.sha256(head).hexdigest()
 
 
-def _write_base(state_dir: str, session: Session, now: dict, opts: Options) -> int:
-    """Write the base of `session`, whose tables are `now`: a temporary
-    file renamed over the old base, then the journal is removed; returns the
-    base's size.  A crash before the rename leaves the old base and journal,
-    one after it a journal whose records name the old base and are ignored.
+def _write_base(state_dir: str, session: Session, opts: Options) -> int:
+    """Write the base of `session`: a temporary file renamed over the old
+    base, then the journal is removed; returns the base's size.  A crash
+    before the rename leaves the old base and journal, one after it a
+    journal whose records name the old base and are ignored.
 
     The base is one JSON object.  Its first line holds the format, the
     creation time and the sha256 of the bytes after that line: the options
@@ -197,7 +200,7 @@ def _write_base(state_dir: str, session: Session, now: dict, opts: Options) -> i
     (`journal.members`), written as it is built, so that no whole encoding
     of the state is ever held."""
     created = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="microseconds")
-    body = itertools.chain([("compat", opts.compat())], journal.members(journal.EMPTY, now))
+    body = itertools.chain([("compat", opts.compat())], journal.members(journal.EMPTY, session))
     os.makedirs(state_dir, exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix=BUNDLE_NAME + ".", suffix=".tmp", dir=state_dir)
     try:
@@ -226,7 +229,7 @@ def _write_base(state_dir: str, session: Session, now: dict, opts: Options) -> i
     with contextlib.suppress(FileNotFoundError):
         os.unlink(os.path.join(state_dir, JOURNAL_NAME))
     base = _base_id(head[:-1])
-    session.image = journal.Image(base, size, 0, base, now)
+    session.image = journal.Image(base, size, 0, base)
     return size
 
 
@@ -284,7 +287,7 @@ def load_bundle(state_dir: str, opts: Options) -> Optional[Session]:
         raise CliError(f"state bundle {path} is unreadable or corrupt "
                        f"({type(exc).__name__}: {exc}); "
                        "delete the state dir to reanalyze from scratch") from exc
-    session.image = journal.Image(base, size, end, tail, journal.tables(session))
+    session.image = journal.Image(base, size, end, tail)
     return session
 
 
@@ -304,12 +307,18 @@ def run_reanalysis(session: Session, text: str, filename: str,
     place (and is unusable if this raises)."""
     prog = parse(text, session.program)
     state = session.state
-    changes, built, run_stats, start = reanalyze(session.digests, session.assignment, state,
-                                                 prog, opts.mode, opts.restart, opts.domain,
-                                                 restart_wpoint=opts.wpoint_restart)
-    store, post_stats = postprocess(built, state, session.store, filename, start)
+    changes, built, run_stats, start, untouched = reanalyze(
+        session.digests, session.assignment, state, prog, opts.mode, opts.restart,
+        opts.domain, restart_wpoint=opts.wpoint_restart)
+    # Global declarations also decide which targets of a pointer a store or
+    # a dereference touches, in functions that do not name them, so after an
+    # edit of them the walk reuses nothing.
+    walk_start = None if INIT_PSEUDO_FN in changes.changed else start
+    store, post_stats = postprocess(built, state, session.store, filename, walk_start, untouched)
+    on_disk = session.image is not None and session.then is None  # loaded or saved
     return AnalysisResult(Session(prog.digests, built.assignment, state, store, prog,
-                                  session.image),
+                                  session.image if on_disk else None,
+                                  journal.tables(session, start) if on_disk else None),
                           run_stats, post_stats, diff_warnings(session.store, store),
                           changes.to_json(), prog.parsed)
 
@@ -387,17 +396,17 @@ def _report(payload, result: AnalysisResult, persisted: dict, opts: Options, out
     with --stats); returns the exit code."""
     print(json.dumps(payload, indent=1), file=out)
     if opts.stats:
-        state = result.session.state
-        stats = {
-            "rhs_evals_total": state.rhs_evals,
-            "destabilizations_total": state.destabilizations,
-            "parsed": result.parsed,
-            "run": result.run_stats,
-            "postprocess": {k: len(v) for k, v in result.post_stats.items()},
-            "persisted": persisted,
-        }
+        stats = _stats(result, persisted, run=result.run_stats,
+                       postprocess={k: len(v) for k, v in result.post_stats.items()})
         print(json.dumps(stats, indent=1), file=err)
     return 1 if opts.fail_on_warn and result.session.store.warnings else 0
+
+
+def _stats(result: AnalysisResult, persisted: dict, **details) -> dict:
+    """The counters of a reanalysis, with `details` before what it persisted."""
+    state = result.session.state
+    return {"rhs_evals_total": state.rhs_evals, "destabilizations_total": state.destabilizations,
+            "parsed": result.parsed, **details, "persisted": persisted}
 
 
 def cmd_analyze(path: str, opts: Options, out: Optional[TextIO] = None,
@@ -481,20 +490,15 @@ class Server:
         session, self.session = self.current(), None  # reloaded if this request fails
         fallback = session is None
         result = run_reanalysis(session or Session.empty(), text, path, self.opts)
-        del session  # what the new session replaces is freed before the bundle is encoded
+        del session  # the old program is freed before the bundle is encoded
         persisted = save_bundle(self.opts.state_dir, result.session, self.opts)
         self.session = result.session
         payload = _diff_json(result.diff)
         if fallback:
             payload["fallback"] = "analyze"
         if self.opts.stats:
-            payload["stats"] = {
-                "rhs_evals_total": result.session.state.rhs_evals,
-                "destabilizations_total": result.session.state.destabilizations,
-                "parsed": result.parsed,
-                "diagnostics": result.run_stats["diagnostics"],
-                "persisted": persisted,
-            }
+            payload["stats"] = _stats(result, persisted,
+                                      diagnostics=result.run_stats["diagnostics"])
         return payload
 
     def serve(self, inp: TextIO, out: TextIO) -> bool:

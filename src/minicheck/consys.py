@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Dict, List, Tuple
+from typing import Callable, ClassVar, Dict, List, Optional, Tuple
 
 from .domains import Access, Value, join, value_from_json, value_to_json
 
@@ -144,10 +144,16 @@ def unknown_to_json(u: Unknown):
     raise TypeError(f"not an unknown: {u!r}")
 
 
-def unknown_from_json(d: dict) -> Unknown:
+def unknown_from_json(d: dict, contexts: Optional[Dict[str, Context]] = None) -> Unknown:
+    """The unknown `d` encodes.  Unknowns decoded with the same `contexts`
+    (the repr of a context's JSON -> its `Context`) share equal contexts."""
     k = d["k"]
     if k == "node":
-        return NodeCtx(d["fn"], d["id"], Context(tuple((n, value_from_json(v)) for n, v in d["ctx"])))
+        contexts = {} if contexts is None else contexts
+        text = repr(d["ctx"])
+        if text not in contexts:
+            contexts[text] = Context(tuple((n, value_from_json(v)) for n, v in d["ctx"]))
+        return NodeCtx(d["fn"], d["id"], contexts[text])
     if k == "global":
         return GlobalVar(d["name"])
     if k == "init":

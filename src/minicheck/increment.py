@@ -34,17 +34,18 @@ all their producers, purging values accumulated across runs.  The minimal
 strategy restarts exactly the globals that the old version of an edited
 function side-effected (read off ``side_infl`` before relabeling).
 
-After the solve, one walk over σ finds what is reachable from the query;
-postprocessing shares its evaluations.  `reanalyze` returns σ and the stable
-set as it found them (a `StartState`).  Given that snapshot, the walk reuses
-an unknown that stayed stable through the run and at which, at whose last
-reads and at whose side targets σ is unchanged since the run began: it is
-not evaluated, and its recorded successors are the inverse of ``infl``
-minus the stale edges the walk noted when it last evaluated it.  So the walk
+`reanalyze` takes one snapshot of the solver's tables (`tdsolver.tables`),
+which the save reads too (`journal`).  The *untouched* unknowns are stable
+in it and now, and the solver did not evaluate them.  After the solve, one
+walk over σ finds what is reachable from the query; postprocessing shares
+its evaluations.  The walk reuses an untouched unknown at which, at whose
+last reads and at whose side targets σ is the snapshot's: it is not
+evaluated, and its recorded successors are the inverse of ``infl`` minus
+the stale edges the walk noted when it last evaluated it.  So the walk
 evaluates only what the run touched.  After an edit of the global
-declarations `reanalyze` returns no snapshot and the walk evaluates every
-reached rhs.  Pruning drops the unknowns that left the reached set and the
-rows that name them.
+declarations the walk gets no snapshot and evaluates every reached rhs.
+Pruning drops the unknowns that left the reached set and the rows that name
+them.
 """
 
 from __future__ import annotations
@@ -64,22 +65,12 @@ from .consys import (
     sort_key,
     unknown_key,
 )
-from .domains import Value
 from .minic.cfg import NodeAssignment, assign_node_ids
 from .minic.syntax import Program, names_used
 from .minic.system import BuiltSystem, build_system
-from .tdsolver import SolverState, run
+from .tdsolver import SolverState, run, tables
 
 INIT_PSEUDO_FN = "__init"
-
-
-@dataclass(frozen=True)
-class StartState:
-    """σ and the stable set as a reanalysis found them, before it changed
-    anything; the post-solve walk compares against them.  Not persisted."""
-
-    sigma: Dict[Unknown, Value]
-    stable: Set[Unknown]
 
 
 @dataclass(frozen=True)
@@ -193,8 +184,7 @@ def _return_unknowns(changes_fns: Iterable[str], contexts: Dict[str, Set[Context
 def _drop_stale_nodes(changes: ChangeSet, st: SolverState, old_asg: NodeAssignment) -> None:
     """Unknowns of interior nodes of body-changed functions (and all nodes
     of header-changed and removed ones) no longer exist in the new system;
-    drop them from stable and superstable.  Their σ entries are garbage
-    until pruning."""
+    drop them from stable.  Their σ entries are garbage until pruning."""
     stale: Set[Tuple[str, int]] = set()
     for fn in changes.changed:
         ids = old_asg.assign.get(fn)
@@ -204,11 +194,9 @@ def _drop_stale_nodes(changes: ChangeSet, st: SolverState, old_asg: NodeAssignme
         ids = old_asg.assign.get(fn)
         if ids:
             stale.update((fn, n) for n in ids)
-    if not stale:
-        return
-    for coll in (st.stable, st.superstable):
-        for u in [u for u in coll if isinstance(u, NodeCtx) and (u.fn, u.node) in stale]:
-            coll.discard(u)
+    if stale:
+        st.stable.difference_update(
+            [u for u in st.stable if isinstance(u, NodeCtx) and (u.fn, u.node) in stale])
 
 
 def prepare_plain(changes: ChangeSet, st: SolverState,
@@ -216,12 +204,10 @@ def prepare_plain(changes: ChangeSet, st: SolverState,
     """Eager destabilization at the return nodes of every edited function.
 
     Returns the empty pre-solve list (step 1 is empty in plain mode)."""
-    st.superstable = set(st.stable)
     _drop_stale_nodes(changes, st, old_asg)
     contexts = recorded_contexts(st, old_asg)
     for u in _return_unknowns(changes.edited(), contexts, old_asg):
         st.stable.discard(u)
-        st.superstable.discard(u)
         st.destabilize(u)
     return []
 
@@ -232,17 +218,13 @@ def prepare_reluctant(changes: ChangeSet, st: SolverState,
     return unknowns to the pre-solve set A without destabilizing their
     dependents.  Header-changed and removed functions are handled plainly
     (reluctance could only do work in vain there)."""
-    st.superstable = set(st.stable)
     _drop_stale_nodes(changes, st, old_asg)
     contexts = recorded_contexts(st, old_asg)
     for u in _return_unknowns(changes.header_changed | changes.removed, contexts, old_asg):
         st.stable.discard(u)
-        st.superstable.discard(u)
         st.destabilize(u)
     A = _return_unknowns(changes.changed, contexts, old_asg)
-    for u in A:
-        st.stable.discard(u)
-        st.superstable.discard(u)
+    st.stable.difference_update(A)
     return A
 
 
@@ -275,7 +257,6 @@ def restart_globals(G: Iterable[Unknown], st: SolverState) -> None:
     for g in sorted(G, key=sort_key):
         st.sigma.pop(g, None)
         st.stable.discard(g)
-        st.superstable.discard(g)
         st.destabilize(g)
         producers = list(st.side_dep.pop(g, ()))
         for x in producers:
@@ -286,7 +267,6 @@ def restart_globals(G: Iterable[Unknown], st: SolverState) -> None:
                     del st.side_infl[x]
         for x in producers:
             st.stable.discard(x)
-            st.superstable.discard(x)
             st.destabilize(x)
 
 
@@ -298,8 +278,8 @@ def restart_globals(G: Iterable[Unknown], st: SolverState) -> None:
 def reanalyze(old_digests: dict, old_asg: NodeAssignment, st: SolverState,
               new_prog: Program, mode: str = "reluctant", restart: str = "minimal",
               domain: str = "valueset", *,
-              restart_wpoint: bool = False) -> Tuple[ChangeSet, BuiltSystem, dict,
-                                                     Optional[StartState]]:
+              restart_wpoint: bool = False) -> Tuple[ChangeSet, BuiltSystem, dict, dict,
+                                                     Set[Unknown]]:
     """Bring `st`, the solver state of the program with `old_digests`, up to
     date with `new_prog`.
 
@@ -307,22 +287,22 @@ def reanalyze(old_digests: dict, old_asg: NodeAssignment, st: SolverState,
     "minimal"; `domain` is the integer value domain of `build_system`.  The
     restart set is read off the old state before relabeling erases the old
     unknowns.  Returns the change set, the new system, the solver's per-step
-    statistics plus the keys of the restarted globals, and the state as the
-    run found it (None when the walk must reuse nothing)."""
+    statistics plus the keys of the restarted globals, the snapshot of the
+    solver's tables as the run found them and the untouched unknowns."""
+    start = tables(st)
     changes = detect_changes(old_digests, new_prog)
     restarted = select_restart_globals(changes, st, old_asg) if restart == "minimal" else []
     built = build_system(new_prog, relabel_nodes(changes, old_asg, new_prog), domain)
     prepare = prepare_reluctant if mode == "reluctant" else prepare_plain
-    # Global declarations also decide which targets of a pointer a store or
-    # a dereference touches, in functions that do not name them, so after
-    # an edit of them nothing is reused.
-    start = None if INIT_PSEUDO_FN in changes.changed else \
-        StartState(dict(st.sigma), set(st.stable))
     pre_solve = prepare(changes, st, old_asg)
     restart_globals(restarted, st)
     stats = run(built.sys, st, pre_solve, restart_wpoint=restart_wpoint)
     stats["restarted"] = [unknown_key(g) for g in restarted]
-    return changes, built, stats, start
+    # An unknown with a rhs that left stable is stable again only once it is
+    # evaluated.  (A global that left is stable again once it gets a new
+    # contribution, but the walk follows nothing from a global.)
+    untouched = (start["stable"] & st.stable) - stats.pop("evaluated")
+    return changes, built, stats, start, untouched
 
 
 # ---------------------------------------------------------------------------
@@ -331,26 +311,26 @@ def reanalyze(old_digests: dict, old_asg: NodeAssignment, st: SolverState,
 
 
 def reachable_set(sys_: EqSys, st: SolverState, visit: Optional[Callable] = None,
-                  reuse: Optional[Callable] = None,
-                  start: Optional[StartState] = None) -> Set[Unknown]:
+                  reuse: Optional[Callable] = None, start: Optional[dict] = None,
+                  untouched: Set[Unknown] = frozenset()) -> Set[Unknown]:
     """Unknowns reachable from the query under σ: queried dependencies plus
     side-effect targets.
 
-    Given `start`, the state the reanalysis that produced σ began with, a
-    reached unknown is *reusable* when it is stable and superstable and σ
-    is unchanged, by identity since `start`, at itself, at every unknown
-    its last evaluation read and at every global it side-effected.  Its rhs
-    is not evaluated: the walk follows those recorded successors and hands
-    it to `reuse(u)` if it has a rhs.  Every other reached rhs is evaluated
-    purely, once; `visit(u, eval_state, value)` sees that evaluation, with
-    its access records, and ``st.stale`` records the ``infl`` edges it did
-    not read.  Reuse presumes that the state `start` records was left by a
-    verified walk, as every persisted state is, and that a superstable
-    unknown's rhs is the one that walk evaluated: a rhs an edit rewrites
-    belongs to a function counted as changed, whose rewritten nodes are
-    new, or follows an edit of the global declarations, after which
-    `reanalyze` gives no `start`.  Without `start` every reached rhs is
-    evaluated."""
+    Given `start`, the snapshot the reanalysis that produced σ began with,
+    and its `untouched` unknowns, a reached unknown is *reusable* when it
+    is untouched and σ is unchanged, by identity since `start`, at itself,
+    at every unknown its last evaluation read and at every global it
+    side-effected.  Its rhs is not evaluated: the walk follows those
+    recorded successors and hands it to `reuse(u)` if it has a rhs.  Every
+    other reached rhs is evaluated purely, once; `visit(u, eval_state,
+    value)` sees that evaluation, with its access records, and ``st.stale``
+    records the ``infl`` edges it did not read.  Reuse presumes that the
+    state `start` records was left by a verified walk, as every persisted
+    state is, and that an untouched unknown's rhs is the one that walk
+    evaluated: a rhs an edit rewrites belongs to a function counted as
+    changed, whose rewritten nodes are new, or follows an edit of the
+    global declarations, after which the walk is given no `start`.  Without
+    `start` every reached rhs is evaluated."""
     sigma = st.sigma
     look = sys_.lookup(sigma)
     reads: Dict[Unknown, List[Unknown]] = {}  # the inverse of infl
@@ -358,15 +338,15 @@ def reachable_set(sys_: EqSys, st: SolverState, visit: Optional[Callable] = None
         for x in xs:
             reads.setdefault(x, []).append(y)
     reusable = set()
-    if start is not None and start.sigma:
-        before = start.sigma
+    if start is not None and start["sigma"]:
+        before = start["sigma"]
         # Not reusable: what changed, what read it last and what side-effected it.
         dirty = {u for u, v in sigma.items() if before.get(u) is not v}
         dirty |= before.keys() - sigma.keys()
         for y in list(dirty):
             dirty.update(x for x in st.infl.get(y, ()) if y not in st.stale.get(x, ()))
             dirty.update(st.side_dep.get(y, ()))
-        reusable = (st.superstable & st.stable) - dirty
+        reusable = untouched - dirty
     reached: Set[Unknown] = set()
     stack = [sys_.query]
     while stack:
@@ -409,7 +389,7 @@ def prune(sys_: EqSys, st: SolverState, reachable: Optional[Set[Unknown]] = None
     touching only the unknowns that left and the rows that name them."""
     R = reachable_set(sys_, st) if reachable is None else reachable
     maps = (st.infl, st.side_dep, st.side_infl, st.stale)
-    left = st.sigma.keys() | st.stable | st.superstable | st.point
+    left = st.sigma.keys() | st.stable | st.point
     for m in maps:
         left |= m.keys()
         left.update(*m.values())
@@ -419,7 +399,6 @@ def prune(sys_: EqSys, st: SolverState, reachable: Optional[Set[Unknown]] = None
     for u in left:
         st.sigma.pop(u, None)
         st.stable.discard(u)
-        st.superstable.discard(u)
         st.point.discard(u)
         for m in maps:
             m.pop(u, None)

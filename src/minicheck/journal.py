@@ -9,13 +9,14 @@ replayed in order, all by `replay`, so every row is checked by the same
 code however it was written.
 
 What a record holds is found without any bookkeeping in the solver or the
-pipeline.  A session that was loaded or saved keeps an `Image` of what is on
-disk: its persisted data as tables of rows (`tables`).  At the next save the
-session's tables are diffed against the image's, and only the changed and
-the removed rows are written; a base is the diff against `EMPTY`.  The
-solver's tables and their rows are `tdsolver`'s (`tdsolver.tables`,
-`state_to_json`, `state_from_json`); the rows of the digests, node ids,
-access records and scalars are this module's, compared by equality.
+pipeline.  A reanalysis keeps what it began from (`tables`): its snapshot
+of the solver's tables, which the run mutates, and the session's other
+rows, which the run replaces.  The save diffs the new session, read in
+place, against them and writes only the changed and the removed rows; a
+base is the diff against `EMPTY`.  The solver's tables and their rows are
+`tdsolver`'s (`tdsolver.tables`, `state_to_json`, `state_from_json`); the
+rows of the digests, node ids, access records and scalars are this
+module's, compared by equality.
 
 A record is a JSON object: "solver", the solver section, and "put" and
 "gone", the session's rows that changed, by table and key, and the keys of
@@ -52,36 +53,35 @@ _dumps = functools.partial(json.dumps, separators=(",", ":"))
 
 @dataclass
 class Image:
-    """What is on disk for one session: the base's id and size, the end of
-    the last record replayed or written (0 when there is none), that
-    record's id (`base` when there is none) and the persisted tables."""
+    """Where on disk one session is: the base's id and size, the end of the
+    last record replayed or written (0 when there is none) and that
+    record's id (`base` when there is none)."""
 
     base: str
     base_size: int
     end: int
     tail: str
-    tables: Dict[str, dict]
 
 
-def tables(session) -> Dict[str, object]:
-    """The persisted data of `session` as tables of rows.  The rows share
-    what the session holds and never mutates (σ's values, digests, node
-    ids, access records, warnings) and copy what it mutates in place."""
+def tables(session, solver: Optional[dict]) -> Dict[str, object]:
+    """The persisted data of `session` as tables of rows, with `solver` as
+    the solver's tables.  The other rows share what the session holds."""
     store, digests, asg = session.store, session.digests, session.assignment
-    return {"solver": tdsolver.tables(session.state),
-            "functions": dict(digests["functions"]),
-            "assign": dict(asg.assign),
+    return {"solver": solver,
+            "functions": digests["functions"],
+            "assign": asg.assign,
             "accesses": {(g, p): records for g, producers in store.accesses.items()
                          for p, records in producers.items()},
             "scalars": {"init": digests["init"], "globals": digests["globals"],
-                        "counter": asg.counter, "warnings": tuple(store.warnings)}}
+                        "counter": asg.counter, "warnings": store.warnings}}
 
 
-def members(then: dict, now: dict) -> Iterator[Tuple[str, object]]:
-    """The record that turns the tables `then` into `now`, as (member, JSON
-    value) pairs in the form `write_json` writes.  Rows are written in a
-    fixed order, so equal changes give equal records."""
-    yield "solver", tdsolver.state_to_json(then.get("solver", {}), now["solver"])
+def members(then: dict, session) -> Iterator[Tuple[str, object]]:
+    """The record that turns the tables `then` into `session`, which is read
+    in place, as (member, JSON value) pairs in the form `write_json` writes.
+    Rows are written in a fixed order, so equal changes give equal records."""
+    yield "solver", tdsolver.state_to_json(then.get("solver", {}), session.state)
+    now = tables(session, None)  # the solver's rows are read off session.state
     put: Dict[str, list] = {}
     gone: Dict[str, list] = {}
     for name in SESSION_TABLES:  # no row is None
@@ -137,10 +137,10 @@ def _built(doc):
     return doc
 
 
-def record(then: dict, now: dict, base: str, prev: str) -> Optional[Tuple[bytes, str]]:
-    """The framed journal record that turns the tables `then` into `now`,
-    and its id; None if they do not differ."""
-    doc = _built(members(then, now))
+def record(then: dict, session, base: str, prev: str) -> Optional[Tuple[bytes, str]]:
+    """The framed journal record that turns the tables `then` into
+    `session`, and its id; None if they do not differ."""
+    doc = _built(members(then, session))
     solver = doc["solver"]
     if not (solver["put"] or solver["gone"] or doc["put"] or doc["gone"]):
         return None
@@ -171,7 +171,10 @@ def replay(session, doc: dict) -> None:
     digest row of the wrong shape, NodeTableError for node ids that fit no
     CFG: fewer than the entry and the return node that every CFG has."""
     store, digests, asg = session.store, session.digests, session.assignment
-    tdsolver.state_from_json(session.state, doc["solver"])
+    counters = tdsolver.state_from_json(session.state, doc["solver"])
+    if counters is not None:
+        session.state.rhs_evals = counters["rhs_evals"]
+        session.state.destabilizations = counters["destabilizations"]
     put, gone = doc["put"], doc["gone"]
     for k in gone.get("functions", ()):
         del digests["functions"][k]

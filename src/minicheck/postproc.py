@@ -5,15 +5,15 @@ introduce spurious values that narrowing later removes, so generating them
 mid-solve would overreport).  The reachability walk evaluates a reached rhs
 at most once; that evaluation verifies the unknown and yields the access
 records its rhs emits.  An unknown the walk reuses instead (it stayed
-superstable, and σ at it, at its last reads and at its side targets is the
-object the run began with) keeps the previous run's check and access
-records: they were made at exactly these inputs, and a state is only
-persisted after a run whose check passed.  A reanalysis trusts that premise
-for a loaded bundle too: it re-verifies what it evaluates, not the
-untouched parts of the state it loaded.  Every record is attributed to the
-unknown that produced it, and every producer was stable when the run
-began; the records of a producer that is no longer reached vanish with it,
-so stale data-race evidence cannot accumulate across reanalyses.
+stable throughout the run, and σ at it, at its last reads and at its side
+targets is the object in the snapshot the run began with) keeps the
+previous run's check and access records: they were made at exactly these
+inputs, and a state is only persisted after a run whose check passed.  A
+reanalysis trusts that premise for a loaded bundle too: it re-verifies
+what it evaluates, not the untouched parts of the state it loaded.  Every record is attributed to the
+unknown that produced it, and every producer was stable in the snapshot;
+the records of a producer that is no longer reached vanish with it, so
+stale data-race evidence cannot accumulate across reanalyses.
 
 Warning identity hashes the kind, the provenance unknowns and a message
 skeleton, never source locations: moved-but-unchanged code keeps its warning
@@ -29,7 +29,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .consys import Context, NodeCtx, unknown_key
 from .domains import Access, AddressSet, LocalState
-from .increment import StartState, prune, reachable_set, recorded_contexts
+from .increment import prune, reachable_set, recorded_contexts
 from .minic.syntax import Store
 from .minic.system import BuiltSystem
 from .tdsolver import SolverState, Violation, check_unknown, verify_solution
@@ -99,18 +99,20 @@ class WarnStore:
 
 
 def postprocess(built: BuiltSystem, st: SolverState, prev: WarnStore,
-                filename: str = "<input>",
-                start: Optional[StartState] = None) -> Tuple[WarnStore, dict]:
+                filename: str = "<input>", start: Optional[dict] = None,
+                untouched: Set = frozenset()) -> Tuple[WarnStore, dict]:
     """Verify the solution (raising StateCorruption before any warning is
     made), re-evaluate what the incremental run touched, reuse the rest of
     `prev`, prune the solver state to what is reachable, then run the
-    whole-store analyses.  `start` is the state the reanalysis began with;
-    without it every reached rhs is evaluated and nothing of `prev` is kept.
+    whole-store analyses.  `start` is the snapshot the reanalysis began
+    with and `untouched` what stayed stable throughout it (see
+    `increment.reanalyze`); without `start` every reached rhs is evaluated
+    and nothing of `prev` is kept.
 
     Returns the new store plus statistics: the keys of the reached stable
-    unknowns that left ``superstable`` (`reevaluated`), the ones that did
-    not (`reused`, unknowns, not keys) and the keys of every unknown the
-    walk evaluated (`evaluated`)."""
+    unknowns that the run touched (`reevaluated`), the untouched ones
+    (`reused`, unknowns, not keys) and the keys of every unknown the walk
+    evaluated (`evaluated`)."""
     sys_ = built.sys
     if start is None:
         prev = WarnStore()
@@ -133,7 +135,7 @@ def postprocess(built: BuiltSystem, st: SolverState, prev: WarnStore,
         if u not in st.stable:
             return
         violations.extend(check_unknown(sys_, st, u, es, value))
-        if u in st.superstable:
+        if u in untouched:
             stats["reused"].append(u)
         else:
             stats["reevaluated"].append(key)
@@ -144,7 +146,7 @@ def postprocess(built: BuiltSystem, st: SolverState, prev: WarnStore,
             store.accesses.setdefault(g, {})[key] = frozenset(rs)
 
     sigma_keys_before = frozenset(st.sigma.keys())
-    reachable = reachable_set(sys_, st, visit, stats["reused"].append, start)
+    reachable = reachable_set(sys_, st, visit, stats["reused"].append, start, untouched)
     assert frozenset(st.sigma.keys()) == sigma_keys_before, \
         "postprocessing must not modify the solution"
     violations.extend(verify_solution(sys_, st, st.stable - reachable))
@@ -152,12 +154,12 @@ def postprocess(built: BuiltSystem, st: SolverState, prev: WarnStore,
         raise StateCorruption(f"internal error: solution verification failed: {violations[:3]}")
 
     # Pruning first: a context that the edit made unreachable must not
-    # contribute warnings.  Every producer in `prev` was stable when the run
-    # began, so the ones no longer reached are all in `start.stable`, even
+    # contribute warnings.  Every producer in `prev` was stable in the
+    # snapshot, so the ones no longer reached are all in its stable set, even
     # those whose value is Bot and so left no trace in the other maps.
     prune(sys_, st, reachable)
     if start is not None:
-        for u in start.stable - reachable:
+        for u in start["stable"] - reachable:
             forget(unknown_key(u))
     store.accesses = {g: producers for g, producers in store.accesses.items() if producers}
     contexts = recorded_contexts(st, built.assignment)

@@ -27,6 +27,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .consys import (
     Ans,
+    Context,
     Emit,
     EqSys,
     EvalError,
@@ -96,14 +97,13 @@ class SolverState:
         self.side_dep: Dict[Unknown, Dict[Unknown, None]] = {}
         self.side_infl: Dict[Unknown, Dict[Unknown, None]] = {}
         self.stale: Dict[Unknown, Dict[Unknown, None]] = {}
-        self.superstable: set = set()
         self.rhs_evals = 0
         self.destabilizations = 0
 
     def destabilize(self, x: Unknown) -> None:
-        """Transitively remove everything influenced by `x` from stable and
-        superstable, clearing the visited influence sets.  Recursion stops at
-        unknowns currently being solved."""
+        """Transitively remove everything influenced by `x` from stable,
+        clearing the visited influence sets.  Recursion stops at unknowns
+        currently being solved."""
         stack = [x]
         while stack:
             u = stack.pop()
@@ -114,7 +114,6 @@ class SolverState:
             targets = list(w)
             for y in targets:
                 self.stable.discard(y)
-                self.superstable.discard(y)
             for y in reversed(targets):
                 if y not in self.called:
                     stack.append(y)
@@ -297,7 +296,8 @@ def run(sys_: EqSys, state: SolverState, pre_solve: Iterable[Unknown] = (), *,
 
     Returns per-step statistics: rhs-evaluation counts overall and by
     unknown (canonical keys), for the pre-solve step and the query step,
-    and the run's diagnostics (widening-point restart bound hits).
+    the run's diagnostics (widening-point restart bound hits) and the set
+    of unknowns it evaluated (`evaluated`).
     """
     solver = Solver(sys_, state, restart_wpoint)
     for a in pre_solve:
@@ -312,6 +312,7 @@ def run(sys_: EqSys, state: SolverState, pre_solve: Iterable[Unknown] = (), *,
         "step1_evals_by_unknown": {unknown_key(u): n for u, n in step1.items()},
         "step2_evals_by_unknown": {unknown_key(u): n for u, n in step2.items()},
         "diagnostics": solver.diagnostics,
+        "evaluated": step1.keys() | step2.keys(),
     }
 
 
@@ -348,13 +349,14 @@ def verify_solution(sys_: EqSys, state: SolverState,
 # ---------------------------------------------------------------------------
 # Persistence: the solver section of a journal record (see `journal`).  A
 # record holds the rows of σ, of the maps and of the sets that differ
-# between two tables of the state, and the keys of the rows that went.
-# Every unknown it mentions is written once, into "unknowns" (sorted by
-# sort_key), and every distinct value of σ once, into "values" (in order of
-# first use); the rows refer to both by index.  The section has no format
-# number of its own: the bundle's format covers it.  superstable and called
-# are not persisted: superstable is reconstructed when an incremental run
-# begins, called is empty at rest.
+# between a snapshot of the state's tables (`tables`) and the state, and the
+# keys of the rows that went.  Every unknown it mentions is written once,
+# into "unknowns" (sorted by sort_key), and every distinct value of σ once,
+# into "values" (in order of first use); the rows refer to both by index.
+# The section has no format number of its own: the bundle's format covers
+# it.  A reanalysis takes one snapshot when it begins; the post-solve walk
+# compares σ and stable with it, and the save writes the record from it to
+# the state.  called is not persisted: it is empty at rest.
 # ---------------------------------------------------------------------------
 
 MAPS = ("infl", "side_dep", "side_infl", "stale")  # unknown -> its members, in order
@@ -362,25 +364,25 @@ SETS = ("stable", "point")
 
 
 def tables(state: SolverState) -> Dict[str, object]:
-    """The persisted data of `state` as tables of rows: σ, each map's rows
-    as the tuple of their members, in order (it drives destabilization),
-    the sets and the counters.  σ's values are shared, never mutated; the
-    rest is copied."""
+    """A snapshot of the persisted data of `state` as tables of rows: σ,
+    each map's rows as the tuple of their members, in order (it drives
+    destabilization), the sets and the counters.  σ's values are shared,
+    never mutated; the rest is copied."""
     out: Dict[str, object] = {"sigma": dict(state.sigma), "stable": set(state.stable),
                               "point": set(state.point),
                               "counters": {"rhs_evals": state.rhs_evals,
                                            "destabilizations": state.destabilizations}}
     for name in MAPS:
-        out[name] = {u: tuple(members) for u, members in getattr(state, name).items() if members}
+        out[name] = {u: tuple(members) for u, members in getattr(state, name).items()}
     return out
 
 
-def state_to_json(then: dict, now: dict) -> Iterator[Tuple[str, object]]:
-    """The solver section of the record that turns the tables `then` into
-    `now` (an empty dict for the empty state), as (member, JSON value)
-    pairs.  σ's rows differ when their values are distinct objects (a value
-    the run did not touch is still the object it was), the others when they
-    are unequal.
+def state_to_json(then: dict, state: SolverState) -> Iterator[Tuple[str, object]]:
+    """The solver section of the record that turns the tables `then` (an
+    empty dict for the empty state) into `state`, which is read in place,
+    as (member, JSON value) pairs.  σ's rows differ when their values are
+    distinct objects (a value the run did not touch is still the object it
+    was), the others when they are unequal.
 
     The section is built as it is written: the "unknowns" and "values"
     arrays are `map`s encoded element by element, and "put" is an iterator
@@ -389,28 +391,29 @@ def state_to_json(then: dict, now: dict) -> Iterator[Tuple[str, object]]:
     put: Dict[str, object] = {}
     gone: Dict[str, object] = {}
     for name in SETS:
-        old = then.get(name, set())
-        put[name], gone[name] = now[name] - old, old - now[name]
+        old, now = then.get(name, set()), getattr(state, name)
+        put[name], gone[name] = now - old, old - now
     # A set built from a dict, a set's update with one and its difference
     # with one reuse the keys' stored hashes: no unknown's __hash__ runs.  So
     # when every row is new (a base), the table itself stands for its keys.
-    # No row is None.
+    # No row is None, and no map's row is empty at rest.
     for name in ("sigma",) + MAPS:
-        old, rows = then.get(name, {}), now[name]
+        old, rows = then.get(name, {}), getattr(state, name)
         if not old:
             put[name] = rows
         elif name == "sigma":
             put[name] = [u for u, v in rows.items() if old.get(u) is not v]
         else:
-            put[name] = [u for u, v in rows.items() if old.get(u) != v]
+            put[name] = [u for u, v in rows.items() if old.get(u) != tuple(v)]
         gone[name] = set(old).difference(rows)
     mentioned = set(put["sigma"])
     for name in SETS:
         mentioned.update(put[name])
     for name in MAPS:
         mentioned.update(put[name])
+        rows = getattr(state, name)
         for u in put[name]:
-            mentioned.update(now[name][u])
+            mentioned.update(rows[u])
     for keys in gone.values():
         mentioned.update(keys)
     unknowns = sorted(mentioned, key=sort_key)
@@ -418,19 +421,20 @@ def state_to_json(then: dict, now: dict) -> Iterator[Tuple[str, object]]:
     index = {u: i for i, u in enumerate(unknowns)}
     values: Dict[Value, int] = {}
     # σ is encoded first: it numbers the values
-    sigma = [[i, values.setdefault(now["sigma"][unknowns[i]], len(values))]
+    sigma = [[i, values.setdefault(state.sigma[unknowns[i]], len(values))]
              for i in sorted(index[u] for u in put["sigma"])]
-    counters = now["counters"] if then.get("counters") != now["counters"] else None
+    counters = {"rhs_evals": state.rhs_evals, "destabilizations": state.destabilizations}
+    counters = None if then.get("counters") == counters else counters
     yield "unknowns", map(unknown_to_json, unknowns)
     del unknowns
     yield "values", map(value_to_json, values)
     del values
-    yield "put", _put_rows(now, put, index, sigma, counters)
+    yield "put", _put_rows(state, put, index, sigma, counters)
     del sigma
     yield "gone", {name: sorted(index[u] for u in keys) for name, keys in gone.items() if keys}
 
 
-def _put_rows(now: dict, put: dict, index: Dict[Unknown, int], sigma: list,
+def _put_rows(state: SolverState, put: dict, index: Dict[Unknown, int], sigma: list,
               counters: Optional[dict]) -> Iterator[Tuple[str, object]]:
     """The "put" member of `state_to_json`: the non-empty tables of rows,
     each built as it is reached and dropped once it is written."""
@@ -438,7 +442,7 @@ def _put_rows(now: dict, put: dict, index: Dict[Unknown, int], sigma: list,
         yield "sigma", sigma
     del sigma
     for name in MAPS:
-        rows = now[name]
+        rows = getattr(state, name)
         out = sorted(([index[u], [index[v] for v in rows[u]]] for u in put[name]),
                      key=itemgetter(0))
         if out:
@@ -451,11 +455,13 @@ def _put_rows(now: dict, put: dict, index: Dict[Unknown, int], sigma: list,
         yield "counters", counters
 
 
-def state_from_json(state: SolverState, doc: dict) -> None:
-    """Apply the solver section `doc` of a record to `state`, in place.
-    The "unknowns" and "values" lists are taken out of `doc` as they are
+def state_from_json(state: SolverState, doc: dict) -> Optional[dict]:
+    """Apply the solver section `doc` of a record to `state`, in place,
+    except its counters, which are returned (None if there are none).  The
+    "unknowns" and "values" lists are taken out of `doc` as they are
     decoded, so their parsed JSON is freed before the rows are applied."""
-    unknowns = [unknown_from_json(d) for d in doc.pop("unknowns")]
+    contexts: Dict[str, Context] = {}
+    unknowns = [unknown_from_json(d, contexts) for d in doc.pop("unknowns")]
     values = [value_from_json(d) for d in doc.pop("values")]
     put, gone = doc["put"], doc["gone"]
     sigma = state.sigma
@@ -473,6 +479,4 @@ def state_from_json(state: SolverState, doc: dict) -> None:
         s = getattr(state, name)
         s.difference_update(unknowns[i] for i in gone.get(name, ()))
         s.update(unknowns[i] for i in put.get(name, ()))
-    if "counters" in put:
-        state.rhs_evals = put["counters"]["rhs_evals"]
-        state.destabilizations = put["counters"]["destabilizations"]
+    return put.get("counters")

@@ -75,25 +75,33 @@ def eqsys_from_dict(rhs: dict, query, bot_of: Callable) -> EqSys:
     return EqSys(rhs.get, query, bot_of, rhs.__contains__)
 
 
-def solver_section(then: dict, now: dict) -> dict:
+def solver_section(then: dict, st: SolverState) -> dict:
     """The solver section of the record that turns the solver tables `then`
-    into `now` (``{}`` for the empty state), as the JSON it is written as."""
+    (``{}`` for the empty state) into `st`, as the JSON it is written as."""
     parts = []
-    journal.write_json(parts.append, tdsolver.state_to_json(then, now))
+    journal.write_json(parts.append, tdsolver.state_to_json(then, st))
     return json.loads("".join(parts))
+
+
+def apply_section(st: SolverState, doc: dict) -> None:
+    """Apply the solver section `doc` to `st` as a replay does, counters
+    included."""
+    counters = tdsolver.state_from_json(st, doc)
+    if counters is not None:
+        st.rhs_evals, st.destabilizations = counters["rhs_evals"], counters["destabilizations"]
 
 
 def reloaded(st: SolverState) -> SolverState:
     """`st` written as the solver section of a base and read back."""
     out = SolverState()
-    tdsolver.state_from_json(out, solver_section({}, tdsolver.tables(st)))
+    apply_section(out, solver_section({}, st))
     return out
 
 
 def persisted(session) -> bytes:
     """Everything a state dir persists of `session`: the record that turns
     the empty session into it."""
-    return journal.record(journal.EMPTY, journal.tables(session), "", "")[0]
+    return journal.record(journal.EMPTY, session, "", "")[0]
 
 
 def value_key(v: Value) -> str:
@@ -308,6 +316,53 @@ def kleene_local_solution(rhs: dict, deps: dict, query) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+class StableLog(set):
+    """A solver's `stable` set that records every unknown discarded from it
+    since it was made from the set it replaces: the oracle of the untouched
+    unknowns that `increment.reanalyze` derives from its snapshot and the
+    unknowns the solver evaluated."""
+
+    def __init__(self, items=()):
+        super().__init__(items)
+        self.start = frozenset(self)
+        self.discarded = set()
+
+    def untouched(self) -> set:
+        """Stable at the start, never discarded, stable now."""
+        return (self.start - self.discarded) & self
+
+    def discard(self, u):
+        self.discarded.add(u)
+        super().discard(u)
+
+    def remove(self, u):
+        self.discarded.add(u)
+        super().remove(u)
+
+    def difference_update(self, *others):
+        for other in others:
+            for u in list(other):
+                self.discard(u)
+
+    def intersection_update(self, *others):
+        kept = set(self).intersection(*others)
+        self.difference_update(set(self) - kept)
+
+    def __isub__(self, other):
+        self.difference_update(other)
+        return self
+
+    def __iand__(self, other):
+        self.intersection_update(other)
+        return self
+
+
+def log_stable(st: SolverState) -> StableLog:
+    """Replace the stable set of `st` by a `StableLog` of it."""
+    st.stable = StableLog(st.stable)
+    return st.stable
+
+
 def full_reachable_set(sys_: EqSys, st: SolverState, visit: Callable = None) -> set:
     """Unknowns reachable from the query under σ, each reached rhs evaluated
     purely, once; `visit(u, eval_state, value)` sees that evaluation."""
@@ -335,7 +390,6 @@ def full_prune(st: SolverState, reachable: set) -> None:
     R = reachable
     st.sigma = {u: v for u, v in st.sigma.items() if u in R}
     st.stable &= R
-    st.superstable &= R
     st.point &= R
 
     def prune_map(m):
@@ -353,9 +407,10 @@ def full_prune(st: SolverState, reachable: set) -> None:
     st.side_infl = prune_map(st.side_infl)
 
 
-def full_postprocess(built, st: SolverState, prev: WarnStore, filename: str = "<input>"):
+def full_postprocess(built, st: SolverState, prev: WarnStore, untouched: set,
+                     filename: str = "<input>"):
     """Postprocessing that evaluates and checks every reached stable unknown;
-    a superstable one takes its access records from `prev`.  Returns the
+    an `untouched` one takes its access records from `prev`.  Returns the
     store, the keys of the re-evaluated and the reused unknowns, and the
     reached set."""
     sys_ = built.sys
@@ -372,7 +427,7 @@ def full_postprocess(built, st: SolverState, prev: WarnStore, filename: str = "<
             return
         violations.extend(check_unknown(sys_, st, u, es, value))
         key = unknown_key(u)
-        if u in st.superstable:
+        if u in untouched:
             stats["reused"].append(key)
             for g, records in prev_by_producer.get(key, ()):
                 store.accesses.setdefault(g, {})[key] = records

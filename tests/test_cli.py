@@ -21,7 +21,7 @@ from minicheck.corpus import CorpusSpec, corpus_source, edit_sequence
 from minicheck.domains import LocalState, ValueSet
 from minicheck.minic import parse, system
 
-from support import FIG2, FIG2_EDIT
+from support import FIG2, FIG2_EDIT, log_stable
 
 
 def write(path, text):
@@ -316,7 +316,7 @@ def test_a_full_save_writes_the_bytes_of_a_one_shot_encoding(tmp_path):
     first line."""
     opts = cli.Options(state_dir=str(tmp_path))
     session = cli.run_analysis(corpus_source(CorpusSpec(40, 3)), "prog.mc", opts).session
-    framed, _ = journal.record(journal.EMPTY, journal.tables(session), "b", "p")
+    framed, _ = journal.record(journal.EMPTY, session, "b", "p")
     assert cli.save_bundle(opts.state_dir, session, opts)["kind"] == "full"
     with open(tmp_path / "bundle.json", "rb") as f:
         data = f.read()
@@ -799,10 +799,12 @@ def _rebind(monkeypatch, original, replacement):
 
 
 def _after_run(monkeypatch, action):
-    """Call `action(sys_, state)` each time `tdsolver.run` returns."""
+    """Call `action(sys_, state)` each time `tdsolver.run` returns; the run
+    records what leaves stable (`support.StableLog`)."""
     original = tdsolver.run
 
     def run(sys_, state, *args, **kwargs):
+        log_stable(state)
         stats = original(sys_, state, *args, **kwargs)
         action(sys_, state)
         return stats
@@ -864,9 +866,9 @@ def _lower_unreachable(sys_, state):
 
 def _reused(state):
     """Stable nodes with a value outside `main` that no edit touched:
-    superstable after a reanalysis; after an analyze, which reuses nothing,
-    every stable one."""
-    return sorted((u for u in state.superstable or state.stable
+    untouched by the run after a reanalysis; after an analyze, which reuses
+    nothing, every stable one."""
+    return sorted((u for u in state.stable.untouched() or state.stable
                    if isinstance(u, NodeCtx) and u.fn != "main" and u in state.sigma),
                   key=consys.sort_key)
 

@@ -222,7 +222,6 @@ def test_prepare_plain_matches_fig3_stable_set():
     assert node_stable(st) == {node("foo", 0, BETA0), node("main", 3)}
     assert G in st.stable and INIT in st.stable
     assert MAIN not in st.stable
-    assert st.superstable <= st.stable
 
 
 def test_prepare_plain_on_empty_changeset_is_noop():
@@ -231,7 +230,6 @@ def test_prepare_plain_on_empty_changeset_is_noop():
     changes = detect_changes(parse(FIG2).digests, parse(FIG2))
     prepare_plain(changes, st, built.assignment)
     assert st.stable == stable_before
-    assert st.superstable == stable_before
 
 
 def test_removed_global_initializer_destabilizes_feeder():
@@ -506,7 +504,7 @@ def test_edit_sequences_stay_sound_and_consistent():
             m = list(re.finditer(r"(\+|\*|=)\s*(\d+)", text))
             target = m[rng.randrange(len(m))]
             new_text = text[:target.start(2)] + str(const) + text[target.end(2):]
-            _, new_built, _, _ = reanalyze(parse(text).digests, asg, st, parse(new_text))
+            _, new_built, _, _, _ = reanalyze(parse(text).digests, asg, st, parse(new_text))
             new_asg = new_built.assignment
             assert verify_solution(new_built.sys, st) == [], f"program {pi} step {step}"
             assert side_maps_inverse(st)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minicheck import cli
+from minicheck.consys import NodeCtx
 from minicheck.corpus import CorpusSpec, corpus_source, edit_sequence
 
 from support import persisted
@@ -96,6 +97,42 @@ def test_what_each_save_persists(tmp_path):
     reanalyze(sd, src, versions[14], opts)  # a CLI run the server does not see
     assert stats(server, versions[15]) == "full"
     assert persisted(cli.load_bundle(sd, opts)) == persisted(server.session)
+
+
+def test_a_second_run_without_a_save_writes_a_full_base(tmp_path):
+    """Only the reanalysis of a loaded or saved session keeps what it began
+    from; the save of a session that was reanalyzed twice since writes a
+    full base, which reloads to the writer's state."""
+    src, sd = str(tmp_path / "prog.mc"), str(tmp_path / "state")
+    opts = cli.Options(state_dir=sd)
+    versions = _corpus_versions(2)
+    write(src, versions[0])
+    assert cli.cmd_analyze(src, opts, io.StringIO(), io.StringIO()) == 0
+    once = cli.run_reanalysis(cli.load_bundle(sd, opts), versions[1], src, opts).session
+    assert once.then is not None
+    twice = cli.run_reanalysis(once, versions[2], src, opts).session
+    assert twice.image is None and twice.then is None
+    written = cli.save_bundle(sd, twice, opts)
+    assert written == {"kind": "full", "bytes": size(f"{sd}/{BASE}")}
+    assert persisted(cli.load_bundle(sd, opts)) == persisted(twice)
+
+
+def test_a_loaded_session_shares_one_context_object_per_context(tmp_path):
+    """A record decodes each distinct calling context once: the unknowns of
+    a loaded analyze in equal contexts hold the same `Context` object."""
+    src, sd = str(tmp_path / "prog.mc"), str(tmp_path / "state")
+    opts = cli.Options(state_dir=sd)
+    write(src, _corpus_versions(0, n_functions=40)[0])
+    assert cli.cmd_analyze(src, opts, io.StringIO(), io.StringIO()) == 0
+    state = cli.load_bundle(sd, opts).state
+    unknowns = set(state.sigma) | state.stable
+    for m in (state.infl, state.side_dep, state.side_infl):
+        unknowns.update(m, *m.values())
+    objects = {}
+    for u in unknowns:
+        if isinstance(u, NodeCtx):
+            objects.setdefault(u.ctx, set()).add(id(u.ctx))
+    assert len(objects) > 1 and all(len(ids) == 1 for ids in objects.values())
 
 
 # -- replay gives the writer's state -------------------------------------------------

@@ -3,16 +3,11 @@ import json
 import pytest
 
 from minicheck import cli, journal, postproc
-from minicheck.consys import Context
+from minicheck.consys import Context, unknown_key
 from minicheck.corpus import CorpusSpec, corpus_source, edit_sequence
 from minicheck.domains import Access, AddressSet, Lockset
-from minicheck.increment import (
-    detect_changes,
-    prepare_reluctant,
-    reanalyze,
-    relabel_nodes,
-)
-from minicheck.minic import build_system, parse
+from minicheck.increment import reanalyze
+from minicheck.minic import parse
 from minicheck.postproc import (
     WarnStore,
     diff_warnings,
@@ -20,10 +15,9 @@ from minicheck.postproc import (
     postprocess,
     races,
 )
-from minicheck.tdsolver import run
 
 
-from support import FIG2, FIG2_EDIT, analyze_source, full_postprocess
+from support import FIG2, FIG2_EDIT, analyze_source, full_postprocess, log_stable
 
 BETA0 = Context.of({"p": AddressSet.of(["g"])})
 
@@ -36,9 +30,9 @@ def full_pipeline(text, domain="valueset"):
 
 def incremental_pipeline(old_text, new_text, prev_store, built_old, st,
                          restart="minimal"):
-    _, new_built, _, start = reanalyze(parse(old_text).digests, built_old.assignment, st,
-                                       parse(new_text), restart=restart)
-    store, stats = postprocess(new_built, st, prev_store, "<test>", start)
+    _, new_built, _, start, untouched = reanalyze(parse(old_text).digests, built_old.assignment,
+                                                  st, parse(new_text), restart=restart)
+    store, stats = postprocess(new_built, st, prev_store, "<test>", start, untouched)
     return new_built, store, stats
 
 
@@ -105,7 +99,7 @@ def test_incremental_postprocess_reevaluates_only_destabilized_unknowns():
 def test_two_postprocesses_without_edit_are_byte_identical():
     built, st, _ = analyze_source(FIG2)
     store0, _ = postprocess(built, st, WarnStore(), "<test>")
-    # an incremental no-op run: everything stays superstable
+    # an incremental no-op run: everything stays untouched
     new_built, store1, stats = incremental_pipeline(FIG2, FIG2, store0, built, st)
     assert stats["reevaluated"] == []
     assert (store0.warnings, store0.accesses) == (store1.warnings, store1.accesses)
@@ -124,12 +118,15 @@ def test_postprocess_never_changes_sigma():
 
 
 def _reference_reanalysis(session, text, opts):
-    """The pipeline with the full walk, pruning and postprocessing."""
+    """The pipeline with the full walk, pruning and postprocessing, and with
+    the untouched unknowns read off a `StableLog`."""
     prog = parse(text)
-    _, built, _, _ = reanalyze(session.digests, session.assignment, session.state, prog,
-                               opts.mode, opts.restart, opts.domain,
-                               restart_wpoint=opts.wpoint_restart)
-    store, stats, reached = full_postprocess(built, session.state, session.store, "prog.mc")
+    log = log_stable(session.state)
+    _, built, _, _, _ = reanalyze(session.digests, session.assignment, session.state, prog,
+                                  opts.mode, opts.restart, opts.domain,
+                                  restart_wpoint=opts.wpoint_restart)
+    store, stats, reached = full_postprocess(built, session.state, session.store,
+                                             log.untouched(), "prog.mc")
     return cli.Session(prog.digests, built.assignment, session.state, store), stats, reached
 
 
@@ -139,14 +136,25 @@ def _ordered(m):
 
 def _assert_same_as_the_full_walk(versions, opts, monkeypatch):
     """Run `versions` through the pipeline and through the reference side by
-    side; after every step both leave the same state, store and counts."""
-    walks = []
-    walk = postproc.reachable_set
+    side; after every step both leave the same state, store and split of
+    the reached unknowns into re-evaluated and reused ones, and the
+    untouched unknowns the pipeline derives are, on every unknown with a
+    rhs, those that a `StableLog` finds never left stable."""
+    walks, untouched = [], []
+    walk, post = postproc.reachable_set, cli.postprocess
     monkeypatch.setattr(postproc, "reachable_set",
                         lambda *a, **k: walks.append(walk(*a, **k)) or walks[-1])
+
+    def postprocess(built, st, *args):
+        untouched.append({u for u in args[-1] ^ st.stable.untouched() if built.sys.has_rhs(u)})
+        return post(built, st, *args)
+
+    monkeypatch.setattr(cli, "postprocess", postprocess)
     session, reference = cli.Session.empty(), cli.Session.empty()
     for step, text in enumerate(versions):
+        log_stable(session.state)
         result = cli.run_reanalysis(session, text, "prog.mc", opts)
+        assert untouched[-1] == set(), f"step {step}"
         session = result.session
         reference, ref_stats, ref_reached = _reference_reanalysis(reference, text, opts)
         st, ref = session.state, reference.state
@@ -157,10 +165,13 @@ def _assert_same_as_the_full_walk(versions, opts, monkeypatch):
         assert (st.stable, st.point) == (ref.stable, ref.point), f"step {step}"
         assert (session.store.warnings, session.store.accesses) == \
             (reference.store.warnings, reference.store.accesses), f"step {step}"
-        assert [len(result.post_stats[k]) for k in ("reevaluated", "reused")] == \
-            [len(ref_stats[k]) for k in ("reevaluated", "reused")], f"step {step}"
-        # the reanalyses reuse: they evaluate fewer rhs than the full walk
-        assert step == 0 or len(result.post_stats["evaluated"]) < \
+        assert (sorted(result.post_stats["reevaluated"]),
+                sorted(map(unknown_key, result.post_stats["reused"]))) == \
+            (sorted(ref_stats["reevaluated"]), sorted(ref_stats["reused"])), f"step {step}"
+        # the reanalyses reuse, unless the global declarations changed: they
+        # evaluate fewer rhs than the full walk
+        assert step == 0 or "__init" in result.changes["changed"] or \
+            len(result.post_stats["evaluated"]) < \
             len(ref_stats["reevaluated"]) + len(ref_stats["reused"]), f"step {step}"
 
 
@@ -171,6 +182,7 @@ def test_the_walk_reuses_exactly_what_the_full_walk_would_find(monkeypatch, mode
                                                                wpoint_restart):
     spec = CorpusSpec(n_functions=40, seed=7)
     versions = [corpus_source(s) for s in [spec, *edit_sequence(spec, 10, seed=3)]]
+    versions += ["int gnew = 0;\n" + versions[-1], versions[-1]]  # a new global and back
     opts = cli.Options(mode=mode, restart=restart, wpoint_restart=wpoint_restart)
     _assert_same_as_the_full_walk(versions, opts, monkeypatch)
 
@@ -236,7 +248,7 @@ def test_a_rhs_rewritten_outside_the_edited_function_is_checked(old, new, mode):
 def test_warnstore_json_roundtrip():
     built, st, store, _ = full_pipeline(FIG2)
     session = cli.Session(parse(FIG2).digests, built.assignment, st, store)
-    framed, _ = journal.record(journal.EMPTY, journal.tables(session), "", "")
+    framed, _ = journal.record(journal.EMPTY, session, "", "")
     again = cli.Session.empty()
     journal.replay(again, json.loads(framed.split(b" ", 1)[1]))
     assert (again.store.warnings, again.store.accesses) == (store.warnings, store.accesses)
@@ -305,20 +317,6 @@ def test_contexts_an_edit_made_unreachable_give_no_warnings():
     store_scratch, _ = postprocess(built2, st2, WarnStore(), "<test>")
     assert [w.message for w in store_scratch.warnings] == ["unreachable code in 'f'"]
     assert store_inc.warnings_json() == store_scratch.warnings_json()
-
-
-def test_superstable_subset_of_stable_at_phase_boundaries():
-    built, st, _ = analyze_source(FIG2)
-    store0, _ = postprocess(built, st, WarnStore(), "<test>")
-    changes = detect_changes(parse(FIG2).digests, parse(FIG2_EDIT))
-    new_asg = relabel_nodes(changes, built.assignment, parse(FIG2_EDIT))
-    new_built = build_system(parse(FIG2_EDIT), new_asg)
-    A = prepare_reluctant(changes, st, built.assignment)
-    assert st.superstable <= st.stable
-    run(new_built.sys, st, pre_solve=A)
-    assert st.superstable <= st.stable
-    postprocess(new_built, st, store0, "<test>")
-    assert st.superstable <= st.stable
 
 
 RACY = """int shared = 0;

@@ -33,6 +33,7 @@ from minicheck.tdsolver import (
 from recursive_solver import RecursiveSolver
 from support import (
     FIG2,
+    apply_section,
     analyze_source,
     eqsys_from_dict,
     kleene_local_solution,
@@ -262,13 +263,6 @@ def test_destabilize_skips_called_unknowns():
     assert c in st.stable      # but not recursed through a called unknown
 
 
-def test_destabilize_also_removes_from_superstable():
-    _, st, _ = analyze_source(FIG2)
-    st.superstable = set(st.stable)
-    st.destabilize(G)
-    assert node("main", 5) not in st.superstable
-
-
 # -- verify_solution -------------------------------------------------------------
 
 
@@ -331,10 +325,10 @@ def test_termination_accounting_is_bounded():
 
 def test_state_json_roundtrip_and_warm_restart():
     built, st, _ = analyze_source(FIG2)
-    doc = solver_section({}, tables(st))
+    doc = solver_section({}, st)
     assert list(doc) == ["unknowns", "values", "put", "gone"] and doc["gone"] == {}
     assert "format" not in doc  # the bundle's format covers the section
-    assert "superstable" not in doc["put"] and "called" not in doc["put"]
+    assert "called" not in doc["put"]
     st2 = SolverState()
     state_from_json(st2, doc)
     assert st2.sigma == st.sigma
@@ -382,19 +376,19 @@ def test_state_json_roundtrip_on_random_systems():
         sys_, *_ = make_random_system(rng, n_unknowns=rng.randrange(2, 12))
         st = SolverState()
         run(sys_, st)
-        doc = json.loads(json.dumps(solver_section({}, tables(st))))
+        doc = json.loads(json.dumps(solver_section({}, st)))
         assert_interned(doc, st)
         assert_same_state(reloaded(st), st)
-        delta = solver_section(tables(previous), tables(st))
+        delta = solver_section(tables(previous), st)
         replayed = reloaded(previous)
-        state_from_json(replayed, delta)
+        apply_section(replayed, delta)
         assert_same_state(replayed, st)
         previous = st
 
 
 def test_state_json_roundtrip_on_the_corpus():
     _, st, _ = analyze_source(corpus_source(CorpusSpec(n_functions=40, seed=3)))
-    doc = solver_section({}, tables(st))
+    doc = solver_section({}, st)
     assert_interned(doc, st)
     assert len(doc["values"]) < len(doc["put"]["sigma"])
     assert list(doc["put"]) == ["sigma", "infl", "side_dep", "side_infl", "stable", "point",
@@ -403,14 +397,34 @@ def test_state_json_roundtrip_on_the_corpus():
                                       "destabilizations": st.destabilizations}
     written = json.dumps(doc)
     st2 = SolverState()
-    state_from_json(st2, doc)
+    apply_section(st2, doc)
     assert "unknowns" not in doc and "values" not in doc  # freed as they are decoded
     assert_same_state(st2, st)
-    assert json.dumps(solver_section({}, tables(st2))) == written
+    assert json.dumps(solver_section({}, st2)) == written
     # σ's rows compare by identity: a reloaded value is a new object
-    assert solver_section(tables(st), tables(st)) == {"unknowns": [], "values": [], "put": {},
-                                                      "gone": {}}
-    assert len(solver_section(tables(st), tables(st2))["put"]["sigma"]) == len(st.sigma)
+    assert solver_section(tables(st), st) == {"unknowns": [], "values": [], "put": {},
+                                              "gone": {}}
+    assert len(solver_section(tables(st), st2)["put"]["sigma"]) == len(st.sigma)
+
+
+def test_the_decoder_leaves_the_counters_alone(tmp_path):
+    """The decoder returns the counters a section holds and sets none, so a
+    caller that counts the destabilizations during a call sees none in a
+    load; the replay restores them, so a reload has the writer's."""
+    _, st, _ = analyze_source(corpus_source(CorpusSpec(n_functions=20, seed=3)))
+    doc = solver_section({}, st)
+    st2 = SolverState()
+    st2.rhs_evals, st2.destabilizations = 5, 7
+    assert state_from_json(st2, doc) == {"rhs_evals": st.rhs_evals,
+                                         "destabilizations": st.destabilizations}
+    assert (st2.rhs_evals, st2.destabilizations) == (5, 7)
+    assert state_from_json(st2, solver_section(tables(st2), st2)) is None
+    opts = cli.Options(state_dir=str(tmp_path))
+    written = cli.run_analysis(corpus_source(CorpusSpec(n_functions=20, seed=3)), "p.mc", opts)
+    cli.save_bundle(opts.state_dir, written.session, opts)
+    state = cli.load_bundle(opts.state_dir, opts).state
+    assert (state.rhs_evals, state.destabilizations) == \
+        (written.session.state.rhs_evals, written.session.state.destabilizations) != (0, 0)
 
 
 def test_wrong_domain_rhs_is_an_eval_error_carrying_the_unknown():
@@ -471,7 +485,6 @@ def snapshot(st):
         "infl": ordered(st.infl),
         "stable": st.stable,
         "point": st.point,
-        "superstable": st.superstable,
         "called": st.called,
         "side_dep": ordered(st.side_dep),
         "side_infl": ordered(st.side_infl),
