@@ -16,9 +16,10 @@ the analysis options that produced them.  The bundle is a base, the record
 of every row, and a journal of the records of the rows each reanalysis
 changed since, all read by one replay (see `journal`).  A bundle whose
 format, analysis domain or widening-point policy does not match is
-refused; reusing solver data across differing abstractions is unsound.  A damaged bundle, whose checksums catch a flipped byte, is an
-error, never a traceback.  ``compare`` refuses a bundle whose digests
-differ from the current source's.
+refused; reusing solver data across differing abstractions is unsound.  A
+damaged bundle, whose checksums catch a flipped byte, is an error, never a
+traceback.  ``compare`` refuses a bundle whose digests differ from the
+current source's.
 
 Exit codes: 0 ok; 1 warnings present (with ``--fail-on-warn``); 2 errors.
 """
@@ -41,7 +42,7 @@ from typing import Optional, TextIO
 from . import journal
 from .consys import NodeCtx, unknown_key
 from .domains import DomainError, leq
-from .increment import INIT_PSEUDO_FN, reanalyze
+from .increment import reanalyze
 from .minic import MiniCError, Program, build_system, parse
 from .minic.cfg import NodeAssignment, NodeTableError, assign_node_ids
 from .postproc import StateCorruption, WarnStore, diff_warnings, postprocess
@@ -307,14 +308,10 @@ def run_reanalysis(session: Session, text: str, filename: str,
     place (and is unusable if this raises)."""
     prog = parse(text, session.program)
     state = session.state
-    changes, built, run_stats, start, untouched = reanalyze(
+    changes, built, run_stats, start, untouched, reusable = reanalyze(
         session.digests, session.assignment, state, prog, opts.mode, opts.restart,
         opts.domain, restart_wpoint=opts.wpoint_restart)
-    # Global declarations also decide which targets of a pointer a store or
-    # a dereference touches, in functions that do not name them, so after an
-    # edit of them the walk reuses nothing.
-    walk_start = None if INIT_PSEUDO_FN in changes.changed else start
-    store, post_stats = postprocess(built, state, session.store, filename, walk_start, untouched)
+    store, post_stats = postprocess(built, state, session.store, filename, untouched, reusable)
     on_disk = session.image is not None and session.then is None  # loaded or saved
     return AnalysisResult(Session(prog.digests, built.assignment, state, store, prog,
                                   session.image if on_disk else None,

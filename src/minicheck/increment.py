@@ -35,17 +35,18 @@ strategy restarts exactly the globals that the old version of an edited
 function side-effected (read off ``side_infl`` before relabeling).
 
 `reanalyze` takes one snapshot of the solver's tables (`tdsolver.tables`),
-which the save reads too (`journal`).  The *untouched* unknowns are stable
-in it and now, and the solver did not evaluate them.  After the solve, one
-walk over σ finds what is reachable from the query; postprocessing shares
-its evaluations.  The walk reuses an untouched unknown at which, at whose
-last reads and at whose side targets σ is the snapshot's: it is not
-evaluated, and its recorded successors are the inverse of ``infl`` minus
-the stale edges the walk noted when it last evaluated it.  So the walk
-evaluates only what the run touched.  After an edit of the global
-declarations the walk gets no snapshot and evaluates every reached rhs.
-Pruning drops the unknowns that left the reached set and the rows that name
-them.
+which the save reads too (`journal`), and decides once, as the solve
+returns, what the post-solve walk may reuse.  The *untouched* unknowns are
+stable in the snapshot and now, and the solver did not evaluate them.  The
+*reusable* ones are untouched, and σ at them, at their last reads and at
+their side targets is the snapshot's; after an edit of the global
+declarations none is.  After the solve, one walk over σ finds what is
+reachable from the query; postprocessing shares its evaluations.  The walk
+reuses the reusable unknowns it reaches: they are not evaluated, and their
+recorded successors are the inverse of ``infl`` minus the stale edges the
+walk noted when it last evaluated them.  So the walk evaluates only what the
+run touched.  Pruning drops the unknowns that left the reached set and the
+rows that name them.
 """
 
 from __future__ import annotations
@@ -279,7 +280,7 @@ def reanalyze(old_digests: dict, old_asg: NodeAssignment, st: SolverState,
               new_prog: Program, mode: str = "reluctant", restart: str = "minimal",
               domain: str = "valueset", *,
               restart_wpoint: bool = False) -> Tuple[ChangeSet, BuiltSystem, dict, dict,
-                                                     Set[Unknown]]:
+                                                     Set[Unknown], Set[Unknown]]:
     """Bring `st`, the solver state of the program with `old_digests`, up to
     date with `new_prog`.
 
@@ -288,7 +289,8 @@ def reanalyze(old_digests: dict, old_asg: NodeAssignment, st: SolverState,
     restart set is read off the old state before relabeling erases the old
     unknowns.  Returns the change set, the new system, the solver's per-step
     statistics plus the keys of the restarted globals, the snapshot of the
-    solver's tables as the run found them and the untouched unknowns."""
+    solver's tables as the run found them, the untouched unknowns and the
+    reusable ones (see the module docstring)."""
     start = tables(st)
     changes = detect_changes(old_digests, new_prog)
     restarted = select_restart_globals(changes, st, old_asg) if restart == "minimal" else []
@@ -302,7 +304,19 @@ def reanalyze(old_digests: dict, old_asg: NodeAssignment, st: SolverState,
     # evaluated.  (A global that left is stable again once it gets a new
     # contribution, but the walk follows nothing from a global.)
     untouched = (start["stable"] & st.stable) - stats.pop("evaluated")
-    return changes, built, stats, start, untouched
+    # Global declarations also decide which targets of a pointer a store or
+    # a dereference touches, in functions that do not name them, so after an
+    # edit of them nothing is reusable.
+    if not untouched or INIT_PSEUDO_FN in changes.changed:
+        return changes, built, stats, start, untouched, set()
+    # Not reusable: what changed, what read it last and what side-effected it.
+    sigma, before = st.sigma, start["sigma"]
+    dirty = {u for u, v in sigma.items() if before.get(u) is not v}
+    dirty |= before.keys() - sigma.keys()
+    for y in list(dirty):
+        dirty.update(x for x in st.infl.get(y, ()) if y not in st.stale.get(x, ()))
+        dirty.update(st.side_dep.get(y, ()))
+    return changes, built, stats, start, untouched, untouched - dirty
 
 
 # ---------------------------------------------------------------------------
@@ -311,42 +325,27 @@ def reanalyze(old_digests: dict, old_asg: NodeAssignment, st: SolverState,
 
 
 def reachable_set(sys_: EqSys, st: SolverState, visit: Optional[Callable] = None,
-                  reuse: Optional[Callable] = None, start: Optional[dict] = None,
-                  untouched: Set[Unknown] = frozenset()) -> Set[Unknown]:
+                  reuse: Optional[Callable] = None,
+                  reusable: Set[Unknown] = frozenset()) -> Set[Unknown]:
     """Unknowns reachable from the query under σ: queried dependencies plus
     side-effect targets.
 
-    Given `start`, the snapshot the reanalysis that produced σ began with,
-    and its `untouched` unknowns, a reached unknown is *reusable* when it
-    is untouched and σ is unchanged, by identity since `start`, at itself,
-    at every unknown its last evaluation read and at every global it
-    side-effected.  Its rhs is not evaluated: the walk follows those
-    recorded successors and hands it to `reuse(u)` if it has a rhs.  Every
-    other reached rhs is evaluated purely, once; `visit(u, eval_state,
-    value)` sees that evaluation, with its access records, and ``st.stale``
-    records the ``infl`` edges it did not read.  Reuse presumes that the
-    state `start` records was left by a verified walk, as every persisted
-    state is, and that an untouched unknown's rhs is the one that walk
-    evaluated: a rhs an edit rewrites belongs to a function counted as
-    changed, whose rewritten nodes are new, or follows an edit of the
-    global declarations, after which the walk is given no `start`.  Without
-    `start` every reached rhs is evaluated."""
-    sigma = st.sigma
-    look = sys_.lookup(sigma)
+    A reached unknown in `reusable` (see `reanalyze`) is not evaluated: the
+    walk follows the successors its last evaluation recorded and hands it
+    to `reuse(u)` if it has a rhs.  Every other reached rhs is evaluated
+    purely, once; `visit(u, eval_state, value)` sees that evaluation, with
+    its access records, and ``st.stale`` records the ``infl`` edges it did
+    not read.  Reuse presumes that the state the reanalysis began with was
+    left by a verified walk, as every persisted state is, and that a
+    reusable unknown's rhs is the one that walk evaluated: a rhs an edit
+    rewrites belongs to a function counted as changed, whose rewritten
+    nodes are new, or follows an edit of the global declarations, after
+    which nothing is reusable."""
+    look = sys_.lookup(st.sigma)
     reads: Dict[Unknown, List[Unknown]] = {}  # the inverse of infl
     for y, xs in st.infl.items():
         for x in xs:
             reads.setdefault(x, []).append(y)
-    reusable = set()
-    if start is not None and start["sigma"]:
-        before = start["sigma"]
-        # Not reusable: what changed, what read it last and what side-effected it.
-        dirty = {u for u, v in sigma.items() if before.get(u) is not v}
-        dirty |= before.keys() - sigma.keys()
-        for y in list(dirty):
-            dirty.update(x for x in st.infl.get(y, ()) if y not in st.stale.get(x, ()))
-            dirty.update(st.side_dep.get(y, ()))
-        reusable = untouched - dirty
     reached: Set[Unknown] = set()
     stack = [sys_.query]
     while stack:
@@ -384,16 +383,15 @@ def reachable_set(sys_: EqSys, st: SolverState, visit: Optional[Callable] = None
     return reached
 
 
-def prune(sys_: EqSys, st: SolverState, reachable: Optional[Set[Unknown]] = None) -> None:
-    """Drop every unknown not reachable from the query from all solver maps,
-    touching only the unknowns that left and the rows that name them."""
-    R = reachable_set(sys_, st) if reachable is None else reachable
+def prune(st: SolverState, reachable: Set[Unknown]) -> None:
+    """Drop every unknown not in `reachable` from all solver maps, touching
+    only the unknowns that left and the rows that name them."""
     maps = (st.infl, st.side_dep, st.side_infl, st.stale)
     left = st.sigma.keys() | st.stable | st.point
     for m in maps:
         left |= m.keys()
         left.update(*m.values())
-    left -= R
+    left -= reachable
     if not left:
         return
     for u in left:

@@ -16,7 +16,8 @@ place, against them and writes only the changed and the removed rows; a
 base is the diff against `EMPTY`.  The solver's tables and their rows are
 `tdsolver`'s (`tdsolver.tables`, `state_to_json`, `state_from_json`); the
 rows of the digests, node ids, access records and scalars are this
-module's, compared by equality.
+module's, compared by equality; an access record row's producer unknown
+is encoded (`consys.unknown_key`) only on the rows a record holds.
 
 A record is a JSON object: "solver", the solver section, and "put" and
 "gone", the session's rows that changed, by table and key, and the keys of
@@ -39,6 +40,7 @@ from itertools import islice
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from . import tdsolver
+from .consys import unknown_from_json, unknown_key
 from .domains import Access, access_from_json, access_to_json
 from .minic.cfg import NodeTableError
 from .postproc import Warning
@@ -70,8 +72,8 @@ def tables(session, solver: Optional[dict]) -> Dict[str, object]:
     return {"solver": solver,
             "functions": digests["functions"],
             "assign": asg.assign,
-            "accesses": {(g, p): records for g, producers in store.accesses.items()
-                         for p, records in producers.items()},
+            "accesses": {(g, u): records for u, rows in store.accesses.items()
+                         for g, records in rows.items()},
             "scalars": {"init": digests["init"], "globals": digests["globals"],
                         "counter": asg.counter, "warnings": store.warnings}}
 
@@ -86,20 +88,23 @@ def members(then: dict, session) -> Iterator[Tuple[str, object]]:
     gone: Dict[str, list] = {}
     for name in SESSION_TABLES:  # no row is None
         old, rows = then.get(name, {}), now[name]
-        keys = sorted(k for k, v in rows.items() if old.get(k) != v)
-        if keys:
+        changed = {k: v for k, v in rows.items() if old.get(k) != v}
+        went = set(old).difference(rows)
+        if name == "accesses":  # written by global, then the producer's key
+            changed = {(g, unknown_key(u)): v for (g, u), v in changed.items()}
+            went = {(g, unknown_key(u)) for g, u in went}
+        if changed:
             put[name] = out = {}
-            for k in keys:  # a tuple is written as an array
-                if name == "accesses":  # keyed by global, then producer
+            for k in sorted(changed):  # a tuple is written as an array
+                if name == "accesses":
                     out.setdefault(k[0], {})[k[1]] = [
-                        access_to_json(r) for r in sorted(rows[k], key=Access.sort_key)]
+                        access_to_json(r) for r in sorted(changed[k], key=Access.sort_key)]
                 elif name == "scalars" and k == "warnings":
-                    out[k] = [w.to_json() for w in rows[k]]
+                    out[k] = [w.to_json() for w in changed[k]]
                 else:
-                    out[k] = rows[k]
-        keys = sorted(set(old).difference(rows))
-        if keys:
-            gone[name] = keys
+                    out[k] = changed[k]
+        if went:
+            gone[name] = sorted(went)
     yield "put", put
     yield "gone", gone
 
@@ -168,8 +173,10 @@ def records(data: bytes) -> List[Tuple[dict, str, int]]:
 
 def replay(session, doc: dict) -> None:
     """Apply the record `doc` to `session`, in place.  ValueError for a
-    digest row of the wrong shape, NodeTableError for node ids that fit no
-    CFG: fewer than the entry and the return node that every CFG has."""
+    digest row of the wrong shape and for a node id counter that is not an
+    integer above every node id, NodeTableError for node ids that fit no
+    CFG: ids that are not integers, or fewer than the entry and the return
+    node that every CFG has."""
     store, digests, asg = session.store, session.digests, session.assignment
     counters = tdsolver.state_from_json(session.state, doc["solver"])
     if counters is not None:
@@ -185,20 +192,24 @@ def replay(session, doc: dict) -> None:
     for k in gone.get("assign", ()):
         del asg.assign[k]
     for k, ids in put.get("assign", {}).items():
-        if len(ids) < 2:
-            raise NodeTableError(
-                f"state bundle node ids of function {k!r} do not fit any CFG "
-                f"({len(ids)} ids for at least 2 nodes); "
-                "delete the state dir to reanalyze from scratch")
+        if len(ids) < 2 or not all(type(i) is int for i in ids):
+            problem = f"{len(ids)} ids for at least 2 nodes" if len(ids) < 2 else \
+                "ids that are not integers"
+            raise NodeTableError(f"state bundle node ids of function {k!r} do not fit any "
+                                 f"CFG ({problem}); delete the state dir to reanalyze from "
+                                 "scratch")
         asg.assign[k] = tuple(ids)
+    contexts: Dict[str, object] = {}  # shared by the producers of the record
     for g, p in gone.get("accesses", ()):
-        producers = store.accesses[g]
-        del producers[p]
-        if not producers:
-            del store.accesses[g]
+        u = unknown_from_json(json.loads(p), contexts)
+        rows = store.accesses[u]
+        del rows[g]
+        if not rows:
+            del store.accesses[u]
     for g, producers in put.get("accesses", {}).items():
         for p, rs in producers.items():
-            store.accesses.setdefault(g, {})[p] = frozenset(access_from_json(r) for r in rs)
+            u = unknown_from_json(json.loads(p), contexts)
+            store.accesses.setdefault(u, {})[g] = frozenset(access_from_json(r) for r in rs)
     for k, v in put.get("scalars", {}).items():
         if k == "warnings":
             store.warnings = [Warning(w["id"], w["kind"], w["message"],
@@ -217,3 +228,8 @@ def replay(session, doc: dict) -> None:
             asg.counter = v
         else:
             raise ValueError(f"unknown scalar {k!r}")
+    # Fresh node ids are counted up from the counter, so it lies above them all.
+    if type(asg.counter) is not int or \
+            asg.counter <= max((max(ids) for ids in asg.assign.values()), default=-1):
+        raise ValueError(f"node id counter {asg.counter!r} is not an integer above every "
+                         "node id")

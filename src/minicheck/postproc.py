@@ -4,16 +4,16 @@ Warnings are generated only after solving has finished (widening can
 introduce spurious values that narrowing later removes, so generating them
 mid-solve would overreport).  The reachability walk evaluates a reached rhs
 at most once; that evaluation verifies the unknown and yields the access
-records its rhs emits.  An unknown the walk reuses instead (it stayed
-stable throughout the run, and σ at it, at its last reads and at its side
-targets is the object in the snapshot the run began with) keeps the
-previous run's check and access records: they were made at exactly these
-inputs, and a state is only persisted after a run whose check passed.  A
-reanalysis trusts that premise for a loaded bundle too: it re-verifies
-what it evaluates, not the untouched parts of the state it loaded.  Every record is attributed to the
-unknown that produced it, and every producer was stable in the snapshot;
-the records of a producer that is no longer reached vanish with it, so
-stale data-race evidence cannot accumulate across reanalyses.
+records its rhs emits.  An unknown the walk reuses instead (one that
+`increment.reanalyze` found reusable: it stayed stable throughout the run,
+and σ at it, at its last reads and at its side targets is unchanged) keeps
+the previous run's check and access records: they were made at exactly
+these inputs, and a state is only persisted after a run whose check
+passed.  A reanalysis trusts that premise for a loaded bundle too: it
+re-verifies what it evaluates, not the untouched parts of the state it
+loaded.  Access records are kept per producer, the unknown whose rhs
+emitted them; the new store holds the records of the reached producers
+only, so stale data-race evidence cannot accumulate across reanalyses.
 
 Warning identity hashes the kind, the provenance unknowns and a message
 skeleton, never source locations: moved-but-unchanged code keeps its warning
@@ -27,7 +27,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from .consys import Context, NodeCtx, unknown_key
+from .consys import Context, NodeCtx, Unknown, unknown_key
 from .domains import Access, AddressSet, LocalState
 from .increment import prune, reachable_set, recorded_contexts
 from .minic.syntax import Store
@@ -78,16 +78,11 @@ def make_warning(kind: str, skeleton: str, message: str,
 
 @dataclass
 class WarnStore:
-    """Materialized warnings plus per-producer access contributions."""
+    """Materialized warnings plus the access records of each producer
+    unknown, by global."""
 
-    accesses: Dict[str, Dict[str, FrozenSet[Access]]] = field(default_factory=dict)
+    accesses: Dict[Unknown, Dict[str, FrozenSet[Access]]] = field(default_factory=dict)
     warnings: List[Warning] = field(default_factory=list)
-
-    def merged_accesses(self, glob: str) -> List[Access]:
-        out: Set[Access] = set()
-        for records in self.accesses.get(glob, {}).values():
-            out |= records
-        return sorted(out, key=Access.sort_key)
 
     def warnings_json(self) -> list:
         return [w.to_json() for w in self.warnings]
@@ -99,69 +94,51 @@ class WarnStore:
 
 
 def postprocess(built: BuiltSystem, st: SolverState, prev: WarnStore,
-                filename: str = "<input>", start: Optional[dict] = None,
-                untouched: Set = frozenset()) -> Tuple[WarnStore, dict]:
+                filename: str = "<input>", untouched: Set[Unknown] = frozenset(),
+                reusable: Set[Unknown] = frozenset()) -> Tuple[WarnStore, dict]:
     """Verify the solution (raising StateCorruption before any warning is
-    made), re-evaluate what the incremental run touched, reuse the rest of
-    `prev`, prune the solver state to what is reachable, then run the
-    whole-store analyses.  `start` is the snapshot the reanalysis began
-    with and `untouched` what stayed stable throughout it (see
-    `increment.reanalyze`); without `start` every reached rhs is evaluated
-    and nothing of `prev` is kept.
+    made), re-evaluate what the incremental run touched, reuse the access
+    records `prev` holds of the `reusable` unknowns, prune the solver state
+    to what is reachable, then run the whole-store analyses.  `untouched`
+    and `reusable` are `increment.reanalyze`'s.
 
-    Returns the new store plus statistics: the keys of the reached stable
-    unknowns that the run touched (`reevaluated`), the untouched ones
-    (`reused`, unknowns, not keys) and the keys of every unknown the walk
-    evaluated (`evaluated`)."""
+    Returns the new store plus statistics, lists of unknowns: the reached
+    stable unknowns that the run touched (`reevaluated`), the untouched ones
+    (`reused`) and every unknown the walk evaluated (`evaluated`)."""
     sys_ = built.sys
-    if start is None:
-        prev = WarnStore()
-    prev_globals: Dict[str, List[str]] = {}  # producer key -> globals it has records of
-    for g, producers in prev.accesses.items():
-        for p in producers:
-            prev_globals.setdefault(p, []).append(g)
-    store = WarnStore({g: dict(producers) for g, producers in prev.accesses.items()})
+    store = WarnStore()
     violations: List[Violation] = []
     stats: Dict[str, list] = {"reevaluated": [], "reused": [], "evaluated": []}
 
-    def forget(key):
-        for g in prev_globals.get(key, ()):
-            store.accesses[g].pop(key, None)
-
     def visit(u, es, value):
-        key = unknown_key(u)
-        stats["evaluated"].append(key)
-        forget(key)
+        stats["evaluated"].append(u)
         if u not in st.stable:
             return
         violations.extend(check_unknown(sys_, st, u, es, value))
-        if u in untouched:
-            stats["reused"].append(u)
-        else:
-            stats["reevaluated"].append(key)
+        stats["reused" if u in untouched else "reevaluated"].append(u)
         records: Dict[str, Set[Access]] = {}
         for g, access in es.accesses:
             records.setdefault(g, set()).add(access)
-        for g, rs in records.items():
-            store.accesses.setdefault(g, {})[key] = frozenset(rs)
+        if records:
+            store.accesses[u] = {g: frozenset(rs) for g, rs in records.items()}
+
+    def reuse(u):
+        stats["reused"].append(u)
+        rows = prev.accesses.get(u)
+        if rows is not None:
+            store.accesses[u] = rows
 
     sigma_keys_before = frozenset(st.sigma.keys())
-    reachable = reachable_set(sys_, st, visit, stats["reused"].append, start, untouched)
-    assert frozenset(st.sigma.keys()) == sigma_keys_before, \
-        "postprocessing must not modify the solution"
+    reachable = reachable_set(sys_, st, visit, reuse, reusable)
+    assert st.sigma.keys() == sigma_keys_before, "postprocessing must not modify the solution"
+    del sigma_keys_before  # a copy of σ's keys; pruning is the run's memory high-water mark
     violations.extend(verify_solution(sys_, st, st.stable - reachable))
     if violations:
         raise StateCorruption(f"internal error: solution verification failed: {violations[:3]}")
 
     # Pruning first: a context that the edit made unreachable must not
-    # contribute warnings.  Every producer in `prev` was stable in the
-    # snapshot, so the ones no longer reached are all in its stable set, even
-    # those whose value is Bot and so left no trace in the other maps.
-    prune(sys_, st, reachable)
-    if start is not None:
-        for u in start["stable"] - reachable:
-            forget(unknown_key(u))
-    store.accesses = {g: producers for g, producers in store.accesses.items() if producers}
+    # contribute warnings.
+    prune(st, reachable)
     contexts = recorded_contexts(st, built.assignment)
     warnings: List[Warning] = []
     warnings.extend(races(store, built, filename))
@@ -189,9 +166,13 @@ def races(store: WarnStore, built: BuiltSystem, filename: str) -> List[Warning]:
     """Lockset rule: two accesses to the same global race when at least one
     writes and their must-held locksets are disjoint.  One warning per
     global, citing every access involved in some conflicting pair."""
+    by_global: Dict[str, Set[Access]] = {}
+    for rows in store.accesses.values():
+        for glob, records in rows.items():
+            by_global.setdefault(glob, set()).update(records)
     out: List[Warning] = []
-    for glob in sorted(store.accesses):
-        records = store.merged_accesses(glob)
+    for glob in sorted(by_global):
+        records = sorted(by_global[glob], key=Access.sort_key)
         conflicting: Set[Access] = set()
         for i, a in enumerate(records):
             for b in records[i + 1:]:

@@ -384,10 +384,10 @@ def state_to_json(then: dict, state: SolverState) -> Iterator[Tuple[str, object]
     distinct objects (a value the run did not touch is still the object it
     was), the others when they are unequal.
 
-    The section is built as it is written: the "unknowns" and "values"
-    arrays are `map`s encoded element by element, and "put" is an iterator
-    of its members, each built when the writer reaches it (see
-    `journal.write_json`)."""
+    The rows that differ are found when it is called.  The section is
+    written as it is built: the "unknowns" and "values" arrays are `map`s
+    encoded element by element, and "put" is an iterator of its members,
+    each built when the writer reaches it (see `journal.write_json`)."""
     put: Dict[str, object] = {}
     gone: Dict[str, object] = {}
     for name in SETS:
@@ -425,13 +425,20 @@ def state_to_json(then: dict, state: SolverState) -> Iterator[Tuple[str, object]
              for i in sorted(index[u] for u in put["sigma"])]
     counters = {"rhs_evals": state.rhs_evals, "destabilizations": state.destabilizations}
     counters = None if then.get("counters") == counters else counters
+    gone = {name: sorted(index[u] for u in keys) for name, keys in gone.items() if keys}
+    return _members(unknowns, values, _put_rows(state, put, index, sigma, counters), gone)
+
+
+def _members(unknowns: List[Unknown], values: Dict[Value, int], put: Iterator,
+             gone: dict) -> Iterator[Tuple[str, object]]:
+    """The members of `state_to_json`'s section, each dropped once written."""
     yield "unknowns", map(unknown_to_json, unknowns)
     del unknowns
     yield "values", map(value_to_json, values)
     del values
-    yield "put", _put_rows(state, put, index, sigma, counters)
-    del sigma
-    yield "gone", {name: sorted(index[u] for u in keys) for name, keys in gone.items() if keys}
+    yield "put", put
+    del put
+    yield "gone", gone
 
 
 def _put_rows(state: SolverState, put: dict, index: Dict[Unknown, int], sigma: list,

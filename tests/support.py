@@ -411,13 +411,8 @@ def full_postprocess(built, st: SolverState, prev: WarnStore, untouched: set,
                      filename: str = "<input>"):
     """Postprocessing that evaluates and checks every reached stable unknown;
     an `untouched` one takes its access records from `prev`.  Returns the
-    store, the keys of the re-evaluated and the reused unknowns, and the
-    reached set."""
+    store, the re-evaluated and the reused unknowns, and the reached set."""
     sys_ = built.sys
-    prev_by_producer = {}
-    for g, producers in prev.accesses.items():
-        for p, records in producers.items():
-            prev_by_producer.setdefault(p, []).append((g, records))
     store = WarnStore()
     violations = []
     stats = {"reevaluated": [], "reused": []}
@@ -426,18 +421,17 @@ def full_postprocess(built, st: SolverState, prev: WarnStore, untouched: set,
         if u not in st.stable:
             return
         violations.extend(check_unknown(sys_, st, u, es, value))
-        key = unknown_key(u)
         if u in untouched:
-            stats["reused"].append(key)
-            for g, records in prev_by_producer.get(key, ()):
-                store.accesses.setdefault(g, {})[key] = records
+            stats["reused"].append(u)
+            if u in prev.accesses:
+                store.accesses[u] = prev.accesses[u]
         else:
-            stats["reevaluated"].append(key)
+            stats["reevaluated"].append(u)
             records = {}
             for g, access in es.accesses:
                 records.setdefault(g, set()).add(access)
-            for g, rs in records.items():
-                store.accesses.setdefault(g, {})[key] = frozenset(rs)
+            if records:
+                store.accesses[u] = {g: frozenset(rs) for g, rs in records.items()}
 
     reachable = full_reachable_set(sys_, st, visit)
     violations.extend(verify_solution(sys_, st, st.stable - reachable))

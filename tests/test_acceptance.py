@@ -35,6 +35,7 @@ from minicheck.increment import (
     detect_changes,
     prepare_reluctant,
     prune,
+    reachable_set,
     reanalyze,
     recorded_contexts,
     relabel_nodes,
@@ -84,8 +85,8 @@ def _invoke(fn, *args, **kw):
 
 def _incremental(old_text, new_text, mode, restart, base_built, base_state):
     st = reloaded(base_state)
-    _, new_built, stats, _, _ = reanalyze(parse(old_text).digests, base_built.assignment, st,
-                                       parse(new_text), mode, restart)
+    _, new_built, stats, _, _, _ = reanalyze(parse(old_text).digests, base_built.assignment,
+                                          st, parse(new_text), mode, restart)
     return new_built, st, stats
 
 
@@ -300,8 +301,8 @@ def _run_sequence(spec0, seq_seed):
         ends = {fn: (ids[0], ids[-1]) for fn, ids in built.assignment.assign.items()}
         assert recorded_contexts(st, built.assignment) == \
             _scanned_contexts(list(st.sigma) + list(st.stable), ends), f"seq {seq_seed} step {step}"
-        changes, built, _, _, _ = reanalyze(parse(cur_text).digests, built.assignment, st,
-                                         parse(new_text))
+        changes, built, _, _, _, _ = reanalyze(parse(cur_text).digests, built.assignment, st,
+                                            parse(new_text))
         # postprocessing scanned σ at entry nodes
         entries = {fn: (cfg.entry,) for fn, cfg in built.cfgs.items()}
         assert recorded_contexts(st, built.assignment) == \
@@ -310,7 +311,7 @@ def _run_sequence(spec0, seq_seed):
         report["steps"].append({"changed": sorted(changes.changed),
                                 "violations": len(violations)})
         assert violations == [], f"seq {seq_seed} step {step}"
-        prune(built.sys, st)
+        prune(st, reachable_set(built.sys, st))
         cur_text = new_text
     # final from-scratch comparison; the scratch run reuses the incremental
     # node naming so equal ids denote equal program points
@@ -440,7 +441,7 @@ def test_criterion_9_warning_lifecycle(tmp_path):
     assert race_id not in [w["id"] for w in diff["kept"]]
 
     store = cli.load_bundle(sd, cli.Options(state_dir=sd)).store  # base and journal
-    for rec in store.merged_accesses("shared"):
+    for rec in [r for rows in store.accesses.values() for r in rows.get("shared", ())]:
         assert rec.locks == Lockset.of(["m"]), "stale unlocked access survived"
     ok(9, "race reported, then listed under `removed` after the fix; "
           "no stale access records remain")

@@ -89,3 +89,35 @@ def test_only_the_codec_decodes():
                     not any(d.lineno <= node.lineno <= d.end_lineno for d in decoders):
                 problems.append(f"{module}:{node.lineno} calls {name}")
     assert problems == []
+
+
+# An unknown's canonical key (`consys.unknown_key`) is a string made for the
+# outside: it is computed only where a key is written, never to identify an
+# unknown inside the program.  Every reference to it lies in one of these
+# (module, top-level function) pairs; None stands for the whole module.
+KEY_WRITERS = {
+    ("journal.py", None),  # the producers of access records, on changed rows
+    ("tdsolver.py", "run"),  # the solver's per-unknown statistics
+    ("increment.py", "reanalyze"),  # the restarted globals
+    ("postproc.py", "_unsound_stores"),  # warning provenance
+    ("postproc.py", "_dead_code"),
+    ("cli.py", "compare_report"),  # the coarser points of a precision report
+}
+
+
+def test_unknown_keys_are_made_only_where_they_are_written():
+    problems = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = path.relative_to(PACKAGE).as_posix()
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+            if (module, owner) == ("consys.py", "unknown_key"):
+                continue  # its definition
+            for node in ast.walk(top):
+                name = node.id if isinstance(node, ast.Name) else \
+                    node.attr if isinstance(node, ast.Attribute) else ""
+                if name == "unknown_key" and (module, None) not in KEY_WRITERS and \
+                        (module, owner) not in KEY_WRITERS:
+                    problems.append(f"{module}:{node.lineno} {owner or '<module>'}")
+    assert problems == []

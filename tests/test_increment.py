@@ -30,7 +30,14 @@ from minicheck.minic import build_system, parse
 from minicheck.minic.syntax import Call, Create, If, While, normalize
 from minicheck.tdsolver import run, verify_solution
 
-from support import FIG2, FIG2_EDIT, analyze_source, fresh_assignment, side_maps_inverse
+from support import (
+    FIG2,
+    FIG2_EDIT,
+    analyze_source,
+    fresh_assignment,
+    log_stable,
+    side_maps_inverse,
+)
 
 BETA0 = Context.of({"p": AddressSet.of(["g"])})
 G = GlobalVar("g")
@@ -340,7 +347,7 @@ def test_a_body_edit_evaluates_only_the_edited_function(edit, idx):
     result = cli.run_reanalysis(session, corpus_source(spec.with_variant(idx, edit)),
                                 "prog.mc", opts)
     evaluated = result.post_stats["evaluated"]
-    assert evaluated and {json.loads(k)["fn"] for k in evaluated} == {f"f{idx:03d}"}
+    assert evaluated and {u.fn for u in evaluated} == {f"f{idx:03d}"}
 
 
 RETURNS_INT = "int f(int x) { y = x; return y; }\nint main() { %s return 0; }\n"
@@ -435,7 +442,7 @@ def test_prune_drops_thread_unknowns_after_create_removed():
     no_create = FIG2.replace("create(foo, &g);", "g = 3;")
     new_built, st, changes, A = incremental_setup(FIG2, no_create, mode="plain")
     run(new_built.sys, st, pre_solve=A)
-    prune(new_built.sys, st)
+    prune(st, reachable_set(new_built.sys, st))
     assert not any(isinstance(u, NodeCtx) and u.fn == "foo" for u in st.sigma)
     assert not any(isinstance(u, NodeCtx) and u.fn == "foo" for u in st.stable)
     for m in (st.infl, st.side_dep, st.side_infl):
@@ -447,11 +454,11 @@ def test_prune_drops_thread_unknowns_after_create_removed():
 def test_prune_keeps_fully_reachable_state_and_is_idempotent():
     built, st, _ = analyze_source(FIG2)
     snapshot = (dict(st.sigma), set(st.stable))
-    prune(built.sys, st)
+    prune(st, reachable_set(built.sys, st))
     assert (dict(st.sigma), set(st.stable)) == snapshot
     once = (dict(st.sigma), set(st.stable),
             {k: list(v) for k, v in st.infl.items()})
-    prune(built.sys, st)
+    prune(st, reachable_set(built.sys, st))
     assert (dict(st.sigma), set(st.stable),
             {k: list(v) for k, v in st.infl.items()}) == once
 
@@ -461,6 +468,27 @@ def test_reachable_set_covers_harness_and_globals():
     R = reachable_set(built.sys, st)
     assert {MAIN, INIT, G} <= R
     assert node("foo", 1, BETA0) in R
+
+
+@pytest.mark.parametrize("declarations", ["", "int gnew = 0;\n"])
+def test_an_edit_of_the_global_declarations_makes_nothing_reusable(declarations):
+    """The untouched unknowns are derived as after any edit, and with the
+    declarations unchanged most of them are reusable; after a new
+    declaration, which only the initializer reads, none is."""
+    text = corpus_source(CorpusSpec(n_functions=20, seed=7))
+    session = cli.run_analysis(text, "prog.mc", cli.Options()).session
+    st = session.state
+    log = log_stable(st)
+    changes, built, _, _, untouched, reusable = reanalyze(
+        session.digests, session.assignment, st, parse(declarations + text))
+    assert changes.changed == ({INIT_PSEUDO_FN} if declarations else set())
+    assert {u for u in untouched if built.sys.has_rhs(u)} == \
+        {u for u in log.untouched() if built.sys.has_rhs(u)}
+    assert len(untouched) > 100
+    if declarations:
+        assert reusable == set()
+    else:
+        assert reusable and reusable <= untouched
 
 
 # -- edit sequences ----------------------------------------------------------------------
@@ -504,11 +532,11 @@ def test_edit_sequences_stay_sound_and_consistent():
             m = list(re.finditer(r"(\+|\*|=)\s*(\d+)", text))
             target = m[rng.randrange(len(m))]
             new_text = text[:target.start(2)] + str(const) + text[target.end(2):]
-            _, new_built, _, _, _ = reanalyze(parse(text).digests, asg, st, parse(new_text))
+            _, new_built, _, _, _, _ = reanalyze(parse(text).digests, asg, st, parse(new_text))
             new_asg = new_built.assignment
             assert verify_solution(new_built.sys, st) == [], f"program {pi} step {step}"
             assert side_maps_inverse(st)
-            prune(new_built.sys, st)
+            prune(st, reachable_set(new_built.sys, st))
             # from-scratch consistency: scratch ⊑ incremental on shared points
             _, scratch, _ = analyze_source(new_text, assignment=new_asg)
             shared = {u for u in st.sigma if isinstance(u, NodeCtx)} & set(scratch.sigma)

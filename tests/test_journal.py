@@ -310,11 +310,11 @@ def _without_f003(text):
     return "\n\n".join(blocks).replace("  r = f003(0);\n", "")
 
 
-@pytest.mark.parametrize("ids", [[], [5]])
+@pytest.mark.parametrize("ids", [[], [5], ["3", "4"], [3, 4.5], [None, 4], [True, 4]])
 def test_node_ids_in_a_record_that_fit_no_cfg_exit_two(tmp_path, ids):
-    """A complete record whose node ids of f003 fit no CFG is refused as
-    the same row in the base is, also when the source no longer has f003
-    and so never asks for its ids."""
+    """A complete record whose node ids of f003 fit no CFG, too few or not
+    integers, is refused as the same row in the base is, also when the
+    source no longer has f003 and so never asks for its ids."""
     src, sd = str(tmp_path / "prog.mc"), str(tmp_path / "state")
     opts = cli.Options(state_dir=sd)
     text = _corpus_versions(0)[0]
@@ -322,8 +322,10 @@ def test_node_ids_in_a_record_that_fit_no_cfg_exit_two(tmp_path, ids):
     assert cli.cmd_analyze(src, opts, io.StringIO(), io.StringIO()) == 0
     _append_record(sd, opts, {"assign": {"f003": ids}})
     write(src, _without_f003(text))
-    message = (f"state bundle node ids of function 'f003' do not fit any CFG ({len(ids)} ids "
-               "for at least 2 nodes); delete the state dir to reanalyze from scratch")
+    problem = f"{len(ids)} ids for at least 2 nodes" if len(ids) < 2 else \
+        "ids that are not integers"
+    message = (f"state bundle node ids of function 'f003' do not fit any CFG ({problem}); "
+               "delete the state dir to reanalyze from scratch")
     for command in (cli.cmd_reanalyze, cli.cmd_compare):
         out, err = io.StringIO(), io.StringIO()
         assert command(src, opts, out, err) == 2 and out.getvalue() == ""
@@ -356,3 +358,32 @@ def test_an_error_names_the_file_it_comes_from(tmp_path):
         assert err.getvalue() == (
             f"error: state bundle {sd}/{name} is unreadable or corrupt (ValueError: malformed "
             "names of the globals); delete the state dir to reanalyze from scratch\n")
+
+
+@pytest.mark.parametrize("counter", [-5, "counter", 1.5, None, "at the last id"])
+def test_a_node_id_counter_that_is_not_above_every_id_exits_two(tmp_path, counter):
+    """Fresh node ids are counted up from the counter, so a counter that is
+    not an integer above every id in use, in the base or in a record, is
+    refused; a counter at the last id would hand it out again."""
+    src, sd = str(tmp_path / "prog.mc"), str(tmp_path / "state")
+    opts = cli.Options(state_dir=sd)
+    write(src, _corpus_versions(0)[0])
+    for name in (BASE, JOURNAL):
+        assert cli.cmd_analyze(src, opts, io.StringIO(), io.StringIO()) == 0
+        session = cli.load_bundle(sd, opts)
+        bad = counter
+        if counter == "at the last id":
+            bad = max(max(ids) for ids in session.assignment.assign.values())
+            assert bad == session.assignment.counter - 1
+        if name == BASE:
+            _rewrite_base(sd, lambda doc: doc["put"]["scalars"].update(counter=bad))
+        else:
+            _append_record(sd, opts, {"scalars": {"counter": bad}})
+        assert os.path.exists(f"{sd}/{JOURNAL}") == (name == JOURNAL)
+        for command in (cli.cmd_reanalyze, cli.cmd_compare):
+            out, err = io.StringIO(), io.StringIO()
+            assert command(src, opts, out, err) == 2 and out.getvalue() == ""
+            assert err.getvalue() == (
+                f"error: state bundle {sd}/{name} is unreadable or corrupt (ValueError: node id "
+                f"counter {bad!r} is not an integer above every node id); delete the state dir "
+                "to reanalyze from scratch\n")

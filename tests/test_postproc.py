@@ -3,7 +3,7 @@ import json
 import pytest
 
 from minicheck import cli, journal, postproc
-from minicheck.consys import Context, unknown_key
+from minicheck.consys import Context, NodeCtx, sort_key
 from minicheck.corpus import CorpusSpec, corpus_source, edit_sequence
 from minicheck.domains import Access, AddressSet, Lockset
 from minicheck.increment import reanalyze
@@ -30,9 +30,9 @@ def full_pipeline(text, domain="valueset"):
 
 def incremental_pipeline(old_text, new_text, prev_store, built_old, st,
                          restart="minimal"):
-    _, new_built, _, start, untouched = reanalyze(parse(old_text).digests, built_old.assignment,
-                                                  st, parse(new_text), restart=restart)
-    store, stats = postprocess(new_built, st, prev_store, "<test>", start, untouched)
+    _, new_built, _, _, untouched, reusable = reanalyze(
+        parse(old_text).digests, built_old.assignment, st, parse(new_text), restart=restart)
+    store, stats = postprocess(new_built, st, prev_store, "<test>", untouched, reusable)
     return new_built, store, stats
 
 
@@ -41,7 +41,7 @@ def incremental_pipeline(old_text, new_text, prev_store, built_old, st,
 
 def _mini_store(records):
     store = WarnStore()
-    store.accesses["G"] = {"p": frozenset(records)}
+    store.accesses["p"] = {"G": frozenset(records)}
     return store
 
 
@@ -90,9 +90,8 @@ def test_incremental_postprocess_reevaluates_only_destabilized_unknowns():
     store0, _ = postprocess(built, st, WarnStore(), "<test>")
     new_built, store1, stats = incremental_pipeline(FIG2, FIG2_EDIT, store0, built, st,
                                                     restart="off")
-    ever = {json.loads(k).get("fn") for k in stats["reevaluated"]}
-    node_keys = [json.loads(k) for k in stats["reevaluated"] if json.loads(k)["k"] == "node"]
-    assert {(d["fn"], d["id"]) for d in node_keys} == {("foo", 6), ("foo", 2), ("main", 5)}
+    nodes = [u for u in stats["reevaluated"] if isinstance(u, NodeCtx)]
+    assert {(u.fn, u.node) for u in nodes} == {("foo", 6), ("foo", 2), ("main", 5)}
     assert len(stats["reused"]) >= 4
 
 
@@ -122,9 +121,9 @@ def _reference_reanalysis(session, text, opts):
     the untouched unknowns read off a `StableLog`."""
     prog = parse(text)
     log = log_stable(session.state)
-    _, built, _, _, _ = reanalyze(session.digests, session.assignment, session.state, prog,
-                                  opts.mode, opts.restart, opts.domain,
-                                  restart_wpoint=opts.wpoint_restart)
+    _, built, _, _, _, _ = reanalyze(session.digests, session.assignment, session.state, prog,
+                                     opts.mode, opts.restart, opts.domain,
+                                     restart_wpoint=opts.wpoint_restart)
     store, stats, reached = full_postprocess(built, session.state, session.store,
                                              log.untouched(), "prog.mc")
     return cli.Session(prog.digests, built.assignment, session.state, store), stats, reached
@@ -137,25 +136,42 @@ def _ordered(m):
 def _assert_same_as_the_full_walk(versions, opts, monkeypatch):
     """Run `versions` through the pipeline and through the reference side by
     side; after every step both leave the same state, store and split of
-    the reached unknowns into re-evaluated and reused ones, and the
-    untouched unknowns the pipeline derives are, on every unknown with a
-    rhs, those that a `StableLog` finds never left stable."""
-    walks, untouched = [], []
+    the reached unknowns into re-evaluated and reused ones, the untouched
+    unknowns the pipeline derives are, on every unknown with a rhs, those
+    that a `StableLog` finds never left stable, and the walk reuses exactly
+    the reusable unknowns it reaches and evaluates every other reached
+    rhs."""
+    walks, decided, reused = [], [], []
     walk, post = postproc.reachable_set, cli.postprocess
-    monkeypatch.setattr(postproc, "reachable_set",
-                        lambda *a, **k: walks.append(walk(*a, **k)) or walks[-1])
 
-    def postprocess(built, st, *args):
-        untouched.append({u for u in args[-1] ^ st.stable.untouched() if built.sys.has_rhs(u)})
-        return post(built, st, *args)
+    def reachable_set(sys_, st, visit, reuse, reusable):
+        def reuse_and_log(u):
+            reused.append(u)
+            reuse(u)
+        walks.append(walk(sys_, st, visit, reuse_and_log, reusable))
+        return walks[-1]
+
+    monkeypatch.setattr(postproc, "reachable_set", reachable_set)
+
+    def postprocess(built, st, prev, filename, untouched, reusable):
+        unlogged = {u for u in untouched ^ st.stable.untouched() if built.sys.has_rhs(u)}
+        decided.append((built.sys, untouched, reusable, unlogged))
+        return post(built, st, prev, filename, untouched, reusable)
 
     monkeypatch.setattr(cli, "postprocess", postprocess)
     session, reference = cli.Session.empty(), cli.Session.empty()
     for step, text in enumerate(versions):
         log_stable(session.state)
+        reused.clear()
         result = cli.run_reanalysis(session, text, "prog.mc", opts)
-        assert untouched[-1] == set(), f"step {step}"
         session = result.session
+        sys_, untouched, reusable, unlogged = decided[-1]
+        assert unlogged == set() and reusable <= untouched, f"step {step}"
+        reached_rhs = {u for u in walks[-1] if sys_.has_rhs(u)}
+        assert sorted(reused, key=sort_key) == sorted(reached_rhs & reusable, key=sort_key), \
+            f"step {step}"
+        assert sorted(result.post_stats["evaluated"], key=sort_key) == \
+            sorted(reached_rhs - reusable, key=sort_key), f"step {step}"
         reference, ref_stats, ref_reached = _reference_reanalysis(reference, text, opts)
         st, ref = session.state, reference.state
         assert walks[-1] == ref_reached, f"step {step}"
@@ -165,9 +181,9 @@ def _assert_same_as_the_full_walk(versions, opts, monkeypatch):
         assert (st.stable, st.point) == (ref.stable, ref.point), f"step {step}"
         assert (session.store.warnings, session.store.accesses) == \
             (reference.store.warnings, reference.store.accesses), f"step {step}"
-        assert (sorted(result.post_stats["reevaluated"]),
-                sorted(map(unknown_key, result.post_stats["reused"]))) == \
-            (sorted(ref_stats["reevaluated"]), sorted(ref_stats["reused"])), f"step {step}"
+        for kind in ("reevaluated", "reused"):
+            assert sorted(result.post_stats[kind], key=sort_key) == \
+                sorted(ref_stats[kind], key=sort_key), f"step {step}"
         # the reanalyses reuse, unless the global declarations changed: they
         # evaluate fewer rhs than the full walk
         assert step == 0 or "__init" in result.changes["changed"] or \
@@ -347,7 +363,7 @@ def test_fixing_a_race_removes_it_and_purges_stale_accesses():
     assert race_ids[0] in [w.id for w in diff["removed"]]
     assert not [w for w in store1.warnings if w.kind == "race"]
     # WO1 trace-back: the unlocked write of the old version is gone
-    for rec in store1.merged_accesses("shared"):
+    for rec in [r for rows in store1.accesses.values() for r in rows.get("shared", ())]:
         if rec.kind == "write":
             assert not rec.locks.disjoint(Lockset.of(["m"]))
 
