@@ -50,7 +50,7 @@ from .tdsolver import SolverDepthError, SolverState, run, verify_solution
 
 BUNDLE_NAME = "bundle.json"  # the base
 JOURNAL_NAME = "bundle.journal"
-BUNDLE_FORMAT = 6
+BUNDLE_FORMAT = 7
 # A save writes a full base instead of a record that would make the journal
 # longer than the base divided by this.
 COMPACTION_RATIO = 4
@@ -393,7 +393,10 @@ def _report(payload, result: AnalysisResult, persisted: dict, opts: Options, out
     with --stats); returns the exit code."""
     print(json.dumps(payload, indent=1), file=out)
     if opts.stats:
-        stats = _stats(result, persisted, run=result.run_stats,
+        run = dict(result.run_stats)
+        for key in ("step1_evals_by_unknown", "step2_evals_by_unknown"):
+            run[key] = {unknown_key(u): n for u, n in run[key].items()}
+        stats = _stats(result, persisted, run=run,
                        postprocess={k: len(v) for k, v in result.post_stats.items()})
         print(json.dumps(stats, indent=1), file=err)
     return 1 if opts.fail_on_warn and result.session.store.warnings else 0

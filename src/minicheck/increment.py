@@ -29,10 +29,16 @@ changed: a function that uses a name which became or stopped being a global
 (the global declarations decide which names denote globals), and a function
 that calls or creates a header-changed function.
 
-Restarting resets selected flow-insensitive unknowns to Bot and destabilizes
-all their producers, purging values accumulated across runs.  The minimal
-strategy restarts exactly the globals that the old version of an edited
-function side-effected (read off ``side_infl`` before relabeling).
+Restarting recomputes selected globals, purging values accumulated across
+runs.  The minimal strategy restarts exactly the globals that the old
+version of an edited function side-effected (read off ``side_infl`` before
+relabeling).  The solver keeps each producer's last contribution to each
+global (``side_dep``), so a restarted global is the widening of the
+contributions of the producers the edit did not rewrite: only if that
+differs from its value are its readers destabilized, and no producer is
+re-evaluated.  A global with a producer whose contribution may still carry
+the old value (it is not stable, or an edit reaches it through ``infl``)
+is reset to Bot instead, with every producer destabilized.
 
 `reanalyze` takes one snapshot of the solver's tables (`tdsolver.tables`),
 which the save reads too (`journal`), and decides once, as the solve
@@ -66,6 +72,7 @@ from .consys import (
     sort_key,
     unknown_key,
 )
+from .domains import widen
 from .minic.cfg import NodeAssignment, assign_node_ids
 from .minic.syntax import Program, names_used
 from .minic.system import BuiltSystem, build_system
@@ -235,40 +242,97 @@ def prepare_reluctant(changes: ChangeSet, st: SolverState,
 
 
 def select_restart_globals(changes: ChangeSet, st: SolverState,
-                           old_asg: NodeAssignment) -> List[Unknown]:
+                           old_asg: NodeAssignment) -> Dict[Unknown, Set[Unknown]]:
     """Globals side-effected by the *old* version of every edited function,
-    read off side_infl before relabeling erases the old unknowns."""
+    read off side_infl before relabeling erases the old unknowns, sorted,
+    each with the producers read there: the old unknowns of the edited
+    functions, and `INIT` after an edit of the global declarations."""
     edited = changes.edited()
     old_nodes: Dict[str, Set[int]] = {
         fn: set(old_asg.assign[fn]) for fn in edited
         if fn != INIT_PSEUDO_FN and fn in old_asg.assign
     }
-    out = set()
+    out: Dict[Unknown, Set[Unknown]] = {}
     for x, gs in st.side_infl.items():
-        if isinstance(x, NodeCtx) and x.node in old_nodes.get(x.fn, ()):
-            out |= {g for g in gs if isinstance(g, GlobalVar)}
-        elif isinstance(x, InitMarker) and INIT_PSEUDO_FN in edited:
-            out |= {g for g in gs if isinstance(g, GlobalVar)}
-    return sorted(out, key=sort_key)
+        if (isinstance(x, NodeCtx) and x.node in old_nodes.get(x.fn, ())) or \
+                (isinstance(x, InitMarker) and INIT_PSEUDO_FN in edited):
+            for g in gs:
+                if isinstance(g, GlobalVar):
+                    out.setdefault(g, set()).add(x)
+    return {g: out[g] for g in sorted(out, key=sort_key)}
 
 
-def restart_globals(G: Iterable[Unknown], st: SolverState) -> None:
-    """Reset each global in `G` to Bot, destabilize it, and force
-    re-evaluation of every unknown that ever side-effected it."""
-    for g in sorted(G, key=sort_key):
-        st.sigma.pop(g, None)
-        st.stable.discard(g)
+def restart_globals(G: Dict[Unknown, Set[Unknown]], st: SolverState,
+                    roots: Iterable[Unknown] = ()) -> None:
+    """Recompute each global `g` of `G` from its producers' contributions.
+
+    The contributions of `G[g]`, the producers the edit rewrote, are
+    dropped; their new versions contribute when the solver re-evaluates
+    them.  The others are widened from Bot in recorded order.  Only if the
+    result differs from σ(g) is it stored and are the readers of `g`
+    destabilized; else σ(g) stays the same object.  No producer is
+    destabilized.
+
+    A remaining contribution may carry the old value of `g` when its
+    producer is not stable or is influenced, through ``infl``, by a global
+    of `G` or by `roots`, the unknowns step 1 re-solves (every other unknown
+    an edit influences was destabilized before, so is not stable): in
+    ``g = g + 1`` the contribution depends on `g` itself.  Such a global is
+    reset to Bot instead, and every producer of it is destabilized.
+    Side-effect edges are not followed: the reset does not refresh the
+    unknowns a producer side-effects either."""
+    if not G:
+        return
+    influenced: Set[Unknown] = set()
+    stack = [*G, *roots]
+    while stack:
+        u = stack.pop()
+        if u not in influenced:
+            influenced.add(u)
+            stack.extend(st.infl.get(u, ()))
+    for g, rewritten in G.items():
+        kept = [(x, d) for x, d in st.side_dep.get(g, {}).items() if x not in rewritten]
+        if any(x not in st.stable or x in influenced for x, _ in kept):
+            _reset(g, st)
+            continue
+        for x in rewritten:
+            _drop_side(st, x, g)
+        new = None
+        for _, d in kept:
+            new = d if new is None else widen(new, d)
+        if new == st.sigma.get(g):
+            continue
+        if new is None:
+            del st.sigma[g]
+            st.stable.discard(g)
+        else:
+            st.sigma[g] = new
+            st.stable.add(g)
         st.destabilize(g)
-        producers = list(st.side_dep.pop(g, ()))
-        for x in producers:
-            row = st.side_infl.get(x)
-            if row is not None:
-                row.pop(g, None)
-                if not row:
-                    del st.side_infl[x]
-        for x in producers:
-            st.stable.discard(x)
-            st.destabilize(x)
+
+
+def _reset(g: Unknown, st: SolverState) -> None:
+    """Reset `g` to Bot, destabilize it, and force re-evaluation of every
+    unknown that ever side-effected it."""
+    st.sigma.pop(g, None)
+    st.stable.discard(g)
+    st.destabilize(g)
+    producers = list(st.side_dep.get(g, ()))
+    for x in producers:
+        _drop_side(st, x, g)
+    for x in producers:
+        st.stable.discard(x)
+        st.destabilize(x)
+
+
+def _drop_side(st: SolverState, x: Unknown, g: Unknown) -> None:
+    """Forget that `x` side-effects `g`, and its contribution."""
+    for m, a, b in ((st.side_dep, g, x), (st.side_infl, x, g)):
+        row = m.get(a)
+        if row is not None:
+            row.pop(b, None)
+            if not row:
+                del m[a]
 
 
 # ---------------------------------------------------------------------------
@@ -293,11 +357,11 @@ def reanalyze(old_digests: dict, old_asg: NodeAssignment, st: SolverState,
     reusable ones (see the module docstring)."""
     start = tables(st)
     changes = detect_changes(old_digests, new_prog)
-    restarted = select_restart_globals(changes, st, old_asg) if restart == "minimal" else []
+    restarted = select_restart_globals(changes, st, old_asg) if restart == "minimal" else {}
     built = build_system(new_prog, relabel_nodes(changes, old_asg, new_prog), domain)
     prepare = prepare_reluctant if mode == "reluctant" else prepare_plain
     pre_solve = prepare(changes, st, old_asg)
-    restart_globals(restarted, st)
+    restart_globals(restarted, st, pre_solve)
     stats = run(built.sys, st, pre_solve, restart_wpoint=restart_wpoint)
     stats["restarted"] = [unknown_key(g) for g in restarted]
     # An unknown with a rhs that left stable is stable again only once it is
@@ -384,25 +448,17 @@ def reachable_set(sys_: EqSys, st: SolverState, visit: Optional[Callable] = None
 
 
 def prune(st: SolverState, reachable: Set[Unknown]) -> None:
-    """Drop every unknown not in `reachable` from all solver maps, touching
-    only the unknowns that left and the rows that name them."""
-    maps = (st.infl, st.side_dep, st.side_infl, st.stale)
-    left = st.sigma.keys() | st.stable | st.point
-    for m in maps:
-        left |= m.keys()
-        left.update(*m.values())
-    left -= reachable
-    if not left:
-        return
-    for u in left:
-        st.sigma.pop(u, None)
-        st.stable.discard(u)
-        st.point.discard(u)
-        for m in maps:
-            m.pop(u, None)
-    for m in maps:
-        for u in [u for u, members in m.items() if not left.isdisjoint(members)]:
-            kept = {y: None for y in m[u] if y not in left}
+    """Drop every unknown not in `reachable` from σ, the sets and the maps,
+    table by table: a row whose key left goes, and a row that names one that
+    left keeps its other members, in order, with their contributions."""
+    for u in [u for u in st.sigma if u not in reachable]:
+        del st.sigma[u]
+    st.stable.difference_update(st.stable - reachable)
+    st.point.difference_update(st.point - reachable)
+    for m in (st.infl, st.side_dep, st.side_infl, st.stale):
+        for u in [u for u, members in m.items()
+                  if u not in reachable or not reachable.issuperset(members)]:
+            kept = {y: d for y, d in m[u].items() if y in reachable} if u in reachable else None
             if kept:
                 m[u] = kept
             else:

@@ -39,11 +39,11 @@ from .consys import (
     eval_tree,
     sort_key,
     unknown_from_json,
-    unknown_key,
     unknown_to_json,
 )
 from .domains import (
     Value,
+    join,
     leq,
     narrow,
     value_from_json,
@@ -78,9 +78,13 @@ class Violation:
 class SolverState:
     """Mutable solver data, persistent between runs.
 
-    ``infl``, ``side_dep`` and ``side_infl`` are insertion-ordered sets
-    (dicts with None values); destabilization iterates ``infl`` in recorded
-    order, which keeps counters and warning output reproducible.
+    ``infl`` and ``side_infl`` are insertion-ordered sets (dicts with None
+    values); destabilization iterates ``infl`` in recorded order, which
+    keeps counters and warning output reproducible.  ``side_dep`` maps each
+    side-effected unknown to its producers, in the order they were first
+    recorded, each with its last contribution: the join of what the
+    producer's last evaluation side-effected there.  Restarting a global
+    recomputes it from these (`increment.restart_globals`).
 
     ``infl`` keeps edges of older evaluations: `x` stays in ``infl[y]`` after
     an evaluation of `x` that no longer reads `y`.  ``stale`` maps each such
@@ -94,7 +98,7 @@ class SolverState:
         self.stable: set = set()
         self.called: set = set()
         self.point: set = set()
-        self.side_dep: Dict[Unknown, Dict[Unknown, None]] = {}
+        self.side_dep: Dict[Unknown, Dict[Unknown, Value]] = {}
         self.side_infl: Dict[Unknown, Dict[Unknown, None]] = {}
         self.stale: Dict[Unknown, Dict[Unknown, None]] = {}
         self.rhs_evals = 0
@@ -275,7 +279,8 @@ class Solver:
 
     def side(self, x: Unknown, g: Unknown, d: Value) -> None:
         """`x`'s contribution `d` to `g`: widened into σ(g), destabilizing
-        the readers of `g` if it grew; `x` is recorded as a producer of `g`."""
+        the readers of `g` if it grew; `x` is recorded as a producer of `g`,
+        with `d` joined into what this evaluation of `x` contributed so far."""
         st = self.state
         bot = self.sys.bot_of(g)
         if type(d) is not type(bot):
@@ -286,8 +291,10 @@ class Solver:
             st.sigma[g] = new
             st.stable.add(g)
             st.destabilize(g)
-        st.side_dep.setdefault(g, {})[x] = None
-        st.side_infl.setdefault(x, {})[g] = None
+        sides = st.side_infl.setdefault(x, {})
+        producers = st.side_dep.setdefault(g, {})
+        producers[x] = join(producers[x], d) if g in sides else d
+        sides[g] = None
 
 
 def run(sys_: EqSys, state: SolverState, pre_solve: Iterable[Unknown] = (), *,
@@ -295,7 +302,7 @@ def run(sys_: EqSys, state: SolverState, pre_solve: Iterable[Unknown] = (), *,
     """Solve `pre_solve` in order, then the query.
 
     Returns per-step statistics: rhs-evaluation counts overall and by
-    unknown (canonical keys), for the pre-solve step and the query step,
+    unknown, for the pre-solve step and the query step,
     the run's diagnostics (widening-point restart bound hits) and the set
     of unknowns it evaluated (`evaluated`).
     """
@@ -309,8 +316,8 @@ def run(sys_: EqSys, state: SolverState, pre_solve: Iterable[Unknown] = (), *,
     return {
         "step1_rhs_evals": sum(step1.values()),
         "step2_rhs_evals": sum(step2.values()),
-        "step1_evals_by_unknown": {unknown_key(u): n for u, n in step1.items()},
-        "step2_evals_by_unknown": {unknown_key(u): n for u, n in step2.items()},
+        "step1_evals_by_unknown": step1,
+        "step2_evals_by_unknown": step2,
         "diagnostics": solver.diagnostics,
         "evaluated": step1.keys() | step2.keys(),
     }
@@ -351,8 +358,10 @@ def verify_solution(sys_: EqSys, state: SolverState,
 # record holds the rows of σ, of the maps and of the sets that differ
 # between a snapshot of the state's tables (`tables`) and the state, and the
 # keys of the rows that went.  Every unknown it mentions is written once,
-# into "unknowns" (sorted by sort_key), and every distinct value of σ once,
-# into "values" (in order of first use); the rows refer to both by index.
+# into "unknowns" (sorted by sort_key), and every distinct value of σ and of
+# the contributions in ``side_dep`` once, into "values" (in order of first
+# use, σ first); the rows refer to both by index.  A ``side_dep`` row holds
+# [producer, contribution] pairs.
 # The section has no format number of its own: the bundle's format covers
 # it.  A reanalysis takes one snapshot when it begins; the post-solve walk
 # compares σ and stable with it, and the save writes the record from it to
@@ -366,14 +375,17 @@ SETS = ("stable", "point")
 def tables(state: SolverState) -> Dict[str, object]:
     """A snapshot of the persisted data of `state` as tables of rows: σ,
     each map's rows as the tuple of their members, in order (it drives
-    destabilization), the sets and the counters.  σ's values are shared,
+    destabilization), ``side_dep``'s as the tuple of its (producer,
+    contribution) pairs, the sets and the counters.  Values are shared,
     never mutated; the rest is copied."""
     out: Dict[str, object] = {"sigma": dict(state.sigma), "stable": set(state.stable),
                               "point": set(state.point),
                               "counters": {"rhs_evals": state.rhs_evals,
                                            "destabilizations": state.destabilizations}}
     for name in MAPS:
-        out[name] = {u: tuple(members) for u, members in getattr(state, name).items()}
+        rows = getattr(state, name)
+        out[name] = {g: tuple(producers.items()) for g, producers in rows.items()} \
+            if name == "side_dep" else {u: tuple(members) for u, members in rows.items()}
     return out
 
 
@@ -382,7 +394,7 @@ def state_to_json(then: dict, state: SolverState) -> Iterator[Tuple[str, object]
     empty dict for the empty state) into `state`, which is read in place,
     as (member, JSON value) pairs.  σ's rows differ when their values are
     distinct objects (a value the run did not touch is still the object it
-    was), the others when they are unequal.
+    was), the others when they are unequal, contributions included.
 
     The rows that differ are found when it is called.  The section is
     written as it is built: the "unknowns" and "values" arrays are `map`s
@@ -403,6 +415,8 @@ def state_to_json(then: dict, state: SolverState) -> Iterator[Tuple[str, object]
             put[name] = rows
         elif name == "sigma":
             put[name] = [u for u, v in rows.items() if old.get(u) is not v]
+        elif name == "side_dep":
+            put[name] = [u for u, v in rows.items() if old.get(u) != tuple(v.items())]
         else:
             put[name] = [u for u, v in rows.items() if old.get(u) != tuple(v)]
         gone[name] = set(old).difference(rows)
@@ -420,13 +434,16 @@ def state_to_json(then: dict, state: SolverState) -> Iterator[Tuple[str, object]
     del mentioned
     index = {u: i for i, u in enumerate(unknowns)}
     values: Dict[Value, int] = {}
-    # σ is encoded first: it numbers the values
-    sigma = [[i, values.setdefault(state.sigma[unknowns[i]], len(values))]
-             for i in sorted(index[u] for u in put["sigma"])]
+    # σ and then the contributions are encoded first: they number the values
+    numbered = {"sigma": [[i, values.setdefault(state.sigma[unknowns[i]], len(values))]
+                          for i in sorted(index[u] for u in put["sigma"])],
+                "side_dep": [[i, [[index[x], values.setdefault(d, len(values))]
+                                  for x, d in state.side_dep[unknowns[i]].items()]]
+                             for i in sorted(index[g] for g in put["side_dep"])]}
     counters = {"rhs_evals": state.rhs_evals, "destabilizations": state.destabilizations}
     counters = None if then.get("counters") == counters else counters
     gone = {name: sorted(index[u] for u in keys) for name, keys in gone.items() if keys}
-    return _members(unknowns, values, _put_rows(state, put, index, sigma, counters), gone)
+    return _members(unknowns, values, _put_rows(state, put, index, numbered, counters), gone)
 
 
 def _members(unknowns: List[Unknown], values: Dict[Value, int], put: Iterator,
@@ -441,19 +458,20 @@ def _members(unknowns: List[Unknown], values: Dict[Value, int], put: Iterator,
     yield "gone", gone
 
 
-def _put_rows(state: SolverState, put: dict, index: Dict[Unknown, int], sigma: list,
+def _put_rows(state: SolverState, put: dict, index: Dict[Unknown, int], numbered: dict,
               counters: Optional[dict]) -> Iterator[Tuple[str, object]]:
     """The "put" member of `state_to_json`: the non-empty tables of rows,
-    each built as it is reached and dropped once it is written."""
-    if sigma:
-        yield "sigma", sigma
-    del sigma
-    for name in MAPS:
-        rows = getattr(state, name)
-        out = sorted(([index[u], [index[v] for v in rows[u]]] for u in put[name]),
-                     key=itemgetter(0))
+    each built as it is reached, unless it is in `numbered`, and dropped
+    once it is written."""
+    for name in ("sigma",) + MAPS:
+        out = numbered.pop(name, None)
+        if out is None:
+            rows = getattr(state, name)
+            out = sorted(([index[u], [index[v] for v in rows[u]]] for u in put[name]),
+                         key=itemgetter(0))
         if out:
             yield name, out
+        del out
     for name in SETS:
         out = sorted(index[u] for u in put[name])
         if out:
@@ -466,7 +484,8 @@ def state_from_json(state: SolverState, doc: dict) -> Optional[dict]:
     """Apply the solver section `doc` of a record to `state`, in place,
     except its counters, which are returned (None if there are none).  The
     "unknowns" and "values" lists are taken out of `doc` as they are
-    decoded, so their parsed JSON is freed before the rows are applied."""
+    decoded, so their parsed JSON is freed before the rows are applied.
+    ValueError for a contribution of another domain than σ at its target."""
     contexts: Dict[str, Context] = {}
     unknowns = [unknown_from_json(d, contexts) for d in doc.pop("unknowns")]
     values = [value_from_json(d) for d in doc.pop("values")]
@@ -480,8 +499,18 @@ def state_from_json(state: SolverState, doc: dict) -> Optional[dict]:
         m = getattr(state, name)
         for i in gone.get(name, ()):
             del m[unknowns[i]]
-        for i, members in put.get(name, ()):
-            m[unknowns[i]] = dict.fromkeys(unknowns[j] for j in members)
+        if name == "side_dep":  # σ is applied, so each target's domain is known
+            for i, producers in put.get(name, ()):
+                g = unknowns[i]
+                m[g] = row = {unknowns[j]: values[v] for j, v in producers}
+                cur = sigma.get(g)
+                for d in row.values():
+                    if cur is not None and type(d) is not type(cur):
+                        raise ValueError(f"a contribution to {g!r} is a {type(d).__name__}, "
+                                         f"its value a {type(cur).__name__}")
+        else:
+            for i, members in put.get(name, ()):
+                m[unknowns[i]] = dict.fromkeys(unknowns[j] for j in members)
     for name in SETS:
         s = getattr(state, name)
         s.difference_update(unknowns[i] for i in gone.get(name, ()))

@@ -15,7 +15,7 @@ from typing import Dict, List
 
 from minicheck import tdsolver
 from minicheck.consys import Ans, Emit, EqSys, EvalError, QGet, QSet, Unknown
-from minicheck.domains import Value, narrow, widen
+from minicheck.domains import Value, join, narrow, widen
 from minicheck.tdsolver import Phase, SolverState
 
 
@@ -127,5 +127,7 @@ class RecursiveSolver:
             st.sigma[g] = new
             st.stable.add(g)
             st.destabilize(g)
-        st.side_dep.setdefault(g, {})[x] = None
-        st.side_infl.setdefault(x, {})[g] = None
+        sides = st.side_infl.setdefault(x, {})
+        producers = st.side_dep.setdefault(g, {})
+        producers[x] = join(producers[x], d) if g in sides else d
+        sides[g] = None

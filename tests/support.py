@@ -21,6 +21,7 @@ from minicheck.consys import (
     QGet,
     QSet,
     eval_tree,
+    sort_key,
     unknown_key,
 )
 from minicheck.domains import Access, Lockset, Value, ValueSet, access_to_json, join, value_to_json
@@ -92,16 +93,40 @@ def apply_section(st: SolverState, doc: dict) -> None:
 
 
 def reloaded(st: SolverState) -> SolverState:
-    """`st` written as the solver section of a base and read back."""
+    """`st` written as the solver section of a base and read back; the
+    producers' contributions come back equal and in order."""
     out = SolverState()
     apply_section(out, solver_section({}, st))
+    assert contributions(out) == contributions(st)
     return out
+
+
+def contributions(st: SolverState) -> dict:
+    """Each side-effected unknown's producers and their contributions, in
+    recorded order."""
+    return {g: list(producers.items()) for g, producers in st.side_dep.items()}
 
 
 def persisted(session) -> bytes:
     """Everything a state dir persists of `session`: the record that turns
     the empty session into it."""
     return journal.record(journal.EMPTY, session, "", "")[0]
+
+
+def assert_contributions_are_the_last_evaluations(sys_: EqSys, st: SolverState) -> None:
+    """What `side_dep` records for each stable unknown is what a pure
+    evaluation of its rhs side-effects: the same targets, the same values;
+    no other unknown is recorded as a producer."""
+    recorded: Dict = {}
+    for g, producers in st.side_dep.items():
+        for x, d in producers.items():
+            recorded.setdefault(x, {})[g] = d
+    look = sys_.lookup(st.sigma)
+    for x in st.stable:
+        tree = sys_.rhs(x)
+        if tree is not None:
+            assert recorded.pop(x, {}) == eval_tree(tree, look)[0].sides, x
+    assert not recorded, list(recorded)
 
 
 def value_key(v: Value) -> str:
@@ -363,6 +388,28 @@ def log_stable(st: SolverState) -> StableLog:
     return st.stable
 
 
+def full_restart_globals(G, st: SolverState, roots=()) -> None:
+    """Restarting in full, the paper's minimal restarting: each global of
+    `G` back to Bot and destabilized, and every unknown that side-effected it
+    destabilized.  The reference for `increment.restart_globals`, which
+    restarts a global this way only when its recorded contributions cannot
+    be trusted; `roots` is ignored."""
+    for g in sorted(G, key=sort_key):
+        st.sigma.pop(g, None)
+        st.stable.discard(g)
+        st.destabilize(g)
+        producers = list(st.side_dep.pop(g, ()))
+        for x in producers:
+            row = st.side_infl.get(x)
+            if row is not None:
+                row.pop(g, None)
+                if not row:
+                    del st.side_infl[x]
+        for x in producers:
+            st.stable.discard(x)
+            st.destabilize(x)
+
+
 def full_reachable_set(sys_: EqSys, st: SolverState, visit: Callable = None) -> set:
     """Unknowns reachable from the query under σ, each reached rhs evaluated
     purely, once; `visit(u, eval_state, value)` sees that evaluation."""
@@ -397,7 +444,7 @@ def full_prune(st: SolverState, reachable: set) -> None:
         for u, members in m.items():
             if u not in R:
                 continue
-            kept = {y: None for y in members if y in R}
+            kept = {y: d for y, d in members.items() if y in R}
             if kept:
                 out[u] = kept
         return out

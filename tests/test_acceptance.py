@@ -19,7 +19,6 @@ from minicheck.consys import (
     GlobalVar,
     NodeCtx,
     eval_tree,
-    unknown_key,
 )
 from minicheck.corpus import CorpusSpec, corpus_source, edit_sequence
 from minicheck.domains import (
@@ -213,9 +212,9 @@ def test_criterion_4_reluctant_stable_sets_and_counter():
 
     # step 1 left ⟨4,∅⟩ alone but the new side-effect destabilized ⟨5,∅⟩;
     # afterwards everything is stable again with the endpoint re-evaluated once
-    assert stats["step1_evals_by_unknown"].get(unknown_key(node("main", 4))) is None
-    assert stats["step2_evals_by_unknown"].get(unknown_key(node("main", 4))) is None
-    assert stats["step2_evals_by_unknown"].get(unknown_key(node("main", 5))) == 1
+    assert stats["step1_evals_by_unknown"].get(node("main", 4)) is None
+    assert stats["step2_evals_by_unknown"].get(node("main", 4)) is None
+    assert stats["step2_evals_by_unknown"].get(node("main", 5)) == 1
     assert st.sigma[node("main", 5)].env.get("ret") == vs(0, 1, 2)
     ok(4, "reluctant preparation and step-1/step-2 stable sets match; "
           "endpoint re-evaluated exactly once")

@@ -242,8 +242,8 @@ def _set_format(sd, fmt):
 
 # Format 3 is the last format whose solver section holds a start unknown,
 # format 4 the last one without a journal, format 5 the last one whose base
-# is not a record.
-@pytest.mark.parametrize("fmt", [1, 3, 4, 5])
+# is not a record, format 6 the last one without the producers' contributions.
+@pytest.mark.parametrize("fmt", [1, 3, 4, 5, 6])
 @pytest.mark.parametrize("command", [cli.cmd_reanalyze, cli.cmd_compare])
 def test_an_old_bundle_format_is_refused(ws, command, fmt):
     src, sd = ws
@@ -256,7 +256,7 @@ def test_an_old_bundle_format_is_refused(ws, command, fmt):
     assert "delete the state dir" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("fmt", [1, 3, 4, 5])
+@pytest.mark.parametrize("fmt", [1, 3, 4, 5, 6])
 def test_serve_answers_an_old_bundle_format_with_an_error(ws, fmt):
     src, sd = ws
     write(src, FIG2)
@@ -300,7 +300,7 @@ def test_bundle_is_compact_and_holds_digests(ws):
     with open(os.path.join(sd, "bundle.json")) as f:
         text = f.read()
     doc = json.loads(text)
-    assert doc["format"] == cli.BUNDLE_FORMAT == 6
+    assert doc["format"] == cli.BUNDLE_FORMAT == 7
     head, body = text.split("\n", 1)
     assert head + body == json.dumps(doc, separators=(",", ":")) + "\n"
     assert list(doc) == ["format", "created_at", "sha256", "compat", "solver", "put", "gone"]
@@ -323,7 +323,7 @@ def test_a_full_save_writes_the_bytes_of_a_one_shot_encoding(tmp_path):
     header = json.loads(data)
     record = json.loads(framed.split(b" ", 1)[1])
     assert (record.pop("base"), record.pop("prev")) == ("b", "p")
-    doc = {"format": 6, "created_at": header["created_at"], "sha256": header["sha256"],
+    doc = {"format": 7, "created_at": header["created_at"], "sha256": header["sha256"],
            "compat": opts.compat(), **record}
     assert data.replace(b"\n", b"", 1) == json.dumps(doc, separators=(",", ":")).encode() + b"\n"
 
@@ -1227,8 +1227,8 @@ def _pinned_versions():
 PINNED_COUNTS = [
     (3508, 4054, 0, 3508, 1388, 0, 1388),
     (3512, 4057, 4, 0, 4, 1384, 4),
-    (4465, 5128, 7, 946, 237, 1151, 237),
-    (4662, 5326, 4, 193, 197, 1191, 197),
+    (3729, 4298, 7, 210, 217, 1171, 224),
+    (3926, 4496, 4, 193, 197, 1191, 197),
 ]
 
 # The sorted warning ids after the analyze and after each edit: ids are

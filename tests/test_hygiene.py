@@ -97,7 +97,7 @@ def test_only_the_codec_decodes():
 # (module, top-level function) pairs; None stands for the whole module.
 KEY_WRITERS = {
     ("journal.py", None),  # the producers of access records, on changed rows
-    ("tdsolver.py", "run"),  # the solver's per-unknown statistics
+    ("cli.py", "_report"),  # the solver's per-unknown statistics, with --stats
     ("increment.py", "reanalyze"),  # the restarted globals
     ("postproc.py", "_unsound_stores"),  # warning provenance
     ("postproc.py", "_dead_code"),

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from minicheck import cli
+from minicheck import cli, increment
 from minicheck.consys import (
     INIT,
     MAIN,
@@ -34,7 +34,10 @@ from support import (
     FIG2,
     FIG2_EDIT,
     analyze_source,
+    assert_contributions_are_the_last_evaluations,
+    contributions,
     fresh_assignment,
+    full_restart_globals,
     log_stable,
     side_maps_inverse,
 )
@@ -55,9 +58,11 @@ def node_stable(st):
     return {u for u in st.stable if isinstance(u, NodeCtx)}
 
 
-def incremental_setup(old_text, new_text, mode="reluctant", restart="off"):
+def incremental_setup(old_text, new_text, mode="reluctant", restart="off",
+                      restarter=restart_globals):
     """Analyze old_text, then prepare reanalysis of new_text: returns the
-    state after preparation plus everything needed to run step 1/2."""
+    state after preparation plus everything needed to run step 1/2.
+    `restarter` restarts the globals `restart="minimal"` selects."""
     built, st, _ = analyze_source(old_text)
     new_prog = parse(new_text)
     changes = detect_changes(parse(old_text).digests, new_prog)
@@ -66,7 +71,7 @@ def incremental_setup(old_text, new_text, mode="reluctant", restart="off"):
     new_built = build_system(new_prog, new_asg)
     prep = prepare_reluctant if mode == "reluctant" else prepare_plain
     A = prep(changes, st, built.assignment)
-    restart_globals(G_sel, st)
+    restarter(G_sel, st, A)
     return new_built, st, changes, A
 
 
@@ -264,9 +269,7 @@ def test_reluctant_step1_matches_fig5_and_step2_is_single_lookup():
     assert st.sigma[node("main", 5)].env.get("ret") == vs(0, 1, 2)
     assert verify_solution(new_built.sys, st) == []
     # step 2 re-evaluated the endpoint of main exactly once
-    by_unknown = stats["step2_evals_by_unknown"]
-    from minicheck.consys import unknown_key
-    assert by_unknown.get(unknown_key(node("main", 5))) == 1
+    assert stats["step2_evals_by_unknown"].get(node("main", 5)) == 1
 
 
 def test_function_with_two_contexts_contributes_both_return_unknowns():
@@ -387,7 +390,7 @@ def test_reluctant_work_never_exceeds_plain():
 def test_select_restart_globals_fig2_edit():
     built, st, _ = analyze_source(FIG2)
     changes = detect_changes(parse(FIG2).digests, parse(FIG2_EDIT))
-    assert select_restart_globals(changes, st, built.assignment) == [G]
+    assert select_restart_globals(changes, st, built.assignment) == {G: {node("foo", 1, BETA0)}}
 
 
 def test_select_restart_globals_pure_function_edit():
@@ -399,22 +402,32 @@ int main() { r = f(1); return r + g; }
     edited = src.replace("x + 1", "x + 2")
     built, st, _ = analyze_source(src)
     changes = detect_changes(parse(src).digests, parse(edited))
-    assert select_restart_globals(changes, st, built.assignment) == []
+    assert select_restart_globals(changes, st, built.assignment) == {}
 
 
 def test_select_restart_globals_init_edit():
     built, st, _ = analyze_source(FIG2)
     new_text = FIG2.replace("atomic int g = 0 ;", "atomic int g = 9 ;")
     changes = detect_changes(parse(FIG2).digests, parse(new_text))
-    assert select_restart_globals(changes, st, built.assignment) == [G]
+    assert select_restart_globals(changes, st, built.assignment) == {G: {INIT}}
 
 
 def test_restart_matches_fig6_and_recovers_precision():
-    new_built, st, changes, A = incremental_setup(FIG2, FIG2_EDIT, restart="minimal")
-    # after restarting G={g}: only the entry nodes stay stable; g is reset
+    # restarting in full, as in Fig. 6: only the entry nodes stay stable; g is reset
+    new_built, st, changes, A = incremental_setup(FIG2, FIG2_EDIT, restart="minimal",
+                                                  restarter=full_restart_globals)
     assert node_stable(st) == {node("foo", 0, BETA0), node("main", 3)}
     assert G not in st.sigma and G not in st.stable
-    stats = run(new_built.sys, st, pre_solve=A)
+    run(new_built.sys, st, pre_solve=A)
+    full = dict(st.sigma)
+    # from the contributions: foo's old one is dropped, init's {0} is g's
+    # value, and only g's reader ⟨5,∅⟩ and what it influences leave stable
+    new_built, st, changes, A = incremental_setup(FIG2, FIG2_EDIT, restart="minimal")
+    assert contributions(st)[G] == [(INIT, vs(0))]
+    assert st.sigma[G] == vs(0) and G in st.stable
+    assert node_stable(st) == {node("foo", 0, BETA0), node("main", 3), node("main", 4)}
+    run(new_built.sys, st, pre_solve=A)
+    assert st.sigma == full
     assert st.sigma[G] == vs(0, 2)
     assert st.sigma[node("main", 5)].env.get("ret") == vs(0, 2)
     assert verify_solution(new_built.sys, st) == []
@@ -426,6 +439,102 @@ def test_restart_globals_empty_is_noop():
     sigma_before = dict(st.sigma)
     restart_globals([], st)
     assert st.sigma == sigma_before
+
+
+# Programs where a producer's recorded contribution to g may carry g's old
+# value.  COUNTER: a thread whose contribution depends on g itself (with
+# g = g * 1 it is g's whole old value).  HELPER: w's contribution is what h
+# returns, so an edit of h, which writes g too, makes it stale; plain
+# destabilization leaves w's store unstable, and in reluctant mode the
+# return of h, which step 1 re-solves, influences it through infl.
+COUNTER = """int g = 0;
+mutex m;
+void* t(void* p) { lock(m); g = %s; unlock(m); return NULL; }
+int w(int x) { lock(m); g = 5; unlock(m); return x; }
+int main() { create(t, 0); r = w(1); return g; }
+"""
+HELPER = """int g = 0;
+int h(int x) { g = 1; return x + 1; }
+int w(int x) { r = h(x); g = r; return r; }
+int main() { a = w(1); return g; }
+"""
+
+
+@pytest.mark.parametrize("old,edit,mode,expected", [
+    (COUNTER % "g + 1", ("g = 5;", "g = 7;"), "reluctant", None),
+    (COUNTER % "g * 1", ("g = 5;", "g = 7;"), "reluctant", vs(0, 7)),
+    (HELPER, ("x + 1", "x + 2"), "plain", vs(0, 1, 3)),
+    (HELPER, ("x + 1", "x + 2"), "reluctant", vs(0, 1, 3)),
+], ids=["counter-add", "counter-copy", "helper-plain", "helper-reluctant"])
+def test_a_contribution_that_may_carry_the_old_value_takes_the_full_restart(
+        old, edit, mode, expected, monkeypatch):
+    new = old.replace(*edit)
+    resets = []
+    reset = increment._reset
+    monkeypatch.setattr(increment, "_reset", lambda g, st: (resets.append(g), reset(g, st)))
+    sigmas = []
+    for restarter in (restart_globals, full_restart_globals):
+        monkeypatch.setattr(increment, "restart_globals", restarter)
+        built, st, _ = analyze_source(old)
+        _, new_built, stats, _, _, _ = reanalyze(parse(old).digests, built.assignment, st,
+                                                 parse(new), mode)
+        assert stats["restarted"] == ['{"k":"global","name":"g"}']
+        assert verify_solution(new_built.sys, st) == []
+        sigmas.append(st.sigma)
+    assert resets == [G]  # the contributions were not trusted
+    assert sigmas[0] == sigmas[1]
+    if expected is not None:
+        assert sigmas[0][G] == expected
+
+
+MODE_COMBINATIONS = [(mode, restart, wpoint_restart) for mode in ("plain", "reluctant")
+                     for restart in ("off", "minimal") for wpoint_restart in (False, True)]
+
+
+@pytest.mark.parametrize("mode,restart,wpoint_restart", MODE_COMBINATIONS)
+def test_restarting_from_contributions_gives_the_sigma_of_the_full_restart(
+        mode, restart, wpoint_restart, monkeypatch):
+    """Corpus edit sequences, run in lockstep with restarting in full as the
+    oracle: after every step σ is the oracle's and every recorded
+    contribution is its producer's."""
+    opts = cli.Options(mode=mode, restart=restart, wpoint_restart=wpoint_restart)
+    resets = []
+    reset = increment._reset
+    monkeypatch.setattr(increment, "_reset", lambda g, st: (resets.append(g), reset(g, st)))
+    restarted = 0
+    spec = CorpusSpec(n_functions=40, seed=7)
+    for seed in (1, 2, 3):
+        texts = [corpus_source(s) for s in edit_sequence(spec, 8, seed)]
+        ours = cli.run_analysis(corpus_source(spec), "p.mc", opts)
+        full = cli.run_analysis(corpus_source(spec), "p.mc", opts)
+        for step, text in enumerate(texts):
+            ours = cli.run_reanalysis(ours.session, text, "p.mc", opts)
+            with monkeypatch.context() as m:
+                m.setattr(increment, "restart_globals", full_restart_globals)
+                full = cli.run_reanalysis(full.session, text, "p.mc", opts)
+            assert ours.session.state.sigma == full.session.state.sigma, (seed, step)
+            built = build_system(ours.session.program, ours.session.assignment)
+            assert_contributions_are_the_last_evaluations(built.sys, ours.session.state)
+            restarted += len(ours.run_stats["restarted"])
+    assert restarted > len(resets) if restart == "minimal" else restarted == 0
+
+
+def test_interval_reanalyses_are_never_finer_than_scratch():
+    """Restarting a global in full re-widens its producers' contributions in
+    the order the solver re-evaluates them, the edited producer first.  With
+    intervals that order decides the bounds: σ(g0) could end [-inf,21] where
+    a run from scratch gives [0,+inf], so the reanalysis was finer than or
+    incomparable to scratch.  From the recorded contributions the order is
+    the recorded one, which the run from scratch also took."""
+    spec = CorpusSpec(n_functions=60, seed=7)
+    opts = cli.Options(mode="reluctant", domain="interval")
+    for seed in range(1, 9):
+        result = cli.run_analysis(corpus_source(spec), "p.mc", opts)
+        for step, edited in enumerate(edit_sequence(spec, 10, seed)):
+            text = corpus_source(edited)
+            result = cli.run_reanalysis(result.session, text, "p.mc", opts)
+            report = cli.compare_report(result.session, text, opts)
+            assert (report["finer"], report["incomparable"]) == (0, 0), (seed, step)
 
 
 def test_monotone_accumulation_without_restart():

@@ -15,7 +15,7 @@ from minicheck import cli
 from minicheck.consys import NodeCtx
 from minicheck.corpus import CorpusSpec, corpus_source, edit_sequence
 
-from support import persisted
+from support import contributions, persisted
 from test_declaration_edits import edits, templates
 
 BASE, JOURNAL = cli.BUNDLE_NAME, cli.JOURNAL_NAME
@@ -178,6 +178,7 @@ def test_replaying_the_journal_gives_the_state_the_writer_held(tmp_path_factory,
             held, _ = reanalyze(sd, src, text, opts)
         loaded = cli.load_bundle(sd, opts)
         assert persisted(loaded) == persisted(held), step
+        assert contributions(loaded.state) == contributions(held.state), step
         full_dir = str(tmp / f"full-{step}")
         cli.save_bundle(full_dir, cli.Session(held.digests, held.assignment, held.state,
                                               held.store), opts)
@@ -281,12 +282,13 @@ def test_a_record_that_fails_its_checksum_at_the_end_is_not_torn(tmp_path, fract
 # -- every row is checked by the one decoder -------------------------------------------
 
 
-def _append_record(sd, opts, put):
+def _append_record(sd, opts, put, solver=None):
     """Append to the journal of `sd` a checksummed record that follows its
-    last one and puts the session rows `put`."""
+    last one and puts the session rows `put` and the solver section
+    `solver` (by default an empty one)."""
     image = cli.load_bundle(sd, opts).image
-    payload = json.dumps({"base": image.base, "prev": image.tail,
-                          "solver": {"unknowns": [], "values": [], "put": {}, "gone": {}},
+    solver = solver or {"unknowns": [], "values": [], "put": {}, "gone": {}}
+    payload = json.dumps({"base": image.base, "prev": image.tail, "solver": solver,
                           "put": put, "gone": {}}, separators=(",", ":")).encode()
     with open(f"{sd}/{JOURNAL}", "ab") as f:
         f.write(hashlib.sha256(payload).hexdigest().encode() + b" " + payload + b"\n")
@@ -387,3 +389,41 @@ def test_a_node_id_counter_that_is_not_above_every_id_exits_two(tmp_path, counte
                 f"error: state bundle {sd}/{name} is unreadable or corrupt (ValueError: node id "
                 f"counter {bad!r} is not an integer above every node id); delete the state dir "
                 "to reanalyze from scratch\n")
+
+
+@pytest.mark.parametrize("damage", ["index", "domain"])
+def test_a_contribution_out_of_range_or_of_another_domain_exits_two(tmp_path, damage):
+    """A side_dep row's contribution is a value index: one past the values,
+    or one of a value of another domain than its target's, in the base or
+    in a record, is refused."""
+    src, sd = str(tmp_path / "prog.mc"), str(tmp_path / "state")
+    opts = cli.Options(state_dir=sd)
+    write(src, _corpus_versions(0)[0])
+    g0, init = {"k": "global", "name": "g0"}, {"k": "init"}
+    entry = {"t": "LocalState", "env": {"t": "Env", "v": {}}, "locks": {"t": "Lockset", "v": []}}
+
+    def bad_row(doc):  # init's contribution to g0
+        solver = doc["solver"]
+        i, j = solver["unknowns"].index(g0), solver["unknowns"].index(init)
+        row = next(producers for g, producers in solver["put"]["side_dep"] if g == i)
+        pair = next(pair for pair in row if pair[0] == j)
+        pair[1] = len(solver["values"])
+        if damage == "domain":
+            solver["values"].append(entry)
+
+    for name in (BASE, JOURNAL):
+        assert cli.cmd_analyze(src, opts, io.StringIO(), io.StringIO()) == 0
+        if name == BASE:
+            _rewrite_base(sd, bad_row)
+        else:
+            _append_record(sd, opts, {}, {
+                "unknowns": [init, g0], "values": [] if damage == "index" else [entry],
+                "put": {"side_dep": [[1, [[0, 0]]]]}, "gone": {}})
+        cause = "IndexError: list index out of range" if damage == "index" else \
+            "ValueError: a contribution to g0 is a LocalState, its value a ValueSet"
+        for command in (cli.cmd_reanalyze, cli.cmd_compare):
+            out, err = io.StringIO(), io.StringIO()
+            assert command(src, opts, out, err) == 2 and out.getvalue() == ""
+            assert err.getvalue() == (
+                f"error: state bundle {sd}/{name} is unreadable or corrupt ({cause}); "
+                "delete the state dir to reanalyze from scratch\n")

@@ -35,6 +35,8 @@ from support import (
     FIG2,
     apply_section,
     analyze_source,
+    assert_contributions_are_the_last_evaluations,
+    contributions,
     eqsys_from_dict,
     kleene_local_solution,
     kleene_solve,
@@ -348,6 +350,7 @@ def assert_same_state(st2, st):
     assert st2.sigma == st.sigma
     assert ordered(st2.infl) == ordered(st.infl)
     assert ordered(st2.side_dep) == ordered(st.side_dep)
+    assert contributions(st2) == contributions(st)
     assert ordered(st2.side_infl) == ordered(st.side_infl)
     assert ordered(st2.stale) == ordered(st.stale)
     assert st2.stable == st.stable
@@ -384,6 +387,33 @@ def test_state_json_roundtrip_on_random_systems():
         apply_section(replayed, delta)
         assert_same_state(replayed, st)
         previous = st
+
+
+def test_a_producer_records_the_join_of_its_side_effects_on_random_systems():
+    """A rhs may side-effect one target several times; its contribution is
+    the join of them all, as in a pure evaluation."""
+    rng = random.Random(515)
+    joined = 0
+    for _ in range(200):
+        sys_, rhs, deps, _ = make_random_system(rng, n_unknowns=rng.randrange(2, 12))
+        st = SolverState()
+        run(sys_, st)
+        assert_contributions_are_the_last_evaluations(sys_, st)
+        joined += any(len(sides) != len(set(sides)) for x, (_, sides) in deps.items()
+                      if x in st.stable)
+    assert joined > 20
+
+
+def test_a_changed_contribution_is_written_with_its_producers_unchanged():
+    _, st, _ = analyze_source(FIG2)
+    before = reloaded(st)
+    then = tables(st)
+    st.side_dep[G][INIT] = ValueSet.of([0, 9])
+    doc = solver_section(then, st)
+    assert list(doc["put"]) == ["side_dep"] and doc["gone"] == {}
+    apply_section(before, doc)
+    assert contributions(before) == contributions(st)
+    assert before.side_dep[G][INIT] == ValueSet.of([0, 9])
 
 
 def test_state_json_roundtrip_on_the_corpus():
@@ -486,7 +516,7 @@ def snapshot(st):
         "stable": st.stable,
         "point": st.point,
         "called": st.called,
-        "side_dep": ordered(st.side_dep),
+        "side_dep": [(g, list(producers.items())) for g, producers in st.side_dep.items()],
         "side_infl": ordered(st.side_infl),
         "counters": (st.rhs_evals, st.destabilizations),
     }
