@@ -41,7 +41,7 @@ from typing import Optional, TextIO
 
 from . import journal
 from .consys import NodeCtx, unknown_key
-from .domains import DomainError, leq
+from .domains import INT_DOMAINS, DomainError, leq
 from .increment import reanalyze
 from .minic import MiniCError, Program, build_system, parse
 from .minic.cfg import NodeAssignment, NodeTableError, assign_node_ids
@@ -247,6 +247,7 @@ def load_bundle(state_dir: str, opts: Options) -> Optional[Session]:
     comes from."""
     path = os.path.join(state_dir, BUNDLE_NAME)
     session = Session.empty()
+    int_domain = INT_DOMAINS[opts.domain]
     try:
         with open(path, "rb") as f:
             data = f.read()
@@ -266,7 +267,7 @@ def load_bundle(state_dir: str, opts: Options) -> Optional[Session]:
         nl = data.find(b"\n")
         if nl < 0 or hashlib.sha256(memoryview(data)[nl + 1:]).hexdigest() != doc["sha256"]:
             raise ValueError("its checksum does not match")
-        journal.replay(session, doc)
+        journal.replay(session, doc, int_domain)
         base = tail = _base_id(data[:nl])
         size = len(data)
         del data, doc
@@ -279,7 +280,7 @@ def load_bundle(state_dir: str, opts: Options) -> Optional[Session]:
             data = b""
         for record, rid, record_end in journal.records(data):
             if record["base"] == base and record["prev"] == tail:
-                journal.replay(session, record)
+                journal.replay(session, record, int_domain)
                 tail, end = rid, record_end
     except FileNotFoundError:
         return None

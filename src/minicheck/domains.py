@@ -237,6 +237,8 @@ class Interval(Value):
 _INTERVAL_TOP = Interval(None, None)
 _INTERVAL_BOT = Interval(None, None, empty=True)
 
+INT_DOMAINS = {"valueset": ValueSet, "interval": Interval}  # by `--domain` name
+
 
 @dataclass(frozen=True)
 class AddressSet(Value):

@@ -38,7 +38,11 @@ contributions of the producers the edit did not rewrite: only if that
 differs from its value are its readers destabilized, and no producer is
 re-evaluated.  A global with a producer whose contribution may still carry
 the old value (it is not stable, or an edit reaches it through ``infl``)
-is reset to Bot instead, with every producer destabilized.
+is reset to Bot instead, with every producer destabilized; so is every
+global after an edit of the global declarations.  Once the solver has run,
+a kept contribution whose producer is no longer reached from the query, or
+now contributes another value, is one a reset would have dropped: its
+global is reset then, and the query solved again.
 
 `reanalyze` takes one snapshot of the solver's tables (`tdsolver.tables`),
 which the save reads too (`journal`), and decides once, as the solve
@@ -72,7 +76,7 @@ from .consys import (
     sort_key,
     unknown_key,
 )
-from .domains import widen
+from .domains import Value, widen
 from .minic.cfg import NodeAssignment, assign_node_ids
 from .minic.syntax import Program, names_used
 from .minic.system import BuiltSystem, build_system
@@ -263,7 +267,7 @@ def select_restart_globals(changes: ChangeSet, st: SolverState,
 
 
 def restart_globals(G: Dict[Unknown, Set[Unknown]], st: SolverState,
-                    roots: Iterable[Unknown] = ()) -> None:
+                    roots: Iterable[Unknown] = ()) -> Dict[Unknown, List[Tuple[Unknown, Value]]]:
     """Recompute each global `g` of `G` from its producers' contributions.
 
     The contributions of `G[g]`, the producers the edit rewrote, are
@@ -271,7 +275,8 @@ def restart_globals(G: Dict[Unknown, Set[Unknown]], st: SolverState,
     them.  The others are widened from Bot in recorded order.  Only if the
     result differs from σ(g) is it stored and are the readers of `g`
     destabilized; else σ(g) stays the same object.  No producer is
-    destabilized.
+    destabilized.  Returns each global so restarted with the contributions
+    it kept, for `confirm_restarts` to check once the solver has run.
 
     A remaining contribution may carry the old value of `g` when its
     producer is not stable or is influenced, through ``infl``, by a global
@@ -280,9 +285,17 @@ def restart_globals(G: Dict[Unknown, Set[Unknown]], st: SolverState,
     ``g = g + 1`` the contribution depends on `g` itself.  Such a global is
     reset to Bot instead, and every producer of it is destabilized.
     Side-effect edges are not followed: the reset does not refresh the
-    unknowns a producer side-effects either."""
+    unknowns a producer side-effects either.  After an edit of the global
+    declarations (`INIT` is rewritten) every global of `G` is reset: the
+    declarations decide which globals a store through a pointer writes, in
+    functions that do not name them and so count as unchanged."""
     if not G:
-        return
+        return {}
+    if any(INIT in rewritten for rewritten in G.values()):
+        for g in G:
+            _reset(g, st)
+        return {}
+    kept_by_global: Dict[Unknown, List[Tuple[Unknown, Value]]] = {}
     influenced: Set[Unknown] = set()
     stack = [*G, *roots]
     while stack:
@@ -297,6 +310,7 @@ def restart_globals(G: Dict[Unknown, Set[Unknown]], st: SolverState,
             continue
         for x in rewritten:
             _drop_side(st, x, g)
+        kept_by_global[g] = kept
         new = None
         for _, d in kept:
             new = d if new is None else widen(new, d)
@@ -309,6 +323,54 @@ def restart_globals(G: Dict[Unknown, Set[Unknown]], st: SolverState,
             st.sigma[g] = new
             st.stable.add(g)
         st.destabilize(g)
+    return kept_by_global
+
+
+def confirm_restarts(kept: Dict[Unknown, List[Tuple[Unknown, Value]]], st: SolverState,
+                     asg: NodeAssignment) -> List[Unknown]:
+    """The globals `restart_globals` recomputed from the contributions in
+    `kept` that the solver's run did not confirm, after it: a kept producer
+    that is no longer stable, now contributes another value, or lies in a
+    context that no stable unknown enters any more.  A full reset would have
+    dropped such a contribution, as the producer is not re-evaluated or
+    contributes anew.  A context is entered from a producer of its entry (a
+    call or creation site, or the query for `main`), and a producer in a
+    context is stable and entered only if that context is; so a context is
+    reached after the run just when a chain of stable producers leads to it
+    from the query."""
+    entered: Dict[Unknown, bool] = {}  # entry unknown -> whether the query reaches it
+
+    def entry(x: NodeCtx) -> NodeCtx:
+        return NodeCtx(x.fn, asg.assign[x.fn][0], x.ctx)
+
+    def reaches(e: NodeCtx) -> bool:
+        seen, stack = {e}, [e]
+        while stack:
+            for p in st.side_dep.get(stack.pop(), ()):
+                if p not in st.stable:
+                    continue
+                if not isinstance(p, NodeCtx):  # the query
+                    return True
+                q = entry(p)
+                if entered.get(q):
+                    return True
+                if q not in seen:
+                    seen.add(q)
+                    stack.append(q)
+        return False
+
+    def confirmed(g: Unknown, x: Unknown, d: Value) -> bool:
+        if x not in st.stable or st.side_dep.get(g, {}).get(x) != d:
+            return False
+        if not isinstance(x, NodeCtx):  # the initializer
+            return True
+        e = entry(x)
+        if e not in entered:
+            entered[e] = reaches(e)
+        return entered[e]
+
+    return [g for g, contributions in kept.items()
+            if not all(confirmed(g, x, d) for x, d in contributions)]
 
 
 def _reset(g: Unknown, st: SolverState) -> None:
@@ -361,8 +423,23 @@ def reanalyze(old_digests: dict, old_asg: NodeAssignment, st: SolverState,
     built = build_system(new_prog, relabel_nodes(changes, old_asg, new_prog), domain)
     prepare = prepare_reluctant if mode == "reluctant" else prepare_plain
     pre_solve = prepare(changes, st, old_asg)
-    restart_globals(restarted, st, pre_solve)
+    kept = restart_globals(restarted, st, pre_solve)
     stats = run(built.sys, st, pre_solve, restart_wpoint=restart_wpoint)
+    # A global whose kept contributions the run did not confirm is reset,
+    # and the query solved again; that can leave others unconfirmed.
+    unconfirmed = confirm_restarts(kept, st, built.assignment)
+    while unconfirmed:
+        for g in unconfirmed:
+            del kept[g]
+            _reset(g, st)
+        again = run(built.sys, st, restart_wpoint=restart_wpoint)
+        stats["step2_rhs_evals"] += again["step2_rhs_evals"]
+        by_unknown = stats["step2_evals_by_unknown"]
+        for u, n in again["step2_evals_by_unknown"].items():
+            by_unknown[u] = by_unknown.get(u, 0) + n
+        stats["diagnostics"] += again["diagnostics"]
+        stats["evaluated"] |= again["evaluated"]
+        unconfirmed = confirm_restarts(kept, st, built.assignment)
     stats["restarted"] = [unknown_key(g) for g in restarted]
     # An unknown with a rhs that left stable is stable again only once it is
     # evaluated.  (A global that left is stable again once it gets a new

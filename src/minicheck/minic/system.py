@@ -43,6 +43,7 @@ from ..consys import (
 from ..domains import (
     Access,
     AddressSet,
+    INT_DOMAINS,
     Env,
     Interval,
     LocalState,
@@ -87,7 +88,7 @@ def build_system(prog: Program, assignment: NodeAssignment,
     """The equation system of `prog` under `assignment`; `domain` is the
     integer value domain, "valueset" or "interval"."""
     cfgs = build_cfgs(prog, assignment)
-    gen = _SystemGen(prog, cfgs, Interval if domain == "interval" else ValueSet)
+    gen = _SystemGen(prog, cfgs, INT_DOMAINS[domain])
     sys_ = EqSys(gen.rhs, MAIN, gen.bot_of, gen.has_rhs)
     return BuiltSystem(sys_, cfgs, assignment)
 

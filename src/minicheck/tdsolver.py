@@ -32,6 +32,7 @@ from .consys import (
     EqSys,
     EvalError,
     EvalState,
+    GlobalVar,
     QGet,
     QSet,
     Tree,
@@ -42,7 +43,9 @@ from .consys import (
     unknown_to_json,
 )
 from .domains import (
+    LocalState,
     Value,
+    ValueSet,
     join,
     leq,
     narrow,
@@ -480,12 +483,15 @@ def _put_rows(state: SolverState, put: dict, index: Dict[Unknown, int], numbered
         yield "counters", counters
 
 
-def state_from_json(state: SolverState, doc: dict) -> Optional[dict]:
+def state_from_json(state: SolverState, doc: dict,
+                    int_domain: type = ValueSet) -> Optional[dict]:
     """Apply the solver section `doc` of a record to `state`, in place,
     except its counters, which are returned (None if there are none).  The
     "unknowns" and "values" lists are taken out of `doc` as they are
     decoded, so their parsed JSON is freed before the rows are applied.
-    ValueError for a contribution of another domain than σ at its target."""
+    ValueError for a contribution with a negative index, and for one that
+    is not of its target's domain: `int_domain` for a global, else
+    `LocalState`."""
     contexts: Dict[str, Context] = {}
     unknowns = [unknown_from_json(d, contexts) for d in doc.pop("unknowns")]
     values = [value_from_json(d) for d in doc.pop("values")]
@@ -499,15 +505,18 @@ def state_from_json(state: SolverState, doc: dict) -> Optional[dict]:
         m = getattr(state, name)
         for i in gone.get(name, ()):
             del m[unknowns[i]]
-        if name == "side_dep":  # σ is applied, so each target's domain is known
+        if name == "side_dep":
             for i, producers in put.get(name, ()):
                 g = unknowns[i]
-                m[g] = row = {unknowns[j]: values[v] for j, v in producers}
-                cur = sigma.get(g)
-                for d in row.values():
-                    if cur is not None and type(d) is not type(cur):
+                domain = int_domain if isinstance(g, GlobalVar) else LocalState
+                m[g] = row = {}
+                for j, v in producers:
+                    if j < 0 or v < 0:
+                        raise ValueError(f"a contribution to {g!r} has a negative index")
+                    row[unknowns[j]] = d = values[v]
+                    if type(d) is not domain:
                         raise ValueError(f"a contribution to {g!r} is a {type(d).__name__}, "
-                                         f"its value a {type(cur).__name__}")
+                                         f"not a {domain.__name__}")
         else:
             for i, members in put.get(name, ()):
                 m[unknowns[i]] = dict.fromkeys(unknowns[j] for j in members)

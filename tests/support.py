@@ -393,7 +393,8 @@ def full_restart_globals(G, st: SolverState, roots=()) -> None:
     `G` back to Bot and destabilized, and every unknown that side-effected it
     destabilized.  The reference for `increment.restart_globals`, which
     restarts a global this way only when its recorded contributions cannot
-    be trusted; `roots` is ignored."""
+    be trusted; `roots` is ignored.  Keeps no contribution, so returns the
+    empty dict."""
     for g in sorted(G, key=sort_key):
         st.sigma.pop(g, None)
         st.stable.discard(g)
@@ -408,6 +409,7 @@ def full_restart_globals(G, st: SolverState, roots=()) -> None:
         for x in producers:
             st.stable.discard(x)
             st.destabilize(x)
+    return {}
 
 
 def full_reachable_set(sys_: EqSys, st: SolverState, visit: Callable = None) -> set:

@@ -460,15 +460,9 @@ int main() { a = w(1); return g; }
 """
 
 
-@pytest.mark.parametrize("old,edit,mode,expected", [
-    (COUNTER % "g + 1", ("g = 5;", "g = 7;"), "reluctant", None),
-    (COUNTER % "g * 1", ("g = 5;", "g = 7;"), "reluctant", vs(0, 7)),
-    (HELPER, ("x + 1", "x + 2"), "plain", vs(0, 1, 3)),
-    (HELPER, ("x + 1", "x + 2"), "reluctant", vs(0, 1, 3)),
-], ids=["counter-add", "counter-copy", "helper-plain", "helper-reluctant"])
-def test_a_contribution_that_may_carry_the_old_value_takes_the_full_restart(
-        old, edit, mode, expected, monkeypatch):
-    new = old.replace(*edit)
+def reanalyze_both_ways(old, new, mode, monkeypatch):
+    """Reanalyze `new` after `old`, restarting from the contributions and in
+    full: σ of both, each verified, and the globals the first way reset."""
     resets = []
     reset = increment._reset
     monkeypatch.setattr(increment, "_reset", lambda g, st: (resets.append(g), reset(g, st)))
@@ -478,13 +472,84 @@ def test_a_contribution_that_may_carry_the_old_value_takes_the_full_restart(
         built, st, _ = analyze_source(old)
         _, new_built, stats, _, _, _ = reanalyze(parse(old).digests, built.assignment, st,
                                                  parse(new), mode)
-        assert stats["restarted"] == ['{"k":"global","name":"g"}']
+        assert '{"k":"global","name":"g"}' in stats["restarted"]
         assert verify_solution(new_built.sys, st) == []
+        if restarter is restart_globals:
+            ours = list(resets)
         sigmas.append(st.sigma)
+    return sigmas, ours
+
+
+@pytest.mark.parametrize("old,edit,mode,expected", [
+    (COUNTER % "g + 1", ("g = 5;", "g = 7;"), "reluctant", None),
+    (COUNTER % "g * 1", ("g = 5;", "g = 7;"), "reluctant", vs(0, 7)),
+    (HELPER, ("x + 1", "x + 2"), "plain", vs(0, 1, 3)),
+    (HELPER, ("x + 1", "x + 2"), "reluctant", vs(0, 1, 3)),
+], ids=["counter-add", "counter-copy", "helper-plain", "helper-reluctant"])
+def test_a_contribution_that_may_carry_the_old_value_takes_the_full_restart(
+        old, edit, mode, expected, monkeypatch):
+    sigmas, resets = reanalyze_both_ways(old, old.replace(*edit), mode, monkeypatch)
     assert resets == [G]  # the contributions were not trusted
     assert sigmas[0] == sigmas[1]
     if expected is not None:
         assert sigmas[0][G] == expected
+
+
+# Programs where an edit leaves a writer's context unreached, so a full
+# reset drops its contribution: f⟨x=1⟩ (CALLER; H_CALLER through its callee
+# h⟨y=1⟩) once main calls f(2), and f⟨x={0,1}⟩ (VALUE) once the value of k
+# that main passes changes.  The restart keeps the contribution, and the run
+# shows that nothing enters the context any more.
+CALLER = """int g = 0;
+int f(int x) { g = x; return x; }
+int main() { g = 5; r = f(1); return r; }
+"""
+H_CALLER = """int g = 0;
+int h(int y) { g = y; return y; }
+int f(int x) { r = h(x); return r; }
+int main() { g = 5; r = f(1); return r; }
+"""
+VALUE = """int g = 0;
+int k = 0;
+int f(int x) { g = x; return x; }
+int w(int y) { k = 1; g = 7; return y; }
+int main() { g = 5; a = w(0); r = f(k); return r; }
+"""
+
+
+@pytest.mark.parametrize("mode", ["plain", "reluctant"])
+@pytest.mark.parametrize("old,edit,expected", [
+    (CALLER, ("f(1)", "f(2)"), vs(0, 2, 5)),
+    (H_CALLER, ("f(1)", "f(2)"), vs(0, 2, 5)),
+    (VALUE, ("k = 1;", "k = 2;"), vs(0, 2, 5, 7)),
+], ids=["caller", "caller-of-caller", "value"])
+def test_a_writer_whose_context_the_edit_leaves_loses_its_contribution(
+        old, edit, expected, mode, monkeypatch):
+    sigmas, resets = reanalyze_both_ways(old, old.replace(*edit), mode, monkeypatch)
+    assert resets == [G]  # after the run
+    assert sigmas[0] == sigmas[1]
+    assert sigmas[0][G] == expected
+
+
+# A thread stores through a pointer to g or h, in a function that names
+# neither; each edit changes the global declarations.
+STORE = """int g = 0;
+int h = 0;
+mutex m;
+void* t(void* p) { lock(m); *p = 1; unlock(m); return NULL; }
+int main() { q = &g; k = 0; while (k < 1) { q = &h; k = k + 1; } create(t, q); return 0; }
+"""
+
+
+@pytest.mark.parametrize("mode", ["plain", "reluctant"])
+@pytest.mark.parametrize("edit", [("int h = 0;", "int h = 3;"),
+                                  ("mutex m;", "int n = 0;\nmutex m;")],
+                         ids=["initializer", "new-global"])
+def test_after_an_edit_of_the_declarations_every_candidate_is_reset(edit, mode, monkeypatch):
+    sigmas, resets = reanalyze_both_ways(STORE, STORE.replace(*edit), mode, monkeypatch)
+    assert resets == [G, GlobalVar("h")]
+    assert sigmas[0] == sigmas[1]
+    assert sigmas[0][G] == vs(0, 1)
 
 
 MODE_COMBINATIONS = [(mode, restart, wpoint_restart) for mode in ("plain", "reluctant")

@@ -391,39 +391,61 @@ def test_a_node_id_counter_that_is_not_above_every_id_exits_two(tmp_path, counte
                 "to reanalyze from scratch\n")
 
 
-@pytest.mark.parametrize("damage", ["index", "domain"])
+CONTRIBUTION_DAMAGE = {
+    "index": "IndexError: list index out of range",
+    "negative-index": "ValueError: a contribution to g0 has a negative index",
+    "negative-producer": "ValueError: a contribution to g0 has a negative index",
+    "domain": "ValueError: a contribution to g0 is a LocalState, not a ValueSet",
+    "domain-of-no-value": "ValueError: a contribution to gz is a LocalState, not a ValueSet",
+}
+
+
+@pytest.mark.parametrize("damage", list(CONTRIBUTION_DAMAGE))
 def test_a_contribution_out_of_range_or_of_another_domain_exits_two(tmp_path, damage):
     """A side_dep row's contribution is a value index: one past the values,
-    or one of a value of another domain than its target's, in the base or
-    in a record, is refused."""
+    a negative one, one with a negative producer index, or one of a value of
+    another domain than its target's, also of a target without a value, in
+    the base or in a record, is refused."""
     src, sd = str(tmp_path / "prog.mc"), str(tmp_path / "state")
     opts = cli.Options(state_dir=sd)
     write(src, _corpus_versions(0)[0])
-    g0, init = {"k": "global", "name": "g0"}, {"k": "init"}
+    g0, gz, init = {"k": "global", "name": "g0"}, {"k": "global", "name": "gz"}, {"k": "init"}
     entry = {"t": "LocalState", "env": {"t": "Env", "v": {}}, "locks": {"t": "Lockset", "v": []}}
 
-    def bad_row(doc):  # init's contribution to g0
-        solver = doc["solver"]
-        i, j = solver["unknowns"].index(g0), solver["unknowns"].index(init)
-        row = next(producers for g, producers in solver["put"]["side_dep"] if g == i)
+    def bad_row(solver):  # init's contribution to g0, or a new one to gz
+        unknowns, values, rows = solver["unknowns"], solver["values"], solver["put"]["side_dep"]
+        j = unknowns.index(init)
+        if damage == "domain-of-no-value":
+            unknowns.append(gz)
+            values.append(entry)
+            rows.append([len(unknowns) - 1, [[j, len(values) - 1]]])
+            return
+        i = unknowns.index(g0)
+        row = next(producers for g, producers in rows if g == i)
         pair = next(pair for pair in row if pair[0] == j)
-        pair[1] = len(solver["values"])
-        if damage == "domain":
-            solver["values"].append(entry)
+        if damage == "index":
+            pair[1] = len(values)
+        elif damage == "negative-index":
+            pair[1] = -1
+        elif damage == "negative-producer":
+            pair[0] = -1
+        else:
+            pair[1] = len(values)
+            values.append(entry)
 
     for name in (BASE, JOURNAL):
         assert cli.cmd_analyze(src, opts, io.StringIO(), io.StringIO()) == 0
         if name == BASE:
-            _rewrite_base(sd, bad_row)
+            _rewrite_base(sd, lambda doc: bad_row(doc["solver"]))
         else:
-            _append_record(sd, opts, {}, {
-                "unknowns": [init, g0], "values": [] if damage == "index" else [entry],
-                "put": {"side_dep": [[1, [[0, 0]]]]}, "gone": {}})
-        cause = "IndexError: list index out of range" if damage == "index" else \
-            "ValueError: a contribution to g0 is a LocalState, its value a ValueSet"
+            solver = {"unknowns": [init, g0], "values": [{"t": "ValueSet", "v": [0]}],
+                      "put": {"side_dep": [[1, [[0, 0]]]]}, "gone": {}}
+            bad_row(solver)
+            _append_record(sd, opts, {}, solver)
         for command in (cli.cmd_reanalyze, cli.cmd_compare):
             out, err = io.StringIO(), io.StringIO()
             assert command(src, opts, out, err) == 2 and out.getvalue() == ""
             assert err.getvalue() == (
-                f"error: state bundle {sd}/{name} is unreadable or corrupt ({cause}); "
+                f"error: state bundle {sd}/{name} is unreadable or corrupt "
+                f"({CONTRIBUTION_DAMAGE[damage]}); "
                 "delete the state dir to reanalyze from scratch\n")
