@@ -308,11 +308,12 @@ def run_reanalysis(session: Session, text: str, filename: str,
     """Reanalyze `text` against `session`, whose solver state is updated in
     place (and is unusable if this raises)."""
     prog = parse(text, session.program)
-    state = session.state
-    changes, built, run_stats, start, untouched, reusable = reanalyze(
+    state, index = session.state, session.store.index
+    changes, built, run_stats, start, reuse = reanalyze(
         session.digests, session.assignment, state, prog, opts.mode, opts.restart,
-        opts.domain, restart_wpoint=opts.wpoint_restart)
-    store, post_stats = postprocess(built, state, session.store, filename, untouched, reusable)
+        opts.domain, restart_wpoint=opts.wpoint_restart,
+        contexts=index.contexts if index is not None else None)
+    store, post_stats = postprocess(built, state, session.store, filename, reuse)
     on_disk = session.image is not None and session.then is None  # loaded or saved
     return AnalysisResult(Session(prog.digests, built.assignment, state, store, prog,
                                   session.image if on_disk else None,
@@ -397,10 +398,15 @@ def _report(payload, result: AnalysisResult, persisted: dict, opts: Options, out
         run = dict(result.run_stats)
         for key in ("step1_evals_by_unknown", "step2_evals_by_unknown"):
             run[key] = {unknown_key(u): n for u, n in run[key].items()}
-        stats = _stats(result, persisted, run=run,
-                       postprocess={k: len(v) for k, v in result.post_stats.items()})
+        stats = _stats(result, persisted, run=run, postprocess=_post_counts(result))
         print(json.dumps(stats, indent=1), file=err)
     return 1 if opts.fail_on_warn and result.session.store.warnings else 0
+
+
+def _post_counts(result: AnalysisResult) -> dict:
+    """How many unknowns the post-solve walk re-evaluated, reused,
+    evaluated and walked (evaluated, reused or re-checked)."""
+    return {k: len(v) for k, v in result.post_stats.items()}
 
 
 def _stats(result: AnalysisResult, persisted: dict, **details) -> dict:
@@ -416,7 +422,8 @@ def cmd_analyze(path: str, opts: Options, out: Optional[TextIO] = None,
     err = err if err is not None else sys.stderr
     try:
         result = run_analysis(_read_source(path), path, opts)
-        result.session.program = None  # nothing reuses it; its memory is the bundle's
+        # nothing reuses them; their memory is the bundle's
+        result.session.program = result.session.store.index = None
         persisted = save_bundle(opts.state_dir, result.session, opts)
     except ERRORS as exc:
         print(f"error: {exc}", file=err)
@@ -434,7 +441,8 @@ def cmd_reanalyze(path: str, opts: Options, out: Optional[TextIO] = None,
             print("notice: no previous state; analyzing from scratch", file=err)
             return cmd_analyze(path, opts, out, err)
         result = run_reanalysis(session, _read_source(path), path, opts)
-        result.session.program = None  # nothing reuses it; its memory is the bundle's
+        # nothing reuses them; their memory is the bundle's
+        result.session.program = result.session.store.index = None
         persisted = save_bundle(opts.state_dir, result.session, opts)
     except ERRORS as exc:
         print(f"error: {exc}", file=err)
@@ -499,7 +507,8 @@ class Server:
             payload["fallback"] = "analyze"
         if self.opts.stats:
             payload["stats"] = _stats(result, persisted,
-                                      diagnostics=result.run_stats["diagnostics"])
+                                      diagnostics=result.run_stats["diagnostics"],
+                                      postprocess=_post_counts(result))
         return payload
 
     def serve(self, inp: TextIO, out: TextIO) -> bool:

@@ -54,15 +54,28 @@ declarations none is.  After the solve, one walk over σ finds what is
 reachable from the query; postprocessing shares its evaluations.  The walk
 reuses the reusable unknowns it reaches: they are not evaluated, and their
 recorded successors are the inverse of ``infl`` minus the stale edges the
-walk noted when it last evaluated them.  So the walk evaluates only what the
-run touched.  Pruning drops the unknowns that left the reached set and the
-rows that name them.
+walk noted when it last evaluated them, plus their side targets.  So the
+walk evaluates only what the run touched.
+
+A walk leaves what it reached, each unknown with its successors (`Reach`).
+Kept in memory, that is where the next walk starts (`_rewalk`): it
+evaluates the reached unknowns that are not reusable, follows the new
+edges from the query through them and through what it reaches for the
+first time, and re-checks, through the predecessors the state records,
+only what the edges those unknowns lost led to (dynamic reachability, after
+Ramalingam and Reps, TCS 1996).  Pruning then deletes the unknowns that
+left and the rows that name them, found through the same predecessors
+and the run's reads, so a reanalysis walks and prunes about what the
+solver touched.  A walk without a `Reach` (an analysis, a state loaded
+from a bundle, an edit of the global declarations) starts from the query
+and prunes by scanning every table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+import itertools
+from dataclasses import dataclass, field
+from typing import Callable, Collection, Dict, Iterable, List, Optional, Set, Tuple
 
 from .consys import (
     INIT,
@@ -180,7 +193,7 @@ def recorded_contexts(st: SolverState, asg: NodeAssignment) -> Dict[str, Set[Con
     return out
 
 
-def _return_unknowns(changes_fns: Iterable[str], contexts: Dict[str, Set[Context]],
+def _return_unknowns(changes_fns: Iterable[str], contexts: Dict[str, Collection[Context]],
                      old_asg: NodeAssignment) -> List[Unknown]:
     out: List[Unknown] = []
     for fn in changes_fns:
@@ -193,45 +206,45 @@ def _return_unknowns(changes_fns: Iterable[str], contexts: Dict[str, Set[Context
     return out
 
 
-def _drop_stale_nodes(changes: ChangeSet, st: SolverState, old_asg: NodeAssignment) -> None:
+def _drop_stale_nodes(changes: ChangeSet, st: SolverState, old_asg: NodeAssignment,
+                      contexts: Dict[str, Collection[Context]]) -> None:
     """Unknowns of interior nodes of body-changed functions (and all nodes
     of header-changed and removed ones) no longer exist in the new system;
-    drop them from stable.  Their σ entries are garbage until pruning."""
-    stale: Set[Tuple[str, int]] = set()
-    for fn in changes.changed:
+    drop them from stable.  Their σ entries are garbage until pruning.
+    Each is one of the old nodes in one of the function's `contexts`."""
+    for fn in changes.changed | changes.header_changed | changes.removed:
         ids = old_asg.assign.get(fn)
-        if ids:
-            stale.update((fn, n) for n in ids[1:-1])
-    for fn in changes.header_changed | changes.removed:
-        ids = old_asg.assign.get(fn)
-        if ids:
-            stale.update((fn, n) for n in ids)
-    if stale:
-        st.stable.difference_update(
-            [u for u in st.stable if isinstance(u, NodeCtx) and (u.fn, u.node) in stale])
+        ctxs = contexts.get(fn)
+        if ids and ctxs:
+            nodes = ids if fn in changes.header_changed or fn in changes.removed else ids[1:-1]
+            st.stable.difference_update([NodeCtx(fn, n, c) for n in nodes for c in ctxs])
 
 
-def prepare_plain(changes: ChangeSet, st: SolverState,
-                  old_asg: NodeAssignment) -> List[Unknown]:
+def prepare_plain(changes: ChangeSet, st: SolverState, old_asg: NodeAssignment,
+                  contexts: Optional[Dict[str, Collection[Context]]] = None) -> List[Unknown]:
     """Eager destabilization at the return nodes of every edited function.
+    `contexts` are those of `recorded_contexts`, read off σ if not given.
 
     Returns the empty pre-solve list (step 1 is empty in plain mode)."""
-    _drop_stale_nodes(changes, st, old_asg)
-    contexts = recorded_contexts(st, old_asg)
+    if contexts is None:
+        contexts = recorded_contexts(st, old_asg)
+    _drop_stale_nodes(changes, st, old_asg, contexts)
     for u in _return_unknowns(changes.edited(), contexts, old_asg):
         st.stable.discard(u)
         st.destabilize(u)
     return []
 
 
-def prepare_reluctant(changes: ChangeSet, st: SolverState,
-                      old_asg: NodeAssignment) -> List[Unknown]:
+def prepare_reluctant(changes: ChangeSet, st: SolverState, old_asg: NodeAssignment,
+                      contexts: Optional[Dict[str, Collection[Context]]] = None) -> List[Unknown]:
     """Confined destabilization: body-changed functions contribute their
     return unknowns to the pre-solve set A without destabilizing their
     dependents.  Header-changed and removed functions are handled plainly
-    (reluctance could only do work in vain there)."""
-    _drop_stale_nodes(changes, st, old_asg)
-    contexts = recorded_contexts(st, old_asg)
+    (reluctance could only do work in vain there).  `contexts` as in
+    `prepare_plain`."""
+    if contexts is None:
+        contexts = recorded_contexts(st, old_asg)
+    _drop_stale_nodes(changes, st, old_asg, contexts)
     for u in _return_unknowns(changes.header_changed | changes.removed, contexts, old_asg):
         st.stable.discard(u)
         st.destabilize(u)
@@ -402,27 +415,46 @@ def _drop_side(st: SolverState, x: Unknown, g: Unknown) -> None:
 # ---------------------------------------------------------------------------
 
 
+@dataclass
+class Reuse:
+    """What `reanalyze` decided, as the solve returned, for the post-solve
+    walk (see the module docstring): the `untouched` and the `reusable`
+    unknowns, every unknown the run evaluated with every unknown its
+    evaluations read (`reads`), `changed`, the unknowns whose σ entry is
+    not the snapshot's object (set, replaced or removed), `suspect`, among
+    which are all unknowns stable in the snapshot that are not reusable,
+    and `came`, those stable now that were not then.  All but the first two
+    are only filled in when something is reusable."""
+
+    untouched: Set[Unknown]
+    reusable: Set[Unknown]
+    reads: Dict[Unknown, Dict[Unknown, None]] = field(default_factory=dict)
+    changed: Set[Unknown] = field(default_factory=set)
+    suspect: Set[Unknown] = field(default_factory=set)
+    came: Set[Unknown] = field(default_factory=set)
+
+
 def reanalyze(old_digests: dict, old_asg: NodeAssignment, st: SolverState,
               new_prog: Program, mode: str = "reluctant", restart: str = "minimal",
-              domain: str = "valueset", *,
-              restart_wpoint: bool = False) -> Tuple[ChangeSet, BuiltSystem, dict, dict,
-                                                     Set[Unknown], Set[Unknown]]:
+              domain: str = "valueset", *, restart_wpoint: bool = False,
+              contexts: Optional[Dict[str, Collection[Context]]] = None
+              ) -> Tuple[ChangeSet, BuiltSystem, dict, dict, Reuse]:
     """Bring `st`, the solver state of the program with `old_digests`, up to
     date with `new_prog`.
 
     `mode` is "plain" or "reluctant" destabilization; `restart` is "off" or
-    "minimal"; `domain` is the integer value domain of `build_system`.  The
+    "minimal"; `domain` is the integer value domain of `build_system`;
+    `contexts`, if given, are the old version's `recorded_contexts`.  The
     restart set is read off the old state before relabeling erases the old
     unknowns.  Returns the change set, the new system, the solver's per-step
     statistics plus the keys of the restarted globals, the snapshot of the
-    solver's tables as the run found them, the untouched unknowns and the
-    reusable ones (see the module docstring)."""
+    solver's tables as the run found them and what the walk may reuse."""
     start = tables(st)
     changes = detect_changes(old_digests, new_prog)
     restarted = select_restart_globals(changes, st, old_asg) if restart == "minimal" else {}
     built = build_system(new_prog, relabel_nodes(changes, old_asg, new_prog), domain)
     prepare = prepare_reluctant if mode == "reluctant" else prepare_plain
-    pre_solve = prepare(changes, st, old_asg)
+    pre_solve = prepare(changes, st, old_asg, contexts)
     kept = restart_globals(restarted, st, pre_solve)
     stats = run(built.sys, st, pre_solve, restart_wpoint=restart_wpoint)
     # A global whose kept contributions the run did not confirm is reset,
@@ -439,25 +471,43 @@ def reanalyze(old_digests: dict, old_asg: NodeAssignment, st: SolverState,
             by_unknown[u] = by_unknown.get(u, 0) + n
         stats["diagnostics"] += again["diagnostics"]
         stats["evaluated"] |= again["evaluated"]
+        for x, ys in again["reads"].items():
+            stats["reads"].setdefault(x, {}).update(ys)
         unconfirmed = confirm_restarts(kept, st, built.assignment)
     stats["restarted"] = [unknown_key(g) for g in restarted]
-    # An unknown with a rhs that left stable is stable again only once it is
-    # evaluated.  (A global that left is stable again once it gets a new
-    # contribution, but the walk follows nothing from a global.)
-    untouched = (start["stable"] & st.stable) - stats.pop("evaluated")
     # Global declarations also decide which targets of a pointer a store or
     # a dereference touches, in functions that do not name them, so after an
     # edit of them nothing is reusable.
-    if not untouched or INIT_PSEUDO_FN in changes.changed:
-        return changes, built, stats, start, untouched, set()
+    reuse = decide_reuse(st, start, stats.pop("evaluated"), stats.pop("reads"),
+                         INIT_PSEUDO_FN not in changes.changed)
+    return changes, built, stats, start, reuse
+
+
+def decide_reuse(st: SolverState, start: dict, evaluated: Set[Unknown],
+                 reads: Dict[Unknown, Dict[Unknown, None]], allowed: bool = True) -> Reuse:
+    """What the walk after a run may reuse (see the module docstring), as
+    the run, which began from the snapshot `start`, evaluated `evaluated`
+    and read `reads`; nothing unless `allowed`."""
+    # An unknown with a rhs that left stable is stable again only once it is
+    # evaluated.  (A global that left is stable again once it gets a new
+    # contribution, but the walk follows nothing from a global.)  The
+    # snapshot holds the objects the state holds: between the two, a set
+    # operation compares few unknowns by more than identity.
+    untouched = (start["stable"] & st.stable) - evaluated
+    if not untouched or not allowed:
+        return Reuse(untouched, set())
     # Not reusable: what changed, what read it last and what side-effected it.
     sigma, before = st.sigma, start["sigma"]
-    dirty = {u for u, v in sigma.items() if before.get(u) is not v}
-    dirty |= before.keys() - sigma.keys()
-    for y in list(dirty):
+    changed = {u for u, v in sigma.items() if before.get(u) is not v}
+    changed.update(set(before).difference(sigma))
+    dirty = set(changed)
+    for y in changed:
         dirty.update(x for x in st.infl.get(y, ()) if y not in st.stale.get(x, ()))
         dirty.update(st.side_dep.get(y, ()))
-    return changes, built, stats, start, untouched, untouched - dirty
+    suspect = dirty | evaluated
+    suspect.update(start["stable"] - st.stable)
+    return Reuse(untouched, untouched - dirty, reads, changed, suspect,
+                 st.stable - start["stable"])
 
 
 # ---------------------------------------------------------------------------
@@ -465,78 +515,298 @@ def reanalyze(old_digests: dict, old_asg: NodeAssignment, st: SolverState,
 # ---------------------------------------------------------------------------
 
 
+@dataclass
+class Reach:
+    """What a walk found: every reached unknown with the unknowns the walk
+    followed from it (what its rhs queried, then what it side-effected), the
+    reached unknowns without a rhs and those that are not stable.  Its keys
+    are the reached set; for a reached unknown with a rhs that is stable,
+    its successors are the inverse of ``infl`` minus ``stale``, plus
+    ``side_infl``: the inverse kept current, walk by walk.  Not persisted."""
+
+    succ: Dict[Unknown, Tuple[Unknown, ...]]
+    leaves: Set[Unknown]
+    unstable: Set[Unknown]
+
+
+@dataclass
+class Walk:
+    """What `reachable_set` returns: the new `Reach`; the unknowns that left
+    the reached set or that the run made and the walk does not reach, each
+    with the unknowns it may have read (None after a walk from nothing,
+    which does not know them); the reached reusable unknowns with a rhs,
+    and the unknowns the walk evaluated, reused or re-checked."""
+
+    reach: Reach
+    left: Optional[Dict[Unknown, tuple]]
+    reused: Iterable[Unknown]
+    walked: List[Unknown]
+
+
 def reachable_set(sys_: EqSys, st: SolverState, visit: Optional[Callable] = None,
-                  reuse: Optional[Callable] = None,
-                  reusable: Set[Unknown] = frozenset()) -> Set[Unknown]:
+                  reuse: Optional[Reuse] = None, known: Optional[Reach] = None) -> Walk:
     """Unknowns reachable from the query under σ: queried dependencies plus
     side-effect targets.
 
-    A reached unknown in `reusable` (see `reanalyze`) is not evaluated: the
-    walk follows the successors its last evaluation recorded and hands it
-    to `reuse(u)` if it has a rhs.  Every other reached rhs is evaluated
-    purely, once; `visit(u, eval_state, value)` sees that evaluation, with
-    its access records, and ``st.stale`` records the ``infl`` edges it did
-    not read.  Reuse presumes that the state the reanalysis began with was
-    left by a verified walk, as every persisted state is, and that a
+    A reached unknown in ``reuse.reusable`` (see `reanalyze`) is not
+    evaluated: the walk follows the successors its last evaluation
+    recorded.  Every other reached rhs is evaluated purely, once;
+    `visit(u, eval_state, value)` sees that evaluation, with its access
+    records, and ``st.stale`` records the ``infl`` edges it did not read.
+    Reuse presumes that the state the reanalysis began with was left by a
+    verified walk and pruning, as every persisted state is, and that a
     reusable unknown's rhs is the one that walk evaluated: a rhs an edit
     rewrites belongs to a function counted as changed, whose rewritten
     nodes are new, or follows an edit of the global declarations, after
-    which nothing is reusable."""
+    which nothing is reusable.
+
+    `known`, the `Reach` of that walk, is taken over and updated in place;
+    with it and something reusable, the walk starts from what it reached
+    and visits only what the run may have changed (`_rewalk`).  Without,
+    it starts from nothing."""
+    reusable = reuse.reusable if reuse is not None else frozenset()
+    if known is None or not reusable:
+        return _walk(sys_, st, visit, reusable)
+    return _rewalk(sys_, st, visit, reuse, known)
+
+
+def _walk(sys_: EqSys, st: SolverState, visit: Optional[Callable],
+          reusable: Set[Unknown]) -> Walk:
+    """The walk from nothing: a reusable unknown's recorded successors are
+    the inverse of ``infl``, built here, minus ``stale``.  Each unknown's
+    row of the inverse is dropped as the walk reaches it, so that the
+    inverse and the `Reach` that replaces it are not held whole at once."""
     look = sys_.lookup(st.sigma)
     reads: Dict[Unknown, List[Unknown]] = {}  # the inverse of infl
     for y, xs in st.infl.items():
         for x in xs:
             reads.setdefault(x, []).append(y)
-    reached: Set[Unknown] = set()
+    succ: Dict[Unknown, Tuple[Unknown, ...]] = {}
+    leaves: Set[Unknown] = set()
+    unstable: Set[Unknown] = set()
+    reused: List[Unknown] = []
+    sigma_keys: Optional[Dict[Unknown, Unknown]] = None
     stack = [sys_.query]
     while stack:
         u = stack.pop()
-        if u in reached:
+        if u in succ:
             continue
-        reached.add(u)
+        if u not in st.stable:
+            unstable.add(u)
+        last = reads.pop(u, ())
         if u in reusable:
-            if reuse is not None and sys_.has_rhs(u):
-                reuse(u)
             stale = st.stale.get(u, ())
-            stack.extend(y for y in reads.get(u, ()) if y not in reached and y not in stale)
-            stack.extend(g for g in st.side_infl.get(u, ()) if g not in reached)
-            continue
+            out = (*(y for y in last if y not in stale), *st.side_infl.get(u, ()))
+            if sys_.has_rhs(u):
+                reused.append(u)
+            else:
+                leaves.add(u)
+        else:
+            tree = sys_.rhs(u)
+            if tree is None:
+                out = ()
+                leaves.add(u)
+            else:
+                es, value = eval_tree(tree, look)
+                if visit is not None:
+                    visit(u, es, value)
+                _note_stale(st, u, es, last)
+                if sigma_keys is None:
+                    sigma_keys = dict(zip(st.sigma, st.sigma))
+                out = _same_objects((*es.queried, *es.sides), (), sigma_keys)
+        succ[u] = out
+        stack.extend(y for y in out if y not in succ)
+    return Walk(Reach(succ, leaves, unstable), None, reused, list(succ))
+
+
+def _rewalk(sys_: EqSys, st: SolverState, visit: Optional[Callable], reuse: Reuse,
+            known: Reach) -> Walk:
+    """The walk from what the last one reached (`known`).  An unknown stays
+    reached while a path of unchanged edges leads to it.  So the
+    non-reusable unknowns it reached are evaluated first.  From the query,
+    the walk then follows the new edges through those and through what it
+    reaches for the first time, which it evaluates: all of these are reached
+    (`sure`).  The targets of the edges that the non-reusable unknowns no
+    longer have, and what those led to then, may have lost their path
+    (`lost`), unless they are sure.  One of them is reached again through a
+    predecessor that still is (an ``infl`` edge not in ``stale`` or a
+    ``side_dep`` producer), and from there the walk goes on as from nothing.
+    Whatever of `lost` it does not reach has left."""
+    look = sys_.lookup(st.sigma)
+    reusable, reads = reuse.reusable, reuse.reads
+    succ, leaves, unstable = known.succ, known.leaves, known.unstable
+    evaluations: Dict[Unknown, tuple] = {}
+    new_keys: Dict[Unknown, Unknown] = {}  # σ's key of each unknown whose σ entry changed
+
+    def evaluate(u: Unknown, held: Tuple[Unknown, ...] = ()) -> Tuple[Unknown, ...]:
         tree = sys_.rhs(u)
         if tree is None:
+            leaves.add(u)
+            return ()
+        leaves.discard(u)
+        es, value = evaluations[u] = eval_tree(tree, look)
+        if not new_keys and reuse.changed:
+            new_keys.update(zip(reuse.changed, reuse.changed))
+        return _same_objects((*es.queried, *es.sides), held, new_keys)
+
+    old: Dict[Unknown, Tuple[Unknown, ...]] = {}  # non-reusable unknown -> its old successors
+    seeds: List[Unknown] = []
+    # What was reached and is not reusable was not stable or is suspect.
+    for u in itertools.chain(unstable, reuse.suspect):
+        if u in old or u in reusable or u not in succ:
             continue
-        es, value = eval_tree(tree, look)
+        was = old[u] = succ[u]
+        now = succ[u] = evaluate(u, was)
+        seeds.extend(y for y in was if y not in now)
+    sure: Dict[Unknown, Tuple[Unknown, ...]] = {}  # -> the successors of a new one
+    stack = [sys_.query]
+    while stack:
+        v = stack.pop()
+        if v in sure:
+            continue
+        if v not in succ:
+            out = sure[v] = evaluate(v)
+        else:
+            sure[v] = None
+            if v in reusable:
+                continue
+            out = succ[v]
+        stack.extend(y for y in out if y not in sure)
+    lost: Set[Unknown] = set()
+    while seeds:
+        v = seeds.pop()
+        if v not in lost and v not in sure and v in succ:
+            lost.add(v)
+            seeds.extend(old[v] if v in old else succ[v])
+    gone = {v: succ.pop(v) for v in lost}  # each with its successors now
+    for v, out in sure.items():
+        if out is not None:
+            succ[v] = out
+    stack = [y for u in old if u in succ for y in succ[u] if y not in succ]
+    for v in lost:
+        if any(v in succ.get(p, ()) for p in itertools.chain(st.infl.get(v, ()),
+                                                               st.side_dep.get(v, ()))):
+            stack.append(v)
+    walked = set(old) | lost
+    walked.update(v for v, out in sure.items() if out is not None or v not in reusable)
+    while stack:
+        v = stack.pop()
+        if v in succ:
+            continue
+        walked.add(v)
+        out = gone.pop(v, None)
+        succ[v] = evaluate(v) if out is None else out
+        stack.extend(y for y in succ[v] if y not in succ)
+    # What left, with what it may have read: what it read when the last
+    # walk reached it, the stale edges noted then, and what the run read.
+    # Every other row that the run wrote names what it evaluated or read,
+    # σ differs from the snapshot only at `reuse.changed`, and the stable
+    # unknowns that were not are `reuse.came`.
+    left: Dict[Unknown, tuple] = {}
+    for v, out in gone.items():
+        left[v] = (old.get(v, out), st.stale.get(v, ()), reads.get(v, ()))
+    for y in itertools.chain(reads, *reads.values(), reuse.changed, reuse.came):
+        if y not in succ and y not in left:
+            left[y] = ((), st.stale.get(y, ()), reads.get(y, ()))
+    leaves.difference_update(left)
+    known.unstable = {u for u in itertools.chain(unstable, walked, reuse.suspect, reuse.came)
+                      if u in succ and u not in st.stable}
+    position: Dict[Unknown, int] = {}
+
+    def infl_order(y: Unknown) -> int:
+        """Where `y`'s row is in ``infl``: a walk from nothing notes stale
+        edges in that order, as it inverts ``infl`` row by row."""
+        if not position:
+            position.update((k, i) for i, k in enumerate(st.infl))
+        return position[y]
+
+    for u, (es, value) in evaluations.items():
+        if u not in succ:
+            continue
         if visit is not None:
             visit(u, es, value)
-        last = reads.get(u, ())
-        # A stable unknown's reads all have infl edges: equal counts, none stale.
-        stale = [y for y in last if y not in es.queried] \
-            if len(last) != len(es.queried) or u not in st.stable else ()
-        if stale:
-            st.stale[u] = dict.fromkeys(stale)
-        else:
-            st.stale.pop(u, None)
-        for y in es.queried:
-            if y not in reached:
-                stack.append(y)
-        for g in es.sides:
-            if g not in reached:
-                stack.append(g)
-    return reached
+        # what u reads through infl now: what it read before the run, and in it
+        candidates = dict.fromkeys(itertools.chain(old.get(u, ()), st.stale.get(u, ()),
+                                                   reads.get(u, ())))
+        _note_stale(st, u, es, [y for y in candidates if u in st.infl.get(y, ())], infl_order)
+    # The reusable unknowns were reached, and stay so unless they left.
+    return Walk(known, left, reusable.difference(left, leaves), list(walked))
 
 
-def prune(st: SolverState, reachable: Set[Unknown]) -> None:
-    """Drop every unknown not in `reachable` from σ, the sets and the maps,
+def _same_objects(found: Tuple[Unknown, ...], held: Tuple[Unknown, ...],
+                  keys: Dict[Unknown, Unknown]) -> Tuple[Unknown, ...]:
+    """`found`, the successors an evaluation found, each as the object
+    `held` holds, else as `keys` maps it to, if either has it.  A `Reach`
+    holds the objects that σ holds, not the evaluations' copies of them,
+    which would otherwise outlive the evaluation."""
+    if found == held:
+        return held
+    same = dict(zip(held, held))
+    return tuple(same.get(y) or keys.get(y, y) for y in found)
+
+
+def _note_stale(st: SolverState, u: Unknown, es, last: List[Unknown],
+                order: Optional[Callable] = None) -> None:
+    """Record in ``st.stale`` the unknowns of `last`, those whose ``infl``
+    rows name `u`, that `es`, an evaluation of `u`, did not read; sorted by
+    `order` if given, else in the order of `last`."""
+    # A stable unknown's reads all have infl edges: equal counts, none stale.
+    stale = [y for y in last if y not in es.queried] \
+        if len(last) != len(es.queried) or u not in st.stable else ()
+    if len(stale) > 1 and order is not None:
+        stale.sort(key=order)
+    if stale:
+        st.stale[u] = dict.fromkeys(stale)
+    else:
+        st.stale.pop(u, None)
+
+
+def prune(st: SolverState, reached: Dict[Unknown, object],
+          left: Optional[Dict[Unknown, tuple]] = None) -> None:
+    """Drop every unknown not in `reached` from σ, the sets and the maps,
     table by table: a row whose key left goes, and a row that names one that
-    left keeps its other members, in order, with their contributions."""
-    for u in [u for u in st.sigma if u not in reachable]:
-        del st.sigma[u]
-    st.stable.difference_update(st.stable - reachable)
-    st.point.difference_update(st.point - reachable)
-    for m in (st.infl, st.side_dep, st.side_infl, st.stale):
-        for u in [u for u, members in m.items()
-                  if u not in reachable or not reachable.issuperset(members)]:
-            kept = {y: d for y, d in m[u].items() if y in reachable} if u in reachable else None
-            if kept:
-                m[u] = kept
-            else:
-                del m[u]
+    left keeps its other members, in order, with their contributions.
+
+    With `left` (see `reachable_set`), which holds every unknown of the
+    state that is not reached, each with the unknowns it may have read,
+    only those and the rows that name them are visited: the ``infl`` rows
+    of what it may have read, the ``stale`` rows of what reads it, and the
+    ``side_dep`` and ``side_infl`` rows of its side targets and producers."""
+    if left is None:
+        for u in [u for u in st.sigma if u not in reached]:
+            del st.sigma[u]
+        st.stable.difference_update(st.stable.difference(reached))
+        st.point.difference_update(st.point.difference(reached))
+        for m in (st.infl, st.side_dep, st.side_infl, st.stale):
+            for u in [u for u, members in m.items()
+                      if u not in reached or not reached.keys() >= members.keys()]:
+                kept = {y: d for y, d in m[u].items() if y in reached} if u in reached else None
+                if kept:
+                    m[u] = kept
+                else:
+                    del m[u]
+        return
+    infl, stale, side_dep, side_infl = st.infl, st.stale, st.side_dep, st.side_infl
+    for v, read in left.items():
+        st.sigma.pop(v, None)
+        st.stable.discard(v)
+        st.point.discard(v)
+        for x in infl.get(v, ()):
+            _drop_member(stale, x, v)
+        for y in itertools.chain(*read):
+            _drop_member(infl, y, v)
+        for g in side_infl.get(v, ()):
+            _drop_member(side_dep, g, v)
+        for x in side_dep.get(v, ()):
+            _drop_member(side_infl, x, v)
+    for v in left:
+        for m in (infl, side_dep, side_infl, stale):
+            m.pop(v, None)
+
+
+def _drop_member(m: Dict[Unknown, dict], key: Unknown, member: Unknown) -> None:
+    row = m.get(key)
+    if row is not None and member in row:
+        del row[member]
+        if not row:
+            del m[key]

@@ -15,6 +15,14 @@ loaded.  Access records are kept per producer, the unknown whose rhs
 emitted them; the new store holds the records of the reached producers
 only, so stale data-race evidence cannot accumulate across reanalyses.
 
+The warnings are kept in memory too (`PostIndex`): each function's
+dead-code and unsound-store warnings, and each global's race warning.  A
+function's are made anew only if it owns an unknown whose σ entry changed,
+came or went, or it has a new CFG (edited, or moved, which changes its
+locations); a global's only if its access records changed or a function
+that accesses it has a new CFG; all of them after a walk from the query
+and when the file name changed.
+
 Warning identity hashes the kind, the provenance unknowns and a message
 skeleton, never source locations: moved-but-unchanged code keeps its warning
 id while the reported locations are refreshed from the current CFG.
@@ -23,13 +31,15 @@ id while the reported locations are refreshed from the current CFG.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Collection, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .consys import Context, NodeCtx, Unknown, unknown_key
-from .domains import Access, AddressSet, LocalState
-from .increment import prune, reachable_set, recorded_contexts
+from .domains import Access, AddressSet, LocalState, Lockset
+from .increment import Reach, Reuse, prune, reachable_set, recorded_contexts
+from .minic.cfg import FuncCFG
 from .minic.syntax import Store
 from .minic.system import BuiltSystem
 from .tdsolver import SolverState, Violation, check_unknown, verify_solution
@@ -77,12 +87,33 @@ def make_warning(kind: str, skeleton: str, message: str,
 
 
 @dataclass
+class PostIndex:
+    """What a postprocess keeps for the next postprocess of the same state,
+    in memory only: the walk's `Reach`, each function's contexts
+    (`increment.recorded_contexts`), the CFGs and the file name the
+    warnings were made with, each function's unsound-store and dead-code
+    warnings, each global's access records by producer, the functions that
+    access it and its race warning."""
+
+    reach: Reach
+    contexts: Dict[str, Tuple[Context, ...]]
+    cfgs: Dict[str, FuncCFG]
+    filename: str
+    functions: Dict[str, List[Warning]] = field(default_factory=dict)
+    by_global: Dict[str, Dict[Unknown, FrozenSet[Access]]] = field(default_factory=dict)
+    accessed_by: Dict[str, Set[str]] = field(default_factory=dict)
+    races: Dict[str, Warning] = field(default_factory=dict)
+
+
+@dataclass
 class WarnStore:
     """Materialized warnings plus the access records of each producer
-    unknown, by global."""
+    unknown, by global, and the `PostIndex` of the state they were made
+    from, which a bundle does not hold."""
 
     accesses: Dict[Unknown, Dict[str, FrozenSet[Access]]] = field(default_factory=dict)
     warnings: List[Warning] = field(default_factory=list)
+    index: Optional[PostIndex] = field(default=None, compare=False, repr=False)
 
     def warnings_json(self) -> list:
         return [w.to_json() for w in self.warnings]
@@ -94,24 +125,35 @@ class WarnStore:
 
 
 def postprocess(built: BuiltSystem, st: SolverState, prev: WarnStore,
-                filename: str = "<input>", untouched: Set[Unknown] = frozenset(),
-                reusable: Set[Unknown] = frozenset()) -> Tuple[WarnStore, dict]:
+                filename: str = "<input>", reuse: Optional[Reuse] = None
+                ) -> Tuple[WarnStore, dict]:
     """Verify the solution (raising StateCorruption before any warning is
     made), re-evaluate what the incremental run touched, reuse the access
-    records `prev` holds of the `reusable` unknowns, prune the solver state
-    to what is reachable, then run the whole-store analyses.  `untouched`
-    and `reusable` are `increment.reanalyze`'s.
+    records `prev` holds of the reusable unknowns, prune the solver state
+    to what is reachable, then bring the warnings up to date.  `reuse` is
+    `increment.reanalyze`'s, and `prev` the store that the last postprocess
+    of `st` made, or one loaded with it; its index is taken over.
+
+    The walk starts from what the last one reached when `prev` has an
+    index and something is reusable.  The warnings of a function, and a
+    global's race warning, are made anew only if what they read changed
+    (see `_update_warnings`); all are when the walk started from nothing,
+    or the file name differs.
 
     Returns the new store plus statistics, lists of unknowns: the reached
     stable unknowns that the run touched (`reevaluated`), the untouched ones
-    (`reused`) and every unknown the walk evaluated (`evaluated`)."""
+    (`reused`), every unknown the walk evaluated (`evaluated`) and every
+    unknown it evaluated, reused or re-checked (`walked`)."""
     sys_ = built.sys
-    store = WarnStore()
+    index, prev.index = prev.index, None
+    untouched = reuse.untouched if reuse is not None else frozenset()
     violations: List[Violation] = []
     stats: Dict[str, list] = {"reevaluated": [], "reused": [], "evaluated": []}
+    rows: Dict[Unknown, Optional[Dict[str, FrozenSet[Access]]]] = {}  # of the evaluated
 
     def visit(u, es, value):
         stats["evaluated"].append(u)
+        rows[u] = None
         if u not in st.stable:
             return
         violations.extend(check_unknown(sys_, st, u, es, value))
@@ -120,32 +162,124 @@ def postprocess(built: BuiltSystem, st: SolverState, prev: WarnStore,
         for g, access in es.accesses:
             records.setdefault(g, set()).add(access)
         if records:
-            store.accesses[u] = {g: frozenset(rs) for g, rs in records.items()}
+            rows[u] = {g: frozenset(rs) for g, rs in records.items()}
 
-    def reuse(u):
-        stats["reused"].append(u)
-        rows = prev.accesses.get(u)
-        if rows is not None:
-            store.accesses[u] = rows
-
-    sigma_keys_before = frozenset(st.sigma.keys())
-    reachable = reachable_set(sys_, st, visit, reuse, reusable)
-    assert st.sigma.keys() == sigma_keys_before, "postprocessing must not modify the solution"
-    del sigma_keys_before  # a copy of σ's keys; pruning is the run's memory high-water mark
-    violations.extend(verify_solution(sys_, st, st.stable - reachable))
+    walk = reachable_set(sys_, st, visit, reuse, index.reach if index is not None else None)
+    reach, left = walk.reach, walk.left
+    stats["reused"].extend(walk.reused)
+    stats["walked"] = walk.walked
+    gone = st.stable.difference(reach.succ) if left is None else \
+        [u for u in left if u in st.stable]
+    violations.extend(verify_solution(sys_, st, gone))
     if violations:
         raise StateCorruption(f"internal error: solution verification failed: {violations[:3]}")
 
     # Pruning first: a context that the edit made unreachable must not
     # contribute warnings.
-    prune(st, reachable)
-    contexts = recorded_contexts(st, built.assignment)
-    warnings: List[Warning] = []
-    warnings.extend(races(store, built, filename))
-    warnings.extend(_unsound_stores(built, st, contexts, filename))
-    warnings.extend(_dead_code(built, st, contexts, filename))
-    store.warnings = sorted(warnings, key=lambda w: (w.kind, w.id, w.message))
+    prune(st, reach.succ, left)
+    # The records of a reached unknown that the walk did not evaluate are
+    # those it had; an unknown that is not reached has none.
+    store = WarnStore(dict(prev.accesses))
+    producers = rows.keys() | (left.keys() if left is not None
+                               else store.accesses.keys() - reach.succ.keys())
+    for u in producers:
+        if rows.get(u) is not None:
+            store.accesses[u] = rows[u]
+        else:
+            store.accesses.pop(u, None)
+    if left is None or index is None or index.filename != filename:
+        contexts = recorded_contexts(st, built.assignment)
+        store.index = PostIndex(reach, {fn: tuple(ctxs) for fn, ctxs in contexts.items()},
+                                built.cfgs, filename)
+        _update_warnings(store, built, st, set(built.cfgs), set(built.cfgs), None)
+    else:  # the walk started from `index.reach`
+        store.index = index
+        new_cfgs = {fn for fn, cfg in built.cfgs.items() if index.cfgs.get(fn) is not cfg}
+        _update_warnings(store, built, st,
+                         _functions_to_update(index, built, st, reuse, left, new_cfgs), new_cfgs,
+                         {u: prev.accesses.get(u) for u in producers})
+        index.cfgs = built.cfgs
+    store.warnings = sorted(itertools.chain(store.index.races.values(),
+                                            *store.index.functions.values()),
+                            key=lambda w: (w.kind, w.id, w.message))
     return store, stats
+
+
+def _functions_to_update(index: PostIndex, built: BuiltSystem, st: SolverState,
+                         reuse: Reuse, left: Dict[Unknown, tuple], new_cfgs: Set[str]) -> Set[str]:
+    """The functions whose warnings may differ from those in `index`: those
+    that own an unknown whose σ entry changed, came or went (`reuse.changed`
+    and `left`), and those with a new CFG (`new_cfgs`).  Brings each one's
+    contexts up to date: a context is one whose entry unknown has a σ
+    entry."""
+    cfgs, contexts = built.cfgs, index.contexts
+    out = set(new_cfgs)
+    for fn in index.cfgs.keys() - cfgs.keys():
+        contexts.pop(fn, None)
+    for fn in new_cfgs:
+        old = index.cfgs.get(fn)
+        if old is None or old.entry != cfgs[fn].entry:
+            contexts.pop(fn, None)  # its old entry unknowns are gone
+    for u in itertools.chain(reuse.changed, left):
+        if isinstance(u, NodeCtx):
+            cfg = cfgs.get(u.fn)
+            if cfg is None:
+                continue
+            out.add(u.fn)
+            if u.node == cfg.entry:
+                ctxs = contexts.pop(u.fn, ())
+                ctxs = tuple(c for c in ctxs if c != u.ctx)
+                if u in st.sigma:
+                    ctxs += (u.ctx,)
+                if ctxs:
+                    contexts[u.fn] = ctxs
+    return out
+
+
+def _update_warnings(store: WarnStore, built: BuiltSystem, st: SolverState, functions: Set[str],
+                     new_cfgs: Set[str], before: Optional[Dict[Unknown, Optional[dict]]]) -> None:
+    """Make anew the warnings of `functions`, drop those of functions that
+    are gone, and make anew the race warning of each global whose records
+    changed or that a function of `new_cfgs` accesses.  `before` holds the
+    old records of each producer whose records may have changed; None
+    means that every warning is made anew."""
+    index, cfgs, filename = store.index, built.cfgs, store.index.filename
+    for fn in index.functions.keys() - cfgs.keys():
+        del index.functions[fn]
+    for fn in functions:
+        warnings = _unsound_stores(built, st, index.contexts, filename, [fn]) + \
+            _dead_code(built, st, index.contexts, filename, [fn])
+        if warnings:
+            index.functions[fn] = warnings
+        else:
+            index.functions.pop(fn, None)
+    by_global = index.by_global
+    if before is None:
+        by_global.clear()
+        for u, rows in store.accesses.items():
+            for g, records in rows.items():
+                by_global.setdefault(g, {})[u] = records
+        globs = set(by_global)
+    else:
+        globs = {g for g, fns in index.accessed_by.items() if not fns.isdisjoint(new_cfgs)}
+        for u, old in before.items():
+            old, new = old or {}, store.accesses.get(u) or {}
+            for g in old.keys() | new.keys():
+                if old.get(g) != new.get(g):
+                    globs.add(g)
+                    if g in new:
+                        by_global.setdefault(g, {})[u] = new[g]
+                    else:
+                        by_global[g].pop(u, None)
+                        if not by_global[g]:
+                            del by_global[g]
+    for g in sorted(globs):
+        index.races.pop(g, None)
+        index.accessed_by.pop(g, None)
+        if g in by_global:
+            index.accessed_by[g] = {r.fn for records in by_global[g].values() for r in records}
+            for w in races(store, built, filename, [g]):
+                index.races[g] = w
 
 
 def _edge_location(built: BuiltSystem, fn: str, src: int, dst: int,
@@ -162,25 +296,42 @@ def _edge_location(built: BuiltSystem, fn: str, src: int, dst: int,
     return (filename, loc.line, loc.col)
 
 
-def races(store: WarnStore, built: BuiltSystem, filename: str) -> List[Warning]:
+def races(store: WarnStore, built: BuiltSystem, filename: str,
+          globs: Optional[Iterable[str]] = None) -> List[Warning]:
     """Lockset rule: two accesses to the same global race when at least one
     writes and their must-held locksets are disjoint.  One warning per
-    global, citing every access involved in some conflicting pair."""
-    by_global: Dict[str, Set[Access]] = {}
-    for rows in store.accesses.values():
-        for glob, records in rows.items():
-            by_global.setdefault(glob, set()).update(records)
+    global of `globs` (default: every global the store's records access),
+    citing every access involved in some conflicting pair.  The records
+    are read off the store's index when it has one.
+
+    Whether two accesses conflict depends only on their kinds and
+    locksets, so the accesses are grouped by both and the groups compared:
+    linear in the accesses, quadratic in the groups only."""
+    if store.index is not None:
+        by_global = store.index.by_global
+    else:
+        by_global = {}
+        for u, rows in store.accesses.items():
+            for glob, records in rows.items():
+                by_global.setdefault(glob, {})[u] = records
     out: List[Warning] = []
-    for glob in sorted(by_global):
-        records = sorted(by_global[glob], key=Access.sort_key)
+    for glob in sorted(by_global if globs is None else globs):
+        groups: Dict[Tuple[str, Lockset], Set[Access]] = {}
+        for records in by_global.get(glob, {}).values():
+            for r in records:
+                groups.setdefault((r.kind, r.locks), set()).add(r)
+        keys = list(groups)
         conflicting: Set[Access] = set()
-        for i, a in enumerate(records):
-            for b in records[i + 1:]:
-                if a.kind != "write" and b.kind != "write":
+        for i, (kind_a, locks_a) in enumerate(keys):
+            for kind_b, locks_b in keys[i:]:
+                if kind_a != "write" and kind_b != "write":
                     continue
-                if a.locks.disjoint(b.locks):
-                    conflicting.add(a)
-                    conflicting.add(b)
+                if not locks_a.disjoint(locks_b):
+                    continue
+                if (kind_a, locks_a) == (kind_b, locks_b) and len(groups[kind_a, locks_a]) < 2:
+                    continue  # an access does not race with itself
+                conflicting |= groups[kind_a, locks_a]
+                conflicting |= groups[kind_b, locks_b]
         if not conflicting:
             continue
         locs = []
@@ -199,12 +350,13 @@ def races(store: WarnStore, built: BuiltSystem, filename: str) -> List[Warning]:
     return out
 
 
-def _unsound_stores(built: BuiltSystem, st: SolverState, contexts: Dict[str, Set[Context]],
-                    filename: str) -> List[Warning]:
+def _unsound_stores(built: BuiltSystem, st: SolverState, contexts: Dict[str, Collection[Context]],
+                    filename: str, functions: Optional[Iterable[str]] = None) -> List[Warning]:
     """A `*p = e` whose pointer evaluates to Top cannot be reflected on any
-    global soundly; surface it."""
+    global soundly; surface it.  In `functions` (default: every function)."""
     out: List[Warning] = []
-    for fn, cfg in sorted(built.cfgs.items()):
+    for fn in sorted(built.cfgs if functions is None else functions):
+        cfg = built.cfgs[fn]
         for e in cfg.edges:
             if not isinstance(e.label, Store):
                 continue
@@ -226,12 +378,14 @@ def _unsound_stores(built: BuiltSystem, st: SolverState, contexts: Dict[str, Set
     return out
 
 
-def _dead_code(built: BuiltSystem, st: SolverState, contexts: Dict[str, Set[Context]],
-               filename: str) -> List[Warning]:
+def _dead_code(built: BuiltSystem, st: SolverState, contexts: Dict[str, Collection[Context]],
+               filename: str, functions: Optional[Iterable[str]] = None) -> List[Warning]:
     """One warning per maximal connected region of dead nodes inside an
-    analyzed function (dead: Bot or absent in every recorded context)."""
+    analyzed function (dead: Bot or absent in every recorded context).  In
+    `functions` (default: every function)."""
     out: List[Warning] = []
-    for fn, cfg in sorted(built.cfgs.items()):
+    for fn in sorted(built.cfgs if functions is None else functions):
+        cfg = built.cfgs[fn]
         ctxs = contexts.get(fn)
         if not ctxs:
             continue  # function never analyzed; not dead code, just unused

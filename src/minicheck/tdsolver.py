@@ -128,11 +128,12 @@ class SolverState:
 
 class _Frame:
     """An unknown being solved: the tree node where its rhs stopped, the
-    unknown it waits for there, and the side targets of its previous
-    evaluation.  `drop_point` removes it from `point` when the frame
-    finishes (localized widening, after its narrowing iteration)."""
+    unknown it waits for there, the side targets of its previous
+    evaluation and what its evaluations in this run read (`reads`, the
+    solver's row for it).  `drop_point` removes it from `point` when the
+    frame finishes (localized widening, after its narrowing iteration)."""
 
-    __slots__ = ("x", "phase", "node", "wait", "prev_sides", "drop_point")
+    __slots__ = ("x", "phase", "node", "wait", "prev_sides", "drop_point", "reads")
 
     def __init__(self, x: Unknown, phase: Phase):
         self.x = x
@@ -141,6 +142,7 @@ class _Frame:
         self.wait: Optional[Unknown] = None
         self.prev_sides: List[Unknown] = []
         self.drop_point = False
+        self.reads: Dict[Unknown, None] = {}
 
 
 class Solver:
@@ -151,6 +153,9 @@ class Solver:
         self._wpoint_restarts: Dict[Unknown, int] = {}
         self.evals_by_unknown: Dict[Unknown, int] = {}  # this step's evaluations
         self.diagnostics: List[str] = []  # this run's widening-restart bound hits
+        # every unknown each evaluated unknown read in this run, in any of its
+        # evaluations
+        self.reads: Dict[Unknown, Dict[Unknown, None]] = {}
 
     # -- σ access -----------------------------------------------------------
 
@@ -178,6 +183,7 @@ class Solver:
             if y is not None:  # y's frame has finished
                 f.wait = None
                 st.infl.setdefault(y, {})[x] = None
+                f.reads[y] = None
                 t = t.cont(self._get(y))
             while True:
                 if isinstance(t, Ans):
@@ -195,6 +201,7 @@ class Solver:
                         self._push(stack, y, Phase.WIDEN)
                         break
                     st.infl.setdefault(y, {})[x] = None
+                    f.reads[y] = None
                     t = t.cont(self._get(y))
                 elif isinstance(t, QSet):
                     self.side(x, t.unknown, t.value)
@@ -219,6 +226,7 @@ class Solver:
         st.called.add(x)
         st.rhs_evals += 1
         self.evals_by_unknown[x] = self.evals_by_unknown.get(x, 0) + 1
+        f.reads = self.reads.setdefault(x, f.reads)
         f.prev_sides = list(st.side_infl.get(x, ()))
         st.side_infl[x] = {}
         f.node = self.sys.rhs(x)
@@ -306,8 +314,9 @@ def run(sys_: EqSys, state: SolverState, pre_solve: Iterable[Unknown] = (), *,
 
     Returns per-step statistics: rhs-evaluation counts overall and by
     unknown, for the pre-solve step and the query step,
-    the run's diagnostics (widening-point restart bound hits) and the set
-    of unknowns it evaluated (`evaluated`).
+    the run's diagnostics (widening-point restart bound hits), the set
+    of unknowns it evaluated (`evaluated`) and each with every unknown its
+    evaluations read (`reads`).
     """
     solver = Solver(sys_, state, restart_wpoint)
     for a in pre_solve:
@@ -323,6 +332,7 @@ def run(sys_: EqSys, state: SolverState, pre_solve: Iterable[Unknown] = (), *,
         "step2_evals_by_unknown": step2,
         "diagnostics": solver.diagnostics,
         "evaluated": step1.keys() | step2.keys(),
+        "reads": solver.reads,
     }
 
 
@@ -489,17 +499,21 @@ def state_from_json(state: SolverState, doc: dict,
     except its counters, which are returned (None if there are none).  The
     "unknowns" and "values" lists are taken out of `doc` as they are
     decoded, so their parsed JSON is freed before the rows are applied.
-    ValueError for a contribution with a negative index, and for one that
-    is not of its target's domain: `int_domain` for a global, else
-    `LocalState`."""
+    ValueError for a row with a negative index, which a list would read
+    from its end, and for a contribution that is not of its target's
+    domain: `int_domain` for a global, else `LocalState`."""
     contexts: Dict[str, Context] = {}
     unknowns = [unknown_from_json(d, contexts) for d in doc.pop("unknowns")]
     values = [value_from_json(d) for d in doc.pop("values")]
     put, gone = doc["put"], doc["gone"]
+    for name, keys in gone.items():
+        _indices(name, keys)
     sigma = state.sigma
     for i in gone.get("sigma", ()):
         del sigma[unknowns[i]]
     for i, v in put.get("sigma", ()):
+        if i < 0 or v < 0:
+            raise ValueError("a row of sigma has a negative index")
         sigma[unknowns[i]] = values[v]
     for name in MAPS:
         m = getattr(state, name)
@@ -507,6 +521,8 @@ def state_from_json(state: SolverState, doc: dict,
             del m[unknowns[i]]
         if name == "side_dep":
             for i, producers in put.get(name, ()):
+                if i < 0:
+                    raise ValueError("a row of side_dep has a negative index")
                 g = unknowns[i]
                 domain = int_domain if isinstance(g, GlobalVar) else LocalState
                 m[g] = row = {}
@@ -519,9 +535,19 @@ def state_from_json(state: SolverState, doc: dict,
                                          f"not a {domain.__name__}")
         else:
             for i, members in put.get(name, ()):
+                if i < 0 or (members and min(members) < 0):
+                    raise ValueError(f"a row of {name} has a negative index")
                 m[unknowns[i]] = dict.fromkeys(unknowns[j] for j in members)
     for name in SETS:
         s = getattr(state, name)
         s.difference_update(unknowns[i] for i in gone.get(name, ()))
-        s.update(unknowns[i] for i in put.get(name, ()))
+        s.update(unknowns[i] for i in _indices(name, put.get(name, ())))
     return put.get("counters")
+
+
+def _indices(name: str, indices: list) -> list:
+    """`indices`, the unknowns of the rows of table `name` that a record
+    puts or removes; ValueError if one is negative."""
+    if indices and min(indices) < 0:
+        raise ValueError(f"a row of {name} has a negative index")
+    return indices

@@ -27,6 +27,7 @@ class RecursiveSolver:
         self._wpoint_restarts: Dict[Unknown, int] = {}
         self.evals_by_unknown: Dict[Unknown, int] = {}
         self.diagnostics: List[str] = []
+        self.reads: Dict[Unknown, Dict[Unknown, None]] = {}
 
     def _get(self, u: Unknown) -> Value:
         v = self.state.sigma.get(u)
@@ -63,6 +64,7 @@ class RecursiveSolver:
         st = self.state
         st.rhs_evals += 1
         self.evals_by_unknown[x] = self.evals_by_unknown.get(x, 0) + 1
+        self.reads.setdefault(x, {})
         prev_sides = list(st.side_infl.get(x, ()))
         current: Dict[Unknown, None] = {}
         st.side_infl[x] = current
@@ -104,6 +106,7 @@ class RecursiveSolver:
         else:
             self.solve(Phase.WIDEN, y)
         st.infl.setdefault(y, {})[x] = None
+        self.reads[x][y] = None
         return self._get(y)
 
     def _restart_widening_point(self, y: Unknown) -> None:

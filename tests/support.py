@@ -27,7 +27,14 @@ from minicheck.consys import (
 from minicheck.domains import Access, Lockset, Value, ValueSet, access_to_json, join, value_to_json
 from minicheck.increment import recorded_contexts
 from minicheck.minic import NodeAssignment, assign_node_ids, build_system, parse
-from minicheck.postproc import StateCorruption, WarnStore, _dead_code, _unsound_stores, races
+from minicheck.postproc import (
+    StateCorruption,
+    WarnStore,
+    _dead_code,
+    _edge_location,
+    _unsound_stores,
+    make_warning,
+)
 from minicheck import journal, tdsolver
 from minicheck.tdsolver import SolverState, check_unknown, run, verify_solution
 
@@ -193,26 +200,28 @@ def random_emission(rng: random.Random, n_globals: int = 3) -> Tuple[str, Access
     return f"g{rng.randrange(n_globals)}", access
 
 
-def random_tree(rng: random.Random, unknowns: List, depth: int = 0):
-    """A random, pure, possibly data-dependent strategy tree.
+def random_tree(rng: random.Random, unknowns: List, depth: int = 0, targets: List = None):
+    """A random, pure, possibly data-dependent strategy tree that queries
+    `unknowns` and side-effects `targets` (default: `unknowns`).
 
     Continuations branch on whether the queried value is Top or contains a
     pivot element, then proceed with structurally fixed subtrees; this keeps
     purity (same input, same subtree) while exercising data dependence."""
+    targets = unknowns if targets is None else targets
     r = rng.random()
     if depth >= 5 or r < 0.3:
         return Ans(random_value(rng))
     if r < 0.55:
-        target = rng.choice(unknowns)
+        target = rng.choice(targets)
         contribution = random_value(rng)
-        return QSet(target, contribution, random_tree(rng, unknowns, depth + 1))
+        return QSet(target, contribution, random_tree(rng, unknowns, depth + 1, targets))
     if r < 0.65:
         glob, access = random_emission(rng)
-        return Emit(glob, access, random_tree(rng, unknowns, depth + 1))
+        return Emit(glob, access, random_tree(rng, unknowns, depth + 1, targets))
     u = rng.choice(unknowns)
     pivot = rng.choice(UNIVERSE)
-    sub_a = random_tree(rng, unknowns, depth + 1)
-    sub_b = random_tree(rng, unknowns, depth + 1)
+    sub_a = random_tree(rng, unknowns, depth + 1, targets)
+    sub_b = random_tree(rng, unknowns, depth + 1, targets)
     mix = rng.random() < 0.5
 
     def cont(v, sub_a=sub_a, sub_b=sub_b, pivot=pivot, mix=mix):
@@ -412,34 +421,47 @@ def full_restart_globals(G, st: SolverState, roots=()) -> None:
     return {}
 
 
-def full_reachable_set(sys_: EqSys, st: SolverState, visit: Callable = None) -> set:
+def full_reachable_set(sys_: EqSys, st: SolverState, visit: Callable = None) -> dict:
     """Unknowns reachable from the query under σ, each reached rhs evaluated
-    purely, once; `visit(u, eval_state, value)` sees that evaluation."""
+    purely, once; `visit(u, eval_state, value)` sees that evaluation, and
+    ``st.stale`` records the ``infl`` edges it did not read.  Returns each
+    reached unknown with the set of what its evaluation queried and
+    side-effected."""
     look = sys_.lookup(st.sigma)
-    reached = set()
+    reads = {}  # the inverse of infl, row by row
+    for y, xs in st.infl.items():
+        for x in xs:
+            reads.setdefault(x, []).append(y)
+    reached = {}
     stack = [sys_.query]
     while stack:
         u = stack.pop()
         if u in reached:
             continue
-        reached.add(u)
+        reached[u] = set()
         tree = sys_.rhs(u)
         if tree is None:
             continue
         es, value = eval_tree(tree, look)
         if visit is not None:
             visit(u, es, value)
-        stack.extend(y for y in es.queried if y not in reached)
-        stack.extend(g for g in es.sides if g not in reached)
+        last = reads.get(u, [])
+        stale = [y for y in last if y not in es.queried]
+        if stale and (len(last) != len(es.queried) or u not in st.stable):
+            st.stale[u] = dict.fromkeys(stale)
+        else:
+            st.stale.pop(u, None)
+        reached[u] = set(es.queried) | set(es.sides)
+        stack.extend(y for y in reached[u] if y not in reached)
     return reached
 
 
-def full_prune(st: SolverState, reachable: set) -> None:
+def full_prune(st: SolverState, reachable) -> None:
     """Rebuild every solver map from what `reachable` holds."""
     R = reachable
     st.sigma = {u: v for u, v in st.sigma.items() if u in R}
-    st.stable &= R
-    st.point &= R
+    st.stable &= set(R)
+    st.point &= set(R)
 
     def prune_map(m):
         out = {}
@@ -454,13 +476,46 @@ def full_prune(st: SolverState, reachable: set) -> None:
     st.infl = prune_map(st.infl)
     st.side_dep = prune_map(st.side_dep)
     st.side_infl = prune_map(st.side_infl)
+    st.stale = prune_map(st.stale)
+
+
+def pairwise_races(store: WarnStore, built, filename: str):
+    """The race warnings of `postproc.races`, found by comparing every pair
+    of accesses to a global."""
+    by_global = {}
+    for rows in store.accesses.values():
+        for glob, records in rows.items():
+            by_global.setdefault(glob, set()).update(records)
+    out = []
+    for glob in sorted(by_global):
+        records = sorted(by_global[glob], key=Access.sort_key)
+        conflicting = set()
+        for i, a in enumerate(records):
+            for b in records[i + 1:]:
+                if a.kind != "write" and b.kind != "write":
+                    continue
+                if a.locks.disjoint(b.locks):
+                    conflicting.add(a)
+                    conflicting.add(b)
+        if not conflicting:
+            continue
+        locs = []
+        for r in sorted(conflicting, key=Access.sort_key):
+            loc = _edge_location(built, r.fn, r.src, r.dst, filename)
+            if loc is not None:
+                locs.append(loc)
+        prov = json.dumps({"k": "acc", "name": glob}, sort_keys=True, separators=(",", ":"))
+        out.append(make_warning("race", f"race:{glob}", f"possible data race on global '{glob}'",
+                                [prov], locs))
+    return out
 
 
 def full_postprocess(built, st: SolverState, prev: WarnStore, untouched: set,
                      filename: str = "<input>"):
-    """Postprocessing that evaluates and checks every reached stable unknown;
-    an `untouched` one takes its access records from `prev`.  Returns the
-    store, the re-evaluated and the reused unknowns, and the reached set."""
+    """Postprocessing that evaluates and checks every reached stable unknown
+    and makes every warning anew; an `untouched` one takes its access
+    records from `prev`.  Returns the store, the re-evaluated and the reused
+    unknowns, and each reached unknown with its successors."""
     sys_ = built.sys
     store = WarnStore()
     violations = []
@@ -483,12 +538,13 @@ def full_postprocess(built, st: SolverState, prev: WarnStore, untouched: set,
                 store.accesses[u] = {g: frozenset(rs) for g, rs in records.items()}
 
     reachable = full_reachable_set(sys_, st, visit)
-    violations.extend(verify_solution(sys_, st, st.stable - reachable))
+    violations.extend(verify_solution(sys_, st, st.stable - reachable.keys()))
     if violations:
         raise StateCorruption(f"internal error: solution verification failed: {violations[:3]}")
     full_prune(st, reachable)
     contexts = recorded_contexts(st, built.assignment)
-    warnings = races(store, built, filename) + _unsound_stores(built, st, contexts, filename) \
-        + _dead_code(built, st, contexts, filename)
+    warnings = pairwise_races(store, built, filename) + \
+        _unsound_stores(built, st, contexts, filename) + \
+        _dead_code(built, st, contexts, filename)
     store.warnings = sorted(warnings, key=lambda w: (w.kind, w.id, w.message))
     return store, stats, reachable

@@ -84,7 +84,7 @@ def _invoke(fn, *args, **kw):
 
 def _incremental(old_text, new_text, mode, restart, base_built, base_state):
     st = reloaded(base_state)
-    _, new_built, stats, _, _, _ = reanalyze(parse(old_text).digests, base_built.assignment,
+    _, new_built, stats, _, _ = reanalyze(parse(old_text).digests, base_built.assignment,
                                           st, parse(new_text), mode, restart)
     return new_built, st, stats
 
@@ -300,8 +300,8 @@ def _run_sequence(spec0, seq_seed):
         ends = {fn: (ids[0], ids[-1]) for fn, ids in built.assignment.assign.items()}
         assert recorded_contexts(st, built.assignment) == \
             _scanned_contexts(list(st.sigma) + list(st.stable), ends), f"seq {seq_seed} step {step}"
-        changes, built, _, _, _, _ = reanalyze(parse(cur_text).digests, built.assignment, st,
-                                            parse(new_text))
+        changes, built, _, _, _ = reanalyze(parse(cur_text).digests, built.assignment, st,
+                                         parse(new_text))
         # postprocessing scanned σ at entry nodes
         entries = {fn: (cfg.entry,) for fn, cfg in built.cfgs.items()}
         assert recorded_contexts(st, built.assignment) == \
@@ -310,7 +310,7 @@ def _run_sequence(spec0, seq_seed):
         report["steps"].append({"changed": sorted(changes.changed),
                                 "violations": len(violations)})
         assert violations == [], f"seq {seq_seed} step {step}"
-        prune(st, reachable_set(built.sys, st))
+        prune(st, reachable_set(built.sys, st).reach.succ)
         cur_text = new_text
     # final from-scratch comparison; the scratch run reuses the incremental
     # node naming so equal ids denote equal program points

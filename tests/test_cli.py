@@ -162,8 +162,10 @@ def test_reanalyze_round_trip_on_unchanged_source(ws):
     assert diff["added"] == [] and diff["removed"] == []
     assert [w["id"] for w in diff["kept"]] == [w["id"] for w in json.loads(warn0)]
     assert bundle_of(sd)["solver"]["put"]["counters"]["rhs_evals"] == evals_before
-    # nothing changed, so the post-solve walk evaluates no rhs
-    assert json.loads(err)["postprocess"] == {"reevaluated": 0, "reused": 8, "evaluated": 0}
+    # nothing changed, so the post-solve walk evaluates no rhs; loaded from
+    # the bundle, it walks from nothing, through every reached unknown
+    assert json.loads(err)["postprocess"] == \
+        {"reevaluated": 0, "reused": 8, "evaluated": 0, "walked": 9}
 
 
 def test_reanalyze_without_bundle_falls_back_to_analyze(ws):
@@ -744,11 +746,18 @@ def test_serve_session_matches_cli_reanalyze(tmp_path, monkeypatch):
     # its state from the bundle, parses them all once and then only the
     # edited one.
     assert [s["parsed"] for s in cli_stats] == [25, 25, 25]
-    assert [r.pop("stats") for r in results] == \
+    stats = [r.pop("stats") for r in results]
+    # The server's walk starts from what its last one reached, after the
+    # first request, which loaded the bundle; the CLI's from nothing.
+    walked = [(s["postprocess"].pop("walked"), c["postprocess"].pop("walked"))
+              for s, c in zip(stats, cli_stats)]
+    assert walked[0][0] == walked[0][1] and all(s < c for s, c in walked[1:])
+    assert stats == \
         [{"rhs_evals_total": s["rhs_evals_total"],
           "destabilizations_total": s["destabilizations_total"],
           "parsed": parsed,
           "diagnostics": s["run"]["diagnostics"],
+          "postprocess": s["postprocess"],
           "persisted": s["persisted"]} for s, parsed in zip(cli_stats, [25, 1, 1])]
     assert results == cli_diffs
     assert len(loads) == 1
@@ -1326,6 +1335,59 @@ def _serve_corpus(tmp_path, edits):
     return request
 
 
+def _serve_stats(opts, texts, path):
+    """The stats of one server's responses to a reanalysis of each of
+    `texts`, written to `path` in turn."""
+    def requests():
+        for i, text in enumerate(texts):
+            write(path, text)
+            yield json.dumps({"id": i, "method": "reanalyze", "path": path})
+        yield json.dumps({"method": "shutdown"})
+
+    out = io.StringIO()
+    assert cli.Server(opts).serve(requests(), out)
+    return [json.loads(line)["result"]["stats"] for line in out.getvalue().splitlines()[:-1]]
+
+
+def test_a_serve_no_op_walks_nothing(tmp_path):
+    """Reanalyzing an unchanged program in memory evaluates no rhs, in the
+    solver or in the walk, and walks no unknown."""
+    opts = cli.Options(state_dir=str(tmp_path / "state"), stats=True)
+    text = corpus_source(CorpusSpec(n_functions=100, seed=7).with_variant(3, "const:9"))
+    first, again = _serve_stats(opts, [text, text], str(tmp_path / "prog.mc"))
+    assert first["postprocess"]["walked"] > 100  # the first request analyzes it
+    assert again["postprocess"] == {"reevaluated": 0, "reused": first["postprocess"]["reused"] +
+                                    first["postprocess"]["reevaluated"], "evaluated": 0,
+                                    "walked": 0}
+    assert again["rhs_evals_total"] == first["rhs_evals_total"]
+
+
+def _padded(n_pads, variant=None):
+    """A 20-function corpus, with `variant` of f003, and `n_pads` more
+    functions that main calls through `pads`, after all the others."""
+    spec = CorpusSpec(n_functions=20, seed=7)
+    text = corpus_source(spec if variant is None else spec.with_variant(3, variant))
+    pads = "".join(f"int pad{i}(int p) {{\n  a = p + {i};\n  return a;\n}}\n\n"
+                   for i in range(n_pads))
+    calls = "".join(f"  r = pad{i}({i % 3});\n" for i in range(n_pads))
+    text = text.replace("  return r;\n}\n", "  z = pads();\n  return r;\n}\n")
+    return text.replace("int main() {", pads + f"int pads() {{\n{calls}  return 0;\n}}\n\n"
+                        "int main() {")
+
+
+def test_the_walk_after_an_edit_does_not_grow_with_the_program(tmp_path):
+    """One `const` edit, served against the program padded with 100 and
+    with 1,000 functions that it does not touch, walks as many unknowns."""
+    walked = []
+    for n_pads in (100, 1000):
+        opts = cli.Options(state_dir=str(tmp_path / f"state{n_pads}"), stats=True)
+        stats = _serve_stats(opts, [_padded(n_pads), _padded(n_pads, "const:9")],
+                             str(tmp_path / f"prog{n_pads}.mc"))
+        assert stats[0]["postprocess"]["walked"] > n_pads
+        walked.append(stats[1]["postprocess"]["walked"])
+    assert walked[0] == walked[1] > 0
+
+
 def test_serve_leaves_no_cyclic_garbage(tmp_path, monkeypatch):
     """With the collector off, neither the young collection after each
     response nor a full one at the end finds garbage: not after edits that
@@ -1470,9 +1532,11 @@ def test_serve_works_in_lockstep_with_cli_reanalyze(tmp_path):
             continue
         stats, cli_stats = response["result"].pop("stats"), json.loads(stderr)
         parsed.append(stats.pop("parsed"))
+        assert stats["postprocess"].pop("walked") <= cli_stats["postprocess"].pop("walked")
         assert stats == {"rhs_evals_total": cli_stats["rhs_evals_total"],
                          "destabilizations_total": cli_stats["destabilizations_total"],
                          "diagnostics": cli_stats["run"]["diagnostics"],
+                         "postprocess": cli_stats["postprocess"],
                          "persisted": cli_stats["persisted"]}
         assert json.dumps(response["result"]) == json.dumps(json.loads(stdout))
     assert parsed == SERVE_PARSED

@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 
@@ -16,6 +17,7 @@ from minicheck.domains import AddressSet, ValueSet, leq
 from minicheck.increment import (
     INIT_PSEUDO_FN,
     ChangeSet,
+    decide_reuse,
     detect_changes,
     prepare_plain,
     prepare_reluctant,
@@ -28,7 +30,7 @@ from minicheck.increment import (
 )
 from minicheck.minic import build_system, parse
 from minicheck.minic.syntax import Call, Create, If, While, normalize
-from minicheck.tdsolver import run, verify_solution
+from minicheck.tdsolver import SolverState, run, tables, verify_solution
 
 from support import (
     FIG2,
@@ -36,9 +38,13 @@ from support import (
     analyze_source,
     assert_contributions_are_the_last_evaluations,
     contributions,
+    eqsys_from_dict,
     fresh_assignment,
+    full_prune,
+    full_reachable_set,
     full_restart_globals,
     log_stable,
+    random_tree,
     side_maps_inverse,
 )
 
@@ -470,8 +476,8 @@ def reanalyze_both_ways(old, new, mode, monkeypatch):
     for restarter in (restart_globals, full_restart_globals):
         monkeypatch.setattr(increment, "restart_globals", restarter)
         built, st, _ = analyze_source(old)
-        _, new_built, stats, _, _, _ = reanalyze(parse(old).digests, built.assignment, st,
-                                                 parse(new), mode)
+        _, new_built, stats, _, _ = reanalyze(parse(old).digests, built.assignment, st,
+                                              parse(new), mode)
         assert '{"k":"global","name":"g"}' in stats["restarted"]
         assert verify_solution(new_built.sys, st) == []
         if restarter is restart_globals:
@@ -616,7 +622,7 @@ def test_prune_drops_thread_unknowns_after_create_removed():
     no_create = FIG2.replace("create(foo, &g);", "g = 3;")
     new_built, st, changes, A = incremental_setup(FIG2, no_create, mode="plain")
     run(new_built.sys, st, pre_solve=A)
-    prune(st, reachable_set(new_built.sys, st))
+    prune(st, reachable_set(new_built.sys, st).reach.succ)
     assert not any(isinstance(u, NodeCtx) and u.fn == "foo" for u in st.sigma)
     assert not any(isinstance(u, NodeCtx) and u.fn == "foo" for u in st.stable)
     for m in (st.infl, st.side_dep, st.side_infl):
@@ -628,18 +634,65 @@ def test_prune_drops_thread_unknowns_after_create_removed():
 def test_prune_keeps_fully_reachable_state_and_is_idempotent():
     built, st, _ = analyze_source(FIG2)
     snapshot = (dict(st.sigma), set(st.stable))
-    prune(st, reachable_set(built.sys, st))
+    prune(st, reachable_set(built.sys, st).reach.succ)
     assert (dict(st.sigma), set(st.stable)) == snapshot
     once = (dict(st.sigma), set(st.stable),
             {k: list(v) for k, v in st.infl.items()})
-    prune(st, reachable_set(built.sys, st))
+    prune(st, reachable_set(built.sys, st).reach.succ)
     assert (dict(st.sigma), set(st.stable),
             {k: list(v) for k, v in st.infl.items()}) == once
 
 
+def test_the_walk_from_what_it_reached_follows_the_full_walk_on_random_systems():
+    """Random systems whose rhs read data-dependently and side-effect
+    globals, edited a few rhs at a time: after each edit's solve, the walk
+    from the last walk's `Reach` and its pruning leave what the full walk
+    and full pruning leave, `stale` and every map in order included.  The
+    edits make unknowns leave, cycles lose their entry and edges go stale."""
+    rng = random.Random(1919)
+    walks = left = 0
+    for trial in range(150):
+        n = rng.randrange(3, 14)
+        nodes = [node("t", i) for i in range(n)]
+        globs = [GlobalVar(f"g{j}") for j in range(rng.randrange(1, 3))]
+        rhs = {x: random_tree(rng, nodes + globs, targets=globs) for x in nodes}
+        st = SolverState()
+        run(eqsys_from_dict(rhs, nodes[0], lambda u: ValueSet.bot()), st)
+        reach = reachable_set(eqsys_from_dict(rhs, nodes[0], lambda u: ValueSet.bot()), st).reach
+        prune(st, reach.succ)
+        for step in range(4):
+            edited = rng.sample(nodes, rng.randrange(1, 3))
+            rhs = {**rhs, **{x: random_tree(rng, nodes + globs, targets=globs) for x in edited}}
+            sys_ = eqsys_from_dict(rhs, nodes[0], lambda u: ValueSet.bot())
+            start = tables(st)
+            for x in edited:
+                st.stable.discard(x)
+                st.destabilize(x)
+            stats = run(sys_, st)
+            reuse = decide_reuse(st, start, stats["evaluated"], stats["reads"])
+            ref = copy.deepcopy(st)
+            walk = reachable_set(sys_, st, None, reuse, reach)
+            prune(st, walk.reach.succ, walk.left)
+            reached = full_reachable_set(sys_, ref)
+            full_prune(ref, reached)
+            where = f"trial {trial} step {step}"
+            assert walk.reach.succ.keys() == reached.keys(), where
+            assert {u: set(out) for u, out in walk.reach.succ.items()} == reached, where
+            assert st.sigma == ref.sigma and (st.stable, st.point) == (ref.stable, ref.point), where
+            for name in ("infl", "side_dep", "side_infl", "stale"):
+                ours, theirs = getattr(st, name), getattr(ref, name)
+                assert {u: list(row.items()) for u, row in ours.items()} == \
+                    {u: list(row.items()) for u, row in theirs.items()}, (where, name)
+            assert list(st.infl) == list(ref.infl), where
+            reach = walk.reach
+            walks += walk.left is not None
+            left += bool(walk.left)
+    assert walks > 300 and left > 50  # most walks start from a Reach, many lose unknowns
+
+
 def test_reachable_set_covers_harness_and_globals():
     built, st, _ = analyze_source(FIG2)
-    R = reachable_set(built.sys, st)
+    R = reachable_set(built.sys, st).reach.succ.keys()
     assert {MAIN, INIT, G} <= R
     assert node("foo", 1, BETA0) in R
 
@@ -653,8 +706,9 @@ def test_an_edit_of_the_global_declarations_makes_nothing_reusable(declarations)
     session = cli.run_analysis(text, "prog.mc", cli.Options()).session
     st = session.state
     log = log_stable(st)
-    changes, built, _, _, untouched, reusable = reanalyze(
+    changes, built, _, _, reuse = reanalyze(
         session.digests, session.assignment, st, parse(declarations + text))
+    untouched, reusable = reuse.untouched, reuse.reusable
     assert changes.changed == ({INIT_PSEUDO_FN} if declarations else set())
     assert {u for u in untouched if built.sys.has_rhs(u)} == \
         {u for u in log.untouched() if built.sys.has_rhs(u)}
@@ -706,11 +760,11 @@ def test_edit_sequences_stay_sound_and_consistent():
             m = list(re.finditer(r"(\+|\*|=)\s*(\d+)", text))
             target = m[rng.randrange(len(m))]
             new_text = text[:target.start(2)] + str(const) + text[target.end(2):]
-            _, new_built, _, _, _, _ = reanalyze(parse(text).digests, asg, st, parse(new_text))
+            _, new_built, _, _, _ = reanalyze(parse(text).digests, asg, st, parse(new_text))
             new_asg = new_built.assignment
             assert verify_solution(new_built.sys, st) == [], f"program {pi} step {step}"
             assert side_maps_inverse(st)
-            prune(st, reachable_set(new_built.sys, st))
+            prune(st, reachable_set(new_built.sys, st).reach.succ)
             # from-scratch consistency: scratch ⊑ incremental on shared points
             _, scratch, _ = analyze_source(new_text, assignment=new_asg)
             shared = {u for u in st.sigma if isinstance(u, NodeCtx)} & set(scratch.sigma)

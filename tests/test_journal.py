@@ -397,7 +397,19 @@ CONTRIBUTION_DAMAGE = {
     "negative-producer": "ValueError: a contribution to g0 has a negative index",
     "domain": "ValueError: a contribution to g0 is a LocalState, not a ValueSet",
     "domain-of-no-value": "ValueError: a contribution to gz is a LocalState, not a ValueSet",
+    # a list reads a negative index from its end: refused in every table
+    "negative-sigma": "ValueError: a row of sigma has a negative index",
+    "negative-stable": "ValueError: a row of stable has a negative index",
+    "negative-point": "ValueError: a row of point has a negative index",
+    "negative-infl": "ValueError: a row of infl has a negative index",
+    "negative-side_infl": "ValueError: a row of side_infl has a negative index",
+    "negative-stale": "ValueError: a row of stale has a negative index",
+    "negative-gone": "ValueError: a row of infl has a negative index",
 }
+
+# the row that each negative-* damage adds to a solver section
+NEGATIVE_ROWS = {"sigma": [-1, -1], "stable": -1, "point": -1, "infl": [0, [-1]],
+                 "side_infl": [-1, [0]], "stale": [0, [1, -1]]}
 
 
 @pytest.mark.parametrize("damage", list(CONTRIBUTION_DAMAGE))
@@ -405,7 +417,8 @@ def test_a_contribution_out_of_range_or_of_another_domain_exits_two(tmp_path, da
     """A side_dep row's contribution is a value index: one past the values,
     a negative one, one with a negative producer index, or one of a value of
     another domain than its target's, also of a target without a value, in
-    the base or in a record, is refused."""
+    the base or in a record, is refused; so is a row of any other table, or
+    a key of a row that went, with a negative index."""
     src, sd = str(tmp_path / "prog.mc"), str(tmp_path / "state")
     opts = cli.Options(state_dir=sd)
     write(src, _corpus_versions(0)[0])
@@ -414,6 +427,13 @@ def test_a_contribution_out_of_range_or_of_another_domain_exits_two(tmp_path, da
 
     def bad_row(solver):  # init's contribution to g0, or a new one to gz
         unknowns, values, rows = solver["unknowns"], solver["values"], solver["put"]["side_dep"]
+        table = damage.removeprefix("negative-")
+        if table == "gone":
+            solver["gone"]["infl"] = [-1]
+            return
+        if table in NEGATIVE_ROWS:
+            solver["put"].setdefault(table, []).append(NEGATIVE_ROWS[table])
+            return
         j = unknowns.index(init)
         if damage == "domain-of-no-value":
             unknowns.append(gz)

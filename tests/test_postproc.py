@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -17,7 +18,15 @@ from minicheck.postproc import (
 )
 
 
-from support import FIG2, FIG2_EDIT, analyze_source, full_postprocess, log_stable
+from support import (
+    FIG2,
+    FIG2_EDIT,
+    analyze_source,
+    full_postprocess,
+    log_stable,
+    pairwise_races,
+    persisted,
+)
 
 BETA0 = Context.of({"p": AddressSet.of(["g"])})
 
@@ -30,9 +39,9 @@ def full_pipeline(text, domain="valueset"):
 
 def incremental_pipeline(old_text, new_text, prev_store, built_old, st,
                          restart="minimal"):
-    _, new_built, _, _, untouched, reusable = reanalyze(
+    _, new_built, _, _, reuse = reanalyze(
         parse(old_text).digests, built_old.assignment, st, parse(new_text), restart=restart)
-    store, stats = postprocess(new_built, st, prev_store, "<test>", untouched, reusable)
+    store, stats = postprocess(new_built, st, prev_store, "<test>", reuse)
     return new_built, store, stats
 
 
@@ -116,16 +125,16 @@ def test_postprocess_never_changes_sigma():
 # -- the incremental walk and pruning against the full ones ----------------------------
 
 
-def _reference_reanalysis(session, text, opts):
+def _reference_reanalysis(session, text, filename, opts):
     """The pipeline with the full walk, pruning and postprocessing, and with
     the untouched unknowns read off a `StableLog`."""
     prog = parse(text)
     log = log_stable(session.state)
-    _, built, _, _, _, _ = reanalyze(session.digests, session.assignment, session.state, prog,
-                                     opts.mode, opts.restart, opts.domain,
-                                     restart_wpoint=opts.wpoint_restart)
+    _, built, _, _, _ = reanalyze(session.digests, session.assignment, session.state, prog,
+                                  opts.mode, opts.restart, opts.domain,
+                                  restart_wpoint=opts.wpoint_restart)
     store, stats, reached = full_postprocess(built, session.state, session.store,
-                                             log.untouched(), "prog.mc")
+                                             log.untouched(), filename)
     return cli.Session(prog.digests, built.assignment, session.state, store), stats, reached
 
 
@@ -133,51 +142,63 @@ def _ordered(m):
     return [(u, list(members)) for u, members in m.items()]
 
 
-def _assert_same_as_the_full_walk(versions, opts, monkeypatch):
-    """Run `versions` through the pipeline and through the reference side by
-    side; after every step both leave the same state, store and split of
-    the reached unknowns into re-evaluated and reused ones, the untouched
-    unknowns the pipeline derives are, on every unknown with a rhs, those
-    that a `StableLog` finds never left stable, and the walk reuses exactly
-    the reusable unknowns it reaches and evaluates every other reached
-    rhs."""
-    walks, decided, reused = [], [], []
+def _assert_same_as_the_full_walk(versions, opts, monkeypatch, serve=True, walks_less=False):
+    """Run `versions`, each a text or a (text, file name) pair, through the
+    pipeline and through the reference side by side, as `serve` does (one
+    session in memory) or, without `serve`, as the command line does (every
+    session loaded from a bundle's record).  After every step both leave
+    the same state, every map in order, the same store and split of the
+    reached unknowns into re-evaluated and reused ones; the walk leaves σ's
+    keys alone, reaches what the full walk reaches with the same successors,
+    evaluates every reached rhs that is not reusable and no other; the
+    untouched unknowns the pipeline derives are, on every unknown with a
+    rhs, those that a `StableLog` finds never left stable.  With
+    `walks_less`, a step that reuses in memory walks fewer unknowns than the
+    full walk reaches."""
+    walks, decided = [], []
     walk, post = postproc.reachable_set, cli.postprocess
 
-    def reachable_set(sys_, st, visit, reuse, reusable):
-        def reuse_and_log(u):
-            reused.append(u)
-            reuse(u)
-        walks.append(walk(sys_, st, visit, reuse_and_log, reusable))
+    def reachable_set(sys_, st, visit, reuse, known):
+        keys = list(st.sigma)
+        walks.append(walk(sys_, st, visit, reuse, known))
+        assert list(st.sigma) == keys, "the walk must not modify the solution"
         return walks[-1]
 
     monkeypatch.setattr(postproc, "reachable_set", reachable_set)
 
-    def postprocess(built, st, prev, filename, untouched, reusable):
-        unlogged = {u for u in untouched ^ st.stable.untouched() if built.sys.has_rhs(u)}
-        decided.append((built.sys, untouched, reusable, unlogged))
-        return post(built, st, prev, filename, untouched, reusable)
+    def postprocess(built, st, prev, filename, reuse):
+        unlogged = {u for u in reuse.untouched ^ st.stable.untouched() if built.sys.has_rhs(u)}
+        decided.append((built.sys, reuse, unlogged))
+        return post(built, st, prev, filename, reuse)
 
     monkeypatch.setattr(cli, "postprocess", postprocess)
     session, reference = cli.Session.empty(), cli.Session.empty()
-    for step, text in enumerate(versions):
+    for step, version in enumerate(versions):
+        text, filename = (version, "prog.mc") if isinstance(version, str) else version
+        if not serve:
+            session, reference = _reloaded(session), _reloaded(reference)
         log_stable(session.state)
-        reused.clear()
-        result = cli.run_reanalysis(session, text, "prog.mc", opts)
+        result = cli.run_reanalysis(session, text, filename, opts)
         session = result.session
-        sys_, untouched, reusable, unlogged = decided[-1]
-        assert unlogged == set() and reusable <= untouched, f"step {step}"
-        reached_rhs = {u for u in walks[-1] if sys_.has_rhs(u)}
-        assert sorted(reused, key=sort_key) == sorted(reached_rhs & reusable, key=sort_key), \
+        sys_, reuse, unlogged = decided[-1]
+        reach, walked = walks[-1].reach, walks[-1].walked
+        reusable = reuse.reusable
+        assert unlogged == set() and reusable <= reuse.untouched, f"step {step}"
+        reached_rhs = {u for u in reach.succ if sys_.has_rhs(u)}
+        assert reach.leaves == reach.succ.keys() - reached_rhs, f"step {step}"
+        assert reach.unstable == {u for u in reach.succ if u not in session.state.stable}, \
             f"step {step}"
         assert sorted(result.post_stats["evaluated"], key=sort_key) == \
             sorted(reached_rhs - reusable, key=sort_key), f"step {step}"
-        reference, ref_stats, ref_reached = _reference_reanalysis(reference, text, opts)
+        reference, ref_stats, ref_reached = _reference_reanalysis(reference, text, filename, opts)
         st, ref = session.state, reference.state
-        assert walks[-1] == ref_reached, f"step {step}"
+        assert reach.succ.keys() == ref_reached.keys(), f"step {step}"
+        assert {u for u, out in reach.succ.items() if set(out) != ref_reached[u]} == set(), \
+            f"step {step}"
         assert st.sigma == ref.sigma, f"step {step}"
         for name in ("infl", "side_dep", "side_infl"):
             assert _ordered(getattr(st, name)) == _ordered(getattr(ref, name)), f"step {step}"
+        assert dict(_ordered(st.stale)) == dict(_ordered(ref.stale)), f"step {step}"
         assert (st.stable, st.point) == (ref.stable, ref.point), f"step {step}"
         assert (session.store.warnings, session.store.accesses) == \
             (reference.store.warnings, reference.store.accesses), f"step {step}"
@@ -186,9 +207,30 @@ def _assert_same_as_the_full_walk(versions, opts, monkeypatch):
                 sorted(ref_stats[kind], key=sort_key), f"step {step}"
         # the reanalyses reuse, unless the global declarations changed: they
         # evaluate fewer rhs than the full walk
-        assert step == 0 or "__init" in result.changes["changed"] or \
-            len(result.post_stats["evaluated"]) < \
-            len(ref_stats["reevaluated"]) + len(ref_stats["reused"]), f"step {step}"
+        if step and "__init" not in result.changes["changed"]:
+            assert len(result.post_stats["evaluated"]) < \
+                len(ref_stats["reevaluated"]) + len(ref_stats["reused"]), f"step {step}"
+            assert not (serve and walks_less) or len(walked) < len(ref_reached), f"step {step}"
+
+
+def _reloaded(session):
+    """`session` as a bundle with its record would hold it."""
+    out = cli.Session.empty()
+    ((record, _, _),) = journal.records(persisted(session))
+    journal.replay(out, record)
+    return out
+
+
+MODES = [pytest.param(cli.Options(mode=mode, restart=restart, wpoint_restart=wpoint_restart),
+                      id=f"{mode}-{restart}{'-wpoint' if wpoint_restart else ''}")
+         for mode in ("plain", "reluctant") for restart in ("off", "minimal")
+         for wpoint_restart in (False, True)]
+
+
+def _corpus_versions():
+    spec = CorpusSpec(n_functions=40, seed=7)
+    versions = [corpus_source(s) for s in [spec, *edit_sequence(spec, 10, seed=3)]]
+    return versions + ["int gnew = 0;\n" + versions[-1], versions[-1]]  # a new global and back
 
 
 @pytest.mark.parametrize("wpoint_restart", [False, True])
@@ -196,11 +238,13 @@ def _assert_same_as_the_full_walk(versions, opts, monkeypatch):
 @pytest.mark.parametrize("mode", ["plain", "reluctant"])
 def test_the_walk_reuses_exactly_what_the_full_walk_would_find(monkeypatch, mode, restart,
                                                                wpoint_restart):
-    spec = CorpusSpec(n_functions=40, seed=7)
-    versions = [corpus_source(s) for s in [spec, *edit_sequence(spec, 10, seed=3)]]
-    versions += ["int gnew = 0;\n" + versions[-1], versions[-1]]  # a new global and back
     opts = cli.Options(mode=mode, restart=restart, wpoint_restart=wpoint_restart)
-    _assert_same_as_the_full_walk(versions, opts, monkeypatch)
+    _assert_same_as_the_full_walk(_corpus_versions(), opts, monkeypatch, walks_less=True)
+
+
+@pytest.mark.parametrize("opts", MODES)
+def test_the_walk_of_a_loaded_session_reuses_what_the_full_walk_would_find(monkeypatch, opts):
+    _assert_same_as_the_full_walk(_corpus_versions(), opts, monkeypatch, serve=False)
 
 
 # `h`'s loop node first calls `f` in the context x ↦ {0}, then in a wider one:
@@ -216,6 +260,8 @@ def test_a_stale_infl_edge_does_not_keep_an_unknown_reachable(monkeypatch):
     with_call, without = STALE_EDGE % "s = f(0); ", STALE_EDGE % ""
     assert cli.run_analysis(with_call, "prog.mc", cli.Options()).session.state.stale
     _assert_same_as_the_full_walk([with_call, without, with_call], cli.Options(), monkeypatch)
+    _assert_same_as_the_full_walk([with_call, without, with_call], cli.Options(), monkeypatch,
+                                  serve=False)
 
 
 # In the context x ↦ {1}, the node after `g == 5` is stable at Bot, so it has
@@ -230,6 +276,102 @@ int main(){ %s return 0; }
 def test_records_of_a_bot_unknown_leave_with_its_context(monkeypatch, mode):
     versions = [BOT_PRODUCER % "a = f(1);", BOT_PRODUCER % "g = 1; a = f(2);"]
     _assert_same_as_the_full_walk(versions, cli.Options(mode=mode), monkeypatch)
+
+
+# A context that an edit leaves, and comes back to: `f(1)` has dead code
+# that `f(2)` does not, and `k`, which calls f, is unchanged.
+CONTEXT_LEAVES = """int f(int x) { a = x; if (x < 2) { a = 0; } return a; }
+int k(int y) { r = f(y); return r; }
+int main() { s = k(%d); return 0; }
+"""
+
+# `even` and `odd` call each other in one context, and `h`'s loop is a cycle
+# of its own: once main no longer calls into them, each cycle has lost its
+# only entry edge, although every unknown on it still has a predecessor.
+CYCLES = """int even(int n) { if (n > 5) { r = odd(n); } return 1; }
+int odd(int n) { if (n > 5) { r = even(n); } return 0; }
+int h(int n) { k = 0; while (k < n) { k = k + 1; } return k; }
+int main() { a = even(%d); %s return 0; }
+"""
+
+# A race on g, whose accesses lie in w, h and main, and dead code in h;
+# lines added to f move every function below it.
+MOVES = """int g = 0;
+mutex m;
+int f(int p) {
+  a = p + 1;%s
+  return a;
+}
+int h(int y) {
+  if (y > 5) {
+    z = 1;
+  }
+  g = y;
+  return 0;
+}
+void* w(void* q) { lock(m); *q = 1; unlock(m); return NULL; }
+int main() { create(w, &g); r = f(1); s = h(2); return g; }
+"""
+SMALL_EDITS = {
+    "a-context-leaves": [CONTEXT_LEAVES % 1, CONTEXT_LEAVES % 2, CONTEXT_LEAVES % 1],
+    "a-cycle-loses-its-entry": [CYCLES % (7, "b = h(3);"), CYCLES % (1, ""),
+                                CYCLES % (7, "b = h(3);")],
+    "another-path": [MOVES % "", (MOVES % "\n  b = a;", "other.mc"), MOVES % ""],
+    "lines-move": [MOVES % "", MOVES % "\n  b = a;\n  c = b;", MOVES % "\n  b = a;"],
+    "a-declaration-edit": [MOVES % "", "int gnew = 3;\n" + MOVES % "", MOVES % ""],
+}
+
+
+@pytest.mark.parametrize("serve", [True, False], ids=["serve", "cli"])
+@pytest.mark.parametrize("opts", MODES)
+@pytest.mark.parametrize("edits", list(SMALL_EDITS))
+def test_the_walk_follows_the_full_walk_on_small_edits(monkeypatch, edits, opts, serve):
+    """Contexts and cycles that lose their entry leave, and every location
+    of a file that moved or was renamed is refreshed."""
+    _assert_same_as_the_full_walk(SMALL_EDITS[edits], opts, monkeypatch, serve)
+
+
+def test_the_small_edits_have_warnings_that_move():
+    """The warnings that `test_the_walk_follows_the_full_walk_on_small_edits`
+    checks are there: dead code of a context that leaves, another branch in
+    each context, and a race and dead code below lines that move."""
+    opts = cli.Options()
+    one, two = ([w.id for w in cli.run_analysis(CONTEXT_LEAVES % x, "prog.mc", opts)
+                 .session.store.warnings if w.kind == "dead-code"] for x in (1, 2))
+    assert len(one) == len(two) == 1 and one != two
+    session = cli.run_analysis(MOVES % "", "prog.mc", opts).session
+    assert sorted(w.kind for w in session.store.warnings) == ["dead-code", "race"]
+    moved = cli.run_reanalysis(session, MOVES % "\n  b = a;", "prog.mc", opts).session
+    assert [w.locations for w in moved.store.warnings] == \
+        [tuple((f, line + 1, c) for f, line, c in w.locations) for w in session.store.warnings]
+
+
+def _random_accesses(rng, n):
+    locksets = [Lockset.top(), Lockset.bot(), Lockset.of(["m"]), Lockset.of(["n"]),
+                Lockset.of(["m", "n"])]
+    return frozenset(Access(rng.choice(["read", "write"]), rng.choice(locksets),
+                            rng.choice(["f", "h"]), rng.randrange(8), rng.randrange(8))
+                     for _ in range(n))
+
+
+def test_races_find_what_comparing_every_pair_finds():
+    rng = random.Random(17)
+    for trial in range(300):
+        store = WarnStore()
+        for p in range(rng.randrange(1, 5)):
+            store.accesses[f"p{p}"] = {g: _random_accesses(rng, rng.randrange(1, 7))
+                                       for g in rng.sample(["G", "H", "K"], rng.randrange(1, 4))}
+        assert races(store, _NoCfg(), "<t>") == pairwise_races(store, _NoCfg(), "<t>"), trial
+
+
+def test_races_on_one_hot_global_find_what_comparing_every_pair_finds():
+    rng = random.Random(5)
+    store = WarnStore()
+    for p in range(80):
+        store.accesses[f"p{p}"] = {"G": _random_accesses(rng, 12)}
+    assert len(set().union(*(rows["G"] for rows in store.accesses.values()))) >= 500
+    (race,) = races(store, _NoCfg(), "<t>")
+    assert [race] == pairwise_races(store, _NoCfg(), "<t>")
 
 
 # Edits at the edge of the edited function: a new local in a `main` that
