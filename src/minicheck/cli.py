@@ -42,10 +42,10 @@ from typing import Optional, TextIO
 from . import journal
 from .consys import NodeCtx, unknown_key
 from .domains import INT_DOMAINS, DomainError, leq
-from .increment import reanalyze
+from .increment import Reach, reanalyze, recorded_contexts
 from .minic import MiniCError, Program, build_system, parse
 from .minic.cfg import NodeAssignment, NodeTableError, assign_node_ids
-from .postproc import StateCorruption, WarnStore, diff_warnings, postprocess
+from .postproc import PostIndex, StateCorruption, WarnStore, diff_warnings, postprocess
 from .tdsolver import SolverDepthError, SolverState, run, verify_solution
 
 BUNDLE_NAME = "bundle.json"  # the base
@@ -309,10 +309,16 @@ def run_reanalysis(session: Session, text: str, filename: str,
     place (and is unusable if this raises)."""
     prog = parse(text, session.program)
     state, index = session.state, session.store.index
+    # A session from `empty` or `load_bundle` has no index: its contexts are
+    # read off σ, and its reach off the snapshot the reanalysis takes.
+    contexts = index.contexts if index is not None else \
+        recorded_contexts(state, session.assignment)
     changes, built, run_stats, start, reuse = reanalyze(
         session.digests, session.assignment, state, prog, opts.mode, opts.restart,
-        opts.domain, restart_wpoint=opts.wpoint_restart,
-        contexts=index.contexts if index is not None else None)
+        opts.domain, restart_wpoint=opts.wpoint_restart, contexts=contexts)
+    if index is None:
+        session.store.index = PostIndex.of(session.store, Reach.of(start, built.sys), contexts,
+                                           session.assignment)
     store, post_stats = postprocess(built, state, session.store, filename, reuse)
     on_disk = session.image is not None and session.then is None  # loaded or saved
     return AnalysisResult(Session(prog.digests, built.assignment, state, store, prog,

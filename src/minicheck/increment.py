@@ -51,30 +51,29 @@ stable in the snapshot and now, and the solver did not evaluate them.  The
 *reusable* ones are untouched, and σ at them, at their last reads and at
 their side targets is the snapshot's; after an edit of the global
 declarations none is.  After the solve, one walk over σ finds what is
-reachable from the query; postprocessing shares its evaluations.  The walk
-reuses the reusable unknowns it reaches: they are not evaluated, and their
-recorded successors are the inverse of ``infl`` minus the stale edges the
-walk noted when it last evaluated them, plus their side targets.  So the
-walk evaluates only what the run touched.
+reachable from the query; postprocessing sees its evaluations as they are
+made.  The walk reuses the reusable unknowns it reaches: they are not
+evaluated, and their recorded successors are the inverse of ``infl`` minus
+the stale edges the walk noted when it last evaluated them, plus their side
+targets.  So the walk evaluates only what the run touched.
 
-A walk leaves what it reached, each unknown with its successors (`Reach`).
-Kept in memory, that is where the next walk starts (`_rewalk`): it
-evaluates the reached unknowns that are not reusable, follows the new
-edges from the query through them and through what it reaches for the
-first time, and re-checks, through the predecessors the state records,
-only what the edges those unknowns lost led to (dynamic reachability, after
-Ramalingam and Reps, TCS 1996).  Pruning then deletes the unknowns that
-left and the rows that name them, found through the same predecessors
-and the run's reads, so a reanalysis walks and prunes about what the
-solver touched.  A walk without a `Reach` (an analysis, a state loaded
-from a bundle, an edit of the global declarations) starts from the query
-and prunes by scanning every table.
+A walk leaves what it reached, each unknown with its successors (`Reach`),
+and the next walk starts from there: it evaluates the reached unknowns
+that are not reusable, follows the new edges from the query through them
+and through what it reaches for the first time, and re-checks, through the
+predecessors the state records, only what the edges those unknowns lost
+led to (dynamic reachability, after Ramalingam and Reps, TCS 1996).
+Pruning then deletes the unknowns that left and the rows that name them,
+found through the same predecessors and the run's reads, so a reanalysis
+walks and prunes about what the solver touched.  An analysis starts from
+the empty `Reach`; a state without one, loaded from a bundle, has it read
+off its tables (`Reach.of`).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Collection, Dict, Iterable, List, Optional, Set, Tuple
 
 from .consys import (
@@ -221,13 +220,12 @@ def _drop_stale_nodes(changes: ChangeSet, st: SolverState, old_asg: NodeAssignme
 
 
 def prepare_plain(changes: ChangeSet, st: SolverState, old_asg: NodeAssignment,
-                  contexts: Optional[Dict[str, Collection[Context]]] = None) -> List[Unknown]:
-    """Eager destabilization at the return nodes of every edited function.
-    `contexts` are those of `recorded_contexts`, read off σ if not given.
+                  contexts: Dict[str, Collection[Context]]) -> List[Unknown]:
+    """Eager destabilization at the return nodes of every edited function,
+    in the `contexts` each function was analyzed in (see
+    `recorded_contexts`).
 
     Returns the empty pre-solve list (step 1 is empty in plain mode)."""
-    if contexts is None:
-        contexts = recorded_contexts(st, old_asg)
     _drop_stale_nodes(changes, st, old_asg, contexts)
     for u in _return_unknowns(changes.edited(), contexts, old_asg):
         st.stable.discard(u)
@@ -236,14 +234,12 @@ def prepare_plain(changes: ChangeSet, st: SolverState, old_asg: NodeAssignment,
 
 
 def prepare_reluctant(changes: ChangeSet, st: SolverState, old_asg: NodeAssignment,
-                      contexts: Optional[Dict[str, Collection[Context]]] = None) -> List[Unknown]:
+                      contexts: Dict[str, Collection[Context]]) -> List[Unknown]:
     """Confined destabilization: body-changed functions contribute their
     return unknowns to the pre-solve set A without destabilizing their
     dependents.  Header-changed and removed functions are handled plainly
     (reluctance could only do work in vain there).  `contexts` as in
     `prepare_plain`."""
-    if contexts is None:
-        contexts = recorded_contexts(st, old_asg)
     _drop_stale_nodes(changes, st, old_asg, contexts)
     for u in _return_unknowns(changes.header_changed | changes.removed, contexts, old_asg):
         st.stable.discard(u)
@@ -421,30 +417,31 @@ class Reuse:
     walk (see the module docstring): the `untouched` and the `reusable`
     unknowns, every unknown the run evaluated with every unknown its
     evaluations read (`reads`), `changed`, the unknowns whose σ entry is
-    not the snapshot's object (set, replaced or removed), `suspect`, among
-    which are all unknowns stable in the snapshot that are not reusable,
-    and `came`, those stable now that were not then.  All but the first two
-    are only filled in when something is reusable."""
+    not the snapshot's object (set, replaced or removed), each mapped to
+    itself as σ's key or, once removed, the snapshot's, `suspect`, the
+    unknowns stable in the snapshot that are not reusable, and `came`,
+    those stable now that were not then and that the run neither
+    evaluated nor gave a new σ entry: written behind the solver's back."""
 
     untouched: Set[Unknown]
     reusable: Set[Unknown]
-    reads: Dict[Unknown, Dict[Unknown, None]] = field(default_factory=dict)
-    changed: Set[Unknown] = field(default_factory=set)
-    suspect: Set[Unknown] = field(default_factory=set)
-    came: Set[Unknown] = field(default_factory=set)
+    reads: Dict[Unknown, Tuple[Unknown, ...]]
+    changed: Dict[Unknown, Unknown]
+    suspect: Set[Unknown]
+    came: Set[Unknown]
 
 
 def reanalyze(old_digests: dict, old_asg: NodeAssignment, st: SolverState,
               new_prog: Program, mode: str = "reluctant", restart: str = "minimal",
               domain: str = "valueset", *, restart_wpoint: bool = False,
-              contexts: Optional[Dict[str, Collection[Context]]] = None
+              contexts: Dict[str, Collection[Context]]
               ) -> Tuple[ChangeSet, BuiltSystem, dict, dict, Reuse]:
     """Bring `st`, the solver state of the program with `old_digests`, up to
     date with `new_prog`.
 
     `mode` is "plain" or "reluctant" destabilization; `restart` is "off" or
     "minimal"; `domain` is the integer value domain of `build_system`;
-    `contexts`, if given, are the old version's `recorded_contexts`.  The
+    `contexts` are the old version's `recorded_contexts`.  The
     restart set is read off the old state before relabeling erases the old
     unknowns.  Returns the change set, the new system, the solver's per-step
     statistics plus the keys of the restarted globals, the snapshot of the
@@ -471,8 +468,9 @@ def reanalyze(old_digests: dict, old_asg: NodeAssignment, st: SolverState,
             by_unknown[u] = by_unknown.get(u, 0) + n
         stats["diagnostics"] += again["diagnostics"]
         stats["evaluated"] |= again["evaluated"]
+        reads = stats["reads"]
         for x, ys in again["reads"].items():
-            stats["reads"].setdefault(x, {}).update(ys)
+            reads[x] = tuple(dict.fromkeys((*reads.get(x, ()), *ys)))
         unconfirmed = confirm_restarts(kept, st, built.assignment)
     stats["restarted"] = [unknown_key(g) for g in restarted]
     # Global declarations also decide which targets of a pointer a store or
@@ -484,7 +482,7 @@ def reanalyze(old_digests: dict, old_asg: NodeAssignment, st: SolverState,
 
 
 def decide_reuse(st: SolverState, start: dict, evaluated: Set[Unknown],
-                 reads: Dict[Unknown, Dict[Unknown, None]], allowed: bool = True) -> Reuse:
+                 reads: Dict[Unknown, Tuple[Unknown, ...]], allowed: bool = True) -> Reuse:
     """What the walk after a run may reuse (see the module docstring), as
     the run, which began from the snapshot `start`, evaluated `evaluated`
     and read `reads`; nothing unless `allowed`."""
@@ -494,20 +492,19 @@ def decide_reuse(st: SolverState, start: dict, evaluated: Set[Unknown],
     # snapshot holds the objects the state holds: between the two, a set
     # operation compares few unknowns by more than identity.
     untouched = (start["stable"] & st.stable) - evaluated
-    if not untouched or not allowed:
-        return Reuse(untouched, set())
-    # Not reusable: what changed, what read it last and what side-effected it.
     sigma, before = st.sigma, start["sigma"]
-    changed = {u for u, v in sigma.items() if before.get(u) is not v}
-    changed.update(set(before).difference(sigma))
-    dirty = set(changed)
-    for y in changed:
-        dirty.update(x for x in st.infl.get(y, ()) if y not in st.stale.get(x, ()))
-        dirty.update(st.side_dep.get(y, ()))
-    suspect = dirty | evaluated
-    suspect.update(start["stable"] - st.stable)
-    return Reuse(untouched, untouched - dirty, reads, changed, suspect,
-                 st.stable - start["stable"])
+    changed = {u: u for u, v in sigma.items() if before.get(u) is not v}
+    changed.update((u, u) for u in set(before).difference(sigma))
+    reusable: Set[Unknown] = set()
+    if untouched and allowed:
+        # Not reusable: what changed, what read it last and what side-effected it.
+        dirty = set(changed)
+        for y in changed:
+            dirty.update(x for x in st.infl.get(y, ()) if y not in st.stale.get(x, ()))
+            dirty.update(st.side_dep.get(y, ()))
+        reusable = untouched - dirty
+    came = {u for u in st.stable - start["stable"] if u not in reads and u not in changed}
+    return Reuse(untouched, reusable, reads, changed, start["stable"] - reusable, came)
 
 
 # ---------------------------------------------------------------------------
@@ -522,37 +519,69 @@ class Reach:
     reached unknowns without a rhs and those that are not stable.  Its keys
     are the reached set; for a reached unknown with a rhs that is stable,
     its successors are the inverse of ``infl`` minus ``stale``, plus
-    ``side_infl``: the inverse kept current, walk by walk.  Not persisted."""
+    ``side_infl``: the inverse kept current, walk by walk.  Not persisted:
+    `of` reads it off the tables of a state that a walk and pruning left."""
 
     succ: Dict[Unknown, Tuple[Unknown, ...]]
     leaves: Set[Unknown]
     unstable: Set[Unknown]
+
+    @staticmethod
+    def of(start: dict, sys_: EqSys) -> "Reach":
+        """The `Reach` of the walk that left the solver tables `start`
+        (`tdsolver.tables`, empty before an analysis), by the invariant
+        above: what is reachable from the query through those successors.
+        Its leaves are the reached unknowns without a rhs in `sys_`, which
+        differs from the system the walk ran on only at unknowns that are
+        not reusable, so that the next walk evaluates them.  Each row of
+        the inverse of ``infl`` is dropped as the walk reaches it, so that
+        the inverse and the `Reach` are not held whole at once."""
+        succ: Dict[Unknown, Tuple[Unknown, ...]] = {}
+        if sys_.query not in start["stable"]:  # no walk left it
+            return Reach(succ, set(), set())
+        reads: Dict[Unknown, List[Unknown]] = {}
+        for y, xs in start["infl"].items():
+            for x in xs:
+                reads.setdefault(x, []).append(y)
+        stale, side_infl = start["stale"], start["side_infl"]
+        stack = [sys_.query]
+        while stack:
+            u = stack.pop()
+            if u in succ:
+                continue
+            gone = stale.get(u, ())
+            out = succ[u] = (*(y for y in reads.pop(u, ()) if y not in gone),
+                             *side_infl.get(u, ()))
+            stack.extend(y for y in out if y not in succ)
+        return Reach(succ, {u for u in succ if not sys_.has_rhs(u)},
+                     succ.keys() - start["stable"])
 
 
 @dataclass
 class Walk:
     """What `reachable_set` returns: the new `Reach`; the unknowns that left
     the reached set or that the run made and the walk does not reach, each
-    with the unknowns it may have read (None after a walk from nothing,
-    which does not know them); the reached reusable unknowns with a rhs,
-    and the unknowns the walk evaluated, reused or re-checked."""
+    with the unknowns it may have read; the reached reusable unknowns with
+    a rhs, and the unknowns the walk evaluated, reused or re-checked."""
 
     reach: Reach
-    left: Optional[Dict[Unknown, tuple]]
+    left: Dict[Unknown, tuple]
     reused: Iterable[Unknown]
     walked: List[Unknown]
 
 
-def reachable_set(sys_: EqSys, st: SolverState, visit: Optional[Callable] = None,
-                  reuse: Optional[Reuse] = None, known: Optional[Reach] = None) -> Walk:
+def reachable_set(sys_: EqSys, st: SolverState, visit: Optional[Callable], reuse: Reuse,
+                  known: Reach) -> Walk:
     """Unknowns reachable from the query under σ: queried dependencies plus
-    side-effect targets.
+    side-effect targets, found from what the last walk reached (`known`,
+    which is taken over and updated in place).
 
     A reached unknown in ``reuse.reusable`` (see `reanalyze`) is not
     evaluated: the walk follows the successors its last evaluation
     recorded.  Every other reached rhs is evaluated purely, once;
-    `visit(u, eval_state, value)` sees that evaluation, with its access
-    records, and ``st.stale`` records the ``infl`` edges it did not read.
+    `visit(u, eval_state, value)` sees that evaluation as it is made, with
+    its access records, and ``st.stale`` records the ``infl`` edges it did
+    not read.  An unknown evaluated so may still leave (`Walk.left`).
     Reuse presumes that the state the reanalysis began with was left by a
     verified walk and pruning, as every persisted state is, and that a
     reusable unknown's rhs is the one that walk evaluated: a rhs an edit
@@ -560,94 +589,45 @@ def reachable_set(sys_: EqSys, st: SolverState, visit: Optional[Callable] = None
     nodes are new, or follows an edit of the global declarations, after
     which nothing is reusable.
 
-    `known`, the `Reach` of that walk, is taken over and updated in place;
-    with it and something reusable, the walk starts from what it reached
-    and visits only what the run may have changed (`_rewalk`).  Without,
-    it starts from nothing."""
-    reusable = reuse.reusable if reuse is not None else frozenset()
-    if known is None or not reusable:
-        return _walk(sys_, st, visit, reusable)
-    return _rewalk(sys_, st, visit, reuse, known)
-
-
-def _walk(sys_: EqSys, st: SolverState, visit: Optional[Callable],
-          reusable: Set[Unknown]) -> Walk:
-    """The walk from nothing: a reusable unknown's recorded successors are
-    the inverse of ``infl``, built here, minus ``stale``.  Each unknown's
-    row of the inverse is dropped as the walk reaches it, so that the
-    inverse and the `Reach` that replaces it are not held whole at once."""
-    look = sys_.lookup(st.sigma)
-    reads: Dict[Unknown, List[Unknown]] = {}  # the inverse of infl
-    for y, xs in st.infl.items():
-        for x in xs:
-            reads.setdefault(x, []).append(y)
-    succ: Dict[Unknown, Tuple[Unknown, ...]] = {}
-    leaves: Set[Unknown] = set()
-    unstable: Set[Unknown] = set()
-    reused: List[Unknown] = []
-    sigma_keys: Optional[Dict[Unknown, Unknown]] = None
-    stack = [sys_.query]
-    while stack:
-        u = stack.pop()
-        if u in succ:
-            continue
-        if u not in st.stable:
-            unstable.add(u)
-        last = reads.pop(u, ())
-        if u in reusable:
-            stale = st.stale.get(u, ())
-            out = (*(y for y in last if y not in stale), *st.side_infl.get(u, ()))
-            if sys_.has_rhs(u):
-                reused.append(u)
-            else:
-                leaves.add(u)
-        else:
-            tree = sys_.rhs(u)
-            if tree is None:
-                out = ()
-                leaves.add(u)
-            else:
-                es, value = eval_tree(tree, look)
-                if visit is not None:
-                    visit(u, es, value)
-                _note_stale(st, u, es, last)
-                if sigma_keys is None:
-                    sigma_keys = dict(zip(st.sigma, st.sigma))
-                out = _same_objects((*es.queried, *es.sides), (), sigma_keys)
-        succ[u] = out
-        stack.extend(y for y in out if y not in succ)
-    return Walk(Reach(succ, leaves, unstable), None, reused, list(succ))
-
-
-def _rewalk(sys_: EqSys, st: SolverState, visit: Optional[Callable], reuse: Reuse,
-            known: Reach) -> Walk:
-    """The walk from what the last one reached (`known`).  An unknown stays
-    reached while a path of unchanged edges leads to it.  So the
-    non-reusable unknowns it reached are evaluated first.  From the query,
-    the walk then follows the new edges through those and through what it
-    reaches for the first time, which it evaluates: all of these are reached
-    (`sure`).  The targets of the edges that the non-reusable unknowns no
-    longer have, and what those led to then, may have lost their path
-    (`lost`), unless they are sure.  One of them is reached again through a
-    predecessor that still is (an ``infl`` edge not in ``stale`` or a
-    ``side_dep`` producer), and from there the walk goes on as from nothing.
-    Whatever of `lost` it does not reach has left."""
+    An unknown stays reached while a path of unchanged edges leads to it.
+    So the non-reusable unknowns `known` holds are evaluated first.  From
+    the query, the walk then follows the new edges through those and
+    through what it reaches for the first time, which it evaluates: all of
+    these are reached (`sure`).  The targets of the edges that the
+    non-reusable unknowns no longer have, and what those led to then, may
+    have lost their path (`lost`), unless they are sure.  One of them is
+    reached again through a predecessor that still is (an ``infl`` edge not
+    in ``stale`` or a ``side_dep`` producer), and from there the walk goes
+    on as from nothing.  Whatever of `lost` it does not reach has left."""
     look = sys_.lookup(st.sigma)
     reusable, reads = reuse.reusable, reuse.reads
     succ, leaves, unstable = known.succ, known.leaves, known.unstable
-    evaluations: Dict[Unknown, tuple] = {}
-    new_keys: Dict[Unknown, Unknown] = {}  # σ's key of each unknown whose σ entry changed
+    position: Dict[Unknown, int] = {}
+
+    def infl_order(y: Unknown) -> int:
+        """Where `y`'s row is in ``infl``: the full walk notes stale edges
+        in that order, as it inverts ``infl`` row by row."""
+        if not position:
+            position.update((k, i) for i, k in enumerate(st.infl))
+        return position[y]
 
     def evaluate(u: Unknown, held: Tuple[Unknown, ...] = ()) -> Tuple[Unknown, ...]:
+        """Evaluate `u`, whose successors were `held`, for `visit`, note its
+        stale edges and return its successors."""
         tree = sys_.rhs(u)
         if tree is None:
             leaves.add(u)
             return ()
         leaves.discard(u)
-        es, value = evaluations[u] = eval_tree(tree, look)
-        if not new_keys and reuse.changed:
-            new_keys.update(zip(reuse.changed, reuse.changed))
-        return _same_objects((*es.queried, *es.sides), held, new_keys)
+        es, value = eval_tree(tree, look)
+        if visit is not None:
+            visit(u, es, value)
+        # what u may read through infl now: what it read before the run, and
+        # in it (which holds no unknown twice)
+        before = (*held, *st.stale.get(u, ()))
+        _note_stale(st, u, es, dict.fromkeys((*before, *reads.get(u, ()))) if before
+                    else reads.get(u, ()), infl_order)
+        return _same_objects((*es.queried, *es.sides), held, reuse.changed)
 
     old: Dict[Unknown, Tuple[Unknown, ...]] = {}  # non-reusable unknown -> its old successors
     seeds: List[Unknown] = []
@@ -658,18 +638,18 @@ def _rewalk(sys_: EqSys, st: SolverState, visit: Optional[Callable], reuse: Reus
         was = old[u] = succ[u]
         now = succ[u] = evaluate(u, was)
         seeds.extend(y for y in was if y not in now)
-    sure: Dict[Unknown, Tuple[Unknown, ...]] = {}  # -> the successors of a new one
+    sure: Set[Unknown] = set()
     stack = [sys_.query]
     while stack:
         v = stack.pop()
         if v in sure:
             continue
+        sure.add(v)
         if v not in succ:
-            out = sure[v] = evaluate(v)
+            out = succ[v] = evaluate(v)
+        elif v in reusable:
+            continue
         else:
-            sure[v] = None
-            if v in reusable:
-                continue
             out = succ[v]
         stack.extend(y for y in out if y not in sure)
     lost: Set[Unknown] = set()
@@ -679,16 +659,16 @@ def _rewalk(sys_: EqSys, st: SolverState, visit: Optional[Callable], reuse: Reus
             lost.add(v)
             seeds.extend(old[v] if v in old else succ[v])
     gone = {v: succ.pop(v) for v in lost}  # each with its successors now
-    for v, out in sure.items():
-        if out is not None:
-            succ[v] = out
     stack = [y for u in old if u in succ for y in succ[u] if y not in succ]
     for v in lost:
         if any(v in succ.get(p, ()) for p in itertools.chain(st.infl.get(v, ()),
                                                                st.side_dep.get(v, ()))):
             stack.append(v)
-    walked = set(old) | lost
-    walked.update(v for v, out in sure.items() if out is not None or v not in reusable)
+    # A reusable unknown was reached before: what is sure and not reusable
+    # was evaluated or followed.
+    sure.difference_update(reusable)
+    walked = sure
+    walked.update(old, lost)
     while stack:
         v = stack.pop()
         if v in succ:
@@ -698,37 +678,20 @@ def _rewalk(sys_: EqSys, st: SolverState, visit: Optional[Callable], reuse: Reus
         succ[v] = evaluate(v) if out is None else out
         stack.extend(y for y in succ[v] if y not in succ)
     # What left, with what it may have read: what it read when the last
-    # walk reached it, the stale edges noted then, and what the run read.
-    # Every other row that the run wrote names what it evaluated or read,
-    # σ differs from the snapshot only at `reuse.changed`, and the stable
-    # unknowns that were not are `reuse.came`.
+    # walk reached it and, if this walk evaluated it, now, the stale edges
+    # noted then, and what the run read.  Every other row that the run
+    # wrote names what it evaluated or read, σ differs from the snapshot
+    # only at `reuse.changed`, and an unknown stable now that was not then
+    # is among these or in `reuse.came`.
     left: Dict[Unknown, tuple] = {}
     for v, out in gone.items():
-        left[v] = (old.get(v, out), st.stale.get(v, ()), reads.get(v, ()))
+        left[v] = (old.get(v, ()), out, st.stale.get(v, ()), reads.get(v, ()))
     for y in itertools.chain(reads, *reads.values(), reuse.changed, reuse.came):
         if y not in succ and y not in left:
             left[y] = ((), st.stale.get(y, ()), reads.get(y, ()))
     leaves.difference_update(left)
-    known.unstable = {u for u in itertools.chain(unstable, walked, reuse.suspect, reuse.came)
-                      if u in succ and u not in st.stable}
-    position: Dict[Unknown, int] = {}
-
-    def infl_order(y: Unknown) -> int:
-        """Where `y`'s row is in ``infl``: a walk from nothing notes stale
-        edges in that order, as it inverts ``infl`` row by row."""
-        if not position:
-            position.update((k, i) for i, k in enumerate(st.infl))
-        return position[y]
-
-    for u, (es, value) in evaluations.items():
-        if u not in succ:
-            continue
-        if visit is not None:
-            visit(u, es, value)
-        # what u reads through infl now: what it read before the run, and in it
-        candidates = dict.fromkeys(itertools.chain(old.get(u, ()), st.stale.get(u, ()),
-                                                   reads.get(u, ())))
-        _note_stale(st, u, es, [y for y in candidates if u in st.infl.get(y, ())], infl_order)
+    known.unstable = {u for u in itertools.chain(unstable, walked, reuse.suspect)
+                      if u not in st.stable and u in succ}
     # The reusable unknowns were reached, and stay so unless they left.
     return Walk(known, left, reusable.difference(left, leaves), list(walked))
 
@@ -745,15 +708,16 @@ def _same_objects(found: Tuple[Unknown, ...], held: Tuple[Unknown, ...],
     return tuple(same.get(y) or keys.get(y, y) for y in found)
 
 
-def _note_stale(st: SolverState, u: Unknown, es, last: List[Unknown],
-                order: Optional[Callable] = None) -> None:
-    """Record in ``st.stale`` the unknowns of `last`, those whose ``infl``
-    rows name `u`, that `es`, an evaluation of `u`, did not read; sorted by
-    `order` if given, else in the order of `last`."""
-    # A stable unknown's reads all have infl edges: equal counts, none stale.
-    stale = [y for y in last if y not in es.queried] \
-        if len(last) != len(es.queried) or u not in st.stable else ()
-    if len(stale) > 1 and order is not None:
+def _note_stale(st: SolverState, u: Unknown, es, candidates: Collection[Unknown],
+                order: Callable) -> None:
+    """Record in ``st.stale`` the unknowns whose ``infl`` rows name `u`, all
+    of them among `candidates`, that `es`, an evaluation of `u`, did not
+    read; sorted by `order`."""
+    # A stable unknown's reads all have infl edges: with no more candidates
+    # than reads, none is stale.
+    stale = [y for y in candidates if y not in es.queried and u in st.infl.get(y, ())] \
+        if len(candidates) != len(es.queried) or u not in st.stable else ()
+    if len(stale) > 1:
         stale.sort(key=order)
     if stale:
         st.stale[u] = dict.fromkeys(stale)
@@ -761,31 +725,15 @@ def _note_stale(st: SolverState, u: Unknown, es, last: List[Unknown],
         st.stale.pop(u, None)
 
 
-def prune(st: SolverState, reached: Dict[Unknown, object],
-          left: Optional[Dict[Unknown, tuple]] = None) -> None:
-    """Drop every unknown not in `reached` from σ, the sets and the maps,
-    table by table: a row whose key left goes, and a row that names one that
-    left keeps its other members, in order, with their contributions.
-
-    With `left` (see `reachable_set`), which holds every unknown of the
-    state that is not reached, each with the unknowns it may have read,
-    only those and the rows that name them are visited: the ``infl`` rows
-    of what it may have read, the ``stale`` rows of what reads it, and the
-    ``side_dep`` and ``side_infl`` rows of its side targets and producers."""
-    if left is None:
-        for u in [u for u in st.sigma if u not in reached]:
-            del st.sigma[u]
-        st.stable.difference_update(st.stable.difference(reached))
-        st.point.difference_update(st.point.difference(reached))
-        for m in (st.infl, st.side_dep, st.side_infl, st.stale):
-            for u in [u for u, members in m.items()
-                      if u not in reached or not reached.keys() >= members.keys()]:
-                kept = {y: d for y, d in m[u].items() if y in reached} if u in reached else None
-                if kept:
-                    m[u] = kept
-                else:
-                    del m[u]
-        return
+def prune(st: SolverState, left: Dict[Unknown, tuple]) -> None:
+    """Drop every unknown of `left` (see `reachable_set`), which holds every
+    unknown of the state that is not reached, each with the unknowns it may
+    have read, from σ, the sets and the maps.  Only those and the rows that
+    name them are visited: the ``infl`` rows of what it may have read, the
+    ``stale`` rows of what reads it, and the ``side_dep`` and ``side_infl``
+    rows of its side targets and producers.  A row whose key left goes, and
+    a row that names one that left keeps its other members, in order, with
+    their contributions."""
     infl, stale, side_dep, side_infl = st.infl, st.stale, st.side_dep, st.side_infl
     for v, read in left.items():
         st.sigma.pop(v, None)

@@ -20,8 +20,9 @@ dead-code and unsound-store warnings, and each global's race warning.  A
 function's are made anew only if it owns an unknown whose σ entry changed,
 came or went, or it has a new CFG (edited, or moved, which changes its
 locations); a global's only if its access records changed or a function
-that accesses it has a new CFG; all of them after a walk from the query
-and when the file name changed.
+that accesses it has a new CFG.  A store without an index, loaded or
+empty, has one read off its state and records (`PostIndex.of`), in which
+every CFG is new; so are all of them when the file name changed.
 
 Warning identity hashes the kind, the provenance unknowns and a message
 skeleton, never source locations: moved-but-unchanged code keeps its warning
@@ -38,8 +39,8 @@ from typing import Collection, Dict, FrozenSet, Iterable, List, Optional, Set, T
 
 from .consys import Context, NodeCtx, Unknown, unknown_key
 from .domains import Access, AddressSet, LocalState, Lockset
-from .increment import Reach, Reuse, prune, reachable_set, recorded_contexts
-from .minic.cfg import FuncCFG
+from .increment import Reach, Reuse, prune, reachable_set
+from .minic.cfg import FuncCFG, NodeAssignment
 from .minic.syntax import Store
 from .minic.system import BuiltSystem
 from .tdsolver import SolverState, Violation, check_unknown, verify_solution
@@ -90,19 +91,47 @@ def make_warning(kind: str, skeleton: str, message: str,
 class PostIndex:
     """What a postprocess keeps for the next postprocess of the same state,
     in memory only: the walk's `Reach`, each function's contexts
-    (`increment.recorded_contexts`), the CFGs and the file name the
-    warnings were made with, each function's unsound-store and dead-code
-    warnings, each global's access records by producer, the functions that
-    access it and its race warning."""
+    (`increment.recorded_contexts`) under the node ids of `assignment`, the
+    CFGs and the file name the warnings were made with, each function's
+    unsound-store and dead-code warnings, each global's access records by
+    producer, the functions that access it and its race warning."""
 
     reach: Reach
     contexts: Dict[str, Tuple[Context, ...]]
-    cfgs: Dict[str, FuncCFG]
-    filename: str
+    assignment: NodeAssignment
+    cfgs: Dict[str, FuncCFG] = field(default_factory=dict)
+    filename: Optional[str] = None
     functions: Dict[str, List[Warning]] = field(default_factory=dict)
     by_global: Dict[str, Dict[Unknown, FrozenSet[Access]]] = field(default_factory=dict)
     accessed_by: Dict[str, Set[str]] = field(default_factory=dict)
     races: Dict[str, Warning] = field(default_factory=dict)
+
+    @staticmethod
+    def of(store: "WarnStore", reach: Reach, contexts: Dict[str, Collection[Context]],
+           assignment: NodeAssignment) -> "PostIndex":
+        """The index of `store`, which has none, made from the state's
+        `reach` and `contexts` under `assignment` and from the store's
+        access records.  It knows no CFG, so every warning is made anew."""
+        by_global = _by_global(store.accesses)
+        return PostIndex(reach, {fn: tuple(ctxs) for fn, ctxs in contexts.items()}, assignment,
+                         by_global=by_global,
+                         accessed_by={g: _accessors(rows) for g, rows in by_global.items()})
+
+
+def _by_global(accesses: Dict[Unknown, Dict[str, FrozenSet[Access]]]
+               ) -> Dict[str, Dict[Unknown, FrozenSet[Access]]]:
+    """Access records by producer, turned into records by global, each by
+    producer."""
+    out: Dict[str, Dict[Unknown, FrozenSet[Access]]] = {}
+    for u, rows in accesses.items():
+        for g, records in rows.items():
+            out.setdefault(g, {})[u] = records
+    return out
+
+
+def _accessors(by_producer: Dict[Unknown, FrozenSet[Access]]) -> Set[str]:
+    """The functions whose edges made the records of one global."""
+    return {r.fn for records in by_producer.values() for r in records}
 
 
 @dataclass
@@ -124,21 +153,19 @@ class WarnStore:
 # ---------------------------------------------------------------------------
 
 
-def postprocess(built: BuiltSystem, st: SolverState, prev: WarnStore,
-                filename: str = "<input>", reuse: Optional[Reuse] = None
-                ) -> Tuple[WarnStore, dict]:
+def postprocess(built: BuiltSystem, st: SolverState, prev: WarnStore, filename: str,
+                reuse: Reuse) -> Tuple[WarnStore, dict]:
     """Verify the solution (raising StateCorruption before any warning is
     made), re-evaluate what the incremental run touched, reuse the access
     records `prev` holds of the reusable unknowns, prune the solver state
     to what is reachable, then bring the warnings up to date.  `reuse` is
     `increment.reanalyze`'s, and `prev` the store that the last postprocess
-    of `st` made, or one loaded with it; its index is taken over.
+    of `st` made, or one loaded with it, with its index; the index is taken
+    over.
 
-    The walk starts from what the last one reached when `prev` has an
-    index and something is reusable.  The warnings of a function, and a
-    global's race warning, are made anew only if what they read changed
-    (see `_update_warnings`); all are when the walk started from nothing,
-    or the file name differs.
+    The walk starts from what the last one reached (``index.reach``).  The
+    warnings of a function, and a global's race warning, are made anew
+    only if what they read changed (see `_update_warnings`).
 
     Returns the new store plus statistics, lists of unknowns: the reached
     stable unknowns that the run touched (`reevaluated`), the untouched ones
@@ -146,62 +173,59 @@ def postprocess(built: BuiltSystem, st: SolverState, prev: WarnStore,
     unknown it evaluated, reused or re-checked (`walked`)."""
     sys_ = built.sys
     index, prev.index = prev.index, None
-    untouched = reuse.untouched if reuse is not None else frozenset()
     violations: List[Violation] = []
-    stats: Dict[str, list] = {"reevaluated": [], "reused": [], "evaluated": []}
     rows: Dict[Unknown, Optional[Dict[str, FrozenSet[Access]]]] = {}  # of the evaluated
 
     def visit(u, es, value):
-        stats["evaluated"].append(u)
         rows[u] = None
         if u not in st.stable:
             return
         violations.extend(check_unknown(sys_, st, u, es, value))
-        stats["reused" if u in untouched else "reevaluated"].append(u)
         records: Dict[str, Set[Access]] = {}
         for g, access in es.accesses:
             records.setdefault(g, set()).add(access)
         if records:
             rows[u] = {g: frozenset(rs) for g, rs in records.items()}
 
-    walk = reachable_set(sys_, st, visit, reuse, index.reach if index is not None else None)
-    reach, left = walk.reach, walk.left
-    stats["reused"].extend(walk.reused)
-    stats["walked"] = walk.walked
-    gone = st.stable.difference(reach.succ) if left is None else \
-        [u for u in left if u in st.stable]
-    violations.extend(verify_solution(sys_, st, gone))
+    walk = reachable_set(sys_, st, visit, reuse, index.reach)
+    left = walk.left
+    violations.extend(verify_solution(sys_, st, [u for u in left
+                                                 if u in st.stable and u not in rows]))
     if violations:
         raise StateCorruption(f"internal error: solution verification failed: {violations[:3]}")
 
     # Pruning first: a context that the edit made unreachable must not
     # contribute warnings.
-    prune(st, reach.succ, left)
+    prune(st, left)
     # The records of a reached unknown that the walk did not evaluate are
     # those it had; an unknown that is not reached has none.
-    store = WarnStore(dict(prev.accesses))
-    producers = rows.keys() | (left.keys() if left is not None
-                               else store.accesses.keys() - reach.succ.keys())
-    for u in producers:
-        if rows.get(u) is not None:
-            store.accesses[u] = rows[u]
+    for v in left:
+        rows.pop(v, None)
+    store = WarnStore(dict(prev.accesses), index=index)
+    before = {}  # the old records of each producer whose records may have changed
+    for u in itertools.chain(rows, left):
+        old, new = prev.accesses.get(u), rows.get(u)
+        if old is None and new is None:
+            continue
+        before[u] = old
+        if new is None:
+            del store.accesses[u]
         else:
-            store.accesses.pop(u, None)
-    if left is None or index is None or index.filename != filename:
-        contexts = recorded_contexts(st, built.assignment)
-        store.index = PostIndex(reach, {fn: tuple(ctxs) for fn, ctxs in contexts.items()},
-                                built.cfgs, filename)
-        _update_warnings(store, built, st, set(built.cfgs), set(built.cfgs), None)
-    else:  # the walk started from `index.reach`
-        store.index = index
-        new_cfgs = {fn for fn, cfg in built.cfgs.items() if index.cfgs.get(fn) is not cfg}
-        _update_warnings(store, built, st,
-                         _functions_to_update(index, built, st, reuse, left, new_cfgs), new_cfgs,
-                         {u: prev.accesses.get(u) for u in producers})
-        index.cfgs = built.cfgs
-    store.warnings = sorted(itertools.chain(store.index.races.values(),
-                                            *store.index.functions.values()),
+            store.accesses[u] = new
+    new_cfgs = {fn for fn, cfg in built.cfgs.items()
+                if index.cfgs.get(fn) is not cfg or index.filename != filename}
+    index.filename = filename
+    functions = _functions_to_update(index, built, st, reuse, left, new_cfgs)
+    _update_warnings(store, built, st, functions, new_cfgs, before)
+    index.cfgs, index.assignment = built.cfgs, built.assignment
+    store.warnings = sorted(itertools.chain(index.races.values(), *index.functions.values()),
                             key=lambda w: (w.kind, w.id, w.message))
+    stats = {"reevaluated": [], "reused": [], "evaluated": list(rows)}
+    for u in rows:
+        if u in st.stable:
+            stats["reused" if u in reuse.untouched else "reevaluated"].append(u)
+    stats["reused"].extend(walk.reused)
+    stats["walked"] = walk.walked
     return store, stats
 
 
@@ -211,15 +235,13 @@ def _functions_to_update(index: PostIndex, built: BuiltSystem, st: SolverState,
     that own an unknown whose σ entry changed, came or went (`reuse.changed`
     and `left`), and those with a new CFG (`new_cfgs`).  Brings each one's
     contexts up to date: a context is one whose entry unknown has a σ
-    entry."""
+    entry, and a function whose entry has a new id keeps none of its old
+    ones."""
     cfgs, contexts = built.cfgs, index.contexts
+    then, now = index.assignment.assign, built.assignment.assign
+    for fn in [fn for fn in contexts if not now.get(fn) or now[fn][0] != then[fn][0]]:
+        del contexts[fn]  # its old entry unknowns are gone
     out = set(new_cfgs)
-    for fn in index.cfgs.keys() - cfgs.keys():
-        contexts.pop(fn, None)
-    for fn in new_cfgs:
-        old = index.cfgs.get(fn)
-        if old is None or old.entry != cfgs[fn].entry:
-            contexts.pop(fn, None)  # its old entry unknowns are gone
     for u in itertools.chain(reuse.changed, left):
         if isinstance(u, NodeCtx):
             cfg = cfgs.get(u.fn)
@@ -237,12 +259,11 @@ def _functions_to_update(index: PostIndex, built: BuiltSystem, st: SolverState,
 
 
 def _update_warnings(store: WarnStore, built: BuiltSystem, st: SolverState, functions: Set[str],
-                     new_cfgs: Set[str], before: Optional[Dict[Unknown, Optional[dict]]]) -> None:
+                     new_cfgs: Set[str], before: Dict[Unknown, Optional[dict]]) -> None:
     """Make anew the warnings of `functions`, drop those of functions that
     are gone, and make anew the race warning of each global whose records
     changed or that a function of `new_cfgs` accesses.  `before` holds the
-    old records of each producer whose records may have changed; None
-    means that every warning is made anew."""
+    old records of each producer whose records may have changed."""
     index, cfgs, filename = store.index, built.cfgs, store.index.filename
     for fn in index.functions.keys() - cfgs.keys():
         del index.functions[fn]
@@ -254,30 +275,23 @@ def _update_warnings(store: WarnStore, built: BuiltSystem, st: SolverState, func
         else:
             index.functions.pop(fn, None)
     by_global = index.by_global
-    if before is None:
-        by_global.clear()
-        for u, rows in store.accesses.items():
-            for g, records in rows.items():
-                by_global.setdefault(g, {})[u] = records
-        globs = set(by_global)
-    else:
-        globs = {g for g, fns in index.accessed_by.items() if not fns.isdisjoint(new_cfgs)}
-        for u, old in before.items():
-            old, new = old or {}, store.accesses.get(u) or {}
-            for g in old.keys() | new.keys():
-                if old.get(g) != new.get(g):
-                    globs.add(g)
-                    if g in new:
-                        by_global.setdefault(g, {})[u] = new[g]
-                    else:
-                        by_global[g].pop(u, None)
-                        if not by_global[g]:
-                            del by_global[g]
+    globs = {g for g, fns in index.accessed_by.items() if not fns.isdisjoint(new_cfgs)}
+    for u, old in before.items():
+        old, new = old or {}, store.accesses.get(u) or {}
+        for g in old.keys() | new.keys():
+            if old.get(g) != new.get(g):
+                globs.add(g)
+                if g in new:
+                    by_global.setdefault(g, {})[u] = new[g]
+                else:
+                    by_global[g].pop(u, None)
+                    if not by_global[g]:
+                        del by_global[g]
     for g in sorted(globs):
         index.races.pop(g, None)
         index.accessed_by.pop(g, None)
         if g in by_global:
-            index.accessed_by[g] = {r.fn for records in by_global[g].values() for r in records}
+            index.accessed_by[g] = _accessors(by_global[g])
             for w in races(store, built, filename, [g]):
                 index.races[g] = w
 
@@ -307,13 +321,7 @@ def races(store: WarnStore, built: BuiltSystem, filename: str,
     Whether two accesses conflict depends only on their kinds and
     locksets, so the accesses are grouped by both and the groups compared:
     linear in the accesses, quadratic in the groups only."""
-    if store.index is not None:
-        by_global = store.index.by_global
-    else:
-        by_global = {}
-        for u, rows in store.accesses.items():
-            for glob, records in rows.items():
-                by_global.setdefault(glob, {})[u] = records
+    by_global = store.index.by_global if store.index is not None else _by_global(store.accesses)
     out: List[Warning] = []
     for glob in sorted(by_global if globs is None else globs):
         groups: Dict[Tuple[str, Lockset], Set[Access]] = {}

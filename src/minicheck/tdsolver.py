@@ -315,8 +315,8 @@ def run(sys_: EqSys, state: SolverState, pre_solve: Iterable[Unknown] = (), *,
     Returns per-step statistics: rhs-evaluation counts overall and by
     unknown, for the pre-solve step and the query step,
     the run's diagnostics (widening-point restart bound hits), the set
-    of unknowns it evaluated (`evaluated`) and each with every unknown its
-    evaluations read (`reads`).
+    of unknowns it evaluated (`evaluated`) and each with the tuple of every
+    unknown its evaluations read (`reads`).
     """
     solver = Solver(sys_, state, restart_wpoint)
     for a in pre_solve:
@@ -332,7 +332,7 @@ def run(sys_: EqSys, state: SolverState, pre_solve: Iterable[Unknown] = (), *,
         "step2_evals_by_unknown": step2,
         "diagnostics": solver.diagnostics,
         "evaluated": step1.keys() | step2.keys(),
-        "reads": solver.reads,
+        "reads": {x: tuple(ys) for x, ys in solver.reads.items()},
     }
 
 

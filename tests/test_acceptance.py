@@ -33,8 +33,6 @@ from minicheck.domains import (
 from minicheck.increment import (
     detect_changes,
     prepare_reluctant,
-    prune,
-    reachable_set,
     reanalyze,
     recorded_contexts,
     relabel_nodes,
@@ -53,6 +51,8 @@ from support import (
     FIG2,
     FIG2_EDIT,
     analyze_source,
+    full_prune,
+    full_reachable_set,
     kleene_local_solution,
     make_random_system,
     random_tree,
@@ -85,7 +85,8 @@ def _invoke(fn, *args, **kw):
 def _incremental(old_text, new_text, mode, restart, base_built, base_state):
     st = reloaded(base_state)
     _, new_built, stats, _, _ = reanalyze(parse(old_text).digests, base_built.assignment,
-                                          st, parse(new_text), mode, restart)
+                                          st, parse(new_text), mode, restart,
+                                          contexts=recorded_contexts(st, base_built.assignment))
     return new_built, st, stats
 
 
@@ -198,7 +199,8 @@ def test_criterion_4_reluctant_stable_sets_and_counter():
     changes = detect_changes(parse(FIG2).digests, parse(FIG2_EDIT))
     new_asg = relabel_nodes(changes, base_built.assignment, parse(FIG2_EDIT))
     new_built = build_system(parse(FIG2_EDIT), new_asg)
-    A = prepare_reluctant(changes, st, base_built.assignment)
+    A = prepare_reluctant(changes, st, base_built.assignment,
+                          recorded_contexts(st, base_built.assignment))
 
     # after preparation: the return unknown is scheduled, its dependents kept
     assert A == [node("foo", 2, BETA0)]
@@ -227,11 +229,13 @@ def test_criterion_4_step1_intermediate_state():
     changes = detect_changes(parse(FIG2).digests, parse(FIG2_EDIT))
     new_asg = relabel_nodes(changes, base_built.assignment, parse(FIG2_EDIT))
     new_built = build_system(parse(FIG2_EDIT), new_asg)
-    A = prepare_reluctant(changes, st, base_built.assignment)
+    A = prepare_reluctant(changes, st, base_built.assignment,
+                          recorded_contexts(st, base_built.assignment))
     run(new_built.sys, st, pre_solve=A)  # without querying further
     # (run also solves the query; replicate the step-1-only state instead)
     st = reloaded(base_state)
-    A = prepare_reluctant(changes, st, base_built.assignment)
+    A = prepare_reluctant(changes, st, base_built.assignment,
+                          recorded_contexts(st, base_built.assignment))
     from minicheck.tdsolver import Phase, Solver
     solver = Solver(new_built.sys, st)
     for a in A:
@@ -301,7 +305,8 @@ def _run_sequence(spec0, seq_seed):
         assert recorded_contexts(st, built.assignment) == \
             _scanned_contexts(list(st.sigma) + list(st.stable), ends), f"seq {seq_seed} step {step}"
         changes, built, _, _, _ = reanalyze(parse(cur_text).digests, built.assignment, st,
-                                         parse(new_text))
+                                         parse(new_text),
+                                         contexts=recorded_contexts(st, built.assignment))
         # postprocessing scanned σ at entry nodes
         entries = {fn: (cfg.entry,) for fn, cfg in built.cfgs.items()}
         assert recorded_contexts(st, built.assignment) == \
@@ -310,7 +315,7 @@ def _run_sequence(spec0, seq_seed):
         report["steps"].append({"changed": sorted(changes.changed),
                                 "violations": len(violations)})
         assert violations == [], f"seq {seq_seed} step {step}"
-        prune(st, reachable_set(built.sys, st).reach.succ)
+        full_prune(st, full_reachable_set(built.sys, st))
         cur_text = new_text
     # final from-scratch comparison; the scratch run reuses the incremental
     # node naming so equal ids denote equal program points

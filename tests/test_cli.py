@@ -162,10 +162,10 @@ def test_reanalyze_round_trip_on_unchanged_source(ws):
     assert diff["added"] == [] and diff["removed"] == []
     assert [w["id"] for w in diff["kept"]] == [w["id"] for w in json.loads(warn0)]
     assert bundle_of(sd)["solver"]["put"]["counters"]["rhs_evals"] == evals_before
-    # nothing changed, so the post-solve walk evaluates no rhs; loaded from
-    # the bundle, it walks from nothing, through every reached unknown
+    # nothing changed, so the post-solve walk, from what the state's tables
+    # say the last one reached, evaluates no rhs and walks no unknown
     assert json.loads(err)["postprocess"] == \
-        {"reevaluated": 0, "reused": 8, "evaluated": 0, "walked": 9}
+        {"reevaluated": 0, "reused": 8, "evaluated": 0, "walked": 0}
 
 
 def test_reanalyze_without_bundle_falls_back_to_analyze(ws):
@@ -747,11 +747,12 @@ def test_serve_session_matches_cli_reanalyze(tmp_path, monkeypatch):
     # edited one.
     assert [s["parsed"] for s in cli_stats] == [25, 25, 25]
     stats = [r.pop("stats") for r in results]
-    # The server's walk starts from what its last one reached, after the
-    # first request, which loaded the bundle; the CLI's from nothing.
+    # Both walks start from what the last one reached: the server's kept in
+    # memory after the first request, which loaded the bundle, the CLI's
+    # read off the bundle's tables.
     walked = [(s["postprocess"].pop("walked"), c["postprocess"].pop("walked"))
               for s, c in zip(stats, cli_stats)]
-    assert walked[0][0] == walked[0][1] and all(s < c for s, c in walked[1:])
+    assert all(s == c for s, c in walked)
     assert stats == \
         [{"rhs_evals_total": s["rhs_evals_total"],
           "destabilizations_total": s["destabilizations_total"],
@@ -1376,16 +1377,25 @@ def _padded(n_pads, variant=None):
 
 
 def test_the_walk_after_an_edit_does_not_grow_with_the_program(tmp_path):
-    """One `const` edit, served against the program padded with 100 and
-    with 1,000 functions that it does not touch, walks as many unknowns."""
-    walked = []
+    """One `const` edit, served or reanalyzed on the command line against
+    the program padded with 100 and with 1,000 functions that it does not
+    touch, walks as many unknowns."""
+    served, reanalyzed = [], []
     for n_pads in (100, 1000):
         opts = cli.Options(state_dir=str(tmp_path / f"state{n_pads}"), stats=True)
         stats = _serve_stats(opts, [_padded(n_pads), _padded(n_pads, "const:9")],
                              str(tmp_path / f"prog{n_pads}.mc"))
         assert stats[0]["postprocess"]["walked"] > n_pads
-        walked.append(stats[1]["postprocess"]["walked"])
-    assert walked[0] == walked[1] > 0
+        served.append(stats[1]["postprocess"]["walked"])
+        src = str(tmp_path / f"cli{n_pads}.mc")
+        opts = cli.Options(state_dir=str(tmp_path / f"cli{n_pads}"), stats=True)
+        for command, variant in ((cli.cmd_analyze, None), (cli.cmd_reanalyze, "const:9")):
+            write(src, _padded(n_pads, variant))
+            code, _, err = invoke(command, src, opts)
+            assert code == 0
+        reanalyzed.append(json.loads(err)["postprocess"]["walked"])
+    assert served[0] == served[1] > 0
+    assert reanalyzed == served
 
 
 def test_serve_leaves_no_cyclic_garbage(tmp_path, monkeypatch):

@@ -17,6 +17,7 @@ from minicheck.domains import AddressSet, ValueSet, leq
 from minicheck.increment import (
     INIT_PSEUDO_FN,
     ChangeSet,
+    Reach,
     decide_reuse,
     detect_changes,
     prepare_plain,
@@ -24,6 +25,7 @@ from minicheck.increment import (
     prune,
     reachable_set,
     reanalyze,
+    recorded_contexts,
     relabel_nodes,
     restart_globals,
     select_restart_globals,
@@ -76,7 +78,7 @@ def incremental_setup(old_text, new_text, mode="reluctant", restart="off",
     new_asg = relabel_nodes(changes, built.assignment, new_prog)
     new_built = build_system(new_prog, new_asg)
     prep = prepare_reluctant if mode == "reluctant" else prepare_plain
-    A = prep(changes, st, built.assignment)
+    A = prep(changes, st, built.assignment, recorded_contexts(st, built.assignment))
     restarter(G_sel, st, A)
     return new_built, st, changes, A
 
@@ -246,7 +248,7 @@ def test_prepare_plain_on_empty_changeset_is_noop():
     built, st, _ = analyze_source(FIG2)
     stable_before = set(st.stable)
     changes = detect_changes(parse(FIG2).digests, parse(FIG2))
-    prepare_plain(changes, st, built.assignment)
+    prepare_plain(changes, st, built.assignment, recorded_contexts(st, built.assignment))
     assert st.stable == stable_before
 
 
@@ -289,7 +291,7 @@ int main() { a = f(1); b = f(2); return a + b; }
     changes = detect_changes(parse(old).digests, parse(new))
     new_asg = relabel_nodes(changes, built.assignment, parse(new))
     new_built = build_system(parse(new), new_asg)
-    A = prepare_reluctant(changes, st, built.assignment)
+    A = prepare_reluctant(changes, st, built.assignment, recorded_contexts(st, built.assignment))
     ret = built.assignment.assign["f"][-1]
     assert len(A) == 2
     assert {u.node for u in A} == {ret}
@@ -314,7 +316,7 @@ int main() { r = f(1, 2); return r; }
     assert "f" in changes.header_changed and "main" in changes.changed
     new_asg = relabel_nodes(changes, built.assignment, parse(new))
     new_built = build_system(parse(new), new_asg)
-    A = prepare_reluctant(changes, st, built.assignment)
+    A = prepare_reluctant(changes, st, built.assignment, recorded_contexts(st, built.assignment))
     # f is excluded from A; only main's return unknown is re-solved reluctantly
     assert all(u.fn == "main" for u in A)
     stats = run(new_built.sys, st, pre_solve=A)
@@ -477,7 +479,8 @@ def reanalyze_both_ways(old, new, mode, monkeypatch):
         monkeypatch.setattr(increment, "restart_globals", restarter)
         built, st, _ = analyze_source(old)
         _, new_built, stats, _, _ = reanalyze(parse(old).digests, built.assignment, st,
-                                              parse(new), mode)
+                                              parse(new), mode,
+                                              contexts=recorded_contexts(st, built.assignment))
         assert '{"k":"global","name":"g"}' in stats["restarted"]
         assert verify_solution(new_built.sys, st) == []
         if restarter is restart_globals:
@@ -622,7 +625,7 @@ def test_prune_drops_thread_unknowns_after_create_removed():
     no_create = FIG2.replace("create(foo, &g);", "g = 3;")
     new_built, st, changes, A = incremental_setup(FIG2, no_create, mode="plain")
     run(new_built.sys, st, pre_solve=A)
-    prune(st, reachable_set(new_built.sys, st).reach.succ)
+    full_prune(st, full_reachable_set(new_built.sys, st))
     assert not any(isinstance(u, NodeCtx) and u.fn == "foo" for u in st.sigma)
     assert not any(isinstance(u, NodeCtx) and u.fn == "foo" for u in st.stable)
     for m in (st.infl, st.side_dep, st.side_infl):
@@ -634,11 +637,11 @@ def test_prune_drops_thread_unknowns_after_create_removed():
 def test_prune_keeps_fully_reachable_state_and_is_idempotent():
     built, st, _ = analyze_source(FIG2)
     snapshot = (dict(st.sigma), set(st.stable))
-    prune(st, reachable_set(built.sys, st).reach.succ)
+    full_prune(st, full_reachable_set(built.sys, st))
     assert (dict(st.sigma), set(st.stable)) == snapshot
     once = (dict(st.sigma), set(st.stable),
             {k: list(v) for k, v in st.infl.items()})
-    prune(st, reachable_set(built.sys, st).reach.succ)
+    full_prune(st, full_reachable_set(built.sys, st))
     assert (dict(st.sigma), set(st.stable),
             {k: list(v) for k, v in st.infl.items()}) == once
 
@@ -657,9 +660,13 @@ def test_the_walk_from_what_it_reached_follows_the_full_walk_on_random_systems()
         globs = [GlobalVar(f"g{j}") for j in range(rng.randrange(1, 3))]
         rhs = {x: random_tree(rng, nodes + globs, targets=globs) for x in nodes}
         st = SolverState()
-        run(eqsys_from_dict(rhs, nodes[0], lambda u: ValueSet.bot()), st)
-        reach = reachable_set(eqsys_from_dict(rhs, nodes[0], lambda u: ValueSet.bot()), st).reach
-        prune(st, reach.succ)
+        sys_ = eqsys_from_dict(rhs, nodes[0], lambda u: ValueSet.bot())
+        start = tables(st)
+        stats = run(sys_, st)
+        reuse = decide_reuse(st, start, stats["evaluated"], stats["reads"])
+        walk = reachable_set(sys_, st, None, reuse, Reach.of(start, sys_))
+        prune(st, walk.left)
+        reach = walk.reach
         for step in range(4):
             edited = rng.sample(nodes, rng.randrange(1, 3))
             rhs = {**rhs, **{x: random_tree(rng, nodes + globs, targets=globs) for x in edited}}
@@ -672,7 +679,7 @@ def test_the_walk_from_what_it_reached_follows_the_full_walk_on_random_systems()
             reuse = decide_reuse(st, start, stats["evaluated"], stats["reads"])
             ref = copy.deepcopy(st)
             walk = reachable_set(sys_, st, None, reuse, reach)
-            prune(st, walk.reach.succ, walk.left)
+            prune(st, walk.left)
             reached = full_reachable_set(sys_, ref)
             full_prune(ref, reached)
             where = f"trial {trial} step {step}"
@@ -685,14 +692,14 @@ def test_the_walk_from_what_it_reached_follows_the_full_walk_on_random_systems()
                     {u: list(row.items()) for u, row in theirs.items()}, (where, name)
             assert list(st.infl) == list(ref.infl), where
             reach = walk.reach
-            walks += walk.left is not None
+            walks += bool(reuse.reusable)
             left += bool(walk.left)
-    assert walks > 300 and left > 50  # most walks start from a Reach, many lose unknowns
+    assert walks > 300 and left > 50  # most walks reuse, many lose unknowns
 
 
 def test_reachable_set_covers_harness_and_globals():
     built, st, _ = analyze_source(FIG2)
-    R = reachable_set(built.sys, st).reach.succ.keys()
+    R = full_reachable_set(built.sys, st).keys()
     assert {MAIN, INIT, G} <= R
     assert node("foo", 1, BETA0) in R
 
@@ -707,7 +714,8 @@ def test_an_edit_of_the_global_declarations_makes_nothing_reusable(declarations)
     st = session.state
     log = log_stable(st)
     changes, built, _, _, reuse = reanalyze(
-        session.digests, session.assignment, st, parse(declarations + text))
+        session.digests, session.assignment, st, parse(declarations + text),
+        contexts=recorded_contexts(st, session.assignment))
     untouched, reusable = reuse.untouched, reuse.reusable
     assert changes.changed == ({INIT_PSEUDO_FN} if declarations else set())
     assert {u for u in untouched if built.sys.has_rhs(u)} == \
@@ -760,11 +768,12 @@ def test_edit_sequences_stay_sound_and_consistent():
             m = list(re.finditer(r"(\+|\*|=)\s*(\d+)", text))
             target = m[rng.randrange(len(m))]
             new_text = text[:target.start(2)] + str(const) + text[target.end(2):]
-            _, new_built, _, _, _ = reanalyze(parse(text).digests, asg, st, parse(new_text))
+            _, new_built, _, _, _ = reanalyze(parse(text).digests, asg, st, parse(new_text),
+                                              contexts=recorded_contexts(st, asg))
             new_asg = new_built.assignment
             assert verify_solution(new_built.sys, st) == [], f"program {pi} step {step}"
             assert side_maps_inverse(st)
-            prune(st, reachable_set(new_built.sys, st).reach.succ)
+            full_prune(st, full_reachable_set(new_built.sys, st))
             # from-scratch consistency: scratch ⊑ incremental on shared points
             _, scratch, _ = analyze_source(new_text, assignment=new_asg)
             shared = {u for u in st.sigma if isinstance(u, NodeCtx)} & set(scratch.sigma)

@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 
@@ -7,15 +8,17 @@ from minicheck import cli, journal, postproc
 from minicheck.consys import Context, NodeCtx, sort_key
 from minicheck.corpus import CorpusSpec, corpus_source, edit_sequence
 from minicheck.domains import Access, AddressSet, Lockset
-from minicheck.increment import reanalyze
-from minicheck.minic import parse
+from minicheck.increment import Reach, decide_reuse, reanalyze, recorded_contexts
+from minicheck.minic import NodeAssignment, parse
 from minicheck.postproc import (
+    PostIndex,
     WarnStore,
     diff_warnings,
     make_warning,
     postprocess,
     races,
 )
+from minicheck.tdsolver import SolverState, tables
 
 
 from support import (
@@ -23,6 +26,7 @@ from support import (
     FIG2_EDIT,
     analyze_source,
     full_postprocess,
+    full_reachable_set,
     log_stable,
     pairwise_races,
     persisted,
@@ -31,16 +35,27 @@ from support import (
 BETA0 = Context.of({"p": AddressSet.of(["g"])})
 
 
-def full_pipeline(text, domain="valueset"):
-    built, st, _ = analyze_source(text, domain=domain)
-    store, stats = postprocess(built, st, WarnStore(), "<test>")
+def full_pipeline(text, domain="valueset", assignment=None):
+    built, st, stats = analyze_source(text, domain=domain, assignment=assignment)
+    store, stats = postprocess_analysis(built, st, stats)
     return built, st, store, stats
+
+
+def postprocess_analysis(built, st, run_stats):
+    """The postprocess of `st`, which `run` solved from nothing with
+    `run_stats`, as an analysis makes it: from the empty `Reach` and index."""
+    start = tables(SolverState())
+    reuse = decide_reuse(st, start, run_stats["evaluated"], run_stats["reads"])
+    prev = WarnStore()
+    prev.index = PostIndex.of(prev, Reach.of(start, built.sys), {}, NodeAssignment())
+    return postprocess(built, st, prev, "<test>", reuse)
 
 
 def incremental_pipeline(old_text, new_text, prev_store, built_old, st,
                          restart="minimal"):
     _, new_built, _, _, reuse = reanalyze(
-        parse(old_text).digests, built_old.assignment, st, parse(new_text), restart=restart)
+        parse(old_text).digests, built_old.assignment, st, parse(new_text), restart=restart,
+        contexts=prev_store.index.contexts)
     store, stats = postprocess(new_built, st, prev_store, "<test>", reuse)
     return new_built, store, stats
 
@@ -95,8 +110,7 @@ def test_from_scratch_postprocess_evaluates_every_stable_rhs():
 
 
 def test_incremental_postprocess_reevaluates_only_destabilized_unknowns():
-    built, st, _ = analyze_source(FIG2)
-    store0, _ = postprocess(built, st, WarnStore(), "<test>")
+    built, st, store0, _ = full_pipeline(FIG2)
     new_built, store1, stats = incremental_pipeline(FIG2, FIG2_EDIT, store0, built, st,
                                                     restart="off")
     nodes = [u for u in stats["reevaluated"] if isinstance(u, NodeCtx)]
@@ -105,8 +119,7 @@ def test_incremental_postprocess_reevaluates_only_destabilized_unknowns():
 
 
 def test_two_postprocesses_without_edit_are_byte_identical():
-    built, st, _ = analyze_source(FIG2)
-    store0, _ = postprocess(built, st, WarnStore(), "<test>")
+    built, st, store0, _ = full_pipeline(FIG2)
     # an incremental no-op run: everything stays untouched
     new_built, store1, stats = incremental_pipeline(FIG2, FIG2, store0, built, st)
     assert stats["reevaluated"] == []
@@ -114,9 +127,9 @@ def test_two_postprocesses_without_edit_are_byte_identical():
 
 
 def test_postprocess_never_changes_sigma():
-    built, st, _ = analyze_source(FIG2)
+    built, st, stats = analyze_source(FIG2)
     before = dict(st.sigma)
-    postprocess(built, st, WarnStore(), "<test>")
+    postprocess_analysis(built, st, stats)
     # prune may drop entries, but no value may change
     for u, v in st.sigma.items():
         assert before[u] == v
@@ -132,7 +145,8 @@ def _reference_reanalysis(session, text, filename, opts):
     log = log_stable(session.state)
     _, built, _, _, _ = reanalyze(session.digests, session.assignment, session.state, prog,
                                   opts.mode, opts.restart, opts.domain,
-                                  restart_wpoint=opts.wpoint_restart)
+                                  restart_wpoint=opts.wpoint_restart,
+                                  contexts=recorded_contexts(session.state, session.assignment))
     store, stats, reached = full_postprocess(built, session.state, session.store,
                                              log.untouched(), filename)
     return cli.Session(prog.digests, built.assignment, session.state, store), stats, reached
@@ -152,9 +166,10 @@ def _assert_same_as_the_full_walk(versions, opts, monkeypatch, serve=True, walks
     keys alone, reaches what the full walk reaches with the same successors,
     evaluates every reached rhs that is not reusable and no other; the
     untouched unknowns the pipeline derives are, on every unknown with a
-    rhs, those that a `StableLog` finds never left stable.  With
-    `walks_less`, a step that reuses in memory walks fewer unknowns than the
-    full walk reaches."""
+    rhs, those that a `StableLog` finds never left stable.  The `Reach`
+    read off a loaded state's tables is the full walk's on that state.
+    With `walks_less`, a step that reuses in memory walks fewer unknowns
+    than the full walk reaches."""
     walks, decided = [], []
     walk, post = postproc.reachable_set, cli.postprocess
 
@@ -177,6 +192,8 @@ def _assert_same_as_the_full_walk(versions, opts, monkeypatch, serve=True, walks
         text, filename = (version, "prog.mc") if isinstance(version, str) else version
         if not serve:
             session, reference = _reloaded(session), _reloaded(reference)
+            if step:
+                _assert_the_reach_is_the_full_walks(session.state, sys_)
         log_stable(session.state)
         result = cli.run_reanalysis(session, text, filename, opts)
         session = result.session
@@ -211,6 +228,20 @@ def _assert_same_as_the_full_walk(versions, opts, monkeypatch, serve=True, walks
             assert len(result.post_stats["evaluated"]) < \
                 len(ref_stats["reevaluated"]) + len(ref_stats["reused"]), f"step {step}"
             assert not (serve and walks_less) or len(walked) < len(ref_reached), f"step {step}"
+
+
+def _assert_the_reach_is_the_full_walks(st, sys_):
+    """`Reach.of` the tables of `st`, which `sys_` was solved and walked
+    for, finds what the full walk reaches, with the same successors, leaves
+    and unstable unknowns."""
+    reach = Reach.of(tables(st), sys_)
+    probe = copy.copy(st)
+    probe.stale = dict(st.stale)  # the full walk notes stale edges anew
+    reached = full_reachable_set(sys_, probe)
+    assert reach.succ.keys() == reached.keys()
+    assert {u for u, out in reach.succ.items() if set(out) != reached[u]} == set()
+    assert reach.leaves == {u for u in reached if not sys_.has_rhs(u)}
+    assert reach.unstable == {u for u in reached if u not in st.stable}
 
 
 def _reloaded(session):
@@ -425,8 +456,7 @@ def test_warning_id_is_location_independent():
 
 
 def test_pure_code_move_keeps_warning_id_with_new_locations():
-    built, st, _ = analyze_source(FIG2)
-    store0, _ = postprocess(built, st, WarnStore(), "<test>")
+    built, st, store0, _ = full_pipeline(FIG2)
     moved = "// a new comment line\n\n" + FIG2
     new_built, store1, stats = incremental_pipeline(FIG2, moved, store0, built, st)
     diff = diff_warnings(store0, store1)
@@ -448,13 +478,10 @@ def test_diff_warnings_identity():
 def test_incremental_warnings_match_from_scratch_when_sigma_agrees():
     # with minimal restarting the Fig-2 edit converges to the from-scratch σ,
     # so the incrementally maintained store must coincide with a fresh one
-    built, st, _ = analyze_source(FIG2)
-    store0, _ = postprocess(built, st, WarnStore(), "<test>")
+    built, st, store0, _ = full_pipeline(FIG2)
     new_built, store_inc, _ = incremental_pipeline(FIG2, FIG2_EDIT, store0, built, st,
                                                    restart="minimal")
-    from support import analyze_source as fresh
-    built2, st2, _ = fresh(FIG2_EDIT, assignment=new_built.assignment)
-    store_scratch, _ = postprocess(built2, st2, WarnStore(), "<test>")
+    _, _, store_scratch, _ = full_pipeline(FIG2_EDIT, assignment=new_built.assignment)
     assert {(w.id, w.message) for w in store_inc.warnings} == \
            {(w.id, w.message) for w in store_scratch.warnings}
 
@@ -471,8 +498,7 @@ def test_contexts_an_edit_made_unreachable_give_no_warnings():
     edited = CALLS_F1.replace("f(1)", "f(2)")
     built, st, store0, _ = full_pipeline(CALLS_F1)
     new_built, store_inc, _ = incremental_pipeline(CALLS_F1, edited, store0, built, st)
-    built2, st2, _ = analyze_source(edited, assignment=new_built.assignment)
-    store_scratch, _ = postprocess(built2, st2, WarnStore(), "<test>")
+    _, _, store_scratch, _ = full_pipeline(edited, assignment=new_built.assignment)
     assert [w.message for w in store_scratch.warnings] == ["unreachable code in 'f'"]
     assert store_inc.warnings_json() == store_scratch.warnings_json()
 
@@ -496,8 +522,7 @@ FIXED = RACY.replace("  *p = 1;", "  lock(m);\n  *p = 1;\n  unlock(m);")
 
 
 def test_fixing_a_race_removes_it_and_purges_stale_accesses():
-    built, st, _ = analyze_source(RACY)
-    store0, _ = postprocess(built, st, WarnStore(), "<test>")
+    built, st, store0, _ = full_pipeline(RACY)
     race_ids = [w.id for w in store0.warnings if w.kind == "race"]
     assert len(race_ids) == 1
     new_built, store1, _ = incremental_pipeline(RACY, FIXED, store0, built, st)
