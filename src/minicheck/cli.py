@@ -41,7 +41,7 @@ from typing import Optional, TextIO
 
 from . import journal
 from .consys import NodeCtx, unknown_key
-from .domains import INT_DOMAINS, DomainError, leq
+from .domains import DomainError, leq
 from .increment import Reach, reanalyze, recorded_contexts
 from .minic import MiniCError, Program, build_system, parse
 from .minic.cfg import NodeAssignment, NodeTableError, assign_node_ids
@@ -50,7 +50,7 @@ from .tdsolver import SolverDepthError, SolverState, run, verify_solution
 
 BUNDLE_NAME = "bundle.json"  # the base
 JOURNAL_NAME = "bundle.journal"
-BUNDLE_FORMAT = 7
+BUNDLE_FORMAT = 8
 # A save writes a full base instead of a record that would make the journal
 # longer than the base divided by this.
 COMPACTION_RATIO = 4
@@ -247,7 +247,6 @@ def load_bundle(state_dir: str, opts: Options) -> Optional[Session]:
     comes from."""
     path = os.path.join(state_dir, BUNDLE_NAME)
     session = Session.empty()
-    int_domain = INT_DOMAINS[opts.domain]
     try:
         with open(path, "rb") as f:
             data = f.read()
@@ -267,7 +266,7 @@ def load_bundle(state_dir: str, opts: Options) -> Optional[Session]:
         nl = data.find(b"\n")
         if nl < 0 or hashlib.sha256(memoryview(data)[nl + 1:]).hexdigest() != doc["sha256"]:
             raise ValueError("its checksum does not match")
-        journal.replay(session, doc, int_domain)
+        journal.replay(session, doc)
         base = tail = _base_id(data[:nl])
         size = len(data)
         del data, doc
@@ -280,7 +279,7 @@ def load_bundle(state_dir: str, opts: Options) -> Optional[Session]:
             data = b""
         for record, rid, record_end in journal.records(data):
             if record["base"] == base and record["prev"] == tail:
-                journal.replay(session, record, int_domain)
+                journal.replay(session, record)
                 tail, end = rid, record_end
     except FileNotFoundError:
         return None
@@ -424,38 +423,39 @@ def _stats(result: AnalysisResult, persisted: dict, **details) -> dict:
 
 def cmd_analyze(path: str, opts: Options, out: Optional[TextIO] = None,
                 err: Optional[TextIO] = None) -> int:
-    out = out if out is not None else sys.stdout
-    err = err if err is not None else sys.stderr
-    try:
-        result = run_analysis(_read_source(path), path, opts)
-        # nothing reuses them; their memory is the bundle's
-        result.session.program = result.session.store.index = None
-        persisted = save_bundle(opts.state_dir, result.session, opts)
-    except ERRORS as exc:
-        print(f"error: {exc}", file=err)
-        return 2
-    return _report(result.session.store.warnings_json(), result, persisted, opts, out, err)
+    return _analyze(path, opts, out, err, load=False)
 
 
 def cmd_reanalyze(path: str, opts: Options, out: Optional[TextIO] = None,
                   err: Optional[TextIO] = None) -> int:
+    return _analyze(path, opts, out, err, load=True)
+
+
+def _analyze(path: str, opts: Options, out: Optional[TextIO], err: Optional[TextIO],
+             load: bool) -> int:
+    """Analyze `path`, with `load` against the state in ``opts.state_dir``
+    if there is one, else from scratch; save and report.  An analysis from
+    scratch reports the warnings, a reanalysis how they changed."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
-        session = load_bundle(opts.state_dir, opts)
-        if session is None:
+        session = load_bundle(opts.state_dir, opts) if load else None
+        if load and session is None:
             print("notice: no previous state; analyzing from scratch", file=err)
-            return cmd_analyze(path, opts, out, err)
-        result = run_reanalysis(session, _read_source(path), path, opts)
+        result = run_analysis(_read_source(path), path, opts) if session is None else \
+            run_reanalysis(session, _read_source(path), path, opts)
         # nothing reuses them; their memory is the bundle's
         result.session.program = result.session.store.index = None
         persisted = save_bundle(opts.state_dir, result.session, opts)
     except ERRORS as exc:
         print(f"error: {exc}", file=err)
         return 2
-    payload = _diff_json(result.diff)
-    if opts.explain_diff:
-        payload["changes"] = result.changes
+    if session is None:
+        payload = result.session.store.warnings_json()
+    else:
+        payload = _diff_json(result.diff)
+        if opts.explain_diff:
+            payload["changes"] = result.changes
     return _report(payload, result, persisted, opts, out, err)
 
 

@@ -32,17 +32,19 @@ that calls or creates a header-changed function.
 Restarting recomputes selected globals, purging values accumulated across
 runs.  The minimal strategy restarts exactly the globals that the old
 version of an edited function side-effected (read off ``side_infl`` before
-relabeling).  The solver keeps each producer's last contribution to each
-global (``side_dep``), so a restarted global is the widening of the
-contributions of the producers the edit did not rewrite: only if that
-differs from its value are its readers destabilized, and no producer is
-re-evaluated.  A global with a producer whose contribution may still carry
-the old value (it is not stable, or an edit reaches it through ``infl``)
-is reset to Bot instead, with every producer destabilized; so is every
-global after an edit of the global declarations.  Once the solver has run,
-a kept contribution whose producer is no longer reached from the query, or
-now contributes another value, is one a reset would have dropped: its
-global is reset then, and the query solved again.
+relabeling).  The solver keeps each global's producers (``side_dep``), and
+a stable producer's contribution is what a pure evaluation of its rhs
+under σ side-effects.  So a restarted global is the widening of the
+contributions of the producers the edit did not rewrite, each evaluated
+purely: only if that differs from its value are its readers destabilized,
+and the solver re-evaluates no producer.  A global with a producer whose
+contribution may still carry the old value (it is not stable, or an edit
+reaches it through ``infl``) is reset to Bot instead, with every producer
+destabilized; so is every global after an edit of the global
+declarations.  Once the solver has run, a kept contribution whose producer
+is no longer reached from the query, or now contributes another value, is
+one a reset would have dropped: its global is reset then, and the query
+solved again.
 
 `reanalyze` takes one snapshot of the solver's tables (`tdsolver.tables`),
 which the save reads too (`journal`), and decides once, as the solve
@@ -275,15 +277,18 @@ def select_restart_globals(changes: ChangeSet, st: SolverState,
     return {g: out[g] for g in sorted(out, key=sort_key)}
 
 
-def restart_globals(G: Dict[Unknown, Set[Unknown]], st: SolverState,
+def restart_globals(G: Dict[Unknown, Set[Unknown]], sys_: EqSys, st: SolverState,
                     roots: Iterable[Unknown] = ()) -> Dict[Unknown, List[Tuple[Unknown, Value]]]:
     """Recompute each global `g` of `G` from its producers' contributions.
 
-    The contributions of `G[g]`, the producers the edit rewrote, are
-    dropped; their new versions contribute when the solver re-evaluates
-    them.  The others are widened from Bot in recorded order.  Only if the
-    result differs from σ(g) is it stored and are the readers of `g`
-    destabilized; else σ(g) stays the same object.  No producer is
+    The producers `G[g]`, which the edit rewrote, are dropped; their new
+    versions contribute when the solver re-evaluates them.  The others'
+    contributions are what a pure evaluation of their rhs in `sys_`, the
+    new system, side-effects to `g`: such a producer is stable, so no σ
+    entry it read has changed since its last evaluation, and the edit did
+    not rewrite its rhs.  They are widened from Bot in recorded order.
+    Only if the result differs from σ(g) is it stored and are the readers
+    of `g` destabilized; else σ(g) stays the same object.  No producer is
     destabilized.  Returns each global so restarted with the contributions
     it kept, for `confirm_restarts` to check once the solver has run.
 
@@ -305,6 +310,7 @@ def restart_globals(G: Dict[Unknown, Set[Unknown]], st: SolverState,
             _reset(g, st)
         return {}
     kept_by_global: Dict[Unknown, List[Tuple[Unknown, Value]]] = {}
+    look = sys_.lookup(st.sigma)
     influenced: Set[Unknown] = set()
     stack = [*G, *roots]
     while stack:
@@ -313,13 +319,13 @@ def restart_globals(G: Dict[Unknown, Set[Unknown]], st: SolverState,
             influenced.add(u)
             stack.extend(st.infl.get(u, ()))
     for g, rewritten in G.items():
-        kept = [(x, d) for x, d in st.side_dep.get(g, {}).items() if x not in rewritten]
-        if any(x not in st.stable or x in influenced for x, _ in kept):
+        producers = [x for x in st.side_dep.get(g, ()) if x not in rewritten]
+        if any(x not in st.stable or x in influenced for x in producers):
             _reset(g, st)
             continue
         for x in rewritten:
             _drop_side(st, x, g)
-        kept_by_global[g] = kept
+        kept = kept_by_global[g] = [(x, _contribution(sys_, look, x, g)) for x in producers]
         new = None
         for _, d in kept:
             new = d if new is None else widen(new, d)
@@ -335,19 +341,24 @@ def restart_globals(G: Dict[Unknown, Set[Unknown]], st: SolverState,
     return kept_by_global
 
 
-def confirm_restarts(kept: Dict[Unknown, List[Tuple[Unknown, Value]]], st: SolverState,
-                     asg: NodeAssignment) -> List[Unknown]:
+def confirm_restarts(kept: Dict[Unknown, List[Tuple[Unknown, Value]]], sys_: EqSys,
+                     st: SolverState, asg: NodeAssignment,
+                     reads: Dict[Unknown, Tuple[Unknown, ...]]) -> List[Unknown]:
     """The globals `restart_globals` recomputed from the contributions in
-    `kept` that the solver's run did not confirm, after it: a kept producer
-    that is no longer stable, now contributes another value, or lies in a
-    context that no stable unknown enters any more.  A full reset would have
-    dropped such a contribution, as the producer is not re-evaluated or
-    contributes anew.  A context is entered from a producer of its entry (a
-    call or creation site, or the query for `main`), and a producer in a
-    context is stable and entered only if that context is; so a context is
-    reached after the run just when a chain of stable producers leads to it
-    from the query."""
+    `kept` that the solver's runs on `sys_` since, which evaluated the keys
+    of `reads`, did not confirm: a kept producer that is no longer stable,
+    that a run evaluated and whose pure evaluation now contributes another
+    value or none, or that lies in a context that no stable unknown enters
+    any more.  A full reset would have dropped such a contribution, as the
+    producer is not re-evaluated or contributes anew.  A producer that no
+    run evaluated and that is stable was stable throughout: what it read is
+    as it was, and so is its contribution.  A context is entered from a
+    producer of its entry (a call or creation site, or the query for
+    `main`), and a producer in a context is stable and entered only if that
+    context is; so a context is reached after the run just when a chain of
+    stable producers leads to it from the query."""
     entered: Dict[Unknown, bool] = {}  # entry unknown -> whether the query reaches it
+    look = sys_.lookup(st.sigma)
 
     def entry(x: NodeCtx) -> NodeCtx:
         return NodeCtx(x.fn, asg.assign[x.fn][0], x.ctx)
@@ -369,7 +380,7 @@ def confirm_restarts(kept: Dict[Unknown, List[Tuple[Unknown, Value]]], st: Solve
         return False
 
     def confirmed(g: Unknown, x: Unknown, d: Value) -> bool:
-        if x not in st.stable or st.side_dep.get(g, {}).get(x) != d:
+        if x not in st.stable or (x in reads and _contribution(sys_, look, x, g) != d):
             return False
         if not isinstance(x, NodeCtx):  # the initializer
             return True
@@ -380,6 +391,12 @@ def confirm_restarts(kept: Dict[Unknown, List[Tuple[Unknown, Value]]], st: Solve
 
     return [g for g, contributions in kept.items()
             if not all(confirmed(g, x, d) for x, d in contributions)]
+
+
+def _contribution(sys_: EqSys, look: Callable, x: Unknown, g: Unknown) -> Optional[Value]:
+    """What a pure evaluation of `x`'s rhs under σ (`look`) side-effects
+    to `g`, joined; None if it side-effects nothing there."""
+    return eval_tree(sys_.rhs(x), look)[0].sides.get(g)
 
 
 def _reset(g: Unknown, st: SolverState) -> None:
@@ -397,7 +414,8 @@ def _reset(g: Unknown, st: SolverState) -> None:
 
 
 def _drop_side(st: SolverState, x: Unknown, g: Unknown) -> None:
-    """Forget that `x` side-effects `g`, and its contribution."""
+    """Forget that `x` side-effects `g`: `x` is no longer among the
+    producers of `g`, nor `g` among its side targets."""
     for m, a, b in ((st.side_dep, g, x), (st.side_infl, x, g)):
         row = m.get(a)
         if row is not None:
@@ -452,11 +470,11 @@ def reanalyze(old_digests: dict, old_asg: NodeAssignment, st: SolverState,
     built = build_system(new_prog, relabel_nodes(changes, old_asg, new_prog), domain)
     prepare = prepare_reluctant if mode == "reluctant" else prepare_plain
     pre_solve = prepare(changes, st, old_asg, contexts)
-    kept = restart_globals(restarted, st, pre_solve)
+    kept = restart_globals(restarted, built.sys, st, pre_solve)
     stats = run(built.sys, st, pre_solve, restart_wpoint=restart_wpoint)
     # A global whose kept contributions the run did not confirm is reset,
     # and the query solved again; that can leave others unconfirmed.
-    unconfirmed = confirm_restarts(kept, st, built.assignment)
+    unconfirmed = confirm_restarts(kept, built.sys, st, built.assignment, stats["reads"])
     while unconfirmed:
         for g in unconfirmed:
             del kept[g]
@@ -467,31 +485,29 @@ def reanalyze(old_digests: dict, old_asg: NodeAssignment, st: SolverState,
         for u, n in again["step2_evals_by_unknown"].items():
             by_unknown[u] = by_unknown.get(u, 0) + n
         stats["diagnostics"] += again["diagnostics"]
-        stats["evaluated"] |= again["evaluated"]
         reads = stats["reads"]
         for x, ys in again["reads"].items():
             reads[x] = tuple(dict.fromkeys((*reads.get(x, ()), *ys)))
-        unconfirmed = confirm_restarts(kept, st, built.assignment)
+        unconfirmed = confirm_restarts(kept, built.sys, st, built.assignment, stats["reads"])
     stats["restarted"] = [unknown_key(g) for g in restarted]
     # Global declarations also decide which targets of a pointer a store or
     # a dereference touches, in functions that do not name them, so after an
     # edit of them nothing is reusable.
-    reuse = decide_reuse(st, start, stats.pop("evaluated"), stats.pop("reads"),
-                         INIT_PSEUDO_FN not in changes.changed)
+    reuse = decide_reuse(st, start, stats.pop("reads"), INIT_PSEUDO_FN not in changes.changed)
     return changes, built, stats, start, reuse
 
 
-def decide_reuse(st: SolverState, start: dict, evaluated: Set[Unknown],
-                 reads: Dict[Unknown, Tuple[Unknown, ...]], allowed: bool = True) -> Reuse:
+def decide_reuse(st: SolverState, start: dict, reads: Dict[Unknown, Tuple[Unknown, ...]],
+                 allowed: bool = True) -> Reuse:
     """What the walk after a run may reuse (see the module docstring), as
-    the run, which began from the snapshot `start`, evaluated `evaluated`
-    and read `reads`; nothing unless `allowed`."""
+    the run, which began from the snapshot `start`, evaluated the keys of
+    `reads`, each with what it read; nothing unless `allowed`."""
     # An unknown with a rhs that left stable is stable again only once it is
     # evaluated.  (A global that left is stable again once it gets a new
     # contribution, but the walk follows nothing from a global.)  The
     # snapshot holds the objects the state holds: between the two, a set
     # operation compares few unknowns by more than identity.
-    untouched = (start["stable"] & st.stable) - evaluated
+    untouched = (start["stable"] & st.stable).difference(reads)
     sigma, before = st.sigma, start["sigma"]
     changed = {u: u for u, v in sigma.items() if before.get(u) is not v}
     changed.update((u, u) for u in set(before).difference(sigma))
@@ -732,8 +748,7 @@ def prune(st: SolverState, left: Dict[Unknown, tuple]) -> None:
     name them are visited: the ``infl`` rows of what it may have read, the
     ``stale`` rows of what reads it, and the ``side_dep`` and ``side_infl``
     rows of its side targets and producers.  A row whose key left goes, and
-    a row that names one that left keeps its other members, in order, with
-    their contributions."""
+    a row that names one that left keeps its other members, in order."""
     infl, stale, side_dep, side_infl = st.infl, st.stale, st.side_dep, st.side_infl
     for v, read in left.items():
         st.sigma.pop(v, None)

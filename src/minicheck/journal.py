@@ -41,7 +41,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from . import tdsolver
 from .consys import unknown_from_json, unknown_key
-from .domains import Access, ValueSet, access_from_json, access_to_json
+from .domains import Access, access_from_json, access_to_json
 from .minic.cfg import NodeTableError
 from .postproc import Warning
 
@@ -171,15 +171,14 @@ def records(data: bytes) -> List[Tuple[dict, str, int]]:
         pos = nl + 1
 
 
-def replay(session, doc: dict, int_domain: type = ValueSet) -> None:
-    """Apply the record `doc` to `session`, in place; `int_domain` is the
-    domain of the globals' values (see `tdsolver.state_from_json`).
-    ValueError for a digest row of the wrong shape and for a node id counter
-    that is not an integer above every node id, NodeTableError for node ids
-    that fit no CFG: ids that are not integers, or fewer than the entry and
-    the return node that every CFG has."""
+def replay(session, doc: dict) -> None:
+    """Apply the record `doc` to `session`, in place.  ValueError for a
+    digest row of the wrong shape and for a node id counter that is not an
+    integer above every node id, NodeTableError for node ids that fit no
+    CFG: ids that are not integers, or fewer than the entry and the return
+    node that every CFG has."""
     store, digests, asg = session.store, session.digests, session.assignment
-    counters = tdsolver.state_from_json(session.state, doc["solver"], int_domain)
+    counters = tdsolver.state_from_json(session.state, doc["solver"])
     if counters is not None:
         session.state.rhs_evals = counters["rhs_evals"]
         session.state.destabilizations = counters["destabilizations"]

@@ -32,7 +32,6 @@ from .consys import (
     EqSys,
     EvalError,
     EvalState,
-    GlobalVar,
     QGet,
     QSet,
     Tree,
@@ -42,17 +41,7 @@ from .consys import (
     unknown_from_json,
     unknown_to_json,
 )
-from .domains import (
-    LocalState,
-    Value,
-    ValueSet,
-    join,
-    leq,
-    narrow,
-    value_from_json,
-    value_to_json,
-    widen,
-)
+from .domains import Value, leq, narrow, value_from_json, value_to_json, widen
 
 
 class Phase(enum.Enum):
@@ -81,13 +70,14 @@ class Violation:
 class SolverState:
     """Mutable solver data, persistent between runs.
 
-    ``infl`` and ``side_infl`` are insertion-ordered sets (dicts with None
-    values); destabilization iterates ``infl`` in recorded order, which
-    keeps counters and warning output reproducible.  ``side_dep`` maps each
-    side-effected unknown to its producers, in the order they were first
-    recorded, each with its last contribution: the join of what the
-    producer's last evaluation side-effected there.  Restarting a global
-    recomputes it from these (`increment.restart_globals`).
+    ``infl``, ``side_dep`` and ``side_infl`` are insertion-ordered sets
+    (dicts with None values); destabilization iterates ``infl`` in recorded
+    order, which keeps counters and warning output reproducible.
+    ``side_dep`` maps each side-effected unknown to its producers, in the
+    order they were first recorded, and ``side_infl`` each producer to what
+    its last evaluation side-effected.  A stable producer's contribution is
+    what a pure evaluation of its rhs under σ side-effects: restarting a
+    global recomputes it so (`increment.restart_globals`).
 
     ``infl`` keeps edges of older evaluations: `x` stays in ``infl[y]`` after
     an evaluation of `x` that no longer reads `y`.  ``stale`` maps each such
@@ -101,7 +91,7 @@ class SolverState:
         self.stable: set = set()
         self.called: set = set()
         self.point: set = set()
-        self.side_dep: Dict[Unknown, Dict[Unknown, Value]] = {}
+        self.side_dep: Dict[Unknown, Dict[Unknown, None]] = {}
         self.side_infl: Dict[Unknown, Dict[Unknown, None]] = {}
         self.stale: Dict[Unknown, Dict[Unknown, None]] = {}
         self.rhs_evals = 0
@@ -290,8 +280,7 @@ class Solver:
 
     def side(self, x: Unknown, g: Unknown, d: Value) -> None:
         """`x`'s contribution `d` to `g`: widened into σ(g), destabilizing
-        the readers of `g` if it grew; `x` is recorded as a producer of `g`,
-        with `d` joined into what this evaluation of `x` contributed so far."""
+        the readers of `g` if it grew; `x` is recorded as a producer of `g`."""
         st = self.state
         bot = self.sys.bot_of(g)
         if type(d) is not type(bot):
@@ -302,10 +291,8 @@ class Solver:
             st.sigma[g] = new
             st.stable.add(g)
             st.destabilize(g)
-        sides = st.side_infl.setdefault(x, {})
-        producers = st.side_dep.setdefault(g, {})
-        producers[x] = join(producers[x], d) if g in sides else d
-        sides[g] = None
+        st.side_infl.setdefault(x, {})[g] = None
+        st.side_dep.setdefault(g, {})[x] = None
 
 
 def run(sys_: EqSys, state: SolverState, pre_solve: Iterable[Unknown] = (), *,
@@ -313,10 +300,10 @@ def run(sys_: EqSys, state: SolverState, pre_solve: Iterable[Unknown] = (), *,
     """Solve `pre_solve` in order, then the query.
 
     Returns per-step statistics: rhs-evaluation counts overall and by
-    unknown, for the pre-solve step and the query step,
-    the run's diagnostics (widening-point restart bound hits), the set
-    of unknowns it evaluated (`evaluated`) and each with the tuple of every
-    unknown its evaluations read (`reads`).
+    unknown, for the pre-solve step and the query step, the run's
+    diagnostics (widening-point restart bound hits) and every unknown it
+    evaluated with the tuple of every unknown its evaluations read
+    (`reads`).
     """
     solver = Solver(sys_, state, restart_wpoint)
     for a in pre_solve:
@@ -331,7 +318,6 @@ def run(sys_: EqSys, state: SolverState, pre_solve: Iterable[Unknown] = (), *,
         "step1_evals_by_unknown": step1,
         "step2_evals_by_unknown": step2,
         "diagnostics": solver.diagnostics,
-        "evaluated": step1.keys() | step2.keys(),
         "reads": {x: tuple(ys) for x, ys in solver.reads.items()},
     }
 
@@ -371,10 +357,8 @@ def verify_solution(sys_: EqSys, state: SolverState,
 # record holds the rows of σ, of the maps and of the sets that differ
 # between a snapshot of the state's tables (`tables`) and the state, and the
 # keys of the rows that went.  Every unknown it mentions is written once,
-# into "unknowns" (sorted by sort_key), and every distinct value of σ and of
-# the contributions in ``side_dep`` once, into "values" (in order of first
-# use, σ first); the rows refer to both by index.  A ``side_dep`` row holds
-# [producer, contribution] pairs.
+# into "unknowns" (sorted by sort_key), and every distinct value of σ once,
+# into "values" (in order of first use); the rows refer to both by index.
 # The section has no format number of its own: the bundle's format covers
 # it.  A reanalysis takes one snapshot when it begins; the post-solve walk
 # compares σ and stable with it, and the save writes the record from it to
@@ -388,17 +372,14 @@ SETS = ("stable", "point")
 def tables(state: SolverState) -> Dict[str, object]:
     """A snapshot of the persisted data of `state` as tables of rows: σ,
     each map's rows as the tuple of their members, in order (it drives
-    destabilization), ``side_dep``'s as the tuple of its (producer,
-    contribution) pairs, the sets and the counters.  Values are shared,
-    never mutated; the rest is copied."""
+    destabilization), the sets and the counters.  Values are shared, never
+    mutated; the rest is copied."""
     out: Dict[str, object] = {"sigma": dict(state.sigma), "stable": set(state.stable),
                               "point": set(state.point),
                               "counters": {"rhs_evals": state.rhs_evals,
                                            "destabilizations": state.destabilizations}}
     for name in MAPS:
-        rows = getattr(state, name)
-        out[name] = {g: tuple(producers.items()) for g, producers in rows.items()} \
-            if name == "side_dep" else {u: tuple(members) for u, members in rows.items()}
+        out[name] = {u: tuple(members) for u, members in getattr(state, name).items()}
     return out
 
 
@@ -407,7 +388,7 @@ def state_to_json(then: dict, state: SolverState) -> Iterator[Tuple[str, object]
     empty dict for the empty state) into `state`, which is read in place,
     as (member, JSON value) pairs.  σ's rows differ when their values are
     distinct objects (a value the run did not touch is still the object it
-    was), the others when they are unequal, contributions included.
+    was), the others when they are unequal.
 
     The rows that differ are found when it is called.  The section is
     written as it is built: the "unknowns" and "values" arrays are `map`s
@@ -428,8 +409,6 @@ def state_to_json(then: dict, state: SolverState) -> Iterator[Tuple[str, object]
             put[name] = rows
         elif name == "sigma":
             put[name] = [u for u, v in rows.items() if old.get(u) is not v]
-        elif name == "side_dep":
-            put[name] = [u for u, v in rows.items() if old.get(u) != tuple(v.items())]
         else:
             put[name] = [u for u, v in rows.items() if old.get(u) != tuple(v)]
         gone[name] = set(old).difference(rows)
@@ -447,16 +426,13 @@ def state_to_json(then: dict, state: SolverState) -> Iterator[Tuple[str, object]
     del mentioned
     index = {u: i for i, u in enumerate(unknowns)}
     values: Dict[Value, int] = {}
-    # σ and then the contributions are encoded first: they number the values
-    numbered = {"sigma": [[i, values.setdefault(state.sigma[unknowns[i]], len(values))]
-                          for i in sorted(index[u] for u in put["sigma"])],
-                "side_dep": [[i, [[index[x], values.setdefault(d, len(values))]
-                                  for x, d in state.side_dep[unknowns[i]].items()]]
-                             for i in sorted(index[g] for g in put["side_dep"])]}
+    # σ is encoded first: it numbers the values
+    sigma = [[i, values.setdefault(state.sigma[unknowns[i]], len(values))]
+             for i in sorted(index[u] for u in put["sigma"])]
     counters = {"rhs_evals": state.rhs_evals, "destabilizations": state.destabilizations}
     counters = None if then.get("counters") == counters else counters
     gone = {name: sorted(index[u] for u in keys) for name, keys in gone.items() if keys}
-    return _members(unknowns, values, _put_rows(state, put, index, numbered, counters), gone)
+    return _members(unknowns, values, _put_rows(state, put, index, sigma, counters), gone)
 
 
 def _members(unknowns: List[Unknown], values: Dict[Value, int], put: Iterator,
@@ -471,17 +447,18 @@ def _members(unknowns: List[Unknown], values: Dict[Value, int], put: Iterator,
     yield "gone", gone
 
 
-def _put_rows(state: SolverState, put: dict, index: Dict[Unknown, int], numbered: dict,
+def _put_rows(state: SolverState, put: dict, index: Dict[Unknown, int], sigma: list,
               counters: Optional[dict]) -> Iterator[Tuple[str, object]]:
     """The "put" member of `state_to_json`: the non-empty tables of rows,
-    each built as it is reached, unless it is in `numbered`, and dropped
-    once it is written."""
-    for name in ("sigma",) + MAPS:
-        out = numbered.pop(name, None)
-        if out is None:
-            rows = getattr(state, name)
-            out = sorted(([index[u], [index[v] for v in rows[u]]] for u in put[name]),
-                         key=itemgetter(0))
+    σ's already encoded (`sigma`), each map's built as it is reached, each
+    dropped once it is written."""
+    if sigma:
+        yield "sigma", sigma
+    del sigma
+    for name in MAPS:
+        rows = getattr(state, name)
+        out = sorted(([index[u], [index[v] for v in rows[u]]] for u in put[name]),
+                     key=itemgetter(0))
         if out:
             yield name, out
         del out
@@ -493,15 +470,13 @@ def _put_rows(state: SolverState, put: dict, index: Dict[Unknown, int], numbered
         yield "counters", counters
 
 
-def state_from_json(state: SolverState, doc: dict,
-                    int_domain: type = ValueSet) -> Optional[dict]:
+def state_from_json(state: SolverState, doc: dict) -> Optional[dict]:
     """Apply the solver section `doc` of a record to `state`, in place,
     except its counters, which are returned (None if there are none).  The
     "unknowns" and "values" lists are taken out of `doc` as they are
     decoded, so their parsed JSON is freed before the rows are applied.
     ValueError for a row with a negative index, which a list would read
-    from its end, and for a contribution that is not of its target's
-    domain: `int_domain` for a global, else `LocalState`."""
+    from its end."""
     contexts: Dict[str, Context] = {}
     unknowns = [unknown_from_json(d, contexts) for d in doc.pop("unknowns")]
     values = [value_from_json(d) for d in doc.pop("values")]
@@ -519,25 +494,10 @@ def state_from_json(state: SolverState, doc: dict,
         m = getattr(state, name)
         for i in gone.get(name, ()):
             del m[unknowns[i]]
-        if name == "side_dep":
-            for i, producers in put.get(name, ()):
-                if i < 0:
-                    raise ValueError("a row of side_dep has a negative index")
-                g = unknowns[i]
-                domain = int_domain if isinstance(g, GlobalVar) else LocalState
-                m[g] = row = {}
-                for j, v in producers:
-                    if j < 0 or v < 0:
-                        raise ValueError(f"a contribution to {g!r} has a negative index")
-                    row[unknowns[j]] = d = values[v]
-                    if type(d) is not domain:
-                        raise ValueError(f"a contribution to {g!r} is a {type(d).__name__}, "
-                                         f"not a {domain.__name__}")
-        else:
-            for i, members in put.get(name, ()):
-                if i < 0 or (members and min(members) < 0):
-                    raise ValueError(f"a row of {name} has a negative index")
-                m[unknowns[i]] = dict.fromkeys(unknowns[j] for j in members)
+        for i, members in put.get(name, ()):
+            if i < 0 or (members and min(members) < 0):
+                raise ValueError(f"a row of {name} has a negative index")
+            m[unknowns[i]] = dict.fromkeys(unknowns[j] for j in members)
     for name in SETS:
         s = getattr(state, name)
         s.difference_update(unknowns[i] for i in gone.get(name, ()))

@@ -101,17 +101,16 @@ def apply_section(st: SolverState, doc: dict) -> None:
 
 def reloaded(st: SolverState) -> SolverState:
     """`st` written as the solver section of a base and read back; the
-    producers' contributions come back equal and in order."""
+    producers come back equal and in order."""
     out = SolverState()
     apply_section(out, solver_section({}, st))
-    assert contributions(out) == contributions(st)
+    assert producers(out) == producers(st)
     return out
 
 
-def contributions(st: SolverState) -> dict:
-    """Each side-effected unknown's producers and their contributions, in
-    recorded order."""
-    return {g: list(producers.items()) for g, producers in st.side_dep.items()}
+def producers(st: SolverState) -> dict:
+    """Each side-effected unknown's producers, in recorded order."""
+    return {g: list(xs) for g, xs in st.side_dep.items()}
 
 
 def persisted(session) -> bytes:
@@ -120,20 +119,18 @@ def persisted(session) -> bytes:
     return journal.record(journal.EMPTY, session, "", "")[0]
 
 
-def assert_contributions_are_the_last_evaluations(sys_: EqSys, st: SolverState) -> None:
-    """What `side_dep` records for each stable unknown is what a pure
-    evaluation of its rhs side-effects: the same targets, the same values;
+def assert_producers_are_the_last_evaluations(sys_: EqSys, st: SolverState) -> None:
+    """The producers `side_dep` records for each target, in recorded order,
+    are exactly the stable unknowns whose pure evaluation side-effects it;
     no other unknown is recorded as a producer."""
-    recorded: Dict = {}
-    for g, producers in st.side_dep.items():
-        for x, d in producers.items():
-            recorded.setdefault(x, {})[g] = d
+    expected: Dict = {}
     look = sys_.lookup(st.sigma)
     for x in st.stable:
         tree = sys_.rhs(x)
         if tree is not None:
-            assert recorded.pop(x, {}) == eval_tree(tree, look)[0].sides, x
-    assert not recorded, list(recorded)
+            for g in eval_tree(tree, look)[0].sides:
+                expected.setdefault(g, set()).add(x)
+    assert {g: set(xs) for g, xs in producers(st).items()} == expected
 
 
 def value_key(v: Value) -> str:
@@ -397,13 +394,13 @@ def log_stable(st: SolverState) -> StableLog:
     return st.stable
 
 
-def full_restart_globals(G, st: SolverState, roots=()) -> None:
+def full_restart_globals(G, sys_: EqSys, st: SolverState, roots=()) -> dict:
     """Restarting in full, the paper's minimal restarting: each global of
     `G` back to Bot and destabilized, and every unknown that side-effected it
     destabilized.  The reference for `increment.restart_globals`, which
-    restarts a global this way only when its recorded contributions cannot
-    be trusted; `roots` is ignored.  Keeps no contribution, so returns the
-    empty dict."""
+    restarts a global this way only when its producers' contributions cannot
+    be trusted; `sys_` and `roots` are ignored.  Keeps no contribution, so
+    returns the empty dict."""
     for g in sorted(G, key=sort_key):
         st.sigma.pop(g, None)
         st.stable.discard(g)
@@ -468,7 +465,7 @@ def full_prune(st: SolverState, reachable) -> None:
         for u, members in m.items():
             if u not in R:
                 continue
-            kept = {y: d for y, d in members.items() if y in R}
+            kept = {y: None for y in members if y in R}
             if kept:
                 out[u] = kept
         return out

@@ -244,8 +244,9 @@ def _set_format(sd, fmt):
 
 # Format 3 is the last format whose solver section holds a start unknown,
 # format 4 the last one without a journal, format 5 the last one whose base
-# is not a record, format 6 the last one without the producers' contributions.
-@pytest.mark.parametrize("fmt", [1, 3, 4, 5, 6])
+# is not a record, format 6 the last one without the producers' contributions,
+# format 7 the last one that stores contributions.
+@pytest.mark.parametrize("fmt", [1, 3, 4, 5, 6, 7])
 @pytest.mark.parametrize("command", [cli.cmd_reanalyze, cli.cmd_compare])
 def test_an_old_bundle_format_is_refused(ws, command, fmt):
     src, sd = ws
@@ -302,7 +303,7 @@ def test_bundle_is_compact_and_holds_digests(ws):
     with open(os.path.join(sd, "bundle.json")) as f:
         text = f.read()
     doc = json.loads(text)
-    assert doc["format"] == cli.BUNDLE_FORMAT == 7
+    assert doc["format"] == cli.BUNDLE_FORMAT == 8
     head, body = text.split("\n", 1)
     assert head + body == json.dumps(doc, separators=(",", ":")) + "\n"
     assert list(doc) == ["format", "created_at", "sha256", "compat", "solver", "put", "gone"]
@@ -325,7 +326,7 @@ def test_a_full_save_writes_the_bytes_of_a_one_shot_encoding(tmp_path):
     header = json.loads(data)
     record = json.loads(framed.split(b" ", 1)[1])
     assert (record.pop("base"), record.pop("prev")) == ("b", "p")
-    doc = {"format": 7, "created_at": header["created_at"], "sha256": header["sha256"],
+    doc = {"format": cli.BUNDLE_FORMAT, "created_at": header["created_at"], "sha256": header["sha256"],
            "compat": opts.compat(), **record}
     assert data.replace(b"\n", b"", 1) == json.dumps(doc, separators=(",", ":")).encode() + b"\n"
 

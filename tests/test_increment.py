@@ -11,6 +11,7 @@ from minicheck.consys import (
     Context,
     GlobalVar,
     NodeCtx,
+    eval_tree,
 )
 from minicheck.corpus import CorpusSpec, corpus_source, edit_sequence
 from minicheck.domains import AddressSet, ValueSet, leq
@@ -18,6 +19,7 @@ from minicheck.increment import (
     INIT_PSEUDO_FN,
     ChangeSet,
     Reach,
+    confirm_restarts,
     decide_reuse,
     detect_changes,
     prepare_plain,
@@ -38,14 +40,14 @@ from support import (
     FIG2,
     FIG2_EDIT,
     analyze_source,
-    assert_contributions_are_the_last_evaluations,
-    contributions,
+    assert_producers_are_the_last_evaluations,
     eqsys_from_dict,
     fresh_assignment,
     full_prune,
     full_reachable_set,
     full_restart_globals,
     log_stable,
+    producers,
     random_tree,
     side_maps_inverse,
 )
@@ -70,7 +72,8 @@ def incremental_setup(old_text, new_text, mode="reluctant", restart="off",
                       restarter=restart_globals):
     """Analyze old_text, then prepare reanalysis of new_text: returns the
     state after preparation plus everything needed to run step 1/2.
-    `restarter` restarts the globals `restart="minimal"` selects."""
+    `restarter` restarts the globals `restart="minimal"` selects; what it
+    returns is ignored."""
     built, st, _ = analyze_source(old_text)
     new_prog = parse(new_text)
     changes = detect_changes(parse(old_text).digests, new_prog)
@@ -79,7 +82,7 @@ def incremental_setup(old_text, new_text, mode="reluctant", restart="off",
     new_built = build_system(new_prog, new_asg)
     prep = prepare_reluctant if mode == "reluctant" else prepare_plain
     A = prep(changes, st, built.assignment, recorded_contexts(st, built.assignment))
-    restarter(G_sel, st, A)
+    restarter(G_sel, new_built.sys, st, A)
     return new_built, st, changes, A
 
 
@@ -430,8 +433,12 @@ def test_restart_matches_fig6_and_recovers_precision():
     full = dict(st.sigma)
     # from the contributions: foo's old one is dropped, init's {0} is g's
     # value, and only g's reader ⟨5,∅⟩ and what it influences leave stable
-    new_built, st, changes, A = incremental_setup(FIG2, FIG2_EDIT, restart="minimal")
-    assert contributions(st)[G] == [(INIT, vs(0))]
+    kept = []
+    new_built, st, changes, A = incremental_setup(
+        FIG2, FIG2_EDIT, restart="minimal",
+        restarter=lambda *args: kept.append(restart_globals(*args)))
+    assert kept == [{G: [(INIT, vs(0))]}]
+    assert producers(st)[G] == [INIT]
     assert st.sigma[G] == vs(0) and G in st.stable
     assert node_stable(st) == {node("foo", 0, BETA0), node("main", 3), node("main", 4)}
     run(new_built.sys, st, pre_solve=A)
@@ -445,8 +452,19 @@ def test_restart_matches_fig6_and_recovers_precision():
 def test_restart_globals_empty_is_noop():
     built, st, _ = analyze_source(FIG2)
     sigma_before = dict(st.sigma)
-    restart_globals([], st)
+    assert restart_globals({}, built.sys, st) == {}
     assert st.sigma == sigma_before
+
+
+@pytest.mark.parametrize("kept,reads,unconfirmed", [
+    (vs(0), {INIT: ()}, []),
+    (vs(9), {INIT: ()}, [G]),  # the run evaluated init, which contributes {0} now
+    (vs(9), {}, []),  # stable and not evaluated: its contribution is taken as kept
+], ids=["evaluated-same", "evaluated-other", "not-evaluated"])
+def test_a_kept_producer_that_a_run_evaluated_is_evaluated_again(kept, reads, unconfirmed):
+    built, st, _ = analyze_source(FIG2)
+    assert confirm_restarts({G: [(INIT, kept)]}, built.sys, st, built.assignment,
+                            reads) == unconfirmed
 
 
 # Programs where a producer's recorded contribution to g may carry g's old
@@ -569,12 +587,26 @@ MODE_COMBINATIONS = [(mode, restart, wpoint_restart) for mode in ("plain", "relu
 def test_restarting_from_contributions_gives_the_sigma_of_the_full_restart(
         mode, restart, wpoint_restart, monkeypatch):
     """Corpus edit sequences, run in lockstep with restarting in full as the
-    oracle: after every step σ is the oracle's and every recorded
-    contribution is its producer's."""
+    oracle: after every step σ is the oracle's and the producers recorded
+    are the last evaluations'.  Each contribution a restart keeps is what
+    its producer's pure evaluation side-effected before the restart."""
     opts = cli.Options(mode=mode, restart=restart, wpoint_restart=wpoint_restart)
     resets = []
     reset = increment._reset
     monkeypatch.setattr(increment, "_reset", lambda g, st: (resets.append(g), reset(g, st)))
+
+    def checked_restart(G, sys_, st, roots=()):
+        look = sys_.lookup(dict(st.sigma))
+        before = {(g, x): eval_tree(sys_.rhs(x), look)[0].sides.get(g)
+                  for g in G for x in st.side_dep.get(g, ())
+                  if x in st.stable and x not in G[g]}
+        kept = restart_globals(G, sys_, st, roots)
+        for g, contributions in kept.items():
+            for x, d in contributions:
+                assert d is not None and d == before[g, x], (g, x)
+        return kept
+
+    monkeypatch.setattr(increment, "restart_globals", checked_restart)
     restarted = 0
     spec = CorpusSpec(n_functions=40, seed=7)
     for seed in (1, 2, 3):
@@ -588,7 +620,7 @@ def test_restarting_from_contributions_gives_the_sigma_of_the_full_restart(
                 full = cli.run_reanalysis(full.session, text, "p.mc", opts)
             assert ours.session.state.sigma == full.session.state.sigma, (seed, step)
             built = build_system(ours.session.program, ours.session.assignment)
-            assert_contributions_are_the_last_evaluations(built.sys, ours.session.state)
+            assert_producers_are_the_last_evaluations(built.sys, ours.session.state)
             restarted += len(ours.run_stats["restarted"])
     assert restarted > len(resets) if restart == "minimal" else restarted == 0
 
@@ -663,7 +695,7 @@ def test_the_walk_from_what_it_reached_follows_the_full_walk_on_random_systems()
         sys_ = eqsys_from_dict(rhs, nodes[0], lambda u: ValueSet.bot())
         start = tables(st)
         stats = run(sys_, st)
-        reuse = decide_reuse(st, start, stats["evaluated"], stats["reads"])
+        reuse = decide_reuse(st, start, stats["reads"])
         walk = reachable_set(sys_, st, None, reuse, Reach.of(start, sys_))
         prune(st, walk.left)
         reach = walk.reach
@@ -676,7 +708,7 @@ def test_the_walk_from_what_it_reached_follows_the_full_walk_on_random_systems()
                 st.stable.discard(x)
                 st.destabilize(x)
             stats = run(sys_, st)
-            reuse = decide_reuse(st, start, stats["evaluated"], stats["reads"])
+            reuse = decide_reuse(st, start, stats["reads"])
             ref = copy.deepcopy(st)
             walk = reachable_set(sys_, st, None, reuse, reach)
             prune(st, walk.left)

@@ -15,7 +15,7 @@ from minicheck import cli
 from minicheck.consys import NodeCtx
 from minicheck.corpus import CorpusSpec, corpus_source, edit_sequence
 
-from support import contributions, persisted
+from support import persisted, producers
 from test_declaration_edits import edits, templates
 
 BASE, JOURNAL = cli.BUNDLE_NAME, cli.JOURNAL_NAME
@@ -178,7 +178,7 @@ def test_replaying_the_journal_gives_the_state_the_writer_held(tmp_path_factory,
             held, _ = reanalyze(sd, src, text, opts)
         loaded = cli.load_bundle(sd, opts)
         assert persisted(loaded) == persisted(held), step
-        assert contributions(loaded.state) == contributions(held.state), step
+        assert producers(loaded.state) == producers(held.state), step
         full_dir = str(tmp / f"full-{step}")
         cli.save_bundle(full_dir, cli.Session(held.digests, held.assignment, held.state,
                                               held.store), opts)
@@ -391,12 +391,10 @@ def test_a_node_id_counter_that_is_not_above_every_id_exits_two(tmp_path, counte
                 "to reanalyze from scratch\n")
 
 
-CONTRIBUTION_DAMAGE = {
+ROW_DAMAGE = {
     "index": "IndexError: list index out of range",
-    "negative-index": "ValueError: a contribution to g0 has a negative index",
-    "negative-producer": "ValueError: a contribution to g0 has a negative index",
-    "domain": "ValueError: a contribution to g0 is a LocalState, not a ValueSet",
-    "domain-of-no-value": "ValueError: a contribution to gz is a LocalState, not a ValueSet",
+    "negative-index": "ValueError: a row of side_dep has a negative index",
+    "negative-producer": "ValueError: a row of side_dep has a negative index",
     # a list reads a negative index from its end: refused in every table
     "negative-sigma": "ValueError: a row of sigma has a negative index",
     "negative-stable": "ValueError: a row of stable has a negative index",
@@ -407,26 +405,24 @@ CONTRIBUTION_DAMAGE = {
     "negative-gone": "ValueError: a row of infl has a negative index",
 }
 
-# the row that each negative-* damage adds to a solver section
+# the row that each negative-* damage of another table adds to a solver section
 NEGATIVE_ROWS = {"sigma": [-1, -1], "stable": -1, "point": -1, "infl": [0, [-1]],
                  "side_infl": [-1, [0]], "stale": [0, [1, -1]]}
 
 
-@pytest.mark.parametrize("damage", list(CONTRIBUTION_DAMAGE))
+@pytest.mark.parametrize("damage", list(ROW_DAMAGE))
 def test_a_contribution_out_of_range_or_of_another_domain_exits_two(tmp_path, damage):
-    """A side_dep row's contribution is a value index: one past the values,
-    a negative one, one with a negative producer index, or one of a value of
-    another domain than its target's, also of a target without a value, in
-    the base or in a record, is refused; so is a row of any other table, or
-    a key of a row that went, with a negative index."""
+    """A side_dep row names its target and its producers by unknown index:
+    a producer one past the unknowns, a negative target or a negative
+    producer, in the base or in a record, is refused; so is a row of any
+    other table, or a key of a row that went, with a negative index."""
     src, sd = str(tmp_path / "prog.mc"), str(tmp_path / "state")
     opts = cli.Options(state_dir=sd)
     write(src, _corpus_versions(0)[0])
-    g0, gz, init = {"k": "global", "name": "g0"}, {"k": "global", "name": "gz"}, {"k": "init"}
-    entry = {"t": "LocalState", "env": {"t": "Env", "v": {}}, "locks": {"t": "Lockset", "v": []}}
+    g0, init = {"k": "global", "name": "g0"}, {"k": "init"}
 
-    def bad_row(solver):  # init's contribution to g0, or a new one to gz
-        unknowns, values, rows = solver["unknowns"], solver["values"], solver["put"]["side_dep"]
+    def bad_row(solver):  # init as a producer of g0
+        unknowns, rows = solver["unknowns"], solver["put"]["side_dep"]
         table = damage.removeprefix("negative-")
         if table == "gone":
             solver["gone"]["infl"] = [-1]
@@ -434,32 +430,22 @@ def test_a_contribution_out_of_range_or_of_another_domain_exits_two(tmp_path, da
         if table in NEGATIVE_ROWS:
             solver["put"].setdefault(table, []).append(NEGATIVE_ROWS[table])
             return
-        j = unknowns.index(init)
-        if damage == "domain-of-no-value":
-            unknowns.append(gz)
-            values.append(entry)
-            rows.append([len(unknowns) - 1, [[j, len(values) - 1]]])
-            return
-        i = unknowns.index(g0)
-        row = next(producers for g, producers in rows if g == i)
-        pair = next(pair for pair in row if pair[0] == j)
+        row = next(row for row in rows if row[0] == unknowns.index(g0))
+        producer = row[1].index(unknowns.index(init))
         if damage == "index":
-            pair[1] = len(values)
+            row[1][producer] = len(unknowns)
         elif damage == "negative-index":
-            pair[1] = -1
-        elif damage == "negative-producer":
-            pair[0] = -1
+            row[0] = -1
         else:
-            pair[1] = len(values)
-            values.append(entry)
+            row[1][producer] = -1
 
     for name in (BASE, JOURNAL):
         assert cli.cmd_analyze(src, opts, io.StringIO(), io.StringIO()) == 0
         if name == BASE:
             _rewrite_base(sd, lambda doc: bad_row(doc["solver"]))
         else:
-            solver = {"unknowns": [init, g0], "values": [{"t": "ValueSet", "v": [0]}],
-                      "put": {"side_dep": [[1, [[0, 0]]]]}, "gone": {}}
+            solver = {"unknowns": [init, g0], "values": [], "put": {"side_dep": [[1, [0]]]},
+                      "gone": {}}
             bad_row(solver)
             _append_record(sd, opts, {}, solver)
         for command in (cli.cmd_reanalyze, cli.cmd_compare):
@@ -467,5 +453,5 @@ def test_a_contribution_out_of_range_or_of_another_domain_exits_two(tmp_path, da
             assert command(src, opts, out, err) == 2 and out.getvalue() == ""
             assert err.getvalue() == (
                 f"error: state bundle {sd}/{name} is unreadable or corrupt "
-                f"({CONTRIBUTION_DAMAGE[damage]}); "
+                f"({ROW_DAMAGE[damage]}); "
                 "delete the state dir to reanalyze from scratch\n")

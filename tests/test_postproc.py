@@ -45,7 +45,7 @@ def postprocess_analysis(built, st, run_stats):
     """The postprocess of `st`, which `run` solved from nothing with
     `run_stats`, as an analysis makes it: from the empty `Reach` and index."""
     start = tables(SolverState())
-    reuse = decide_reuse(st, start, run_stats["evaluated"], run_stats["reads"])
+    reuse = decide_reuse(st, start, run_stats["reads"])
     prev = WarnStore()
     prev.index = PostIndex.of(prev, Reach.of(start, built.sys), {}, NodeAssignment())
     return postprocess(built, st, prev, "<test>", reuse)
