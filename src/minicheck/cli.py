@@ -36,7 +36,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, TextIO
 
 from . import journal
@@ -50,7 +50,7 @@ from .tdsolver import SolverDepthError, SolverState, run, verify_solution
 
 BUNDLE_NAME = "bundle.json"  # the base
 JOURNAL_NAME = "bundle.journal"
-BUNDLE_FORMAT = 8
+BUNDLE_FORMAT = 9
 # A save writes a full base instead of a record that would make the journal
 # longer than the base divided by this.
 COMPACTION_RATIO = 4
@@ -630,11 +630,16 @@ def cmd_serve(opts: Options, socket_path: Optional[str],
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mode", choices=["plain", "reluctant"], default=Options.mode,
-                   help="destabilization strategy for reanalysis")
-    p.add_argument("--restart", choices=["off", "minimal"], default=Options.restart,
-                   help="restarting of flow-insensitive unknowns")
+def _add_flags(p: argparse.ArgumentParser, reanalyzes: bool, reports: bool) -> None:
+    """The option flags of a command: those of the options a bundle must
+    have been produced with and of where it is, and, if the command
+    `reanalyzes`, those of how and with what counters, and, if it `reports`
+    warnings in its exit code, ``--fail-on-warn``."""
+    if reanalyzes:
+        p.add_argument("--mode", choices=["plain", "reluctant"], default=Options.mode,
+                       help="destabilization strategy for reanalysis")
+        p.add_argument("--restart", choices=["off", "minimal"], default=Options.restart,
+                       help="restarting of flow-insensitive unknowns")
     p.add_argument("--wpoint-restart", action="store_true",
                    help="restart an unknown when it first becomes a widening point "
                         "(enables localized widening)")
@@ -642,16 +647,18 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="integer value domain")
     p.add_argument("--state-dir", default=Options.state_dir,
                    help="where analysis state persists")
-    p.add_argument("--stats", action="store_true", help="print solver counters to stderr")
-    p.add_argument("--fail-on-warn", action="store_true",
-                   help="exit 1 when warnings are present")
+    if reanalyzes:
+        p.add_argument("--stats", action="store_true", help="print solver counters to stderr")
+    if reports:
+        p.add_argument("--fail-on-warn", action="store_true",
+                       help="exit 1 when warnings are present")
 
 
 def _options(ns: argparse.Namespace) -> Options:
-    return Options(mode=ns.mode, restart=ns.restart, wpoint_restart=ns.wpoint_restart,
-                   domain=ns.domain, state_dir=ns.state_dir, stats=ns.stats,
-                   fail_on_warn=ns.fail_on_warn,
-                   explain_diff=getattr(ns, "explain_diff", False))
+    """The options the flags `ns` set; those of flags a command does not
+    accept keep their defaults."""
+    return Options(**{f.name: getattr(ns, f.name) for f in fields(Options)
+                      if hasattr(ns, f.name)})
 
 
 def main(argv=None) -> int:
@@ -661,21 +668,21 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("analyze", help="from-scratch analysis")
     p.add_argument("source")
-    _add_common(p)
+    _add_flags(p, reanalyzes=True, reports=True)
 
     p = sub.add_parser("reanalyze", help="incremental reanalysis against saved state")
     p.add_argument("source")
     p.add_argument("--explain-diff", action="store_true",
                    help="include the function-level change set in the output")
-    _add_common(p)
+    _add_flags(p, reanalyzes=True, reports=True)
 
     p = sub.add_parser("compare", help="compare saved state against a from-scratch run")
     p.add_argument("source")
-    _add_common(p)
+    _add_flags(p, reanalyzes=False, reports=False)
 
     p = sub.add_parser("serve", help="JSON line-protocol server (stdio or unix socket)")
     p.add_argument("--socket", default=None, help="unix socket path (default: stdio)")
-    _add_common(p)
+    _add_flags(p, reanalyzes=True, reports=False)
 
     ns = parser.parse_args(argv)
     opts = _options(ns)

@@ -55,9 +55,10 @@ their side targets is the snapshot's; after an edit of the global
 declarations none is.  After the solve, one walk over σ finds what is
 reachable from the query; postprocessing sees its evaluations as they are
 made.  The walk reuses the reusable unknowns it reaches: they are not
-evaluated, and their recorded successors are the inverse of ``infl`` minus
-the stale edges the walk noted when it last evaluated them, plus their side
-targets.  So the walk evaluates only what the run touched.
+evaluated, and their recorded successors are the inverse of ``infl`` plus
+their side targets: the solver only adds ``infl`` edges, and the walk
+drops those that its evaluation of an unknown does not read.  So the walk
+evaluates only what the run touched.
 
 A walk leaves what it reached, each unknown with its successors (`Reach`),
 and the next walk starts from there: it evaluates the reached unknowns
@@ -207,8 +208,8 @@ def _return_unknowns(changes_fns: Iterable[str], contexts: Dict[str, Collection[
     return out
 
 
-def _drop_stale_nodes(changes: ChangeSet, st: SolverState, old_asg: NodeAssignment,
-                      contexts: Dict[str, Collection[Context]]) -> None:
+def _drop_old_nodes(changes: ChangeSet, st: SolverState, old_asg: NodeAssignment,
+                    contexts: Dict[str, Collection[Context]]) -> None:
     """Unknowns of interior nodes of body-changed functions (and all nodes
     of header-changed and removed ones) no longer exist in the new system;
     drop them from stable.  Their σ entries are garbage until pruning.
@@ -228,7 +229,7 @@ def prepare_plain(changes: ChangeSet, st: SolverState, old_asg: NodeAssignment,
     `recorded_contexts`).
 
     Returns the empty pre-solve list (step 1 is empty in plain mode)."""
-    _drop_stale_nodes(changes, st, old_asg, contexts)
+    _drop_old_nodes(changes, st, old_asg, contexts)
     for u in _return_unknowns(changes.edited(), contexts, old_asg):
         st.stable.discard(u)
         st.destabilize(u)
@@ -242,7 +243,7 @@ def prepare_reluctant(changes: ChangeSet, st: SolverState, old_asg: NodeAssignme
     dependents.  Header-changed and removed functions are handled plainly
     (reluctance could only do work in vain there).  `contexts` as in
     `prepare_plain`."""
-    _drop_stale_nodes(changes, st, old_asg, contexts)
+    _drop_old_nodes(changes, st, old_asg, contexts)
     for u in _return_unknowns(changes.header_changed | changes.removed, contexts, old_asg):
         st.stable.discard(u)
         st.destabilize(u)
@@ -516,7 +517,7 @@ def decide_reuse(st: SolverState, start: dict, reads: Dict[Unknown, Tuple[Unknow
         # Not reusable: what changed, what read it last and what side-effected it.
         dirty = set(changed)
         for y in changed:
-            dirty.update(x for x in st.infl.get(y, ()) if y not in st.stale.get(x, ()))
+            dirty.update(st.infl.get(y, ()))
             dirty.update(st.side_dep.get(y, ()))
         reusable = untouched - dirty
     came = {u for u in st.stable - start["stable"] if u not in reads and u not in changed}
@@ -534,9 +535,9 @@ class Reach:
     followed from it (what its rhs queried, then what it side-effected), the
     reached unknowns without a rhs and those that are not stable.  Its keys
     are the reached set; for a reached unknown with a rhs that is stable,
-    its successors are the inverse of ``infl`` minus ``stale``, plus
-    ``side_infl``: the inverse kept current, walk by walk.  Not persisted:
-    `of` reads it off the tables of a state that a walk and pruning left."""
+    its successors are the inverse of ``infl`` plus ``side_infl``, which
+    the walk keeps exact (see `reachable_set`).  Not persisted: `of` reads
+    it off the tables of a state that a walk and pruning left."""
 
     succ: Dict[Unknown, Tuple[Unknown, ...]]
     leaves: Set[Unknown]
@@ -559,15 +560,13 @@ class Reach:
         for y, xs in start["infl"].items():
             for x in xs:
                 reads.setdefault(x, []).append(y)
-        stale, side_infl = start["stale"], start["side_infl"]
+        side_infl = start["side_infl"]
         stack = [sys_.query]
         while stack:
             u = stack.pop()
             if u in succ:
                 continue
-            gone = stale.get(u, ())
-            out = succ[u] = (*(y for y in reads.pop(u, ()) if y not in gone),
-                             *side_infl.get(u, ()))
+            out = succ[u] = (*reads.pop(u, ()), *side_infl.get(u, ()))
             stack.extend(y for y in out if y not in succ)
         return Reach(succ, {u for u in succ if not sys_.has_rhs(u)},
                      succ.keys() - start["stable"])
@@ -577,11 +576,12 @@ class Reach:
 class Walk:
     """What `reachable_set` returns: the new `Reach`; the unknowns that left
     the reached set or that the run made and the walk does not reach, each
-    with the unknowns it may have read; the reached reusable unknowns with
-    a rhs, and the unknowns the walk evaluated, reused or re-checked."""
+    with the unknowns whose ``infl`` rows may name it; the reached reusable
+    unknowns with a rhs, and the unknowns the walk evaluated, reused or
+    re-checked."""
 
     reach: Reach
-    left: Dict[Unknown, tuple]
+    left: Dict[Unknown, Tuple[Unknown, ...]]
     reused: Iterable[Unknown]
     walked: List[Unknown]
 
@@ -596,8 +596,10 @@ def reachable_set(sys_: EqSys, st: SolverState, visit: Optional[Callable], reuse
     evaluated: the walk follows the successors its last evaluation
     recorded.  Every other reached rhs is evaluated purely, once;
     `visit(u, eval_state, value)` sees that evaluation as it is made, with
-    its access records, and ``st.stale`` records the ``infl`` edges it did
-    not read.  An unknown evaluated so may still leave (`Walk.left`).
+    its access records, and the ``infl`` edges to it that it did not read
+    are dropped.  So a reached stable unknown is in the ``infl`` rows of
+    exactly what it read when it was last evaluated.  An unknown evaluated
+    so may still leave (`Walk.left`).
     Reuse presumes that the state the reanalysis began with was left by a
     verified walk and pruning, as every persisted state is, and that a
     reusable unknown's rhs is the one that walk evaluated: a rhs an edit
@@ -612,24 +614,17 @@ def reachable_set(sys_: EqSys, st: SolverState, visit: Optional[Callable], reuse
     these are reached (`sure`).  The targets of the edges that the
     non-reusable unknowns no longer have, and what those led to then, may
     have lost their path (`lost`), unless they are sure.  One of them is
-    reached again through a predecessor that still is (an ``infl`` edge not
-    in ``stale`` or a ``side_dep`` producer), and from there the walk goes
-    on as from nothing.  Whatever of `lost` it does not reach has left."""
+    reached again through a predecessor that still is (an ``infl`` edge or
+    a ``side_dep`` producer), and from there the walk goes on as from
+    nothing.  Whatever of `lost` it does not reach has left."""
     look = sys_.lookup(st.sigma)
     reusable, reads = reuse.reusable, reuse.reads
     succ, leaves, unstable = known.succ, known.leaves, known.unstable
-    position: Dict[Unknown, int] = {}
-
-    def infl_order(y: Unknown) -> int:
-        """Where `y`'s row is in ``infl``: the full walk notes stale edges
-        in that order, as it inverts ``infl`` row by row."""
-        if not position:
-            position.update((k, i) for i, k in enumerate(st.infl))
-        return position[y]
 
     def evaluate(u: Unknown, held: Tuple[Unknown, ...] = ()) -> Tuple[Unknown, ...]:
-        """Evaluate `u`, whose successors were `held`, for `visit`, note its
-        stale edges and return its successors."""
+        """Evaluate `u`, whose successors were `held`, for `visit`, drop the
+        ``infl`` edges to it that it did not read and return its
+        successors."""
         tree = sys_.rhs(u)
         if tree is None:
             leaves.add(u)
@@ -638,11 +633,16 @@ def reachable_set(sys_: EqSys, st: SolverState, visit: Optional[Callable], reuse
         es, value = eval_tree(tree, look)
         if visit is not None:
             visit(u, es, value)
-        # what u may read through infl now: what it read before the run, and
-        # in it (which holds no unknown twice)
-        before = (*held, *st.stale.get(u, ()))
-        _note_stale(st, u, es, dict.fromkeys((*before, *reads.get(u, ()))) if before
-                    else reads.get(u, ()), infl_order)
+        # The infl rows that name u are among what it read before the run
+        # and in it (which holds no unknown twice).  A stable unknown is in
+        # the rows of all it reads: with no more candidates than reads, none
+        # is dropped.
+        run_reads = reads.get(u, ())
+        candidates = dict.fromkeys((*held, *run_reads)) if held else run_reads
+        if len(candidates) != len(es.queried) or u not in st.stable:
+            for y in candidates:
+                if y not in es.queried:
+                    _drop_member(st.infl, y, u)
         return _same_objects((*es.queried, *es.sides), held, reuse.changed)
 
     old: Dict[Unknown, Tuple[Unknown, ...]] = {}  # non-reusable unknown -> its old successors
@@ -693,18 +693,17 @@ def reachable_set(sys_: EqSys, st: SolverState, visit: Optional[Callable], reuse
         out = gone.pop(v, None)
         succ[v] = evaluate(v) if out is None else out
         stack.extend(y for y in succ[v] if y not in succ)
-    # What left, with what it may have read: what it read when the last
-    # walk reached it and, if this walk evaluated it, now, the stale edges
-    # noted then, and what the run read.  Every other row that the run
-    # wrote names what it evaluated or read, σ differs from the snapshot
-    # only at `reuse.changed`, and an unknown stable now that was not then
-    # is among these or in `reuse.came`.
-    left: Dict[Unknown, tuple] = {}
-    for v, out in gone.items():
-        left[v] = (old.get(v, ()), out, st.stale.get(v, ()), reads.get(v, ()))
+    # What left, with the unknowns whose infl rows may name it: its
+    # successors when the last walk reached it and when it left (an
+    # unknown whose rhs went is not evaluated, so keeps its edges), or, if
+    # the last walk did not reach it, what the run read.  Every other row
+    # that the run wrote names what it evaluated or read, σ differs from
+    # the snapshot only at `reuse.changed`, and an unknown stable now that
+    # was not then is among these or in `reuse.came`.
+    left = {v: (*old.get(v, ()), *out) for v, out in gone.items()}
     for y in itertools.chain(reads, *reads.values(), reuse.changed, reuse.came):
         if y not in succ and y not in left:
-            left[y] = ((), st.stale.get(y, ()), reads.get(y, ()))
+            left[y] = reads.get(y, ())
     leaves.difference_update(left)
     known.unstable = {u for u in itertools.chain(unstable, walked, reuse.suspect)
                       if u not in st.stable and u in succ}
@@ -724,46 +723,27 @@ def _same_objects(found: Tuple[Unknown, ...], held: Tuple[Unknown, ...],
     return tuple(same.get(y) or keys.get(y, y) for y in found)
 
 
-def _note_stale(st: SolverState, u: Unknown, es, candidates: Collection[Unknown],
-                order: Callable) -> None:
-    """Record in ``st.stale`` the unknowns whose ``infl`` rows name `u`, all
-    of them among `candidates`, that `es`, an evaluation of `u`, did not
-    read; sorted by `order`."""
-    # A stable unknown's reads all have infl edges: with no more candidates
-    # than reads, none is stale.
-    stale = [y for y in candidates if y not in es.queried and u in st.infl.get(y, ())] \
-        if len(candidates) != len(es.queried) or u not in st.stable else ()
-    if len(stale) > 1:
-        stale.sort(key=order)
-    if stale:
-        st.stale[u] = dict.fromkeys(stale)
-    else:
-        st.stale.pop(u, None)
-
-
-def prune(st: SolverState, left: Dict[Unknown, tuple]) -> None:
+def prune(st: SolverState, left: Dict[Unknown, Tuple[Unknown, ...]]) -> None:
     """Drop every unknown of `left` (see `reachable_set`), which holds every
-    unknown of the state that is not reached, each with the unknowns it may
-    have read, from σ, the sets and the maps.  Only those and the rows that
-    name them are visited: the ``infl`` rows of what it may have read, the
-    ``stale`` rows of what reads it, and the ``side_dep`` and ``side_infl``
-    rows of its side targets and producers.  A row whose key left goes, and
-    a row that names one that left keeps its other members, in order."""
-    infl, stale, side_dep, side_infl = st.infl, st.stale, st.side_dep, st.side_infl
+    unknown of the state that is not reached, each with the unknowns whose
+    ``infl`` rows may name it, from σ, the sets and the maps.  Only those
+    and the rows that name them are visited: those ``infl`` rows, and the
+    ``side_dep`` and ``side_infl`` rows of its side targets and producers.
+    A row whose key left goes, and a row that names one that left keeps its
+    other members, in order."""
+    infl, side_dep, side_infl = st.infl, st.side_dep, st.side_infl
     for v, read in left.items():
         st.sigma.pop(v, None)
         st.stable.discard(v)
         st.point.discard(v)
-        for x in infl.get(v, ()):
-            _drop_member(stale, x, v)
-        for y in itertools.chain(*read):
+        for y in read:
             _drop_member(infl, y, v)
         for g in side_infl.get(v, ()):
             _drop_member(side_dep, g, v)
         for x in side_dep.get(v, ()):
             _drop_member(side_infl, x, v)
     for v in left:
-        for m in (infl, side_dep, side_infl, stale):
+        for m in (infl, side_dep, side_infl):
             m.pop(v, None)
 
 

@@ -173,16 +173,19 @@ def records(data: bytes) -> List[Tuple[dict, str, int]]:
 
 def replay(session, doc: dict) -> None:
     """Apply the record `doc` to `session`, in place.  ValueError for a
-    digest row of the wrong shape and for a node id counter that is not an
-    integer above every node id, NodeTableError for node ids that fit no
-    CFG: ids that are not integers, or fewer than the entry and the return
-    node that every CFG has."""
+    table it does not know, for a digest row of the wrong shape and for a
+    node id counter that is not an integer above every node id,
+    NodeTableError for node ids that fit no CFG: ids that are not integers,
+    or fewer than the entry and the return node that every CFG has."""
     store, digests, asg = session.store, session.digests, session.assignment
+    put, gone = doc["put"], doc["gone"]
+    unknown = sorted(set(put).union(gone).difference(SESSION_TABLES))
+    if unknown:
+        raise ValueError(f"unknown session table {unknown[0]!r}")
     counters = tdsolver.state_from_json(session.state, doc["solver"])
     if counters is not None:
         session.state.rhs_evals = counters["rhs_evals"]
         session.state.destabilizations = counters["destabilizations"]
-    put, gone = doc["put"], doc["gone"]
     for k in gone.get("functions", ()):
         del digests["functions"][k]
     for k, pair in put.get("functions", {}).items():

@@ -79,10 +79,11 @@ class SolverState:
     what a pure evaluation of its rhs under σ side-effects: restarting a
     global recomputes it so (`increment.restart_globals`).
 
-    ``infl`` keeps edges of older evaluations: `x` stays in ``infl[y]`` after
-    an evaluation of `x` that no longer reads `y`.  ``stale`` maps each such
-    `x` to those `y`, as the post-solve walk last found them, so that the
-    reads of an evaluation are the inverse of ``infl`` minus ``stale``.
+    The solver only adds to ``infl``: `x` stays in ``infl[y]`` after an
+    evaluation of `x` that no longer reads `y`.  The post-solve walk drops
+    such edges as it evaluates `x` (`increment.reachable_set`), so after
+    every walk and pruning a reached stable unknown is in the ``infl`` rows
+    of exactly what its last evaluation read.
     """
 
     def __init__(self):
@@ -93,7 +94,6 @@ class SolverState:
         self.point: set = set()
         self.side_dep: Dict[Unknown, Dict[Unknown, None]] = {}
         self.side_infl: Dict[Unknown, Dict[Unknown, None]] = {}
-        self.stale: Dict[Unknown, Dict[Unknown, None]] = {}
         self.rhs_evals = 0
         self.destabilizations = 0
 
@@ -362,10 +362,11 @@ def verify_solution(sys_: EqSys, state: SolverState,
 # The section has no format number of its own: the bundle's format covers
 # it.  A reanalysis takes one snapshot when it begins; the post-solve walk
 # compares σ and stable with it, and the save writes the record from it to
-# the state.  called is not persisted: it is empty at rest.
+# the state.  called is not persisted: it is empty at rest.  A record that
+# names a table the state does not have is refused.
 # ---------------------------------------------------------------------------
 
-MAPS = ("infl", "side_dep", "side_infl", "stale")  # unknown -> its members, in order
+MAPS = ("infl", "side_dep", "side_infl")  # unknown -> its members, in order
 SETS = ("stable", "point")
 
 
@@ -475,12 +476,15 @@ def state_from_json(state: SolverState, doc: dict) -> Optional[dict]:
     except its counters, which are returned (None if there are none).  The
     "unknowns" and "values" lists are taken out of `doc` as they are
     decoded, so their parsed JSON is freed before the rows are applied.
-    ValueError for a row with a negative index, which a list would read
-    from its end."""
+    ValueError for a table it does not know and for a row with a negative
+    index, which a list would read from its end."""
+    put, gone = doc["put"], doc["gone"]
+    unknown = sorted(set(put).union(gone).difference(("sigma", "counters", *MAPS, *SETS)))
+    if unknown:
+        raise ValueError(f"unknown solver table {unknown[0]!r}")
     contexts: Dict[str, Context] = {}
     unknowns = [unknown_from_json(d, contexts) for d in doc.pop("unknowns")]
     values = [value_from_json(d) for d in doc.pop("values")]
-    put, gone = doc["put"], doc["gone"]
     for name, keys in gone.items():
         _indices(name, keys)
     sigma = state.sigma

@@ -421,7 +421,7 @@ def full_restart_globals(G, sys_: EqSys, st: SolverState, roots=()) -> dict:
 def full_reachable_set(sys_: EqSys, st: SolverState, visit: Callable = None) -> dict:
     """Unknowns reachable from the query under σ, each reached rhs evaluated
     purely, once; `visit(u, eval_state, value)` sees that evaluation, and
-    ``st.stale`` records the ``infl`` edges it did not read.  Returns each
+    the ``infl`` edges to it that it did not read are dropped.  Returns each
     reached unknown with the set of what its evaluation queried and
     side-effected."""
     look = sys_.lookup(st.sigma)
@@ -442,12 +442,12 @@ def full_reachable_set(sys_: EqSys, st: SolverState, visit: Callable = None) -> 
         es, value = eval_tree(tree, look)
         if visit is not None:
             visit(u, es, value)
-        last = reads.get(u, [])
-        stale = [y for y in last if y not in es.queried]
-        if stale and (len(last) != len(es.queried) or u not in st.stable):
-            st.stale[u] = dict.fromkeys(stale)
-        else:
-            st.stale.pop(u, None)
+        for y in reads.get(u, ()):
+            if y not in es.queried:
+                row = st.infl[y]
+                del row[u]
+                if not row:
+                    del st.infl[y]
         reached[u] = set(es.queried) | set(es.sides)
         stack.extend(y for y in reached[u] if y not in reached)
     return reached
@@ -473,7 +473,24 @@ def full_prune(st: SolverState, reachable) -> None:
     st.infl = prune_map(st.infl)
     st.side_dep = prune_map(st.side_dep)
     st.side_infl = prune_map(st.side_infl)
-    st.stale = prune_map(st.stale)
+
+
+def inexact_infl(sys_: EqSys, st: SolverState, reached) -> dict:
+    """The stable unknowns with a rhs among `reached` whose ``infl`` edges
+    are not exactly what a pure evaluation of their rhs under σ queries,
+    each with the unknowns whose rows name it and what it queries."""
+    look = sys_.lookup(st.sigma)
+    readers = {}
+    for y, xs in st.infl.items():
+        for x in xs:
+            readers.setdefault(x, set()).add(y)
+    out = {}
+    for u in reached:
+        if u in st.stable and sys_.has_rhs(u):
+            queried = set(eval_tree(sys_.rhs(u), look)[0].queried)
+            if readers.get(u, set()) != queried:
+                out[u] = (readers.get(u, set()), queried)
+    return out
 
 
 def pairwise_races(store: WarnStore, built, filename: str):

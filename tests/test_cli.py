@@ -245,8 +245,9 @@ def _set_format(sd, fmt):
 # Format 3 is the last format whose solver section holds a start unknown,
 # format 4 the last one without a journal, format 5 the last one whose base
 # is not a record, format 6 the last one without the producers' contributions,
-# format 7 the last one that stores contributions.
-@pytest.mark.parametrize("fmt", [1, 3, 4, 5, 6, 7])
+# format 7 the last one that stores contributions, format 8 the last one
+# with a table of stale infl edges.
+@pytest.mark.parametrize("fmt", [1, 3, 4, 5, 6, 7, 8])
 @pytest.mark.parametrize("command", [cli.cmd_reanalyze, cli.cmd_compare])
 def test_an_old_bundle_format_is_refused(ws, command, fmt):
     src, sd = ws
@@ -303,7 +304,7 @@ def test_bundle_is_compact_and_holds_digests(ws):
     with open(os.path.join(sd, "bundle.json")) as f:
         text = f.read()
     doc = json.loads(text)
-    assert doc["format"] == cli.BUNDLE_FORMAT == 8
+    assert doc["format"] == cli.BUNDLE_FORMAT == 9
     head, body = text.split("\n", 1)
     assert head + body == json.dumps(doc, separators=(",", ":")) + "\n"
     assert list(doc) == ["format", "created_at", "sha256", "compat", "solver", "put", "gone"]
@@ -346,7 +347,7 @@ def test_the_solver_section_holds_only_the_unknowns_of_the_system(ws):
     solver = bundle_of(sd)["solver"]
     assert list(solver) == ["unknowns", "values", "put", "gone"] and solver["gone"] == {}
     # the tables in one fixed order, an empty one left out
-    order = ["sigma", "infl", "side_dep", "side_infl", "stale", "stable", "point", "counters"]
+    order = ["sigma", "infl", "side_dep", "side_infl", "stable", "point", "counters"]
     assert list(solver["put"]) == [m for m in order if m in solver["put"]]
     assert {"sigma", "infl", "stable", "point", "counters"} <= set(solver["put"])
     kinds = [u["k"] for u in solver["unknowns"]]
@@ -1562,6 +1563,20 @@ def test_the_command_line_defaults_are_the_option_defaults(monkeypatch, command)
     monkeypatch.setattr(cli, "cmd_serve", lambda opts, socket_path: seen.append(opts) or 0)
     assert cli.main([command] if command == "serve" else [command, "p.mc"]) == 0
     assert seen == [cli.Options()]
+
+
+@pytest.mark.parametrize("command,flags", [("compare", ["--mode", "plain"]),
+                                           ("compare", ["--stats"]),
+                                           ("serve", ["--fail-on-warn"])])
+def test_a_flag_the_command_does_not_read_is_a_usage_error(monkeypatch, capsys, command, flags):
+    """compare reads only --wpoint-restart, --domain and --state-dir, and
+    serve every flag but --fail-on-warn."""
+    for name in ("cmd_compare", "cmd_serve"):
+        monkeypatch.setattr(cli, name, lambda *args: pytest.fail("the command ran"))
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([command, *(["p.mc"] if command == "compare" else []), *flags])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("enabled", [True, False])

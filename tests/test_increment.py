@@ -46,6 +46,7 @@ from support import (
     full_prune,
     full_reachable_set,
     full_restart_globals,
+    inexact_infl,
     log_stable,
     producers,
     random_tree,
@@ -542,6 +543,14 @@ int f(int x) { g = x; return x; }
 int w(int y) { k = 1; g = 7; return y; }
 int main() { g = 5; a = w(0); r = f(k); return r; }
 """
+# A kept producer that the run evaluates again (READER): k's store of h into
+# g, once the edit of f writes h too.  It contributes {0,5} now, not {0}.
+READER = """int g = 0;
+int h = 0;
+int f() { g = 1; return 0; }
+int k() { g = h; return 0; }
+int main() { a = f(); b = k(); return 0; }
+"""
 
 
 @pytest.mark.parametrize("mode", ["plain", "reluctant"])
@@ -549,7 +558,8 @@ int main() { g = 5; a = w(0); r = f(k); return r; }
     (CALLER, ("f(1)", "f(2)"), vs(0, 2, 5)),
     (H_CALLER, ("f(1)", "f(2)"), vs(0, 2, 5)),
     (VALUE, ("k = 1;", "k = 2;"), vs(0, 2, 5, 7)),
-], ids=["caller", "caller-of-caller", "value"])
+    (READER, ("g = 1; return 0;", "g = 1; h = 5; return 0;"), vs(0, 1, 5)),
+], ids=["caller", "caller-of-caller", "value", "re-evaluated"])
 def test_a_writer_whose_context_the_edit_leaves_loses_its_contribution(
         old, edit, expected, mode, monkeypatch):
     sigmas, resets = reanalyze_both_ways(old, old.replace(*edit), mode, monkeypatch)
@@ -682,8 +692,10 @@ def test_the_walk_from_what_it_reached_follows_the_full_walk_on_random_systems()
     """Random systems whose rhs read data-dependently and side-effect
     globals, edited a few rhs at a time: after each edit's solve, the walk
     from the last walk's `Reach` and its pruning leave what the full walk
-    and full pruning leave, `stale` and every map in order included.  The
-    edits make unknowns leave, cycles lose their entry and edges go stale."""
+    and full pruning leave, every map in order included, and each reached
+    stable unknown is in the ``infl`` rows of exactly what its rhs queries.
+    The edits make unknowns leave, cycles lose their entry and evaluations
+    stop reading what they read before."""
     rng = random.Random(1919)
     walks = left = 0
     for trial in range(150):
@@ -718,11 +730,12 @@ def test_the_walk_from_what_it_reached_follows_the_full_walk_on_random_systems()
             assert walk.reach.succ.keys() == reached.keys(), where
             assert {u: set(out) for u, out in walk.reach.succ.items()} == reached, where
             assert st.sigma == ref.sigma and (st.stable, st.point) == (ref.stable, ref.point), where
-            for name in ("infl", "side_dep", "side_infl", "stale"):
+            for name in ("infl", "side_dep", "side_infl"):
                 ours, theirs = getattr(st, name), getattr(ref, name)
                 assert {u: list(row.items()) for u, row in ours.items()} == \
                     {u: list(row.items()) for u, row in theirs.items()}, (where, name)
             assert list(st.infl) == list(ref.infl), where
+            assert inexact_infl(sys_, st, walk.reach.succ) == {}, where
             reach = walk.reach
             walks += bool(reuse.reusable)
             left += bool(walk.left)

@@ -401,13 +401,15 @@ ROW_DAMAGE = {
     "negative-point": "ValueError: a row of point has a negative index",
     "negative-infl": "ValueError: a row of infl has a negative index",
     "negative-side_infl": "ValueError: a row of side_infl has a negative index",
-    "negative-stale": "ValueError: a row of stale has a negative index",
     "negative-gone": "ValueError: a row of infl has a negative index",
+    # a table that the state does not have (stale went in format 9)
+    "unknown-solver-table": "ValueError: unknown solver table 'stale'",
+    "unknown-session-table": "ValueError: unknown session table 'functionz'",
 }
 
 # the row that each negative-* damage of another table adds to a solver section
 NEGATIVE_ROWS = {"sigma": [-1, -1], "stable": -1, "point": -1, "infl": [0, [-1]],
-                 "side_infl": [-1, [0]], "stale": [0, [1, -1]]}
+                 "side_infl": [-1, [0]]}
 
 
 @pytest.mark.parametrize("damage", list(ROW_DAMAGE))
@@ -415,15 +417,23 @@ def test_a_contribution_out_of_range_or_of_another_domain_exits_two(tmp_path, da
     """A side_dep row names its target and its producers by unknown index:
     a producer one past the unknowns, a negative target or a negative
     producer, in the base or in a record, is refused; so is a row of any
-    other table, or a key of a row that went, with a negative index."""
+    other table, or a key of a row that went, with a negative index, and a
+    row of a solver or session table that does not exist."""
     src, sd = str(tmp_path / "prog.mc"), str(tmp_path / "state")
     opts = cli.Options(state_dir=sd)
     write(src, _corpus_versions(0)[0])
     g0, init = {"k": "global", "name": "g0"}, {"k": "init"}
 
-    def bad_row(solver):  # init as a producer of g0
+    def bad_row(doc):  # init as a producer of g0
+        solver = doc["solver"]
         unknowns, rows = solver["unknowns"], solver["put"]["side_dep"]
         table = damage.removeprefix("negative-")
+        if damage == "unknown-solver-table":
+            solver["put"]["stale"] = [[0, [1]]]
+            return
+        if damage == "unknown-session-table":
+            doc["put"]["functionz"] = {"f": ["", ""]}
+            return
         if table == "gone":
             solver["gone"]["infl"] = [-1]
             return
@@ -442,12 +452,12 @@ def test_a_contribution_out_of_range_or_of_another_domain_exits_two(tmp_path, da
     for name in (BASE, JOURNAL):
         assert cli.cmd_analyze(src, opts, io.StringIO(), io.StringIO()) == 0
         if name == BASE:
-            _rewrite_base(sd, lambda doc: bad_row(doc["solver"]))
+            _rewrite_base(sd, bad_row)
         else:
-            solver = {"unknowns": [init, g0], "values": [], "put": {"side_dep": [[1, [0]]]},
-                      "gone": {}}
-            bad_row(solver)
-            _append_record(sd, opts, {}, solver)
+            doc = {"solver": {"unknowns": [init, g0], "values": [],
+                              "put": {"side_dep": [[1, [0]]]}, "gone": {}}, "put": {}}
+            bad_row(doc)
+            _append_record(sd, opts, doc["put"], doc["solver"])
         for command in (cli.cmd_reanalyze, cli.cmd_compare):
             out, err = io.StringIO(), io.StringIO()
             assert command(src, opts, out, err) == 2 and out.getvalue() == ""
