@@ -40,7 +40,7 @@ from dataclasses import dataclass, fields
 from typing import Optional, TextIO
 
 from . import journal
-from .consys import NodeCtx, unknown_key
+from .consys import MAIN, NodeCtx, unknown_key
 from .domains import DomainError, leq
 from .increment import Reach, reanalyze, recorded_contexts
 from .minic import MiniCError, Program, build_system, parse
@@ -309,14 +309,15 @@ def run_reanalysis(session: Session, text: str, filename: str,
     prog = parse(text, session.program)
     state, index = session.state, session.store.index
     # A session from `empty` or `load_bundle` has no index: its contexts are
-    # read off σ, and its reach off the snapshot the reanalysis takes.
+    # read off σ, and its reach off the state before the run.
     contexts = index.contexts if index is not None else \
         recorded_contexts(state, session.assignment)
+    reach = Reach.of(state, MAIN) if index is None else None
     changes, built, run_stats, start, reuse = reanalyze(
         session.digests, session.assignment, state, prog, opts.mode, opts.restart,
         opts.domain, restart_wpoint=opts.wpoint_restart, contexts=contexts)
-    if index is None:
-        session.store.index = PostIndex.of(session.store, Reach.of(start, built.sys), contexts,
+    if reach is not None:
+        session.store.index = PostIndex.of(session.store, reach.find_leaves(built.sys), contexts,
                                            session.assignment)
     store, post_stats = postprocess(built, state, session.store, filename, reuse)
     on_disk = session.image is not None and session.then is None  # loaded or saved
@@ -630,11 +631,14 @@ def cmd_serve(opts: Options, socket_path: Optional[str],
 # ---------------------------------------------------------------------------
 
 
-def _add_flags(p: argparse.ArgumentParser, reanalyzes: bool, reports: bool) -> None:
+def _add_flags(p: argparse.ArgumentParser, reanalyzes: bool, counts: bool,
+               reports: bool) -> None:
     """The option flags of a command: those of the options a bundle must
     have been produced with and of where it is, and, if the command
-    `reanalyzes`, those of how and with what counters, and, if it `reports`
-    warnings in its exit code, ``--fail-on-warn``."""
+    `reanalyzes` a previous version, those of how it destabilizes and
+    restarts (an analysis reanalyzes the empty version, where neither does
+    anything), if it `counts`, ``--stats``, and, if it `reports` warnings
+    in its exit code, ``--fail-on-warn``."""
     if reanalyzes:
         p.add_argument("--mode", choices=["plain", "reluctant"], default=Options.mode,
                        help="destabilization strategy for reanalysis")
@@ -647,7 +651,7 @@ def _add_flags(p: argparse.ArgumentParser, reanalyzes: bool, reports: bool) -> N
                    help="integer value domain")
     p.add_argument("--state-dir", default=Options.state_dir,
                    help="where analysis state persists")
-    if reanalyzes:
+    if counts:
         p.add_argument("--stats", action="store_true", help="print solver counters to stderr")
     if reports:
         p.add_argument("--fail-on-warn", action="store_true",
@@ -668,21 +672,21 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("analyze", help="from-scratch analysis")
     p.add_argument("source")
-    _add_flags(p, reanalyzes=True, reports=True)
+    _add_flags(p, reanalyzes=False, counts=True, reports=True)
 
     p = sub.add_parser("reanalyze", help="incremental reanalysis against saved state")
     p.add_argument("source")
     p.add_argument("--explain-diff", action="store_true",
                    help="include the function-level change set in the output")
-    _add_flags(p, reanalyzes=True, reports=True)
+    _add_flags(p, reanalyzes=True, counts=True, reports=True)
 
     p = sub.add_parser("compare", help="compare saved state against a from-scratch run")
     p.add_argument("source")
-    _add_flags(p, reanalyzes=False, reports=False)
+    _add_flags(p, reanalyzes=False, counts=False, reports=False)
 
     p = sub.add_parser("serve", help="JSON line-protocol server (stdio or unix socket)")
     p.add_argument("--socket", default=None, help="unix socket path (default: stdio)")
-    _add_flags(p, reanalyzes=True, reports=False)
+    _add_flags(p, reanalyzes=True, counts=True, reports=False)
 
     ns = parser.parse_args(argv)
     opts = _options(ns)

@@ -46,9 +46,10 @@ is no longer reached from the query, or now contributes another value, is
 one a reset would have dropped: its global is reset then, and the query
 solved again.
 
-`reanalyze` takes one snapshot of the solver's tables (`tdsolver.tables`),
-which the save reads too (`journal`), and decides once, as the solve
-returns, what the post-solve walk may reuse.  The *untouched* unknowns are
+`reanalyze` takes one snapshot of σ and the solver's sets and starts the
+log of the rows its maps write (`tdsolver.tables`), which the save reads
+too (`journal`), and decides once, as the solve returns, what the
+post-solve walk may reuse.  The *untouched* unknowns are
 stable in the snapshot and now, and the solver did not evaluate them.  The
 *reusable* ones are untouched, and σ at them, at their last reads and at
 their side targets is the snapshot's; after an edit of the global
@@ -70,7 +71,7 @@ Pruning then deletes the unknowns that left and the rows that name them,
 found through the same predecessors and the run's reads, so a reanalysis
 walks and prunes about what the solver touched.  An analysis starts from
 the empty `Reach`; a state without one, loaded from a bundle, has it read
-off its tables (`Reach.of`).
+off the state before the run (`Reach.of`).
 """
 
 from __future__ import annotations
@@ -417,12 +418,8 @@ def _reset(g: Unknown, st: SolverState) -> None:
 def _drop_side(st: SolverState, x: Unknown, g: Unknown) -> None:
     """Forget that `x` side-effects `g`: `x` is no longer among the
     producers of `g`, nor `g` among its side targets."""
-    for m, a, b in ((st.side_dep, g, x), (st.side_infl, x, g)):
-        row = m.get(a)
-        if row is not None:
-            row.pop(b, None)
-            if not row:
-                del m[a]
+    st.side_dep.drop(g, x)
+    st.side_infl.drop(x, g)
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +460,9 @@ def reanalyze(old_digests: dict, old_asg: NodeAssignment, st: SolverState,
     `contexts` are the old version's `recorded_contexts`.  The
     restart set is read off the old state before relabeling erases the old
     unknowns.  Returns the change set, the new system, the solver's per-step
-    statistics plus the keys of the restarted globals, the snapshot of the
-    solver's tables as the run found them and what the walk may reuse."""
+    statistics plus the keys of the restarted globals, the solver's tables
+    as the run found them (`tdsolver.tables`: σ, the sets and the maps'
+    logs) and what the walk may reuse."""
     start = tables(st)
     changes = detect_changes(old_digests, new_prog)
     restarted = select_restart_globals(changes, st, old_asg) if restart == "minimal" else {}
@@ -537,39 +535,44 @@ class Reach:
     are the reached set; for a reached unknown with a rhs that is stable,
     its successors are the inverse of ``infl`` plus ``side_infl``, which
     the walk keeps exact (see `reachable_set`).  Not persisted: `of` reads
-    it off the tables of a state that a walk and pruning left."""
+    it off a state that a walk and pruning left."""
 
     succ: Dict[Unknown, Tuple[Unknown, ...]]
     leaves: Set[Unknown]
     unstable: Set[Unknown]
 
     @staticmethod
-    def of(start: dict, sys_: EqSys) -> "Reach":
-        """The `Reach` of the walk that left the solver tables `start`
-        (`tdsolver.tables`, empty before an analysis), by the invariant
-        above: what is reachable from the query through those successors.
-        Its leaves are the reached unknowns without a rhs in `sys_`, which
-        differs from the system the walk ran on only at unknowns that are
-        not reusable, so that the next walk evaluates them.  Each row of
-        the inverse of ``infl`` is dropped as the walk reaches it, so that
-        the inverse and the `Reach` are not held whole at once."""
+    def of(st: SolverState, query: Unknown) -> "Reach":
+        """The `Reach` of the walk that left `st`, before a run changes it
+        (an empty one before an analysis), by the invariant above: what is
+        reachable from `query` through those successors.  Its leaves are
+        left for `find_leaves`, as only the new system knows them.  Each
+        row of the inverse of ``infl`` is dropped as the walk reaches it, so
+        that the inverse and the `Reach` are not held whole at once."""
         succ: Dict[Unknown, Tuple[Unknown, ...]] = {}
-        if sys_.query not in start["stable"]:  # no walk left it
+        if query not in st.stable:  # no walk left it
             return Reach(succ, set(), set())
         reads: Dict[Unknown, List[Unknown]] = {}
-        for y, xs in start["infl"].items():
+        for y, xs in st.infl.items():
             for x in xs:
                 reads.setdefault(x, []).append(y)
-        side_infl = start["side_infl"]
-        stack = [sys_.query]
+        side_infl = st.side_infl
+        stack = [query]
         while stack:
             u = stack.pop()
             if u in succ:
                 continue
             out = succ[u] = (*reads.pop(u, ()), *side_infl.get(u, ()))
             stack.extend(y for y in out if y not in succ)
-        return Reach(succ, {u for u in succ if not sys_.has_rhs(u)},
-                     succ.keys() - start["stable"])
+        return Reach(succ, set(), succ.keys() - st.stable)
+
+    def find_leaves(self, sys_: EqSys) -> "Reach":
+        """This `Reach` with its leaves: the reached unknowns without a rhs
+        in `sys_`, the system after the edit, which differs from the one
+        the walk ran on only at unknowns that are not reusable, so that the
+        next walk evaluates them."""
+        self.leaves = {u for u in self.succ if not sys_.has_rhs(u)}
+        return self
 
 
 @dataclass
@@ -642,7 +645,7 @@ def reachable_set(sys_: EqSys, st: SolverState, visit: Optional[Callable], reuse
         if len(candidates) != len(es.queried) or u not in st.stable:
             for y in candidates:
                 if y not in es.queried:
-                    _drop_member(st.infl, y, u)
+                    st.infl.drop(y, u)
         return _same_objects((*es.queried, *es.sides), held, reuse.changed)
 
     old: Dict[Unknown, Tuple[Unknown, ...]] = {}  # non-reusable unknown -> its old successors
@@ -737,19 +740,12 @@ def prune(st: SolverState, left: Dict[Unknown, Tuple[Unknown, ...]]) -> None:
         st.stable.discard(v)
         st.point.discard(v)
         for y in read:
-            _drop_member(infl, y, v)
+            infl.drop(y, v)
         for g in side_infl.get(v, ()):
-            _drop_member(side_dep, g, v)
+            side_dep.drop(g, v)
         for x in side_dep.get(v, ()):
-            _drop_member(side_infl, x, v)
+            side_infl.drop(x, v)
     for v in left:
-        for m in (infl, side_dep, side_infl):
-            m.pop(v, None)
-
-
-def _drop_member(m: Dict[Unknown, dict], key: Unknown, member: Unknown) -> None:
-    row = m.get(key)
-    if row is not None and member in row:
-        del row[member]
-        if not row:
-            del m[key]
+        infl.take(v)
+        side_dep.take(v)
+        side_infl.take(v)

@@ -8,12 +8,14 @@ the empty session with the base and then every record of the journal
 replayed in order, all by `replay`, so every row is checked by the same
 code however it was written.
 
-What a record holds is found without any bookkeeping in the solver or the
-pipeline.  A reanalysis keeps what it began from (`tables`): its snapshot
-of the solver's tables, which the run mutates, and the session's other
-rows, which the run replaces.  The save diffs the new session, read in
-place, against them and writes only the changed and the removed rows; a
-base is the diff against `EMPTY`.  The solver's tables and their rows are
+A reanalysis keeps what it began from (`tables`): the solver's tables as
+the run found them, which the run mutates, and the session's other rows,
+which the run replaces.  Of the solver, that is a snapshot of σ and the
+sets, and a log of the rows of its maps: each map logs what a row was the
+first time the reanalysis writes it (`tdsolver.Rows`), so that no map is
+copied or compared whole.  The save compares the new session, read in
+place, with them and writes only the changed and the removed rows; a base
+is the difference from `EMPTY`.  The solver's tables and their rows are
 `tdsolver`'s (`tdsolver.tables`, `state_to_json`, `state_from_json`); the
 rows of the digests, node ids, access records and scalars are this
 module's, compared by equality; an access record row's producer unknown

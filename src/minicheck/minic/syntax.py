@@ -23,25 +23,30 @@ assignment target, plus the synthetic ``ret``.  Comments are ``//`` and
 
 `parse` works item by item.  One scan over braces, depth-0 semicolons and
 comments splits the source into top-level *items*, one declaration each.
-A ``Program`` keeps its items (`Item`) keyed by their start line, start
-column and text.  This item table is never persisted; ``cli.Session``
-keeps the last version's ``Program`` in memory.  Given that previous
-``Program``, an item whose key is unchanged is the same object again: its
-declaration, digests and CFG (see ``cfg``) are reused, and only new items
-are lexed, parsed, checked and digested.  An edit that shifts lines gives
-every item below it a new key.  Errors are those of a parse of the whole
-text: every new item is lexed before any is parsed, items are parsed in
-order, and the body of an unchanged function is checked again whenever a
-global or mutex name or a function header changed.
+A ``Program`` keeps its text and its items (`Item`) keyed by their start
+line, start column and text, with the offset each starts at.  This item
+table is never persisted; ``cli.Session`` keeps the last version's
+``Program`` in memory.  Given that previous ``Program``, only the span of
+the text between its common prefix and common suffix with the previous
+text is scanned again (`_resplit`; the items outside it are kept, as in
+Wagner and Graham's incremental parsing), and an item whose key is
+unchanged is the same object again: its declaration, digests and CFG (see
+``cfg``) are reused, and only new items are lexed, parsed, checked and
+digested.  An edit that shifts lines gives every item below it a new key.
+Errors are those of a parse of the whole text: every new item is lexed
+before any is parsed, items are parsed in order, and the body of an
+unchanged function is checked again whenever a global or mutex name or a
+function header changed.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import hashlib
 import re
 from dataclasses import dataclass, field
-from typing import List, NamedTuple, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 
 class MiniCError(Exception):
@@ -230,6 +235,8 @@ class Program:
     functions: dict = field(default_factory=dict)  # name -> Function, in order
     # (line, col, text) -> Item, in source order
     items: dict = field(default_factory=dict, compare=False, repr=False)
+    text: str = field(default="", compare=False, repr=False)  # the source
+    starts: list = field(default_factory=list, compare=False, repr=False)  # each item's offset
     parsed: int = field(default=0, compare=False, repr=False)  # function items parsed anew
 
     def global_names(self) -> set:
@@ -792,8 +799,11 @@ _SCAN_NESTED = re.compile(r"[{}/]")
 _GAP = re.compile(r"(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*", re.DOTALL)
 
 
-def _split(text: str) -> List[Tuple[int, int, str]]:
-    """The top-level items of `text`: (line, col, text) of each, in order.
+def _split(text: str, pos: int = 0, line: int = 1,
+           stop: Optional[Callable[[int, int], bool]] = None) -> Tuple[List[tuple], List[int]]:
+    """The top-level items of `text` after `pos`, which is 0 or the end of
+    an item, on `line`: (line, col, text) of each, in order, and the offset
+    each starts at.
 
     An item starts after the whitespace and comments that follow the item
     before it, and ends at a ";" at brace depth 0 or at the "}" that brings
@@ -802,43 +812,110 @@ def _split(text: str) -> List[Tuple[int, int, str]]:
     the whole text would.  A "}" at depth 0 ends an item too, which the
     parser rejects.  Text after the last item is one more item; so is
     everything from the start of the item that holds an unterminated "/*",
-    whose lexing reports it."""
-    out: List[Tuple[int, int, str]] = []
+    whose lexing reports it.  The split ends before the first item whose
+    offset and line `stop` holds for."""
+    keys: List[tuple] = []
+    starts: List[int] = []
     search_top, search_nested, gap = _SCAN_TOP.search, _SCAN_NESTED.search, _GAP.match
     n = len(text)
-    start = pos = gap(text).end()
-    line = 1 + text.count("\n", 0, start)
-    col = start - text.rfind("\n", 0, start)
-    depth = 0
-    while True:
-        m = (search_nested if depth else search_top)(text, pos)
-        if m is None:
-            break
-        pos = m.end()
-        c = m.group()
-        if c == "{":
-            depth += 1
-            continue
-        if c == "/":
-            if text.startswith("/", pos):
-                pos = text.find("\n", pos)
-                pos = n if pos < 0 else pos
-            elif text.startswith("*", pos):
-                pos = text.find("*/", pos + 1) + 2
-                if pos == 1:
-                    break  # an unterminated "/*"
-            continue
-        if c == "}" and depth:
-            depth -= 1
-        if depth == 0:
-            out.append((line, col, text[start:pos]))
-            pos = gap(text, pos).end()
-            line += text.count("\n", start, pos)
-            col = pos - text.rfind("\n", 0, pos)
-            start = pos
-    if start < n:
-        out.append((line, col, text[start:]))
-    return out
+    start = gap(text, pos).end()
+    line += text.count("\n", pos, start)
+    while start < n and not (stop is not None and stop(start, line)):
+        pos, end, depth = start, n, 0
+        while True:
+            m = (search_nested if depth else search_top)(text, pos)
+            if m is None:
+                break
+            pos = m.end()
+            c = m.group()
+            if c == "{":
+                depth += 1
+                continue
+            if c == "/":
+                if text.startswith("/", pos):
+                    pos = text.find("\n", pos)
+                    pos = n if pos < 0 else pos
+                elif text.startswith("*", pos):
+                    pos = text.find("*/", pos + 1) + 2
+                    if pos == 1:
+                        break  # an unterminated "/*"
+                continue
+            if c == "}" and depth:
+                depth -= 1
+            if depth == 0:
+                end = pos
+                break
+        keys.append((line, start - text.rfind("\n", 0, start), text[start:end]))
+        starts.append(start)
+        pos = gap(text, end).end()
+        line += text.count("\n", start, pos)
+        start = pos
+    return keys, starts
+
+
+def _resplit(old: str, keys: List[tuple], starts: List[int],
+             text: str) -> Tuple[List[tuple], List[int]]:
+    """`_split(text)`, given `_split(old)` as `keys` and `starts`, found by
+    splitting only the span of `text` that differs from `old`.
+
+    Between the common prefix and the common suffix of the two texts lies
+    the change.  The items that end before it are kept, but for the last
+    item, which may be unterminated.  The split starts after them and stops
+    at the first item start past the change, with a line break between the
+    two, that is also an item start of `old` (shifted by the change's
+    length): from an item start, a split sees only the text after it, so
+    that item and the ones after it are `old`'s, on lines shifted by as
+    many as the change added, and in the same columns."""
+    n = min(len(old), len(text))
+    prefix = _agreeing(n, lambda lo, hi: text.startswith(old[lo:hi], lo))
+    suffix = _agreeing(n - prefix, lambda lo, hi: text.endswith(
+        old[len(old) - hi:len(old) - lo], 0, len(text) - lo))
+    shift, changed = len(text) - len(old), len(text) - suffix
+    k = bisect.bisect_right(starts, prefix) - 1
+    if k >= 0 and starts[k] + len(keys[k][2]) > prefix:
+        k -= 1  # the item the change begins in
+    k = min(k, len(keys) - 2)
+    pos, line = (starts[k] + len(keys[k][2]), keys[k][0] + keys[k][2].count("\n")) \
+        if k >= 0 else (0, 1)
+    resumed: List[Tuple[int, int]] = []  # the old item it stops at, and the lines added
+
+    def stop(start: int, at: int) -> bool:
+        if start < changed or text.find("\n", changed, start) < 0:
+            return False
+        j = bisect.bisect_left(starts, start - shift)
+        if j == len(starts) or starts[j] != start - shift:
+            return False
+        resumed.append((j, at - keys[j][0]))
+        return True
+
+    mid_keys, mid_starts = _split(text, pos, line, stop)
+    out_keys, out_starts = keys[:k + 1] + mid_keys, starts[:k + 1] + mid_starts
+    if resumed:
+        j, lines = resumed[0]
+        out_keys += [(l + lines, c, t) for l, c, t in keys[j:]] if lines else keys[j:]
+        out_starts += [s + shift for s in starts[j:]] if shift else starts[j:]
+    return out_keys, out_starts
+
+
+def _agreeing(n: int, same: Callable[[int, int], bool]) -> int:
+    """The length, at most `n`, of the longest span at the start (or at the
+    end) of two texts on which they agree, where `same(lo, hi)` says
+    whether they agree from `lo` to `hi`, counted from that side, given that
+    they agree up to `lo`.  Spans of doubling length are compared until one
+    differs, which is then bisected: a few comparisons, each made in C."""
+    lo, size = 0, 256
+    while lo < n:
+        hi = min(n, lo + size)
+        if not same(lo, hi):
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if same(lo, mid):
+                    lo = mid
+                else:
+                    hi = mid
+            return lo
+        lo, size = hi, size * 2
+    return n
 
 
 def parse(text: str, previous: Optional[Program] = None) -> Program:
@@ -846,8 +923,12 @@ def parse(text: str, previous: Optional[Program] = None) -> Program:
 
     An item of `previous`, the parsed previous version, whose line, column
     and text are unchanged is reused; only the other items are lexed,
-    parsed, checked and digested (see the module docstring)."""
-    prog, new = _parse_items(_split(text), previous.items if previous is not None else {})
+    parsed, checked and digested (see the module docstring).  With
+    `previous`, only the span of the text that changed is split again."""
+    keys, starts = _split(text) if previous is None else \
+        _resplit(previous.text, list(previous.items), previous.starts, text)
+    prog, new = _parse_items(keys, previous.items if previous is not None else {})
+    prog.text, prog.starts = text, starts
     # What the body of an unchanged function was checked against before:
     # the global and mutex names and every function header.
     same_context = previous is not None \

@@ -67,17 +67,79 @@ class Violation:
         return f"Violation({self.kind} at {self.unknown!r}: {self.detail})"
 
 
+class Rows(dict):
+    """One of the solver's maps: unknown -> its members, an insertion-ordered
+    set (a dict with None values).  Its four methods are the one writer of
+    its rows (`tests/test_hygiene.py` pins it); nothing else sets, changes
+    or removes one.
+
+    While `log` is a dict (from `tables` until `state_to_json` writes the
+    record), a method that changes a row records there, the first time,
+    what the row was: the tuple of its members, or None if it was absent.
+    So a record visits the rows a reanalysis wrote, not the whole map.
+    `log` is None at rest, and stays None for a map that was empty when
+    `tables` was taken: every row it has at the save is new."""
+
+    __slots__ = ("log",)
+
+    def __init__(self, *rows):
+        super().__init__(*rows)
+        self.log: Optional[Dict[Unknown, Optional[Tuple[Unknown, ...]]]] = None
+
+    def _note(self, key: Unknown, row: Optional[Dict[Unknown, None]]) -> None:
+        """Log `row`, the row of `key` before a change, unless it is logged."""
+        if key not in self.log:
+            self.log[key] = None if row is None else tuple(row)
+
+    def add(self, key: Unknown, member: Unknown) -> None:
+        """Add `member` to the row of `key`, last, if it is not in it."""
+        row = self.get(key)
+        if row is None or member not in row:
+            if self.log is not None:
+                self._note(key, row)
+            if row is None:
+                self[key] = {member: None}
+            else:
+                row[member] = None
+
+    def drop(self, key: Unknown, member: Unknown) -> None:
+        """Remove `member` from the row of `key`; a row it empties goes."""
+        row = self.get(key)
+        if row is not None and member in row:
+            if self.log is not None:
+                self._note(key, row)
+            if len(row) == 1:
+                del self[key]
+            else:
+                del row[member]
+
+    def take(self, key: Unknown) -> Optional[Dict[Unknown, None]]:
+        """Remove the row of `key` and return it; None if there is none."""
+        row = self.pop(key, None)
+        if row is not None and self.log is not None:
+            self._note(key, row)
+        return row
+
+    def put(self, key: Unknown, members: Iterable[Unknown]) -> None:
+        """Make `members` the row of `key`, in order, where the row was."""
+        if self.log is not None:
+            self._note(key, self.get(key))
+        self[key] = dict.fromkeys(members)
+
+
 class SolverState:
     """Mutable solver data, persistent between runs.
 
-    ``infl``, ``side_dep`` and ``side_infl`` are insertion-ordered sets
-    (dicts with None values); destabilization iterates ``infl`` in recorded
-    order, which keeps counters and warning output reproducible.
-    ``side_dep`` maps each side-effected unknown to its producers, in the
-    order they were first recorded, and ``side_infl`` each producer to what
-    its last evaluation side-effected.  A stable producer's contribution is
-    what a pure evaluation of its rhs under σ side-effects: restarting a
-    global recomputes it so (`increment.restart_globals`).
+    ``infl``, ``side_dep`` and ``side_infl`` are `Rows`: insertion-ordered
+    sets per unknown, written only through their methods, which log what
+    they change while a reanalysis runs (see `tables`).  Destabilization
+    iterates ``infl`` in recorded order, which keeps counters and warning
+    output reproducible.  ``side_dep`` maps each side-effected unknown to
+    its producers, in the order they were first recorded, and
+    ``side_infl`` each producer to what its last evaluation side-effected.
+    A stable producer's contribution is what a pure evaluation of its rhs
+    under σ side-effects: restarting a global recomputes it so
+    (`increment.restart_globals`).
 
     The solver only adds to ``infl``: `x` stays in ``infl[y]`` after an
     evaluation of `x` that no longer reads `y`.  The post-solve walk drops
@@ -88,12 +150,12 @@ class SolverState:
 
     def __init__(self):
         self.sigma: Dict[Unknown, Value] = {}
-        self.infl: Dict[Unknown, Dict[Unknown, None]] = {}
+        self.infl = Rows()
         self.stable: set = set()
         self.called: set = set()
         self.point: set = set()
-        self.side_dep: Dict[Unknown, Dict[Unknown, None]] = {}
-        self.side_infl: Dict[Unknown, Dict[Unknown, None]] = {}
+        self.side_dep = Rows()
+        self.side_infl = Rows()
         self.rhs_evals = 0
         self.destabilizations = 0
 
@@ -105,7 +167,7 @@ class SolverState:
         while stack:
             u = stack.pop()
             self.destabilizations += 1
-            w = self.infl.pop(u, None)
+            w = self.infl.take(u)
             if not w:
                 continue
             targets = list(w)
@@ -172,7 +234,7 @@ class Solver:
             x, t, y = f.x, f.node, f.wait
             if y is not None:  # y's frame has finished
                 f.wait = None
-                st.infl.setdefault(y, {})[x] = None
+                st.infl.add(y, x)
                 f.reads[y] = None
                 t = t.cont(self._get(y))
             while True:
@@ -190,7 +252,7 @@ class Solver:
                         f.node, f.wait = t, y
                         self._push(stack, y, Phase.WIDEN)
                         break
-                    st.infl.setdefault(y, {})[x] = None
+                    st.infl.add(y, x)
                     f.reads[y] = None
                     t = t.cont(self._get(y))
                 elif isinstance(t, QSet):
@@ -218,7 +280,7 @@ class Solver:
         self.evals_by_unknown[x] = self.evals_by_unknown.get(x, 0) + 1
         f.reads = self.reads.setdefault(x, f.reads)
         f.prev_sides = list(st.side_infl.get(x, ()))
-        st.side_infl[x] = {}
+        st.side_infl.put(x, ())
         f.node = self.sys.rhs(x)
         if f.node is None:
             raise EvalError(x, "unknown has no right-hand side")
@@ -235,13 +297,9 @@ class Solver:
         current = st.side_infl[x]
         for g in f.prev_sides:
             if g not in current:
-                m = st.side_dep.get(g)
-                if m is not None:
-                    m.pop(x, None)
-                    if not m:
-                        del st.side_dep[g]
+                st.side_dep.drop(g, x)
         if not current:
-            del st.side_infl[x]
+            st.side_infl.take(x)
         st.called.discard(x)
         if x in st.point:
             cur = self._get(x)
@@ -291,8 +349,8 @@ class Solver:
             st.sigma[g] = new
             st.stable.add(g)
             st.destabilize(g)
-        st.side_infl.setdefault(x, {})[g] = None
-        st.side_dep.setdefault(g, {})[x] = None
+        st.side_infl.add(x, g)
+        st.side_dep.add(g, x)
 
 
 def run(sys_: EqSys, state: SolverState, pre_solve: Iterable[Unknown] = (), *,
@@ -355,15 +413,17 @@ def verify_solution(sys_: EqSys, state: SolverState,
 # ---------------------------------------------------------------------------
 # Persistence: the solver section of a journal record (see `journal`).  A
 # record holds the rows of σ, of the maps and of the sets that differ
-# between a snapshot of the state's tables (`tables`) and the state, and the
-# keys of the rows that went.  Every unknown it mentions is written once,
-# into "unknowns" (sorted by sort_key), and every distinct value of σ once,
-# into "values" (in order of first use); the rows refer to both by index.
-# The section has no format number of its own: the bundle's format covers
-# it.  A reanalysis takes one snapshot when it begins; the post-solve walk
-# compares σ and stable with it, and the save writes the record from it to
-# the state.  called is not persisted: it is empty at rest.  A record that
-# names a table the state does not have is refused.
+# between what the state was when a reanalysis began (`tables`) and the
+# state, and the keys of the rows that went.  Every unknown it mentions is
+# written once, into "unknowns" (sorted by sort_key), and every distinct
+# value of σ once, into "values" (in order of first use); the rows refer to
+# both by index.  The section has no format number of its own: the bundle's
+# format covers it.  A reanalysis takes one snapshot of σ and the sets when
+# it begins; the post-solve walk compares σ and stable with it, and the save
+# compares every row of σ and the sets.  The maps are not copied: their
+# rows are logged as they are written (`Rows`), and the save compares only
+# the logged rows.  called is not persisted: it is empty at rest.  A record
+# that names a table the state does not have is refused.
 # ---------------------------------------------------------------------------
 
 MAPS = ("infl", "side_dep", "side_infl")  # unknown -> its members, in order
@@ -371,25 +431,31 @@ SETS = ("stable", "point")
 
 
 def tables(state: SolverState) -> Dict[str, object]:
-    """A snapshot of the persisted data of `state` as tables of rows: σ,
-    each map's rows as the tuple of their members, in order (it drives
-    destabilization), the sets and the counters.  Values are shared, never
-    mutated; the rest is copied."""
+    """What `state` is as a reanalysis begins, for `state_to_json`: a copy
+    of σ, of the sets and of the counters, and each map's log, which this
+    starts (None for an empty map, whose rows will all be new).  The log
+    holds each row a `Rows` method changes from now on, as it was (the
+    tuple of its members, in order, as it drives destabilization), until
+    the record is written.  Values are shared, never mutated."""
     out: Dict[str, object] = {"sigma": dict(state.sigma), "stable": set(state.stable),
                               "point": set(state.point),
                               "counters": {"rhs_evals": state.rhs_evals,
                                            "destabilizations": state.destabilizations}}
     for name in MAPS:
-        out[name] = {u: tuple(members) for u, members in getattr(state, name).items()}
+        rows = getattr(state, name)
+        rows.log = out[name] = {} if rows else None
     return out
 
 
 def state_to_json(then: dict, state: SolverState) -> Iterator[Tuple[str, object]]:
-    """The solver section of the record that turns the tables `then` (an
-    empty dict for the empty state) into `state`, which is read in place,
-    as (member, JSON value) pairs.  σ's rows differ when their values are
-    distinct objects (a value the run did not touch is still the object it
-    was), the others when they are unequal.
+    """The solver section of the record that turns `then` (`tables` as a
+    reanalysis began, or an empty dict for the empty state) into `state`,
+    which is read in place, as (member, JSON value) pairs.  It ends the
+    maps' logs.  σ's rows differ when their values are distinct objects (a
+    value the run did not touch is still the object it was), the sets'
+    when they are in one and not the other.  Of a map, the rows its log
+    holds are visited, each with what it was; without a log every row is
+    new.
 
     The rows that differ are found when it is called.  The section is
     written as it is built: the "unknowns" and "values" arrays are `map`s
@@ -397,22 +463,33 @@ def state_to_json(then: dict, state: SolverState) -> Iterator[Tuple[str, object]
     each built when the writer reaches it (see `journal.write_json`)."""
     put: Dict[str, object] = {}
     gone: Dict[str, object] = {}
+    # A table now has as many rows as then, less those that went, plus those
+    # that came: a save after which none went does not look for them.
     for name in SETS:
         old, now = then.get(name, set()), getattr(state, name)
-        put[name], gone[name] = now - old, old - now
+        put[name] = now - old
+        gone[name] = old - now if len(old) + len(put[name]) != len(now) else ()
     # A set built from a dict, a set's update with one and its difference
     # with one reuse the keys' stored hashes: no unknown's __hash__ runs.  So
     # when every row is new (a base), the table itself stands for its keys.
     # No row is None, and no map's row is empty at rest.
-    for name in ("sigma",) + MAPS:
-        old, rows = then.get(name, {}), getattr(state, name)
-        if not old:
-            put[name] = rows
-        elif name == "sigma":
-            put[name] = [u for u, v in rows.items() if old.get(u) is not v]
+    old, sigma = then.get("sigma", {}), state.sigma
+    if old:
+        put["sigma"] = [u for u, v in sigma.items() if old.get(u) is not v]
+        came = sum(u not in old for u in put["sigma"])
+        gone["sigma"] = set(old).difference(sigma) if len(old) + came != len(sigma) else ()
+    else:
+        put["sigma"], gone["sigma"] = sigma, ()
+    for name in MAPS:
+        rows = getattr(state, name)
+        rows.log = None
+        log = then.get(name)
+        if log is None:
+            put[name], gone[name] = rows, ()
         else:
-            put[name] = [u for u, v in rows.items() if old.get(u) != tuple(v)]
-        gone[name] = set(old).difference(rows)
+            put[name] = [u for u, was in log.items()
+                         if u in rows and tuple(rows[u]) != was]
+            gone[name] = [u for u, was in log.items() if was is not None and u not in rows]
     mentioned = set(put["sigma"])
     for name in SETS:
         mentioned.update(put[name])
@@ -495,13 +572,14 @@ def state_from_json(state: SolverState, doc: dict) -> Optional[dict]:
             raise ValueError("a row of sigma has a negative index")
         sigma[unknowns[i]] = values[v]
     for name in MAPS:
-        m = getattr(state, name)
+        rows = getattr(state, name)
         for i in gone.get(name, ()):
-            del m[unknowns[i]]
+            if rows.take(unknowns[i]) is None:
+                raise KeyError(unknowns[i])
         for i, members in put.get(name, ()):
             if i < 0 or (members and min(members) < 0):
                 raise ValueError(f"a row of {name} has a negative index")
-            m[unknowns[i]] = dict.fromkeys(unknowns[j] for j in members)
+            rows.put(unknowns[i], [unknowns[j] for j in members])
     for name in SETS:
         s = getattr(state, name)
         s.difference_update(unknowns[i] for i in gone.get(name, ()))

@@ -91,6 +91,26 @@ def solver_section(then: dict, st: SolverState) -> dict:
     return json.loads("".join(parts))
 
 
+def full_tables(st: SolverState) -> dict:
+    """The solver's tables copied whole, the maps' rows as tuples: the
+    oracle for `tdsolver.tables`, whose maps are logs of the rows a
+    reanalysis writes."""
+    out = {name: {u: tuple(row) for u, row in getattr(st, name).items()}
+           for name in tdsolver.MAPS}
+    return {"sigma": dict(st.sigma), "stable": set(st.stable), "point": set(st.point),
+            "counters": {"rhs_evals": st.rhs_evals, "destabilizations": st.destabilizations},
+            **out}
+
+
+def full_section(then: dict, st: SolverState) -> dict:
+    """The solver section of the record that turns `full_tables` `then`
+    into `st`, found by comparing every row of every map: a log that names
+    every key of both."""
+    logs = {name: {u: then[name].get(u) for u in [*then[name], *getattr(st, name)]}
+            for name in tdsolver.MAPS}
+    return solver_section({**then, **logs}, st)
+
+
 def apply_section(st: SolverState, doc: dict) -> None:
     """Apply the solver section `doc` to `st` as a replay does, counters
     included."""
@@ -470,9 +490,9 @@ def full_prune(st: SolverState, reachable) -> None:
                 out[u] = kept
         return out
 
-    st.infl = prune_map(st.infl)
-    st.side_dep = prune_map(st.side_dep)
-    st.side_infl = prune_map(st.side_infl)
+    st.infl = tdsolver.Rows(prune_map(st.infl))
+    st.side_dep = tdsolver.Rows(prune_map(st.side_dep))
+    st.side_infl = tdsolver.Rows(prune_map(st.side_infl))
 
 
 def inexact_infl(sys_: EqSys, st: SolverState, reached) -> dict:

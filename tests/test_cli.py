@@ -19,7 +19,7 @@ from minicheck import cli, consys, journal, postproc, tdsolver
 from minicheck.consys import MAIN, Context, GlobalVar, NodeCtx
 from minicheck.corpus import CorpusSpec, corpus_source, edit_sequence
 from minicheck.domains import LocalState, ValueSet
-from minicheck.minic import parse, system
+from minicheck.minic import parse, syntax, system
 
 from support import FIG2, FIG2_EDIT, log_stable
 
@@ -1365,11 +1365,13 @@ def test_a_serve_no_op_walks_nothing(tmp_path):
     assert again["rhs_evals_total"] == first["rhs_evals_total"]
 
 
-def _padded(n_pads, variant=None):
-    """A 20-function corpus, with `variant` of f003, and `n_pads` more
+def _padded(n_pads, *variants):
+    """A 20-function corpus, with `variants` of f003, and `n_pads` more
     functions that main calls through `pads`, after all the others."""
     spec = CorpusSpec(n_functions=20, seed=7)
-    text = corpus_source(spec if variant is None else spec.with_variant(3, variant))
+    for variant in variants:
+        spec = spec.with_variant(3, variant)
+    text = corpus_source(spec)
     pads = "".join(f"int pad{i}(int p) {{\n  a = p + {i};\n  return a;\n}}\n\n"
                    for i in range(n_pads))
     calls = "".join(f"  r = pad{i}({i % 3});\n" for i in range(n_pads))
@@ -1391,13 +1393,56 @@ def test_the_walk_after_an_edit_does_not_grow_with_the_program(tmp_path):
         served.append(stats[1]["postprocess"]["walked"])
         src = str(tmp_path / f"cli{n_pads}.mc")
         opts = cli.Options(state_dir=str(tmp_path / f"cli{n_pads}"), stats=True)
-        for command, variant in ((cli.cmd_analyze, None), (cli.cmd_reanalyze, "const:9")):
-            write(src, _padded(n_pads, variant))
+        for command, variants in ((cli.cmd_analyze, ()), (cli.cmd_reanalyze, ("const:9",))):
+            write(src, _padded(n_pads, *variants))
             code, _, err = invoke(command, src, opts)
             assert code == 0
         reanalyzed.append(json.loads(err)["postprocess"]["walked"])
     assert served[0] == served[1] > 0
     assert reanalyzed == served
+
+
+def test_the_save_and_the_split_after_an_edit_do_not_grow_with_the_program(tmp_path,
+                                                                          monkeypatch):
+    """A served `const` edit and then a `gval` edit, against the program
+    padded with 100 and with 1,000 functions that they do not touch, log as
+    many map rows for the save to compare and split as many characters of
+    the source again."""
+    logged, rescanned = [], []
+    state_to_json, split = tdsolver.state_to_json, syntax._split
+
+    def logging_state_to_json(then, state):
+        if then:  # a journal record, not a base
+            logged.append(sum(len(then[name] or ()) for name in tdsolver.MAPS))
+        return state_to_json(then, state)
+
+    def counting_split(text, pos=0, line=1, stop=None):
+        end = [len(text)]
+
+        def watched(start, at):
+            if stop(start, at):
+                end[0] = start
+                return True
+            return False
+
+        out = split(text, pos, line, None if stop is None else watched)
+        if stop is not None:
+            rescanned.append(end[0] - pos)
+        return out
+
+    monkeypatch.setattr(tdsolver, "state_to_json", logging_state_to_json)
+    monkeypatch.setattr(syntax, "_split", counting_split)
+    counts = []
+    for n_pads in (100, 1000):
+        del logged[:], rescanned[:]
+        opts = cli.Options(state_dir=str(tmp_path / f"state{n_pads}"), stats=True)
+        stats = _serve_stats(opts, [_padded(n_pads), _padded(n_pads, "const:9"),
+                                    _padded(n_pads, "const:9", "gval:17")],
+                             str(tmp_path / f"prog{n_pads}.mc"))
+        assert [s["persisted"]["kind"] for s in stats] == ["full", "delta", "delta"]
+        counts.append((list(logged), list(rescanned)))
+    assert counts[0] == counts[1]
+    assert len(counts[0][0]) == len(counts[0][1]) == 2 and 0 < min(counts[0][0] + counts[0][1])
 
 
 def test_serve_leaves_no_cyclic_garbage(tmp_path, monkeypatch):
@@ -1567,14 +1612,17 @@ def test_the_command_line_defaults_are_the_option_defaults(monkeypatch, command)
 
 @pytest.mark.parametrize("command,flags", [("compare", ["--mode", "plain"]),
                                            ("compare", ["--stats"]),
-                                           ("serve", ["--fail-on-warn"])])
+                                           ("serve", ["--fail-on-warn"]),
+                                           ("analyze", ["--mode", "plain"]),
+                                           ("analyze", ["--restart", "off"])])
 def test_a_flag_the_command_does_not_read_is_a_usage_error(monkeypatch, capsys, command, flags):
-    """compare reads only --wpoint-restart, --domain and --state-dir, and
-    serve every flag but --fail-on-warn."""
-    for name in ("cmd_compare", "cmd_serve"):
+    """compare reads only --wpoint-restart, --domain and --state-dir, serve
+    every flag but --fail-on-warn, and analyze every flag but --mode and
+    --restart."""
+    for name in ("cmd_analyze", "cmd_compare", "cmd_serve"):
         monkeypatch.setattr(cli, name, lambda *args: pytest.fail("the command ran"))
     with pytest.raises(SystemExit) as exit_:
-        cli.main([command, *(["p.mc"] if command == "compare" else []), *flags])
+        cli.main([command, *([] if command == "serve" else ["p.mc"]), *flags])
     assert exit_.value.code == 2
     assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
 

@@ -26,6 +26,8 @@ from minicheck.minic.syntax import (
     _digest,
     _lex,
     _Parser,
+    _resplit,
+    _split,
     normalize,
     parse,
 )
@@ -224,6 +226,48 @@ def test_item_parse_equals_whole_text_parse_over_random_edits(data):
         parsed = check_version(render(program), previous)
         if parsed is not None:
             previous, valid = parsed, program
+
+
+# -- the split of the changed span ---------------------------------------------------
+
+# Pieces of text that the item split treats specially, not all of them valid
+# MiniC: declarations, braces, semicolons, comments of both kinds, a "/*"
+# that a later piece may close or not, and line breaks.
+TEXT_PIECES = ["int g;", "int f(int p) {\n  return p;\n}", "void* t(void* q) { x = 1; }",
+               "{", "}", ";", "/*", "*/", "/", "//", "// c }\n", "/* a ;\n b { */", "\n",
+               "\n\n", " ", "\t", "x", "g = 2;"]
+
+
+@st.composite
+def edited_text(draw, old: str) -> str:
+    """`old` with a span replaced by other pieces, a line inserted or a
+    line removed."""
+    kind = draw(st.sampled_from(["replace", "insert line", "remove line"]))
+    lines = old.split("\n")
+    if kind == "replace":
+        i = draw(st.integers(0, len(old)))
+        j = draw(st.integers(i, len(old)))
+        return old[:i] + "".join(draw(st.lists(st.sampled_from(TEXT_PIECES), max_size=3))) + \
+            old[j:]
+    k = draw(st.integers(0, len(lines) - (kind == "remove line")))
+    added = [draw(st.sampled_from(TEXT_PIECES))] if kind == "insert line" else []
+    return "\n".join(lines[:k] + added + lines[k + (kind == "remove line"):])
+
+
+@settings(max_examples=1000, deadline=None)
+@given(data=st.data())
+def test_the_split_of_the_changed_span_equals_the_split_of_the_whole_text(data):
+    """Splitting only the span of a text that an edit changed, given the
+    split of the text before, finds the items and offsets that splitting
+    the whole text finds, valid MiniC or not, edit after edit."""
+    old = "".join(data.draw(st.lists(st.sampled_from(TEXT_PIECES), max_size=16)))
+    split = _split(old)
+    assert _resplit(old, *split, old) == split
+    for _ in range(data.draw(st.integers(1, 3))):
+        new = data.draw(edited_text(old))
+        resplit = _resplit(old, *split, new)
+        assert resplit == _split(new), (old, new)
+        old, split = new, resplit
 
 
 def test_an_arity_change_breaks_an_unchanged_caller():

@@ -121,3 +121,76 @@ def test_unknown_keys_are_made_only_where_they_are_written():
                         (module, owner) not in KEY_WRITERS:
                     problems.append(f"{module}:{node.lineno} {owner or '<module>'}")
     assert problems == []
+
+
+# The solver's maps are written only by `tdsolver.Rows`, whose methods log
+# each row they change while a reanalysis runs; a record visits only the
+# logged rows.  A row written in another way would silently be missing from
+# the journal.  So no code outside that class calls a dict's mutating
+# method on a map or on a row of one, deletes from one or assigns an item
+# of one.  A row of a map is anything bound, in the same function, from an
+# expression that names a map or another such binding.
+MAP_NAMES = {"infl", "side_dep", "side_infl"}
+MUTATORS = {"pop", "popitem", "setdefault", "update", "clear", "__setitem__", "__delitem__"}
+
+
+def _bound_names(target) -> list:
+    """The names an assignment to `target` binds: not those in an item or
+    an attribute it stores into."""
+    if isinstance(target, ast.Name):
+        return [target.id]
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return [n for t in target.elts for n in _bound_names(t)]
+    return _bound_names(target.value) if isinstance(target, ast.Starred) else []
+
+
+def _map_bindings(scope: ast.AST) -> set:
+    """The names `scope` binds, anywhere in it, from a map or a row of one."""
+    bindings = []  # (names bound, the expression they are bound from)
+    for node in ast.walk(scope):
+        if isinstance(node, ast.Assign):
+            bindings += [(_bound_names(t), node.value) for t in node.targets]
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign, ast.NamedExpr)) and node.value:
+            bindings.append((_bound_names(node.target), node.value))
+        elif isinstance(node, (ast.For, ast.comprehension)):
+            bindings.append((_bound_names(node.target), node.iter))
+    names: set = set()
+    while True:
+        more = {n for bound, value in bindings if _names_a_map(value, names) for n in bound}
+        if more <= names:
+            return names
+        names |= more
+
+
+def _names_a_map(expr: ast.AST, rows: set) -> bool:
+    return any((isinstance(n, ast.Attribute) and n.attr in MAP_NAMES)
+               or (isinstance(n, ast.Name) and (n.id in MAP_NAMES or n.id in rows))
+               for n in ast.walk(expr))
+
+
+def _row_writes(scope: ast.AST, rows: set):
+    """(line, what) of each write to a map or a row of one in `scope`."""
+    for node in ast.walk(scope):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and \
+                node.func.attr in MUTATORS and _names_a_map(node.func.value, rows):
+            yield node.lineno, f".{node.func.attr}()"
+        targets = node.targets if isinstance(node, (ast.Assign, ast.Delete)) else \
+            [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else []
+        for target in targets:
+            if isinstance(target, ast.Subscript) and _names_a_map(target.value, rows):
+                yield node.lineno, "del" if isinstance(node, ast.Delete) else "item assignment"
+
+
+def test_only_the_rows_class_writes_a_map_row():
+    problems = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = path.relative_to(PACKAGE).as_posix()
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            if module == "tdsolver.py" and isinstance(top, ast.ClassDef) and top.name == "Rows":
+                continue
+            scopes = [top] if not isinstance(top, ast.ClassDef) else top.body
+            for scope in scopes:
+                rows = _map_bindings(scope)
+                problems += [f"{module}:{line} {what}" for line, what in _row_writes(scope, rows)]
+    assert problems == []

@@ -46,11 +46,14 @@ from support import (
     full_prune,
     full_reachable_set,
     full_restart_globals,
+    full_section,
+    full_tables,
     inexact_infl,
     log_stable,
     producers,
     random_tree,
     side_maps_inverse,
+    solver_section,
 )
 
 BETA0 = Context.of({"p": AddressSet.of(["g"])})
@@ -694,6 +697,8 @@ def test_the_walk_from_what_it_reached_follows_the_full_walk_on_random_systems()
     from the last walk's `Reach` and its pruning leave what the full walk
     and full pruning leave, every map in order included, and each reached
     stable unknown is in the ``infl`` rows of exactly what its rhs queries.
+    The solver section written from the maps' logs is the one a comparison
+    of every row finds.
     The edits make unknowns leave, cycles lose their entry and evaluations
     stop reading what they read before."""
     rng = random.Random(1919)
@@ -705,17 +710,19 @@ def test_the_walk_from_what_it_reached_follows_the_full_walk_on_random_systems()
         rhs = {x: random_tree(rng, nodes + globs, targets=globs) for x in nodes}
         st = SolverState()
         sys_ = eqsys_from_dict(rhs, nodes[0], lambda u: ValueSet.bot())
+        reach = Reach.of(st, sys_.query).find_leaves(sys_)
         start = tables(st)
         stats = run(sys_, st)
         reuse = decide_reuse(st, start, stats["reads"])
-        walk = reachable_set(sys_, st, None, reuse, Reach.of(start, sys_))
+        walk = reachable_set(sys_, st, None, reuse, reach)
         prune(st, walk.left)
+        assert solver_section(start, st) == full_section(full_tables(SolverState()), st)
         reach = walk.reach
         for step in range(4):
             edited = rng.sample(nodes, rng.randrange(1, 3))
             rhs = {**rhs, **{x: random_tree(rng, nodes + globs, targets=globs) for x in edited}}
             sys_ = eqsys_from_dict(rhs, nodes[0], lambda u: ValueSet.bot())
-            start = tables(st)
+            before, start = full_tables(st), tables(st)
             for x in edited:
                 st.stable.discard(x)
                 st.destabilize(x)
@@ -736,6 +743,8 @@ def test_the_walk_from_what_it_reached_follows_the_full_walk_on_random_systems()
                     {u: list(row.items()) for u, row in theirs.items()}, (where, name)
             assert list(st.infl) == list(ref.infl), where
             assert inexact_infl(sys_, st, walk.reach.succ) == {}, where
+            # the rows the run and the walk logged are the rows that changed
+            assert solver_section(start, st) == full_section(before, st), where
             reach = walk.reach
             walks += bool(reuse.reusable)
             left += bool(walk.left)

@@ -27,10 +27,13 @@ from support import (
     analyze_source,
     full_postprocess,
     full_reachable_set,
+    full_section,
+    full_tables,
     inexact_infl,
     log_stable,
     pairwise_races,
     persisted,
+    solver_section,
 )
 
 BETA0 = Context.of({"p": AddressSet.of(["g"])})
@@ -45,10 +48,11 @@ def full_pipeline(text, domain="valueset", assignment=None):
 def postprocess_analysis(built, st, run_stats):
     """The postprocess of `st`, which `run` solved from nothing with
     `run_stats`, as an analysis makes it: from the empty `Reach` and index."""
-    start = tables(SolverState())
-    reuse = decide_reuse(st, start, run_stats["reads"])
+    empty = SolverState()
+    reuse = decide_reuse(st, tables(empty), run_stats["reads"])
     prev = WarnStore()
-    prev.index = PostIndex.of(prev, Reach.of(start, built.sys), {}, NodeAssignment())
+    prev.index = PostIndex.of(prev, Reach.of(empty, built.sys.query).find_leaves(built.sys), {},
+                              NodeAssignment())
     return postprocess(built, st, prev, "<test>", reuse)
 
 
@@ -170,11 +174,13 @@ def _assert_same_as_the_full_walk(versions, opts, monkeypatch, serve=True, walks
     other; the
     untouched unknowns the pipeline derives are, on every unknown with a
     rhs, those that a `StableLog` finds never left stable.  The `Reach`
-    read off a loaded state's tables is the full walk's on that state.
+    read off a loaded state is the full walk's on that state.  The solver
+    section written from the maps' logs is the one a comparison of every
+    row finds.
     With `walks_less`, a step that reuses in memory walks fewer unknowns
     than the full walk reaches."""
-    walks, decided = [], []
-    walk, post = postproc.reachable_set, cli.postprocess
+    walks, decided, starts = [], [], []
+    walk, post, reanalyze_ = postproc.reachable_set, cli.postprocess, cli.reanalyze
 
     def reachable_set(sys_, st, visit, reuse, known):
         keys = list(st.sigma)
@@ -190,6 +196,13 @@ def _assert_same_as_the_full_walk(versions, opts, monkeypatch, serve=True, walks
         return post(built, st, prev, filename, reuse)
 
     monkeypatch.setattr(cli, "postprocess", postprocess)
+
+    def reanalyze(*args, **kwargs):
+        out = reanalyze_(*args, **kwargs)
+        starts.append(out[3])
+        return out
+
+    monkeypatch.setattr(cli, "reanalyze", reanalyze)
     session, reference = cli.Session.empty(), cli.Session.empty()
     for step, version in enumerate(versions):
         text, filename = (version, "prog.mc") if isinstance(version, str) else version
@@ -198,8 +211,11 @@ def _assert_same_as_the_full_walk(versions, opts, monkeypatch, serve=True, walks
             if step:
                 _assert_the_reach_is_the_full_walks(session.state, sys_)
         log_stable(session.state)
+        before = full_tables(session.state)
         result = cli.run_reanalysis(session, text, filename, opts)
         session = result.session
+        assert solver_section(starts[-1], session.state) == \
+            full_section(before, session.state), f"step {step}"
         sys_, reuse, unlogged = decided[-1]
         reach, walked = walks[-1].reach, walks[-1].walked
         reusable = reuse.reusable
@@ -234,10 +250,10 @@ def _assert_same_as_the_full_walk(versions, opts, monkeypatch, serve=True, walks
 
 
 def _assert_the_reach_is_the_full_walks(st, sys_):
-    """`Reach.of` the tables of `st`, which `sys_` was solved and walked
-    for, finds what the full walk reaches, with the same successors, leaves
-    and unstable unknowns."""
-    reach = Reach.of(tables(st), sys_)
+    """`Reach.of` `st`, which `sys_` was solved and walked for, finds what
+    the full walk reaches, with the same successors, leaves and unstable
+    unknowns."""
+    reach = Reach.of(st, sys_.query).find_leaves(sys_)
     probe = copy.copy(st)
     probe.infl = {y: dict(row) for y, row in st.infl.items()}  # the full walk drops edges
     reached = full_reachable_set(sys_, probe)

@@ -37,6 +37,8 @@ from support import (
     analyze_source,
     assert_producers_are_the_last_evaluations,
     eqsys_from_dict,
+    full_section,
+    full_tables,
     kleene_local_solution,
     kleene_solve,
     make_random_system,
@@ -327,12 +329,21 @@ def test_termination_accounting_is_bounded():
 def test_the_state_holds_exactly_the_persisted_tables():
     """Every table of the state is persisted but `called`, which is empty
     at rest: a table added without being persisted fails here, and so does
-    one left over."""
+    one left over.  The maps' logs are empty at rest too: `tables` starts
+    one for each map that has rows, and the record ends them."""
     assert tdsolver.MAPS == ("infl", "side_dep", "side_infl")
     assert tdsolver.SETS == ("stable", "point")
     assert set(vars(SolverState())) == {"sigma", *tdsolver.MAPS, *tdsolver.SETS, "called",
                                         "rhs_evals", "destabilizations"}
     assert set(tables(SolverState())) == {"sigma", *tdsolver.MAPS, *tdsolver.SETS, "counters"}
+    _, st, _ = analyze_source(FIG2)
+    maps = [getattr(st, name) for name in tdsolver.MAPS]
+    assert all(type(m) is tdsolver.Rows and m and m.log is None for m in maps)
+    start = tables(st)
+    assert [start[name] for name in tdsolver.MAPS] == [m.log for m in maps] == [{}, {}, {}]
+    solver_section(start, st)
+    assert [m.log for m in maps] == [None, None, None]
+    assert tables(SolverState())["infl"] is None  # no log: every row will be new
 
 
 def test_state_json_roundtrip_and_warm_restart():
@@ -390,7 +401,7 @@ def test_state_json_roundtrip_on_random_systems():
         doc = json.loads(json.dumps(solver_section({}, st)))
         assert_interned(doc, st)
         assert_same_state(reloaded(st), st)
-        delta = solver_section(tables(previous), st)
+        delta = full_section(full_tables(previous), st)
         replayed = reloaded(previous)
         apply_section(replayed, delta)
         assert_same_state(replayed, st)
@@ -444,7 +455,7 @@ def test_the_decoder_leaves_the_counters_alone(tmp_path):
     assert state_from_json(st2, doc) == {"rhs_evals": st.rhs_evals,
                                          "destabilizations": st.destabilizations}
     assert (st2.rhs_evals, st2.destabilizations) == (5, 7)
-    assert state_from_json(st2, solver_section(tables(st2), st2)) is None
+    assert state_from_json(st2, full_section(full_tables(st2), st2)) is None
     opts = cli.Options(state_dir=str(tmp_path))
     written = cli.run_analysis(corpus_source(CorpusSpec(n_functions=20, seed=3)), "p.mc", opts)
     cli.save_bundle(opts.state_dir, written.session, opts)
