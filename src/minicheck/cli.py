@@ -160,7 +160,7 @@ def save_bundle(state_dir: str, session: Session, opts: Options) -> dict:
                                               image.end + len(data), rid)
                 return {"kind": "delta", "bytes": len(data)}
             del framed, data
-        del then  # the snapshot is freed before the base is encoded
+        del then  # the logs and the old rows are freed before the base is encoded
         size = _write_base(state_dir, session, opts)
     except OSError as exc:
         raise CliError(f"cannot write state bundle to {state_dir}: {exc}") from exc
@@ -313,7 +313,7 @@ def run_reanalysis(session: Session, text: str, filename: str,
     contexts = index.contexts if index is not None else \
         recorded_contexts(state, session.assignment)
     reach = Reach.of(state, MAIN) if index is None else None
-    changes, built, run_stats, start, reuse = reanalyze(
+    changes, built, run_stats, reuse = reanalyze(
         session.digests, session.assignment, state, prog, opts.mode, opts.restart,
         opts.domain, restart_wpoint=opts.wpoint_restart, contexts=contexts)
     if reach is not None:
@@ -323,7 +323,7 @@ def run_reanalysis(session: Session, text: str, filename: str,
     on_disk = session.image is not None and session.then is None  # loaded or saved
     return AnalysisResult(Session(prog.digests, built.assignment, state, store, prog,
                                   session.image if on_disk else None,
-                                  journal.tables(session, start) if on_disk else None),
+                                  journal.tables(session, reuse.logs) if on_disk else None),
                           run_stats, post_stats, diff_warnings(session.store, store),
                           changes.to_json(), prog.parsed)
 

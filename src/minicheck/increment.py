@@ -47,19 +47,20 @@ one a reset would have dropped: its global is reset then, and the query
 solved again.
 
 `reanalyze` takes one snapshot of σ and the solver's sets and starts the
-log of the rows its maps write (`tdsolver.tables`), which the save reads
-too (`journal`), and decides once, as the solve returns, what the
-post-solve walk may reuse.  The *untouched* unknowns are
-stable in the snapshot and now, and the solver did not evaluate them.  The
-*reusable* ones are untouched, and σ at them, at their last reads and at
-their side targets is the snapshot's; after an edit of the global
-declarations none is.  After the solve, one walk over σ finds what is
-reachable from the query; postprocessing sees its evaluations as they are
-made.  The walk reuses the reusable unknowns it reaches: they are not
-evaluated, and their recorded successors are the inverse of ``infl`` plus
-their side targets: the solver only adds ``infl`` edges, and the walk
-drops those that its evaluation of an unknown does not read.  So the walk
-evaluates only what the run touched.
+log of the rows its maps write (`tdsolver.tables`), and decides once, as
+the solve returns, what the post-solve walk may reuse, turning the
+snapshot into logs of the rows that differ, which pruning extends and the
+save reads (`journal`).  The *untouched* unknowns are stable in the
+snapshot and now, and the solver did not evaluate them.  The *reusable*
+ones are untouched, and σ at them, at their last reads and at their side
+targets is the snapshot's; after an edit of the global declarations none
+is.  After the solve, one walk over σ finds what is reachable from the
+query; postprocessing sees its evaluations as they are made.  The walk
+reuses the reusable unknowns it reaches: they are not evaluated, and their
+recorded successors are the inverse of ``infl`` plus their side targets:
+the solver only adds ``infl`` edges, and the walk drops those that its
+evaluation of an unknown does not read.  So the walk evaluates only what
+the run touched.
 
 A walk leaves what it reached, each unknown with its successors (`Reach`),
 and the next walk starts from there: it evaluates the reached unknowns
@@ -96,7 +97,7 @@ from .domains import Value, widen
 from .minic.cfg import NodeAssignment, assign_node_ids
 from .minic.syntax import Program, names_used
 from .minic.system import BuiltSystem, build_system
-from .tdsolver import SolverState, run, tables
+from .tdsolver import SETS, SolverState, log_differences, run, tables
 
 INIT_PSEUDO_FN = "__init"
 
@@ -434,24 +435,22 @@ class Reuse:
     unknowns, every unknown the run evaluated with every unknown its
     evaluations read (`reads`), `changed`, the unknowns whose σ entry is
     not the snapshot's object (set, replaced or removed), each mapped to
-    itself as σ's key or, once removed, the snapshot's, `suspect`, the
-    unknowns stable in the snapshot that are not reusable, and `came`,
-    those stable now that were not then and that the run neither
-    evaluated nor gave a new σ entry: written behind the solver's back."""
+    itself as σ's key or, once removed, the snapshot's, and `logs`, the
+    snapshot turned into the logs of the rows that differ from it
+    (`tdsolver.log_differences`), which pruning extends."""
 
     untouched: Set[Unknown]
     reusable: Set[Unknown]
     reads: Dict[Unknown, Tuple[Unknown, ...]]
     changed: Dict[Unknown, Unknown]
-    suspect: Set[Unknown]
-    came: Set[Unknown]
+    logs: dict
 
 
 def reanalyze(old_digests: dict, old_asg: NodeAssignment, st: SolverState,
               new_prog: Program, mode: str = "reluctant", restart: str = "minimal",
               domain: str = "valueset", *, restart_wpoint: bool = False,
               contexts: Dict[str, Collection[Context]]
-              ) -> Tuple[ChangeSet, BuiltSystem, dict, dict, Reuse]:
+              ) -> Tuple[ChangeSet, BuiltSystem, dict, Reuse]:
     """Bring `st`, the solver state of the program with `old_digests`, up to
     date with `new_prog`.
 
@@ -460,9 +459,8 @@ def reanalyze(old_digests: dict, old_asg: NodeAssignment, st: SolverState,
     `contexts` are the old version's `recorded_contexts`.  The
     restart set is read off the old state before relabeling erases the old
     unknowns.  Returns the change set, the new system, the solver's per-step
-    statistics plus the keys of the restarted globals, the solver's tables
-    as the run found them (`tdsolver.tables`: σ, the sets and the maps'
-    logs) and what the walk may reuse."""
+    statistics plus the keys of the restarted globals, and what the walk
+    may reuse."""
     start = tables(st)
     changes = detect_changes(old_digests, new_prog)
     restarted = select_restart_globals(changes, st, old_asg) if restart == "minimal" else {}
@@ -493,23 +491,23 @@ def reanalyze(old_digests: dict, old_asg: NodeAssignment, st: SolverState,
     # a dereference touches, in functions that do not name them, so after an
     # edit of them nothing is reusable.
     reuse = decide_reuse(st, start, stats.pop("reads"), INIT_PSEUDO_FN not in changes.changed)
-    return changes, built, stats, start, reuse
+    return changes, built, stats, reuse
 
 
 def decide_reuse(st: SolverState, start: dict, reads: Dict[Unknown, Tuple[Unknown, ...]],
                  allowed: bool = True) -> Reuse:
     """What the walk after a run may reuse (see the module docstring), as
-    the run, which began from the snapshot `start`, evaluated the keys of
-    `reads`, each with what it read; nothing unless `allowed`."""
+    the run evaluated the keys of `reads`, each with what it read; nothing
+    unless `allowed`.  It is read off the logs of the rows that differ from
+    `start`, the snapshot the run began from, into which it turns `start`
+    (`tdsolver.log_differences`)."""
+    log_differences(start, st)
+    changed = {u: u for u in (st.sigma if start["sigma"] is None else start["sigma"])}
     # An unknown with a rhs that left stable is stable again only once it is
     # evaluated.  (A global that left is stable again once it gets a new
-    # contribution, but the walk follows nothing from a global.)  The
-    # snapshot holds the objects the state holds: between the two, a set
-    # operation compares few unknowns by more than identity.
-    untouched = (start["stable"] & st.stable).difference(reads)
-    sigma, before = st.sigma, start["sigma"]
-    changed = {u: u for u, v in sigma.items() if before.get(u) is not v}
-    changed.update((u, u) for u in set(before).difference(sigma))
+    # contribution, but the walk follows nothing from a global.)
+    untouched = set() if start["stable"] is None else \
+        st.stable.difference([u for u, was in start["stable"].items() if was is None], reads)
     reusable: Set[Unknown] = set()
     if untouched and allowed:
         # Not reusable: what changed, what read it last and what side-effected it.
@@ -518,8 +516,7 @@ def decide_reuse(st: SolverState, start: dict, reads: Dict[Unknown, Tuple[Unknow
             dirty.update(st.infl.get(y, ()))
             dirty.update(st.side_dep.get(y, ()))
         reusable = untouched - dirty
-    came = {u for u in st.stable - start["stable"] if u not in reads and u not in changed}
-    return Reuse(untouched, reusable, reads, changed, start["stable"] - reusable, came)
+    return Reuse(untouched, reusable, reads, changed, start)
 
 
 # ---------------------------------------------------------------------------
@@ -650,8 +647,10 @@ def reachable_set(sys_: EqSys, st: SolverState, visit: Optional[Callable], reuse
 
     old: Dict[Unknown, Tuple[Unknown, ...]] = {}  # non-reusable unknown -> its old successors
     seeds: List[Unknown] = []
-    # What was reached and is not reusable was not stable or is suspect.
-    for u in itertools.chain(unstable, reuse.suspect):
+    # What was reached and is not reusable was not stable, was evaluated, has
+    # a stable row that differs, or is untouched and not reusable.
+    stable_log = reuse.logs["stable"]  # the unknowns whose stable row differs
+    for u in itertools.chain(unstable, reuse.untouched - reusable, reads, stable_log or ()):
         if u in old or u in reusable or u not in succ:
             continue
         was = old[u] = succ[u]
@@ -702,13 +701,14 @@ def reachable_set(sys_: EqSys, st: SolverState, visit: Optional[Callable], reuse
     # the last walk did not reach it, what the run read.  Every other row
     # that the run wrote names what it evaluated or read, σ differs from
     # the snapshot only at `reuse.changed`, and an unknown stable now that
-    # was not then is among these or in `reuse.came`.
+    # was not then is in the log of stable, or is any if there is none.
     left = {v: (*old.get(v, ()), *out) for v, out in gone.items()}
-    for y in itertools.chain(reads, *reads.values(), reuse.changed, reuse.came):
+    for y in itertools.chain(reads, *reads.values(), reuse.changed,
+                             st.stable if stable_log is None else stable_log):
         if y not in succ and y not in left:
             left[y] = reads.get(y, ())
     leaves.difference_update(left)
-    known.unstable = {u for u in itertools.chain(unstable, walked, reuse.suspect)
+    known.unstable = {u for u in itertools.chain(unstable, walked)
                       if u not in st.stable and u in succ}
     # The reusable unknowns were reached, and stay so unless they left.
     return Walk(known, left, reusable.difference(left, leaves), list(walked))
@@ -726,14 +726,20 @@ def _same_objects(found: Tuple[Unknown, ...], held: Tuple[Unknown, ...],
     return tuple(same.get(y) or keys.get(y, y) for y in found)
 
 
-def prune(st: SolverState, left: Dict[Unknown, Tuple[Unknown, ...]]) -> None:
+def prune(st: SolverState, left: Dict[Unknown, Tuple[Unknown, ...]], logs: dict) -> None:
     """Drop every unknown of `left` (see `reachable_set`), which holds every
     unknown of the state that is not reached, each with the unknowns whose
     ``infl`` rows may name it, from σ, the sets and the maps.  Only those
     and the rows that name them are visited: those ``infl`` rows, and the
     ``side_dep`` and ``side_infl`` rows of its side targets and producers.
     A row whose key left goes, and a row that names one that left keeps its
-    other members, in order."""
+    other members, in order.  The rows of σ and the sets it removes are
+    logged in `logs` (`Reuse.logs`) as they were, unless they are already."""
+    for name in ("sigma", *SETS):
+        table, log = getattr(st, name), logs[name]
+        if log is not None:
+            log.update((v, st.sigma[v] if name == "sigma" else True)
+                       for v in left if v in table and v not in log)
     infl, side_dep, side_infl = st.infl, st.side_dep, st.side_infl
     for v, read in left.items():
         st.sigma.pop(v, None)

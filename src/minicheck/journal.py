@@ -8,18 +8,16 @@ the empty session with the base and then every record of the journal
 replayed in order, all by `replay`, so every row is checked by the same
 code however it was written.
 
-A reanalysis keeps what it began from (`tables`): the solver's tables as
-the run found them, which the run mutates, and the session's other rows,
-which the run replaces.  Of the solver, that is a snapshot of σ and the
-sets, and a log of the rows of its maps: each map logs what a row was the
-first time the reanalysis writes it (`tdsolver.Rows`), so that no map is
-copied or compared whole.  The save compares the new session, read in
-place, with them and writes only the changed and the removed rows; a base
-is the difference from `EMPTY`.  The solver's tables and their rows are
-`tdsolver`'s (`tdsolver.tables`, `state_to_json`, `state_from_json`); the
-rows of the digests, node ids, access records and scalars are this
-module's, compared by equality; an access record row's producer unknown
-is encoded (`consys.unknown_key`) only on the rows a record holds.
+A reanalysis keeps what it began from (`tables`): of the solver's tables,
+which the run mutates, logs of the rows that it changed, each with what
+the row was, and the session's other rows, which the run replaces.  The
+save compares the new session, read in place, with them and writes only
+the changed and the removed rows; a base is the difference from `EMPTY`.
+The solver's tables and their rows are `tdsolver`'s (`tdsolver.tables`,
+`state_to_json`, `state_from_json`); the rows of the digests, node ids,
+access records and scalars are this module's, compared by equality; an
+access record row's producer unknown is encoded (`consys.unknown_key`)
+only on the rows a record holds.
 
 A record is a JSON object: "solver", the solver section, and "put" and
 "gone", the session's rows that changed, by table and key, and the keys of

@@ -414,15 +414,12 @@ def verify_solution(sys_: EqSys, state: SolverState,
 # Persistence: the solver section of a journal record (see `journal`).  A
 # record holds the rows of σ, of the maps and of the sets that differ
 # between what the state was when a reanalysis began (`tables`) and the
-# state, and the keys of the rows that went.  Every unknown it mentions is
+# state, and the keys of the rows that went: the rows that a log of each
+# table holds (`Rows`, `log_differences`).  Every unknown it mentions is
 # written once, into "unknowns" (sorted by sort_key), and every distinct
 # value of σ once, into "values" (in order of first use); the rows refer to
 # both by index.  The section has no format number of its own: the bundle's
-# format covers it.  A reanalysis takes one snapshot of σ and the sets when
-# it begins; the post-solve walk compares σ and stable with it, and the save
-# compares every row of σ and the sets.  The maps are not copied: their
-# rows are logged as they are written (`Rows`), and the save compares only
-# the logged rows.  called is not persisted: it is empty at rest.  A record
+# format covers it.  called is not persisted: it is empty at rest.  A record
 # that names a table the state does not have is refused.
 # ---------------------------------------------------------------------------
 
@@ -431,12 +428,12 @@ SETS = ("stable", "point")
 
 
 def tables(state: SolverState) -> Dict[str, object]:
-    """What `state` is as a reanalysis begins, for `state_to_json`: a copy
-    of σ, of the sets and of the counters, and each map's log, which this
-    starts (None for an empty map, whose rows will all be new).  The log
-    holds each row a `Rows` method changes from now on, as it was (the
-    tuple of its members, in order, as it drives destabilization), until
-    the record is written.  Values are shared, never mutated."""
+    """What `state` is as a reanalysis begins: a copy of σ, of the sets and
+    of the counters, and each map's log, which this starts (None for an
+    empty map, whose rows will all be new).  The log holds each row a
+    `Rows` method changes from now on, as it was (the tuple of its members,
+    in order, as it drives destabilization), until the record is written.
+    Values are shared, never mutated."""
     out: Dict[str, object] = {"sigma": dict(state.sigma), "stable": set(state.stable),
                               "point": set(state.point),
                               "counters": {"rhs_evals": state.rhs_evals,
@@ -447,15 +444,31 @@ def tables(state: SolverState) -> Dict[str, object]:
     return out
 
 
+def log_differences(then: dict, state: SolverState) -> None:
+    """Turn the copies of σ and of the sets in `then` (`tables` as a
+    reanalysis began) into logs like the maps': every key whose row differs
+    in `state`, with what its row was, None if it had none (σ's value,
+    never None; True for a member of a set).  σ's rows differ when their
+    values are distinct objects: a value the run did not touch is still the
+    object it was.  A table that was empty gets no log: every row it has is
+    new.  From the reuse decision, which calls this, to the save, only
+    `increment.prune` writes σ and the sets, logging what it removes."""
+    old, sigma = then["sigma"], state.sigma
+    then["sigma"] = {**{u: old.get(u) for u, v in sigma.items() if old.get(u) is not v},
+                     **{u: old[u] for u in set(old).difference(sigma)}} if old else None
+    for name in SETS:
+        old, now = then[name], getattr(state, name)
+        then[name] = {**dict.fromkeys(now - old), **dict.fromkeys(old - now, True)} \
+            if old else None
+
+
 def state_to_json(then: dict, state: SolverState) -> Iterator[Tuple[str, object]]:
-    """The solver section of the record that turns `then` (`tables` as a
-    reanalysis began, or an empty dict for the empty state) into `state`,
-    which is read in place, as (member, JSON value) pairs.  It ends the
-    maps' logs.  σ's rows differ when their values are distinct objects (a
-    value the run did not touch is still the object it was), the sets'
-    when they are in one and not the other.  Of a map, the rows its log
-    holds are visited, each with what it was; without a log every row is
-    new.
+    """The solver section of the record that turns `then` into `state`,
+    which is read in place, as (member, JSON value) pairs.  `then` is
+    `tables` as a reanalysis began with every table's log (see
+    `log_differences`), or an empty dict for the empty state.  It ends the
+    maps' logs.  Of a table, the rows its log holds are visited, each with
+    what it was; without a log every row is new.
 
     The rows that differ are found when it is called.  The section is
     written as it is built: the "unknowns" and "values" arrays are `map`s
@@ -463,43 +476,26 @@ def state_to_json(then: dict, state: SolverState) -> Iterator[Tuple[str, object]
     each built when the writer reaches it (see `journal.write_json`)."""
     put: Dict[str, object] = {}
     gone: Dict[str, object] = {}
-    # A table now has as many rows as then, less those that went, plus those
-    # that came: a save after which none went does not look for them.
-    for name in SETS:
-        old, now = then.get(name, set()), getattr(state, name)
-        put[name] = now - old
-        gone[name] = old - now if len(old) + len(put[name]) != len(now) else ()
-    # A set built from a dict, a set's update with one and its difference
-    # with one reuse the keys' stored hashes: no unknown's __hash__ runs.  So
-    # when every row is new (a base), the table itself stands for its keys.
-    # No row is None, and no map's row is empty at rest.
-    old, sigma = then.get("sigma", {}), state.sigma
-    if old:
-        put["sigma"] = [u for u, v in sigma.items() if old.get(u) is not v]
-        came = sum(u not in old for u in put["sigma"])
-        gone["sigma"] = set(old).difference(sigma) if len(old) + came != len(sigma) else ()
-    else:
-        put["sigma"], gone["sigma"] = sigma, ()
-    for name in MAPS:
-        rows = getattr(state, name)
-        rows.log = None
-        log = then.get(name)
-        if log is None:
-            put[name], gone[name] = rows, ()
+    mentioned: set = set()
+    for name in (*SETS, "sigma", *MAPS):  # the order of "gone"'s members
+        table, log = getattr(state, name), then.get(name)
+        gone[name] = () if log is None else \
+            [u for u, was in log.items() if was is not None and u not in table]
+        if log is None:  # every row is new: the table stands for its keys
+            put[name] = table
+        elif name in SETS:
+            put[name] = [u for u, was in log.items() if was is None and u in table]
+        elif name == "sigma":
+            put[name] = [u for u, was in log.items() if u in table and table[u] is not was]
         else:
-            put[name] = [u for u, was in log.items()
-                         if u in rows and tuple(rows[u]) != was]
-            gone[name] = [u for u, was in log.items() if was is not None and u not in rows]
-    mentioned = set(put["sigma"])
-    for name in SETS:
-        mentioned.update(put[name])
-    for name in MAPS:
-        mentioned.update(put[name])
-        rows = getattr(state, name)
-        for u in put[name]:
-            mentioned.update(rows[u])
-    for keys in gone.values():
-        mentioned.update(keys)
+            put[name] = [u for u, was in log.items() if u in table and tuple(table[u]) != was]
+        # A set's update with a dict or a set reuses the keys' stored hashes:
+        # no unknown's __hash__ runs.  No map's row is empty at rest.
+        mentioned.update(put[name], gone[name])
+        if name in MAPS:
+            table.log = None
+            for u in put[name]:
+                mentioned.update(table[u])
     unknowns = sorted(mentioned, key=sort_key)
     del mentioned
     index = {u: i for i, u in enumerate(unknowns)}

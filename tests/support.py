@@ -85,29 +85,40 @@ def eqsys_from_dict(rhs: dict, query, bot_of: Callable) -> EqSys:
 
 def solver_section(then: dict, st: SolverState) -> dict:
     """The solver section of the record that turns the solver tables `then`
-    (``{}`` for the empty state) into `st`, as the JSON it is written as."""
+    (``{}`` for the empty state) into `st`, as the JSON it is written as.
+    `then` holds a log of every table: `tdsolver.tables` after the reuse
+    decision (see `diffed`), or the logs `full_section` makes."""
     parts = []
     journal.write_json(parts.append, tdsolver.state_to_json(then, st))
     return json.loads("".join(parts))
 
 
+def diffed(then: dict, st: SolverState) -> dict:
+    """`then`, `tdsolver.tables` of a state, with σ and the sets turned into
+    logs of how `st` differs from it, as the reuse decision turns them."""
+    tdsolver.log_differences(then, st)
+    return then
+
+
 def full_tables(st: SolverState) -> dict:
-    """The solver's tables copied whole, the maps' rows as tuples: the
-    oracle for `tdsolver.tables`, whose maps are logs of the rows a
+    """Every table of the solver copied whole, each row as a log holds what
+    it was (σ's value, True for a member of a set, a map's members as a
+    tuple): the oracle for `tdsolver.tables` and the logs of the rows a
     reanalysis writes."""
     out = {name: {u: tuple(row) for u, row in getattr(st, name).items()}
            for name in tdsolver.MAPS}
-    return {"sigma": dict(st.sigma), "stable": set(st.stable), "point": set(st.point),
+    return {"sigma": dict(st.sigma), "stable": dict.fromkeys(st.stable, True),
+            "point": dict.fromkeys(st.point, True),
             "counters": {"rhs_evals": st.rhs_evals, "destabilizations": st.destabilizations},
             **out}
 
 
 def full_section(then: dict, st: SolverState) -> dict:
     """The solver section of the record that turns `full_tables` `then`
-    into `st`, found by comparing every row of every map: a log that names
-    every key of both."""
+    into `st`, found by comparing every row: a log that names every key of
+    every table."""
     logs = {name: {u: then[name].get(u) for u in [*then[name], *getattr(st, name)]}
-            for name in tdsolver.MAPS}
+            for name in ("sigma", *tdsolver.SETS, *tdsolver.MAPS)}
     return solver_section({**then, **logs}, st)
 
 

@@ -84,9 +84,9 @@ def _invoke(fn, *args, **kw):
 
 def _incremental(old_text, new_text, mode, restart, base_built, base_state):
     st = reloaded(base_state)
-    _, new_built, stats, _, _ = reanalyze(parse(old_text).digests, base_built.assignment,
-                                          st, parse(new_text), mode, restart,
-                                          contexts=recorded_contexts(st, base_built.assignment))
+    _, new_built, stats, _ = reanalyze(parse(old_text).digests, base_built.assignment,
+                                       st, parse(new_text), mode, restart,
+                                       contexts=recorded_contexts(st, base_built.assignment))
     return new_built, st, stats
 
 
@@ -304,9 +304,9 @@ def _run_sequence(spec0, seq_seed):
         ends = {fn: (ids[0], ids[-1]) for fn, ids in built.assignment.assign.items()}
         assert recorded_contexts(st, built.assignment) == \
             _scanned_contexts(list(st.sigma) + list(st.stable), ends), f"seq {seq_seed} step {step}"
-        changes, built, _, _, _ = reanalyze(parse(cur_text).digests, built.assignment, st,
-                                         parse(new_text),
-                                         contexts=recorded_contexts(st, built.assignment))
+        changes, built, _, _ = reanalyze(parse(cur_text).digests, built.assignment, st,
+                                      parse(new_text),
+                                      contexts=recorded_contexts(st, built.assignment))
         # postprocessing scanned σ at entry nodes
         entries = {fn: (cfg.entry,) for fn, cfg in built.cfgs.items()}
         assert recorded_contexts(st, built.assignment) == \

@@ -1406,15 +1406,26 @@ def test_the_save_and_the_split_after_an_edit_do_not_grow_with_the_program(tmp_p
                                                                           monkeypatch):
     """A served `const` edit and then a `gval` edit, against the program
     padded with 100 and with 1,000 functions that they do not touch, log as
-    many map rows for the save to compare and split as many characters of
-    the source again."""
-    logged, rescanned = [], []
+    many map rows and as many rows of σ and the sets for the save to visit,
+    and split as many characters of the source again.  The session a
+    reanalysis returns keeps those logs, not a copy of σ or of a set."""
+    logged, rescanned, sigma_and_sets, kept = [], [], [], []
     state_to_json, split = tdsolver.state_to_json, syntax._split
+    run_reanalysis = cli.run_reanalysis
 
     def logging_state_to_json(then, state):
         if then:  # a journal record, not a base
             logged.append(sum(len(then[name] or ()) for name in tdsolver.MAPS))
+            sigma_and_sets.append([len(then[name]) for name in ("sigma", *tdsolver.SETS)])
         return state_to_json(then, state)
+
+    def kept_run_reanalysis(session, text, filename, opts):
+        result = run_reanalysis(session, text, filename, opts)
+        if result.session.then is not None:
+            solver = result.session.then["solver"]
+            kept.append([len(solver[name]) if isinstance(solver[name], dict) else None
+                         for name in ("sigma", *tdsolver.SETS)])
+        return result
 
     def counting_split(text, pos=0, line=1, stop=None):
         end = [len(text)]
@@ -1432,15 +1443,18 @@ def test_the_save_and_the_split_after_an_edit_do_not_grow_with_the_program(tmp_p
 
     monkeypatch.setattr(tdsolver, "state_to_json", logging_state_to_json)
     monkeypatch.setattr(syntax, "_split", counting_split)
+    monkeypatch.setattr(cli, "run_reanalysis", kept_run_reanalysis)
     counts = []
     for n_pads in (100, 1000):
-        del logged[:], rescanned[:]
+        del logged[:], rescanned[:], sigma_and_sets[:], kept[:]
         opts = cli.Options(state_dir=str(tmp_path / f"state{n_pads}"), stats=True)
         stats = _serve_stats(opts, [_padded(n_pads), _padded(n_pads, "const:9"),
                                     _padded(n_pads, "const:9", "gval:17")],
                              str(tmp_path / f"prog{n_pads}.mc"))
         assert [s["persisted"]["kind"] for s in stats] == ["full", "delta", "delta"]
-        counts.append((list(logged), list(rescanned)))
+        assert kept == sigma_and_sets and len(kept) == 2
+        assert max(n for sizes in kept for n in sizes) < 100  # logs, not copies
+        counts.append((list(logged), list(rescanned), list(sigma_and_sets)))
     assert counts[0] == counts[1]
     assert len(counts[0][0]) == len(counts[0][1]) == 2 and 0 < min(counts[0][0] + counts[0][1])
 

@@ -194,3 +194,94 @@ def test_only_the_rows_class_writes_a_map_row():
                 rows = _map_bindings(scope)
                 problems += [f"{module}:{line} {what}" for line, what in _row_writes(scope, rows)]
     assert problems == []
+
+
+# σ and the solver's sets are compared with what they were as a reanalysis
+# began once, at the reuse decision (`tdsolver.log_differences`), which
+# turns the snapshot into logs of the rows that differ; from there until
+# the record is written only pruning writes them, and it logs the rows it
+# removes.  A record visits only the logged rows, so a write elsewhere after
+# the decision would silently be missing from the journal.  These are the
+# (module, function) pairs that write σ, stable or point: the solver,
+# destabilization and the decoder, and the reanalysis' dropping of old
+# nodes, destabilization up front, restarts and pruning; a class stands for
+# all its methods.  postproc, journal and cli write none of them.  A write
+# is a mutating method call, an item assignment or deletion, or an
+# augmented assignment, on the table or on a name bound to it (directly,
+# by `getattr`, or element by element from a tuple).
+TABLE_NAMES = {"sigma", "stable", "point"}
+TABLE_MUTATORS = MUTATORS | {"add", "discard", "remove", "difference_update",
+                             "intersection_update", "symmetric_difference_update"}
+TABLE_WRITERS = {
+    ("tdsolver.py", "Solver"),
+    ("tdsolver.py", "SolverState.destabilize"),
+    ("tdsolver.py", "state_from_json"),
+    ("increment.py", "_drop_old_nodes"),
+    ("increment.py", "prepare_plain"),
+    ("increment.py", "prepare_reluctant"),
+    ("increment.py", "restart_globals"),
+    ("increment.py", "_reset"),
+    ("increment.py", "prune"),
+}
+
+
+def _is_a_table(expr: ast.AST, aliases: set) -> bool:
+    """Whether `expr` is σ or a set of the solver, or may be one."""
+    return (isinstance(expr, ast.Attribute) and expr.attr in TABLE_NAMES) or \
+        (isinstance(expr, ast.Name) and expr.id in aliases) or \
+        (isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name)
+         and expr.func.id == "getattr")
+
+
+def _table_aliases(scope: ast.AST) -> set:
+    """The names `scope` binds, anywhere in it, to σ or a set."""
+    pairs = []  # (target, the expression bound to it)
+    for node in ast.walk(scope):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                    pairs += zip(target.elts, node.value.elts)
+                else:
+                    pairs.append((target, node.value))
+    names: set = set()
+    while True:
+        more = {t.id for t, value in pairs
+                if isinstance(t, ast.Name) and _is_a_table(value, names)}
+        if more <= names:
+            return names
+        names |= more
+
+
+def _table_writes(scope: ast.AST) -> list:
+    """The lines of `scope` that write σ or a set."""
+    aliases, lines = _table_aliases(scope), []
+    for node in ast.walk(scope):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and \
+                node.func.attr in TABLE_MUTATORS and _is_a_table(node.func.value, aliases):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.AugAssign) and _is_a_table(node.target, aliases):
+            lines.append(node.lineno)
+        elif isinstance(node, (ast.Assign, ast.Delete)):
+            lines += [node.lineno for t in node.targets
+                      if isinstance(t, ast.Subscript) and _is_a_table(t.value, aliases)]
+    return lines
+
+
+def test_only_the_solver_the_reanalysis_and_pruning_write_sigma_and_the_sets():
+    writers = {}  # (module, function or class) -> the lines that write
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = path.relative_to(PACKAGE).as_posix()
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            scopes = [(getattr(top, "name", "<module>"), top)] \
+                if not isinstance(top, ast.ClassDef) else \
+                [(f"{top.name}.{m.name}", m) for m in top.body
+                 if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            for owner, scope in scopes:
+                lines = _table_writes(scope)
+                if lines:
+                    writer = (module, owner.partition(".")[0])
+                    writers.setdefault(writer if writer in TABLE_WRITERS else (module, owner),
+                                       []).extend(lines)
+    assert not {m for m, _ in writers} & {"postproc.py", "journal.py", "cli.py"}, writers
+    assert set(writers) == TABLE_WRITERS, writers

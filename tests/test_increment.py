@@ -8,10 +8,14 @@ from minicheck import cli, increment
 from minicheck.consys import (
     INIT,
     MAIN,
+    Ans,
     Context,
     GlobalVar,
     NodeCtx,
+    QGet,
+    QSet,
     eval_tree,
+    unknown_from_json,
 )
 from minicheck.corpus import CorpusSpec, corpus_source, edit_sequence
 from minicheck.domains import AddressSet, ValueSet, leq
@@ -40,6 +44,7 @@ from support import (
     FIG2,
     FIG2_EDIT,
     analyze_source,
+    apply_section,
     assert_producers_are_the_last_evaluations,
     eqsys_from_dict,
     fresh_assignment,
@@ -500,9 +505,9 @@ def reanalyze_both_ways(old, new, mode, monkeypatch):
     for restarter in (restart_globals, full_restart_globals):
         monkeypatch.setattr(increment, "restart_globals", restarter)
         built, st, _ = analyze_source(old)
-        _, new_built, stats, _, _ = reanalyze(parse(old).digests, built.assignment, st,
-                                              parse(new), mode,
-                                              contexts=recorded_contexts(st, built.assignment))
+        _, new_built, stats, _ = reanalyze(parse(old).digests, built.assignment, st,
+                                           parse(new), mode,
+                                           contexts=recorded_contexts(st, built.assignment))
         assert '{"k":"global","name":"g"}' in stats["restarted"]
         assert verify_solution(new_built.sys, st) == []
         if restarter is restart_globals:
@@ -715,7 +720,7 @@ def test_the_walk_from_what_it_reached_follows_the_full_walk_on_random_systems()
         stats = run(sys_, st)
         reuse = decide_reuse(st, start, stats["reads"])
         walk = reachable_set(sys_, st, None, reuse, reach)
-        prune(st, walk.left)
+        prune(st, walk.left, reuse.logs)
         assert solver_section(start, st) == full_section(full_tables(SolverState()), st)
         reach = walk.reach
         for step in range(4):
@@ -730,7 +735,7 @@ def test_the_walk_from_what_it_reached_follows_the_full_walk_on_random_systems()
             reuse = decide_reuse(st, start, stats["reads"])
             ref = copy.deepcopy(st)
             walk = reachable_set(sys_, st, None, reuse, reach)
-            prune(st, walk.left)
+            prune(st, walk.left, reuse.logs)
             reached = full_reachable_set(sys_, ref)
             full_prune(ref, reached)
             where = f"trial {trial} step {step}"
@@ -751,6 +756,57 @@ def test_the_walk_from_what_it_reached_follows_the_full_walk_on_random_systems()
     assert walks > 300 and left > 50  # most walks reuse, many lose unknowns
 
 
+def test_a_record_holds_what_left_and_not_what_the_run_made_and_pruning_removed():
+    """The record of a reanalysis is written from the logs of the rows that
+    differ: `z`, which the run creates (the query reads it while the global
+    `g` is Bot, and no longer once `p` side-effects `g`) and the walk then
+    prunes, is in neither its "put" nor its "gone"; `x`, which the run
+    leaves alone and which leaves once the query no longer reads it, is in
+    "gone" of σ, stable and ``infl``, logged by pruning.  The record is the
+    one a comparison of every row finds, and replayed on the base of the
+    state it began from it gives the state in memory."""
+    q, x, z, p = (node("t", i) for i in range(4))
+    g = GlobalVar("g")
+
+    def query(v):
+        then = QGet(p, lambda _: Ans(vs(3)))
+        return QGet(z, lambda _: then) if v.is_bot() else then
+
+    first = eqsys_from_dict({q: QGet(x, Ans), x: Ans(vs(1))}, q, lambda u: ValueSet.bot())
+    st = SolverState()
+    reach = Reach.of(st, q).find_leaves(first)
+    start = tables(st)
+    reuse = decide_reuse(st, start, run(first, st)["reads"])
+    walk = reachable_set(first, st, None, reuse, reach)
+    prune(st, walk.left, reuse.logs)
+    base = solver_section({}, st)
+    second = eqsys_from_dict({q: QGet(g, query), x: Ans(vs(1)), z: Ans(vs(2)),
+                              p: QSet(g, vs(1), Ans(vs(1)))}, q, lambda u: ValueSet.bot())
+    before, start = full_tables(st), tables(st)
+    st.stable.discard(q)
+    st.destabilize(q)
+    stats = run(second, st)
+    assert z in stats["reads"] and z in st.sigma and z in st.stable
+    reuse = decide_reuse(st, start, stats["reads"])
+    walk = reachable_set(second, st, None, reuse, walk.reach)
+    assert set(walk.left) == {x, z} and x not in reuse.changed
+    prune(st, walk.left, reuse.logs)
+    doc = solver_section(start, st)
+    assert doc == full_section(before, st)
+    unknowns = [unknown_from_json(d) for d in doc["unknowns"]]
+    assert z not in unknowns
+    assert {name: [unknowns[i] for i in keys] for name, keys in doc["gone"].items()} == \
+        {"stable": [x], "sigma": [x], "infl": [x]}
+    replayed = SolverState()
+    for section in (base, doc):
+        apply_section(replayed, section)
+    assert (replayed.sigma, replayed.stable, replayed.point) == (st.sigma, st.stable, st.point)
+    for name in ("infl", "side_dep", "side_infl"):
+        assert {u: list(row) for u, row in getattr(replayed, name).items()} == \
+            {u: list(row) for u, row in getattr(st, name).items()}, name
+    assert (replayed.rhs_evals, replayed.destabilizations) == (st.rhs_evals, st.destabilizations)
+
+
 def test_reachable_set_covers_harness_and_globals():
     built, st, _ = analyze_source(FIG2)
     R = full_reachable_set(built.sys, st).keys()
@@ -767,7 +823,7 @@ def test_an_edit_of_the_global_declarations_makes_nothing_reusable(declarations)
     session = cli.run_analysis(text, "prog.mc", cli.Options()).session
     st = session.state
     log = log_stable(st)
-    changes, built, _, _, reuse = reanalyze(
+    changes, built, _, reuse = reanalyze(
         session.digests, session.assignment, st, parse(declarations + text),
         contexts=recorded_contexts(st, session.assignment))
     untouched, reusable = reuse.untouched, reuse.reusable
@@ -822,8 +878,8 @@ def test_edit_sequences_stay_sound_and_consistent():
             m = list(re.finditer(r"(\+|\*|=)\s*(\d+)", text))
             target = m[rng.randrange(len(m))]
             new_text = text[:target.start(2)] + str(const) + text[target.end(2):]
-            _, new_built, _, _, _ = reanalyze(parse(text).digests, asg, st, parse(new_text),
-                                              contexts=recorded_contexts(st, asg))
+            _, new_built, _, _ = reanalyze(parse(text).digests, asg, st, parse(new_text),
+                                           contexts=recorded_contexts(st, asg))
             new_asg = new_built.assignment
             assert verify_solution(new_built.sys, st) == [], f"program {pi} step {step}"
             assert side_maps_inverse(st)

@@ -58,7 +58,7 @@ def postprocess_analysis(built, st, run_stats):
 
 def incremental_pipeline(old_text, new_text, prev_store, built_old, st,
                          restart="minimal"):
-    _, new_built, _, _, reuse = reanalyze(
+    _, new_built, _, reuse = reanalyze(
         parse(old_text).digests, built_old.assignment, st, parse(new_text), restart=restart,
         contexts=prev_store.index.contexts)
     store, stats = postprocess(new_built, st, prev_store, "<test>", reuse)
@@ -148,10 +148,10 @@ def _reference_reanalysis(session, text, filename, opts):
     the untouched unknowns read off a `StableLog`."""
     prog = parse(text)
     log = log_stable(session.state)
-    _, built, _, _, _ = reanalyze(session.digests, session.assignment, session.state, prog,
-                                  opts.mode, opts.restart, opts.domain,
-                                  restart_wpoint=opts.wpoint_restart,
-                                  contexts=recorded_contexts(session.state, session.assignment))
+    _, built, _, _ = reanalyze(session.digests, session.assignment, session.state, prog,
+                               opts.mode, opts.restart, opts.domain,
+                               restart_wpoint=opts.wpoint_restart,
+                               contexts=recorded_contexts(session.state, session.assignment))
     store, stats, reached = full_postprocess(built, session.state, session.store,
                                              log.untouched(), filename)
     return cli.Session(prog.digests, built.assignment, session.state, store), stats, reached
@@ -199,7 +199,7 @@ def _assert_same_as_the_full_walk(versions, opts, monkeypatch, serve=True, walks
 
     def reanalyze(*args, **kwargs):
         out = reanalyze_(*args, **kwargs)
-        starts.append(out[3])
+        starts.append(out[3].logs)
         return out
 
     monkeypatch.setattr(cli, "reanalyze", reanalyze)
