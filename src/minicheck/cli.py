@@ -160,7 +160,7 @@ def save_bundle(state_dir: str, session: Session, opts: Options) -> dict:
                                               image.end + len(data), rid)
                 return {"kind": "delta", "bytes": len(data)}
             del framed, data
-        del then  # the logs and the old rows are freed before the base is encoded
+        del then  # the old rows are freed before the base is encoded; the logs end as it begins
         size = _write_base(state_dir, session, opts)
     except OSError as exc:
         raise CliError(f"cannot write state bundle to {state_dir}: {exc}") from exc
@@ -323,7 +323,7 @@ def run_reanalysis(session: Session, text: str, filename: str,
     on_disk = session.image is not None and session.then is None  # loaded or saved
     return AnalysisResult(Session(prog.digests, built.assignment, state, store, prog,
                                   session.image if on_disk else None,
-                                  journal.tables(session, reuse.logs) if on_disk else None),
+                                  journal.tables(session, reuse.start) if on_disk else None),
                           run_stats, post_stats, diff_warnings(session.store, store),
                           changes.to_json(), prog.parsed)
 

@@ -46,21 +46,21 @@ is no longer reached from the query, or now contributes another value, is
 one a reset would have dropped: its global is reset then, and the query
 solved again.
 
-`reanalyze` takes one snapshot of σ and the solver's sets and starts the
-log of the rows its maps write (`tdsolver.tables`), and decides once, as
-the solve returns, what the post-solve walk may reuse, turning the
-snapshot into logs of the rows that differ, which pruning extends and the
-save reads (`journal`).  The *untouched* unknowns are stable in the
-snapshot and now, and the solver did not evaluate them.  The *reusable*
-ones are untouched, and σ at them, at their last reads and at their side
-targets is the snapshot's; after an edit of the global declarations none
-is.  After the solve, one walk over σ finds what is reachable from the
-query; postprocessing sees its evaluations as they are made.  The walk
-reuses the reusable unknowns it reaches: they are not evaluated, and their
-recorded successors are the inverse of ``infl`` plus their side targets:
-the solver only adds ``infl`` edges, and the walk drops those that its
-evaluation of an unknown does not read.  So the walk evaluates only what
-the run touched.
+`reanalyze` starts the log of the rows each table of the solver writes
+(`tdsolver.tables`): σ, the sets and the maps each log a row, as it was,
+the first time they write it.  It decides once, as the solve returns, what
+the post-solve walk may reuse, from the logged rows that differ; pruning
+extends the logs, and the save reads them (`journal`).  The *untouched*
+unknowns were stable when the reanalysis began and are now, and the solver
+did not evaluate them.  The *reusable* ones are untouched, and σ at them,
+at their last reads and at their side targets is what it was; after an
+edit of the global declarations none is.  After the solve, one walk over
+σ finds what is reachable from the query; postprocessing sees its
+evaluations as they are made.  The walk reuses the reusable unknowns it
+reaches: they are not evaluated, and their recorded successors are the
+inverse of ``infl`` plus their side targets: the solver only adds ``infl``
+edges, and the walk drops those that its evaluation of an unknown does not
+read.  So the walk evaluates only what the run touched.
 
 A walk leaves what it reached, each unknown with its successors (`Reach`),
 and the next walk starts from there: it evaluates the reached unknowns
@@ -86,7 +86,6 @@ from .consys import (
     Context,
     EqSys,
     GlobalVar,
-    InitMarker,
     NodeCtx,
     Unknown,
     eval_tree,
@@ -97,7 +96,7 @@ from .domains import Value, widen
 from .minic.cfg import NodeAssignment, assign_node_ids
 from .minic.syntax import Program, names_used
 from .minic.system import BuiltSystem, build_system
-from .tdsolver import SETS, SolverState, log_differences, run, tables
+from .tdsolver import SolverState, run, tables
 
 INIT_PSEUDO_FN = "__init"
 
@@ -259,24 +258,24 @@ def prepare_reluctant(changes: ChangeSet, st: SolverState, old_asg: NodeAssignme
 # ---------------------------------------------------------------------------
 
 
-def select_restart_globals(changes: ChangeSet, st: SolverState,
-                           old_asg: NodeAssignment) -> Dict[Unknown, Set[Unknown]]:
+def select_restart_globals(changes: ChangeSet, st: SolverState, old_asg: NodeAssignment,
+                           contexts: Dict[str, Collection[Context]]
+                           ) -> Dict[Unknown, Set[Unknown]]:
     """Globals side-effected by the *old* version of every edited function,
     read off side_infl before relabeling erases the old unknowns, sorted,
     each with the producers read there: the old unknowns of the edited
-    functions, and `INIT` after an edit of the global declarations."""
+    functions, each old node in each of the function's `contexts`, and
+    `INIT` after an edit of the global declarations."""
     edited = changes.edited()
-    old_nodes: Dict[str, Set[int]] = {
-        fn: set(old_asg.assign[fn]) for fn in edited
-        if fn != INIT_PSEUDO_FN and fn in old_asg.assign
-    }
+    producers = [NodeCtx(fn, n, c) for fn in edited if fn in old_asg.assign
+                 for n in old_asg.assign[fn] for c in contexts.get(fn, ())]
+    if INIT_PSEUDO_FN in edited:
+        producers.append(INIT)
     out: Dict[Unknown, Set[Unknown]] = {}
-    for x, gs in st.side_infl.items():
-        if (isinstance(x, NodeCtx) and x.node in old_nodes.get(x.fn, ())) or \
-                (isinstance(x, InitMarker) and INIT_PSEUDO_FN in edited):
-            for g in gs:
-                if isinstance(g, GlobalVar):
-                    out.setdefault(g, set()).add(x)
+    for x in producers:
+        for g in st.side_infl.get(x, ()):
+            if isinstance(g, GlobalVar):
+                out.setdefault(g, set()).add(x)
     return {g: out[g] for g in sorted(out, key=sort_key)}
 
 
@@ -335,7 +334,7 @@ def restart_globals(G: Dict[Unknown, Set[Unknown]], sys_: EqSys, st: SolverState
         if new == st.sigma.get(g):
             continue
         if new is None:
-            del st.sigma[g]
+            st.sigma.pop(g)
             st.stable.discard(g)
         else:
             st.sigma[g] = new
@@ -434,16 +433,15 @@ class Reuse:
     walk (see the module docstring): the `untouched` and the `reusable`
     unknowns, every unknown the run evaluated with every unknown its
     evaluations read (`reads`), `changed`, the unknowns whose σ entry is
-    not the snapshot's object (set, replaced or removed), each mapped to
-    itself as σ's key or, once removed, the snapshot's, and `logs`, the
-    snapshot turned into the logs of the rows that differ from it
-    (`tdsolver.log_differences`), which pruning extends."""
+    not the object it was (set, replaced or removed), each mapped to itself
+    as σ holds it (`Values.own`), and `start`, the solver's counters as the
+    reanalysis began (`tdsolver.tables`), for the record."""
 
     untouched: Set[Unknown]
     reusable: Set[Unknown]
     reads: Dict[Unknown, Tuple[Unknown, ...]]
     changed: Dict[Unknown, Unknown]
-    logs: dict
+    start: dict
 
 
 def reanalyze(old_digests: dict, old_asg: NodeAssignment, st: SolverState,
@@ -456,14 +454,15 @@ def reanalyze(old_digests: dict, old_asg: NodeAssignment, st: SolverState,
 
     `mode` is "plain" or "reluctant" destabilization; `restart` is "off" or
     "minimal"; `domain` is the integer value domain of `build_system`;
-    `contexts` are the old version's `recorded_contexts`.  The
-    restart set is read off the old state before relabeling erases the old
-    unknowns.  Returns the change set, the new system, the solver's per-step
-    statistics plus the keys of the restarted globals, and what the walk
-    may reuse."""
+    `contexts` are the old version's `recorded_contexts`.  The restart set is
+    looked up in the old state before relabeling erases the old unknowns.
+    The tables of `st` log their writes from the start until the record.
+    Returns the change set, the new system, the solver's per-step statistics
+    plus the keys of the restarted globals, and what the walk may reuse."""
     start = tables(st)
     changes = detect_changes(old_digests, new_prog)
-    restarted = select_restart_globals(changes, st, old_asg) if restart == "minimal" else {}
+    restarted = select_restart_globals(changes, st, old_asg, contexts) \
+        if restart == "minimal" else {}
     built = build_system(new_prog, relabel_nodes(changes, old_asg, new_prog), domain)
     prepare = prepare_reluctant if mode == "reluctant" else prepare_plain
     pre_solve = prepare(changes, st, old_asg, contexts)
@@ -498,16 +497,20 @@ def decide_reuse(st: SolverState, start: dict, reads: Dict[Unknown, Tuple[Unknow
                  allowed: bool = True) -> Reuse:
     """What the walk after a run may reuse (see the module docstring), as
     the run evaluated the keys of `reads`, each with what it read; nothing
-    unless `allowed`.  It is read off the logs of the rows that differ from
-    `start`, the snapshot the run began from, into which it turns `start`
-    (`tdsolver.log_differences`)."""
-    log_differences(start, st)
-    changed = {u: u for u in (st.sigma if start["sigma"] is None else start["sigma"])}
+    unless `allowed`.  It is read off the logs of σ and of `stable`, which
+    `tables` started as the reanalysis began and returned `start`; the log
+    of `stable` is cut down to the unknowns whose membership differs."""
+    sigma, log = st.sigma, st.sigma.log
+    changed = {u: u for u in sigma} if log is None else \
+        {u: sigma.own(u) for u, was in log.items() if sigma.get(u) is not was}
     # An unknown with a rhs that left stable is stable again only once it is
     # evaluated.  (A global that left is stable again once it gets a new
     # contribution, but the walk follows nothing from a global.)
-    untouched = set() if start["stable"] is None else \
-        st.stable.difference([u for u, was in start["stable"].items() if was is None], reads)
+    stable, log = st.stable, st.stable.log
+    if log is not None:
+        log = stable.log = {u: was for u, was in log.items() if (u in stable) == (was is None)}
+    untouched = set() if log is None else \
+        stable.difference([u for u, was in log.items() if was is None], reads)
     reusable: Set[Unknown] = set()
     if untouched and allowed:
         # Not reusable: what changed, what read it last and what side-effected it.
@@ -620,6 +623,7 @@ def reachable_set(sys_: EqSys, st: SolverState, visit: Optional[Callable], reuse
     look = sys_.lookup(st.sigma)
     reusable, reads = reuse.reusable, reuse.reads
     succ, leaves, unstable = known.succ, known.leaves, known.unstable
+    stable_log = st.stable.log  # the unknowns whose stable row differs (`decide_reuse`)
 
     def evaluate(u: Unknown, held: Tuple[Unknown, ...] = ()) -> Tuple[Unknown, ...]:
         """Evaluate `u`, whose successors were `held`, for `visit`, drop the
@@ -649,7 +653,6 @@ def reachable_set(sys_: EqSys, st: SolverState, visit: Optional[Callable], reuse
     seeds: List[Unknown] = []
     # What was reached and is not reusable was not stable, was evaluated, has
     # a stable row that differs, or is untouched and not reusable.
-    stable_log = reuse.logs["stable"]  # the unknowns whose stable row differs
     for u in itertools.chain(unstable, reuse.untouched - reusable, reads, stable_log or ()):
         if u in old or u in reusable or u not in succ:
             continue
@@ -700,7 +703,7 @@ def reachable_set(sys_: EqSys, st: SolverState, visit: Optional[Callable], reuse
     # unknown whose rhs went is not evaluated, so keeps its edges), or, if
     # the last walk did not reach it, what the run read.  Every other row
     # that the run wrote names what it evaluated or read, σ differs from
-    # the snapshot only at `reuse.changed`, and an unknown stable now that
+    # what it was only at `reuse.changed`, and an unknown stable now that
     # was not then is in the log of stable, or is any if there is none.
     left = {v: (*old.get(v, ()), *out) for v, out in gone.items()}
     for y in itertools.chain(reads, *reads.values(), reuse.changed,
@@ -726,20 +729,15 @@ def _same_objects(found: Tuple[Unknown, ...], held: Tuple[Unknown, ...],
     return tuple(same.get(y) or keys.get(y, y) for y in found)
 
 
-def prune(st: SolverState, left: Dict[Unknown, Tuple[Unknown, ...]], logs: dict) -> None:
+def prune(st: SolverState, left: Dict[Unknown, Tuple[Unknown, ...]]) -> None:
     """Drop every unknown of `left` (see `reachable_set`), which holds every
     unknown of the state that is not reached, each with the unknowns whose
     ``infl`` rows may name it, from σ, the sets and the maps.  Only those
     and the rows that name them are visited: those ``infl`` rows, and the
     ``side_dep`` and ``side_infl`` rows of its side targets and producers.
     A row whose key left goes, and a row that names one that left keeps its
-    other members, in order.  The rows of σ and the sets it removes are
-    logged in `logs` (`Reuse.logs`) as they were, unless they are already."""
-    for name in ("sigma", *SETS):
-        table, log = getattr(st, name), logs[name]
-        if log is not None:
-            log.update((v, st.sigma[v] if name == "sigma" else True)
-                       for v in left if v in table and v not in log)
+    other members, in order.  Like every writer of the tables, it logs what
+    it removes through their methods."""
     infl, side_dep, side_infl = st.infl, st.side_dep, st.side_infl
     for v, read in left.items():
         st.sigma.pop(v, None)

@@ -8,11 +8,11 @@ the empty session with the base and then every record of the journal
 replayed in order, all by `replay`, so every row is checked by the same
 code however it was written.
 
-A reanalysis keeps what it began from (`tables`): of the solver's tables,
-which the run mutates, logs of the rows that it changed, each with what
-the row was, and the session's other rows, which the run replaces.  The
-save compares the new session, read in place, with them and writes only
-the changed and the removed rows; a base is the difference from `EMPTY`.
+A reanalysis keeps what it began from (`tables`): the session's rows, which
+the run replaces, and the solver's counters; each table of the solver,
+which the run mutates, logs the rows it writes, as they were.  The save
+compares the new session, read in place, with them and writes only the
+changed and the removed rows; a base is the difference from `EMPTY`.
 The solver's tables and their rows are `tdsolver`'s (`tdsolver.tables`,
 `state_to_json`, `state_from_json`); the rows of the digests, node ids,
 access records and scalars are this module's, compared by equality; an
@@ -66,8 +66,8 @@ class Image:
 
 
 def tables(session, solver: Optional[dict]) -> Dict[str, object]:
-    """The persisted data of `session` as tables of rows, with `solver` as
-    the solver's tables.  The other rows share what the session holds."""
+    """The persisted data of `session` as tables of rows, and `solver`, what
+    `tdsolver.tables` returned.  The other rows share what the session holds."""
     store, digests, asg = session.store, session.digests, session.assignment
     return {"solver": solver,
             "functions": digests["functions"],

@@ -196,7 +196,7 @@ def postprocess(built: BuiltSystem, st: SolverState, prev: WarnStore, filename: 
 
     # Pruning first: a context that the edit made unreachable must not
     # contribute warnings.
-    prune(st, left, reuse.logs)
+    prune(st, left)
     # The records of a reached unknown that the walk did not evaluate are
     # those it had; an unknown that is not reached has none.
     for v in left:

@@ -67,6 +67,79 @@ class Violation:
         return f"Violation({self.kind} at {self.unknown!r}: {self.detail})"
 
 
+def _unlogged(table, *args, **kwargs):
+    raise TypeError(f"{type(table).__name__} is written only by methods that log")
+
+
+class _Match:
+    """Equal to what `key` equals; a lookup of it in a dict leaves in `met`
+    the key object the dict holds.  (An unknown's dataclass `__eq__` answers
+    NotImplemented for another class, so the lookup asks this one.)"""
+
+    __slots__ = ("key", "met")
+
+    def __init__(self, key: Unknown):
+        self.key = key
+
+    def __hash__(self) -> int:
+        return hash(self.key)
+
+    def __eq__(self, other) -> bool:
+        self.met = other
+        return other == self.key
+
+
+class Values(dict):
+    """σ: unknown -> its value.  Its writers are `__setitem__` and `pop`;
+    the other mutators of a dict raise.  While `log` is a dict, as in
+    `Rows`, each records there, the first time it writes a key, what the
+    key's value was: the value, or None if none."""
+
+    log: Optional[Dict[Unknown, Optional[Value]]] = None
+    update = setdefault = popitem = clear = __delitem__ = __ior__ = _unlogged
+
+    def __setitem__(self, key: Unknown, value: Value) -> None:
+        if self.log is not None:
+            self.log.setdefault(key, self.get(key))
+        dict.__setitem__(self, key, value)
+
+    def pop(self, key: Unknown, *default):
+        if self.log is not None:
+            self.log.setdefault(key, self.get(key))
+        return dict.pop(self, key, *default)
+
+    def own(self, key: Unknown) -> Unknown:
+        """σ's own key object that equals `key`, else `key`: a write keeps
+        the object a key was first set with, and logs the one it is given."""
+        match = _Match(key)
+        return match.met if match in self else key
+
+
+class Members(set):
+    """`stable` or `point`: a set of unknowns.  Its writers are `add`,
+    `discard` and `difference_update`; the other mutators of a set raise.
+    While `log` is a dict, each records there, the first time it adds or
+    removes a key, whether the key was a member: True, or None if not."""
+
+    log: Optional[Dict[Unknown, Optional[bool]]] = None
+    update = remove = pop = clear = intersection_update = symmetric_difference_update = \
+        __ior__ = __iand__ = __isub__ = __ixor__ = _unlogged
+
+    def add(self, key: Unknown) -> None:
+        if self.log is not None and key not in self:
+            self.log.setdefault(key, None)
+        set.add(self, key)
+
+    def discard(self, key: Unknown) -> None:
+        if self.log is not None and key in self:
+            self.log.setdefault(key, True)
+        set.discard(self, key)
+
+    def difference_update(self, keys: Iterable[Unknown]) -> None:
+        for key in keys:
+            self.discard(key)
+
+
 class Rows(dict):
     """One of the solver's maps: unknown -> its members, an insertion-ordered
     set (a dict with None values).  Its four methods are the one writer of
@@ -80,11 +153,7 @@ class Rows(dict):
     `log` is None at rest, and stays None for a map that was empty when
     `tables` was taken: every row it has at the save is new."""
 
-    __slots__ = ("log",)
-
-    def __init__(self, *rows):
-        super().__init__(*rows)
-        self.log: Optional[Dict[Unknown, Optional[Tuple[Unknown, ...]]]] = None
+    log: Optional[Dict[Unknown, Optional[Tuple[Unknown, ...]]]] = None
 
     def _note(self, key: Unknown, row: Optional[Dict[Unknown, None]]) -> None:
         """Log `row`, the row of `key` before a change, unless it is logged."""
@@ -130,9 +199,11 @@ class Rows(dict):
 class SolverState:
     """Mutable solver data, persistent between runs.
 
-    ``infl``, ``side_dep`` and ``side_infl`` are `Rows`: insertion-ordered
-    sets per unknown, written only through their methods, which log what
-    they change while a reanalysis runs (see `tables`).  Destabilization
+    σ is `Values`, ``stable`` and ``point`` are `Members`, and ``infl``,
+    ``side_dep`` and ``side_infl`` are `Rows`: insertion-ordered sets per
+    unknown.  Each table is written only through the methods of its class,
+    which log what they change while a reanalysis runs (see `tables`): a
+    write anywhere else would be missing from the journal.  Destabilization
     iterates ``infl`` in recorded order, which keeps counters and warning
     output reproducible.  ``side_dep`` maps each side-effected unknown to
     its producers, in the order they were first recorded, and
@@ -149,11 +220,11 @@ class SolverState:
     """
 
     def __init__(self):
-        self.sigma: Dict[Unknown, Value] = {}
+        self.sigma = Values()
         self.infl = Rows()
-        self.stable: set = set()
+        self.stable = Members()
         self.called: set = set()
-        self.point: set = set()
+        self.point = Members()
         self.side_dep = Rows()
         self.side_infl = Rows()
         self.rhs_evals = 0
@@ -414,8 +485,8 @@ def verify_solution(sys_: EqSys, state: SolverState,
 # Persistence: the solver section of a journal record (see `journal`).  A
 # record holds the rows of σ, of the maps and of the sets that differ
 # between what the state was when a reanalysis began (`tables`) and the
-# state, and the keys of the rows that went: the rows that a log of each
-# table holds (`Rows`, `log_differences`).  Every unknown it mentions is
+# state, and the keys of the rows that went: of the rows that each table's
+# log holds, those whose row differs now.  Every unknown it mentions is
 # written once, into "unknowns" (sorted by sort_key), and every distinct
 # value of σ once, into "values" (in order of first use); the rows refer to
 # both by index.  The section has no format number of its own: the bundle's
@@ -425,50 +496,28 @@ def verify_solution(sys_: EqSys, state: SolverState,
 
 MAPS = ("infl", "side_dep", "side_infl")  # unknown -> its members, in order
 SETS = ("stable", "point")
+TABLES = (*SETS, "sigma", *MAPS)  # the order of a record's "gone" members
 
 
-def tables(state: SolverState) -> Dict[str, object]:
-    """What `state` is as a reanalysis begins: a copy of σ, of the sets and
-    of the counters, and each map's log, which this starts (None for an
-    empty map, whose rows will all be new).  The log holds each row a
-    `Rows` method changes from now on, as it was (the tuple of its members,
-    in order, as it drives destabilization), until the record is written.
-    Values are shared, never mutated."""
-    out: Dict[str, object] = {"sigma": dict(state.sigma), "stable": set(state.stable),
-                              "point": set(state.point),
-                              "counters": {"rhs_evals": state.rhs_evals,
-                                           "destabilizations": state.destabilizations}}
-    for name in MAPS:
-        rows = getattr(state, name)
-        rows.log = out[name] = {} if rows else None
-    return out
-
-
-def log_differences(then: dict, state: SolverState) -> None:
-    """Turn the copies of σ and of the sets in `then` (`tables` as a
-    reanalysis began) into logs like the maps': every key whose row differs
-    in `state`, with what its row was, None if it had none (σ's value,
-    never None; True for a member of a set).  σ's rows differ when their
-    values are distinct objects: a value the run did not touch is still the
-    object it was.  A table that was empty gets no log: every row it has is
-    new.  From the reuse decision, which calls this, to the save, only
-    `increment.prune` writes σ and the sets, logging what it removes."""
-    old, sigma = then["sigma"], state.sigma
-    then["sigma"] = {**{u: old.get(u) for u, v in sigma.items() if old.get(u) is not v},
-                     **{u: old[u] for u in set(old).difference(sigma)}} if old else None
-    for name in SETS:
-        old, now = then[name], getattr(state, name)
-        then[name] = {**dict.fromkeys(now - old), **dict.fromkeys(old - now, True)} \
-            if old else None
+def tables(state: SolverState) -> Dict[str, int]:
+    """Start the log of each table of `state` as a reanalysis begins (None
+    for an empty table, whose rows will all be new) and return its
+    counters.  A log holds each row that the table's methods write from now
+    on, as it was, until the record is written."""
+    for name in TABLES:
+        table = getattr(state, name)
+        table.log = {} if table else None
+    return {"rhs_evals": state.rhs_evals, "destabilizations": state.destabilizations}
 
 
 def state_to_json(then: dict, state: SolverState) -> Iterator[Tuple[str, object]]:
-    """The solver section of the record that turns `then` into `state`,
-    which is read in place, as (member, JSON value) pairs.  `then` is
-    `tables` as a reanalysis began with every table's log (see
-    `log_differences`), or an empty dict for the empty state.  It ends the
-    maps' logs.  Of a table, the rows its log holds are visited, each with
-    what it was; without a log every row is new.
+    """The solver section of the record that turns `state` as it was when
+    `tables` returned `then`, its counters, into `state`, which is read in
+    place, as (member, JSON value) pairs; with an empty `then`, the section
+    of a base, in which every row is new.  It ends the tables' logs.  Of a
+    table with a log, the logged rows that differ now are visited (σ's by
+    the identity of the value, as a value the run did not touch is still
+    the object it was); without a log every row is new.
 
     The rows that differ are found when it is called.  The section is
     written as it is built: the "unknowns" and "values" arrays are `map`s
@@ -477,8 +526,9 @@ def state_to_json(then: dict, state: SolverState) -> Iterator[Tuple[str, object]
     put: Dict[str, object] = {}
     gone: Dict[str, object] = {}
     mentioned: set = set()
-    for name in (*SETS, "sigma", *MAPS):  # the order of "gone"'s members
-        table, log = getattr(state, name), then.get(name)
+    for name in TABLES:
+        table = getattr(state, name)
+        log, table.log = table.log if then else None, None
         gone[name] = () if log is None else \
             [u for u, was in log.items() if was is not None and u not in table]
         if log is None:  # every row is new: the table stands for its keys
@@ -489,11 +539,8 @@ def state_to_json(then: dict, state: SolverState) -> Iterator[Tuple[str, object]
             put[name] = [u for u, was in log.items() if u in table and table[u] is not was]
         else:
             put[name] = [u for u, was in log.items() if u in table and tuple(table[u]) != was]
-        # A set's update with a dict or a set reuses the keys' stored hashes:
-        # no unknown's __hash__ runs.  No map's row is empty at rest.
-        mentioned.update(put[name], gone[name])
+        mentioned.update(put[name], gone[name])  # no map's row is empty at rest
         if name in MAPS:
-            table.log = None
             for u in put[name]:
                 mentioned.update(table[u])
     unknowns = sorted(mentioned, key=sort_key)
@@ -504,7 +551,7 @@ def state_to_json(then: dict, state: SolverState) -> Iterator[Tuple[str, object]
     sigma = [[i, values.setdefault(state.sigma[unknowns[i]], len(values))]
              for i in sorted(index[u] for u in put["sigma"])]
     counters = {"rhs_evals": state.rhs_evals, "destabilizations": state.destabilizations}
-    counters = None if then.get("counters") == counters else counters
+    counters = None if then == counters else counters
     gone = {name: sorted(index[u] for u in keys) for name, keys in gone.items() if keys}
     return _members(unknowns, values, _put_rows(state, put, index, sigma, counters), gone)
 
@@ -558,11 +605,12 @@ def state_from_json(state: SolverState, doc: dict) -> Optional[dict]:
     contexts: Dict[str, Context] = {}
     unknowns = [unknown_from_json(d, contexts) for d in doc.pop("unknowns")]
     values = [value_from_json(d) for d in doc.pop("values")]
-    for name, keys in gone.items():
-        _indices(name, keys)
+    for name, keys in [*gone.items(), *((name, put.get(name)) for name in SETS)]:
+        if keys and min(keys) < 0:
+            raise ValueError(f"a row of {name} has a negative index")
     sigma = state.sigma
     for i in gone.get("sigma", ()):
-        del sigma[unknowns[i]]
+        sigma.pop(unknowns[i])
     for i, v in put.get("sigma", ()):
         if i < 0 or v < 0:
             raise ValueError("a row of sigma has a negative index")
@@ -579,13 +627,6 @@ def state_from_json(state: SolverState, doc: dict) -> Optional[dict]:
     for name in SETS:
         s = getattr(state, name)
         s.difference_update(unknowns[i] for i in gone.get(name, ()))
-        s.update(unknowns[i] for i in _indices(name, put.get(name, ())))
+        for i in put.get(name, ()):
+            s.add(unknowns[i])
     return put.get("counters")
-
-
-def _indices(name: str, indices: list) -> list:
-    """`indices`, the unknowns of the rows of table `name` that a record
-    puts or removes; ValueError if one is negative."""
-    if indices and min(indices) < 0:
-        raise ValueError(f"a row of {name} has a negative index")
-    return indices

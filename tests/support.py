@@ -84,27 +84,19 @@ def eqsys_from_dict(rhs: dict, query, bot_of: Callable) -> EqSys:
 
 
 def solver_section(then: dict, st: SolverState) -> dict:
-    """The solver section of the record that turns the solver tables `then`
-    (``{}`` for the empty state) into `st`, as the JSON it is written as.
-    `then` holds a log of every table: `tdsolver.tables` after the reuse
-    decision (see `diffed`), or the logs `full_section` makes."""
+    """The solver section of the record that turns `st` as it was when
+    `tdsolver.tables` returned `then` (``{}`` for the empty state) into
+    `st`, as the JSON it is written as.  It ends the logs of `st`."""
     parts = []
     journal.write_json(parts.append, tdsolver.state_to_json(then, st))
     return json.loads("".join(parts))
 
 
-def diffed(then: dict, st: SolverState) -> dict:
-    """`then`, `tdsolver.tables` of a state, with σ and the sets turned into
-    logs of how `st` differs from it, as the reuse decision turns them."""
-    tdsolver.log_differences(then, st)
-    return then
-
-
 def full_tables(st: SolverState) -> dict:
     """Every table of the solver copied whole, each row as a log holds what
     it was (σ's value, True for a member of a set, a map's members as a
-    tuple): the oracle for `tdsolver.tables` and the logs of the rows a
-    reanalysis writes."""
+    tuple), and the counters: the snapshot that the logs of the rows a
+    reanalysis writes are checked against (`differences`)."""
     out = {name: {u: tuple(row) for u, row in getattr(st, name).items()}
            for name in tdsolver.MAPS}
     return {"sigma": dict(st.sigma), "stable": dict.fromkeys(st.stable, True),
@@ -113,13 +105,43 @@ def full_tables(st: SolverState) -> dict:
             **out}
 
 
+def _differs(name: str, was, now) -> bool:
+    """Whether a row of table `name` that was `was` differs as `now`, each
+    as `full_tables` holds a row (None for none): σ's by the identity of
+    the value, which a run that does not touch it leaves the object it was."""
+    return was is not now if name == "sigma" else was != now
+
+
+def differences(then: dict, st: SolverState) -> dict:
+    """The snapshot comparison: by table, every key whose row in `st`
+    differs from the one in `full_tables` `then`, with what it was (None if
+    it had none); None for a table that was empty, all of whose rows are
+    new.  The reference for `logged_differences`."""
+    now = full_tables(st)
+    return {name: None if not then[name] else
+            {u: then[name].get(u) for u in {**then[name], **now[name]}
+             if _differs(name, then[name].get(u), now[name].get(u))}
+            for name in tdsolver.TABLES}
+
+
+def logged_differences(st: SolverState) -> dict:
+    """The logs of the tables of `st`, each cut down to the rows that
+    differ from what the log holds, as `differences` finds them."""
+    now = full_tables(st)
+    logs = {name: getattr(st, name).log for name in tdsolver.TABLES}
+    return {name: None if log is None else
+            {u: was for u, was in log.items() if _differs(name, was, now[name].get(u))}
+            for name, log in logs.items()}
+
+
 def full_section(then: dict, st: SolverState) -> dict:
     """The solver section of the record that turns `full_tables` `then`
-    into `st`, found by comparing every row: a log that names every key of
-    every table."""
-    logs = {name: {u: then[name].get(u) for u in [*then[name], *getattr(st, name)]}
-            for name in ("sigma", *tdsolver.SETS, *tdsolver.MAPS)}
-    return solver_section({**then, **logs}, st)
+    into `st`, found by comparing every row: it gives every table of `st`
+    a log that names every key."""
+    for name in tdsolver.TABLES:
+        table = getattr(st, name)
+        table.log = {u: then[name].get(u) for u in [*then[name], *table]}
+    return solver_section(then["counters"], st)
 
 
 def apply_section(st: SolverState, doc: dict) -> None:
@@ -378,11 +400,13 @@ def kleene_local_solution(rhs: dict, deps: dict, query) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-class StableLog(set):
+class StableLog(tdsolver.Members):
     """A solver's `stable` set that records every unknown discarded from it
     since it was made from the set it replaces: the oracle of the untouched
-    unknowns that `increment.reanalyze` derives from its snapshot and the
-    unknowns the solver evaluated."""
+    unknowns that `increment.reanalyze` derives from the log of `stable`
+    and the unknowns the solver evaluated.  The package writes `stable`
+    only through the methods of `tdsolver.Members`, which a `StableLog`
+    keeps (`tests/test_hygiene.py`)."""
 
     def __init__(self, items=()):
         super().__init__(items)
@@ -397,31 +421,17 @@ class StableLog(set):
         self.discarded.add(u)
         super().discard(u)
 
-    def remove(self, u):
-        self.discarded.add(u)
-        super().remove(u)
-
     def difference_update(self, *others):
         for other in others:
             for u in list(other):
                 self.discard(u)
 
-    def intersection_update(self, *others):
-        kept = set(self).intersection(*others)
-        self.difference_update(set(self) - kept)
-
-    def __isub__(self, other):
-        self.difference_update(other)
-        return self
-
-    def __iand__(self, other):
-        self.intersection_update(other)
-        return self
-
 
 def log_stable(st: SolverState) -> StableLog:
-    """Replace the stable set of `st` by a `StableLog` of it."""
-    st.stable = StableLog(st.stable)
+    """Replace the stable set of `st` by a `StableLog` of it, which takes
+    over its log."""
+    log, st.stable = st.stable.log, StableLog(st.stable)
+    st.stable.log = log
     return st.stable
 
 
@@ -487,9 +497,9 @@ def full_reachable_set(sys_: EqSys, st: SolverState, visit: Callable = None) -> 
 def full_prune(st: SolverState, reachable) -> None:
     """Rebuild every solver map from what `reachable` holds."""
     R = reachable
-    st.sigma = {u: v for u, v in st.sigma.items() if u in R}
-    st.stable &= set(R)
-    st.point &= set(R)
+    st.sigma = tdsolver.Values({u: v for u, v in st.sigma.items() if u in R})
+    st.stable.difference_update([u for u in st.stable if u not in R])
+    st.point.difference_update([u for u in st.point if u not in R])
 
     def prune_map(m):
         out = {}

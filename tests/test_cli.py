@@ -15,13 +15,13 @@ import time
 
 import pytest
 
-from minicheck import cli, consys, journal, postproc, tdsolver
+from minicheck import cli, consys, increment, journal, postproc, tdsolver
 from minicheck.consys import MAIN, Context, GlobalVar, NodeCtx
 from minicheck.corpus import CorpusSpec, corpus_source, edit_sequence
 from minicheck.domains import LocalState, ValueSet
 from minicheck.minic import parse, syntax, system
 
-from support import FIG2, FIG2_EDIT, log_stable
+from support import FIG2, FIG2_EDIT, log_stable, logged_differences
 
 
 def write(path, text):
@@ -1407,24 +1407,28 @@ def test_the_save_and_the_split_after_an_edit_do_not_grow_with_the_program(tmp_p
     """A served `const` edit and then a `gval` edit, against the program
     padded with 100 and with 1,000 functions that they do not touch, log as
     many map rows and as many rows of σ and the sets for the save to visit,
-    and split as many characters of the source again.  The session a
-    reanalysis returns keeps those logs, not a copy of σ or of a set."""
-    logged, rescanned, sigma_and_sets, kept = [], [], [], []
+    as many of which differ, and split as many characters of the source
+    again.  The session a reanalysis returns keeps the counters, and the
+    state those logs, not a copy of σ or of a set."""
+    logged, rescanned, sigma_and_sets, differ, kept = [], [], [], [], []
     state_to_json, split = tdsolver.state_to_json, syntax._split
     run_reanalysis = cli.run_reanalysis
 
     def logging_state_to_json(then, state):
         if then:  # a journal record, not a base
-            logged.append(sum(len(then[name] or ()) for name in tdsolver.MAPS))
-            sigma_and_sets.append([len(then[name]) for name in ("sigma", *tdsolver.SETS)])
+            logs = {name: getattr(state, name).log for name in tdsolver.TABLES}
+            logged.append(sum(len(logs[name] or ()) for name in tdsolver.MAPS))
+            sigma_and_sets.append([len(logs[name]) for name in ("sigma", *tdsolver.SETS)])
+            cut = logged_differences(state)
+            differ.append([len(cut[name]) for name in ("sigma", *tdsolver.SETS)])
         return state_to_json(then, state)
 
     def kept_run_reanalysis(session, text, filename, opts):
         result = run_reanalysis(session, text, filename, opts)
         if result.session.then is not None:
-            solver = result.session.then["solver"]
-            kept.append([len(solver[name]) if isinstance(solver[name], dict) else None
-                         for name in ("sigma", *tdsolver.SETS)])
+            assert set(result.session.then["solver"]) == {"rhs_evals", "destabilizations"}
+            state = result.session.state
+            kept.append([len(getattr(state, name).log) for name in ("sigma", *tdsolver.SETS)])
         return result
 
     def counting_split(text, pos=0, line=1, stop=None):
@@ -1446,7 +1450,7 @@ def test_the_save_and_the_split_after_an_edit_do_not_grow_with_the_program(tmp_p
     monkeypatch.setattr(cli, "run_reanalysis", kept_run_reanalysis)
     counts = []
     for n_pads in (100, 1000):
-        del logged[:], rescanned[:], sigma_and_sets[:], kept[:]
+        del logged[:], rescanned[:], sigma_and_sets[:], differ[:], kept[:]
         opts = cli.Options(state_dir=str(tmp_path / f"state{n_pads}"), stats=True)
         stats = _serve_stats(opts, [_padded(n_pads), _padded(n_pads, "const:9"),
                                     _padded(n_pads, "const:9", "gval:17")],
@@ -1454,9 +1458,54 @@ def test_the_save_and_the_split_after_an_edit_do_not_grow_with_the_program(tmp_p
         assert [s["persisted"]["kind"] for s in stats] == ["full", "delta", "delta"]
         assert kept == sigma_and_sets and len(kept) == 2
         assert max(n for sizes in kept for n in sizes) < 100  # logs, not copies
+        assert differ == [[15, 12, 0], [13, 12, 0]]
         counts.append((list(logged), list(rescanned), list(sigma_and_sets)))
     assert counts[0] == counts[1]
     assert len(counts[0][0]) == len(counts[0][1]) == 2 and 0 < min(counts[0][0] + counts[0][1])
+
+
+class _CountedRows:
+    """A map as the restart selection reads it, counting the rows it visits."""
+
+    def __init__(self, rows, visits):
+        self.rows, self.visits = rows, visits
+
+    def get(self, key, default=None):
+        self.visits[-1] += 1
+        return self.rows.get(key, default)
+
+    def items(self):
+        for item in self.rows.items():
+            self.visits[-1] += 1
+            yield item
+
+
+def test_the_restart_selection_after_an_edit_does_not_grow_with_the_program(tmp_path,
+                                                                          monkeypatch):
+    """A served `gval` edit, against the program padded with 100 and with
+    1,000 functions that it does not touch, visits as many rows of
+    ``side_infl`` to select the globals to restart, and selects one."""
+    visits, selected = [], []
+    select = increment.select_restart_globals
+
+    def counting_select(changes, st, *args):
+        visits.append(0)
+        rows, st.side_infl = st.side_infl, _CountedRows(st.side_infl, visits)
+        try:
+            selected.append(select(changes, st, *args))
+        finally:
+            st.side_infl = rows
+        return selected[-1]
+
+    monkeypatch.setattr(increment, "select_restart_globals", counting_select)
+    counts = []
+    for n_pads in (100, 1000):
+        opts = cli.Options(state_dir=str(tmp_path / f"state{n_pads}"), stats=True)
+        _serve_stats(opts, [_padded(n_pads), _padded(n_pads, "gval:17")],
+                     str(tmp_path / f"prog{n_pads}.mc"))
+        assert len(selected[-1]) == 1
+        counts.append(visits[-1])
+    assert counts[0] == counts[1] > 0
 
 
 def test_serve_leaves_no_cyclic_garbage(tmp_path, monkeypatch):

@@ -12,6 +12,8 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+from minicheck import tdsolver
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "minicheck"
 
 # corpus generators driven by perfbench/run.py
@@ -196,23 +198,26 @@ def test_only_the_rows_class_writes_a_map_row():
     assert problems == []
 
 
-# σ and the solver's sets are compared with what they were as a reanalysis
-# began once, at the reuse decision (`tdsolver.log_differences`), which
-# turns the snapshot into logs of the rows that differ; from there until
-# the record is written only pruning writes them, and it logs the rows it
-# removes.  A record visits only the logged rows, so a write elsewhere after
-# the decision would silently be missing from the journal.  These are the
-# (module, function) pairs that write σ, stable or point: the solver,
-# destabilization and the decoder, and the reanalysis' dropping of old
-# nodes, destabilization up front, restarts and pruning; a class stands for
-# all its methods.  postproc, journal and cli write none of them.  A write
-# is a mutating method call, an item assignment or deletion, or an
-# augmented assignment, on the table or on a name bound to it (directly,
-# by `getattr`, or element by element from a tuple).
+# σ, stable and point log their own writes, like the maps (`tdsolver.Values`
+# and `tdsolver.Members`): a record visits only the rows their logs hold, so
+# a write that is not one of their logging methods would silently be missing
+# from the journal.  These are the (module, function) pairs that write σ,
+# stable or point: the logging classes, the solver, destabilization and the
+# decoder, and the reanalysis' dropping of old nodes, destabilization up
+# front, restarts and pruning; a class stands for all its methods.
+# postproc, journal and cli write none of them.  A write is a mutating
+# method call, an item assignment or deletion, or an augmented assignment,
+# on the table or on a name bound to it (directly, by `getattr`, or element
+# by element from a tuple), or a `dict` or `set` method called on it
+# directly (``dict.__setitem__(st.sigma, …)``), as the logging classes do
+# with ``self``.
 TABLE_NAMES = {"sigma", "stable", "point"}
 TABLE_MUTATORS = MUTATORS | {"add", "discard", "remove", "difference_update",
                              "intersection_update", "symmetric_difference_update"}
+LOGGING = {"sigma": tdsolver.Values, "stable": tdsolver.Members, "point": tdsolver.Members}
 TABLE_WRITERS = {
+    ("tdsolver.py", "Values"),
+    ("tdsolver.py", "Members"),
     ("tdsolver.py", "Solver"),
     ("tdsolver.py", "SolverState.destabilize"),
     ("tdsolver.py", "state_from_json"),
@@ -225,16 +230,22 @@ TABLE_WRITERS = {
 }
 
 
-def _is_a_table(expr: ast.AST, aliases: set) -> bool:
-    """Whether `expr` is σ or a set of the solver, or may be one."""
-    return (isinstance(expr, ast.Attribute) and expr.attr in TABLE_NAMES) or \
-        (isinstance(expr, ast.Name) and expr.id in aliases) or \
-        (isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name)
-         and expr.func.id == "getattr")
+def _tables_of(expr: ast.AST, aliases: dict) -> set:
+    """The tables `expr` is or may be (a name bound by `getattr` may be
+    any): σ, stable or point; none if it is no table."""
+    if isinstance(expr, ast.Attribute) and expr.attr in TABLE_NAMES:
+        return {expr.attr}
+    if isinstance(expr, ast.Name):
+        return aliases.get(expr.id, set())
+    if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name) and \
+            expr.func.id == "getattr":
+        return set(TABLE_NAMES)
+    return set()
 
 
-def _table_aliases(scope: ast.AST) -> set:
-    """The names `scope` binds, anywhere in it, to σ or a set."""
+def _table_aliases(scope: ast.AST, aliases: dict) -> dict:
+    """`aliases` and the names `scope` binds, anywhere in it, to σ or a
+    set, each with the tables it may be."""
     pairs = []  # (target, the expression bound to it)
     for node in ast.walk(scope):
         if isinstance(node, ast.Assign):
@@ -243,45 +254,82 @@ def _table_aliases(scope: ast.AST) -> set:
                     pairs += zip(target.elts, node.value.elts)
                 else:
                     pairs.append((target, node.value))
-    names: set = set()
+    names = dict(aliases)
     while True:
-        more = {t.id for t, value in pairs
-                if isinstance(t, ast.Name) and _is_a_table(value, names)}
-        if more <= names:
+        more = {t.id: _tables_of(value, names) for t, value in pairs
+                if isinstance(t, ast.Name) and _tables_of(value, names)}
+        if all(names.get(n, set()) >= tables for n, tables in more.items()):
             return names
-        names |= more
+        for n, tables in more.items():
+            names[n] = names.get(n, set()) | tables
 
 
-def _table_writes(scope: ast.AST) -> list:
-    """The lines of `scope` that write σ or a set."""
-    aliases, lines = _table_aliases(scope), []
+def _table_writes(scope: ast.AST, aliases: dict):
+    """(line, the tables it may write, the method) of each write to σ or a
+    set in `scope`."""
+    aliases = _table_aliases(scope, aliases)
     for node in ast.walk(scope):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and \
-                node.func.attr in TABLE_MUTATORS and _is_a_table(node.func.value, aliases):
-            lines.append(node.lineno)
-        elif isinstance(node, ast.AugAssign) and _is_a_table(node.target, aliases):
-            lines.append(node.lineno)
+                node.func.attr in TABLE_MUTATORS:
+            on = node.func.value
+            if isinstance(on, ast.Name) and on.id in ("dict", "set") and node.args:
+                tables = _tables_of(node.args[0], aliases)
+                if tables:
+                    yield node.lineno, tables, f"{on.id}.{node.func.attr}"
+            elif _tables_of(on, aliases):
+                yield node.lineno, _tables_of(on, aliases), node.func.attr
+        elif isinstance(node, ast.AugAssign) and _tables_of(node.target, aliases):
+            yield node.lineno, _tables_of(node.target, aliases), "augmented assignment"
         elif isinstance(node, (ast.Assign, ast.Delete)):
-            lines += [node.lineno for t in node.targets
-                      if isinstance(t, ast.Subscript) and _is_a_table(t.value, aliases)]
-    return lines
+            for t in node.targets:
+                if isinstance(t, ast.Subscript) and _tables_of(t.value, aliases):
+                    yield node.lineno, _tables_of(t.value, aliases), \
+                        "__delitem__" if isinstance(node, ast.Delete) else "__setitem__"
 
 
-def test_only_the_solver_the_reanalysis_and_pruning_write_sigma_and_the_sets():
-    writers = {}  # (module, function or class) -> the lines that write
+def _table_write_sites():
+    """(module, function or class.method, line, tables, method) of each
+    write to σ or a set in the package.  In the methods of the logging
+    classes, ``self`` is the table."""
+    logging = {cls.__name__: {name for name, c in LOGGING.items() if c is cls}
+               for cls in LOGGING.values()}
     for path in sorted(PACKAGE.rglob("*.py")):
         module = path.relative_to(PACKAGE).as_posix()
         tree = ast.parse(path.read_text(), filename=str(path))
         for top in tree.body:
-            scopes = [(getattr(top, "name", "<module>"), top)] \
+            scopes = [(getattr(top, "name", "<module>"), top, {})] \
                 if not isinstance(top, ast.ClassDef) else \
-                [(f"{top.name}.{m.name}", m) for m in top.body
-                 if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))]
-            for owner, scope in scopes:
-                lines = _table_writes(scope)
-                if lines:
-                    writer = (module, owner.partition(".")[0])
-                    writers.setdefault(writer if writer in TABLE_WRITERS else (module, owner),
-                                       []).extend(lines)
+                [(f"{top.name}.{m.name}", m, {"self": logging.get(top.name, set())})
+                 for m in top.body if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            for owner, scope, aliases in scopes:
+                for line, tables, method in _table_writes(scope, aliases):
+                    yield module, owner, line, tables, method
+
+
+def test_only_the_solver_the_reanalysis_and_pruning_write_sigma_and_the_sets():
+    writers = {}  # (module, function or class) -> the lines that write
+    for module, owner, line, _, _ in _table_write_sites():
+        writer = (module, owner.partition(".")[0])
+        writers.setdefault(writer if writer in TABLE_WRITERS else (module, owner),
+                           []).append(line)
     assert not {m for m, _ in writers} & {"postproc.py", "journal.py", "cli.py"}, writers
     assert set(writers) == TABLE_WRITERS, writers
+
+
+def test_sigma_and_the_sets_are_written_only_through_the_methods_that_log():
+    """Outside the logging classes, every write to σ, stable or point calls
+    a method that `Values` or `Members` overrides to log: no ``update``,
+    ``setdefault``, ``popitem``, ``clear`` or ``del`` of σ, no ``update``,
+    ``intersection_update``, ``symmetric_difference_update``, ``remove``
+    or augmented assignment of a set, and no `dict` or `set` method called
+    on a table directly.  A name bound by `getattr` may be any table: its
+    method passes if one of them logs it.  (The classes make the other
+    mutators raise, which this finds before a run reaches them.)"""
+    logging = {cls.__name__ for cls in LOGGING.values()}
+    problems = [f"{module}:{line} {method} of {sorted(tables)}"
+                for module, owner, line, tables, method in _table_write_sites()
+                if owner.partition(".")[0] not in logging
+                and not any(vars(LOGGING[t]).get(method) not in (None, tdsolver._unlogged)
+                            for t in tables)]
+    assert problems == []
+

@@ -46,6 +46,7 @@ from support import (
     analyze_source,
     apply_section,
     assert_producers_are_the_last_evaluations,
+    differences,
     eqsys_from_dict,
     fresh_assignment,
     full_prune,
@@ -55,6 +56,7 @@ from support import (
     full_tables,
     inexact_infl,
     log_stable,
+    logged_differences,
     producers,
     random_tree,
     side_maps_inverse,
@@ -86,11 +88,13 @@ def incremental_setup(old_text, new_text, mode="reluctant", restart="off",
     built, st, _ = analyze_source(old_text)
     new_prog = parse(new_text)
     changes = detect_changes(parse(old_text).digests, new_prog)
-    G_sel = select_restart_globals(changes, st, built.assignment) if restart == "minimal" else []
+    contexts = recorded_contexts(st, built.assignment)
+    G_sel = select_restart_globals(changes, st, built.assignment, contexts) \
+        if restart == "minimal" else []
     new_asg = relabel_nodes(changes, built.assignment, new_prog)
     new_built = build_system(new_prog, new_asg)
     prep = prepare_reluctant if mode == "reluctant" else prepare_plain
-    A = prep(changes, st, built.assignment, recorded_contexts(st, built.assignment))
+    A = prep(changes, st, built.assignment, contexts)
     restarter(G_sel, new_built.sys, st, A)
     return new_built, st, changes, A
 
@@ -410,7 +414,9 @@ def test_reluctant_work_never_exceeds_plain():
 def test_select_restart_globals_fig2_edit():
     built, st, _ = analyze_source(FIG2)
     changes = detect_changes(parse(FIG2).digests, parse(FIG2_EDIT))
-    assert select_restart_globals(changes, st, built.assignment) == {G: {node("foo", 1, BETA0)}}
+    assert select_restart_globals(changes, st, built.assignment,
+                                  recorded_contexts(st, built.assignment)) == \
+        {G: {node("foo", 1, BETA0)}}
 
 
 def test_select_restart_globals_pure_function_edit():
@@ -422,14 +428,16 @@ int main() { r = f(1); return r + g; }
     edited = src.replace("x + 1", "x + 2")
     built, st, _ = analyze_source(src)
     changes = detect_changes(parse(src).digests, parse(edited))
-    assert select_restart_globals(changes, st, built.assignment) == {}
+    assert select_restart_globals(changes, st, built.assignment,
+                                  recorded_contexts(st, built.assignment)) == {}
 
 
 def test_select_restart_globals_init_edit():
     built, st, _ = analyze_source(FIG2)
     new_text = FIG2.replace("atomic int g = 0 ;", "atomic int g = 9 ;")
     changes = detect_changes(parse(FIG2).digests, parse(new_text))
-    assert select_restart_globals(changes, st, built.assignment) == {G: {INIT}}
+    assert select_restart_globals(changes, st, built.assignment,
+                                  recorded_contexts(st, built.assignment)) == {G: {INIT}}
 
 
 def test_restart_matches_fig6_and_recovers_precision():
@@ -703,7 +711,9 @@ def test_the_walk_from_what_it_reached_follows_the_full_walk_on_random_systems()
     and full pruning leave, every map in order included, and each reached
     stable unknown is in the ``infl`` rows of exactly what its rhs queries.
     The solver section written from the maps' logs is the one a comparison
-    of every row finds.
+    of every row finds, and the logs of the rows the run and the walk wrote,
+    cut down to the rows that differ, are those that a comparison with a
+    snapshot finds.
     The edits make unknowns leave, cycles lose their entry and evaluations
     stop reading what they read before."""
     rng = random.Random(1919)
@@ -720,7 +730,7 @@ def test_the_walk_from_what_it_reached_follows_the_full_walk_on_random_systems()
         stats = run(sys_, st)
         reuse = decide_reuse(st, start, stats["reads"])
         walk = reachable_set(sys_, st, None, reuse, reach)
-        prune(st, walk.left, reuse.logs)
+        prune(st, walk.left)
         assert solver_section(start, st) == full_section(full_tables(SolverState()), st)
         reach = walk.reach
         for step in range(4):
@@ -733,12 +743,14 @@ def test_the_walk_from_what_it_reached_follows_the_full_walk_on_random_systems()
                 st.destabilize(x)
             stats = run(sys_, st)
             reuse = decide_reuse(st, start, stats["reads"])
+            where = f"trial {trial} step {step}"
+            assert logged_differences(st) == differences(before, st), where
             ref = copy.deepcopy(st)
             walk = reachable_set(sys_, st, None, reuse, reach)
-            prune(st, walk.left, reuse.logs)
+            prune(st, walk.left)
+            assert logged_differences(st) == differences(before, st), where
             reached = full_reachable_set(sys_, ref)
             full_prune(ref, reached)
-            where = f"trial {trial} step {step}"
             assert walk.reach.succ.keys() == reached.keys(), where
             assert {u: set(out) for u, out in walk.reach.succ.items()} == reached, where
             assert st.sigma == ref.sigma and (st.stable, st.point) == (ref.stable, ref.point), where
@@ -778,7 +790,7 @@ def test_a_record_holds_what_left_and_not_what_the_run_made_and_pruning_removed(
     start = tables(st)
     reuse = decide_reuse(st, start, run(first, st)["reads"])
     walk = reachable_set(first, st, None, reuse, reach)
-    prune(st, walk.left, reuse.logs)
+    prune(st, walk.left)
     base = solver_section({}, st)
     second = eqsys_from_dict({q: QGet(g, query), x: Ans(vs(1)), z: Ans(vs(2)),
                               p: QSet(g, vs(1), Ans(vs(1)))}, q, lambda u: ValueSet.bot())
@@ -790,7 +802,7 @@ def test_a_record_holds_what_left_and_not_what_the_run_made_and_pruning_removed(
     reuse = decide_reuse(st, start, stats["reads"])
     walk = reachable_set(second, st, None, reuse, walk.reach)
     assert set(walk.left) == {x, z} and x not in reuse.changed
-    prune(st, walk.left, reuse.logs)
+    prune(st, walk.left)
     doc = solver_section(start, st)
     assert doc == full_section(before, st)
     unknowns = [unknown_from_json(d) for d in doc["unknowns"]]

@@ -26,11 +26,13 @@ from support import (
     FIG2_EDIT,
     analyze_source,
     full_postprocess,
+    differences,
     full_reachable_set,
     full_section,
     full_tables,
     inexact_infl,
     log_stable,
+    logged_differences,
     pairwise_races,
     persisted,
     solver_section,
@@ -175,11 +177,14 @@ def _assert_same_as_the_full_walk(versions, opts, monkeypatch, serve=True, walks
     untouched unknowns the pipeline derives are, on every unknown with a
     rhs, those that a `StableLog` finds never left stable.  The `Reach`
     read off a loaded state is the full walk's on that state.  The solver
-    section written from the maps' logs is the one a comparison of every
-    row finds.
+    section written from the logs is the one a comparison of every row
+    finds, and the logs, cut down to the rows that differ, are those that a
+    comparison with a snapshot finds, at the reuse decision and after
+    pruning.  At the decision, every unknown of σ that `Reuse.changed`
+    names is mapped to σ's own key object.
     With `walks_less`, a step that reuses in memory walks fewer unknowns
     than the full walk reaches."""
-    walks, decided, starts = [], [], []
+    walks, decided, starts, befores = [], [], [], []
     walk, post, reanalyze_ = postproc.reachable_set, cli.postprocess, cli.reanalyze
 
     def reachable_set(sys_, st, visit, reuse, known):
@@ -193,13 +198,17 @@ def _assert_same_as_the_full_walk(versions, opts, monkeypatch, serve=True, walks
     def postprocess(built, st, prev, filename, reuse):
         unlogged = {u for u in reuse.untouched ^ st.stable.untouched() if built.sys.has_rhs(u)}
         decided.append((built.sys, reuse, unlogged))
+        assert logged_differences(st) == differences(befores[-1], st)
+        own = {u: u for u in st.sigma}
+        assert all(own.get(u, v) is v for u, v in reuse.changed.items()), \
+            "the walk is handed σ's own key objects"
         return post(built, st, prev, filename, reuse)
 
     monkeypatch.setattr(cli, "postprocess", postprocess)
 
     def reanalyze(*args, **kwargs):
         out = reanalyze_(*args, **kwargs)
-        starts.append(out[3].logs)
+        starts.append(out[3].start)
         return out
 
     monkeypatch.setattr(cli, "reanalyze", reanalyze)
@@ -212,8 +221,11 @@ def _assert_same_as_the_full_walk(versions, opts, monkeypatch, serve=True, walks
                 _assert_the_reach_is_the_full_walks(session.state, sys_)
         log_stable(session.state)
         before = full_tables(session.state)
+        befores.append(before)
         result = cli.run_reanalysis(session, text, filename, opts)
         session = result.session
+        assert logged_differences(session.state) == differences(before, session.state), \
+            f"step {step}"
         assert solver_section(starts[-1], session.state) == \
             full_section(before, session.state), f"step {step}"
         sys_, reuse, unlogged = decided[-1]

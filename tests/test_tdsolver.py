@@ -36,7 +36,6 @@ from support import (
     apply_section,
     analyze_source,
     assert_producers_are_the_last_evaluations,
-    diffed,
     eqsys_from_dict,
     full_section,
     full_tables,
@@ -260,7 +259,8 @@ def test_destabilize_skips_called_unknowns():
     a, b, c = node("t", 0), node("t", 1), node("t", 2)
     st.infl[a] = {b: None}
     st.infl[b] = {c: None}
-    st.stable |= {b, c}
+    st.stable.add(b)
+    st.stable.add(c)
     st.called.add(b)
     st.destabilize(a)
     assert b not in st.stable  # removed
@@ -330,21 +330,56 @@ def test_termination_accounting_is_bounded():
 def test_the_state_holds_exactly_the_persisted_tables():
     """Every table of the state is persisted but `called`, which is empty
     at rest: a table added without being persisted fails here, and so does
-    one left over.  The maps' logs are empty at rest too: `tables` starts
-    one for each map that has rows, and the record ends them."""
+    one left over.  Every table's log is empty at rest too: `tables`
+    starts one for each table that has rows, and the record ends them."""
     assert tdsolver.MAPS == ("infl", "side_dep", "side_infl")
     assert tdsolver.SETS == ("stable", "point")
-    assert set(vars(SolverState())) == {"sigma", *tdsolver.MAPS, *tdsolver.SETS, "called",
-                                        "rhs_evals", "destabilizations"}
-    assert set(tables(SolverState())) == {"sigma", *tdsolver.MAPS, *tdsolver.SETS, "counters"}
+    assert set(tdsolver.TABLES) == {"sigma", *tdsolver.MAPS, *tdsolver.SETS}
+    assert set(vars(SolverState())) == {*tdsolver.TABLES, "called", "rhs_evals",
+                                        "destabilizations"}
+    empty = SolverState()
+    assert tables(empty) == {"rhs_evals": 0, "destabilizations": 0}
+    assert [getattr(empty, name).log for name in tdsolver.TABLES] == [None] * 6  # all new
     _, st, _ = analyze_source(FIG2)
-    maps = [getattr(st, name) for name in tdsolver.MAPS]
-    assert all(type(m) is tdsolver.Rows and m and m.log is None for m in maps)
-    start = tables(st)
-    assert [start[name] for name in tdsolver.MAPS] == [m.log for m in maps] == [{}, {}, {}]
-    solver_section(diffed(start, st), st)
-    assert [m.log for m in maps] == [None, None, None]
-    assert tables(SolverState())["infl"] is None  # no log: every row will be new
+    kinds = [tdsolver.Members] * 2 + [tdsolver.Values] + [tdsolver.Rows] * 3
+    logged = [getattr(st, name) for name in tdsolver.TABLES]
+    assert [type(t) for t in logged] == kinds
+    assert all(t and t.log is None for t in logged)
+    assert tables(st) == {"rhs_evals": st.rhs_evals, "destabilizations": st.destabilizations}
+    assert [t.log for t in logged] == [{}] * 6
+    solver_section(tables(st), st)
+    assert [t.log for t in logged] == [None] * 6
+
+
+@pytest.mark.parametrize("table, call", [
+    ("sigma", lambda t, u: t.update({u: None})), ("sigma", lambda t, u: t.setdefault(u)),
+    ("sigma", lambda t, u: t.popitem()), ("sigma", lambda t, u: t.clear()),
+    ("sigma", lambda t, u: t.__delitem__(u)), ("sigma", lambda t, u: t.__ior__({u: None})),
+    ("stable", lambda t, u: t.update([u])), ("stable", lambda t, u: t.remove(u)),
+    ("stable", lambda t, u: t.pop()), ("stable", lambda t, u: t.clear()),
+    ("stable", lambda t, u: t.intersection_update([u])),
+    ("stable", lambda t, u: t.symmetric_difference_update([u])),
+    ("point", lambda t, u: t.__ior__({u})), ("point", lambda t, u: t.__iand__({u})),
+    ("point", lambda t, u: t.__isub__({u})), ("point", lambda t, u: t.__ixor__({u})),
+])
+def test_a_mutator_that_does_not_log_raises(table, call):
+    """σ, stable and point are written only by the methods that log: the
+    other mutators of a dict or a set raise and change nothing."""
+    st = SolverState()
+    st.sigma[INIT] = ValueSet.of([0])
+    st.stable.add(INIT)
+    st.point.add(INIT)
+    with pytest.raises(TypeError, match="only by methods that log"):
+        call(getattr(st, table), INIT)
+    assert INIT in getattr(st, table)
+
+
+def test_sigma_gives_its_own_key_object_for_an_equal_one():
+    key, copy = NodeCtx("f", 1, Context.EMPTY), NodeCtx("f", 1, Context.EMPTY)
+    sigma = tdsolver.Values({GlobalVar("g"): ValueSet.of([1]), key: ValueSet.of([0])})
+    assert sigma.own(copy) is key and sigma.own(key) is key
+    other = NodeCtx("f", 2, Context.EMPTY)
+    assert sigma.own(other) is other
 
 
 def test_state_json_roundtrip_and_warm_restart():
@@ -440,9 +475,9 @@ def test_state_json_roundtrip_on_the_corpus():
     assert_same_state(st2, st)
     assert json.dumps(solver_section({}, st2)) == written
     # σ's rows compare by identity: a reloaded value is a new object
-    assert solver_section(diffed(tables(st), st), st) == {"unknowns": [], "values": [],
-                                                          "put": {}, "gone": {}}
-    assert len(solver_section(diffed(tables(st), st2), st2)["put"]["sigma"]) == len(st.sigma)
+    assert solver_section(tables(st), st) == {"unknowns": [], "values": [], "put": {},
+                                              "gone": {}}
+    assert len(full_section(full_tables(st), st2)["put"]["sigma"]) == len(st.sigma)
 
 
 def test_the_decoder_leaves_the_counters_alone(tmp_path):
